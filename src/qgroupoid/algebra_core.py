@@ -14,13 +14,12 @@ from fractions import Fraction
 
 from .exact_linear import (
     ONE,
-    ZERO,
     LinearMap,
     Rref,
     Scalar,
-    vadd,
+    axpy,
+    joint_kernel,
     vec_conj,
-    vscale,
 )
 from .report import Report
 
@@ -87,15 +86,7 @@ class FiniteAlgebra:
         for i, s in u.items():
             row = self.table[i]
             for j, t in v.items():
-                c = s * t
-                if not c:
-                    continue
-                for k, r in row[j].items():
-                    val = w.get(k, ZERO) + c * r
-                    if val:
-                        w[k] = val
-                    else:
-                        w.pop(k, None)
+                axpy(w, s * t, row[j])
         return w
 
     def mul_many(self, *vs):
@@ -112,10 +103,7 @@ class FiniteAlgebra:
                     self.dim, self.dim, lambda j: dict(self.table[u][j])
                 )
             return self._lmul[u]
-        out = LinearMap.zero(self.dim, self.dim)
-        for i, s in u.items():
-            out = out + self.lmul(i).scale(s)
-        return out
+        return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul(u, {j: ONE}))
 
     def rmul(self, u):
         """Right multiplication operator v -> v*u."""
@@ -125,10 +113,7 @@ class FiniteAlgebra:
                     self.dim, self.dim, lambda j: dict(self.table[j][u])
                 )
             return self._rmul[u]
-        out = LinearMap.zero(self.dim, self.dim)
-        for i, s in u.items():
-            out = out + self.rmul(i).scale(s)
-        return out
+        return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul({j: ONE}, u))
 
     def star(self, v):
         if self.involution is None:
@@ -150,22 +135,9 @@ class FiniteAlgebra:
 
     def nondegenerate_sides(self):
         """(left, right): no a with a*A = 0, no a with A*a = 0."""
-        rref_r = Rref()
-        right_ann = self._joint_kernel([self.rmul(j) for j in range(self.dim)])
-        left_ann = self._joint_kernel([self.lmul(j) for j in range(self.dim)])
-        del rref_r
+        right_ann = joint_kernel([self.rmul(j) for j in range(self.dim)])
+        left_ann = joint_kernel([self.lmul(j) for j in range(self.dim)])
         return not right_ann, not left_ann
-
-    def _joint_kernel(self, maps):
-        stacked = []
-        n = self.dim
-        for j in range(n):
-            col = {}
-            for t, m in enumerate(maps):
-                for i, s in m.col(j).items():
-                    col[t * n + i] = s
-            stacked.append(col)
-        return LinearMap(n * len(maps), n, stacked).kernel_basis()
 
     def products_span(self):
         rr = Rref()
@@ -329,18 +301,16 @@ class ModuleStructure:
     def act(self, x, v):
         out = {}
         for i, s in x.items():
-            out = vadd(out, vscale(s, self.acts[i].apply(v)))
+            axpy(out, s, self.acts[i].apply(v))
         return out
 
     def check_action(self):
-        b = self.base
+        b, n = self.base, self.total.dim
         for x in range(b.dim):
             for y in range(b.dim):
                 prod = b.table[x][y] if self.side == "left" else b.table[y][x]
                 composite = self.acts[x].compose(self.acts[y])
-                expected = LinearMap.zero(self.total.dim, self.total.dim)
-                for k, s in prod.items():
-                    expected = expected + self.acts[k].scale(s)
+                expected = LinearMap.combination(n, n, ((s, self.acts[k]) for k, s in prod.items()))
                 if composite != expected:
                     return False, (b.labels[x], b.labels[y])
         return True, None
@@ -353,8 +323,7 @@ class ModuleStructure:
             col = {}
             m = self.acts[x]
             for j in range(m.cols):
-                for i, s in m.col(j).items():
-                    col[j * n + i] = s
+                axpy(col, ONE, m.col(j), j * n)
             cols.append(col)
         return LinearMap(n * n, self.base.dim, cols).is_injective()
 
@@ -379,10 +348,8 @@ def find_unit(algebra):
         col = {}
         for i in range(n):
             # e * e_i stacked over i (left unit rows), then e_i * e
-            for k, s in algebra.table[j][i].items():
-                col[i * n + k] = s
-            for k, s in algebra.table[i][j].items():
-                col[(n + i) * n + k] = s
+            axpy(col, ONE, algebra.table[j][i], i * n)
+            axpy(col, ONE, algebra.table[i][j], (n + i) * n)
         cols.append(col)
     target = {}
     for i in range(n):
@@ -452,20 +419,10 @@ def multiplier_algebra(algebra):
         for b in range(n):
             # sum_i R[i,a] e_i*e_b - sum_j L[j,b] e_a*e_j = 0
             for i in range(n):
-                prod = algebra.table[i][b]
-                for k, s in prod.items():
-                    cols[unknown_r(i, a)][eqno * n + k] = (
-                        cols[unknown_r(i, a)].get(eqno * n + k, ZERO) + s
-                    )
+                axpy(cols[unknown_r(i, a)], ONE, algebra.table[i][b], eqno * n)
             for j in range(n):
-                prod = algebra.table[a][j]
-                for k, s in prod.items():
-                    key = eqno * n + k
-                    cols[unknown_l(j, b)][key] = (
-                        cols[unknown_l(j, b)].get(key, ZERO) - s
-                    )
+                axpy(cols[unknown_l(j, b)], -ONE, algebra.table[a][j], eqno * n)
             eqno += 1
-    cols = [{k: s for k, s in c.items() if s} for c in cols]
     constraint = LinearMap(eqno * n, 2 * n * n, cols)
     basis = constraint.kernel_basis()
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from .exact_linear import (
     ONE,
-    ZERO,
     LinearMap,
     QuotientSpace,
     Rref,
+    axpy,
     kron_vec,
-    vadd,
-    vscale,
     vsub,
 )
 
@@ -26,9 +24,11 @@ __all__ = [
     "BalancedTensor",
     "TripleTensor",
     "build_balanced",
+    "descend_componentwise",
     "slice_left",
     "slice_right",
     "flip",
+    "tensor_mul",
     "NotBalanced",
 ]
 
@@ -39,6 +39,61 @@ class NotBalanced(ValueError):
     def __init__(self, message, witness):
         self.witness = witness
         super().__init__("%s; witness relation %s" % (message, witness))
+
+
+def _relations(struct1, struct2):
+    """(x, a, b, x.a (x) b - a (x) x.b) for every non-zero relation generator."""
+    n = struct1.total.dim
+    for x in range(struct1.base.dim):
+        m1, m2 = struct1.acts[x], struct2.acts[x]
+        for a in range(n):
+            u = m1.col(a)
+            for b in range(n):
+                rel = axpy({i * n + b: s for i, s in u.items()}, -ONE, m2.col(b), a * n)
+                if rel:
+                    yield x, a, b, rel
+
+
+def tensor_mul(algebra, u, v):
+    """Product in A (x) A of two sparse vectors over n*n indices."""
+    n = algebra.dim
+    table = algebra.table
+    out = {}
+    for idx1, s in u.items():
+        i1, j1 = divmod(idx1, n)
+        for idx2, t in v.items():
+            i2, j2 = divmod(idx2, n)
+            axpy(out, s * t, kron_vec(table[i1][i2], table[j1][j2], n))
+    return out
+
+
+def descend_componentwise(src, dst, fn, message, antilinear=False):
+    """Descend the map e_i (x) e_j -> fn(i, j) from src to dst, checked.
+
+    dst is a BalancedTensor, or None for A itself; fn(i, j) is a vector of
+    dst's ambient space (A (x) A, or A).  Every relation generator of src
+    must land in dst's relation span (for A: on zero); the first that does
+    not raises NotBalanced with ``message``, in which {src!r} and {dst!r}
+    stand for the two flavors.  An antilinear map conjugates coefficients.
+    """
+    n = src.leg_dim
+
+    def apply(w):
+        out = {}
+        for idx, s in w.items():
+            axpy(out, s.conj() if antilinear else s, fn(*divmod(idx, n)))
+        return out
+
+    if dst is None:
+        rows, holds, project = src.algebra.dim, (lambda w: not w), (lambda w: w)
+    else:
+        rows, holds, project = dst.dim, dst.space.contains_relation, dst.project
+    for gen, rel in zip(src.generators, src.relation_vectors()):
+        if not holds(apply(rel)):
+            raise NotBalanced(
+                message.format(src=src.flavor, dst=getattr(dst, "flavor", None)), gen
+            )
+    return LinearMap.from_function(rows, src.dim, lambda q: project(apply(src.lift({q: ONE}))))
 
 
 class BalancedTensor:
@@ -55,20 +110,12 @@ class BalancedTensor:
         self.flavor = flavor
         n = algebra.dim
         self.leg_dim = n
-        relations = []
         self.generators = []  # (x, a, b) triples for witness reporting
-        for x in range(struct1.base.dim):
-            m1, m2 = struct1.acts[x], struct2.acts[x]
-            for a in range(n):
-                u = m1.col(a)
-                for b in range(n):
-                    rel = vsub(
-                        kron_vec(u, {b: ONE}, n), kron_vec({a: ONE}, m2.col(b), n)
-                    )
-                    if rel:
-                        relations.append(rel)
-                        self.generators.append((x, a, b))
-        self.space = QuotientSpace(n * n, relations)
+        self._relations = []
+        for x, a, b, rel in _relations(struct1, struct2):
+            self.generators.append((x, a, b))
+            self._relations.append(rel)
+        self.space = QuotientSpace(n * n, self._relations)
         self.dim = self.space.dim
         self._op_cache = {}
 
@@ -86,51 +133,26 @@ class BalancedTensor:
         return self.space.lift(q)
 
     def relation_vectors(self):
-        n = self.leg_dim
-        out = []
-        for x, a, b in self.generators:
-            out.append(
-                vsub(
-                    kron_vec(self.struct1.acts[x].col(a), {b: ONE}, n),
-                    kron_vec({a: ONE}, self.struct2.acts[x].col(b), n),
-                )
-            )
-        return out
+        """The relation generators' vectors, in the order of ``generators``."""
+        return self._relations
 
     # -- descended operators ---------------------------------------------
 
-    def descend(self, op1, op2, target=None, check=True, what="operator"):
+    def descend(self, op1, op2, target=None, what="operator"):
         """Descend (op1 (x) op2) to a map self -> target (default self).
 
-        op1/op2 are LinearMaps on A or None for the identity.  With
-        check=True, every relation generator is verified to land in the
-        target's relation span; the first failure raises NotBalanced.
+        op1/op2 are LinearMaps on A or None for the identity.  Every
+        relation generator is verified to land in the target's relation
+        span; the first failure raises NotBalanced.
         """
-        target = target or self
+
+        def leg(op, i):
+            return op.col(i) if op is not None else {i: ONE}
+
         n = self.leg_dim
-
-        def tensor_apply(w):
-            out = {}
-            for idx, s in w.items():
-                i, j = divmod(idx, n)
-                u = op1.col(i) if op1 is not None else {i: ONE}
-                v = op2.col(j) if op2 is not None else {j: ONE}
-                out = vadd(out, vscale(s, kron_vec(u, v, n)))
-            return out
-
-        if check:
-            for gen, rel in zip(self.generators, self.relation_vectors()):
-                image = tensor_apply(rel)
-                if not target.space.contains_relation(image):
-                    raise NotBalanced(
-                        "%s does not descend between flavors %r -> %r"
-                        % (what, self.flavor, target.flavor),
-                        gen,
-                    )
-        return LinearMap.from_function(
-            target.dim,
-            self.dim,
-            lambda q: target.project(tensor_apply(self.lift({q: ONE}))),
+        return descend_componentwise(
+            self, target or self, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
+            what + " does not descend between flavors {src!r} -> {dst!r}",
         )
 
     def _leg_op(self, slot, side, elem_index):
@@ -140,7 +162,7 @@ class BalancedTensor:
             m = alg.lmul(elem_index) if side == "l" else alg.rmul(elem_index)
             op1, op2 = (m, None) if slot == 1 else (None, m)
             self._op_cache[key] = self.descend(
-                op1, op2, check=True, what="%s-multiplication on leg %d" % (side, slot)
+                op1, op2, what="%s-multiplication on leg %d" % (side, slot)
             )
         return self._op_cache[key]
 
@@ -148,10 +170,9 @@ class BalancedTensor:
         items = list(u.items())
         if len(items) == 1 and items[0][1] == ONE:
             return self._leg_op(slot, side, items[0][0])
-        out = LinearMap.zero(self.dim, self.dim)
-        for i, s in items:
-            out = out + self._leg_op(slot, side, i).scale(s)
-        return out
+        return LinearMap.combination(
+            self.dim, self.dim, ((s, self._leg_op(slot, side, i)) for i, s in items)
+        )
 
     def lmul1(self, u):
         """Descended u*(.) on the first leg."""
@@ -173,24 +194,9 @@ class BalancedTensor:
         Only meaningful when the caller has verified the representative
         independence (e.g. images of a comultiplication).
         """
-        n = self.leg_dim
-        u, v = self.lift(q1), self.lift(q2)
-        out = {}
-        alg = self.algebra
-        for idx1, s in u.items():
-            i1, j1 = divmod(idx1, n)
-            for idx2, t in v.items():
-                i2, j2 = divmod(idx2, n)
-                c = s * t
-                if not c:
-                    continue
-                prod = kron_vec(
-                    alg.mul({i1: ONE}, {i2: ONE}), alg.mul({j1: ONE}, {j2: ONE}), n
-                )
-                out = vadd(out, vscale(c, prod))
-        return self.project(out)
+        return self.project(tensor_mul(self.algebra, self.lift(q1), self.lift(q2)))
 
-    def slice(self, omega, leg, multiply, check=True, what="slice"):
+    def slice(self, omega, leg, multiply, what="slice"):
         """Descend c (x) d -> omega(c).d (and the three sibling patterns) to A.
 
         omega: LinearMap A -> A (a base-valued map already composed with
@@ -199,52 +205,21 @@ class BalancedTensor:
         left or the right.
         """
         alg = self.algebra
-        n = self.leg_dim
 
-        def slicer(w):
-            out = {}
-            for idx, s in w.items():
-                i, j = divmod(idx, n)
-                if leg == 1:
-                    val = omega.apply({i: ONE})
-                    other = {j: ONE}
-                else:
-                    val = omega.apply({j: ONE})
-                    other = {i: ONE}
-                prod = alg.mul(val, other) if multiply == "left" else alg.mul(other, val)
-                out = vadd(out, vscale(s, prod))
-            return out
+        def sliced(i, j):
+            val, other = (omega.col(i), {j: ONE}) if leg == 1 else (omega.col(j), {i: ONE})
+            return alg.mul(val, other) if multiply == "left" else alg.mul(other, val)
 
-        if check:
-            for gen, rel in zip(self.generators, self.relation_vectors()):
-                if slicer(rel):
-                    raise NotBalanced(
-                        "%s is not balanced for flavor %r" % (what, self.flavor), gen
-                    )
-        return LinearMap.from_function(
-            alg.dim, self.dim, lambda q: slicer(self.lift({q: ONE}))
+        return descend_componentwise(
+            self, None, sliced, what + " is not balanced for flavor {src!r}"
         )
 
     def flip_to(self, target):
         """The map a (x) b -> b (x) a into the flipped flavor, checked."""
         n = self.leg_dim
-
-        def flipv(w):
-            out = {}
-            for idx, s in w.items():
-                i, j = divmod(idx, n)
-                out[j * n + i] = s
-            return out
-
-        for gen, rel in zip(self.generators, self.relation_vectors()):
-            if not target.space.contains_relation(flipv(rel)):
-                raise NotBalanced(
-                    "flip does not relate flavors %r -> %r"
-                    % (self.flavor, target.flavor),
-                    gen,
-                )
-        return LinearMap.from_function(
-            target.dim, self.dim, lambda q: target.project(flipv(self.lift({q: ONE})))
+        return descend_componentwise(
+            self, target, lambda i, j: {j * n + i: ONE},
+            "flip does not relate flavors {src!r} -> {dst!r}",
         )
 
     def __repr__(self):
@@ -260,45 +235,14 @@ class TripleTensor:
         n = algebra.dim
         self.leg_dim = n
         rref = Rref()
-        s1a, s1b = pair12
-        s2a, s2b = pair23
-        for x in range(s1a.base.dim):
-            m1, m2 = s1a.acts[x], s1b.acts[x]
+        # relations x.a (x) b (x) c - a (x) x.b (x) c for all c ...
+        for _, _, _, rel in _relations(*pair12):
+            for c in range(n):
+                rref.add({k * n + c: s for k, s in rel.items()})
+        # ... and a (x) x.b (x) c - a (x) b (x) x.c for all a
+        for _, _, _, rel in _relations(*pair23):
             for a in range(n):
-                u = m1.col(a)
-                for b in range(n):
-                    # relations x.a (x) b (x) c - a (x) x.b (x) c for all c
-                    for cidx in range(n):
-                        rel = {}
-                        for i, s in u.items():
-                            rel[(i * n + b) * n + cidx] = s
-                        for j, s in m2.col(b).items():
-                            key = (a * n + j) * n + cidx
-                            t = rel.get(key, ZERO) - s
-                            if t:
-                                rel[key] = t
-                            else:
-                                rel.pop(key, None)
-                        if rel:
-                            rref.add(rel)
-        for x in range(s2a.base.dim):
-            m1, m2 = s2a.acts[x], s2b.acts[x]
-            for b in range(n):
-                u = m1.col(b)
-                for c in range(n):
-                    for aidx in range(n):
-                        rel = {}
-                        for j, s in u.items():
-                            rel[(aidx * n + j) * n + c] = s
-                        for k, s in m2.col(c).items():
-                            key = (aidx * n + b) * n + k
-                            t = rel.get(key, ZERO) - s
-                            if t:
-                                rel[key] = t
-                            else:
-                                rel.pop(key, None)
-                        if rel:
-                            rref.add(rel)
+                rref.add({a * n * n + k: s for k, s in rel.items()})
         self.rref = rref
         self.dim = n * n * n - rref.rank
 
@@ -317,7 +261,7 @@ def build_balanced(algebra, struct1, struct2, flavor=""):
     return BalancedTensor(algebra, struct1, struct2, flavor)
 
 
-def slice_left(tensor, omega, check=True):
+def slice_left(tensor, omega):
     """Slice omega (x) id for the standard flavors.
 
     For a left-comultiplication flavor ("b..." tags) the sliced value
@@ -326,13 +270,13 @@ def slice_left(tensor, omega, check=True):
     embedding into A.
     """
     multiply = "right" if tensor.flavor.startswith("c") else "left"
-    return tensor.slice(omega, 1, multiply, check=check, what="left slice")
+    return tensor.slice(omega, 1, multiply, what="left slice")
 
 
-def slice_right(tensor, omega, check=True):
+def slice_right(tensor, omega):
     """Slice id (x) omega for the standard flavors."""
     multiply = "right" if tensor.flavor.startswith("c") else "left"
-    return tensor.slice(omega, 2, multiply, check=check, what="right slice")
+    return tensor.slice(omega, 2, multiply, what="right slice")
 
 
 def flip(tensor, target):

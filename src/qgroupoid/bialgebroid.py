@@ -13,15 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra_core import ModuleStructure, check_algebra
-from .balanced_tensor import BalancedTensor, NotBalanced, TripleTensor
+from .balanced_tensor import (
+    BalancedTensor,
+    NotBalanced,
+    TripleTensor,
+    descend_componentwise,
+    tensor_mul,
+)
 from .exact_linear import (
     ONE,
-    ZERO,
     LinearMap,
     Rref,
+    axpy,
+    joint_kernel,
     kron_vec,
-    vadd,
-    vscale,
+    vec_conj,
 )
 from .report import Report
 
@@ -230,45 +236,27 @@ class RegularMHA:
 # ---------------------------------------------------------------------------
 
 
-def _componentwise(src, dst, fn, what):
-    """Descend the map e_i (x) e_j -> fn(i, j) from src to dst, checked."""
-    n = src.leg_dim
-
-    def apply(w):
-        out = {}
-        for idx, s in w.items():
-            i, j = divmod(idx, n)
-            out = vadd(out, vscale(s, fn(i, j)))
-        return out
-
-    for gen, rel in zip(src.generators, src.relation_vectors()):
-        if not dst.space.contains_relation(apply(rel)):
-            raise NotBalanced(
-                "%s does not descend %r -> %r" % (what, src.flavor, dst.flavor), gen
-            )
-    return LinearMap.from_function(
-        dst.dim, src.dim, lambda q: dst.project(apply(src.lift({q: ONE})))
-    )
-
-
 def _id_tensor_s(M, src, dst):
     n = M.A.dim
-    return _componentwise(
-        src, dst, lambda i, j: kron_vec({i: ONE}, M.S.col(j), n), "id (x) S"
+    return descend_componentwise(
+        src, dst, lambda i, j: kron_vec({i: ONE}, M.S.col(j), n),
+        "id (x) S does not descend {src!r} -> {dst!r}",
     )
 
 
 def _s_tensor_id(M, src, dst):
     n = M.A.dim
-    return _componentwise(
-        src, dst, lambda i, j: kron_vec(M.S.col(i), {j: ONE}, n), "S (x) id"
+    return descend_componentwise(
+        src, dst, lambda i, j: kron_vec(M.S.col(i), {j: ONE}, n),
+        "S (x) id does not descend {src!r} -> {dst!r}",
     )
 
 
 def _sigma_ss(M, src, dst):
     n = M.A.dim
-    return _componentwise(
-        src, dst, lambda i, j: kron_vec(M.S.col(j), M.S.col(i), n), "flip o (S (x) S)"
+    return descend_componentwise(
+        src, dst, lambda i, j: kron_vec(M.S.col(j), M.S.col(i), n),
+        "flip o (S (x) S) does not descend {src!r} -> {dst!r}",
     )
 
 
@@ -289,26 +277,14 @@ def derive_counits(M):
     def solve_side(dim_b, law_blocks, module_blocks, label):
         cols = [dict() for _ in range(n * dim_b)]
         rhs = {}
-        eq = [0]
-
-        def put(col_idx, coeff, vec, width):
-            col = cols[col_idx]
-            for k, s in vec.items():
-                key = eq[0] * width + k
-                t = col.get(key, ZERO) + coeff * s
-                if t:
-                    col[key] = t
-                else:
-                    col.pop(key, None)
-
+        eq = 0
         for width, blocks in ((n, law_blocks), (dim_b, module_blocks)):
             for target, terms in blocks:
-                for k, s in target.items():
-                    rhs[eq[0] * width + k] = s
+                axpy(rhs, ONE, target, eq * width)
                 for col_idx, coeff, vec in terms:
-                    put(col_idx, coeff, vec, width)
-                eq[0] += 1
-        system = LinearMap(eq[0] * max(n, dim_b), n * dim_b, cols)
+                    axpy(cols[col_idx], coeff, vec, eq * width)
+                eq += 1
+        system = LinearMap(eq * max(n, dim_b), n * dim_b, cols)
         sol = system.solve(rhs)
         if sol is None or system.kernel_basis():
             raise ValueError("%s counit does not exist or is not unique" % label)
@@ -427,21 +403,13 @@ def derive_antipode(M):
     eqno = 0
 
     def put(col_idx, coeff, vec):
-        col = cols[col_idx]
-        for kk, s in vec.items():
-            key = eqno * n + kk
-            t = col.get(key, ZERO) + coeff * s
-            if t:
-                col[key] = t
-            else:
-                col.pop(key, None)
+        axpy(cols[col_idx], coeff, vec, eqno * n)
 
     for a in range(n):
         for b in range(n):
             # m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b
             lifted = M.qb.lift(M.canonical_tilde("T_rho", a, b))
-            for k, s in A.mul(emb_sc_eps.col(a), {b: ONE}).items():
-                rhs[eqno * n + k] = s
+            axpy(rhs, ONE, A.mul(emb_sc_eps.col(a), {b: ONE}), eqno * n)
             for idx, c in lifted.items():
                 i, j = divmod(idx, n)
                 for k in range(n):
@@ -449,8 +417,7 @@ def derive_antipode(M):
             eqno += 1
             # m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b)))
             lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
-            for k, s in A.mul({a: ONE}, emb_sb_eps.col(b)).items():
-                rhs[eqno * n + k] = s
+            axpy(rhs, ONE, A.mul({a: ONE}, emb_sb_eps.col(b)), eqno * n)
             for idx, c in lifted.items():
                 i, j = divmod(idx, n)
                 for k in range(n):
@@ -526,8 +493,8 @@ def verify_left_bialgebroid(M, report=None):
         "left-bialgebroid-modules",
     )
     # non-degeneracy of the quotient over A (x) 1 and 1 (x) A
-    joint1 = _joint_kernel_of([qb.rmul1({j: ONE}) for j in range(n)], qb.dim)
-    joint2 = _joint_kernel_of([qb.rmul2({j: ONE}) for j in range(n)], qb.dim)
+    joint1 = joint_kernel([qb.rmul1({j: ONE}) for j in range(n)])
+    joint2 = joint_kernel([qb.rmul2({j: ONE}) for j in range(n)])
     rep.check(not joint1 and not joint2, "left-tensor-nondegenerate", "left-bialgebroid-modules")
 
     # Delta_B lands in the admissible operator space
@@ -536,7 +503,7 @@ def verify_left_bialgebroid(M, report=None):
     for b in range(n):
         lifted = M.db_lift(b)
         for gen, rel in zip(qb.generators, rels):
-            if not qb.space.contains_relation(_aa_mul(A, lifted, rel)):
+            if not qb.space.contains_relation(tensor_mul(A, lifted, rel)):
                 ok_op, wit_op = False, {"delta_of": A.labels[b], "relation": gen}
                 break
         if not ok_op:
@@ -567,38 +534,11 @@ def verify_left_bialgebroid(M, report=None):
     wit = _first_failure(iter(checks))
     rep.check(wit is None, "left-delta-bimodule", "left-delta-bimodule", wit)
 
-    _coassociativity_left(M, rep)
+    _coassociativity(M, rep, "BB", "left-coassociativity", "delta-coassociative")
 
     if M.eps_B is not None:
         _left_counit_checks(M, rep)
     return rep
-
-
-def _joint_kernel_of(maps, dim):
-    cols = []
-    for j in range(dim):
-        col = {}
-        for t, m in enumerate(maps):
-            for i, s in m.col(j).items():
-                col[t * dim + i] = s
-        cols.append(col)
-    return LinearMap(dim * len(maps), dim, cols).kernel_basis()
-
-
-def _aa_mul(A, u, v):
-    """Product in A (x) A of two sparse vectors over n*n indices."""
-    n = A.dim
-    out = {}
-    for idx1, s in u.items():
-        i1, j1 = divmod(idx1, n)
-        for idx2, t in v.items():
-            i2, j2 = divmod(idx2, n)
-            c = s * t
-            if not c:
-                continue
-            prod = kron_vec(A.mul({i1: ONE}, {i2: ONE}), A.mul({j1: ONE}, {j2: ONE}), n)
-            out = vadd(out, vscale(c, prod))
-    return out
 
 
 def _triple_expand(M, lifted, leg, side):
@@ -613,23 +553,9 @@ def _triple_expand(M, lifted, leg, side):
     for idx, s in lifted.items():
         i, j = divmod(idx, n)
         if leg == 1:
-            for idx2, t in lifts[i].items():
-                p, q = divmod(idx2, n)
-                key = (p * n + q) * n + j
-                val = out.get(key, ZERO) + s * t
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+            axpy(out, s, {k * n + j: t for k, t in lifts[i].items()})
         else:
-            for idx2, t in lifts[j].items():
-                p, q = divmod(idx2, n)
-                key = (i * n + p) * n + q
-                val = out.get(key, ZERO) + s * t
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+            axpy(out, s, lifts[j], i * n * n)
     return out
 
 
@@ -643,18 +569,7 @@ def _triple_mul(A, w, leg, u, from_left):
         legs[leg - 1] = (
             A.mul(u, legs[leg - 1]) if from_left else A.mul(legs[leg - 1], u)
         )
-        for p, sp in legs[0].items():
-            for q, sq in legs[1].items():
-                c = sp * sq
-                if not c:
-                    continue
-                for r, sr in legs[2].items():
-                    key = (p * n + q) * n + r
-                    val = out.get(key, ZERO) + s * c * sr
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+        axpy(out, s, kron_vec(kron_vec(legs[0], legs[1], n), legs[2], n))
     return out
 
 
@@ -675,29 +590,41 @@ def _triple_for(M, kind):
     return cache[kind]
 
 
-def _coassociativity_left(M, rep):
+def _coassociativity(M, rep, kind, name, eq):
+    """One coassociativity law on every basis triple (a, b, c).
+
+    For kind = XY, with Delta_X expanded on the left-hand side and Delta_Y
+    on the right-hand side:
+        (Delta_X (x) id)(Delta_Y(b) c_2) a_1 = (id (x) Delta_Y)(Delta_X(b) a_1) c_3,
+    where u_k multiplies leg k by e_u from the side of the comultiplication
+    acting there: from the right for Delta_B, from the left for Delta_C.
+    The two sides are compared in the triple quotient of flavor XY.
+    """
     A, n = M.A, M.A.dim
-    triple = _triple_for(M, "BB")
-    qb = M.qb
-    wit = None
-    for b in range(n):
-        db = M.delta_B.col(b)
-        for c in range(n):
-            lhs2 = qb.lift(qb.rmul2({c: ONE}).apply(db))
-            lhs3 = _triple_expand(M, lhs2, 1, "B")
-            for a in range(n):
-                lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=False)
-                rhs2 = qb.lift(qb.rmul1({a: ONE}).apply(db))
-                rhs3 = _triple_expand(M, rhs2, 2, "B")
-                rhs = _triple_mul(A, rhs3, 3, {c: ONE}, from_left=False)
-                if not triple.equal(lhs, rhs):
-                    wit = {"at": (A.labels[a], A.labels[b], A.labels[c])}
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    rep.check(wit is None, "left-coassociativity", "delta-coassociative", wit)
+    X, Y = kind
+    triple = _triple_for(M, kind)
+
+    def times(side, b, leg, u):
+        """Lift of Delta_side(b) times e_u on one leg."""
+        if side == "B":
+            t, op, delta = M.qb, (M.qb.rmul1, M.qb.rmul2)[leg - 1], M.delta_B
+        else:
+            t, op, delta = M.qc, (M.qc.lmul1, M.qc.lmul2)[leg - 1], M.delta_C
+        return t.lift(op({u: ONE}).apply(delta.col(b)))
+
+    def mismatches():
+        for b in range(n):
+            rhs3 = [_triple_expand(M, times(X, b, 1, a), 2, Y) for a in range(n)]
+            for c in range(n):
+                lhs3 = _triple_expand(M, times(Y, b, 2, c), 1, X)
+                for a in range(n):
+                    lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=X == "C")
+                    rhs = _triple_mul(A, rhs3[a], 3, {c: ONE}, from_left=Y == "C")
+                    if not triple.equal(lhs, rhs):
+                        yield A.labels[a], A.labels[b], A.labels[c]
+
+    at = next(mismatches(), None)
+    rep.check(at is None, name, eq, None if at is None else {"at": at})
 
 
 def _left_counit_checks(M, rep):
@@ -765,8 +692,8 @@ def verify_right_bialgebroid(M, report=None):
         "right-modules-idempotent",
         "right-bialgebroid-modules",
     )
-    joint1 = _joint_kernel_of([qc.lmul1({j: ONE}) for j in range(n)], qc.dim)
-    joint2 = _joint_kernel_of([qc.lmul2({j: ONE}) for j in range(n)], qc.dim)
+    joint1 = joint_kernel([qc.lmul1({j: ONE}) for j in range(n)])
+    joint2 = joint_kernel([qc.lmul2({j: ONE}) for j in range(n)])
     rep.check(not joint1 and not joint2, "right-tensor-nondegenerate", "right-bialgebroid-modules")
 
     ok_op, wit_op = True, None
@@ -774,7 +701,7 @@ def verify_right_bialgebroid(M, report=None):
     for b in range(n):
         lifted = M.dc_lift(b)
         for gen, rel in zip(qc.generators, rels):
-            if not qc.space.contains_relation(_aa_mul(A, rel, lifted)):
+            if not qc.space.contains_relation(tensor_mul(A, rel, lifted)):
                 ok_op, wit_op = False, {"delta_of": A.labels[b], "relation": gen}
                 break
         if not ok_op:
@@ -805,36 +732,11 @@ def verify_right_bialgebroid(M, report=None):
     wit = _first_failure(iter(checks))
     rep.check(wit is None, "right-delta-bimodule", "right-delta-bimodule", wit)
 
-    _coassociativity_right(M, rep)
+    _coassociativity(M, rep, "CC", "right-coassociativity", "right-delta-co-associative")
 
     if M.eps_C is not None:
         _right_counit_checks(M, rep)
     return rep
-
-
-def _coassociativity_right(M, rep):
-    A, n = M.A, M.A.dim
-    triple = _triple_for(M, "CC")
-    qc = M.qc
-    wit = None
-    for b in range(n):
-        dc = M.delta_C.col(b)
-        for c in range(n):
-            lhs2 = qc.lift(qc.lmul2({c: ONE}).apply(dc))
-            lhs3 = _triple_expand(M, lhs2, 1, "C")
-            for a in range(n):
-                lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=True)
-                rhs2 = qc.lift(qc.lmul1({a: ONE}).apply(dc))
-                rhs3 = _triple_expand(M, rhs2, 2, "C")
-                rhs = _triple_mul(A, rhs3, 3, {c: ONE}, from_left=True)
-                if not triple.equal(lhs, rhs):
-                    wit = {"at": (A.labels[a], A.labels[b], A.labels[c])}
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    rep.check(wit is None, "right-coassociativity", "right-delta-co-associative", wit)
 
 
 def _right_counit_checks(M, rep):
@@ -883,50 +785,6 @@ def _right_counit_checks(M, rep):
     rep.check(wit is None, "right-counit", "right-counit", wit)
 
 
-def _mixed_coassociativity(M, rep):
-    A, n = M.A, M.A.dim
-    qb, qc = M.qb, M.qc
-    tri_bc = _triple_for(M, "BC")
-    tri_cb = _triple_for(M, "CB")
-    wit1 = wit2 = None
-    for b in range(n):
-        db, dc = M.delta_B.col(b), M.delta_C.col(b)
-        for c in range(n):
-            lhs2 = qc.lift(qc.lmul2({c: ONE}).apply(dc))
-            lhs3 = _triple_expand(M, lhs2, 1, "B")
-            for a in range(n):
-                lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=False)
-                rhs2 = qb.lift(qb.rmul1({a: ONE}).apply(db))
-                rhs3 = _triple_expand(M, rhs2, 2, "C")
-                rhs = _triple_mul(A, rhs3, 3, {c: ONE}, from_left=True)
-                if not tri_bc.equal(lhs, rhs):
-                    wit1 = {"at": (A.labels[a], A.labels[b], A.labels[c])}
-                    break
-            if wit1:
-                break
-        if wit1:
-            break
-    rep.check(wit1 is None, "mixed-coassociativity-1", "compatible", wit1)
-    for b in range(n):
-        db, dc = M.delta_B.col(b), M.delta_C.col(b)
-        for c in range(n):
-            lhs2 = qb.lift(qb.rmul2({c: ONE}).apply(db))
-            lhs3 = _triple_expand(M, lhs2, 1, "C")
-            for a in range(n):
-                lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=True)
-                rhs2 = qc.lift(qc.lmul1({a: ONE}).apply(dc))
-                rhs3 = _triple_expand(M, rhs2, 2, "B")
-                rhs = _triple_mul(A, rhs3, 3, {c: ONE}, from_left=False)
-                if not tri_cb.equal(lhs, rhs):
-                    wit2 = {"at": (A.labels[a], A.labels[b], A.labels[c])}
-                    break
-            if wit2:
-                break
-        if wit2:
-            break
-    rep.check(wit2 is None, "mixed-coassociativity-2", "compatible", wit2)
-
-
 def canonical_maps(M, report=None):
     """The four canonical maps, their well-definedness and invertibility."""
     rep = report if report is not None else Report()
@@ -936,10 +794,8 @@ def canonical_maps(M, report=None):
         ok_wd, wit = True, None
         for gen, rel in zip(dom.generators, dom.relation_vectors()):
             image = {}
-            n = M.A.dim
             for idx, s in rel.items():
-                a, b = divmod(idx, n)
-                image = vadd(image, vscale(s, M.canonical_tilde(which, a, b)))
+                axpy(image, s, M.canonical_tilde(which, *divmod(idx, M.A.dim)))
             if image:
                 ok_wd, wit = False, {"relation": gen}
                 break
@@ -972,30 +828,16 @@ def _hom_space(M, module):
     for x in range(dim_b):
         mult = A.lmul(act.col(x)) if module in ("_BA", "A_B") else A.rmul(act.col(x))
         for a in range(n):
-            moved = mult.apply({a: ONE})
             # omega(x.a) - law(x, omega(a)) = 0
-            for i, s in moved.items():
+            for i, s in mult.col(a).items():
                 for xb in range(dim_b):
-                    col = cols[i * dim_b + xb]
-                    col[eqno * dim_b + xb] = col.get(eqno * dim_b + xb, ZERO) + s
-            if module == "_BA":
-                law = lambda w: base.mul({x: ONE}, w)
-            elif module == "A_B":
-                law = lambda w: base.mul(w, {x: ONE})
-            elif module == "A_C":
-                law = lambda w: base.mul(w, {x: ONE})
-            else:  # ^CA
-                law = lambda w: base.mul({x: ONE}, w)
+                    axpy(cols[i * dim_b + xb], s, {xb: ONE}, eqno * dim_b)
             for xb in range(dim_b):
-                out = law({xb: ONE})
-                col = cols[a * dim_b + xb]
-                for k, s in out.items():
-                    key = eqno * dim_b + k
-                    t = col.get(key, ZERO) - s
-                    if t:
-                        col[key] = t
-                    else:
-                        col.pop(key, None)
+                if module in ("_BA", "^CA"):
+                    law = base.mul({x: ONE}, {xb: ONE})
+                else:
+                    law = base.mul({xb: ONE}, {x: ONE})
+                axpy(cols[a * dim_b + xb], -ONE, law, eqno * dim_b)
             eqno += 1
     system = LinearMap(eqno * dim_b, n * dim_b, cols)
     homs = []
@@ -1011,54 +853,24 @@ def _hom_space(M, module):
 
 
 def _regularity_subspaces(M, rep):
+    """The values of each Hom space, embedded and multiplied by A, span A."""
     A, n = M.A, M.A.dim
-
-    # I_B from Hom(_BA, B): condition span(iota_C(S_B(I)) * A) = A
-    def span_of(products):
-        rr = Rref()
-        for p in products:
-            rr.add(p)
-        return rr.rank == n
-
-    homs = _hom_space(M, "_BA")
-    vals = Rref()
-    for h in homs:
-        for a in range(n):
-            vals.add(h.col(a))
-    emb = M.emb_SB()
-    prods = [
-        A.mul(emb.apply(v), {a: ONE})
-        for v in vals.basis()
-        for a in range(n)
-    ]
-    rep.check(span_of(prods), "regular-subspace-SB(IB)A", "regular-1")
-
-    homs = _hom_space(M, "A_B")
-    vals = Rref()
-    for h in homs:
-        for a in range(n):
-            vals.add(h.col(a))
-    emb = M.B.embed
-    prods = [A.mul(emb.apply(v), {a: ONE}) for v in vals.basis() for a in range(n)]
-    rep.check(span_of(prods), "regular-subspace-IBA", "regular-1")
-
-    homs = _hom_space(M, "A_C")
-    vals = Rref()
-    for h in homs:
-        for a in range(n):
-            vals.add(h.col(a))
-    emb = M.emb_SC()
-    prods = [A.mul({a: ONE}, emb.apply(v)) for v in vals.basis() for a in range(n)]
-    rep.check(span_of(prods), "regular-subspace-ASC(IC)", "regular-1")
-
-    homs = _hom_space(M, "^CA")
-    vals = Rref()
-    for h in homs:
-        for a in range(n):
-            vals.add(h.col(a))
-    emb = M.C.embed
-    prods = [A.mul({a: ONE}, emb.apply(v)) for v in vals.basis() for a in range(n)]
-    rep.check(span_of(prods), "regular-subspace-AIC", "regular-1")
+    for module, emb, from_left, name in (
+        ("_BA", M.emb_SB(), True, "regular-subspace-SB(IB)A"),
+        ("A_B", M.B.embed, True, "regular-subspace-IBA"),
+        ("A_C", M.emb_SC(), False, "regular-subspace-ASC(IC)"),
+        ("^CA", M.C.embed, False, "regular-subspace-AIC"),
+    ):
+        vals = Rref()
+        for h in _hom_space(M, module):
+            for a in range(n):
+                vals.add(h.col(a))
+        span = Rref()
+        for v in vals.basis():
+            e = emb.apply(v)
+            for a in range(n):
+                span.add(A.mul(e, {a: ONE}) if from_left else A.mul({a: ONE}, e))
+        rep.check(span.rank == n, name, "regular-1")
 
 
 def _antipode_checks(M, rep, canon):
@@ -1095,13 +907,13 @@ def _antipode_checks(M, rep, canon):
             lhs = {}
             for idx, s in lifted.items():
                 i, j = divmod(idx, n)
-                lhs = vadd(lhs, vscale(s, A.mul(S.col(i), {j: ONE})))
+                axpy(lhs, s, A.mul(S.col(i), {j: ONE}))
             checks1.append(((A.labels[a], A.labels[b]), lhs, A.mul(emb_sc_eps.col(a), {b: ONE})))
             lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
             lhs = {}
             for idx, s in lifted.items():
                 i, j = divmod(idx, n)
-                lhs = vadd(lhs, vscale(s, A.mul({i: ONE}, S.col(j))))
+                axpy(lhs, s, A.mul({i: ONE}, S.col(j)))
             checks2.append(((A.labels[a], A.labels[b]), lhs, A.mul({a: ONE}, emb_sb_eps.col(b))))
     wit = _first_failure(iter(checks1))
     rep.check(wit is None, "antipode-diagram-left", "dg-antipode", wit)
@@ -1180,7 +992,8 @@ def verify_regular_mha(M):
 
     verify_left_bialgebroid(M, rep)
     verify_right_bialgebroid(M, rep)
-    _mixed_coassociativity(M, rep)
+    _coassociativity(M, rep, "BC", "mixed-coassociativity-1", "compatible")
+    _coassociativity(M, rep, "CB", "mixed-coassociativity-2", "compatible")
 
     # extended bimodule value on the unit: Delta(xy) = y (x) x
     A, n = M.A, M.A.dim
@@ -1302,7 +1115,10 @@ def verify_star(M):
 
     # comultiplication compatibility
     try:
-        star_qc_qb = _componentwise_antilinear(M, M.qc, M.qb)
+        star_qc_qb = descend_componentwise(
+            M.qc, M.qb, lambda i, j: kron_vec(star({i: ONE}), star({j: ONE}), n),
+            "star (x) star does not descend {src!r} -> {dst!r}", antilinear=True,
+        )
     except NotBalanced as e:
         rep.check(False, "star-tensor-map", "involution-2", str(e))
         return rep
@@ -1317,7 +1133,7 @@ def verify_star(M):
                 scv = star({c: ONE})
                 lhs = qb.rmul2(scv).apply(qb.rmul1(sb).apply(dstar))
                 rhs_qc = qc.lmul2({c: ONE}).apply(qc.lmul1({b: ONE}).apply(dc))
-                rhs = star_qc_qb.apply(vec_conj_q(rhs_qc))
+                rhs = star_qc_qb.apply(vec_conj(rhs_qc))
                 checks.append(((a, b, c), lhs, rhs))
     wit = _first_failure(iter(checks))
     rep.check(wit is None, "delta-star-compatibility", "involution-3", wit)
@@ -1341,10 +1157,6 @@ def verify_star(M):
     return rep
 
 
-def vec_conj_q(v):
-    return {k: s.conj() for k, s in v.items()}
-
-
 def _apply_star_base(M, side, v):
     emb = M.C if side == "C" else M.B
     pre = emb.embed.solve(M.A.star(emb.embed.apply(v)))
@@ -1356,36 +1168,10 @@ def _antilinear_round_trip(s1, star1, s2, star2, dim):
     """Check s1 o star o s2 o star = id where star maps are antilinear."""
     for y in range(dim):
         v = {y: ONE}
-        w = star2.apply(vec_conj_q(v))
+        w = star2.apply(vec_conj(v))
         w = s2.apply(w)
-        w = star1.apply(vec_conj_q(w))
+        w = star1.apply(vec_conj(w))
         w = s1.apply(w)
         if w != v:
             return False
     return True
-
-
-def _componentwise_antilinear(M, src, dst):
-    """The antilinear map a (x) b -> a* (x) b* between QB and QC flavors."""
-    A, n = M.A, M.A.dim
-
-    def apply(w):
-        out = {}
-        for idx, s in w.items():
-            i, j = divmod(idx, n)
-            out = vadd(
-                out, vscale(s.conj(), kron_vec(A.star({i: ONE}), A.star({j: ONE}), n))
-            )
-        return out
-
-    for gen, rel in zip(src.generators, src.relation_vectors()):
-        if not dst.space.contains_relation(apply(rel)):
-            raise NotBalanced(
-                "star (x) star does not descend %r -> %r" % (src.flavor, dst.flavor),
-                gen,
-            )
-
-    def col(q):
-        return dst.project(apply(src.lift({q: ONE})))
-
-    return LinearMap.from_function(dst.dim, src.dim, col)

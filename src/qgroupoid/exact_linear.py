@@ -6,6 +6,14 @@ compared exactly.  No floating point anywhere.  Vectors are sparse dicts
 index -> Scalar, matrices are column-sparse LinearMaps; quotient spaces
 carry an echelon-form section so every class has a canonical
 representative.
+
+Sparse vectors keep three invariants:
+
+- no entry stored is zero, so equal vectors are equal dicts;
+- ``axpy`` is the one in-place accumulator: every sum of scaled vectors
+  goes through it, and it drops the entries that cancel;
+- nothing accumulates into a dict returned by ``LinearMap.col()``, which
+  is the map's own storage; accumulate into a fresh dict instead.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ __all__ = [
     "kernel",
     "quotient_by",
     "Rref",
+    "axpy",
     "vadd",
     "vsub",
     "vscale",
@@ -35,6 +44,7 @@ __all__ = [
     "vec_conj",
     "kron_index",
     "kron_vec",
+    "joint_kernel",
     "is_positive_semidefinite",
 ]
 
@@ -281,6 +291,7 @@ class Scalar:
 
 ZERO = Scalar()
 ONE = Scalar(((1, _F1, _F0),))
+_MINUS_ONE = Scalar(((1, -_F1, _F0),))
 I_UNIT = Scalar(((1, _F0, _F1),))
 
 
@@ -371,28 +382,37 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def vadd(u, v):
-    if not u:
-        return dict(v)
-    w = dict(u)
-    for j, s in v.items():
-        t = w.get(j, ZERO) + s
+def axpy(acc, c, v, shift=0):
+    """acc += c*v in place, with v's indices offset by shift; returns acc.
+
+    Entries that cancel are dropped.  A coefficient of 1 or -1 adds or
+    subtracts v's entries without multiplying them.  v must not be acc.
+    """
+    if not c:
+        return acc
+    if c == ONE:
+        terms = v.items()
+    elif c == _MINUS_ONE:
+        terms = ((j, -s) for j, s in v.items())
+    else:
+        terms = ((j, c * s) for j, s in v.items())
+    get = acc.get
+    for j, s in terms:
+        j += shift
+        t = get(j, ZERO) + s
         if t:
-            w[j] = t
+            acc[j] = t
         else:
-            w.pop(j, None)
-    return w
+            acc.pop(j, None)
+    return acc
+
+
+def vadd(u, v):
+    return axpy(dict(u), ONE, v)
 
 
 def vsub(u, v):
-    w = dict(u)
-    for j, s in v.items():
-        t = w.get(j, ZERO) - s
-        if t:
-            w[j] = t
-        else:
-            w.pop(j, None)
-    return w
+    return axpy(dict(u), _MINUS_ONE, v)
 
 
 def vneg(u):
@@ -415,6 +435,16 @@ def vec_to_dense(u, n):
 
 def vec_conj(u):
     return {j: s.conj() for j, s in u.items()}
+
+
+def joint_kernel(maps):
+    """Basis of the common kernel of LinearMaps with one domain."""
+    rows, cols = maps[0].rows, maps[0].cols
+    stacked = [{} for _ in range(cols)]
+    for t, m in enumerate(maps):
+        for j in range(cols):
+            axpy(stacked[j], ONE, m.col(j), t * rows)
+    return LinearMap(rows * len(maps), cols, stacked).kernel_basis()
 
 
 def kron_index(i, j, n2):
@@ -451,14 +481,8 @@ class Rref:
         v = dict(v)
         for p in [k for k in v if k in self.rows]:
             c = v.get(p)
-            if not c:
-                continue
-            for j, s in self.rows[p].items():
-                t = v.get(j, ZERO) - c * s
-                if t:
-                    v[j] = t
-                else:
-                    v.pop(j, None)
+            if c:
+                axpy(v, -c, self.rows[p])
         return v
 
     def contains(self, v):
@@ -475,12 +499,7 @@ class Rref:
         for row in self.rows.values():
             cc = row.get(p)
             if cc:
-                for j, s in r.items():
-                    t = row.get(j, ZERO) - cc * s
-                    if t:
-                        row[j] = t
-                    else:
-                        row.pop(j, None)
+                axpy(row, -cc, r)
         self.rows[p] = r
         return p
 
@@ -499,21 +518,10 @@ class _TrackedEchelon:
         v, w = dict(v), dict(w)
         for p in [k for k in v if k in self.rows]:
             c = v.get(p)
-            if not c:
-                continue
-            rv, rw = self.rows[p]
-            for j, s in rv.items():
-                t = v.get(j, ZERO) - c * s
-                if t:
-                    v[j] = t
-                else:
-                    v.pop(j, None)
-            for j, s in rw.items():
-                t = w.get(j, ZERO) - c * s
-                if t:
-                    w[j] = t
-                else:
-                    w.pop(j, None)
+            if c:
+                rv, rw = self.rows[p]
+                axpy(v, -c, rv)
+                axpy(w, -c, rw)
         if not v:
             return w
         p = min(v)
@@ -522,20 +530,9 @@ class _TrackedEchelon:
         w = {j: s / c for j, s in w.items()}
         for rv, rw in self.rows.values():
             cc = rv.get(p)
-            if not cc:
-                continue
-            for j, s in v.items():
-                t = rv.get(j, ZERO) - cc * s
-                if t:
-                    rv[j] = t
-                else:
-                    rv.pop(j, None)
-            for j, s in w.items():
-                t = rw.get(j, ZERO) - cc * s
-                if t:
-                    rw[j] = t
-                else:
-                    rw.pop(j, None)
+            if cc:
+                axpy(rv, -cc, v)
+                axpy(rw, -cc, w)
         self.rows[p] = (v, w)
         return None
 
@@ -544,21 +541,10 @@ class _TrackedEchelon:
         r, u = dict(t), {}
         for p in [k for k in r if k in self.rows]:
             c = r.get(p)
-            if not c:
-                continue
-            rv, rw = self.rows[p]
-            for j, s in rv.items():
-                q = r.get(j, ZERO) - c * s
-                if q:
-                    r[j] = q
-                else:
-                    r.pop(j, None)
-            for j, s in rw.items():
-                q = u.get(j, ZERO) + c * s
-                if q:
-                    u[j] = q
-                else:
-                    u.pop(j, None)
+            if c:
+                rv, rw = self.rows[p]
+                axpy(r, -c, rv)
+                axpy(u, c, rw)
         if r:
             return None
         return u
@@ -605,6 +591,15 @@ class LinearMap:
         return cls(rows, cols, [f(j) for j in range(cols)])
 
     @classmethod
+    def combination(cls, rows, cols, terms):
+        """The map sum c*f over the (c, f) pairs in terms."""
+        data = [{} for _ in range(cols)]
+        for c, f in terms:
+            for j in range(cols):
+                axpy(data[j], c, f.data[j])
+        return cls(rows, cols, data)
+
+    @classmethod
     def identity(cls, n):
         return cls(n, n, [{j: ONE} for j in range(n)])
 
@@ -620,12 +615,7 @@ class LinearMap:
     def apply(self, v):
         w = {}
         for j, c in v.items():
-            for i, s in self.data[j].items():
-                t = w.get(i, ZERO) + c * s
-                if t:
-                    w[i] = t
-                else:
-                    w.pop(i, None)
+            axpy(w, c, self.data[j])
         return w
 
     def __call__(self, v):

@@ -9,8 +9,9 @@ verification to the bialgebroid suite; nothing is trusted by fiat.
 from __future__ import annotations
 
 from .algebra_core import BaseEmbedding, FiniteAlgebra, check_algebra
+from .balanced_tensor import tensor_mul
 from .bialgebroid import RegularMHA
-from .exact_linear import ONE, ZERO, LinearMap, kron_vec, vadd, vscale
+from .exact_linear import ONE, ZERO, LinearMap, axpy, kron_vec, vscale
 from .report import Rejected, Report
 
 __all__ = [
@@ -231,22 +232,7 @@ class FiniteHopf:
 
     def tensor_mul(self, u, v):
         """Product in H (x) H of sparse vectors over n*n indices."""
-        n = self.dim
-        out = {}
-        for idx1, s in u.items():
-            i1, j1 = divmod(idx1, n)
-            for idx2, t in v.items():
-                i2, j2 = divmod(idx2, n)
-                c = s * t
-                if not c:
-                    continue
-                prod = kron_vec(
-                    self.H.mul({i1: ONE}, {i2: ONE}),
-                    self.H.mul({j1: ONE}, {j2: ONE}),
-                    n,
-                )
-                out = vadd(out, vscale(c, prod))
-        return out
+        return tensor_mul(self.H, u, v)
 
     def verify(self):
         rep = Report()
@@ -269,20 +255,8 @@ class FiniteHopf:
         for h in range(n):
             lhs, rhs = {}, {}
             for h1, h2, s in self.sweedler(h):
-                for idx, t in self.delta.col(h1).items():
-                    key = idx * n + h2
-                    val = lhs.get(key, ZERO) + s * t
-                    if val:
-                        lhs[key] = val
-                    else:
-                        lhs.pop(key, None)
-                for idx, t in self.delta.col(h2).items():
-                    key = (h1 * n) * n + idx
-                    val = rhs.get(key, ZERO) + s * t
-                    if val:
-                        rhs[key] = val
-                    else:
-                        rhs.pop(key, None)
+                axpy(lhs, s, {idx * n + h2: t for idx, t in self.delta.col(h1).items()})
+                axpy(rhs, s, self.delta.col(h2), h1 * n * n)
             if lhs != rhs:
                 ok = False
                 break
@@ -294,8 +268,8 @@ class FiniteHopf:
             for h1, h2, s in self.sweedler(h):
                 e1 = self.eps.col(h1).get(0, ZERO)
                 e2 = self.eps.col(h2).get(0, ZERO)
-                left = vadd(left, vscale(s * e1, {h2: ONE}))
-                right = vadd(right, vscale(s * e2, {h1: ONE}))
+                axpy(left, s * e1, {h2: ONE})
+                axpy(right, s * e2, {h1: ONE})
             if left != {h: ONE} or right != {h: ONE}:
                 ok = False
                 break
@@ -304,8 +278,8 @@ class FiniteHopf:
         for h in range(n):
             acc_l, acc_r = {}, {}
             for h1, h2, s in self.sweedler(h):
-                acc_l = vadd(acc_l, vscale(s, self.H.mul(self.S.col(h1), {h2: ONE})))
-                acc_r = vadd(acc_r, vscale(s, self.H.mul({h1: ONE}, self.S.col(h2))))
+                axpy(acc_l, s, self.H.mul(self.S.col(h1), {h2: ONE}))
+                axpy(acc_r, s, self.H.mul({h1: ONE}, self.S.col(h2)))
             target = vscale(self.eps.col(h).get(0, ZERO), one)
             if acc_l != target or acc_r != target:
                 ok = False
@@ -330,7 +304,7 @@ class FiniteHopf:
                 out = {}
                 for idx, s in prod.items():
                     i, j = divmod(idx, n)
-                    out = vadd(out, vscale(s * phi.get(j, ZERO), {i: ONE}))
+                    axpy(out, s * phi.get(j, ZERO), {i: ONE})
                 if out != vscale(phi.get(a, ZERO), {b: ONE}):
                     return False
         return True
@@ -344,7 +318,7 @@ class FiniteHopf:
                 out = {}
                 for idx, s in prod.items():
                     i, j = divmod(idx, n)
-                    out = vadd(out, vscale(s * psi.get(i, ZERO), {j: ONE}))
+                    axpy(out, s * psi.get(i, ZERO), {j: ONE})
                 if out != vscale(psi.get(a, ZERO), {b: ONE}):
                     return False
         return True
@@ -361,20 +335,8 @@ class FiniteHopf:
                 )
                 for idx, s in prod.items():
                     i, j = divmod(idx, n)
-                    col = cols[j]
-                    key = eqno * n + i
-                    t = col.get(key, ZERO) + s
-                    if t:
-                        col[key] = t
-                    else:
-                        col.pop(key, None)
-                col = cols[a]
-                key = eqno * n + b
-                t = col.get(key, ZERO) - ONE
-                if t:
-                    col[key] = t
-                else:
-                    col.pop(key, None)
+                    axpy(cols[j], s, {i: ONE}, eqno * n)
+                axpy(cols[a], -ONE, {b: ONE}, eqno * n)
                 eqno += 1
         return LinearMap(eqno * n, n, cols).kernel_basis()
 
@@ -470,7 +432,7 @@ class HopfAction:
     def act(self, h_vec, y_vec):
         out = {}
         for h, s in h_vec.items():
-            out = vadd(out, vscale(s, self.acts[h].apply(y_vec)))
+            axpy(out, s, self.acts[h].apply(y_vec))
         return out
 
     def verify(self):
@@ -492,9 +454,7 @@ class HopfAction:
                     else self.acts[g].compose(self.acts[h])
                 )
                 prod = H.H.mul({h: ONE}, {g: ONE})
-                expect = LinearMap.zero(m, m)
-                for k, s in prod.items():
-                    expect = expect + self.acts[k].scale(s)
+                expect = LinearMap.combination(m, m, ((s, self.acts[k]) for k, s in prod.items()))
                 if comp != expect:
                     ok = False
                     break
@@ -513,34 +473,11 @@ class HopfAction:
             sw = H.sweedler(h)
             for y in range(m):
                 for z in range(m):
-                    if self.side == "left":
-                        lhs = self.act({h: ONE}, C.mul({y: ONE}, {z: ONE}))
-                        rhs = {}
-                        for h1, h2, s in sw:
-                            rhs = vadd(
-                                rhs,
-                                vscale(
-                                    s,
-                                    C.mul(
-                                        self.acts[h1].apply({y: ONE}),
-                                        self.acts[h2].apply({z: ONE}),
-                                    ),
-                                ),
-                            )
-                    else:
-                        lhs = self.act({h: ONE}, C.mul({y: ONE}, {z: ONE}))
-                        rhs = {}
-                        for h1, h2, s in sw:
-                            rhs = vadd(
-                                rhs,
-                                vscale(
-                                    s,
-                                    C.mul(
-                                        self.acts[h1].apply({y: ONE}),
-                                        self.acts[h2].apply({z: ONE}),
-                                    ),
-                                ),
-                            )
+                    lhs = self.act({h: ONE}, C.mul({y: ONE}, {z: ONE}))
+                    rhs = {}
+                    for h1, h2, s in sw:
+                        axpy(rhs, s, C.mul(self.acts[h1].apply({y: ONE}),
+                                           self.acts[h2].apply({z: ONE})))
                     if lhs != rhs:
                         ok = False
                         break
@@ -560,20 +497,8 @@ class HopfAction:
             for y in range(m):
                 lhs, rhs = {}, {}
                 for h1, h2, s in sw:
-                    for j, t in self.acts[h2].apply({y: ONE}).items():
-                        key = h1 * m + j
-                        val = lhs.get(key, ZERO) + s * t
-                        if val:
-                            lhs[key] = val
-                        else:
-                            lhs.pop(key, None)
-                    for j, t in self.acts[h1].apply({y: ONE}).items():
-                        key = h2 * m + j
-                        val = rhs.get(key, ZERO) + s * t
-                        if val:
-                            rhs[key] = val
-                        else:
-                            rhs.pop(key, None)
+                    axpy(lhs, s, self.acts[h2].apply({y: ONE}), h1 * m)
+                    axpy(rhs, s, self.acts[h1].apply({y: ONE}), h2 * m)
                 if lhs != rhs:
                     return False
         return True
@@ -765,7 +690,7 @@ def build_crossed_product(base_c, hopf, action):
             acted = action.acts[ha].apply({y2: ONE})
             ypart = base_c.mul({y1: ONE}, acted)
             hpart = H.H.mul({hb: ONE}, {h2: ONE})
-            out = vadd(out, vscale(s, kron_vec(ypart, hpart, mh)))
+            axpy(out, s, kron_vec(ypart, hpart, mh))
         return out
 
     A = FiniteAlgebra.from_mul(
@@ -786,7 +711,7 @@ def build_crossed_product(base_c, hopf, action):
         for h1, h2, s in H.sweedler(h):
             left = kron_vec({y: ONE}, {h1: ONE}, mh)
             right = kron_vec(base_c.unit(), {h2: ONE}, mh)
-            out = vadd(out, vscale(s, kron_vec(left, right, n)))
+            axpy(out, s, kron_vec(left, right, n))
         return out
 
     delta_raw = LinearMap.from_function(n * n, n, delta_col)
@@ -808,7 +733,7 @@ def build_crossed_product(base_c, hopf, action):
             # (1 # S(h)) (y # 1)
             for h1, h2, t in H.sweedler(hh):
                 acted = action.acts[h1].apply({y: ONE})
-                out = vadd(out, vscale(s * t, kron_vec(acted, {h2: ONE}, mh)))
+                axpy(out, s * t, kron_vec(acted, {h2: ONE}, mh))
         return out
 
     antipode = LinearMap.from_function(n, n, antipode_col)
@@ -833,14 +758,14 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             lhs = s_b.apply(right_action.acts[h].apply({x: ONE}))
             rhs = {}
             for hh, s in sh.items():
-                rhs = vadd(rhs, vscale(s, left_action.acts[hh].apply(s_b.col(x))))
+                axpy(rhs, s, left_action.acts[hh].apply(s_b.col(x)))
             if lhs != rhs:
                 raise Rejected("chb-action-antipode", "S_B does not intertwine the actions")
         for y in range(mc):
             lhs = s_c.apply(left_action.acts[h].apply({y: ONE}))
             rhs = {}
             for hh, s in sh.items():
-                rhs = vadd(rhs, vscale(s, right_action.acts[hh].apply(s_c.col(y))))
+                axpy(rhs, s, right_action.acts[hh].apply(s_c.col(y)))
             if lhs != rhs:
                 raise Rejected("chb-action-antipode", "S_C does not intertwine the actions")
     n = mc * mh * mb
@@ -859,16 +784,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             for hc, hd, t in H.sweedler(h2):
                 hpart = H.H.mul({hb: ONE}, {hc: ONE})
                 xpart = base_b.mul(right_action.acts[hd].apply({x1: ONE}), {x2: ONE})
-                c = s * t
-                for ya, sy in ypart.items():
-                    for hj, sh2 in hpart.items():
-                        for xa, sx in xpart.items():
-                            key = idx(ya, hj, xa)
-                            val = out.get(key, ZERO) + c * sy * sh2 * sx
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
+                axpy(out, s * t, kron_vec(kron_vec(ypart, hpart, mh), xpart, mb))
         return out
 
     A = FiniteAlgebra.from_mul(
@@ -909,7 +825,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             right = {}
             for yb, t in one_c.items():
                 right[idx(yb, h2, x)] = t
-            out = vadd(out, vscale(s, kron_vec(left, right, n)))
+            axpy(out, s, kron_vec(left, right, n))
         return out
 
     delta_raw = LinearMap.from_function(n * n, n, delta_col)

@@ -20,9 +20,8 @@ from .exact_linear import (
     ZERO,
     LinearMap,
     Rref,
+    axpy,
     is_positive_semidefinite,
-    vadd,
-    vscale,
     vsub,
 )
 from .report import Rejected, Report
@@ -359,14 +358,7 @@ def solve_partial_integrals(M, side):
     stride = max(n, dim_b)
 
     def put(col_idx, coeff, vec):
-        col = cols[col_idx]
-        for k, s in vec.items():
-            key = eqno * stride + k
-            t = col.get(key, ZERO) + coeff * s
-            if t:
-                col[key] = t
-            else:
-                col.pop(key, None)
+        axpy(cols[col_idx], coeff, vec, eqno * stride)
 
     if side == "left":
         emb = M.C.embed
@@ -513,7 +505,7 @@ def orbit_algebra(M):
         for x in range(M.B.base.dim):
             c = w.get(x)
             if c:
-                v = vadd(v, vscale(c, M.B.embed.col(x)))
+                axpy(v, c, M.B.embed.col(x))
         if v and seen.add(v) is not None:
             orbit.append(v)
     # the antipode fixes the orbit algebra pointwise
@@ -557,12 +549,10 @@ def _ergodic_characterization(M):
         cy = M.C.embed.col(y)
         lm, rm = A.lmul(cy), A.rmul(cy)
         for j in range(n):
-            for k, s in vsub(lm.col(j), rm.col(j)).items():
-                cols[j][eqno * stride + k] = s
+            axpy(cols[j], ONE, vsub(lm.col(j), rm.col(j)), eqno * stride)
         eqno += 1
     for j in range(n):
-        for k, s in vsub(M.delta_B.col(j), qb.pure(one, {j: ONE})).items():
-            cols[j][eqno * stride + k] = s
+        axpy(cols[j], ONE, vsub(M.delta_B.col(j), qb.pure(one, {j: ONE})), eqno * stride)
     eqno += 1
     system = LinearMap(eqno * stride, n, cols)
     return system.kernel_basis(), None

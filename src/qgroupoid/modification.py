@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra_core import automorphism_check
-from .balanced_tensor import BalancedTensor, NotBalanced
+from .balanced_tensor import BalancedTensor, NotBalanced, descend_componentwise
 from .bialgebroid import (
     FLAVOR_QB,
     FLAVOR_QC,
     RegularMHA,
-    _componentwise,
     verify_regular_mha,
     verify_star,
 )
@@ -28,8 +27,8 @@ from .exact_linear import (
     FieldExtensionNeeded,
     LinearMap,
     ScalarField,
+    axpy,
     kron_vec,
-    vadd,
     vscale,
 )
 from .integration import BaseWeight, PartialIntegral, ev, gram_map
@@ -189,13 +188,13 @@ def check_modifier(M, mod):
     # the two twists of each comultiplication agree
     try:
         qb_new = _modified_qb(M, theta)
-        tw1 = _componentwise(
+        tw1 = descend_componentwise(
             M.qb, qb_new, lambda i, j: kron_vec(mod.theta_l.col(i), {j: ONE}, n),
-            "theta_l (x) id",
+            "theta_l (x) id does not descend {src!r} -> {dst!r}",
         )
-        tw2 = _componentwise(
+        tw2 = descend_componentwise(
             M.qb, qb_new, lambda i, j: kron_vec({i: ONE}, mod.theta_r.col(j), n),
-            "id (x) theta_r",
+            "id (x) theta_r does not descend {src!r} -> {dst!r}",
         )
         ok = tw1.compose(M.delta_B) == tw2.compose(M.delta_B)
         rep.check(ok, "left-twists-agree", "theta-comultiplication")
@@ -203,13 +202,13 @@ def check_modifier(M, mod):
         rep.check(False, "left-twists-agree", "theta-comultiplication", str(e))
     try:
         qc_new = _modified_qc(M, theta_c)
-        tw1 = _componentwise(
+        tw1 = descend_componentwise(
             M.qc, qc_new, lambda i, j: kron_vec(mod.l_theta.col(i), {j: ONE}, n),
-            "l_theta (x) id",
+            "l_theta (x) id does not descend {src!r} -> {dst!r}",
         )
-        tw2 = _componentwise(
+        tw2 = descend_componentwise(
             M.qc, qc_new, lambda i, j: kron_vec({i: ONE}, mod.r_theta.col(j), n),
-            "id (x) r_theta",
+            "id (x) r_theta does not descend {src!r} -> {dst!r}",
         )
         ok = tw1.compose(M.delta_C) == tw2.compose(M.delta_C)
         rep.check(ok, "right-twists-agree", "theta-comultiplication")
@@ -237,17 +236,17 @@ def check_modifier(M, mod):
     rep.check(ok, "full-case-base-fixing", "modified-full")
     if ok:
         try:
-            tw = _componentwise(
+            tw = descend_componentwise(
                 M.qb, M.qb, lambda i, j: kron_vec({i: ONE}, mod.theta_l.col(j), n),
-                "id (x) theta_l",
+                "id (x) theta_l does not descend {src!r} -> {dst!r}",
             )
             rep.check(
                 M.delta_B.compose(mod.theta_l) == tw.compose(M.delta_B),
                 "full-case-delta-theta_l", "modified-full",
             )
-            tw = _componentwise(
+            tw = descend_componentwise(
                 M.qb, M.qb, lambda i, j: kron_vec(mod.theta_r.col(i), {j: ONE}, n),
-                "theta_r (x) id",
+                "theta_r (x) id does not descend {src!r} -> {dst!r}",
             )
             rep.check(
                 M.delta_B.compose(mod.theta_r) == tw.compose(M.delta_B),
@@ -298,7 +297,7 @@ def modify(M, mod, verify=True):
             out = {}
             for idx, s in delta_lift[a].items():
                 i, j = divmod(idx, n)
-                out = vadd(out, vscale(s, kron_vec(twist.col(i), {j: ONE}, n)))
+                axpy(out, s, kron_vec(twist.col(i), {j: ONE}, n))
             return out
 
         return LinearMap.from_function(n * n, n, col)
@@ -324,17 +323,17 @@ def modify(M, mod, verify=True):
     # canonical maps transform by one-leg twists
     canon_old, canon_new = M.canonical(), out.canonical()
     try:
-        tw = _componentwise(
+        tw = descend_componentwise(
             M.qb, out.qb, lambda i, j: kron_vec({i: ONE}, mod.theta_r.col(j), n),
-            "id (x) theta_r",
+            "id (x) theta_r does not descend {src!r} -> {dst!r}",
         )
         rep.check(
             canon_new["T_lambda"][0] == tw.compose(canon_old["T_lambda"][0]),
             "canonical-T-lambda-twist", "theta-tl",
         )
-        tw = _componentwise(
+        tw = descend_componentwise(
             M.qb, out.qb, lambda i, j: kron_vec(mod.theta_l.col(i), {j: ONE}, n),
-            "theta_l (x) id",
+            "theta_l (x) id does not descend {src!r} -> {dst!r}",
         )
         rep.check(
             canon_new["T_rho"][0] == tw.compose(canon_old["T_rho"][0]),
@@ -426,7 +425,7 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
         for y in range(mc):
             moved = {}
             for hh, s in H.S.col(h).items():
-                moved = vadd(moved, vscale(s, action.acts[hh].apply({y: ONE})))
+                axpy(moved, s, action.acts[hh].apply({y: ONE}))
             val = ev(mu, moved)
             if val:
                 target[y] = val
@@ -439,7 +438,7 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
     one_h = H.H.unit()
     d_one = {}
     for h, s in one_h.items():
-        d_one = vadd(d_one, vscale(s, D.col(h)))
+        axpy(d_one, s, D.col(h))
     rep.check(d_one == C.unit(), "cocycle-unital", "one-cocycle")
     ok = True
     for h in range(mh):
@@ -447,13 +446,11 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
             prod = H.H.mul({h: ONE}, {g_: ONE})
             lhs = {}
             for k, s in prod.items():
-                lhs = vadd(lhs, vscale(s, D.col(k)))
+                axpy(lhs, s, D.col(k))
             rhs = {}
             for h1, h2, s in H.sweedler(h):
-                acted = {}
-                for hh, t in ({h2: ONE}).items():
-                    acted = vadd(acted, vscale(t, action.acts[hh].apply(D.col(g_))))
-                rhs = vadd(rhs, vscale(s, C.mul(D.col(h1), acted)))
+                acted = action.acts[h2].apply(D.col(g_))
+                axpy(rhs, s, C.mul(D.col(h1), acted))
             if lhs != rhs:
                 ok = False
     rep.check(ok, "cocycle-law", "one-cocycle")
@@ -463,8 +460,8 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
         for y in range(mc):
             lhs, rhs = {}, {}
             for h1, h2, s in sw:
-                lhs = vadd(lhs, vscale(s, C.mul(D.col(h1), action.acts[h2].apply({y: ONE}))))
-                rhs = vadd(rhs, vscale(s, C.mul(action.acts[h1].apply({y: ONE}), D.col(h2))))
+                axpy(lhs, s, C.mul(D.col(h1), action.acts[h2].apply({y: ONE})))
+                axpy(rhs, s, C.mul(action.acts[h1].apply({y: ONE}), D.col(h2)))
             if lhs != rhs:
                 ok = False
     rep.check(ok, "symmetry-compatibility", "ch-symmetric")
@@ -476,14 +473,14 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
         y, h = divmod(k, mh)
         out = {}
         for h1, h2, s in H.sweedler(h):
-            out = vadd(out, vscale(s, kron_vec(C.mul({y: ONE}, D.col(h1)), {h2: ONE}, mh)))
+            axpy(out, s, kron_vec(C.mul({y: ONE}, D.col(h1)), {h2: ONE}, mh))
         return out
 
     def beta_dag_col(k):
         y, h = divmod(k, mh)
         out = {}
         for h1, h2, s in H.sweedler(h):
-            out = vadd(out, vscale(s, kron_vec(C.mul(D.col(h2), {y: ONE}), {h1: ONE}, mh)))
+            axpy(out, s, kron_vec(C.mul(D.col(h2), {y: ONE}), {h1: ONE}, mh))
         return out
 
     beta = LinearMap.from_function(n, n, beta_col)
@@ -517,9 +514,9 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     ok = True
     for h in range(mh):
         lhs = sigma.compose(left_action.acts[h])
-        rhs = LinearMap.zero(mc, mc)
-        for hh, s in s2.col(h).items():
-            rhs = rhs + left_action.acts[hh].compose(sigma).scale(s)
+        rhs = LinearMap.combination(
+            mc, mc, ((s, left_action.acts[hh].compose(sigma)) for hh, s in s2.col(h).items())
+        )
         if lhs != rhs:
             ok = False
     rep.check(ok, "sigma-action-compatibility", "chb-modular")
@@ -534,7 +531,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
         lhs = sigma.apply(D.col(h))
         rhs = {}
         for hh, s in s2.col(h).items():
-            rhs = vadd(rhs, vscale(s, D.col(hh)))
+            axpy(rhs, s, D.col(hh))
         if lhs != rhs:
             ok = False
     rep.check(ok, "sigma-of-D", "chb-modular")
@@ -543,10 +540,9 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     s_h = H.S
 
     def right_act(h):
-        out = LinearMap.zero(mc, mc)
-        for hh, s in s_h.col(h).items():
-            out = out + left_action.acts[hh].scale(s)
-        return out
+        return LinearMap.combination(
+            mc, mc, ((s, left_action.acts[hh]) for hh, s in s_h.col(h).items())
+        )
 
     right_action = HopfAction(H, base_b, [right_act(h) for h in range(mh)], side="right")
     s_b = LinearMap.identity(mc)  # y^op -> y
@@ -565,7 +561,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
                 _h_elem(M, mh, mc, h1),
             )
             elem = M.A.mul(elem, M.B.embed.apply({x: ONE}))
-            out = vadd(out, vscale(s, elem))
+            axpy(out, s, elem)
         return out
 
     def theta_r_col(k):
@@ -580,7 +576,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
                 ),
                 M.B.embed.apply({x: ONE}),
             )
-            out = vadd(out, vscale(s, elem))
+            axpy(out, s, elem)
         return out
 
     theta_l = LinearMap.from_function(n, n, theta_l_col)

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check
-from .balanced_tensor import NotBalanced
-from .bialgebroid import _componentwise, _hom_space
+from .balanced_tensor import NotBalanced, descend_componentwise
+from .bialgebroid import _hom_space
 from .exact_linear import (
     ONE,
-    ZERO,
     LinearMap,
     Rref,
+    axpy,
     kron_vec,
-    vadd,
 )
 from .integration import (
     FactorizableFunctional,
@@ -199,17 +198,17 @@ def modular_automorphism(X, side="left"):
         rep.check(ok, "sigma-restricts-to-Sminus2-on-B", "modular-automorphism")
         first_leg, second_leg = sigma, s2
     try:
-        tw_b = _componentwise(
+        tw_b = descend_componentwise(
             M.qb, M.qb,
             lambda i, j: kron_vec(first_leg.col(i), second_leg.col(j), n),
-            "twist (x) sigma",
+            "twist (x) sigma does not descend {src!r} -> {dst!r}",
         )
         ok = M.delta_B.compose(sigma) == tw_b.compose(M.delta_B)
         rep.check(ok, "delta-B-intertwined", "modular-automorphism")
-        tw_c = _componentwise(
+        tw_c = descend_componentwise(
             M.qc, M.qc,
             lambda i, j: kron_vec(first_leg.col(i), second_leg.col(j), n),
-            "twist (x) sigma",
+            "twist (x) sigma does not descend {src!r} -> {dst!r}",
         )
         ok = M.delta_C.compose(sigma) == tw_c.compose(M.delta_C)
         rep.check(ok, "delta-C-intertwined", "modular-automorphism")
@@ -473,23 +472,9 @@ def _co_hom_space(M, module):
             # e(x . b) - x . e(b) = 0; unknowns e[k, b]
             for bb, c in prod.items():
                 for k in range(n):
-                    col = cols[bb * n + k]
-                    key = eqno * n + k
-                    t = col.get(key, ZERO) + c
-                    if t:
-                        col[key] = t
-                    else:
-                        col.pop(key, None)
+                    axpy(cols[bb * n + k], c, {k: ONE}, eqno * n)
             for k in range(n):
-                vec = mult.col(k)
-                col = cols[b * n + k]
-                for kk, s in vec.items():
-                    key = eqno * n + kk
-                    t = col.get(key, ZERO) - s
-                    if t:
-                        col[key] = t
-                    else:
-                        col.pop(key, None)
+                axpy(cols[b * n + k], -ONE, mult.col(k), eqno * n)
             eqno += 1
     system = LinearMap(eqno * n, n * dim_b, cols)
     out = []
@@ -671,7 +656,7 @@ def haar_analysis(X):
     for y in range(M.C.base.dim):
         val = X.phi.factor_Bl.apply(M.C.embed.col(y))
         candidates.append(val)
-        acc = vadd(acc, val)
+        axpy(acc, ONE, val)
     candidates.append(acc)
     z = None
     for cand in candidates:

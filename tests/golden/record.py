@@ -1,0 +1,106 @@
+"""Golden reports on the 2-point pair groupoid.
+
+Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
+captured) or ``verify_regular_mha`` on a mutant instance, and yields the
+exit code and the exact report text of every step.  The recorded texts
+live next to this file as ``<case>.jsonl``, the exit codes in
+``exits.json``; ``test_golden.py`` compares both byte for byte.
+
+Re-record after an intended change of a report, from the repository root:
+
+    PYTHONPATH=src python3 tests/golden/record.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from qgroupoid import LinearMap, RegularMHA, build_function_algebroid, sc, verify_regular_mha
+from qgroupoid.cli import main
+from qgroupoid.examples import groupoid_to_json, pair_groupoid
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+POINTS = [1, 2]
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _scaled(f, k, c):
+    cols = [dict(f.col(j)) for j in range(f.cols)]
+    cols[k] = {i: c * s for i, s in cols[k].items()}
+    return LinearMap(f.rows, f.cols, cols)
+
+
+def _mutant(kind, col):
+    """Functions on p2 with one column of delta_B, delta_C, S or eps_B
+    scaled by 2; eps_B, eps_C and S are passed explicitly."""
+    M = build_function_algebroid(pair_groupoid(POINTS))
+    n = M.A.dim
+    raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
+    raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
+    parts = {"delta_B": raw_b, "delta_C": raw_c, "S": M.S, "eps_B": M.eps_B}
+    parts[kind] = _scaled(parts[kind], col, sc(2))
+    mutant = RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
+                        eps_B=parts["eps_B"], eps_C=M.eps_C, S=parts["S"], name="mutant")
+    rep = verify_regular_mha(mutant)
+    return [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
+
+
+def _unit_arrow_index():
+    g = pair_groupoid(POINTS)
+    return g.index[g.units[1]]
+
+
+def cases(workdir):
+    """name -> zero-argument callable returning [(exit code, text), ...]."""
+    p2 = os.path.join(workdir, "p2.json")
+    with open(p2, "w") as fh:
+        json.dump(groupoid_to_json(pair_groupoid(POINTS)), fh)
+    artifact = os.path.join(workdir, "artifact.json")
+    fun = ("--example", "function-algebroid", "--groupoid", p2)
+    conv = ("--example", "convolution", "--groupoid", p2)
+
+    def modify_then_measure():
+        return [
+            _cli("modify", *conv, "--mu", "1,4", "--recipe", "groupoid_rn",
+                 "--artifact-out", artifact),
+            _cli("measure", "--artifact", artifact),
+        ]
+
+    return {
+        "verify-functions-p2": lambda: [_cli("verify", *fun)],
+        "verify-convolution-p2": lambda: [_cli("verify", *conv)],
+        "integrals-functions-p2": lambda: [_cli("integrals", *fun)],
+        "measure-functions-p2": lambda: [_cli("measure", *fun, "--mu", "1,4")],
+        "measure-convolution-p2": lambda: [_cli("measure", *conv, "--mu", "1,4")],
+        "modify-measure-convolution-p2": modify_then_measure,
+        "dual-functions-p2": lambda: [_cli("dual", *fun, "--mu", "1,4")],
+        "mutant-delta_B-col0": lambda: _mutant("delta_B", 0),
+        "mutant-delta_C-col1": lambda: _mutant("delta_C", 1),
+        "mutant-S-col1": lambda: _mutant("S", 1),
+        "mutant-eps_B-unit": lambda: _mutant("eps_B", _unit_arrow_index()),
+    }
+
+
+def record():
+    exits = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, run in sorted(cases(workdir).items()):
+            steps = run()
+            exits[name] = [code for code, _ in steps]
+            with open(os.path.join(HERE, name + ".jsonl"), "w") as fh:
+                fh.write("".join(text for _, text in steps))
+    with open(os.path.join(HERE, "exits.json"), "w") as fh:
+        json.dump(exits, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    record()

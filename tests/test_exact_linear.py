@@ -12,6 +12,7 @@ from qgroupoid.exact_linear import (
     LinearMap,
     Scalar,
     ScalarField,
+    axpy,
     is_positive_semidefinite,
     kernel,
     quotient_by,
@@ -222,3 +223,54 @@ def test_psd():
     assert not is_positive_semidefinite([[sc(0), sc(1)], [sc(1), sc(0)]])
     # non-hermitian input is rejected
     assert not is_positive_semidefinite([[sc(1), i], [i, sc(1)]])
+
+
+def rand_vec(rng, n=6):
+    return {j: s for j in range(n) if rng.random() < 0.6 for s in (rand_scalar(rng),) if s}
+
+
+def test_axpy_accumulates_in_place():
+    rng = random.Random(11)
+    for _ in range(100):
+        acc, v, c = rand_vec(rng), rand_vec(rng), rand_scalar(rng)
+        expected = {}
+        for j in set(acc) | set(v):
+            t = acc.get(j, ZERO) + c * v.get(j, ZERO)
+            if t:
+                expected[j] = t
+        v_before = dict(v)
+        out = axpy(acc, c, v)
+        assert out is acc
+        assert acc == expected
+        assert v == v_before
+
+
+def test_axpy_drops_cancelled_entries():
+    a, b = sc(3), sc(Fraction(1, 2))
+    acc = {0: a, 1: b}
+    axpy(acc, -ONE, {0: a})
+    assert acc == {1: b} and 0 not in acc
+    assert axpy({0: a}, sc(2), {0: -a / sc(2)}) == {}
+    assert axpy({0: a}, ZERO, {0: b}) == {0: a}
+
+
+def test_axpy_shift_offsets_indices():
+    a, b = sc(2), sc(-5)
+    assert axpy({}, ONE, {0: a, 2: b}, shift=5) == {5: a, 7: b}
+    assert axpy({5: -a}, ONE, {0: a, 2: b}, 5) == {7: b}
+
+
+def test_axpy_unit_coefficients_match_general_path():
+    rng = random.Random(13)
+    for _ in range(100):
+        acc, v = rand_vec(rng), rand_vec(rng)
+        for c in (ONE, -ONE):
+            scaled = {j: c * s for j, s in v.items()}
+            general = dict(acc)
+            for j, s in scaled.items():
+                t = general.get(j, ZERO) + s
+                if t:
+                    general[j] = t
+                else:
+                    general.pop(j, None)
+            assert axpy(dict(acc), c, v) == general

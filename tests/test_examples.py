@@ -113,12 +113,12 @@ def test_crossed_product_isomorphic_to_pair_convolution(m_crossed, m_conv, p2, h
         for j in range(4):
             assert t.apply(a_cr.mul({i: ONE}, {j: ONE})) == a_cv.mul(t.col(i), t.col(j))
     # coproducts match: (T (x) T) Delta_crossed = Delta_conv T
-    from qgroupoid.bialgebroid import _componentwise
+    from qgroupoid.balanced_tensor import descend_componentwise
 
-    tt = _componentwise(
+    tt = descend_componentwise(
         m_crossed.qb, m_conv.qb,
         lambda i, j: kron_vec(t.col(i), t.col(j), 4),
-        "T (x) T",
+        "T (x) T does not descend {src!r} -> {dst!r}",
     )
     assert tt.compose(m_crossed.delta_B) == m_conv.delta_B.compose(t)
 

@@ -191,15 +191,15 @@ def test_modified_convolution_modular_identity(x_conv_mod, rn_cocycle):
 
 def test_full_case_isomorphism(m_conv, m_conv_mod, rn_cocycle):
     # theta_l is an algebra automorphism intertwining the coproducts
-    from qgroupoid.bialgebroid import _componentwise
+    from qgroupoid.balanced_tensor import descend_componentwise
     from qgroupoid.exact_linear import kron_vec
 
     mod, _ = rn_cocycle
     n = m_conv.A.dim
-    tw = _componentwise(
+    tw = descend_componentwise(
         m_conv.qb, m_conv_mod.qb,
         lambda i, j: kron_vec(mod.theta_l.col(i), mod.theta_l.col(j), n),
-        "theta_l (x) theta_l",
+        "theta_l (x) theta_l does not descend {src!r} -> {dst!r}",
     )
     assert m_conv_mod.delta_B.compose(mod.theta_l) == tw.compose(m_conv.delta_B)
 

@@ -1,0 +1,52 @@
+"""Verification, measurement, duals and modification leave their inputs' maps
+unchanged.  ``LinearMap.col()`` returns the stored column, so an in-place
+accumulation started from a column would silently corrupt the map."""
+
+from qgroupoid import (
+    BaseWeight,
+    assemble_measured,
+    build_convolution_algebroid,
+    build_function_algebroid,
+    dual_algebra,
+    groupoid_rn_modifier,
+    modify,
+    pair_groupoid,
+    sc,
+    standard_integrals,
+    verify_regular_mha,
+)
+
+WEIGHT = {0: sc(1), 1: sc(4)}
+
+
+def snapshot(M):
+    maps = {name: getattr(M, name) for name in ("delta_B", "delta_C", "eps_B", "eps_C", "S")}
+    out = {name: [dict(f.col(j)) for j in range(f.cols)] for name, f in maps.items()}
+    out["_db_lift"] = [dict(v) for v in M._db_lift]
+    out["_dc_lift"] = [dict(v) for v in M._dc_lift]
+    return out
+
+
+def test_verify_measure_and_dual_leave_the_instance_unchanged():
+    g = pair_groupoid([1, 2])
+    M = build_function_algebroid(g)
+    before = snapshot(M)
+    assert verify_regular_mha(M).ok
+    assert snapshot(M) == before
+    phi, psi = standard_integrals("groupoid-functions", M, groupoid=g)
+    X = assemble_measured(M, BaseWeight(mu_B=dict(WEIGHT), mu_C=dict(WEIGHT)), phi, psi)
+    assert snapshot(M) == before
+    assert dual_algebra(X).report.ok
+    assert snapshot(M) == before
+
+
+def test_modify_leaves_both_instances_unchanged():
+    g = pair_groupoid([1, 2])
+    M = build_convolution_algebroid(g)
+    before = snapshot(M)
+    mod, _ = groupoid_rn_modifier(g, WEIGHT)
+    Mt = modify(M, mod)
+    assert snapshot(M) == before
+    after = snapshot(Mt)
+    assert verify_regular_mha(Mt).ok
+    assert snapshot(Mt) == after
