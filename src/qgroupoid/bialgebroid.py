@@ -69,6 +69,8 @@ class RegularMHA:
 
     _emb_sb = None
     _emb_sc = None
+    _structs = None  # (multiplication side, embedding) -> ModuleStructure
+    _triples = None  # coassociativity kind -> TripleTensor
 
     def __init__(
         self,
@@ -134,29 +136,39 @@ class RegularMHA:
 
     # -- balanced tensor flavors -------------------------------------------
 
-    def _struct(self, kind, emb_map, base, side):
-        acts = [
-            self.A.lmul(emb_map.col(x)) if kind == "l" else self.A.rmul(emb_map.col(x))
-            for x in range(base.dim)
-        ]
-        return ModuleStructure(base, self.A, acts, side)
+    def _struct(self, kind, emb):
+        """The base acting on A by multiplying (kind "l" or "r") with emb's image.
+
+        emb is "B", "C", "SB" or "SC".  Left multiplication through a
+        homomorphic embedding, or right multiplication through an
+        anti-homomorphic one (S_B, S_C), is a left action; the other two
+        are right actions.  Built once per bundle.
+        """
+        if self._structs is None:
+            self._structs = {}
+        key = (kind, emb)
+        if key not in self._structs:
+            emb_map = {"B": self.B.embed, "C": self.C.embed,
+                       "SB": self.emb_SB(), "SC": self.emb_SC()}[emb]
+            base = self.B.base if emb in ("B", "SB") else self.C.base
+            mul = self.A.lmul if kind == "l" else self.A.rmul
+            acts = [mul(emb_map.col(x)) for x in range(base.dim)]
+            side = "left" if (kind == "l") == (emb in ("B", "C")) else "right"
+            self._structs[key] = ModuleStructure(base, self.A, acts, side)
+        return self._structs[key]
+
+    _RECIPES = {
+        FLAVOR_QB: (("l", "B"), ("l", "SB")),
+        FLAVOR_QC: (("r", "SC"), ("r", "C")),
+        FLAVOR_TL: (("l", "SB"), ("r", "SB")),
+        FLAVOR_TR: (("r", "B"), ("l", "B")),
+        FLAVOR_LT: (("r", "C"), ("l", "C")),
+        FLAVOR_RT: (("l", "SC"), ("r", "SC")),
+    }
 
     def tensor(self, flavor):
         if flavor not in self._tensors:
-            B, C = self.B, self.C
-            emb_B, emb_C = B.embed, C.embed
-            emb_SB, emb_SC = self.emb_SB(), self.emb_SC()
-            bb, cc = B.base, C.base
-            mk = self._struct
-            recipes = {
-                FLAVOR_QB: (mk("l", emb_B, bb, "left"), mk("l", emb_SB, bb, "right")),
-                FLAVOR_QC: (mk("r", emb_SC, cc, "left"), mk("r", emb_C, cc, "right")),
-                FLAVOR_TL: (mk("l", emb_SB, bb, "right"), mk("r", emb_SB, bb, "left")),
-                FLAVOR_TR: (mk("r", emb_B, bb, "right"), mk("l", emb_B, bb, "left")),
-                FLAVOR_LT: (mk("r", emb_C, cc, "right"), mk("l", emb_C, cc, "left")),
-                FLAVOR_RT: (mk("l", emb_SC, cc, "right"), mk("r", emb_SC, cc, "left")),
-            }
-            s1, s2 = recipes[flavor]
+            s1, s2 = (self._struct(*key) for key in self._RECIPES[flavor])
             self._tensors[flavor] = BalancedTensor(self.A, s1, s2, flavor)
         return self._tensors[flavor]
 
@@ -265,6 +277,27 @@ def _sigma_ss(M, src, dst):
 # ---------------------------------------------------------------------------
 
 
+def _stack_equations(groups, unknowns):
+    """One linear system from groups of (width, [(target, terms), ...]).
+
+    Each equation says sum(coeff * vec) = target over ``width`` rows, with
+    terms (unknown index, coeff, vec).  Every equation gets its own rows,
+    from eq * stride on, with one stride, the widest width, so equations of
+    different widths never share a row.  Returns (system, rhs).
+    """
+    stride = max(width for width, _ in groups)
+    cols = [{} for _ in range(unknowns)]
+    rhs = {}
+    eq = 0
+    for _, blocks in groups:
+        for target, terms in blocks:
+            axpy(rhs, ONE, target, eq * stride)
+            for col_idx, coeff, vec in terms:
+                axpy(cols[col_idx], coeff, vec, eq * stride)
+            eq += 1
+    return LinearMap(eq * stride, unknowns, cols), rhs
+
+
 def derive_counits(M):
     """Solve for the counits; unique for a regular bundle.
 
@@ -275,16 +308,7 @@ def derive_counits(M):
     A, n = M.A, M.A.dim
 
     def solve_side(dim_b, law_blocks, module_blocks, label):
-        cols = [dict() for _ in range(n * dim_b)]
-        rhs = {}
-        eq = 0
-        for width, blocks in ((n, law_blocks), (dim_b, module_blocks)):
-            for target, terms in blocks:
-                axpy(rhs, ONE, target, eq * width)
-                for col_idx, coeff, vec in terms:
-                    axpy(cols[col_idx], coeff, vec, eq * width)
-                eq += 1
-        system = LinearMap(eq * max(n, dim_b), n * dim_b, cols)
+        system, rhs = _stack_equations(((n, law_blocks), (dim_b, module_blocks)), n * dim_b)
         sol = system.solve(rhs)
         if sol is None or system.kernel_basis():
             raise ValueError("%s counit does not exist or is not unique" % label)
@@ -294,8 +318,6 @@ def derive_counits(M):
             lambda a: {x: sol[a * dim_b + x] for x in range(dim_b) if a * dim_b + x in sol},
         )
 
-    # NOTE: law equations have width n, module equations width dim_b; use a
-    # common row stride of max(n, dim_b) via the eq counter to keep rows apart.
     emb_SB, emb_B = M.emb_SB(), M.B.embed
     dim_b = M.B.base.dim
     qb = M.qb
@@ -560,51 +582,43 @@ def _triple_expand(M, lifted, leg, side):
 
 
 def _triple_mul(A, w, leg, u, from_left):
+    """Multiply leg 1, 2 or 3 of a 3-tensor by u, from the left or the right."""
     n = A.dim
+    stride = n ** (3 - leg)
+    products = {}  # leg index x -> e_x times u, re-indexed on this leg
     out = {}
     for idx, s in w.items():
-        ij, k = divmod(idx, n)
-        i, j = divmod(ij, n)
-        legs = [{i: ONE}, {j: ONE}, {k: ONE}]
-        legs[leg - 1] = (
-            A.mul(u, legs[leg - 1]) if from_left else A.mul(legs[leg - 1], u)
-        )
-        axpy(out, s, kron_vec(kron_vec(legs[0], legs[1], n), legs[2], n))
+        x = idx // stride % n
+        if x not in products:
+            prod = A.mul(u, {x: ONE}) if from_left else A.mul({x: ONE}, u)
+            products[x] = {y * stride: t for y, t in prod.items()}
+        axpy(out, s, products[x], idx - x * stride)
     return out
 
 
 def _triple_for(M, kind):
-    key = "_triples"
-    cache = getattr(M, key, None)
-    if cache is None:
-        cache = {}
-        setattr(M, key, cache)
-    if kind not in cache:
-        qb, qc = M.qb, M.qc
-        pair_b = (qb.struct1, qb.struct2)
-        pair_c = (qc.struct1, qc.struct2)
-        picks = {"BB": (pair_b, pair_b), "BC": (pair_b, pair_c),
-                 "CB": (pair_c, pair_b), "CC": (pair_c, pair_c)}
-        p12, p23 = picks[kind]
-        cache[kind] = TripleTensor(M.A, p12, p23, kind)
-    return cache[kind]
+    if M._triples is None:
+        M._triples = {}
+    if kind not in M._triples:
+        pairs = {"B": M.qb, "C": M.qc}
+        M._triples[kind] = TripleTensor(M.A, pairs[kind[0]], pairs[kind[1]], kind)
+    return M._triples[kind]
 
 
-def _coassociativity(M, rep, kind, name, eq):
-    """One coassociativity law on every basis triple (a, b, c).
+def _coassociativity_sides(M, kind, b):
+    """(a, c, lhs, rhs) of the coassociativity law of kind XY at b, every a, c.
 
-    For kind = XY, with Delta_X expanded on the left-hand side and Delta_Y
-    on the right-hand side:
+    With Delta_X expanded on the left-hand side and Delta_Y on the
+    right-hand side:
         (Delta_X (x) id)(Delta_Y(b) c_2) a_1 = (id (x) Delta_Y)(Delta_X(b) a_1) c_3,
     where u_k multiplies leg k by e_u from the side of the comultiplication
     acting there: from the right for Delta_B, from the left for Delta_C.
-    The two sides are compared in the triple quotient of flavor XY.
+    Both sides are vectors of A (x) A (x) A; c runs outer, a inner.
     """
     A, n = M.A, M.A.dim
     X, Y = kind
-    triple = _triple_for(M, kind)
 
-    def times(side, b, leg, u):
+    def times(side, leg, u):
         """Lift of Delta_side(b) times e_u on one leg."""
         if side == "B":
             t, op, delta = M.qb, (M.qb.rmul1, M.qb.rmul2)[leg - 1], M.delta_B
@@ -612,18 +626,30 @@ def _coassociativity(M, rep, kind, name, eq):
             t, op, delta = M.qc, (M.qc.lmul1, M.qc.lmul2)[leg - 1], M.delta_C
         return t.lift(op({u: ONE}).apply(delta.col(b)))
 
-    def mismatches():
-        for b in range(n):
-            rhs3 = [_triple_expand(M, times(X, b, 1, a), 2, Y) for a in range(n)]
-            for c in range(n):
-                lhs3 = _triple_expand(M, times(Y, b, 2, c), 1, X)
-                for a in range(n):
-                    lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=X == "C")
-                    rhs = _triple_mul(A, rhs3[a], 3, {c: ONE}, from_left=Y == "C")
-                    if not triple.equal(lhs, rhs):
-                        yield A.labels[a], A.labels[b], A.labels[c]
+    rhs3 = [_triple_expand(M, times(X, 1, a), 2, Y) for a in range(n)]
+    for c in range(n):
+        lhs3 = _triple_expand(M, times(Y, 2, c), 1, X)
+        for a in range(n):
+            lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=X == "C")
+            rhs = _triple_mul(A, rhs3[a], 3, {c: ONE}, from_left=Y == "C")
+            yield a, c, lhs, rhs
 
-    at = next(mismatches(), None)
+
+def _coassociativity(M, rep, kind, name, eq):
+    """One coassociativity law on every basis triple (a, b, c).
+
+    The sides given by ``_coassociativity_sides`` are compared in the
+    triple quotient of flavor XY; the first mismatch is the witness.
+    """
+    triple = _triple_for(M, kind)
+    labels = M.A.labels
+    mismatches = (
+        (labels[a], labels[b], labels[c])
+        for b in range(M.A.dim)
+        for a, c, lhs, rhs in _coassociativity_sides(M, kind, b)
+        if not triple.equal(lhs, rhs)
+    )
+    at = next(mismatches, None)
     rep.check(at is None, name, eq, None if at is None else {"at": at})
 
 

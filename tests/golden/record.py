@@ -17,8 +17,15 @@ import json
 import os
 import tempfile
 
-from qgroupoid import LinearMap, RegularMHA, build_function_algebroid, sc, verify_regular_mha
+from qgroupoid import (
+    LinearMap,
+    RegularMHA,
+    build_convolution_algebroid,
+    build_function_algebroid,
+    verify_regular_mha,
+)
 from qgroupoid.cli import main
+from qgroupoid.exact_linear import ONE, axpy
 from qgroupoid.examples import groupoid_to_json, pair_groupoid
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -32,21 +39,26 @@ def _cli(*argv):
     return code, out.getvalue()
 
 
-def _scaled(f, k, c):
+def _changed(f, k, add_col):
+    """f with column k scaled by 2, or, given add_col, plus that column."""
     cols = [dict(f.col(j)) for j in range(f.cols)]
-    cols[k] = {i: c * s for i, s in cols[k].items()}
+    cols[k] = axpy(cols[k], ONE, f.col(k if add_col is None else add_col))
     return LinearMap(f.rows, f.cols, cols)
 
 
-def _mutant(kind, col):
-    """Functions on p2 with one column of delta_B, delta_C, S or eps_B
-    scaled by 2; eps_B, eps_C and S are passed explicitly."""
-    M = build_function_algebroid(pair_groupoid(POINTS))
+def _mutant(kind, col, build=build_function_algebroid, add_col=None):
+    """The p2 instance with one column of delta_B, delta_C, S or eps_B
+    changed by ``_changed``; eps_B, eps_C and S are passed explicitly.
+
+    Convolution's comultiplications are group-like, e_g -> e_g (x) e_g, and
+    stay coassociative when a column is scaled, so its mutants add a column.
+    """
+    M = build(pair_groupoid(POINTS))
     n = M.A.dim
     raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
     raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
     parts = {"delta_B": raw_b, "delta_C": raw_c, "S": M.S, "eps_B": M.eps_B}
-    parts[kind] = _scaled(parts[kind], col, sc(2))
+    parts[kind] = _changed(parts[kind], col, add_col)
     mutant = RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
                         eps_B=parts["eps_B"], eps_C=M.eps_C, S=parts["S"], name="mutant")
     rep = verify_regular_mha(mutant)
@@ -84,6 +96,10 @@ def cases(workdir):
         "dual-functions-p2": lambda: [_cli("dual", *fun, "--mu", "1,4")],
         "mutant-delta_B-col0": lambda: _mutant("delta_B", 0),
         "mutant-delta_C-col1": lambda: _mutant("delta_C", 1),
+        "mutant-convolution-delta_B-col1": lambda: _mutant(
+            "delta_B", 1, build_convolution_algebroid, add_col=0),
+        "mutant-convolution-delta_C-col2": lambda: _mutant(
+            "delta_C", 2, build_convolution_algebroid, add_col=0),
         "mutant-S-col1": lambda: _mutant("S", 1),
         "mutant-eps_B-unit": lambda: _mutant("eps_B", _unit_arrow_index()),
     }

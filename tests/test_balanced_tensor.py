@@ -2,14 +2,26 @@
 
 import pytest
 
-from qgroupoid.balanced_tensor import NotBalanced, build_balanced, flip, slice_left
+from qgroupoid.balanced_tensor import (
+    NotBalanced,
+    TripleTensor,
+    build_balanced,
+    flip,
+    slice_left,
+)
 from qgroupoid.bialgebroid import (
     FLAVOR_LT,
     FLAVOR_RT,
     FLAVOR_TL,
     FLAVOR_TR,
+    _coassociativity_sides,
 )
-from qgroupoid.exact_linear import ONE, LinearMap
+from qgroupoid.examples import (
+    build_convolution_algebroid,
+    build_function_algebroid,
+    pair_groupoid,
+)
+from qgroupoid.exact_linear import ONE, LinearMap, Rref, vsub
 
 
 def test_p2_quotient_dimension_is_composable_pairs(m_fun, p2):
@@ -125,3 +137,51 @@ def test_incompatible_flip_rejected(m_fun):
     dom_tr = m_fun.tensor(FLAVOR_TR)
     with pytest.raises(NotBalanced):
         flip(dom_tr, m_fun.qb)
+
+
+class _DirectTriple:
+    """Oracle: A (x) A (x) A modulo every legs-(1,2) relation (x) e_c and
+    every e_a (x) legs-(2,3) relation, eliminated together in one Rref."""
+
+    def __init__(self, pair12, pair23):
+        n = pair12.leg_dim
+        self.relations = [
+            {k * n + c: s for k, s in rel.items()}
+            for rel in pair12.relation_vectors() for c in range(n)
+        ] + [
+            {a * n * n + k: s for k, s in rel.items()}
+            for rel in pair23.relation_vectors() for a in range(n)
+        ]
+        self.rref = Rref()
+        for rel in self.relations:
+            self.rref.add(rel)
+        self.dim = n ** 3 - self.rref.rank
+
+    def equal(self, w1, w2):
+        return not self.rref.reduce(vsub(w1, w2))
+
+
+@pytest.fixture(scope="module")
+def p3_algebroids():
+    p3 = pair_groupoid([1, 2, 3])
+    return build_function_algebroid(p3), build_convolution_algebroid(p3)
+
+
+@pytest.mark.parametrize("kind", ["BB", "BC", "CB", "CC"])
+def test_triple_quotient_matches_direct_elimination(
+    kind, m_fun, m_conv, m_group, m_crossed, p3_algebroids
+):
+    for M in (m_fun, m_conv, m_group, m_crossed, *p3_algebroids):
+        pairs = {"B": M.qb, "C": M.qc}
+        pair12, pair23 = pairs[kind[0]], pairs[kind[1]]
+        triple = TripleTensor(M.A, pair12, pair23, kind)
+        direct = _DirectTriple(pair12, pair23)
+        assert triple.dim == direct.dim, (M.name, kind)
+        assert all(not triple.reduce(rel) for rel in direct.relations), (M.name, kind)
+        # the pairs the law compares at one b, and each lhs against the
+        # next pair's rhs, so that unequal classes are compared as well
+        sides = [(lhs, rhs) for _, _, lhs, rhs in _coassociativity_sides(M, kind, 1)]
+        shifted = [(lhs, rhs) for (lhs, _), (_, rhs) in zip(sides, sides[1:] + sides[:1])]
+        verdicts = [triple.equal(lhs, rhs) for lhs, rhs in sides + shifted]
+        assert verdicts == [direct.equal(lhs, rhs) for lhs, rhs in sides + shifted]
+        assert all(verdicts[: len(sides)]) and not all(verdicts), (M.name, kind)

@@ -1,8 +1,10 @@
 """Verification suites, canonical maps, antipode derivation, star structures."""
 
+from qgroupoid import bialgebroid
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import (
     RegularMHA,
+    _stack_equations,
     canonical_maps,
     derive_antipode,
     derive_counits,
@@ -172,3 +174,32 @@ def test_report_entries_carry_labels(m_fun):
     for expected in ("left-delta-bimodule", "delta-coassociative", "left-counit",
                      "compatible", "regular-2", "dg-antipode", "dg-galois-antipode"):
         assert expected in labels
+
+
+def test_counit_system_keeps_law_and_module_rows_apart(m_fun, monkeypatch):
+    # functions of p2: law equations span n = 4 rows, module equations
+    # dim_b = 2; each must keep rows of its own in the stacked system
+    stacked = []
+
+    def spy(groups, unknowns):
+        stacked.append((groups, unknowns))
+        return _stack_equations(groups, unknowns)
+
+    monkeypatch.setattr(bialgebroid, "_stack_equations", spy)
+    derive_counits(m_fun)
+    groups, unknowns = stacked[0]
+    (n, law), (dim_b, module) = groups
+    assert (n, dim_b) == (4, 2) and law and module
+    system, rhs = _stack_equations(groups, unknowns)
+    law_only, law_rhs = _stack_equations(groups[:1], unknowns)
+    module_only, module_rhs = _stack_equations(groups[1:], unknowns)
+
+    def moved(v):  # module equation e, row r -> rows of equation len(law) + e
+        return {(len(law) + k // dim_b) * n + k % dim_b: s for k, s in v.items()}
+
+    assert system.rows == (len(law) + len(module)) * n
+    assert rhs == {**law_rhs, **moved(module_rhs)}
+    for j in range(unknowns):
+        law_col, module_col = law_only.col(j), moved(module_only.col(j))
+        assert not law_col.keys() & module_col.keys()
+        assert system.col(j) == {**law_col, **module_col}
