@@ -105,7 +105,15 @@ def descend_componentwise(src, dst, fn, message, antilinear=False):
 
 
 class BalancedTensor:
-    """Quotient of A (x) A balancing act1 on the first against act2 on the second leg."""
+    """Quotient of A (x) A balancing act1 on the first against act2 on the second leg.
+
+    The descended maps a tensor hands out (leg multiplications, slices
+    and flips) are memoized per tensor in ``_op_cache``: a repeated call
+    returns the map computed the first time.  Only successful descents
+    are stored; a map that is not balanced is re-checked on every call and
+    raises NotBalanced with that call's own ``what`` text.  Callers must
+    not mutate the returned maps.
+    """
 
     def __init__(self, algebra, struct1, struct2, flavor=""):
         if struct1.total is not algebra or struct2.total is not algebra:
@@ -163,16 +171,20 @@ class BalancedTensor:
             what + " does not descend between flavors {src!r} -> {dst!r}",
         )
 
-    def _leg_op(self, slot, side, elem_index):
-        key = (slot, side, elem_index)
+    def _cached(self, key, build):
+        """The memoized build() under key; a build() that raises stores nothing."""
         if key not in self._op_cache:
+            self._op_cache[key] = build()
+        return self._op_cache[key]
+
+    def _leg_op(self, slot, side, elem_index):
+        def build():
             alg = self.algebra
             m = alg.lmul(elem_index) if side == "l" else alg.rmul(elem_index)
             op1, op2 = (m, None) if slot == 1 else (None, m)
-            self._op_cache[key] = self.descend(
-                op1, op2, what="%s-multiplication on leg %d" % (side, slot)
-            )
-        return self._op_cache[key]
+            return self.descend(op1, op2, what="%s-multiplication on leg %d" % (side, slot))
+
+        return self._cached((slot, side, elem_index), build)
 
     def _combine(self, slot, side, u):
         items = list(u.items())
@@ -210,7 +222,7 @@ class BalancedTensor:
         omega: LinearMap A -> A (a base-valued map already composed with
         its embedding).  leg selects which tensor factor omega consumes,
         multiply whether the result multiplies the other leg from the
-        left or the right.
+        left or the right.  Memoized by the content of omega.
         """
         alg = self.algebra
 
@@ -218,17 +230,17 @@ class BalancedTensor:
             val, other = (omega.col(i), {j: ONE}) if leg == 1 else (omega.col(j), {i: ONE})
             return alg.mul(val, other) if multiply == "left" else alg.mul(other, val)
 
-        return descend_componentwise(
+        return self._cached(("slice", omega, leg, multiply), lambda: descend_componentwise(
             self, None, sliced, what + " is not balanced for flavor {src!r}"
-        )
+        ))
 
     def flip_to(self, target):
-        """The map a (x) b -> b (x) a into the flipped flavor, checked."""
+        """The map a (x) b -> b (x) a into the flipped flavor, checked; memoized."""
         n = self.leg_dim
-        return descend_componentwise(
+        return self._cached(("flip", target), lambda: descend_componentwise(
             self, target, lambda i, j: {j * n + i: ONE},
             "flip does not relate flavors {src!r} -> {dst!r}",
-        )
+        ))
 
     def __repr__(self):
         return "BalancedTensor(%r, dim=%d)" % (self.flavor, self.dim)

@@ -252,11 +252,11 @@ def cmd_dual(args):
     try:
         M, groupoid, example, mu, weight, phi, psi, recipe, sqrts, _ = _pipeline(args)
         X = assemble_measured(M, weight, phi, psi)
+        dual = dual_algebra(X)
     except FieldExtensionNeeded as e:
         return _fail("quasi-invariant", str(e), args.out)
     except Rejected as e:
         return _fail(e.eq, str(e), args.out, hint=e.hint)
-    dual = dual_algebra(X)
     from .algebra_core import algebra_to_json
 
     return _emit(dual.report, args.out, {"dual_algebra": algebra_to_json(dual.algebra)})

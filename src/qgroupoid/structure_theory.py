@@ -10,6 +10,7 @@ against direct functional composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check
 from .balanced_tensor import NotBalanced, descend_componentwise
@@ -531,7 +532,13 @@ def faithfulness_check(X):
 
 
 def dual_algebra(X):
-    """The convolution algebra on A . phi, with its bimodule actions."""
+    """The convolution algebra on A . phi, with its bimodule actions.
+
+    The dual products are computed once, through T_lambda; the checks
+    read them from the product table.  Each distinct functional the
+    checks meet (the basis translates e_i . phi and their products) is
+    factorized, and its rho and lambda operators built, once.
+    """
     M = X.M
     A, n = M.A, M.A.dim
     rep = Report()
@@ -547,8 +554,7 @@ def dual_algebra(X):
         raise Rejected("dual-product", "phi_C slice is not balanced: %s" % e)
 
     def dual_mul(i, j):
-        f = sl.apply(t_inv.apply(M.qb.pure({i: ONE}, {j: ONE})))
-        return f
+        return sl.apply(t_inv.apply(M.qb.pure({i: ONE}, {j: ONE})))
 
     # a . phi is identified with its coefficient a (phi is faithful)
     hat = FiniteAlgebra.from_mul(
@@ -559,77 +565,68 @@ def dual_algebra(X):
     rep.check(hat.products_span(), "dual-idempotent", "dual-algebra")
     nd1, nd2 = hat.nondegenerate_sides()
     rep.check(nd1 and nd2, "dual-nondegenerate", "dual-algebra")
+    phi = X.phi.omega
+    translates = [translate_left(A, {i: ONE}, phi) for i in range(n)]
+    operators = {}
+
+    def rho_lambda(f):
+        """(rho, lambda) of the functional f, built once per distinct f."""
+        key = tuple(sorted(f.items()))
+        if key not in operators:
+            rho = convolution(X, f, "rho")
+            operators[key] = (rho.operator, convolution(X, rho.source, "lambda").operator)
+        return operators[key]
+
     # the product must match direct composition of functionals:
     # (a.phi)(b.phi) = (a.phi) o rho(b.phi)
-    phi = X.phi.omega
-    ok = True
-    for i in range(n):
-        fi = translate_left(A, {i: ONE}, phi)
-        for j in range(n):
-            fj = translate_left(A, {j: ONE}, phi)
-            fact_j, _ = factorize(M, X.weight, fj)
-            rho_j = convolution(X, fact_j, "rho").operator
-            direct = {
-                c: v
-                for c in range(n)
-                for v in (ev(fi, rho_j.col(c)),)
-                if v
-            }
-            via_t = translate_left(A, dual_mul(i, j), phi)
-            if direct != via_t:
-                ok = False
-                break
-        if not ok:
+    wit = None
+    for i, j in product(range(n), repeat=2):
+        rho_j = rho_lambda(translates[j])[0]
+        direct = {c: v for c in range(n) for v in (ev(translates[i], rho_j.col(c)),) if v}
+        via_t = translate_left(A, hat.table[i][j], phi)
+        if direct != via_t:
+            wit = {"at": [A.labels[i], A.labels[j]],
+                   "lhs": sorted(direct.items()), "rhs": sorted(via_t.items())}
             break
-    rep.check(ok, "dual-product-matches-composition", "dual-product")
+    rep.check(wit is None, "dual-product-matches-composition", "dual-product", wit)
     # bimodule actions: omega * a = rho(omega)(a), a * omega = lambda(omega)(a)
-    ok = True
-    for i in range(n):
-        fi = translate_left(A, {i: ONE}, phi)
-        fact_i, _ = factorize(M, X.weight, fi)
-        rho_i = convolution(X, fact_i, "rho").operator
-        lam_i = convolution(X, fact_i, "lambda").operator
-        for j in range(n):
-            fj = translate_left(A, {j: ONE}, phi)
-            fact_j, _ = factorize(M, X.weight, fj)
-            rho_j = convolution(X, fact_j, "rho").operator
-            lam_j = convolution(X, fact_j, "lambda").operator
-            prod = dual_mul(i, j)
-            fact_p, _ = factorize(M, X.weight, translate_left(A, prod, phi))
-            rho_p = convolution(X, fact_p, "rho").operator
-            lam_p = convolution(X, fact_p, "lambda").operator
-            if rho_p != rho_i.compose(rho_j):
-                ok = False
-            if lam_p != lam_j.compose(lam_i):
-                ok = False
-            if rho_j.compose(lam_i) != lam_i.compose(rho_j):
-                ok = False
-        if not ok:
+    wit = None
+    for i, j in product(range(n), repeat=2):
+        rho_i, lam_i = rho_lambda(translates[i])
+        rho_j, lam_j = rho_lambda(translates[j])
+        rho_p, lam_p = rho_lambda(translate_left(A, hat.table[i][j], phi))
+        failed = [name for name, holds in (
+            ("rho", rho_p == rho_i.compose(rho_j)),
+            ("lambda", lam_p == lam_j.compose(lam_i)),
+            ("commute", rho_j.compose(lam_i) == lam_i.compose(rho_j)),
+        ) if not holds]
+        if failed:
+            wit = {"at": [A.labels[i], A.labels[j]], "identity": failed[0]}
             break
-    rep.check(ok, "bimodule-identities", "dual-algebra")
+    rep.check(wit is None, "bimodule-identities", "dual-algebra", wit)
     # extension to multipliers: the j-embedding formulas are consistent
-    sigma = modular_automorphism(X, "left").mapping
+    sigma_inv = modular_automorphism(X, "left").mapping.inverse()
     psi = X.psi.omega
     g_psi_r = LinearMap.from_function(
         n, n, lambda k: {a: v for a in range(n)
                          for v in (ev(psi, A.mul({a: ONE}, {k: ONE})),) if v}
     )
-    ok = True
+    wit = None
     for a in range(n):
-        b = sigma.inverse().apply({a: ONE})  # a.phi = phi.b
-        for t in range(n):
-            if ev(phi, A.mul({t: ONE}, {a: ONE})) != ev(phi, A.mul(b, {t: ONE})):
-                ok = False
+        b = sigma_inv.apply({a: ONE})  # a.phi = phi.b
+        ok = all(ev(phi, A.mul({t: ONE}, {a: ONE})) == ev(phi, A.mul(b, {t: ONE}))
+                 for t in range(n))
         target = {t: v for t in range(n)
                   for v in (ev(phi, A.mul({t: ONE}, {a: ONE})),) if v}
         c = g_psi_r.solve(target)  # a.phi = c.psi
-        if c is None:
-            ok = False
-        else:
-            for t in range(n):
-                if ev(psi, A.mul({t: ONE}, c)) != ev(phi, A.mul({t: ONE}, {a: ONE})):
-                    ok = False
-    rep.check(ok, "multiplier-extension-consistent", "extension-multipliers")
+        ok = ok and c is not None and all(
+            ev(psi, A.mul({t: ONE}, c)) == ev(phi, A.mul({t: ONE}, {a: ONE}))
+            for t in range(n)
+        )
+        if not ok:
+            wit = {"at": A.labels[a]}
+            break
+    rep.check(wit is None, "multiplier-extension-consistent", "extension-multipliers", wit)
     return DualAlgebra(hat, rep)
 
 

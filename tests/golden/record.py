@@ -1,4 +1,4 @@
-"""Golden reports on the 2-point pair groupoid.
+"""Golden reports on the 2-point pair groupoid, and ``dual`` on 3 points.
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
 captured) or ``verify_regular_mha`` on a mutant instance, and yields the
@@ -30,6 +30,7 @@ from qgroupoid.examples import groupoid_to_json, pair_groupoid
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 POINTS = [1, 2]
+POINTS_P3 = [1, 2, 3]
 
 
 def _cli(*argv):
@@ -75,6 +76,9 @@ def cases(workdir):
     p2 = os.path.join(workdir, "p2.json")
     with open(p2, "w") as fh:
         json.dump(groupoid_to_json(pair_groupoid(POINTS)), fh)
+    p3 = os.path.join(workdir, "p3.json")
+    with open(p3, "w") as fh:
+        json.dump(groupoid_to_json(pair_groupoid(POINTS_P3)), fh)
     artifact = os.path.join(workdir, "artifact.json")
     fun = ("--example", "function-algebroid", "--groupoid", p2)
     conv = ("--example", "convolution", "--groupoid", p2)
@@ -94,6 +98,8 @@ def cases(workdir):
         "measure-convolution-p2": lambda: [_cli("measure", *conv, "--mu", "1,4")],
         "modify-measure-convolution-p2": modify_then_measure,
         "dual-functions-p2": lambda: [_cli("dual", *fun, "--mu", "1,4")],
+        "dual-functions-p3": lambda: [_cli(
+            "dual", "--example", "function-algebroid", "--groupoid", p3, "--mu", "1,4,9")],
         "mutant-delta_B-col0": lambda: _mutant("delta_B", 0),
         "mutant-delta_C-col1": lambda: _mutant("delta_C", 1),
         "mutant-convolution-delta_B-col1": lambda: _mutant(

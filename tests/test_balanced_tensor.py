@@ -6,6 +6,7 @@ from qgroupoid.balanced_tensor import (
     NotBalanced,
     TripleTensor,
     build_balanced,
+    descend_componentwise,
     flip,
     slice_left,
 )
@@ -91,6 +92,37 @@ def test_unbalanced_slice_rejected_with_witness(m_fun):
     with pytest.raises(NotBalanced) as exc:
         slice_left(m_fun.qb, bad)
     assert exc.value.witness is not None
+
+
+def test_repeated_slice_and_flip_equal_a_fresh_descent():
+    M = build_function_algebroid(pair_groupoid([1, 2]))
+    A, n, qb = M.A, M.A.dim, M.qb
+    omega = M.emb_SB().compose(M.eps_B)
+    first = qb.slice(omega, 1, "left")
+    # an equal omega built anew, and another caller's text, hit the same entry
+    again = qb.slice(M.emb_SB().compose(M.eps_B), 1, "left", what="another slice")
+    assert again is first
+    assert again == descend_componentwise(
+        qb, None, lambda i, j: A.mul(omega.col(i), {j: ONE}), "{src!r}")
+    assert qb.slice(omega, 1, "right") == descend_componentwise(
+        qb, None, lambda i, j: A.mul({j: ONE}, omega.col(i)), "{src!r}")
+    dom_tr, dom_rt = M.tensor(FLAVOR_TR), M.tensor(FLAVOR_RT)
+    f = dom_tr.flip_to(dom_rt)
+    assert dom_tr.flip_to(dom_rt) is f
+    assert f == descend_componentwise(dom_tr, dom_rt, lambda i, j: {j * n + i: ONE}, "{src!r}")
+
+
+def test_failed_slice_is_rechecked_with_each_callers_message():
+    M = build_function_algebroid(pair_groupoid([1, 2]))
+    bad = LinearMap.from_rows(
+        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    )
+    for what in ("first caller", "second caller"):
+        with pytest.raises(NotBalanced) as exc:
+            M.qb.slice(bad, 1, "left", what=what)
+        assert str(exc.value).startswith(what + " is not balanced for flavor")
+        assert exc.value.witness is not None
+    assert not [key for key in M.qb._op_cache if key[0] == "slice"]
 
 
 def test_flip_between_flavors(m_fun):

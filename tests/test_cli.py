@@ -8,6 +8,7 @@ from qgroupoid.algebra_core import FiniteAlgebra, algebra_to_json
 from qgroupoid.cli import main
 from qgroupoid.examples import groupoid_to_json, pair_groupoid
 from qgroupoid.exact_linear import LinearMap
+from qgroupoid.report import Rejected
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,21 @@ def test_dual_command(p2_file, capsys):
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])["summary"]
     assert summary["dual_algebra"]["dim"] == 4
+
+
+def test_dual_rejection_exits_1_with_a_fail_line(p2_file, capsys, monkeypatch):
+    def rejecting(X):
+        raise Rejected("regular-2", "T_lambda is not invertible")
+
+    monkeypatch.setattr("qgroupoid.cli.dual_algebra", rejecting)
+    code = main(["dual", "--example", "function-algebroid",
+                 "--groupoid", p2_file, "--mu", "1,4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    summary = json.loads(captured.out.strip().splitlines()[-1])["summary"]
+    assert summary["status"] == "fail"
+    assert summary["rejected"] == "regular-2"
+    assert "Traceback" not in captured.err
 
 
 def test_report_command(p2_file, capsys, tmp_path):

@@ -10,6 +10,7 @@ from qgroupoid import (
     dual_algebra,
     groupoid_rn_modifier,
     modify,
+    modular_element,
     pair_groupoid,
     sc,
     standard_integrals,
@@ -50,3 +51,24 @@ def test_modify_leaves_both_instances_unchanged():
     after = snapshot(Mt)
     assert verify_regular_mha(Mt).ok
     assert snapshot(Mt) == after
+
+
+def test_cached_slices_and_flips_still_equal_fresh_descents():
+    # a caller that mutated a memoized map would corrupt every later caller
+    g = pair_groupoid([1, 2])
+    M = build_function_algebroid(g)
+    phi, psi = standard_integrals("groupoid-functions", M, groupoid=g)
+    X = assemble_measured(M, BaseWeight(mu_B=dict(WEIGHT), mu_C=dict(WEIGHT)), phi, psi)
+    modular_element(X)
+    dual_algebra(X)
+    tensors = [M.qb, M.qc] + [dom for _, dom in M.canonical().values()]
+    seen = set()
+    for tensor in tensors:
+        for key, stored in list(tensor._op_cache.items()):
+            if key[0] not in ("slice", "flip"):
+                continue
+            seen.add(key[0])
+            del tensor._op_cache[key]
+            fresh = tensor.slice(*key[1:]) if key[0] == "slice" else tensor.flip_to(key[1])
+            assert fresh == stored, (tensor, key[0])
+    assert seen == {"slice", "flip"}

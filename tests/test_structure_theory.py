@@ -1,5 +1,7 @@
 """Modular theory, uniqueness, faithfulness, dual algebra, Haar rescaling."""
 
+import dataclasses
+
 import pytest
 
 from qgroupoid.algebra_core import FiniteAlgebra
@@ -13,6 +15,7 @@ from qgroupoid.examples import (
 from qgroupoid.exact_linear import ONE, LinearMap, Rref, kron_vec, sc
 from qgroupoid.integration import (
     BaseWeight,
+    PartialIntegral,
     assemble_measured,
     ev,
     functional_of_map,
@@ -187,6 +190,28 @@ def test_dual_algebra_of_p2_functions_is_matrix_algebra(x_fun_14, m_conv):
     # groupoid under the identity identification of bases
     assert da.algebra.table == m_conv.A.table
     assert da.algebra.dim == x_fun_14.M.A.dim  # dim A^ = dim A always
+
+
+def test_dual_checks_report_their_first_failing_pair(x_fun_14):
+    # doubling phi_C doubles every product computed through T_lambda, but
+    # not the composition of functionals through phi itself
+    X = dataclasses.replace(
+        x_fun_14, phi_C=PartialIntegral("left", x_fun_14.phi_C.mapping.scale(sc(2))))
+    da = dual_algebra(X)
+    entries = {e.axiom: e for e in da.report.entries}
+    labels = X.M.A.labels
+    first = next((i, j) for i in range(4) for j in range(4) if da.algebra.table[i][j])
+    at = [labels[first[0]], labels[first[1]]]
+    wit = entries["dual-product-matches-composition"].witness
+    assert wit["at"] == at
+    lhs, rhs = dict(wit["lhs"]), dict(wit["rhs"])
+    assert lhs and rhs == {k: v * sc(2) for k, v in lhs.items()}
+    assert entries["bimodule-identities"].witness == {"at": at, "identity": "rho"}
+    assert entries["multiplier-extension-consistent"].status == "pass"
+    # a psi with zero Gram pairing has no c with a.phi = c.psi
+    X = dataclasses.replace(x_fun_14, psi=dataclasses.replace(x_fun_14.psi, omega={}))
+    entries = {e.axiom: e for e in dual_algebra(X).report.entries}
+    assert entries["multiplier-extension-consistent"].witness == {"at": labels[0]}
 
 
 def test_convolution_operators(x_fun_14):
