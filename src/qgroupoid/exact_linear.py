@@ -2,10 +2,13 @@
 
 Scalars live in Q(i) extended by square roots of positive square-free
 integers, so sums like 3/4 + (1/2)*i + 2*sqrt(2) are represented and
-compared exactly.  No floating point anywhere.  Vectors are sparse dicts
-index -> Scalar, matrices are column-sparse LinearMaps; quotient spaces
-carry an echelon-form section so every class has a canonical
-representative.
+compared exactly.  No floating point anywhere: every rational coefficient
+a scalar stores is an ``int`` when it is integral and otherwise a
+``Fraction`` with denominator > 1, so the common integer case never
+builds a ``Fraction``; ``_q`` is the one place that puts a coefficient in
+that form.  Vectors are sparse dicts index -> Scalar, matrices are
+column-sparse LinearMaps; quotient spaces carry an echelon-form section
+so every class has a canonical representative.
 
 Sparse vectors keep three invariants:
 
@@ -73,7 +76,16 @@ def _root_mul(m1, m2):
 
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+
+
+def _q(x):
+    """The canonical coefficient for the rational x: an int if integral,
+    else a Fraction with denominator > 1."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Scalar:
@@ -81,7 +93,9 @@ class Scalar:
 
     Stored as a sorted tuple of (m, re, im): the coefficient re + im*i of
     the monomial sqrt(m), m square-free positive, m = 1 for the rational
-    part.  Immutable and hashable.
+    part.  Each of re and im is an int when integral, otherwise a Fraction
+    with denominator > 1, never a float; every constructor below passes
+    new coefficients through ``_q``.  Immutable and hashable.
     """
 
     __slots__ = ("terms", "_hash")
@@ -95,13 +109,13 @@ class Scalar:
     @staticmethod
     def _from_dict(d):
         items = tuple(
-            (m, re, im) for m, (re, im) in sorted(d.items()) if re or im
+            (m, _q(re), _q(im)) for m, (re, im) in sorted(d.items()) if re or im
         )
         return Scalar(items)
 
     @classmethod
     def rational(cls, re, im=0):
-        re, im = Fraction(re), Fraction(im)
+        re, im = _q(re), _q(im)
         if not re and not im:
             return ZERO
         return cls(((1, re, im),))
@@ -110,7 +124,7 @@ class Scalar:
     def root_term(cls, m, re=1, im=0):
         """Coefficient (re + im*i) times sqrt(m)."""
         g, mm = _squarefree_split(m)
-        re, im = Fraction(re) * g, Fraction(im) * g
+        re, im = _q(Fraction(re) * g), _q(Fraction(im) * g)
         if not re and not im:
             return ZERO
         return cls(((mm, re, im),))
@@ -133,7 +147,7 @@ class Scalar:
         if not self.terms:
             return _F0
         if len(self.terms) == 1 and self.terms[0][0] == 1 and not self.terms[0][2]:
-            return self.terms[0][1]
+            return Fraction(self.terms[0][1])
         raise ValueError("scalar is not rational: %s" % (self,))
 
     # -- arithmetic ---------------------------------------------------
@@ -143,8 +157,16 @@ class Scalar:
             return self
         if not self.terms:
             return other
-        d = {m: (re, im) for m, re, im in self.terms}
-        for m, re, im in other.terms:
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            m, re1, im1 = a[0]
+            _, re2, im2 = b[0]
+            re, im = _q(re1 + re2), _q(im1 + im2)
+            if not re and not im:
+                return ZERO
+            return Scalar(((m, re, im),))
+        d = {m: (re, im) for m, re, im in a}
+        for m, re, im in b:
             if m in d:
                 d[m] = (d[m][0] + re, d[m][1] + im)
             else:
@@ -162,9 +184,12 @@ class Scalar:
             return ZERO
         a, b = self.terms, other.terms
         if len(a) == 1 and len(b) == 1 and a[0][0] == 1 and b[0][0] == 1:
+            # a product of nonzero Gaussian rationals is nonzero
             _, re1, im1 = a[0]
             _, re2, im2 = b[0]
-            return Scalar.rational(re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+            if not im1 and not im2:
+                return Scalar(((1, _q(re1 * re2), 0),))
+            return Scalar(((1, _q(re1 * re2 - im1 * im2), _q(re1 * im2 + im1 * re2)),))
         d = {}
         for m1, re1, im1 in a:
             for m2, re2, im2 in b:
@@ -187,7 +212,7 @@ class Scalar:
         if len(self.terms) == 1:
             m, re, im = self.terms[0]
             n = (re * re + im * im) * m
-            return Scalar(((m, re / n, -im / n),))
+            return Scalar(((m, _q(Fraction(re, n)), _q(Fraction(-im, n))),))
         # clear each prime radical by multiplying with the flip conjugate
         primes = set()
         for m, _, _ in self.terms:
@@ -218,7 +243,7 @@ class Scalar:
         ), "radical elimination failed"
         _, re, im = cur.terms[0]
         n = re * re + im * im
-        return num * Scalar.rational(re / n, -im / n)
+        return num * Scalar.rational(Fraction(re, n), Fraction(-im, n))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -290,18 +315,16 @@ class Scalar:
 
 
 ZERO = Scalar()
-ONE = Scalar(((1, _F1, _F0),))
-_MINUS_ONE = Scalar(((1, -_F1, _F0),))
-I_UNIT = Scalar(((1, _F0, _F1),))
+ONE = Scalar(((1, 1, 0),))
+_MINUS_ONE = Scalar(((1, -1, 0),))
+I_UNIT = Scalar(((1, 0, 1),))
 
 
 def sc(x):
     """Coerce int / Fraction / 'p/q' string / Scalar to Scalar."""
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, str):
-        return Scalar.rational(Fraction(x))
-    return Scalar.rational(Fraction(x))
+    return Scalar.rational(x)
 
 
 class FieldExtensionNeeded(ValueError):
@@ -357,7 +380,7 @@ class ScalarField:
             return Scalar.rational(coeff)
         if m not in self.monomials:
             raise FieldExtensionNeeded({m})
-        return Scalar(((m, coeff, _F0),))
+        return Scalar(((m, _q(coeff), 0),))
 
     def missing_roots(self, values):
         """Square-free kernels among sqrt(values) not available in the field."""

@@ -142,6 +142,8 @@ class MeasuredMHA:
     psi: FactorizableFunctional
     report: Report
 
+    _sigma = None  # side -> ModularAutomorphism, set by modular_automorphism
+
 
 # -- partial integrals ---------------------------------------------------------
 

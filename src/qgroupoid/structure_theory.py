@@ -164,7 +164,19 @@ def convolution_counit_identity(X):
 
 
 def modular_automorphism(X, side="left"):
-    """sigma with omega(ab) = omega(b sigma(a)), from the Gram pairing."""
+    """sigma with omega(ab) = omega(b sigma(a)), from the Gram pairing.
+
+    Memoized per measured instance and side in ``X._sigma``; callers only
+    read the result (``Report.merge`` copies its entries).
+    """
+    if X._sigma is None:
+        X._sigma = {}
+    if side not in X._sigma:
+        X._sigma[side] = _modular_automorphism(X, side)
+    return X._sigma[side]
+
+
+def _modular_automorphism(X, side):
     M = X.M
     A, n = M.A, M.A.dim
     omega = X.phi.omega if side == "left" else X.psi.omega
@@ -191,7 +203,8 @@ def modular_automorphism(X, side="left"):
         rep.check(ok, "sigma-restricts-to-S2-on-C", "modular-automorphism")
         first_leg, second_leg = s2, sigma
     else:
-        s2 = M.S.inverse().compose(M.S.inverse())
+        s_inv = M.S.inverse()
+        s2 = s_inv.compose(s_inv)
         ok = all(
             sigma.apply(M.B.embed.col(x)) == s2.apply(M.B.embed.col(x))
             for x in range(M.B.base.dim)
@@ -292,7 +305,8 @@ def modular_element(X):
     phi = X.phi.omega
     g = gram_map(A, phi)  # g.col(k)[a] = phi(e_a e_k)
     psi_plus = {a: v for a in range(n) for v in (ev(phi, M.S.col(a)),) if v}
-    psi_minus = {a: v for a in range(n) for v in (ev(phi, M.S.inverse().col(a)),) if v}
+    s_inv = M.S.inverse()
+    psi_minus = {a: v for a in range(n) for v in (ev(phi, s_inv.col(a)),) if v}
     delta_plus = g.solve(psi_plus)
     delta_minus = g.transpose().solve(psi_minus)
     rep = Report()
@@ -358,9 +372,10 @@ def modular_element(X):
             for x in range(M.B.base.dim)
         )
         rep.check(ok, "delta-B-intertwinings", "modular-element-second")
-        sigma_psi_minus = M.S.compose(sigma.inverse()).compose(M.S.inverse())
-        sigma_psi_plus = M.S.inverse().compose(sigma.inverse()).compose(M.S)
-        s_minus2 = M.S.inverse().compose(M.S.inverse())
+        sigma_inv = sigma.inverse()
+        sigma_psi_minus = M.S.compose(sigma_inv).compose(s_inv)
+        sigma_psi_plus = s_inv.compose(sigma_inv).compose(M.S)
+        s_minus2 = s_inv.compose(s_inv)
         ok = all(
             A.mul(delta_minus, M.C.embed.col(y))
             == A.mul(s_minus2.apply(sigma_psi_minus.apply(M.C.embed.col(y))), delta_minus)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgroupoid.algebra_core import scalar_from_json, scalar_to_json
 from qgroupoid.exact_linear import (
     ONE,
     ZERO,
@@ -105,6 +106,29 @@ def test_field_membership_and_sqrt():
     g = ScalarField([2, 3])
     assert g.sqrt(sc(6)) == Scalar.root_term(6)  # closed under products
     assert g.missing_roots([sc(2), sc(5), sc("9/4")]) == {5}
+
+
+def test_integral_coefficients_are_ints_and_division_stays_exact():
+    third = sc(1) / sc(3)
+    assert third.terms == ((1, Fraction(1, 3), 0),)
+    two = Scalar.rational(Fraction(4, 2))
+    assert two.terms == ((1, 2, 0),) and type(two.terms[0][1]) is int
+    assert type(two.as_fraction()) is Fraction
+    assert type(ZERO.as_fraction()) is Fraction
+    assert type((third * sc(3)).as_fraction()) is Fraction
+    assert ScalarField().sqrt(sc("9/4")) == sc("3/2")
+    assert scalar_to_json(scalar_from_json("4/2")) == "2"
+
+
+def test_inverse_of_integer_radical_scalar_is_exact():
+    z = ONE + Scalar.root_term(2)
+    assert z.inverse().terms == ((1, -1, 0), (2, 1, 0))
+    assert all(type(x) is int for _, re, im in z.inverse().terms for x in (re, im))
+    w = Scalar.root_term(3, 2)  # 2*sqrt(3), inverse sqrt(3)/6
+    assert w.inverse().terms == ((3, Fraction(1, 6), 0),)
+    u = sc(3) + Scalar.root_term(6, 2, 1)
+    assert u * u.inverse() == ONE
+    assert {type(x) for _, re, im in u.inverse().terms for x in (re, im)} <= {int, Fraction}
 
 
 def test_field_rejects_bad_roots():

@@ -2,6 +2,8 @@
 unchanged.  ``LinearMap.col()`` returns the stored column, so an in-place
 accumulation started from a column would silently corrupt the map."""
 
+import dataclasses
+
 from qgroupoid import (
     BaseWeight,
     assemble_measured,
@@ -10,12 +12,14 @@ from qgroupoid import (
     dual_algebra,
     groupoid_rn_modifier,
     modify,
+    modular_automorphism,
     modular_element,
     pair_groupoid,
     sc,
     standard_integrals,
     verify_regular_mha,
 )
+from qgroupoid.structure_theory import _modular_automorphism
 
 WEIGHT = {0: sc(1), 1: sc(4)}
 
@@ -72,3 +76,19 @@ def test_cached_slices_and_flips_still_equal_fresh_descents():
             fresh = tensor.slice(*key[1:]) if key[0] == "slice" else tensor.flip_to(key[1])
             assert fresh == stored, (tensor, key[0])
     assert seen == {"slice", "flip"}
+
+
+def test_memoized_sigma_still_equals_a_fresh_computation():
+    # measure reads sigma directly and through modular_element; dual reads it too
+    g = pair_groupoid([1, 2])
+    M = build_function_algebroid(g)
+    phi, psi = standard_integrals("groupoid-functions", M, groupoid=g)
+    X = assemble_measured(M, BaseWeight(mu_B=dict(WEIGHT), mu_C=dict(WEIGHT)), phi, psi)
+    sigma = modular_automorphism(X, "left")
+    modular_element(X)
+    dual_algebra(X)
+    assert modular_automorphism(X, "left") is sigma
+    fresh = _modular_automorphism(X, "left")
+    assert sigma.mapping == fresh.mapping
+    assert sigma.report.entries == fresh.report.entries
+    assert dataclasses.replace(X)._sigma is None

@@ -1,0 +1,243 @@
+"""Differential test of ``Scalar`` against two independent references.
+
+``FractionScalar`` below is the scalar arithmetic with every coefficient a
+``Fraction``; sympy is the second oracle.  Every result must also be in
+canonical form: each coefficient an ``int`` exactly when it is integral,
+otherwise a ``Fraction`` with denominator > 1, never a float.
+"""
+
+from fractions import Fraction
+from math import gcd, isqrt
+
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qgroupoid.algebra_core import scalar_from_json, scalar_to_json
+from qgroupoid.exact_linear import Scalar
+
+F0 = Fraction(0)
+
+
+class FractionScalar:
+    """Q(i)[sqrt(m), ...] with Fraction coefficients only."""
+
+    def __init__(self, d):
+        self.terms = tuple(
+            (m, Fraction(re), Fraction(im))
+            for m, (re, im) in sorted(d.items())
+            if re or im
+        )
+
+    def _dict(self):
+        return {m: (re, im) for m, re, im in self.terms}
+
+    def __add__(self, other):
+        d = self._dict()
+        for m, re, im in other.terms:
+            r0, i0 = d.get(m, (F0, F0))
+            d[m] = (r0 + re, i0 + im)
+        return FractionScalar(d)
+
+    def __neg__(self):
+        return FractionScalar({m: (-re, -im) for m, re, im in self.terms})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        d = {}
+        for m1, r1, i1 in self.terms:
+            for m2, r2, i2 in other.terms:
+                g = gcd(m1, m2)
+                m = (m1 // g) * (m2 // g)
+                r0, i0 = d.get(m, (F0, F0))
+                d[m] = (r0 + g * (r1 * r2 - i1 * i2), i0 + g * (r1 * i2 + i1 * r2))
+        return FractionScalar(d)
+
+    def conj(self):
+        return FractionScalar({m: (re, -im) for m, re, im in self.terms})
+
+    def inverse(self):
+        # multiply by the conjugate that flips sqrt(p), for each prime p in turn
+        primes = sorted({int(p) for m, _, _ in self.terms for p in sympy.primefactors(m)})
+        num, cur = FractionScalar({1: (1, 0)}), self
+        for p in primes:
+            flip = FractionScalar(
+                {m: (-re, -im) if m % p == 0 else (re, im) for m, re, im in cur.terms}
+            )
+            num, cur = num * flip, cur * flip
+        ((m, re, im),) = cur.terms
+        assert m == 1
+        n = re * re + im * im
+        return num * FractionScalar({1: (re / n, -im / n)})
+
+    def sign(self):
+        # sqrt(m) lies in [isqrt(m 4^k), isqrt(m 4^k) + 1] / 2^k
+        if not self.terms:
+            return 0
+        k = 1
+        while True:
+            lo_sum = hi_sum = F0
+            for m, q, _ in self.terms:
+                r = isqrt(m << (2 * k))
+                lo, hi = Fraction(r, 1 << k), Fraction(r + (r * r != m << (2 * k)), 1 << k)
+                lo_sum += q * (lo if q > 0 else hi)
+                hi_sum += q * (hi if q > 0 else lo)
+            if lo_sum > 0:
+                return 1
+            if hi_sum < 0:
+                return -1
+            k += 4
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m, re, im in self.terms:
+            if im:
+                coeff = "(%s%s%s*i)" % (re, "+" if im > 0 else "-", abs(im))
+            else:
+                coeff = str(re)
+            parts.append(coeff if m == 1 else "%s*sqrt(%d)" % (coeff, m))
+        return "+".join(parts).replace("+-", "-")
+
+    def to_json(self):
+        d = self._dict()
+        if not self.terms:
+            return "0"
+        if list(d) == [1] and not d[1][1]:
+            return str(d[1][0])
+        re, im = d.pop(1, (F0, F0))
+        out = {"re": str(re), "im": str(im)}
+        if d:
+            out["sqrt_part"] = {
+                str(m): {"re": str(r), "im": str(i)} for m, (r, i) in sorted(d.items(), key=lambda t: str(t[0]))
+            }
+        return out
+
+
+def is_canonical(s):
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator > 1)
+        for _, re, im in s.terms
+        for x in (re, im)
+    )
+
+
+def as_fractions(s):
+    return tuple((m, Fraction(re), Fraction(im)) for m, re, im in s.terms)
+
+
+def to_sympy(s):
+    return sympy.expand(
+        sum(
+            ((sympy.Rational(re.numerator, re.denominator)
+              + sympy.I * sympy.Rational(im.numerator, im.denominator)) * sympy.sqrt(m)
+             for m, re, im in as_fractions(s)),
+            sympy.Integer(0),
+        )
+    )
+
+
+def sympy_equal(x, y):
+    return sympy.expand(x - y) == 0
+
+
+# coefficients: integers and proper fractions, so both kinds of stored value occur
+coefficient = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+prime_product = st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=2, max_size=2, unique=True).map(
+    lambda ps: ps[0] * ps[1]
+)
+monomial = st.one_of(st.sampled_from([1, 1, 2, 3, 6]), prime_product)
+term = st.tuples(monomial, coefficient, st.one_of(st.just(0), coefficient))
+real_term = st.tuples(monomial, coefficient, st.just(0))
+
+
+def build(terms):
+    new, ref = Scalar(), FractionScalar({})
+    for m, re, im in terms:
+        new = new + (Scalar.rational(re, im) if m == 1 else Scalar.root_term(m, re, im))
+        ref = ref + FractionScalar({m: (re, im)})
+    return new, ref
+
+
+# single Gaussian rationals take the fast paths of + and *, so draw them often
+gaussian = st.tuples(st.just(1), coefficient, st.one_of(st.just(0), coefficient))
+scalars = st.one_of(st.lists(gaussian, max_size=1), st.lists(term, max_size=3)).map(build)
+real_scalars = st.lists(real_term, max_size=3).map(build)
+
+SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def check(new, ref, expected_sympy):
+    assert is_canonical(new), new.terms
+    assert as_fractions(new) == ref.terms
+    assert sympy_equal(to_sympy(new), expected_sympy)
+
+
+@SETTINGS
+@given(scalars, scalars)
+@example(build([(1, Fraction(3, 2), 0)]), build([(1, Fraction(2, 3), 0)]))
+@example(build([(1, Fraction(1, 2), Fraction(1, 2))]), build([(1, 1, -1)]))
+@example(build([(2, Fraction(1, 2), 0)]), build([(2, Fraction(1, 2), 0)]))
+def test_ring_operations_match_both_references(a, b):
+    (x, rx), (y, ry) = a, b
+    assert is_canonical(x) and as_fractions(x) == rx.terms
+    sx, sy = to_sympy(x), to_sympy(y)
+    check(x + y, rx + ry, sx + sy)
+    check(x - y, rx - ry, sx - sy)
+    check(-x, -rx, -sx)
+    check(x * y, rx * ry, sx * sy)
+    check(x.conj(), rx.conj(), sympy.conjugate(sx))
+
+
+@SETTINGS
+@given(scalars, scalars)
+def test_inverse_and_division_match_both_references(a, b):
+    (x, rx), (y, ry) = a, b
+    if not y.terms:
+        return
+    sx, sy = to_sympy(x), to_sympy(y)
+    inv = y.inverse()
+    assert is_canonical(inv) and as_fractions(inv) == ry.inverse().terms
+    assert sympy.expand(to_sympy(inv) * sy) == 1
+    q = x / y
+    assert is_canonical(q) and as_fractions(q) == (rx * ry.inverse()).terms
+    assert sympy_equal(to_sympy(q) * sy, sx)
+
+
+@SETTINGS
+@given(scalars, scalars)
+def test_equality_hash_repr_and_json_match_both_references(a, b):
+    (x, rx), (y, ry) = a, b
+    equal = x == y
+    assert equal == (rx.terms == ry.terms) == sympy_equal(to_sympy(x), to_sympy(y))
+    # a scalar holding Fraction coefficients is the same value with the same hash
+    old = Scalar(rx.terms)
+    assert old == x and hash(old) == hash(x)
+    if equal:
+        assert hash(x) == hash(y)
+    assert repr(x) == repr(rx)
+    assert sympy_equal(sympy.sympify(repr(x).replace("i", "I")), to_sympy(x))
+    js = scalar_to_json(x)
+    assert js == rx.to_json()
+    if isinstance(js, str):
+        assert js == str(to_sympy(x))
+    back = scalar_from_json(js)
+    assert back == x and is_canonical(back)
+
+
+@SETTINGS
+@given(real_scalars)
+def test_sign_and_positivity_match_both_references(a):
+    x, rx = a
+    expected = x.sign()
+    assert expected == rx.sign()
+    v = to_sympy(x)
+    assert expected == (0 if v == 0 else (1 if v.evalf(60) > 0 else -1))
+    assert x.is_positive() == (expected >= 0)
+    assert not (x + Scalar.rational(0, 1)).is_positive()
