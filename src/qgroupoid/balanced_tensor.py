@@ -83,6 +83,12 @@ def descend_componentwise(src, dst, fn, message, antilinear=False):
     must land in dst's relation span (for A: on zero); the first that does
     not raises NotBalanced with ``message``, in which {src!r} and {dst!r}
     stand for the two flavors.  An antilinear map conjugates coefficients.
+
+    A linear or antilinear map sends the relation span into a subspace
+    iff it sends a basis of the span there, so only the rows of src's
+    relation echelon (rank many, not one per generator) are checked.
+    Only when one of them fails are the generators scanned in order, to
+    name the first failing one as the witness.
     """
     n = src.leg_dim
 
@@ -96,16 +102,23 @@ def descend_componentwise(src, dst, fn, message, antilinear=False):
         rows, holds, project = src.algebra.dim, (lambda w: not w), (lambda w: w)
     else:
         rows, holds, project = dst.dim, dst.space.contains_relation, dst.project
-    for gen, rel in zip(src.generators, src.relation_vectors()):
-        if not holds(apply(rel)):
-            raise NotBalanced(
-                message.format(src=src.flavor, dst=getattr(dst, "flavor", None)), gen
-            )
+    if not all(holds(apply(row)) for row in src.space.rref.rows.values()):
+        for gen, rel in zip(src.generators, src.relation_vectors()):
+            if not holds(apply(rel)):
+                raise NotBalanced(
+                    message.format(src=src.flavor, dst=getattr(dst, "flavor", None)), gen
+                )
+        raise AssertionError("a relation basis row fails but no generator does")
     return LinearMap.from_function(rows, src.dim, lambda q: project(apply(src.lift({q: ONE}))))
 
 
 class BalancedTensor:
     """Quotient of A (x) A balancing act1 on the first against act2 on the second leg.
+
+    Every descent out of the tensor is checked on the basis of its
+    relation span, the rows of ``space.rref``; the relation generators
+    are scanned, in order, only after a basis row fails, so the witness
+    of NotBalanced is still the first failing generator.
 
     The descended maps a tensor hands out (leg multiplications, slices
     and flips) are memoized per tensor in ``_op_cache``: a repeated call
@@ -157,9 +170,9 @@ class BalancedTensor:
     def descend(self, op1, op2, target=None, what="operator"):
         """Descend (op1 (x) op2) to a map self -> target (default self).
 
-        op1/op2 are LinearMaps on A or None for the identity.  Every
-        relation generator is verified to land in the target's relation
-        span; the first failure raises NotBalanced.
+        op1/op2 are LinearMaps on A or None for the identity.  The
+        relation span is verified to land in the target's relation span;
+        a failure raises NotBalanced with the first failing generator.
         """
 
         def leg(op, i):
@@ -275,7 +288,10 @@ class TripleTensor:
         rref = Rref()
         for r in pair23.space.rref.basis():
             for a in range(n):
-                rref.add(self._project({a * n * n + jk: s for jk, s in r.items()}))
+                # e_a (x) r projects to zero whenever it lies in R12 (x) A
+                w = self._project({a * n * n + jk: s for jk, s in r.items()})
+                if w:
+                    rref.add(w)
         self.rref = rref
         self.dim = pair12.dim * n - rref.rank
 

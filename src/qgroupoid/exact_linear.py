@@ -41,11 +41,8 @@ __all__ = [
     "vadd",
     "vsub",
     "vscale",
-    "vneg",
     "vec_from_dense",
-    "vec_to_dense",
     "vec_conj",
-    "kron_index",
     "kron_vec",
     "joint_kernel",
     "is_positive_semidefinite",
@@ -318,6 +315,7 @@ ZERO = Scalar()
 ONE = Scalar(((1, 1, 0),))
 _MINUS_ONE = Scalar(((1, -1, 0),))
 I_UNIT = Scalar(((1, 0, 1),))
+_ONE_TERMS, _MINUS_ONE_TERMS = ONE.terms, _MINUS_ONE.terms
 
 
 def sc(x):
@@ -411,11 +409,12 @@ def axpy(acc, c, v, shift=0):
     Entries that cancel are dropped.  A coefficient of 1 or -1 adds or
     subtracts v's entries without multiplying them.  v must not be acc.
     """
-    if not c:
+    ct = c.terms
+    if not ct:
         return acc
-    if c == ONE:
+    if ct == _ONE_TERMS:
         terms = v.items()
-    elif c == _MINUS_ONE:
+    elif ct == _MINUS_ONE_TERMS:
         terms = ((j, -s) for j, s in v.items())
     else:
         terms = ((j, c * s) for j, s in v.items())
@@ -438,10 +437,6 @@ def vsub(u, v):
     return axpy(dict(u), _MINUS_ONE, v)
 
 
-def vneg(u):
-    return {j: -s for j, s in u.items()}
-
-
 def vscale(c, u):
     if not c:
         return {}
@@ -450,10 +445,6 @@ def vscale(c, u):
 
 def vec_from_dense(xs):
     return {j: s for j, s in enumerate(map(sc, xs)) if s}
-
-
-def vec_to_dense(u, n):
-    return [u.get(j, ZERO) for j in range(n)]
 
 
 def vec_conj(u):
@@ -468,10 +459,6 @@ def joint_kernel(maps):
         for j in range(cols):
             axpy(stacked[j], ONE, m.col(j), t * rows)
     return LinearMap(rows * len(maps), cols, stacked).kernel_basis()
-
-
-def kron_index(i, j, n2):
-    return i * n2 + j
 
 
 def kron_vec(u, v, n2):
@@ -490,10 +477,19 @@ def kron_vec(u, v, n2):
 
 
 class Rref:
-    """Incrementally maintained reduced echelon basis of a row span."""
+    """Incrementally maintained reduced echelon basis of a row span.
+
+    ``rows`` maps each pivot to its reduced row, whose pivot coefficient
+    is 1 and which has no entry at any other pivot.  A private column
+    index ``_users`` maps each column that is not a pivot to the set of
+    pivots whose rows have an entry there, ``{j: {q : j in rows[q]}}``,
+    so ``add`` eliminates a new pivot from exactly the rows that use it
+    instead of scanning them all.  Every set in it is non-empty.
+    """
 
     def __init__(self):
         self.rows = {}  # pivot index -> reduced row dict (pivot coeff 1)
+        self._users = {}  # non-pivot column -> pivots whose rows use it
 
     @property
     def rank(self):
@@ -517,13 +513,21 @@ class Rref:
         if not r:
             return None
         p = min(r)
-        c = r[p]
-        r = {j: s / c for j, s in r.items()}
-        for row in self.rows.values():
-            cc = row.get(p)
-            if cc:
-                axpy(row, -cc, r)
-        self.rows[p] = r
+        inv = r[p].inverse()
+        r = {j: s * inv for j, s in r.items()}
+        rows, users = self.rows, self._users
+        cols = [j for j in r if j != p]
+        for j in cols:
+            users.setdefault(j, set()).add(p)
+        for q in users.pop(p, ()):
+            row = rows[q]
+            axpy(row, -row[p], r)
+            for j in cols:
+                if j in row:
+                    users[j].add(q)
+                else:
+                    users[j].discard(q)
+        rows[p] = r
         return p
 
     def basis(self):
@@ -548,9 +552,9 @@ class _TrackedEchelon:
         if not v:
             return w
         p = min(v)
-        c = v[p]
-        v = {j: s / c for j, s in v.items()}
-        w = {j: s / c for j, s in w.items()}
+        inv = v[p].inverse()
+        v = {j: s * inv for j, s in v.items()}
+        w = {j: s * inv for j, s in w.items()}
         for rv, rw in self.rows.values():
             cc = rv.get(p)
             if cc:
@@ -603,10 +607,6 @@ class LinearMap:
             for j in range(cols)
         ]
         return cls(rows, cols, data)
-
-    @classmethod
-    def from_cols(cls, rows, cols_data):
-        return cls(rows, len(cols_data), cols_data)
 
     @classmethod
     def from_function(cls, rows, cols, f):

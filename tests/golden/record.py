@@ -47,22 +47,27 @@ def _changed(f, k, add_col):
     return LinearMap(f.rows, f.cols, cols)
 
 
-def _mutant(kind, col, build=build_function_algebroid, add_col=None):
-    """The p2 instance with one column of delta_B, delta_C, S or eps_B
-    changed by ``_changed``; eps_B, eps_C and S are passed explicitly.
+def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, points=POINTS):
+    """The pair groupoid instance with one column of delta_B, delta_C, S
+    or eps_B changed by ``_changed``; eps_B, eps_C and S are passed
+    explicitly.
 
     Convolution's comultiplications are group-like, e_g -> e_g (x) e_g, and
     stay coassociative when a column is scaled, so its mutants add a column.
     """
-    M = build(pair_groupoid(POINTS))
+    M = build(pair_groupoid(points))
     n = M.A.dim
     raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
     raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
     parts = {"delta_B": raw_b, "delta_C": raw_c, "S": M.S, "eps_B": M.eps_B}
     parts[kind] = _changed(parts[kind], col, add_col)
-    mutant = RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
-                        eps_B=parts["eps_B"], eps_C=M.eps_C, S=parts["S"], name="mutant")
-    rep = verify_regular_mha(mutant)
+    return RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
+                      eps_B=parts["eps_B"], eps_C=M.eps_C, S=parts["S"], name="mutant")
+
+
+def _mutant(kind, col, build=build_function_algebroid, add_col=None):
+    """The report of ``verify_regular_mha`` on a p2 ``mutant_bundle``."""
+    rep = verify_regular_mha(mutant_bundle(kind, col, build, add_col))
     return [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
 
 

@@ -1,7 +1,11 @@
 """Balanced tensor quotients, slices, flips."""
 
+import importlib.util
+import os
+
 import pytest
 
+from qgroupoid import balanced_tensor, bialgebroid, verify_regular_mha
 from qgroupoid.balanced_tensor import (
     NotBalanced,
     TripleTensor,
@@ -22,7 +26,12 @@ from qgroupoid.examples import (
     build_function_algebroid,
     pair_groupoid,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Rref, vsub
+from qgroupoid.exact_linear import ONE, LinearMap, Rref, axpy, vsub
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
+golden_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_record)
 
 
 def test_p2_quotient_dimension_is_composable_pairs(m_fun, p2):
@@ -217,3 +226,104 @@ def test_triple_quotient_matches_direct_elimination(
         verdicts = [triple.equal(lhs, rhs) for lhs, rhs in sides + shifted]
         assert verdicts == [direct.equal(lhs, rhs) for lhs, rhs in sides + shifted]
         assert all(verdicts[: len(sides)]) and not all(verdicts), (M.name, kind)
+
+
+def _first_failing_generator(src, dst, fn, antilinear=False):
+    """Oracle: the first relation generator of src, in order, whose image
+    under e_i (x) e_j -> fn(i, j) leaves dst's relation span (for dst
+    None: is not zero); None if every generator lands there."""
+    n = src.leg_dim
+    for gen, rel in zip(src.generators, src.relation_vectors()):
+        image = {}
+        for idx, s in rel.items():
+            axpy(image, s.conj() if antilinear else s, fn(*divmod(idx, n)))
+        if image if dst is None else not dst.space.contains_relation(image):
+            return gen
+    return None
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Every descend_componentwise call the verifier makes, as
+    (src, dst, fn, antilinear, the NotBalanced raised or None)."""
+    calls = []
+
+    def spy(src, dst, fn, message, antilinear=False):
+        try:
+            out = descend_componentwise(src, dst, fn, message, antilinear)
+        except NotBalanced as e:
+            calls.append((src, dst, fn, antilinear, e))
+            raise
+        calls.append((src, dst, fn, antilinear, None))
+        return out
+
+    for module in (balanced_tensor, bialgebroid):
+        monkeypatch.setattr(module, "descend_componentwise", spy)
+    return calls
+
+
+# mutants of the golden recorder on p2 and p3 whose antipode or counit is
+# no longer a module map, so that some descents are rejected
+_MUTANTS = [
+    (points, build, kind, col, add_col)
+    for points in ([1, 2], [1, 2, 3])
+    for build, kind, col, add_col in (
+        (build_function_algebroid, "S", 1, 0),
+        (build_function_algebroid, "S", 0, 1),
+        (build_function_algebroid, "eps_B", 1, 0),
+        (build_convolution_algebroid, "S", 1, 0),
+        (build_convolution_algebroid, "S", 0, 1),
+    )
+]
+
+
+def _mutant_id(m):
+    points, build, kind, col, add_col = m
+    return "p%d-%s-%s-%d+%d" % (len(points), build.__name__[6:10], kind, col, add_col)
+
+
+@pytest.mark.parametrize("mutant", _MUTANTS, ids=_mutant_id)
+def test_rejected_descent_names_the_first_failing_generator(mutant, descents):
+    points, build, kind, col, add_col = mutant
+    verify_regular_mha(golden_record.mutant_bundle(kind, col, build, add_col, points))
+    rejected = [call for call in descents if call[4] is not None]
+    assert rejected
+    for src, dst, fn, antilinear, error in rejected:
+        assert error.witness == _first_failing_generator(src, dst, fn, antilinear)
+
+
+@pytest.mark.parametrize("mutant", _MUTANTS, ids=_mutant_id)
+def test_accepted_descent_sends_every_generator_into_the_target(mutant, descents):
+    points, build, kind, col, add_col = mutant
+    verify_regular_mha(golden_record.mutant_bundle(kind, col, build, add_col, points))
+    accepted = [call for call in descents if call[4] is None]
+    assert accepted
+    for src, dst, fn, antilinear, _ in accepted:
+        assert _first_failing_generator(src, dst, fn, antilinear) is None
+
+
+@pytest.mark.parametrize("build", [build_function_algebroid, build_convolution_algebroid])
+def test_perturbed_counit_slices_are_checked_on_every_generator(build):
+    # the counit slice plus one matrix unit, at every position: some stay
+    # balanced and most do not; each verdict must match a generator scan
+    M = build(pair_groupoid([1, 2, 3]))
+    A, n, qb = M.A, M.A.dim, M.qb
+    omega = M.emb_SB().compose(M.eps_B)
+    verdicts = set()
+    for i in range(n):
+        for k in range(n):
+            cols = [dict(omega.col(j)) for j in range(n)]
+            axpy(cols[i], ONE, {k: ONE})
+
+            def sliced(a, b, cols=cols):
+                return A.mul(cols[a], {b: ONE})
+
+            expected = _first_failing_generator(qb, None, sliced)
+            try:
+                descend_componentwise(qb, None, sliced, "{src!r}")
+                witness = None
+            except NotBalanced as e:
+                witness = e.witness
+            assert witness == expected, (i, k)
+            verdicts.add(witness is None)
+    assert verdicts == {True, False}

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgroupoid.algebra_core import scalar_from_json, scalar_to_json
 from qgroupoid.exact_linear import (
@@ -11,6 +13,7 @@ from qgroupoid.exact_linear import (
     ZERO,
     FieldExtensionNeeded,
     LinearMap,
+    Rref,
     Scalar,
     ScalarField,
     axpy,
@@ -298,3 +301,65 @@ def test_axpy_unit_coefficients_match_general_path():
                 else:
                     general.pop(j, None)
             assert axpy(dict(acc), c, v) == general
+
+
+class _ScanRref:
+    """Oracle: the reduced echelon that finds the rows using a new pivot
+    by scanning every stored row, and divides each entry by the pivot."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, v):
+        v = dict(v)
+        for p in [k for k in v if k in self.rows]:
+            c = v.get(p)
+            if c:
+                axpy(v, -c, self.rows[p])
+        return v
+
+    def add(self, v):
+        r = self.reduce(v)
+        if not r:
+            return None
+        p = min(r)
+        c = r[p]
+        r = {j: s / c for j, s in r.items()}
+        for row in self.rows.values():
+            cc = row.get(p)
+            if cc:
+                axpy(row, -cc, r)
+        self.rows[p] = r
+        return p
+
+
+def _ordered(rows):
+    return [(p, list(row.items())) for p, row in rows.items()]
+
+
+# few distinct values over few columns, so that entries cancel and rows
+# depend on each other often; Gaussian rationals and sqrt(2)
+_entry = st.sampled_from([
+    ONE, -ONE, sc(2), sc(Fraction(-1, 2)), Scalar.rational(0, 1),
+    Scalar.rational(1, -1), Scalar.root_term(2), ONE + Scalar.root_term(2),
+])
+_sparse_row = st.dictionaries(st.integers(0, 7), _entry, max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_sparse_row, max_size=12), st.lists(_sparse_row, max_size=4))
+def test_rref_column_index_matches_a_full_scan(inserts, probes):
+    fast, ref = Rref(), _ScanRref()
+    for v in inserts:
+        assert fast.add(v) == ref.add(v)
+        assert _ordered(fast.rows) == _ordered(ref.rows)
+        users = {}
+        for q, row in fast.rows.items():
+            for j in row:
+                if j not in fast.rows:
+                    users.setdefault(j, set()).add(q)
+        assert fast._users == users
+    assert fast.rank == len(ref.rows)
+    assert fast.basis() == [dict(row) for _, row in sorted(ref.rows.items())]
+    for v in inserts + probes:
+        assert fast.reduce(v) == ref.reduce(v)
