@@ -14,9 +14,14 @@ from .exact_linear import (
     QuotientSpace,
     Scalar,
     ScalarField,
+    as_fraction,
+    conj,
+    inverse,
+    is_positive,
     kernel,
     quotient_by,
     sc,
+    sign,
     solve_linear,
 )
 from .report import Rejected, Report
@@ -37,7 +42,6 @@ from .balanced_tensor import (
     build_balanced,
     flip,
     slice_left,
-    slice_right,
 )
 from .bialgebroid import (
     RegularMHA,

@@ -10,7 +10,6 @@ all checked against it, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_linear import (
     ONE,
@@ -19,6 +18,8 @@ from .exact_linear import (
     Scalar,
     axpy,
     joint_kernel,
+    scalar_from_json,
+    scalar_to_json,
     vec_conj,
 )
 from .report import Report
@@ -76,9 +77,6 @@ class FiniteAlgebra:
             involution,
         )
 
-    def basis_vec(self, i):
-        return {i: ONE}
-
     # -- multiplication ---------------------------------------------------
 
     def mul(self, u, v):
@@ -86,14 +84,9 @@ class FiniteAlgebra:
         for i, s in u.items():
             row = self.table[i]
             for j, t in v.items():
-                axpy(w, s * t, row[j])
+                st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
+                axpy(w, st, row[j])
         return w
-
-    def mul_many(self, *vs):
-        out = vs[0]
-        for v in vs[1:]:
-            out = self.mul(out, v)
-        return out
 
     def lmul(self, u):
         """Left multiplication operator v -> u*v for a basis index or vector."""
@@ -166,10 +159,6 @@ class FiniteAlgebra:
             labels=[l + "^op" for l in self.labels],
             involution=self.involution,
         )
-
-    def describe(self, v):
-        terms = ["(%s)*%s" % (s, self.labels[i]) for i, s in sorted(v.items())]
-        return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
         return "FiniteAlgebra(dim=%d)" % self.dim
@@ -285,16 +274,6 @@ class ModuleStructure:
             emb.total,
             [emb.total.lmul(emb.embed.col(x)) for x in range(emb.base.dim)],
             "left",
-            name,
-        )
-
-    @classmethod
-    def by_right_mult(cls, emb, name=""):
-        return cls(
-            emb.base,
-            emb.total,
-            [emb.total.rmul(emb.embed.col(x)) for x in range(emb.base.dim)],
-            "right",
             name,
         )
 
@@ -493,35 +472,6 @@ def automorphism_check(algebra, f, anti=False):
 # ---------------------------------------------------------------------------
 # JSON codecs
 # ---------------------------------------------------------------------------
-
-
-def scalar_to_json(s):
-    if s.is_rational():
-        return str(s.as_fraction())
-    plain_re, plain_im = "0", "0"
-    roots = {}
-    for m, re, im in s.terms:
-        if m == 1:
-            plain_re, plain_im = str(re), str(im)
-        else:
-            roots[str(m)] = {"re": str(re), "im": str(im)}
-    out = {"re": plain_re, "im": plain_im}
-    if roots:
-        out["sqrt_part"] = dict(sorted(roots.items()))
-    return out
-
-
-def scalar_from_json(obj):
-    if isinstance(obj, (int, str)):
-        return Scalar.rational(Fraction(obj))
-    if isinstance(obj, float):
-        raise ValueError("decimal scalars are not accepted; use fraction strings")
-    s = Scalar.rational(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
-    for m, coeff in obj.get("sqrt_part", {}).items():
-        s = s + Scalar.root_term(
-            int(m), Fraction(coeff.get("re", 0)), Fraction(coeff.get("im", 0))
-        )
-    return s
 
 
 def algebra_to_json(algebra):

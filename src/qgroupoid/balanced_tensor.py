@@ -23,7 +23,9 @@ from .exact_linear import (
     LinearMap,
     QuotientSpace,
     Rref,
+    Scalar,
     axpy,
+    conj,
     kron_vec,
     vsub,
 )
@@ -34,7 +36,6 @@ __all__ = [
     "build_balanced",
     "descend_componentwise",
     "slice_left",
-    "slice_right",
     "flip",
     "tensor_mul",
     "NotBalanced",
@@ -71,7 +72,8 @@ def tensor_mul(algebra, u, v):
         i1, j1 = divmod(idx1, n)
         for idx2, t in v.items():
             i2, j2 = divmod(idx2, n)
-            axpy(out, s * t, kron_vec(table[i1][i2], table[j1][j2], n))
+            st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
+            axpy(out, st, kron_vec(table[i1][i2], table[j1][j2], n))
     return out
 
 
@@ -95,7 +97,7 @@ def descend_componentwise(src, dst, fn, message, antilinear=False):
     def apply(w):
         out = {}
         for idx, s in w.items():
-            axpy(out, s.conj() if antilinear else s, fn(*divmod(idx, n)))
+            axpy(out, conj(s) if antilinear else s, fn(*divmod(idx, n)))
         return out
 
     if dst is None:
@@ -329,12 +331,6 @@ def slice_left(tensor, omega):
     """
     multiply = "right" if tensor.flavor.startswith("c") else "left"
     return tensor.slice(omega, 1, multiply, what="left slice")
-
-
-def slice_right(tensor, omega):
-    """Slice id (x) omega for the standard flavors."""
-    multiply = "right" if tensor.flavor.startswith("c") else "left"
-    return tensor.slice(omega, 2, multiply, what="right slice")
 
 
 def flip(tensor, target):

@@ -28,6 +28,7 @@ from .exact_linear import (
     joint_kernel,
     kron_vec,
     vec_conj,
+    vec_items,
 )
 from .report import Report
 
@@ -490,7 +491,7 @@ def _first_failure(pairs):
     """pairs: iterable of (witness, lhs, rhs); returns None if all equal."""
     for wit, lhs, rhs in pairs:
         if lhs != rhs:
-            return {"at": wit, "lhs": sorted(lhs.items()), "rhs": sorted(rhs.items())}
+            return {"at": wit, "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
     return None
 
 
@@ -833,7 +834,7 @@ def canonical_maps(M, report=None):
             kb = mat.kernel_basis()
             ker = {"kernel_dim": len(kb), "dims": (mat.rows, mat.cols)}
             if kb:
-                ker["kernel_witness"] = sorted(kb[0].items())
+                ker["kernel_witness"] = vec_items(kb[0])
         rep.check(bij, "%s-bijective" % which, "regular-2", ker)
         out[which] = {"map": mat, "domain": dom, "inverse": mat.inverse() if bij else None}
     return out, rep

@@ -24,7 +24,7 @@ from .examples import (
     pair_groupoid,
     standard_integrals,
 )
-from .exact_linear import FieldExtensionNeeded, ScalarField, sc
+from .exact_linear import FieldExtensionNeeded, ScalarField, as_fraction, sc
 from .integration import BaseWeight, assemble_measured, solve_partial_integrals
 from .modification import check_modifier, groupoid_rn_modifier, identity_modifier, modify
 from .report import Rejected, Report
@@ -229,7 +229,7 @@ def cmd_modify(args):
         "kind": "measured-pipeline",
         "example": args.example,
         "groupoid": groupoid_to_json(groupoid),
-        "mu": [str(mu[i].as_fraction()) for i in range(len(groupoid.units))],
+        "mu": [str(as_fraction(mu[i])) for i in range(len(groupoid.units))],
         "recipe": args.recipe,
         "sqrt": list(args.sqrt or []),
     }

@@ -2,15 +2,27 @@
 
 Scalars live in Q(i) extended by square roots of positive square-free
 integers, so sums like 3/4 + (1/2)*i + 2*sqrt(2) are represented and
-compared exactly.  No floating point anywhere: every rational coefficient
-a scalar stores is an ``int`` when it is integral and otherwise a
-``Fraction`` with denominator > 1, so the common integer case never
-builds a ``Fraction``; ``_q`` is the one place that puts a coefficient in
-that form.  Vectors are sparse dicts index -> Scalar, matrices are
-column-sparse LinearMaps; quotient spaces carry an echelon-form section
-so every class has a canonical representative.
+compared exactly.  No floating point anywhere.  A scalar is stored in
+one of three forms, and only this module looks inside them:
 
-Sparse vectors keep three invariants:
+- a real rational is a plain ``int``, or a ``Fraction`` with denominator
+  > 1 when it is not integral, so the common case runs on native integer
+  arithmetic;
+- any other value is a ``Scalar``, whose coefficients follow the same
+  int-or-Fraction rule; a ``Scalar`` result that turns out to be a real
+  rational (sqrt(2)*sqrt(2), i*i) comes back as an ``int`` or
+  ``Fraction``.
+
+Two rules keep the forms apart.  In a product of a ``Scalar`` with a
+rational, the ``Scalar`` goes on the right, so the rational's operator
+hands over to ``Scalar.__rmul__``.  Division goes through ``inverse``,
+never ``/``: on two ints ``/`` is float division.  ``conj``,
+``inverse``, ``sign``, ``is_positive`` and ``as_fraction`` take a scalar
+of any form.
+
+Vectors are sparse dicts index -> scalar, matrices are column-sparse
+LinearMaps; quotient spaces carry an echelon-form section so every class
+has a canonical representative.  Sparse vectors keep three invariants:
 
 - no entry stored is zero, so equal vectors are equal dicts;
 - ``axpy`` is the one in-place accumulator: every sum of scaled vectors
@@ -31,6 +43,13 @@ __all__ = [
     "ZERO",
     "ONE",
     "sc",
+    "conj",
+    "inverse",
+    "sign",
+    "is_positive",
+    "as_fraction",
+    "scalar_to_json",
+    "scalar_from_json",
     "LinearMap",
     "QuotientSpace",
     "solve_linear",
@@ -38,9 +57,11 @@ __all__ = [
     "quotient_by",
     "Rref",
     "axpy",
+    "ev",
     "vadd",
     "vsub",
     "vscale",
+    "vec_items",
     "vec_from_dense",
     "vec_conj",
     "kron_vec",
@@ -76,8 +97,8 @@ _F0 = Fraction(0)
 
 
 def _q(x):
-    """The canonical coefficient for the rational x: an int if integral,
-    else a Fraction with denominator > 1."""
+    """The canonical form of the rational x: an int if integral, else a
+    Fraction with denominator > 1."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
@@ -85,19 +106,41 @@ def _q(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _value(terms):
+    """The scalar with these canonical terms: an int or Fraction when it
+    is a real rational, else a Scalar."""
+    if not terms:
+        return 0
+    if len(terms) == 1 and terms[0][0] == 1 and not terms[0][2]:
+        return terms[0][1]
+    return Scalar(terms)
+
+
+def _mul(a, b):
+    """a*b in canonical form, with a Scalar operand on the right."""
+    if type(a) is Scalar:
+        return a * b if type(b) is Scalar else b * a
+    p = a * b
+    return p.numerator if type(p) is Fraction and p.denominator == 1 else p
+
+
 class Scalar:
-    """Element of Q(i)[sqrt(d1), ..., sqrt(dk)].
+    """An element of Q(i)[sqrt(d1), ..., sqrt(dk)] that is not a real rational.
 
     Stored as a sorted tuple of (m, re, im): the coefficient re + im*i of
     the monomial sqrt(m), m square-free positive, m = 1 for the rational
     part.  Each of re and im is an int when integral, otherwise a Fraction
-    with denominator > 1, never a float; every constructor below passes
-    new coefficients through ``_q``.  Immutable and hashable.
+    with denominator > 1, never a float.  A real rational is never a
+    Scalar: it is an ``int`` or a ``Fraction`` (see the module docstring),
+    and every operation below returns that form when its result is one.
+    A Scalar is never zero.  Put it on the right of a product with a
+    rational, and divide with ``inverse``: ``Scalar`` has no ``/``.
+    Immutable and hashable.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms=()):
+    def __init__(self, terms):
         self.terms = terms
         self._hash = None
 
@@ -105,16 +148,16 @@ class Scalar:
 
     @staticmethod
     def _from_dict(d):
-        items = tuple(
+        return _value(tuple(
             (m, _q(re), _q(im)) for m, (re, im) in sorted(d.items()) if re or im
-        )
-        return Scalar(items)
+        ))
 
     @classmethod
     def rational(cls, re, im=0):
+        """re + im*i: an int or Fraction when im is 0, else a Scalar."""
         re, im = _q(re), _q(im)
-        if not re and not im:
-            return ZERO
+        if not im:
+            return re
         return cls(((1, re, im),))
 
     @classmethod
@@ -122,46 +165,32 @@ class Scalar:
         """Coefficient (re + im*i) times sqrt(m)."""
         g, mm = _squarefree_split(m)
         re, im = _q(Fraction(re) * g), _q(Fraction(im) * g)
-        if not re and not im:
-            return ZERO
-        return cls(((mm, re, im),))
-
-    # -- predicates ---------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_rational(self):
-        return not self.terms or (
-            len(self.terms) == 1 and self.terms[0][0] == 1 and not self.terms[0][2]
-        )
+        return _value(((mm, re, im),) if re or im else ())
 
     def is_real(self):
         return all(not im for _, _, im in self.terms)
 
-    def as_fraction(self):
-        """The value as a Fraction; raises if not rational real."""
-        if not self.terms:
-            return _F0
-        if len(self.terms) == 1 and self.terms[0][0] == 1 and not self.terms[0][2]:
-            return Fraction(self.terms[0][1])
-        raise ValueError("scalar is not rational: %s" % (self,))
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
+            # a real rational moves only the rational part: still not rational
+            t = self.terms
+            if t[0][0] != 1:
+                return Scalar(((1, _q(other), 0),) + t)
+            _, re, im = t[0]
+            re = _q(re + other)
+            return Scalar((((1, re, im),) if re or im else ()) + t[1:])
         a, b = self.terms, other.terms
         if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
             m, re1, im1 = a[0]
             _, re2, im2 = b[0]
             re, im = _q(re1 + re2), _q(im1 + im2)
-            if not re and not im:
-                return ZERO
-            return Scalar(((m, re, im),))
+            return _value(((m, re, im),) if re or im else ())
         d = {m: (re, im) for m, re, im in a}
         for m, re, im in b:
             if m in d:
@@ -170,23 +199,33 @@ class Scalar:
                 d[m] = (re, im)
         return Scalar._from_dict(d)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Scalar(tuple((m, -re, -im) for m, re, im in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return ZERO
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return 0
+            return Scalar(
+                tuple((m, _q(re * other), _q(im * other)) for m, re, im in self.terms)
+            )
         a, b = self.terms, other.terms
         if len(a) == 1 and len(b) == 1 and a[0][0] == 1 and b[0][0] == 1:
-            # a product of nonzero Gaussian rationals is nonzero
+            # two Gaussian rationals, each with an imaginary part
             _, re1, im1 = a[0]
             _, re2, im2 = b[0]
-            if not im1 and not im2:
-                return Scalar(((1, _q(re1 * re2), 0),))
-            return Scalar(((1, _q(re1 * re2 - im1 * im2), _q(re1 * im2 + im1 * re2)),))
+            re, im = _q(re1 * re2 - im1 * im2), _q(re1 * im2 + im1 * re2)
+            return re if not im else Scalar(((1, re, im),))
         d = {}
         for m1, re1, im1 in a:
             for m2, re2, im2 in b:
@@ -199,20 +238,28 @@ class Scalar:
                     d[m] = (re, im)
         return Scalar._from_dict(d)
 
+    def __rmul__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return 0
+        return Scalar(
+            tuple((m, _q(other * re), _q(other * im)) for m, re, im in self.terms)
+        )
+
     def conj(self):
         """Complex conjugation; fixes every sqrt(m)."""
         return Scalar(tuple((m, re, -im) for m, re, im in self.terms))
 
     def inverse(self):
-        if not self.terms:
-            raise ZeroDivisionError("scalar division by zero")
-        if len(self.terms) == 1:
-            m, re, im = self.terms[0]
+        terms = self.terms
+        if len(terms) == 1:
+            m, re, im = terms[0]
             n = (re * re + im * im) * m
             return Scalar(((m, _q(Fraction(re, n)), _q(Fraction(-im, n))),))
         # clear each prime radical by multiplying with the flip conjugate
         primes = set()
-        for m, _, _ in self.terms:
+        for m, _, _ in terms:
             mm = m
             d = 2
             while d * d <= mm:
@@ -223,39 +270,26 @@ class Scalar:
                 d += 1 if d == 2 else 2
             if mm > 1:
                 primes.add(mm)
-        num = ONE
-        cur = self
+        num, cur = 1, self
         for p in sorted(primes):
-            flip = Scalar(
-                tuple(
-                    (m, -re, -im) if m % p == 0 else (m, re, im)
-                    for m, re, im in cur.terms
-                )
-            )
-            num = num * flip
-            cur = cur * flip
+            if type(cur) is not Scalar:
+                break
+            flip = Scalar(tuple(
+                (m, -re, -im) if m % p == 0 else (m, re, im) for m, re, im in cur.terms
+            ))
+            num, cur = num * flip, cur * flip
         # cur is now a Gaussian rational
-        assert cur.is_rational() or (
-            len(cur.terms) == 1 and cur.terms[0][0] == 1
-        ), "radical elimination failed"
-        _, re, im = cur.terms[0]
-        n = re * re + im * im
-        return num * Scalar.rational(Fraction(re, n), Fraction(-im, n))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
+        if type(cur) is not Scalar:
+            return inverse(cur) * num
+        assert len(cur.terms) == 1 and cur.terms[0][0] == 1, "radical elimination failed"
+        return _mul(num, cur.inverse())
 
     # -- sign ----------------------------------------------------------
 
     def sign(self):
-        """Exact sign (-1, 0, 1) of a real scalar, by interval refinement."""
+        """Exact sign (-1, 1) of a real Scalar, by interval refinement."""
         if not self.is_real():
             raise ValueError("sign of a non-real scalar: %s" % (self,))
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and self.terms[0][0] == 1:
-            q = self.terms[0][1]
-            return (q > 0) - (q < 0)
         # Newton bounds: hi is always an upper bound for sqrt(m), lo = m/hi
         bounds = {}
         for m, _, _ in self.terms:
@@ -284,14 +318,10 @@ class Scalar:
         # linearly independent over Q, so a nonzero combination is nonzero
         raise ArithmeticError("sign refinement did not terminate")
 
-    def is_positive(self):
-        """True iff the scalar is real and >= 0 as a real algebraic number."""
-        return self.is_real() and self.sign() >= 0
-
     # -- plumbing -------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Scalar) and self.terms == other.terms
+        return type(other) is Scalar and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -299,8 +329,6 @@ class Scalar:
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for m, re, im in self.terms:
             if im:
@@ -311,18 +339,80 @@ class Scalar:
         return "+".join(parts).replace("+-", "-")
 
 
-ZERO = Scalar()
-ONE = Scalar(((1, 1, 0),))
-_MINUS_ONE = Scalar(((1, -1, 0),))
-I_UNIT = Scalar(((1, 0, 1),))
-_ONE_TERMS, _MINUS_ONE_TERMS = ONE.terms, _MINUS_ONE.terms
+ZERO = 0
+ONE = 1
 
 
 def sc(x):
-    """Coerce int / Fraction / 'p/q' string / Scalar to Scalar."""
-    if isinstance(x, Scalar):
+    """Coerce int / Fraction / 'p/q' string / Scalar to a canonical scalar."""
+    if type(x) is Scalar:
         return x
-    return Scalar.rational(x)
+    return _q(x)
+
+
+def conj(x):
+    """Complex conjugate of a scalar of any form."""
+    return x.conj() if type(x) is Scalar else x
+
+
+def inverse(x):
+    """1/x for a nonzero scalar of any form."""
+    if type(x) is Scalar:
+        return x.inverse()
+    if not x:
+        raise ZeroDivisionError("scalar division by zero")
+    return _q(Fraction(1) / x)
+
+
+def sign(x):
+    """Exact sign (-1, 0, 1) of a real scalar."""
+    if type(x) is Scalar:
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def is_positive(x):
+    """True iff x is real and >= 0 as a real algebraic number."""
+    if type(x) is Scalar:
+        return x.is_real() and x.sign() > 0
+    return x >= 0
+
+
+def as_fraction(x):
+    """The value as a Fraction; raises if x is not a real rational."""
+    if type(x) is Scalar:
+        raise ValueError("scalar is not rational: %s" % (x,))
+    return Fraction(x)
+
+
+def scalar_to_json(s):
+    """A real rational as its 'p/q' string, else a dict of its parts."""
+    if type(s) is not Scalar:
+        return str(s)
+    plain_re, plain_im = "0", "0"
+    roots = {}
+    for m, re, im in s.terms:
+        if m == 1:
+            plain_re, plain_im = str(re), str(im)
+        else:
+            roots[str(m)] = {"re": str(re), "im": str(im)}
+    out = {"re": plain_re, "im": plain_im}
+    if roots:
+        out["sqrt_part"] = dict(sorted(roots.items()))
+    return out
+
+
+def scalar_from_json(obj):
+    if isinstance(obj, (int, str)):
+        return _q(Fraction(obj))
+    if isinstance(obj, float):
+        raise ValueError("decimal scalars are not accepted; use fraction strings")
+    s = Scalar.rational(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
+    for m, coeff in obj.get("sqrt_part", {}).items():
+        s = s + Scalar.root_term(
+            int(m), Fraction(coeff.get("re", 0)), Fraction(coeff.get("im", 0))
+        )
+    return s
 
 
 class FieldExtensionNeeded(ValueError):
@@ -360,22 +450,22 @@ class ScalarField:
         self.monomials = frozenset(monomials)
 
     def contains(self, s):
-        return all(m in self.monomials for m, _, _ in s.terms)
+        return type(s) is not Scalar or all(m in self.monomials for m, _, _ in s.terms)
 
     def sqrt(self, s):
         """Exact square root of a non-negative rational scalar."""
-        q = s.as_fraction()
+        q = as_fraction(s)
         if q < 0:
             raise ValueError("sqrt of a negative scalar: %s" % (s,))
         if q == 0:
-            return ZERO
+            return 0
         g1, m1 = _squarefree_split(q.numerator)
         g2, m2 = _squarefree_split(q.denominator)
         gg, m = _root_mul(m1, m2)
         # sqrt(p/q) = sqrt(p*q)/q
         coeff = Fraction(g1 * g2 * gg, q.denominator)
         if m == 1:
-            return Scalar.rational(coeff)
+            return _q(coeff)
         if m not in self.monomials:
             raise FieldExtensionNeeded({m})
         return Scalar(((m, _q(coeff), 0),))
@@ -384,7 +474,7 @@ class ScalarField:
         """Square-free kernels among sqrt(values) not available in the field."""
         missing = set()
         for v in values:
-            q = sc(v).as_fraction()
+            q = as_fraction(sc(v))
             if q <= 0:
                 continue
             _, m1 = _squarefree_split(q.numerator)
@@ -399,48 +489,73 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors: dict index -> Scalar (no zero entries stored)
+# sparse vectors: dict index -> scalar (no zero entries stored)
 # ---------------------------------------------------------------------------
 
 
 def axpy(acc, c, v, shift=0):
     """acc += c*v in place, with v's indices offset by shift; returns acc.
 
-    Entries that cancel are dropped.  A coefficient of 1 or -1 adds or
-    subtracts v's entries without multiplying them.  v must not be acc.
+    Entries that cancel are dropped, and an integral Fraction is stored
+    as its int.  A coefficient of 1 or -1 adds or subtracts v's entries
+    without multiplying them.  v must not be acc.
     """
-    ct = c.terms
-    if not ct:
+    if not v or not c:
         return acc
-    if ct == _ONE_TERMS:
+    neg = False
+    if type(c) is Scalar:
+        terms = ((j, s * c) for j, s in v.items())
+    elif c == 1:
         terms = v.items()
-    elif ct == _MINUS_ONE_TERMS:
-        terms = ((j, -s) for j, s in v.items())
+    elif c == -1:
+        terms, neg = v.items(), True
     else:
         terms = ((j, c * s) for j, s in v.items())
     get = acc.get
     for j, s in terms:
         j += shift
-        t = get(j, ZERO) + s
-        if t:
-            acc[j] = t
-        else:
+        t = get(j, 0) - s if neg else get(j, 0) + s
+        if not t:
             acc.pop(j, None)
+        elif type(t) is Fraction and t.denominator == 1:
+            acc[j] = t.numerator
+        else:
+            acc[j] = t
     return acc
 
 
+def ev(omega, v):
+    """omega(v): the dual vector omega paired with the vector v."""
+    out = 0
+    for i, s in v.items():
+        c = omega.get(i)
+        if c:
+            out += s * c if type(c) is Scalar else c * s
+    if type(out) is Fraction and out.denominator == 1:
+        return out.numerator
+    return out
+
+
 def vadd(u, v):
-    return axpy(dict(u), ONE, v)
+    return axpy(dict(u), 1, v)
 
 
 def vsub(u, v):
-    return axpy(dict(u), _MINUS_ONE, v)
+    return axpy(dict(u), -1, v)
 
 
 def vscale(c, u):
     if not c:
         return {}
-    return {j: c * s for j, s in u.items()}
+    if c == 1:
+        return dict(u)
+    return {j: _mul(s, c) for j, s in u.items()}
+
+
+def vec_items(v):
+    """The sorted (index, value) pairs of v with each value as its string,
+    the form in which witnesses report a vector."""
+    return [(j, str(s)) for j, s in sorted(v.items())]
 
 
 def vec_from_dense(xs):
@@ -448,7 +563,7 @@ def vec_from_dense(xs):
 
 
 def vec_conj(u):
-    return {j: s.conj() for j, s in u.items()}
+    return {j: s.conj() if type(s) is Scalar else s for j, s in u.items()}
 
 
 def joint_kernel(maps):
@@ -457,17 +572,24 @@ def joint_kernel(maps):
     stacked = [{} for _ in range(cols)]
     for t, m in enumerate(maps):
         for j in range(cols):
-            axpy(stacked[j], ONE, m.col(j), t * rows)
+            axpy(stacked[j], 1, m.col(j), t * rows)
     return LinearMap(rows * len(maps), cols, stacked).kernel_basis()
 
 
 def kron_vec(u, v, n2):
     w = {}
     for i, s in u.items():
-        for j, t in v.items():
-            p = s * t
-            if p:
-                w[i * n2 + j] = p
+        i *= n2
+        if type(s) is Scalar:
+            for j, t in v.items():
+                w[i + j] = t * s
+        elif s == 1:
+            for j, t in v.items():
+                w[i + j] = t
+        else:
+            for j, t in v.items():
+                p = s * t
+                w[i + j] = p.numerator if type(p) is Fraction and p.denominator == 1 else p
     return w
 
 
@@ -513,8 +635,8 @@ class Rref:
         if not r:
             return None
         p = min(r)
-        inv = r[p].inverse()
-        r = {j: s * inv for j, s in r.items()}
+        if r[p] != 1:
+            r = vscale(inverse(r[p]), r)
         rows, users = self.rows, self._users
         cols = [j for j in r if j != p]
         for j in cols:
@@ -552,9 +674,9 @@ class _TrackedEchelon:
         if not v:
             return w
         p = min(v)
-        inv = v[p].inverse()
-        v = {j: s * inv for j, s in v.items()}
-        w = {j: s * inv for j, s in w.items()}
+        if v[p] != 1:
+            inv = inverse(v[p])
+            v, w = vscale(inv, v), vscale(inv, w)
         for rv, rw in self.rows.values():
             cc = rv.get(p)
             if cc:
@@ -624,7 +746,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [{j: ONE} for j in range(n)])
+        return cls(n, n, [{j: 1} for j in range(n)])
 
     @classmethod
     def zero(cls, rows, cols):
@@ -697,7 +819,7 @@ class LinearMap:
 
     def to_dense(self):
         return [
-            [self.data[j].get(i, ZERO) for j in range(self.cols)]
+            [self.data[j].get(i, 0) for j in range(self.cols)]
             for i in range(self.rows)
         ]
 
@@ -708,7 +830,7 @@ class LinearMap:
             ech = _TrackedEchelon()
             ker = []
             for j, c in enumerate(self.data):
-                w = ech.insert(c, {j: ONE})
+                w = ech.insert(c, {j: 1})
                 if w is not None:
                     ker.append(w)
             self._solver = (ech, ker)
@@ -740,7 +862,7 @@ class LinearMap:
     def inverse(self):
         if not self.is_bijective():
             return None
-        cols = [self.solve({i: ONE}) for i in range(self.rows)]
+        cols = [self.solve({i: 1}) for i in range(self.rows)]
         return LinearMap(self.cols, self.rows, cols)
 
     def conj(self):
@@ -792,13 +914,13 @@ class QuotientSpace:
     @property
     def projection(self):
         return LinearMap.from_function(
-            self.dim, self.ambient_dim, lambda j: self.project({j: ONE})
+            self.dim, self.ambient_dim, lambda j: self.project({j: 1})
         )
 
     @property
     def section(self):
         return LinearMap.from_function(
-            self.ambient_dim, self.dim, lambda q: {self.free[q]: ONE}
+            self.ambient_dim, self.dim, lambda q: {self.free[q]: 1}
         )
 
     def __repr__(self):
@@ -834,7 +956,7 @@ def quotient_by(ambient_dim, relations):
 
 
 def is_positive_semidefinite(h):
-    """Exact PSD test for a Hermitian matrix given as nested lists of Scalars.
+    """Exact PSD test for a Hermitian matrix given as nested lists of scalars.
 
     Checks hermitianity, then runs pivoted Schur-complement elimination:
     every pivot must be a positive real and a vanishing diagonal entry
@@ -844,7 +966,7 @@ def is_positive_semidefinite(h):
     h = [[sc(x) for x in row] for row in h]
     for i in range(n):
         for j in range(n):
-            if h[i][j] != h[j][i].conj():
+            if h[i][j] != conj(h[j][i]):
                 return False
     idx = list(range(n))
     while idx:
@@ -852,7 +974,7 @@ def is_positive_semidefinite(h):
         for i in idx:
             d = h[i][i]
             if d:
-                if not d.is_real() or d.sign() < 0:
+                if not is_positive(d):
                     return False
                 piv = i
                 break
@@ -860,8 +982,8 @@ def is_positive_semidefinite(h):
             # all diagonal entries vanish: PSD forces the rest to vanish
             return all(not h[i][j] for i in idx for j in idx)
         idx.remove(piv)
-        d = h[piv][piv]
+        d_inv = inverse(h[piv][piv])
         for i in idx:
             for j in idx:
-                h[i][j] = h[i][j] - h[i][piv] * h[piv][j] / d
+                h[i][j] = h[i][j] - _mul(_mul(h[i][piv], h[piv][j]), d_inv)
     return True

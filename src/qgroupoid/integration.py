@@ -17,11 +17,13 @@ from .balanced_tensor import NotBalanced
 from .bialgebroid import RegularMHA
 from .exact_linear import (
     ONE,
-    ZERO,
     LinearMap,
     Rref,
     axpy,
+    ev,
+    inverse,
     is_positive_semidefinite,
+    vec_items,
     vsub,
 )
 from .report import Rejected, Report
@@ -47,15 +49,6 @@ __all__ = [
 
 
 # -- functionals as sparse dual vectors --------------------------------------
-
-
-def ev(omega, v):
-    out = ZERO
-    for i, s in v.items():
-        c = omega.get(i)
-        if c:
-            out = out + c * s
-    return out
 
 
 def functional_of_map(mu, mapping):
@@ -533,8 +526,9 @@ def _proportional(u, v):
         return False
     if not items:
         return True
-    ratio = items[0][1] / jtems[0][1]
-    return all(s == ratio * t for (_, s), (_, t) in zip(items, jtems))
+    # v is the unit, whose entries are rational: each Scalar goes on the right
+    ratio = inverse(jtems[0][1]) * items[0][1]
+    return all(s == t * ratio for (_, s), (_, t) in zip(items, jtems))
 
 
 def _ergodic_characterization(M):
@@ -577,11 +571,11 @@ def expectation_identity(M, phi_C, psi_B):
         lhs = M.C.embed.apply(phi_C.apply(M.B.embed.apply(psi_B.col(a))))
         rhs = M.B.embed.apply(psi_B.apply(M.C.embed.apply(phi_C.col(a))))
         if lhs != rhs:
-            ok, wit = False, {"at": M.A.labels[a], "lhs": sorted(lhs.items()),
-                              "rhs": sorted(rhs.items())}
+            ok, wit = False, {"at": M.A.labels[a], "lhs": vec_items(lhs),
+                              "rhs": vec_items(rhs)}
             break
         if not orbit_span.contains(lhs):
-            ok, wit = False, {"at": M.A.labels[a], "outside-orbit": sorted(lhs.items())}
+            ok, wit = False, {"at": M.A.labels[a], "outside-orbit": vec_items(lhs)}
             break
     rep.check(ok, "expectation-identity", "proper-composed-partial-integrals", wit)
     return rep
@@ -662,8 +656,8 @@ def check_base_weight(M, weight):
     counital = antipodal and eps_b_func == eps_c_func
     rep.check(counital, "counital", "base-weight-counital",
               None if counital else {
-                  "mu_B.eps_B": sorted(eps_b_func.items()),
-                  "mu_C.eps_C": sorted(eps_c_func.items()),
+                  "mu_B.eps_B": vec_items(eps_b_func),
+                  "mu_C.eps_C": vec_items(eps_c_func),
               })
     if M.A.involution is not None:
         pos_b = _weight_positive(bb, weight.mu_B)

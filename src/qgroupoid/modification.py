@@ -28,10 +28,13 @@ from .exact_linear import (
     LinearMap,
     ScalarField,
     axpy,
+    ev,
+    inverse,
+    is_positive,
     kron_vec,
     vscale,
 )
-from .integration import BaseWeight, PartialIntegral, ev, gram_map
+from .integration import BaseWeight, PartialIntegral, gram_map
 from .report import Rejected, Report
 
 __all__ = [
@@ -366,26 +369,27 @@ def modify(M, mod, verify=True):
 def groupoid_rn_modifier(g, mu, scalar_field=None):
     """Square-root derivative modifier for a convolution-type instance.
 
-    mu: strictly positive weights on the unit space (dict unit-index ->
-    Scalar).  D(gamma) = mu(t)/mu(s); the modifier multiplies by D^(1/2)
-    on both left legs and by D^(-1/2) on both right legs.
+    mu: strictly positive rational weights on the unit space (dict
+    unit-index -> int or Fraction).  D(gamma) = mu(t)/mu(s); the modifier
+    multiplies by D^(1/2) on both left legs and by D^(-1/2) on both right
+    legs.
     """
     scalar_field = scalar_field or ScalarField()
     m = len(g.units)
     uidx = g.unit_index
     for u in range(m):
         val = mu.get(u, ZERO)
-        if not val.is_positive() or not val:
+        if not val or not is_positive(val):
             raise Rejected("quasi-invariant", "weight must be strictly positive on units")
     d_vals, half, neg_half = {}, {}, {}
     missing = set()
     for k, a in enumerate(g.arrows):
-        ratio = mu[uidx[g.target[a]]] / mu[uidx[g.source[a]]]
+        ratio = mu[uidx[g.target[a]]] * inverse(mu[uidx[g.source[a]]])
         d_vals[k] = ratio
         try:
             root = scalar_field.sqrt(ratio)
             half[k] = root
-            neg_half[k] = root.inverse()
+            neg_half[k] = inverse(root)
         except FieldExtensionNeeded as e:
             missing.update(e.missing)
     if missing:

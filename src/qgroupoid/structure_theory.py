@@ -20,11 +20,12 @@ from .exact_linear import (
     LinearMap,
     Rref,
     axpy,
+    ev,
     kron_vec,
+    vec_items,
 )
 from .integration import (
     FactorizableFunctional,
-    ev,
     factorize,
     functional_of_map,
     gram_map,
@@ -601,7 +602,7 @@ def dual_algebra(X):
         via_t = translate_left(A, hat.table[i][j], phi)
         if direct != via_t:
             wit = {"at": [A.labels[i], A.labels[j]],
-                   "lhs": sorted(direct.items()), "rhs": sorted(via_t.items())}
+                   "lhs": vec_items(direct), "rhs": vec_items(via_t)}
             break
     rep.check(wit is None, "dual-product-matches-composition", "dual-product", wit)
     # bimodule actions: omega * a = rho(omega)(a), a * omega = lambda(omega)(a)

@@ -20,7 +20,7 @@ from qgroupoid.examples import (
     standard_integrals,
     swap_action,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Rref, sc, vadd, vscale
+from qgroupoid.exact_linear import ONE, LinearMap, Rref, inverse, sc, vadd, vscale
 from qgroupoid.integration import (
     BaseWeight,
     assemble_measured,
@@ -321,7 +321,7 @@ def test_scale_three_point_pair_groupoid():
     uidx = g3.unit_index
     expected = {}
     for k, a in enumerate(g3.arrows):
-        val = mu[uidx[(a[1], a[1])]] / mu[uidx[(a[0], a[0])]]
+        val = mu[uidx[(a[1], a[1])]] * inverse(mu[uidx[(a[0], a[0])]])
         if val:
             expected[k] = val
     assert me.delta_plus.element() == expected

@@ -16,13 +16,19 @@ from qgroupoid.exact_linear import (
     Rref,
     Scalar,
     ScalarField,
+    as_fraction,
     axpy,
+    conj,
+    inverse,
+    is_positive,
     is_positive_semidefinite,
     kernel,
     quotient_by,
     sc,
+    sign,
     solve_linear,
     vec_from_dense,
+    vscale,
 )
 
 
@@ -39,13 +45,16 @@ def rand_scalar(rng, with_roots=True):
 
 def test_scalar_round_trips():
     rng = random.Random(7)
+    kinds = set()
     for _ in range(200):
         a, b = rand_scalar(rng), rand_scalar(rng)
+        kinds |= {type(a), type(b)}
         assert (a + b) - b == a
         if b:
-            assert (a * b) / b == a
-        assert a.conj().conj() == a
-        assert (a * b).conj() == a.conj() * b.conj()
+            assert (a * b) * inverse(b) == a
+        assert conj(conj(a)) == a
+        assert conj(a * b) == conj(a) * conj(b)
+    assert kinds == {int, Fraction, Scalar}
 
 
 def test_scalar_field_axioms():
@@ -79,23 +88,24 @@ def test_inverse_with_mixed_radicals():
 def test_sign_evaluation():
     # sqrt(2) + sqrt(3) - sqrt(6) + 1/2 > 0, and a nearby negative combination
     s = Scalar.root_term(2) + Scalar.root_term(3) - Scalar.root_term(6) + sc("1/2")
-    assert s.sign() == 1
+    assert sign(s) == 1
     t = Scalar.root_term(2) + Scalar.root_term(3) - Scalar.root_term(6) - ONE
     # sqrt2+sqrt3 = 3.146..., sqrt6 = 2.449..., difference ~ 0.696 < 1
-    assert t.sign() == -1
-    assert ZERO.sign() == 0
-    assert (Scalar.root_term(2) - sc("7/5")).sign() == 1  # sqrt2 > 1.4
-    assert (Scalar.root_term(2) - sc("3/2")).sign() == -1
+    assert sign(t) == -1
+    assert sign(ZERO) == 0
+    assert sign(sc("-3/7")) == -1 and sign(sc(5)) == 1
+    assert sign(Scalar.root_term(2) - sc("7/5")) == 1  # sqrt2 > 1.4
+    assert sign(Scalar.root_term(2) - sc("3/2")) == -1
     with pytest.raises(ValueError):
-        Scalar.rational(0, 1).sign()
+        sign(Scalar.rational(0, 1))
 
 
 def test_is_positive():
-    assert sc(0).is_positive()
-    assert sc("3/7").is_positive()
-    assert not sc(-1).is_positive()
-    assert Scalar.root_term(2).is_positive()
-    assert not Scalar.rational(1, 1).is_positive()
+    assert is_positive(sc(0))
+    assert is_positive(sc("3/7"))
+    assert not is_positive(sc(-1))
+    assert is_positive(Scalar.root_term(2))
+    assert not is_positive(Scalar.rational(1, 1))
 
 
 def test_field_membership_and_sqrt():
@@ -112,13 +122,18 @@ def test_field_membership_and_sqrt():
 
 
 def test_integral_coefficients_are_ints_and_division_stays_exact():
-    third = sc(1) / sc(3)
-    assert third.terms == ((1, Fraction(1, 3), 0),)
+    third = sc(1) * inverse(sc(3))
+    assert type(third) is Fraction and third == Fraction(1, 3)
     two = Scalar.rational(Fraction(4, 2))
-    assert two.terms == ((1, 2, 0),) and type(two.terms[0][1]) is int
-    assert type(two.as_fraction()) is Fraction
-    assert type(ZERO.as_fraction()) is Fraction
-    assert type((third * sc(3)).as_fraction()) is Fraction
+    assert type(two) is int and two == 2
+    assert type(as_fraction(two)) is Fraction
+    assert type(as_fraction(ZERO)) is Fraction
+    assert type(as_fraction(third * sc(3))) is Fraction
+    # the vector operations store an integral Fraction as its int
+    assert [(v, type(v)) for v in axpy({}, third, {0: sc(3)}).values()] == [(1, int)]
+    assert [(v, type(v)) for v in vscale(third, {0: sc(6)}).values()] == [(2, int)]
+    root = Scalar.root_term(2, third) * sc(6)
+    assert root.terms == ((2, 2, 0),) and type(root.terms[0][1]) is int
     assert ScalarField().sqrt(sc("9/4")) == sc("3/2")
     assert scalar_to_json(scalar_from_json("4/2")) == "2"
 
@@ -277,7 +292,7 @@ def test_axpy_drops_cancelled_entries():
     acc = {0: a, 1: b}
     axpy(acc, -ONE, {0: a})
     assert acc == {1: b} and 0 not in acc
-    assert axpy({0: a}, sc(2), {0: -a / sc(2)}) == {}
+    assert axpy({0: a}, sc(2), {0: -a * inverse(sc(2))}) == {}
     assert axpy({0: a}, ZERO, {0: b}) == {0: a}
 
 
@@ -305,7 +320,8 @@ def test_axpy_unit_coefficients_match_general_path():
 
 class _ScanRref:
     """Oracle: the reduced echelon that finds the rows using a new pivot
-    by scanning every stored row, and divides each entry by the pivot."""
+    by scanning every stored row, and multiplies each entry by the
+    inverse of the pivot."""
 
     def __init__(self):
         self.rows = {}
@@ -324,7 +340,7 @@ class _ScanRref:
             return None
         p = min(r)
         c = r[p]
-        r = {j: s / c for j, s in r.items()}
+        r = {j: s * inverse(c) for j, s in r.items()}
         for row in self.rows.values():
             cc = row.get(p)
             if cc:

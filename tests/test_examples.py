@@ -20,7 +20,7 @@ from qgroupoid.examples import (
     standard_integrals,
     swap_action,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, kron_vec, sc
+from qgroupoid.exact_linear import ONE, LinearMap, inverse, kron_vec, sc
 from qgroupoid.integration import check_partial_integral
 from qgroupoid.report import Rejected
 
@@ -74,7 +74,7 @@ def test_group_hopf_integral_space(hopf_z2, hopf_z2_fun):
     (w,) = space
     ratio = None
     for k, v in hopf_z2.phi.items():
-        ratio = v / w[k]
+        ratio = v * inverse(w[k])
     assert all(w[k] * ratio == v for k, v in hopf_z2.phi.items())
     assert hopf_z2.delta_mod == {0: ONE}
     assert hopf_z2.sigma_mod == LinearMap.identity(2)

@@ -11,7 +11,7 @@ from qgroupoid.examples import (
     group_groupoid,
     standard_integrals,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Scalar, sc
+from qgroupoid.exact_linear import ONE, LinearMap, Scalar, inverse, sc
 from qgroupoid.integration import (
     BaseWeight,
     assemble_measured,
@@ -127,7 +127,7 @@ def test_factorize_p2_weights(m_fun, p2, weight_14):
     for k, gamma in enumerate(p2.arrows):
         u = uidx[p2.source[gamma]]
         t = uidx[p2.target[gamma]]
-        expected = {u: mu[t] / mu[u]}
+        expected = {u: mu[t] * inverse(mu[u])}
         assert fact.factor_Bl.col(k) == expected
 
 

@@ -1,20 +1,35 @@
-"""Differential test of ``Scalar`` against two independent references.
+"""Differential test of the exact scalars against two independent references.
 
+Operands are drawn in all three forms: ``int``, ``Fraction`` and
+``Scalar``, so mixed and reflected operators are exercised.
 ``FractionScalar`` below is the scalar arithmetic with every coefficient a
 ``Fraction``; sympy is the second oracle.  Every result must also be in
-canonical form: each coefficient an ``int`` exactly when it is integral,
-otherwise a ``Fraction`` with denominator > 1, never a float.
+canonical form: never a float; a real rational is an ``int`` when it is
+integral, otherwise a ``Fraction`` with denominator > 1, never a
+``Scalar``; and each ``Scalar`` coefficient follows the same int-or-Fraction
+rule.  An operation on two natives is Python's own, which may return an
+integral ``Fraction``; such a result need only be an ``int`` or a
+``Fraction``.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
 
 import sympy
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgroupoid.algebra_core import scalar_from_json, scalar_to_json
-from qgroupoid.exact_linear import Scalar
+from qgroupoid.exact_linear import (
+    Scalar,
+    as_fraction,
+    conj,
+    inverse,
+    is_positive,
+    sc,
+    sign,
+)
 
 F0 = Fraction(0)
 
@@ -117,16 +132,39 @@ class FractionScalar:
         return out
 
 
+def canonical_rational(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def is_canonical(s):
-    return all(
-        type(x) is int or (type(x) is Fraction and x.denominator > 1)
-        for _, re, im in s.terms
-        for x in (re, im)
+    """s is an int, a Fraction with denominator > 1, or a Scalar that is
+    not a real rational, with canonical non-zero coefficients in sorted
+    monomial order."""
+    if type(s) is not Scalar:
+        return canonical_rational(s)
+    terms = s.terms
+    return (
+        bool(terms)
+        and not (len(terms) == 1 and terms[0][0] == 1 and not terms[0][2])
+        and [m for m, _, _ in terms] == sorted({m for m, _, _ in terms})
+        and all((re or im) and canonical_rational(re) and canonical_rational(im)
+                for _, re, im in terms)
     )
 
 
+def is_native(s):
+    return type(s) in (int, Fraction)
+
+
+def terms_of(s):
+    """The (m, re, im) terms of a scalar of any form."""
+    if type(s) is Scalar:
+        return s.terms
+    return ((1, s, 0),) if s else ()
+
+
 def as_fractions(s):
-    return tuple((m, Fraction(re), Fraction(im)) for m, re, im in s.terms)
+    return tuple((m, Fraction(re), Fraction(im)) for m, re, im in terms_of(s))
 
 
 def to_sympy(s):
@@ -158,25 +196,39 @@ real_term = st.tuples(monomial, coefficient, st.just(0))
 
 
 def build(terms):
-    new, ref = Scalar(), FractionScalar({})
+    new, ref = 0, FractionScalar({})
     for m, re, im in terms:
-        new = new + (Scalar.rational(re, im) if m == 1 else Scalar.root_term(m, re, im))
+        new = sc(new + (Scalar.rational(re, im) if m == 1 else Scalar.root_term(m, re, im)))
         ref = ref + FractionScalar({m: (re, im)})
     return new, ref
 
 
-# single Gaussian rationals take the fast paths of + and *, so draw them often
+# a plain int or Fraction; a single Gaussian rational, which takes the
+# fast paths of + and *; a sum of up to three monomials
+native = coefficient.map(lambda q: build([(1, q, 0)]))
 gaussian = st.tuples(st.just(1), coefficient, st.one_of(st.just(0), coefficient))
-scalars = st.one_of(st.lists(gaussian, max_size=1), st.lists(term, max_size=3)).map(build)
-real_scalars = st.lists(real_term, max_size=3).map(build)
+scalars = st.one_of(native, st.lists(gaussian, max_size=1).map(build),
+                    st.lists(term, max_size=3).map(build))
+real_scalars = st.one_of(native, st.lists(real_term, max_size=3).map(build))
 
-SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+R2 = build([(2, 1, 0)])
+I = build([(1, 0, 1)])
+HALF = build([(1, Fraction(1, 2), 0)])
+THREE = build([(1, 3, 0)])
 
 
-def check(new, ref, expected_sympy):
-    assert is_canonical(new), new.terms
+def check(new, ref, expected_sympy, operands=()):
+    """new matches both references and is canonical; a result of Python's
+    own arithmetic on natives need only be an int or a Fraction."""
+    if operands and all(is_native(x) for x in operands):
+        assert is_native(new), new
+    else:
+        assert is_canonical(new), new
     assert as_fractions(new) == ref.terms
-    assert sympy_equal(to_sympy(new), expected_sympy)
+    if expected_sympy is not None:
+        assert sympy_equal(to_sympy(new), expected_sympy)
 
 
 @SETTINGS
@@ -184,60 +236,88 @@ def check(new, ref, expected_sympy):
 @example(build([(1, Fraction(3, 2), 0)]), build([(1, Fraction(2, 3), 0)]))
 @example(build([(1, Fraction(1, 2), Fraction(1, 2))]), build([(1, 1, -1)]))
 @example(build([(2, Fraction(1, 2), 0)]), build([(2, Fraction(1, 2), 0)]))
+@example(R2, R2)  # sqrt(2)*sqrt(2) comes back as the int 2
+@example(I, I)  # i*i comes back as the int -1
+@example(build([(1, 1, 0), (2, 1, 0)]), R2)  # (1 + sqrt(2)) - sqrt(2) is the int 1
+@example(THREE, R2)  # int with Scalar: the reflected operators
+@example(HALF, I)  # Fraction with Scalar
+@example(R2, HALF)  # Scalar with Fraction
+@example(build([(1, 2, 1)]), THREE)  # Scalar with int
 def test_ring_operations_match_both_references(a, b):
     (x, rx), (y, ry) = a, b
     assert is_canonical(x) and as_fractions(x) == rx.terms
     sx, sy = to_sympy(x), to_sympy(y)
-    check(x + y, rx + ry, sx + sy)
-    check(x - y, rx - ry, sx - sy)
-    check(-x, -rx, -sx)
-    check(x * y, rx * ry, sx * sy)
-    check(x.conj(), rx.conj(), sympy.conjugate(sx))
+    check(x + y, rx + ry, sx + sy, (x, y))
+    check(x - y, rx - ry, sx - sy, (x, y))
+    check(-x, -rx, -sx, (x,))
+    check(x * y, rx * ry, sx * sy, (x, y))
+    check(conj(x), rx.conj(), sympy.conjugate(sx))
 
 
 @SETTINGS
 @given(scalars, scalars)
+@example(THREE, R2)
+@example(R2, HALF)
+@example(HALF, build([(1, 0, 2)]))
 def test_inverse_and_division_match_both_references(a, b):
     (x, rx), (y, ry) = a, b
-    if not y.terms:
+    if not ry.terms:
+        with pytest.raises(ZeroDivisionError):
+            inverse(y)
         return
     sx, sy = to_sympy(x), to_sympy(y)
-    inv = y.inverse()
+    inv = inverse(y)
     assert is_canonical(inv) and as_fractions(inv) == ry.inverse().terms
     assert sympy.expand(to_sympy(inv) * sy) == 1
-    q = x / y
-    assert is_canonical(q) and as_fractions(q) == (rx * ry.inverse()).terms
-    assert sympy_equal(to_sympy(q) * sy, sx)
+    q = x * inv
+    check(q, rx * ry.inverse(), None, (x, inv))
+    assert sympy_equal(to_sympy(q) * sy, sx)  # sympy does not expand x / y
 
 
 @SETTINGS
 @given(scalars, scalars)
+@example(THREE, THREE)
+@example(HALF, build([(1, Fraction(1, 2), 0)]))
 def test_equality_hash_repr_and_json_match_both_references(a, b):
     (x, rx), (y, ry) = a, b
     equal = x == y
     assert equal == (rx.terms == ry.terms) == sympy_equal(to_sympy(x), to_sympy(y))
-    # a scalar holding Fraction coefficients is the same value with the same hash
-    old = Scalar(rx.terms)
+    assert (x != y) == (not equal)
+    # the same value with Fraction coefficients is equal and hashes alike
+    old = Scalar(rx.terms) if type(x) is Scalar else Fraction(x)
     assert old == x and hash(old) == hash(x)
     if equal:
         assert hash(x) == hash(y)
-    assert repr(x) == repr(rx)
-    assert sympy_equal(sympy.sympify(repr(x).replace("i", "I")), to_sympy(x))
+    assert str(x) == repr(rx)
+    assert sympy_equal(sympy.sympify(str(x).replace("i", "I")), to_sympy(x))
     js = scalar_to_json(x)
     assert js == rx.to_json()
     if isinstance(js, str):
         assert js == str(to_sympy(x))
     back = scalar_from_json(js)
     assert back == x and is_canonical(back)
+    # as_fraction: exactly the real rationals have one
+    real_rational = all(m == 1 and not im for m, _, im in rx.terms)
+    if real_rational:
+        f = as_fraction(x)
+        assert type(f) is Fraction and f == sum((re for _, re, _ in rx.terms), F0)
+        assert is_native(x)
+    else:
+        with pytest.raises(ValueError):
+            as_fraction(x)
 
 
 @SETTINGS
 @given(real_scalars)
 def test_sign_and_positivity_match_both_references(a):
     x, rx = a
-    expected = x.sign()
+    expected = sign(x)
     assert expected == rx.sign()
     v = to_sympy(x)
     assert expected == (0 if v == 0 else (1 if v.evalf(60) > 0 else -1))
-    assert x.is_positive() == (expected >= 0)
-    assert not (x + Scalar.rational(0, 1)).is_positive()
+    assert is_positive(x) == (expected >= 0)
+    assert is_positive(-x) == (expected <= 0)
+    shifted = x + Scalar.rational(0, 1)  # x + i
+    assert is_canonical(shifted) and not is_positive(shifted)
+    with pytest.raises(ValueError):
+        sign(shifted)
