@@ -1,7 +1,8 @@
 """Golden reports on the 2-point pair groupoid, and ``dual`` on 3 points.
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
-captured) or ``verify_regular_mha`` on a mutant instance, and yields the
+captured), ``verify_regular_mha`` on mutant instances, or
+``check_partial_integral`` on perturbed partial integrals, and yields the
 exit code and the exact report text of every step.  The recorded texts
 live next to this file as ``<case>.jsonl``, the exit codes in
 ``exits.json``; ``test_golden.py`` compares both byte for byte.
@@ -22,10 +23,13 @@ from qgroupoid import (
     RegularMHA,
     build_convolution_algebroid,
     build_function_algebroid,
+    check_partial_integral,
+    derive_counits,
+    standard_integrals,
     verify_regular_mha,
 )
 from qgroupoid.cli import main
-from qgroupoid.exact_linear import ONE, axpy
+from qgroupoid.exact_linear import ONE, axpy, vec_items
 from qgroupoid.examples import groupoid_to_json, pair_groupoid
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -48,8 +52,8 @@ def _changed(f, k, add_col):
 
 
 def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, points=POINTS):
-    """The pair groupoid instance with one column of delta_B, delta_C, S
-    or eps_B changed by ``_changed``; eps_B, eps_C and S are passed
+    """The pair groupoid instance with one column of delta_B, delta_C, S,
+    eps_B or eps_C changed by ``_changed``; eps_B, eps_C and S are passed
     explicitly.
 
     Convolution's comultiplications are group-like, e_g -> e_g (x) e_g, and
@@ -59,16 +63,70 @@ def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, point
     n = M.A.dim
     raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
     raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
-    parts = {"delta_B": raw_b, "delta_C": raw_c, "S": M.S, "eps_B": M.eps_B}
+    parts = {"delta_B": raw_b, "delta_C": raw_c, "S": M.S, "eps_B": M.eps_B, "eps_C": M.eps_C}
     parts[kind] = _changed(parts[kind], col, add_col)
     return RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
-                      eps_B=parts["eps_B"], eps_C=M.eps_C, S=parts["S"], name="mutant")
+                      eps_B=parts["eps_B"], eps_C=parts["eps_C"], S=parts["S"],
+                      name="mutant")
 
 
 def _mutant(kind, col, build=build_function_algebroid, add_col=None):
     """The report of ``verify_regular_mha`` on a p2 ``mutant_bundle``."""
     rep = verify_regular_mha(mutant_bundle(kind, col, build, add_col))
     return [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
+
+
+def _derived_counits(M):
+    """derive_counits on M: the columns of both counits, or the error."""
+    try:
+        eps_B, eps_C = derive_counits(M)
+    except ValueError as e:
+        return str(e)
+    return [[vec_items(eps.col(a)) for a in range(eps.cols)] for eps in (eps_B, eps_C)]
+
+
+def _mutant_sweep():
+    """Every single-column mutant of functions and convolution p2.
+
+    Each column of delta_B, delta_C, S, eps_B and eps_C is scaled by 2, and
+    separately has the next column added.  A step holds the bundle's name
+    and derive_counits outcome, then the failing verify_regular_mha entries.
+    """
+    steps = []
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        n = build(pair_groupoid(POINTS)).A.dim
+        for kind in ("delta_B", "delta_C", "S", "eps_B", "eps_C"):
+            for col in range(n):
+                for add_col in (None, (col + 1) % n):
+                    M = mutant_bundle(kind, col, build, add_col)
+                    rep = verify_regular_mha(M)
+                    head = {"bundle": [build.__name__, kind, col, add_col],
+                            "derive_counits": _derived_counits(M)}
+                    lines = [json.dumps(head, sort_keys=True)]
+                    lines += [line for line, e in zip(rep.to_json_lines(), rep.entries)
+                              if e.status == "fail"]
+                    steps.append((0 if rep.ok else 1, "\n".join(lines) + "\n"))
+    return steps
+
+
+def _perturbed_partial_integrals():
+    """check_partial_integral on the standard phi_C and psi_B of functions
+    and convolution p2, each with e_x added to column a, every (a, x)."""
+    g = pair_groupoid(POINTS)
+    steps = []
+    for build, kind in ((build_function_algebroid, "groupoid-functions"),
+                        (build_convolution_algebroid, "groupoid-convolution")):
+        M = build(g)
+        for integral in standard_integrals(kind, M, groupoid=g):
+            f = integral.mapping
+            for a in range(f.cols):
+                for x in range(f.rows):
+                    cols = [dict(f.col(j)) for j in range(f.cols)]
+                    cols[a] = axpy(cols[a], ONE, {x: ONE})
+                    rep = check_partial_integral(M, LinearMap(f.rows, f.cols, cols),
+                                                 integral.side)
+                    steps.append((0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n"))
+    return steps
 
 
 def _unit_arrow_index():
@@ -113,6 +171,9 @@ def cases(workdir):
             "delta_C", 2, build_convolution_algebroid, add_col=0),
         "mutant-S-col1": lambda: _mutant("S", 1),
         "mutant-eps_B-unit": lambda: _mutant("eps_B", _unit_arrow_index()),
+        "mutant-eps_C-unit": lambda: _mutant("eps_C", _unit_arrow_index()),
+        "mutant-sweep-p2": _mutant_sweep,
+        "partial-integrals-perturbed-p2": _perturbed_partial_integrals,
     }
 
 
