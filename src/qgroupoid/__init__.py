@@ -39,9 +39,6 @@ from .balanced_tensor import (
     BalancedTensor,
     NotBalanced,
     TripleTensor,
-    build_balanced,
-    flip,
-    slice_left,
 )
 from .bialgebroid import (
     RegularMHA,

@@ -84,8 +84,9 @@ class FiniteAlgebra:
         for i, s in u.items():
             row = self.table[i]
             for j, t in v.items():
-                st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
-                axpy(w, st, row[j])
+                if row[j]:  # most products of basis elements are zero
+                    st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
+                    axpy(w, st, row[j])
         return w
 
     def lmul(self, u):

@@ -33,10 +33,7 @@ from .exact_linear import (
 __all__ = [
     "BalancedTensor",
     "TripleTensor",
-    "build_balanced",
     "descend_componentwise",
-    "slice_left",
-    "flip",
     "tensor_mul",
     "NotBalanced",
 ]
@@ -72,8 +69,10 @@ def tensor_mul(algebra, u, v):
         i1, j1 = divmod(idx1, n)
         for idx2, t in v.items():
             i2, j2 = divmod(idx2, n)
-            st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
-            axpy(out, st, kron_vec(table[i1][i2], table[j1][j2], n))
+            left, right = table[i1][i2], table[j1][j2]
+            if left and right:
+                st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
+                axpy(out, st, kron_vec(left, right, n))
     return out
 
 
@@ -315,24 +314,3 @@ class TripleTensor:
     def __repr__(self):
         return "TripleTensor(%r, dim=%d)" % (self.flavor, self.dim)
 
-
-def build_balanced(algebra, struct1, struct2, flavor=""):
-    """Balanced tensor product of A with itself over the given structures."""
-    return BalancedTensor(algebra, struct1, struct2, flavor)
-
-
-def slice_left(tensor, omega):
-    """Slice omega (x) id for the standard flavors.
-
-    For a left-comultiplication flavor ("b..." tags) the sliced value
-    multiplies the surviving leg from the left; for a right-comultiplication
-    flavor ("c..." tags), from the right.  omega must already carry its
-    embedding into A.
-    """
-    multiply = "right" if tensor.flavor.startswith("c") else "left"
-    return tensor.slice(omega, 1, multiply, what="left slice")
-
-
-def flip(tensor, target):
-    """Flip map between matching flavors (checked); see BalancedTensor.flip_to."""
-    return tensor.flip_to(target)

@@ -70,6 +70,7 @@ class RegularMHA:
 
     _emb_sb = None
     _emb_sc = None
+    eps_B = eps_C = None  # set in __init__, after derive_counits
     _structs = None  # (multiplication side, embedding) -> ModuleStructure
     _triples = None  # coassociativity kind -> TripleTensor
 
@@ -181,20 +182,6 @@ class RegularMHA:
     def qc(self):
         return self.tensor(FLAVOR_QC)
 
-    # -- coproduct products --------------------------------------------------
-
-    def db_class(self, v):
-        return self.delta_B.apply(v)
-
-    def dc_class(self, v):
-        return self.delta_C.apply(v)
-
-    def db_lift(self, j):
-        return self._db_lift[j]
-
-    def dc_lift(self, j):
-        return self._dc_lift[j]
-
     # -- canonical maps --------------------------------------------------------
 
     def canonical(self):
@@ -242,6 +229,56 @@ class RegularMHA:
 
     def __repr__(self):
         return "RegularMHA(%r, dim=%d)" % (self.name, self.A.dim)
+
+
+class _Half:
+    """One half of the bundle: the left bialgebroid (B, Delta_B) for letter
+    "B", the right one (C, Delta_C) for "C".
+
+    ``q`` is the half's balanced tensor (QB or QC), ``delta`` its
+    comultiplication into it and ``lifts`` the lifted columns of delta.
+    ``s`` embeds the base into A, and ``t`` embeds it through the base
+    anti-isomorphism ``anti`` (S_B or S_C) into the other base.  Delta
+    carries s(x) a onto leg ``s_leg`` of Delta(a) and t(x) a onto leg
+    ``t_leg``: legs 2 and 1 for B, 1 and 2 for C.  ``absorb`` holds the
+    leg multiplications Delta absorbs, on leg 1 and on leg 2: from the
+    right for Delta_B, from the left for Delta_C.
+
+    Order rule: ``mul(u, v)`` and ``bmul(u, v)`` are the products in A and
+    in the base taken as u v on the B half and as v u on the C half, and
+    ``ordered`` is that order itself.  So each law of the left half,
+    written with them, reads as its mirror on the right half.
+    """
+
+    def __init__(self, M, letter):
+        left = letter == "B"
+        emb, q = (M.B, M.qb) if left else (M.C, M.qc)
+        self.letter = letter
+        self.side, self.x = ("left", "x") if left else ("right", "y")
+        self.A = M.A
+        self.base, self.s = emb.base, emb.embed
+        self.t = M.emb_SB() if left else M.emb_SC()
+        self.anti = M.S_B if left else M.S_C
+        self.q = q
+        self.delta = M.delta_B if left else M.delta_C
+        self.lifts = M._db_lift if left else M._dc_lift
+        self.eps = M.eps_B if left else M.eps_C
+        self.s_leg, self.t_leg = (2, 1) if left else (1, 2)
+        self.absorb = (q.rmul1, q.rmul2) if left else (q.lmul1, q.lmul2)
+        self._reversed = not left
+
+    def on_leg(self, leg):
+        """The embedding whose elements Delta carries onto ``leg``."""
+        return self.s if leg == self.s_leg else self.t
+
+    def ordered(self, u, v):
+        return (v, u) if self._reversed else (u, v)
+
+    def mul(self, u, v):
+        return self.A.mul(*self.ordered(u, v))
+
+    def bmul(self, u, v):
+        return self.base.mul(*self.ordered(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +336,58 @@ def _stack_equations(groups, unknowns):
     return LinearMap(eq * stride, unknowns, cols), rhs
 
 
+def _unflatten(w, rows, cols):
+    """The rows x cols LinearMap whose entry (x, a) is w[a * rows + x]."""
+    return LinearMap.from_function(
+        rows, cols, lambda a: {x: w[a * rows + x] for x in range(rows) if a * rows + x in w}
+    )
+
+
+def _slice_form(h, leg, a, b):
+    """The slice of f on ``leg`` at Delta(a) times e_b on the other leg,
+    as terms linear in f: A -> base, f(e_c)_x the unknown c * dim + x.
+
+    The value of f on ``leg``, embedded by h.on_leg(leg), multiplies the
+    other leg in h's order.
+    """
+    n, dim, emb = h.A.dim, h.base.dim, h.on_leg(leg)
+    terms = []
+    for idx, c in h.q.lift(h.absorb[2 - leg]({b: ONE}).apply(h.delta.col(a))).items():
+        i, j = divmod(idx, n)
+        sliced, other = (i, j) if leg == 1 else (j, i)
+        for x in range(dim):
+            terms.append((sliced * dim + x, c, h.mul(emb.col(x), {other: ONE})))
+    return terms
+
+
+def _module_form(h, e, x, a):
+    """f(e(x) a) - x f(a) for e "s", f(e(x) a) - f(a) x for e "t", every
+    product in h's order, as terms linear in f (unknowns as in _slice_form)."""
+    dim = h.base.dim
+    emb = h.s if e == "s" else h.t
+    terms = [(i * dim + xb, c, {xb: ONE})
+             for i, c in h.mul(emb.col(x), {a: ONE}).items() for xb in range(dim)]
+    for xb in range(dim):
+        law = h.bmul({x: ONE}, {xb: ONE}) if e == "s" else h.bmul({xb: ONE}, {x: ONE})
+        terms.append((a * dim + xb, -ONE, law))
+    return terms
+
+
+def _solve_counit(h):
+    """The counit of one half: both slice laws, eps(s(x) a) = x eps(a) and
+    eps(t(x) a) = eps(a) x, each in h's order."""
+    n, dim = h.A.dim, h.base.dim
+    laws = [(h.mul({a: ONE}, {b: ONE}), _slice_form(h, leg, a, b))
+            for a in range(n) for b in range(n) for leg in (1, 2)]
+    modules = [({}, _module_form(h, e, x, a))
+               for x in range(dim) for a in range(n) for e in ("s", "t")]
+    system, rhs = _stack_equations(((n, laws), (dim, modules)), n * dim)
+    sol = system.solve(rhs)
+    if sol is None or system.kernel_basis():
+        raise ValueError("%s counit does not exist or is not unique" % h.side)
+    return _unflatten(sol, dim, n)
+
+
 def derive_counits(M):
     """Solve for the counits; unique for a regular bundle.
 
@@ -306,105 +395,7 @@ def derive_counits(M):
     with the antipode, the slice laws alone can leave base-mismatched
     entries free.
     """
-    A, n = M.A, M.A.dim
-
-    def solve_side(dim_b, law_blocks, module_blocks, label):
-        system, rhs = _stack_equations(((n, law_blocks), (dim_b, module_blocks)), n * dim_b)
-        sol = system.solve(rhs)
-        if sol is None or system.kernel_basis():
-            raise ValueError("%s counit does not exist or is not unique" % label)
-        return LinearMap.from_function(
-            dim_b,
-            n,
-            lambda a: {x: sol[a * dim_b + x] for x in range(dim_b) if a * dim_b + x in sol},
-        )
-
-    emb_SB, emb_B = M.emb_SB(), M.B.embed
-    dim_b = M.B.base.dim
-    qb = M.qb
-    law_blocks = []
-    for a in range(n):
-        da = M.delta_B.col(a)
-        for b in range(n):
-            target = A.mul({a: ONE}, {b: ONE})
-            terms = []
-            for idx, c in qb.lift(qb.rmul2({b: ONE}).apply(da)).items():
-                i, j = divmod(idx, n)
-                for x in range(dim_b):
-                    terms.append((i * dim_b + x, c, A.mul(emb_SB.col(x), {j: ONE})))
-            law_blocks.append((target, terms))
-            terms = []
-            for idx, c in qb.lift(qb.rmul1({b: ONE}).apply(da)).items():
-                i, j = divmod(idx, n)
-                for x in range(dim_b):
-                    terms.append((j * dim_b + x, c, A.mul(emb_B.col(x), {i: ONE})))
-            law_blocks.append((target, terms))
-    module_blocks = []
-    bb = M.B.base
-    for x in range(dim_b):
-        bx, sbx = emb_B.col(x), emb_SB.col(x)
-        for a in range(n):
-            # eps(s(x) a) = x eps(a)
-            terms = []
-            for i, c in A.mul(bx, {a: ONE}).items():
-                for xb in range(dim_b):
-                    terms.append((i * dim_b + xb, c, {xb: ONE}))
-            for xb in range(dim_b):
-                terms.append((a * dim_b + xb, -ONE, bb.mul({x: ONE}, {xb: ONE})))
-            module_blocks.append(({}, terms))
-            # eps(t(x) a) = eps(a) x
-            terms = []
-            for i, c in A.mul(sbx, {a: ONE}).items():
-                for xb in range(dim_b):
-                    terms.append((i * dim_b + xb, c, {xb: ONE}))
-            for xb in range(dim_b):
-                terms.append((a * dim_b + xb, -ONE, bb.mul({xb: ONE}, {x: ONE})))
-            module_blocks.append(({}, terms))
-    eps_B = solve_side(dim_b, law_blocks, module_blocks, "left")
-
-    emb_SC, emb_C = M.emb_SC(), M.C.embed
-    dim_c = M.C.base.dim
-    qc = M.qc
-    law_blocks = []
-    for a in range(n):
-        da = M.delta_C.col(a)
-        for b in range(n):
-            target = A.mul({b: ONE}, {a: ONE})
-            terms = []
-            for idx, c in qc.lift(qc.lmul2({b: ONE}).apply(da)).items():
-                i, j = divmod(idx, n)
-                for y in range(dim_c):
-                    terms.append((i * dim_c + y, c, A.mul({j: ONE}, emb_C.col(y))))
-            law_blocks.append((target, terms))
-            terms = []
-            for idx, c in qc.lift(qc.lmul1({b: ONE}).apply(da)).items():
-                i, j = divmod(idx, n)
-                for y in range(dim_c):
-                    terms.append((j * dim_c + y, c, A.mul({i: ONE}, emb_SC.col(y))))
-            law_blocks.append((target, terms))
-    module_blocks = []
-    cc = M.C.base
-    for y in range(dim_c):
-        cy, scy = emb_C.col(y), emb_SC.col(y)
-        for a in range(n):
-            # eps(a s(y)) = eps(a) y
-            terms = []
-            for i, c in A.mul({a: ONE}, cy).items():
-                for yb in range(dim_c):
-                    terms.append((i * dim_c + yb, c, {yb: ONE}))
-            for yb in range(dim_c):
-                terms.append((a * dim_c + yb, -ONE, cc.mul({yb: ONE}, {y: ONE})))
-            module_blocks.append(({}, terms))
-            # eps(a t(y)) = y eps(a)
-            terms = []
-            for i, c in A.mul({a: ONE}, scy).items():
-                for yb in range(dim_c):
-                    terms.append((i * dim_c + yb, c, {yb: ONE}))
-            for yb in range(dim_c):
-                terms.append((a * dim_c + yb, -ONE, cc.mul({y: ONE}, {yb: ONE})))
-            module_blocks.append(({}, terms))
-    eps_C = solve_side(dim_c, law_blocks, module_blocks, "right")
-    return eps_B, eps_C
+    return _solve_counit(_Half(M, "B")), _solve_counit(_Half(M, "C"))
 
 
 def derive_antipode(M):
@@ -476,10 +467,7 @@ def derive_antipode(M):
         return None, witness
     if system.kernel_basis():
         return None, "antipode system underdetermines S"
-    S = LinearMap.from_function(
-        n, n, lambda i: {k: sol[i * n + k] for k in range(n) if i * n + k in sol}
-    )
-    return S, None
+    return _unflatten(sol, n, n), None
 
 
 # ---------------------------------------------------------------------------
@@ -496,82 +484,79 @@ def _first_failure(pairs):
 
 
 def verify_left_bialgebroid(M, report=None):
-    rep = report if report is not None else Report()
-    A, n = M.A, M.A.dim
-    qb = M.qb
-    bsA = qb.struct1
-    btA = qb.struct2
-    ok, wit = bsA.check_action()
-    rep.check(ok, "left-module-action-s", "left-bialgebroid-modules", wit)
-    ok, wit = btA.check_action()
-    rep.check(ok, "left-module-action-t", "left-bialgebroid-modules", wit)
-    rep.check(
-        bsA.is_faithful() and btA.is_faithful(),
-        "left-modules-faithful",
-        "left-bialgebroid-modules",
-    )
-    rep.check(
-        bsA.is_idempotent() and btA.is_idempotent(),
-        "left-modules-idempotent",
-        "left-bialgebroid-modules",
-    )
-    # non-degeneracy of the quotient over A (x) 1 and 1 (x) A
-    joint1 = joint_kernel([qb.rmul1({j: ONE}) for j in range(n)])
-    joint2 = joint_kernel([qb.rmul2({j: ONE}) for j in range(n)])
-    rep.check(not joint1 and not joint2, "left-tensor-nondegenerate", "left-bialgebroid-modules")
+    return _verify_bialgebroid(M, _Half(M, "B"), report)
 
-    # Delta_B lands in the admissible operator space
-    ok_op, wit_op = True, None
-    rels = qb.relation_vectors()
-    for b in range(n):
-        lifted = M.db_lift(b)
-        for gen, rel in zip(qb.generators, rels):
-            if not qb.space.contains_relation(tensor_mul(A, lifted, rel)):
-                ok_op, wit_op = False, {"delta_of": A.labels[b], "relation": gen}
-                break
-        if not ok_op:
-            break
-    rep.check(ok_op, "left-delta-operator", "left-delta-operator", wit_op)
+
+def verify_right_bialgebroid(M, report=None):
+    return _verify_bialgebroid(M, _Half(M, "C"), report)
+
+
+def _verify_bialgebroid(M, h, report):
+    """The bialgebroid suite of one half, its entries named by h.side."""
+    rep = report if report is not None else Report()
+    A, n, q, side = h.A, h.A.dim, h.q, h.side
+    modules = side + "-bialgebroid-modules"
+    # struct k of q acts on leg k through the embedding Delta carries onto the other leg
+    for k, struct in ((1, q.struct1), (2, q.struct2)):
+        ok, wit = struct.check_action()
+        name = "s" if k == h.t_leg else "t"
+        rep.check(ok, "%s-module-action-%s" % (side, name), modules, wit)
+    structs = (q.struct1, q.struct2)
+    rep.check(all(st.is_faithful() for st in structs), side + "-modules-faithful", modules)
+    rep.check(all(st.is_idempotent() for st in structs), side + "-modules-idempotent", modules)
+    # non-degeneracy of the quotient over the legs' multiplications
+    joints = [joint_kernel([op({j: ONE}) for j in range(n)]) for op in h.absorb]
+    rep.check(not any(joints), side + "-tensor-nondegenerate", modules)
+
+    # Delta lands in the admissible operator space
+    rels = list(zip(q.generators, q.relation_vectors()))
+    wit = next(
+        ({"delta_of": A.labels[b], "relation": gen}
+         for b in range(n)
+         for gen, rel in rels
+         if not q.space.contains_relation(tensor_mul(A, *h.ordered(h.lifts[b], rel)))),
+        None,
+    )
+    rep.check(wit is None, side + "-delta-operator", side + "-delta-operator", wit)
 
     wit = _first_failure(
         ((A.labels[i], A.labels[j]),
-         M.db_class(A.mul({i: ONE}, {j: ONE})),
-         qb.mul_class(M.delta_B.col(i), M.delta_B.col(j)))
+         h.delta.apply(A.mul({i: ONE}, {j: ONE})),
+         q.mul_class(h.delta.col(i), h.delta.col(j)))
         for i in range(n)
         for j in range(n)
     )
-    rep.check(wit is None, "left-delta-homomorphism", "left-delta-homomorphism", wit)
+    rep.check(wit is None, side + "-delta-homomorphism", side + "-delta-homomorphism", wit)
 
-    emb_B, emb_SB = M.B.embed, M.emb_SB()
+    lmul, rmul = (q.lmul1, q.lmul2), (q.rmul1, q.rmul2)
+    words = ("s(%s)a", "t(%s)a", "as(%s)", "at(%s)")
     checks = []
-    for x in range(M.B.base.dim):
-        bx, sbx = emb_B.col(x), emb_SB.col(x)
-        l2, l1 = qb.lmul2(bx), qb.lmul1(sbx)
-        r2, r1 = qb.rmul2(bx), qb.rmul1(sbx)
+    for x in range(h.base.dim):
+        sx, tx = h.s.col(x), h.t.col(x)
+        ops = (lmul[h.s_leg - 1](sx), lmul[h.t_leg - 1](tx),
+               rmul[h.s_leg - 1](sx), rmul[h.t_leg - 1](tx))
         for a in range(n):
-            da = M.delta_B.col(a)
-            checks.append((("s(x)a", x, a), M.db_class(A.mul(bx, {a: ONE})), l2.apply(da)))
-            checks.append((("t(x)a", x, a), M.db_class(A.mul(sbx, {a: ONE})), l1.apply(da)))
-            checks.append((("as(x)", x, a), M.db_class(A.mul({a: ONE}, bx)), r2.apply(da)))
-            checks.append((("at(x)", x, a), M.db_class(A.mul({a: ONE}, sbx)), r1.apply(da)))
+            ea, da = {a: ONE}, h.delta.col(a)
+            products = (A.mul(sx, ea), A.mul(tx, ea), A.mul(ea, sx), A.mul(ea, tx))
+            for word, prod, op in zip(words, products, ops):
+                checks.append(((word % h.x, x, a), h.delta.apply(prod), op.apply(da)))
     wit = _first_failure(iter(checks))
-    rep.check(wit is None, "left-delta-bimodule", "left-delta-bimodule", wit)
+    rep.check(wit is None, side + "-delta-bimodule", side + "-delta-bimodule", wit)
 
-    _coassociativity(M, rep, "BB", "left-coassociativity", "delta-coassociative")
+    _coassociativity(M, rep, h.letter * 2, side + "-coassociativity",
+                     "delta-coassociative" if side == "left" else "right-delta-co-associative")
 
-    if M.eps_B is not None:
-        _left_counit_checks(M, rep)
+    if h.eps is not None:
+        _counit_checks(h, rep)
     return rep
 
 
-def _triple_expand(M, lifted, leg, side):
-    """Apply Delta to one leg of a lifted 2-tensor, giving a 3-tensor.
+def _triple_expand(h, lifted, leg):
+    """Apply h's Delta to one leg of a lifted 2-tensor, giving a 3-tensor.
 
     leg=1: c (x) d -> Delta(c) (x) d;  leg=2: c (x) d -> c (x) Delta(d).
-    side selects which comultiplication ("B" or "C").
     """
-    n = M.A.dim
-    lifts = M._db_lift if side == "B" else M._dc_lift
+    n, lifts = h.A.dim, h.lifts
     out = {}
     for idx, s in lifted.items():
         i, j = divmod(idx, n)
@@ -618,18 +603,15 @@ def _coassociativity_sides(M, kind, b):
     """
     A, n = M.A, M.A.dim
     X, Y = kind
+    hx, hy = _Half(M, X), _Half(M, Y)
 
-    def times(side, leg, u):
-        """Lift of Delta_side(b) times e_u on one leg."""
-        if side == "B":
-            t, op, delta = M.qb, (M.qb.rmul1, M.qb.rmul2)[leg - 1], M.delta_B
-        else:
-            t, op, delta = M.qc, (M.qc.lmul1, M.qc.lmul2)[leg - 1], M.delta_C
-        return t.lift(op({u: ONE}).apply(delta.col(b)))
+    def times(h, leg, u):
+        """Lift of h's Delta(b) times e_u on one leg."""
+        return h.q.lift(h.absorb[leg - 1]({u: ONE}).apply(h.delta.col(b)))
 
-    rhs3 = [_triple_expand(M, times(X, 1, a), 2, Y) for a in range(n)]
+    rhs3 = [_triple_expand(hy, times(hx, 1, a), 2) for a in range(n)]
     for c in range(n):
-        lhs3 = _triple_expand(M, times(Y, 2, c), 1, X)
+        lhs3 = _triple_expand(hx, times(hy, 2, c), 1)
         for a in range(n):
             lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=X == "C")
             rhs = _triple_mul(A, rhs3[a], 3, {c: ONE}, from_left=Y == "C")
@@ -654,162 +636,47 @@ def _coassociativity(M, rep, kind, name, eq):
     rep.check(at is None, name, eq, None if at is None else {"at": at})
 
 
-def _left_counit_checks(M, rep):
-    A, n = M.A, M.A.dim
-    qb = M.qb
-    bb = M.B.base
-    # bimodule laws for eps_B
+def _counit_checks(h, rep):
+    """The counit bimodule laws and both counit slice laws of one half."""
+    A, n, eps, side = h.A, h.A.dim, h.eps, h.side
     checks = []
-    for x in range(bb.dim):
-        bx, sbx = M.B.embed.col(x), M.emb_SB().col(x)
+    for x in range(h.base.dim):
+        ex = {x: ONE}
         for a in range(n):
+            ea = eps.col(a)
             checks.append(
-                ((("eps(s(x)a)"), x, a),
-                 M.eps_B.apply(A.mul(bx, {a: ONE})),
-                 bb.mul({x: ONE}, M.eps_B.col(a)))
+                (("eps(%s%s)" % h.ordered("s(%s)" % h.x, "a"), x, a),
+                 eps.apply(h.mul(h.s.col(x), {a: ONE})),
+                 h.bmul(ex, ea))
             )
             checks.append(
-                ((("eps(t(x)a)"), x, a),
-                 M.eps_B.apply(A.mul(sbx, {a: ONE})),
-                 bb.mul(M.eps_B.col(a), {x: ONE}))
+                (("eps(%s%s)" % h.ordered("t(%s)" % h.x, "a"), x, a),
+                 eps.apply(h.mul(h.t.col(x), {a: ONE})),
+                 h.bmul(ea, ex))
             )
     wit = _first_failure(iter(checks))
-    rep.check(wit is None, "left-counit-bimodule", "left-counit-bimodule", wit)
+    rep.check(wit is None, side + "-counit-bimodule",
+              "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
     try:
-        sl = qb.slice(M.emb_SB().compose(M.eps_B), 1, "left", what="counit slice")
-        sr = qb.slice(M.B.embed.compose(M.eps_B), 2, "left", what="counit slice")
+        slices = [h.q.slice(h.on_leg(leg).compose(eps), leg, side, what="counit slice")
+                  for leg in (1, 2)]
     except NotBalanced as e:
-        rep.check(False, "left-counit", "left-counit", str(e))
+        rep.check(False, side + "-counit", side + "-counit", str(e))
         return
     checks = []
     for a in range(n):
-        da = M.delta_B.col(a)
+        da = h.delta.col(a)
         for b in range(n):
-            ab = A.mul({a: ONE}, {b: ONE})
-            checks.append(
-                ((A.labels[a], A.labels[b], "eps(x)id"),
-                 sl.apply(qb.rmul2({b: ONE}).apply(da)),
-                 ab)
-            )
-            checks.append(
-                ((A.labels[a], A.labels[b], "id(x)eps"),
-                 sr.apply(qb.rmul1({b: ONE}).apply(da)),
-                 ab)
-            )
+            ab = h.mul({a: ONE}, {b: ONE})
+            for leg, sl, label in zip((1, 2), slices, ("eps(x)id", "id(x)eps")):
+                checks.append(
+                    ((A.labels[a], A.labels[b], label),
+                     sl.apply(h.absorb[2 - leg]({b: ONE}).apply(da)),
+                     ab)
+                )
     wit = _first_failure(iter(checks))
-    rep.check(wit is None, "left-counit", "left-counit", wit)
-
-
-def verify_right_bialgebroid(M, report=None):
-    rep = report if report is not None else Report()
-    A, n = M.A, M.A.dim
-    qc = M.qc
-    ok, wit = qc.struct1.check_action()
-    rep.check(ok, "right-module-action-t", "right-bialgebroid-modules", wit)
-    ok, wit = qc.struct2.check_action()
-    rep.check(ok, "right-module-action-s", "right-bialgebroid-modules", wit)
-    rep.check(
-        qc.struct1.is_faithful() and qc.struct2.is_faithful(),
-        "right-modules-faithful",
-        "right-bialgebroid-modules",
-    )
-    rep.check(
-        qc.struct1.is_idempotent() and qc.struct2.is_idempotent(),
-        "right-modules-idempotent",
-        "right-bialgebroid-modules",
-    )
-    joint1 = joint_kernel([qc.lmul1({j: ONE}) for j in range(n)])
-    joint2 = joint_kernel([qc.lmul2({j: ONE}) for j in range(n)])
-    rep.check(not joint1 and not joint2, "right-tensor-nondegenerate", "right-bialgebroid-modules")
-
-    ok_op, wit_op = True, None
-    rels = qc.relation_vectors()
-    for b in range(n):
-        lifted = M.dc_lift(b)
-        for gen, rel in zip(qc.generators, rels):
-            if not qc.space.contains_relation(tensor_mul(A, rel, lifted)):
-                ok_op, wit_op = False, {"delta_of": A.labels[b], "relation": gen}
-                break
-        if not ok_op:
-            break
-    rep.check(ok_op, "right-delta-operator", "right-delta-operator", wit_op)
-
-    wit = _first_failure(
-        ((A.labels[i], A.labels[j]),
-         M.dc_class(A.mul({i: ONE}, {j: ONE})),
-         qc.mul_class(M.delta_C.col(i), M.delta_C.col(j)))
-        for i in range(n)
-        for j in range(n)
-    )
-    rep.check(wit is None, "right-delta-homomorphism", "right-delta-homomorphism", wit)
-
-    emb_C, emb_SC = M.C.embed, M.emb_SC()
-    checks = []
-    for y in range(M.C.base.dim):
-        cy, scy = emb_C.col(y), emb_SC.col(y)
-        l1, l2 = qc.lmul1(cy), qc.lmul2(scy)
-        r1, r2 = qc.rmul1(cy), qc.rmul2(scy)
-        for a in range(n):
-            da = M.delta_C.col(a)
-            checks.append((("s(y)a", y, a), M.dc_class(A.mul(cy, {a: ONE})), l1.apply(da)))
-            checks.append((("t(y)a", y, a), M.dc_class(A.mul(scy, {a: ONE})), l2.apply(da)))
-            checks.append((("as(y)", y, a), M.dc_class(A.mul({a: ONE}, cy)), r1.apply(da)))
-            checks.append((("at(y)", y, a), M.dc_class(A.mul({a: ONE}, scy)), r2.apply(da)))
-    wit = _first_failure(iter(checks))
-    rep.check(wit is None, "right-delta-bimodule", "right-delta-bimodule", wit)
-
-    _coassociativity(M, rep, "CC", "right-coassociativity", "right-delta-co-associative")
-
-    if M.eps_C is not None:
-        _right_counit_checks(M, rep)
-    return rep
-
-
-def _right_counit_checks(M, rep):
-    A, n = M.A, M.A.dim
-    qc = M.qc
-    cc = M.C.base
-    checks = []
-    for y in range(cc.dim):
-        cy, scy = M.C.embed.col(y), M.emb_SC().col(y)
-        for a in range(n):
-            checks.append(
-                (("eps(as(y))", y, a),
-                 M.eps_C.apply(A.mul({a: ONE}, cy)),
-                 cc.mul(M.eps_C.col(a), {y: ONE}))
-            )
-            checks.append(
-                (("eps(at(y))", y, a),
-                 M.eps_C.apply(A.mul({a: ONE}, scy)),
-                 cc.mul({y: ONE}, M.eps_C.col(a)))
-            )
-    wit = _first_failure(iter(checks))
-    rep.check(wit is None, "right-counit-bimodule", "rt-counit-bimodule", wit)
-
-    try:
-        sl = qc.slice(M.C.embed.compose(M.eps_C), 1, "right", what="counit slice")
-        sr = qc.slice(M.emb_SC().compose(M.eps_C), 2, "right", what="counit slice")
-    except NotBalanced as e:
-        rep.check(False, "right-counit", "right-counit", str(e))
-        return
-    checks = []
-    for a in range(n):
-        da = M.delta_C.col(a)
-        for b in range(n):
-            ba = A.mul({b: ONE}, {a: ONE})
-            checks.append(
-                ((A.labels[a], A.labels[b], "eps(x)id"),
-                 sl.apply(qc.lmul2({b: ONE}).apply(da)),
-                 ba)
-            )
-            checks.append(
-                ((A.labels[a], A.labels[b], "id(x)eps"),
-                 sr.apply(qc.lmul1({b: ONE}).apply(da)),
-                 ba)
-            )
-    wit = _first_failure(iter(checks))
-    rep.check(wit is None, "right-counit", "right-counit", wit)
+    rep.check(wit is None, side + "-counit", side + "-counit", wit)
 
 
 def canonical_maps(M, report=None):
@@ -867,16 +734,7 @@ def _hom_space(M, module):
                 axpy(cols[a * dim_b + xb], -ONE, law, eqno * dim_b)
             eqno += 1
     system = LinearMap(eqno * dim_b, n * dim_b, cols)
-    homs = []
-    for w in system.kernel_basis():
-        homs.append(
-            LinearMap.from_function(
-                dim_b,
-                n,
-                lambda a, w=w: {x: w[a * dim_b + x] for x in range(dim_b) if a * dim_b + x in w},
-            )
-        )
-    return homs
+    return [_unflatten(w, dim_b, n) for w in system.kernel_basis()]
 
 
 def _regularity_subspaces(M, rep):
@@ -1024,20 +882,14 @@ def verify_regular_mha(M):
 
     # extended bimodule value on the unit: Delta(xy) = y (x) x
     A, n = M.A, M.A.dim
-    checks_b, checks_c = [], []
-    for x in range(M.B.base.dim):
-        bx = M.B.embed.col(x)
-        for y in range(M.C.base.dim):
-            cy = M.C.embed.col(y)
-            prod = A.mul(bx, cy)
-            expected_b = M.qb.pure(cy, bx)
-            expected_c = M.qc.pure(cy, bx)
-            checks_b.append((("x", x, "y", y), M.db_class(prod), expected_b))
-            checks_c.append((("x", x, "y", y), M.dc_class(prod), expected_c))
-    wit = _first_failure(iter(checks_b))
-    rep.check(wit is None, "delta-B-extended-unit", "delta-bimodule-extended", wit)
-    wit = _first_failure(iter(checks_c))
-    rep.check(wit is None, "delta-C-extended-unit", "delta-bimodule-extended", wit)
+    pairs = [(x, y, M.B.embed.col(x), M.C.embed.col(y))
+             for x in range(M.B.base.dim) for y in range(M.C.base.dim)]
+    for h in (_Half(M, "B"), _Half(M, "C")):
+        wit = _first_failure(
+            (("x", x, "y", y), h.delta.apply(A.mul(bx, cy)), h.q.pure(cy, bx))
+            for x, y, bx, cy in pairs
+        )
+        rep.check(wit is None, "delta-%s-extended-unit" % h.letter, "delta-bimodule-extended", wit)
 
     # counit multiplicativity
     checks = []

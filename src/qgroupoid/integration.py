@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .balanced_tensor import NotBalanced
-from .bialgebroid import RegularMHA
+from .bialgebroid import (
+    RegularMHA,
+    _Half,
+    _module_form,
+    _slice_form,
+    _stack_equations,
+    _unflatten,
+)
 from .exact_linear import (
     ONE,
     LinearMap,
@@ -141,164 +148,101 @@ class MeasuredMHA:
 # -- partial integrals ---------------------------------------------------------
 
 
-def _left_condition_a(M, phi):
-    """phi in Hom(_C A, _C C) and (id (x) SB^-1 phi)(Delta_B(b)(a (x) 1)) = phi(b) a."""
-    A, n = M.A, M.A.dim
-    cc = M.C.base
-    for y in range(cc.dim):
-        cy = M.C.embed.col(y)
-        for a in range(n):
-            if phi.apply(A.mul(cy, {a: ONE})) != cc.mul({y: ONE}, phi.col(a)):
-                return False, ("module", y, a)
-    omega = M.B.embed.compose(M.S_B.inverse()).compose(phi)  # A -> A via iota_B SB^-1 phi
-    qb = M.qb
-    try:
-        sl = qb.slice(omega, 2, "left", what="partial-left slice (a)")
-    except NotBalanced as e:
-        return False, str(e)
-    for b in range(n):
-        db = M.delta_B.col(b)
-        target_head = M.C.embed.apply(phi.col(b))
-        for a in range(n):
-            lhs = sl.apply(qb.rmul1({a: ONE}).apply(db))
-            if lhs != A.mul(target_head, {a: ONE}):
-                return False, ("deltab", b, a)
-    return True, None
+def _target(M, side):
+    """The half whose base a partial ``side`` integral maps to: C for left, B for right."""
+    return _Half(M, "C" if side == "left" else "B")
 
 
-def _left_condition_b(M, phi):
-    """phi in Hom(A_C, C_C) and (id (x) phi)((a (x) 1)Delta_C(b)) = a phi(b)."""
-    A, n = M.A, M.A.dim
-    cc = M.C.base
-    for y in range(cc.dim):
-        cy = M.C.embed.col(y)
-        for a in range(n):
-            if phi.apply(A.mul({a: ONE}, cy)) != cc.mul(phi.col(a), {y: ONE}):
-                return False, ("module", y, a)
-    omega = M.emb_SC().compose(phi)  # A -> A via iota_B S_C phi
-    qc = M.qc
-    try:
-        sl = qc.slice(omega, 2, "right", what="partial-left slice (b)")
-    except NotBalanced as e:
-        return False, str(e)
-    for b in range(n):
-        dc = M.delta_C.col(b)
-        target_tail = M.C.embed.apply(phi.col(b))
-        for a in range(n):
-            lhs = sl.apply(qc.lmul1({a: ONE}).apply(dc))
-            if lhs != A.mul({a: ONE}, target_tail):
-                return False, ("deltac", b, a)
-    return True, None
-
-
-def _left_condition_c(M, phi):
-    """Two-sided module map plus the strong-invariance diagram."""
-    ok, wit = _both_sided_module(M, phi, "left")
-    if not ok:
-        return False, wit
-    canon = M.canonical()
-    t_rho, dom_tr = canon["T_rho"]
-    rho_t, dom_rt = canon["rho_T"]
-    try:
-        sl_qb = M.qb.slice(
-            M.B.embed.compose(M.S_B.inverse()).compose(phi), 2, "left",
-            what="strong-invariance slice",
-        )
-        sl_qc = M.qc.slice(M.emb_SC().compose(phi), 2, "right",
-                           what="strong-invariance slice")
-        flip = dom_tr.flip_to(dom_rt)
-    except NotBalanced as e:
-        return False, str(e)
-    lhs = M.S.compose(sl_qb).compose(t_rho)
-    rhs = sl_qc.compose(rho_t).compose(flip)
-    if lhs != rhs:
-        return False, "strong-invariance diagram"
-    return True, None
-
-
-def _right_condition_a(M, psi):
-    A, n = M.A, M.A.dim
-    bb = M.B.base
-    for x in range(bb.dim):
-        bx = M.B.embed.col(x)
-        for a in range(n):
-            if psi.apply(A.mul(bx, {a: ONE})) != bb.mul({x: ONE}, psi.col(a)):
-                return False, ("module", x, a)
-    omega = M.emb_SB().compose(psi)  # c -> iota_C(S_B(psi(c)))
-    qb = M.qb
-    try:
-        sl = qb.slice(omega, 1, "left", what="partial-right slice (a)")
-    except NotBalanced as e:
-        return False, str(e)
-    for a in range(n):
-        da = M.delta_B.col(a)
-        head = M.B.embed.apply(psi.col(a))
-        for b in range(n):
-            lhs = sl.apply(qb.rmul2({b: ONE}).apply(da))
-            if lhs != A.mul(head, {b: ONE}):
-                return False, ("deltab", a, b)
-    return True, None
-
-
-def _right_condition_b(M, psi):
-    A, n = M.A, M.A.dim
-    bb = M.B.base
-    for x in range(bb.dim):
-        bx = M.B.embed.col(x)
-        for a in range(n):
-            if psi.apply(A.mul({a: ONE}, bx)) != bb.mul(psi.col(a), {x: ONE}):
-                return False, ("module", x, a)
-    omega = M.C.embed.compose(M.S_C.inverse()).compose(psi)  # iota_C S_C^-1 psi
-    qc = M.qc
-    try:
-        sl = qc.slice(omega, 1, "right", what="partial-right slice (b)")
-    except NotBalanced as e:
-        return False, str(e)
-    for a in range(n):
-        dc = M.delta_C.col(a)
-        tail = M.B.embed.apply(psi.col(a))
-        for b in range(n):
-            lhs = sl.apply(qc.lmul2({b: ONE}).apply(dc))
-            if lhs != A.mul({b: ONE}, tail):
-                return False, ("deltac", a, b)
-    return True, None
-
-
-def _right_condition_c(M, psi):
-    ok, wit = _both_sided_module(M, psi, "right")
-    if not ok:
-        return False, wit
-    canon = M.canonical()
-    t_lambda, dom_tl = canon["T_lambda"]
-    lambda_t, dom_lt = canon["lambda_T"]
-    try:
-        sl_qb = M.qb.slice(M.emb_SB().compose(psi), 1, "left",
-                           what="strong-invariance slice")
-        sl_qc = M.qc.slice(
-            M.C.embed.compose(M.S_C.inverse()).compose(psi), 1, "right",
-            what="strong-invariance slice",
-        )
-        flip = dom_lt.flip_to(dom_tl)
-    except NotBalanced as e:
-        return False, str(e)
-    lhs = sl_qb.compose(t_lambda).compose(flip)
-    rhs = M.S.compose(sl_qc).compose(lambda_t)
-    if lhs != rhs:
-        return False, "strong-invariance diagram"
-    return True, None
-
-
-def _both_sided_module(M, mapping, side):
-    """mapping(e a) = e' mapping(a) and mapping(a e) = mapping(a) e' for the base."""
-    A, n = M.A, M.A.dim
-    base, emb = (M.C.base, M.C.embed) if side == "left" else (M.B.base, M.B.embed)
+def _module_witness(M, mapping, side, laws):
+    """The first (tag, x, a) at which mapping, for each (half h, tag) in
+    laws, is not a module map in h's order: mapping(x a) = x mapping(a)
+    for B's order, mapping(a x) = mapping(a) x for C's; x runs over the
+    target base, embedded by its s.  None if there is none."""
+    n, target = M.A.dim, _target(M, side)
+    base = target.base
     for x in range(base.dim):
-        es = emb.col(x)
+        ex = target.s.col(x)
         for a in range(n):
-            if mapping.apply(A.mul(es, {a: ONE})) != base.mul({x: ONE}, mapping.col(a)):
-                return False, ("left-module", x, a)
-            if mapping.apply(A.mul({a: ONE}, es)) != base.mul(mapping.col(a), {x: ONE}):
-                return False, ("right-module", x, a)
+            for h, tag in laws:
+                if mapping.apply(h.mul(ex, {a: ONE})) != base.mul(*h.ordered({x: ONE}, mapping.col(a))):
+                    return tag, x, a
+    return None
+
+
+def _integral_slice(M, mapping, side, h, what):
+    """The slice of a partial ``side`` integral through h's tensor.
+
+    It consumes leg 2 for a left integral and leg 1 for a right one, and
+    multiplies the other leg in h's order.  The integral's value is
+    embedded by the embedding Delta carries onto that leg: t directly, or
+    s through the inverse base anti-isomorphism, as the value then lies in
+    the other base.
+    """
+    leg = 2 if side == "left" else 1
+    if leg == h.t_leg:
+        omega = h.t.compose(mapping)
+    else:
+        omega = h.s.compose(h.anti.inverse()).compose(mapping)
+    return h.q.slice(omega, leg, h.side, what=what)
+
+
+def _invariance(M, mapping, side, letter):
+    """Condition (a) (letter "a", through Delta_B) or (b) ("b", Delta_C).
+
+    For a partial left integral phi: A -> C and a right one psi: A -> B:
+        left (a):  phi in Hom(_C A, _C C), (id (x) S_B^-1 phi)(Delta_B(b)(a (x) 1)) = phi(b) a
+        left (b):  phi in Hom(A_C, C_C), (id (x) phi)((a (x) 1) Delta_C(b)) = a phi(b)
+        right (a): psi in Hom(_B A, _B B), (psi (x) id)(Delta_B(a)(1 (x) b)) = psi(a) b
+        right (b): psi in Hom(A_B, B_B), (S_C^-1 psi (x) id)((1 (x) b) Delta_C(a)) = b psi(a)
+    Returns (ok, witness); the witness is the module tuple, the slice's
+    NotBalanced text, or ("deltab" | "deltac", Delta's argument, multiplier).
+    """
+    h = _Half(M, "B" if letter == "a" else "C")
+    wit = _module_witness(M, mapping, side, ((h, "module"),))
+    if wit is not None:
+        return False, wit
+    try:
+        sl = _integral_slice(M, mapping, side, h, "partial-%s slice (%s)" % (side, letter))
+    except NotBalanced as e:
+        return False, str(e)
+    n, embed = M.A.dim, _target(M, side).s
+    absorb = h.absorb[0 if side == "left" else 1]
+    for d in range(n):
+        dd = h.delta.col(d)
+        head = embed.apply(mapping.col(d))
+        for e in range(n):
+            if sl.apply(absorb({e: ONE}).apply(dd)) != h.mul(head, {e: ONE}):
+                return False, ("delta" + h.letter.lower(), d, e)
+    return True, None
+
+
+def _strong_invariance(M, mapping, side):
+    """Condition (c): a two-sided module map plus the strong-invariance diagram.
+
+    With the slices of (a) and (b), slice_B and slice_C:
+        left:  S slice_B T_rho = slice_C rho_T flip
+        right: slice_B T_lambda flip = S slice_C lambda_T
+    """
+    halves = (_Half(M, "B"), _Half(M, "C"))
+    laws = ((halves[0], "left-module"), (halves[1], "right-module"))
+    wit = _module_witness(M, mapping, side, laws)
+    if wit is not None:
+        return False, wit
+    names = ("T_rho", "rho_T") if side == "left" else ("T_lambda", "lambda_T")
+    (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
+    try:
+        sl_b, sl_c = (_integral_slice(M, mapping, side, h, "strong-invariance slice")
+                      for h in halves)
+        flip = dom_b.flip_to(dom_c) if side == "left" else dom_c.flip_to(dom_b)
+    except NotBalanced as e:
+        return False, str(e)
+    lhs, rhs = sl_b.compose(map_b), sl_c.compose(map_c)
+    if side == "left":
+        lhs, rhs = M.S.compose(lhs), rhs.compose(flip)
+    else:
+        lhs, rhs = lhs.compose(flip), M.S.compose(rhs)
+    if lhs != rhs:
+        return False, "strong-invariance diagram"
     return True, None
 
 
@@ -306,26 +250,21 @@ def check_partial_integral(M, mapping, side):
     """Evaluate all three invariance characterizations; they must agree."""
     if isinstance(mapping, PartialIntegral):
         mapping = mapping.mapping
-    expected = M.C.base.dim if side == "left" else M.B.base.dim
+    other = "right" if side == "left" else "left"
+    expected = _target(M, side).base.dim
     if mapping.rows != expected or mapping.cols != M.A.dim:
         raise ValueError(
             "partial %s integral must map A (dim %d) to the %s base (dim %d)"
-            % (side, M.A.dim, "right" if side == "left" else "left", expected)
+            % (side, M.A.dim, other, expected)
         )
     rep = Report()
-    conds = (
-        (_left_condition_a, _left_condition_b, _left_condition_c)
-        if side == "left"
-        else (_right_condition_a, _right_condition_b, _right_condition_c)
-    )
-    eqs = (
-        ("partial-right-deltab", "partial-right-deltac", "dg-strong-invariance-left")
-        if side == "left"
-        else ("partial-left-deltab", "partial-left-deltac", "dg-strong-invariance-right")
-    )
     verdicts = []
-    for cond, eq, tag in zip(conds, eqs, ("a", "b", "c")):
-        ok, wit = cond(M, mapping)
+    for tag, eq in (("a", "partial-%s-deltab" % other), ("b", "partial-%s-deltac" % other),
+                    ("c", "dg-strong-invariance-" + side)):
+        if tag == "c":
+            ok, wit = _strong_invariance(M, mapping, side)
+        else:
+            ok, wit = _invariance(M, mapping, side, tag)
         verdicts.append(ok)
         rep.check(ok, "invariance-(%s)" % tag, eq, wit)
     rep.check(
@@ -342,131 +281,60 @@ def check_partial_integral(M, mapping, side):
 def solve_partial_integrals(M, side):
     """Basis of the space of partial integrals, via condition (b)/(a).
 
+    That condition, through the target half h (C for left, B for right),
+    is linear in the integral: the module law of h's s, and the slice on
+    h's t leg of Delta(d) times e_e equal to s(mapping(d)) e_e in h's order.
     Returns (basis, report); the report records the bimodule stability
     of the space and the antipode bijection onto the other side.
     """
     A, n = M.A, M.A.dim
-    base = M.C.base if side == "left" else M.B.base
-    dim_b = base.dim
-    cols = [dict() for _ in range(n * dim_b)]
-    eqno = 0
-    stride = max(n, dim_b)
-
-    def put(col_idx, coeff, vec):
-        axpy(cols[col_idx], coeff, vec, eqno * stride)
-
-    if side == "left":
-        emb = M.C.embed
-        embed_val = M.emb_SC()
-        qc = M.qc
-        for y in range(dim_b):
-            cy = emb.col(y)
-            for a in range(n):
-                # phi(a s(y)) - phi(a) y = 0
-                for i, c in A.mul({a: ONE}, cy).items():
-                    for yb in range(dim_b):
-                        put(i * dim_b + yb, c, {yb: ONE})
-                for yb in range(dim_b):
-                    put(a * dim_b + yb, -ONE, base.mul({yb: ONE}, {y: ONE}))
-                eqno += 1
-        for b in range(n):
-            dc = M.delta_C.col(b)
-            for a in range(n):
-                lifted = qc.lift(qc.lmul1({a: ONE}).apply(dc))
-                # sum c_i * iota_B(S_C(phi(d_i))) - a iota_C(phi(b)) = 0
-                for idx, c in lifted.items():
-                    i, j = divmod(idx, n)
-                    for yb in range(dim_b):
-                        put(j * dim_b + yb, c, A.mul({i: ONE}, embed_val.col(yb)))
-                for yb in range(dim_b):
-                    put(b * dim_b + yb, -ONE, A.mul({a: ONE}, emb.col(yb)))
-                eqno += 1
-    else:
-        emb = M.B.embed
-        embed_val = M.emb_SB()
-        qb = M.qb
-        for x in range(dim_b):
-            bx = emb.col(x)
-            for a in range(n):
-                # psi(s(x) a) - x psi(a) = 0
-                for i, c in A.mul(bx, {a: ONE}).items():
-                    for xb in range(dim_b):
-                        put(i * dim_b + xb, c, {xb: ONE})
-                for xb in range(dim_b):
-                    put(a * dim_b + xb, -ONE, base.mul({x: ONE}, {xb: ONE}))
-                eqno += 1
-        for a in range(n):
-            da = M.delta_B.col(a)
-            for b in range(n):
-                lifted = qb.lift(qb.rmul2({b: ONE}).apply(da))
-                # sum iota_C(S_B(psi(c_i))) d_i - iota_B(psi(a)) b = 0
-                for idx, c in lifted.items():
-                    i, j = divmod(idx, n)
-                    for xb in range(dim_b):
-                        put(i * dim_b + xb, c, A.mul(embed_val.col(xb), {j: ONE}))
-                for xb in range(dim_b):
-                    put(a * dim_b + xb, -ONE, A.mul(emb.col(xb), {b: ONE}))
-                eqno += 1
-    system = LinearMap(eqno * stride, n * dim_b, cols)
-    basis = []
-    for w in system.kernel_basis():
-        basis.append(
-            LinearMap.from_function(
-                dim_b,
-                n,
-                lambda a, w=w: {
-                    x: w[a * dim_b + x] for x in range(dim_b) if a * dim_b + x in w
-                },
-            )
-        )
+    h = _target(M, side)
+    dim_b = h.base.dim
+    modules = [({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n)]
+    laws = [
+        ({}, _slice_form(h, h.t_leg, d, e)
+         + [(d * dim_b + x, -ONE, h.mul(h.s.col(x), {e: ONE})) for x in range(dim_b)])
+        for d in range(n)
+        for e in range(n)
+    ]
+    system, _ = _stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
+    basis = [_unflatten(w, dim_b, n) for w in system.kernel_basis()]
     rep = Report()
     for k, mapping in enumerate(basis):
         sub = check_partial_integral(M, mapping, side)
         rep.check(sub.ok, "solution-%d-invariant" % k, "partial-integrals",
                   [e.axiom for e in sub.failures()])
+
     # bimodule stability: x . phi . x' stays in the span
+    def flat(mapping):
+        return {a * dim_b + x: s for a in range(n) for x, s in mapping.col(a).items()}
+
     span = Rref()
-    flat = []
     for mapping in basis:
-        v = {}
-        for a in range(n):
-            for x, s in mapping.col(a).items():
-                v[a * dim_b + x] = s
-        span.add(v)
-        flat.append(v)
-    other_emb = M.B.embed if side == "left" else M.C.embed
-    other_dim = other_emb.cols
+        span.add(flat(mapping))
+    other = _Half(M, "B" if side == "left" else "C")
+    other_dim = other.s.cols
     ok = True
     for mapping in basis:
         for u in range(other_dim):
-            eu = other_emb.col(u)
+            eu = other.s.col(u)
             for v in range(other_dim):
-                ev_ = other_emb.col(v)
+                ev_ = other.s.col(v)
                 moved = LinearMap.from_function(
                     dim_b,
                     n,
                     lambda a: mapping.apply(A.mul(ev_, A.mul({a: ONE}, eu))),
                 )
-                w = {}
-                for a in range(n):
-                    for x, s in moved.col(a).items():
-                        w[a * dim_b + x] = s
-                if not span.contains(w):
+                if not span.contains(flat(moved)):
                     ok = False
     rep.check(ok, "bimodule-stability", "partial-integrals-bimodule-antipode")
     # S^{+-1} o phi o S^{-+1} swaps the two solution spaces; S agrees with
     # the base anti-isomorphisms on the embedded bases
     other_side = "right" if side == "left" else "left"
-    if side == "left":
-        converters = [
-            lambda m: M.S_C.compose(m).compose(M.S.inverse()),
-            lambda m: M.S_B.inverse().compose(m).compose(M.S),
-        ]
-    else:
-        converters = [
-            lambda m: M.S_B.compose(m).compose(M.S.inverse()),
-            lambda m: M.S_C.inverse().compose(m).compose(M.S),
-        ]
+    converters = [
+        lambda m: h.anti.compose(m).compose(M.S.inverse()),
+        lambda m: other.anti.inverse().compose(m).compose(M.S),
+    ]
     ok = True
     for mapping in basis:
         for conv in converters:
@@ -480,12 +348,9 @@ def orbit_algebra(M):
     """Basis of O = M(B) n M(C) and the ergodicity characterizations."""
     A, n = M.A, M.A.dim
     rep = Report()
-    # properness: products of base elements stay in A (trivial here, checked)
-    ok = True
-    for x in range(M.B.base.dim):
-        for y in range(M.C.base.dim):
-            A.mul(M.B.embed.col(x), M.C.embed.col(y))
-    rep.check(ok, "proper", "proper")
+    # properness holds by construction: A is finite-dimensional, so every
+    # product of base elements lies in A; recorded, not checked
+    rep.note("proper", "proper", "pass")
     # intersection of the embedded bases
     cols = []
     for x in range(M.B.base.dim):

@@ -7,12 +7,10 @@ import pytest
 
 from qgroupoid import balanced_tensor, bialgebroid, verify_regular_mha
 from qgroupoid.balanced_tensor import (
+    BalancedTensor,
     NotBalanced,
     TripleTensor,
-    build_balanced,
     descend_componentwise,
-    flip,
-    slice_left,
 )
 from qgroupoid.bialgebroid import (
     FLAVOR_LT,
@@ -81,7 +79,7 @@ def test_counit_slice_recovers_product(m_fun):
     qb = m_fun.qb
     A = m_fun.A
     omega = m_fun.emb_SB().compose(m_fun.eps_B)
-    sl = slice_left(qb, omega)
+    sl = qb.slice(omega, 1, "left")
     for f in range(A.dim):
         df = m_fun.delta_B.col(f)
         for g in range(A.dim):
@@ -89,7 +87,7 @@ def test_counit_slice_recovers_product(m_fun):
 
 
 def test_zero_slice(m_fun):
-    sl = slice_left(m_fun.qb, LinearMap.zero(m_fun.A.dim, m_fun.A.dim))
+    sl = m_fun.qb.slice(LinearMap.zero(m_fun.A.dim, m_fun.A.dim), 1, "left")
     assert sl.is_zero()
 
 
@@ -99,7 +97,7 @@ def test_unbalanced_slice_rejected_with_witness(m_fun):
         [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
     with pytest.raises(NotBalanced) as exc:
-        slice_left(m_fun.qb, bad)
+        m_fun.qb.slice(bad, 1, "left")
     assert exc.value.witness is not None
 
 
@@ -137,21 +135,21 @@ def test_failed_slice_is_rechecked_with_each_callers_message():
 def test_flip_between_flavors(m_fun):
     dom_tr = m_fun.tensor(FLAVOR_TR)
     dom_rt = m_fun.tensor(FLAVOR_RT)
-    f1 = flip(dom_tr, dom_rt)
-    f2 = flip(dom_rt, dom_tr)
+    f1 = dom_tr.flip_to(dom_rt)
+    f2 = dom_rt.flip_to(dom_tr)
     assert f2.compose(f1) == LinearMap.identity(dom_tr.dim)
     assert f1.compose(f2) == LinearMap.identity(dom_rt.dim)
     dom_lt = m_fun.tensor(FLAVOR_LT)
     dom_tl = m_fun.tensor(FLAVOR_TL)
-    g1 = flip(dom_lt, dom_tl)
-    g2 = flip(dom_tl, dom_lt)
+    g1 = dom_lt.flip_to(dom_tl)
+    g2 = dom_tl.flip_to(dom_lt)
     assert g2.compose(g1) == LinearMap.identity(dom_lt.dim)
 
 
 def test_flip_swaps_pure_tensors(m_fun):
     dom_tr = m_fun.tensor(FLAVOR_TR)
     dom_rt = m_fun.tensor(FLAVOR_RT)
-    f = flip(dom_tr, dom_rt)
+    f = dom_tr.flip_to(dom_rt)
     u, v = {0: ONE}, {2: ONE}
     assert f.apply(dom_tr.pure(u, v)) == dom_rt.pure(v, u)
 
@@ -160,16 +158,16 @@ def test_flip_is_permutation_in_group_case(m_group):
     # base is scalars: both flavors are the full 4-dim tensor square
     dom_tr = m_group.tensor(FLAVOR_TR)
     dom_rt = m_group.tensor(FLAVOR_RT)
-    f = flip(dom_tr, dom_rt)
+    f = dom_tr.flip_to(dom_rt)
     assert dom_tr.dim == 4 and f.rows == f.cols == 4
     cols = [f.col(j) for j in range(4)]
     assert all(len(c) == 1 and list(c.values())[0] == ONE for c in cols)
     assert sorted(next(iter(c)) for c in cols) == [0, 1, 2, 3]
 
 
-def test_build_balanced_public_entry(m_fun):
+def test_balanced_tensor_rebuilt_from_its_structures(m_fun):
     qb = m_fun.qb
-    t = build_balanced(m_fun.A, qb.struct1, qb.struct2, "rebuilt")
+    t = BalancedTensor(m_fun.A, qb.struct1, qb.struct2, "rebuilt")
     assert t.dim == qb.dim
     assert t.space.free == qb.space.free
 
@@ -177,7 +175,7 @@ def test_build_balanced_public_entry(m_fun):
 def test_incompatible_flip_rejected(m_fun):
     dom_tr = m_fun.tensor(FLAVOR_TR)
     with pytest.raises(NotBalanced):
-        flip(dom_tr, m_fun.qb)
+        dom_tr.flip_to(m_fun.qb)
 
 
 class _DirectTriple:

@@ -164,7 +164,7 @@ def test_extended_unit_comultiplication(m_fun):
         bx = m_fun.B.embed.col(x)
         for y in range(2):
             cy = m_fun.C.embed.col(y)
-            assert m_fun.db_class(a.mul(bx, cy)) == m_fun.qb.pure(cy, bx)
+            assert m_fun.delta_B.apply(a.mul(bx, cy)) == m_fun.qb.pure(cy, bx)
 
 
 def test_report_entries_carry_labels(m_fun):
