@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .balanced_tensor import NotBalanced
 from .bialgebroid import (
     RegularMHA,
+    _first_failure,
     _Half,
     _module_form,
     _slice_form,
@@ -222,6 +223,8 @@ def _strong_invariance(M, mapping, side):
     With the slices of (a) and (b), slice_B and slice_C:
         left:  S slice_B T_rho = slice_C rho_T flip
         right: slice_B T_lambda flip = S slice_C lambda_T
+    A failing diagram's witness is the first basis tensor e_a (x) e_b of
+    the composites' domain at which they differ, with both values.
     """
     halves = (_Half(M, "B"), _Half(M, "C"))
     laws = ((halves[0], "left-module"), (halves[1], "right-module"))
@@ -241,9 +244,12 @@ def _strong_invariance(M, mapping, side):
         lhs, rhs = M.S.compose(lhs), rhs.compose(flip)
     else:
         lhs, rhs = lhs.compose(flip), M.S.compose(rhs)
-    if lhs != rhs:
-        return False, "strong-invariance diagram"
-    return True, None
+    dom, labels = (dom_b if side == "left" else dom_c), M.A.labels  # the flip's source
+    wit = _first_failure(
+        ([labels[i] for i in divmod(dom.space.free[q], M.A.dim)], lhs.col(q), rhs.col(q))
+        for q in range(dom.dim)
+    )
+    return wit is None, wit
 
 
 def check_partial_integral(M, mapping, side):
