@@ -165,12 +165,13 @@ def _module_witness(M, mapping, side, laws):
         ex = target.s.col(x)
         for a in range(n):
             for h, tag in laws:
-                if mapping.apply(h.mul(ex, {a: ONE})) != base.mul(*h.ordered({x: ONE}, mapping.col(a))):
+                law = base.mul(*h.ordered({x: ONE}, mapping.col(a)))
+                if mapping.apply(h.mul(ex, {a: ONE})) != law:
                     return tag, x, a
     return None
 
 
-def _integral_slice(M, mapping, side, h, what):
+def _integral_slice(mapping, side, h, what):
     """The slice of a partial ``side`` integral through h's tensor.
 
     It consumes leg 2 for a left integral and leg 1 for a right one, and
@@ -203,7 +204,7 @@ def _invariance(M, mapping, side, letter):
     if wit is not None:
         return False, wit
     try:
-        sl = _integral_slice(M, mapping, side, h, "partial-%s slice (%s)" % (side, letter))
+        sl = _integral_slice(mapping, side, h, "partial-%s slice (%s)" % (side, letter))
     except NotBalanced as e:
         return False, str(e)
     n, embed = M.A.dim, _target(M, side).s
@@ -234,7 +235,7 @@ def _strong_invariance(M, mapping, side):
     names = ("T_rho", "rho_T") if side == "left" else ("T_lambda", "lambda_T")
     (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
     try:
-        sl_b, sl_c = (_integral_slice(M, mapping, side, h, "strong-invariance slice")
+        sl_b, sl_c = (_integral_slice(mapping, side, h, "strong-invariance slice")
                       for h in halves)
         flip = dom_b.flip_to(dom_c) if side == "left" else dom_c.flip_to(dom_b)
     except NotBalanced as e:
@@ -244,7 +245,8 @@ def _strong_invariance(M, mapping, side):
         lhs, rhs = M.S.compose(lhs), rhs.compose(flip)
     else:
         lhs, rhs = lhs.compose(flip), M.S.compose(rhs)
-    dom, labels = (dom_b if side == "left" else dom_c), M.A.labels  # the flip's source
+    dom = dom_b if side == "left" else dom_c  # the flip's source, both composites' domain
+    labels = M.A.labels
     wit = _first_failure(
         ([labels[i] for i in divmod(dom.space.free[q], M.A.dim)], lhs.col(q), rhs.col(q))
         for q in range(dom.dim)
@@ -296,13 +298,14 @@ def solve_partial_integrals(M, side):
     A, n = M.A, M.A.dim
     h = _target(M, side)
     dim_b = h.base.dim
-    modules = [({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n)]
-    laws = [
+    # generators: each equation's terms are stacked as soon as they are built
+    modules = (({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n))
+    laws = (
         ({}, _slice_form(h, h.t_leg, d, e)
          + [(d * dim_b + x, -ONE, h.mul(h.s.col(x), {e: ONE})) for x in range(dim_b)])
         for d in range(n)
         for e in range(n)
-    ]
+    )
     system, _ = _stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
     basis = [_unflatten(w, dim_b, n) for w in system.kernel_basis()]
     rep = Report()
