@@ -377,8 +377,11 @@ def _solve_counit(h):
     """The counit of one half: both slice laws, eps(s(x) a) = x eps(a) and
     eps(t(x) a) = eps(a) x, each in h's order."""
     n, dim = h.A.dim, h.base.dim
-    laws = [(h.mul({a: ONE}, {b: ONE}), _slice_form(h, leg, a, b))
-            for a in range(n) for b in range(n) for leg in (1, 2)]
+    laws = []
+    for a in range(n):
+        for b in range(n):
+            ab = h.mul({a: ONE}, {b: ONE})
+            laws += [(ab, _slice_form(h, leg, a, b)) for leg in (1, 2)]
     modules = [({}, _module_form(h, e, x, a))
                for x in range(dim) for a in range(n) for e in ("s", "t")]
     system, rhs = _stack_equations(((n, laws), (dim, modules)), n * dim)
@@ -882,12 +885,15 @@ def verify_regular_mha(M):
 
     # extended bimodule value on the unit: Delta(xy) = y (x) x
     A, n = M.A, M.A.dim
-    pairs = [(x, y, M.B.embed.col(x), M.C.embed.col(y))
-             for x in range(M.B.base.dim) for y in range(M.C.base.dim)]
+    units = []
+    for x in range(M.B.base.dim):
+        bx = M.B.embed.col(x)
+        for y in range(M.C.base.dim):
+            cy = M.C.embed.col(y)
+            units.append((("x", x, "y", y), A.mul(bx, cy), cy, bx))
     for h in (_Half(M, "B"), _Half(M, "C")):
         wit = _first_failure(
-            (("x", x, "y", y), h.delta.apply(A.mul(bx, cy)), h.q.pure(cy, bx))
-            for x, y, bx, cy in pairs
+            (at, h.delta.apply(xy), h.q.pure(cy, bx)) for at, xy, cy, bx in units
         )
         rep.check(wit is None, "delta-%s-extended-unit" % h.letter, "delta-bimodule-extended", wit)
 
