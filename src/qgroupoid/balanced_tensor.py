@@ -96,7 +96,9 @@ def descend_componentwise(src, dst, fn, message, antilinear=False):
     def apply(w):
         out = {}
         for idx, s in w.items():
-            axpy(out, conj(s) if antilinear else s, fn(*divmod(idx, n)))
+            image = fn(*divmod(idx, n))
+            if image:
+                axpy(out, conj(s) if antilinear else s, image)
         return out
 
     if dst is None:
@@ -148,6 +150,10 @@ class BalancedTensor:
         self.space = QuotientSpace(n * n, self._relations)
         self.dim = self.space.dim
         self._op_cache = {}
+        self._touching = {}  # ambient coordinate -> pivots of the echelon rows with an entry there
+        for p, row in self.space.rref.rows.items():
+            for ij in row:
+                self._touching.setdefault(ij, []).append(p)
 
     # -- elements -------------------------------------------------------
 
@@ -171,19 +177,46 @@ class BalancedTensor:
     def descend(self, op1, op2, target=None, what="operator"):
         """Descend (op1 (x) op2) to a map self -> target (default self).
 
-        op1/op2 are LinearMaps on A or None for the identity.  The
-        relation span is verified to land in the target's relation span;
-        a failure raises NotBalanced with the first failing generator.
+        op1/op2 are LinearMaps on A or None for the identity.  Only the
+        basis tensors e_i (x) e_j at which op1 (x) op2 is non-zero are
+        visited: i a non-empty column of op1 and j one of op2 (every index
+        for None).  Their images are computed once each.  The relation
+        span lands in the target's relation span iff every row of the
+        relation echelon does, and a row with no entry at a visited
+        coordinate maps to zero, so only the rows touching one are
+        checked.  If one fails, the check is redone by
+        ``descend_componentwise``, which raises NotBalanced with the first
+        failing generator.  Columns at other coordinates are empty.
         """
+        target = target or self
+        n = self.leg_dim
+
+        def live(op):
+            return range(n) if op is None else [i for i in range(n) if op.col(i)]
 
         def leg(op, i):
             return op.col(i) if op is not None else {i: ONE}
 
-        n = self.leg_dim
-        return descend_componentwise(
-            self, target or self, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
-            what + " does not descend between flavors {src!r} -> {dst!r}",
-        )
+        def fn(i, j):
+            return kron_vec(leg(op1, i), leg(op2, j), n)
+
+        images = {i * n + j: fn(i, j) for i in live(op1) for j in live(op2)}
+        touching, rows = self._touching, self.space.rref.rows
+        for p in sorted({p for ij in images for p in touching.get(ij, ())}):
+            image = {}
+            for ij, s in rows[p].items():
+                if ij in images:
+                    axpy(image, s, images[ij])
+            if not target.space.contains_relation(image):
+                return descend_componentwise(
+                    self, target, fn, what + " does not descend between flavors {src!r} -> {dst!r}"
+                )
+        cols = [{} for _ in range(self.dim)]
+        free_pos = self.space.free_pos
+        for ij, image in images.items():
+            if ij in free_pos:
+                cols[free_pos[ij]] = target.project(image)
+        return LinearMap(target.dim, self.dim, cols)
 
     def _cached(self, key, build):
         """The memoized build() under key; a build() that raises stores nothing."""
@@ -191,22 +224,31 @@ class BalancedTensor:
             self._op_cache[key] = build()
         return self._op_cache[key]
 
-    def _leg_op(self, slot, side, elem_index):
+    def _leg_op(self, slot, side, u):
+        """The descended multiplication by u, a basis index or a vector."""
         def build():
             alg = self.algebra
-            m = alg.lmul(elem_index) if side == "l" else alg.rmul(elem_index)
+            m = alg.lmul(u) if side == "l" else alg.rmul(u)
             op1, op2 = (m, None) if slot == 1 else (None, m)
             return self.descend(op1, op2, what="%s-multiplication on leg %d" % (side, slot))
 
-        return self._cached((slot, side, elem_index), build)
+        key = u if isinstance(u, int) else tuple(sorted(u.items()))
+        return self._cached((slot, side, key), build)
 
     def _combine(self, slot, side, u):
+        """Multiplication by u on a leg, combined from its basis elements'
+        descended maps.  A basis element need not descend where u does (in
+        a basis that does not diagonalize the base action, say); then u's
+        own map is descended."""
         items = list(u.items())
         if len(items) == 1 and items[0][1] == ONE:
             return self._leg_op(slot, side, items[0][0])
-        return LinearMap.combination(
-            self.dim, self.dim, ((s, self._leg_op(slot, side, i)) for i, s in items)
-        )
+        try:
+            return LinearMap.combination(
+                self.dim, self.dim, ((s, self._leg_op(slot, side, i)) for i, s in items)
+            )
+        except NotBalanced:
+            return self._leg_op(slot, side, u)
 
     def lmul1(self, u):
         """Descended u*(.) on the first leg."""
@@ -302,7 +344,9 @@ class TripleTensor:
         out = {}
         for idx, s in w.items():
             ij, k = divmod(idx, n)
-            axpy(out, s, pi12[ij], k * block)
+            col = pi12[ij]
+            if col:
+                axpy(out, s, col, k * block)
         return out
 
     def reduce(self, w):

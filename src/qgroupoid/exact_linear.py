@@ -760,7 +760,9 @@ class LinearMap:
     def apply(self, v):
         w = {}
         for j, c in v.items():
-            axpy(w, c, self.data[j])
+            col = self.data[j]
+            if col:
+                axpy(w, c, col)
         return w
 
     def __call__(self, v):

@@ -208,12 +208,11 @@ def _invariance(M, mapping, side, letter):
     except NotBalanced as e:
         return False, str(e)
     n, embed = M.A.dim, _target(M, side).s
-    absorb = h.absorb[0 if side == "left" else 1]
+    leg = 1 if side == "left" else 2
     for d in range(n):
-        dd = h.delta.col(d)
         head = embed.apply(mapping.col(d))
         for e in range(n):
-            if sl.apply(absorb({e: ONE}).apply(dd)) != h.mul(head, {e: ONE}):
+            if sl.apply(h.absorbed(leg, d, e)) != h.mul(head, {e: ONE}):
                 return False, ("delta" + h.letter.lower(), d, e)
     return True, None
 

@@ -112,9 +112,9 @@ def convolution(X, upsilon, kind):
         # b op(a) = slice((1 x b) Delta_C(a))
         ok = all(
             A.mul(op.col(a), {b: ONE})
-            == sl_b.apply(M.qb.rmul2({b: ONE}).apply(M.delta_B.col(a)))
+            == sl_b.apply(M.canonical_tilde("T_rho", a, b))
             and A.mul({b: ONE}, op.col(a))
-            == sl_c.apply(M.qc.lmul2({b: ONE}).apply(M.delta_C.col(a)))
+            == sl_c.apply(M.canonical_tilde("rho_T", a, b))
             for a in range(n)
             for b in range(n)
         )
@@ -130,9 +130,9 @@ def convolution(X, upsilon, kind):
         op = op_b
         ok = all(
             A.mul(op.col(a), {b: ONE})
-            == sl_b.apply(M.qb.rmul1({b: ONE}).apply(M.delta_B.col(a)))
+            == sl_b.apply(M.canonical_tilde("T_lambda", b, a))
             and A.mul({b: ONE}, op.col(a))
-            == sl_c.apply(M.qc.lmul1({b: ONE}).apply(M.delta_C.col(a)))
+            == sl_c.apply(M.canonical_tilde("lambda_T", b, a))
             for a in range(n)
             for b in range(n)
         )

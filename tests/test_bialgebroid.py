@@ -12,8 +12,13 @@ from qgroupoid.bialgebroid import (
     verify_regular_mha,
     verify_star,
 )
-from qgroupoid.examples import build_tensor_algebroid
-from qgroupoid.exact_linear import ONE, LinearMap, kron_vec
+from qgroupoid.examples import (
+    build_convolution_algebroid,
+    build_function_algebroid,
+    build_tensor_algebroid,
+    pair_groupoid,
+)
+from qgroupoid.exact_linear import ONE, LinearMap, kron_vec, vec_conj
 
 
 def test_function_algebroid_full_suite(m_fun):
@@ -203,3 +208,61 @@ def test_counit_system_keeps_law_and_module_rows_apart(m_fun, monkeypatch):
         law_col, module_col = law_only.col(j), moved(module_only.col(j))
         assert not law_col.keys() & module_col.keys()
         assert system.col(j) == {**law_col, **module_col}
+
+
+def test_a_passing_bundle_builds_no_triple_quotient(m_conv):
+    # every coassociativity side pair is literally equal on these bundles
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        M = build(pair_groupoid([1, 2]))
+        assert verify_regular_mha(M).ok
+        assert M._triples is None
+    # sides that differ are still compared in the quotient
+    M = _delta_b_replaced(m_conv, 1, 1, 0)
+    rep = verify_regular_mha(M)
+    assert _failure(rep, "mixed-coassociativity-1") is not None
+    assert list(M._triples) == ["BC"]
+
+
+def _delta_b_replaced(M, col, i, j):
+    """M with Delta_B(e_col) replaced by e_i (x) e_j."""
+    n = M.A.dim
+    raw_b = LinearMap.from_function(
+        n * n, n,
+        lambda k: kron_vec({i: ONE}, {j: ONE}, n) if k == col else M.qb.lift(M.delta_B.col(k)))
+    raw_c = LinearMap.from_function(n * n, n, lambda k: M.qc.lift(M.delta_C.col(k)))
+    return RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, raw_b, raw_c,
+                      eps_B=M.eps_B, eps_C=M.eps_C, S=M.S, name="mutant")
+
+
+def _failure(rep, axiom):
+    (entry,) = [e for e in rep.entries if e.axiom == axiom]
+    return None if entry.status == "pass" else entry.witness
+
+
+def test_delta_operator_and_delta_star_witnesses_are_the_first_in_scan_order(m_conv):
+    # oracles: the generator scan (b outer) and the (a, b, c) loop, in order
+    A, n, qb, qc, star = m_conv.A, m_conv.A.dim, m_conv.qb, m_conv.qc, m_conv.A.star
+    seen = set()
+    for col, i, j in ((0, 0, 1), (1, 1, 0), (2, 2, 3), (1, 1, 1)):
+        M = _delta_b_replaced(m_conv, col, i, j)
+        expected = next(
+            ({"delta_of": A.labels[b], "relation": gen}
+             for b in range(n)
+             for gen, rel in zip(qb.generators, qb.relation_vectors())
+             if not qb.space.contains_relation(bialgebroid.tensor_mul(A, M._db_lift[b], rel))),
+            None)
+        assert _failure(verify_regular_mha(M), "left-delta-operator") == expected
+        star_qc_qb = bialgebroid.descend_componentwise(
+            qc, qb, lambda i, j: kron_vec(star({i: ONE}), star({j: ONE}), n), "", antilinear=True)
+        sides = (
+            ((a, b, c),
+             qb.rmul2(star({c: ONE})).apply(qb.rmul1(star({b: ONE})).apply(
+                 M.delta_B.apply(star({a: ONE})))),
+             star_qc_qb.apply(vec_conj(qc.lmul2({c: ONE}).apply(
+                 qc.lmul1({b: ONE}).apply(M.delta_C.col(a))))))
+            for a in range(n) for b in range(n) for c in range(n)
+        )
+        expected_star = bialgebroid._first_failure(sides)
+        assert _failure(verify_star(M), "delta-star-compatibility") == expected_star
+        seen.add((expected is None, expected_star is None))
+    assert seen == {(False, False), (True, True)}

@@ -16,6 +16,7 @@ from qgroupoid import (
     modular_element,
     pair_groupoid,
     sc,
+    solve_partial_integrals,
     standard_integrals,
     verify_regular_mha,
 )
@@ -92,3 +93,30 @@ def test_memoized_sigma_still_equals_a_fresh_computation():
     assert sigma.mapping == fresh.mapping
     assert sigma.report.entries == fresh.report.entries
     assert dataclasses.replace(X)._sigma is None
+
+
+def _fresh_canonical_values(M, keys):
+    """canonical_tilde at keys, with the memo and the leg-operator caches emptied."""
+    M._tilde = None
+    for q in (M.qb, M.qc):
+        q._op_cache.clear()
+    return {key: M.canonical_tilde(*key) for key in keys}
+
+
+def test_memoized_canonical_values_still_equal_fresh_computations():
+    # verify, the partial-integral solve and modify all read Delta(d) e_e
+    # from the bundle's memo; a caller that mutated one would corrupt the rest
+    g = pair_groupoid([1, 2])
+    M = build_convolution_algebroid(g)
+    assert verify_regular_mha(M).ok
+    for side in ("left", "right"):
+        basis, rep = solve_partial_integrals(M, side)
+        assert basis and rep.ok
+    mod, _ = groupoid_rn_modifier(g, WEIGHT)
+    Mt = modify(M, mod)
+    fresh = {"M": build_convolution_algebroid(g)}
+    fresh["Mt"] = modify(fresh["M"], mod, verify=False)
+    for name, bundle in (("M", M), ("Mt", Mt)):
+        stored = dict(bundle._tilde)
+        assert len(stored) == 4 * bundle.A.dim ** 2, name
+        assert _fresh_canonical_values(fresh[name], stored) == stored, name
