@@ -20,6 +20,8 @@ from .exact_linear import (
     joint_kernel,
     scalar_from_json,
     scalar_to_json,
+    stack,
+    unstack,
     vec_conj,
 )
 from .report import Report
@@ -117,14 +119,28 @@ class FiniteAlgebra:
     # -- structural predicates --------------------------------------------
 
     def is_associative(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.table[i][j]
-                for k in range(self.dim):
-                    lhs = self.mul(ij, {k: ONE})
-                    rhs = self.mul({i: ONE}, self.table[j][k])
-                    if lhs != rhs:
-                        return False, (i, j, k)
+        """(True, None), or (False, (i, j, k)) for the first basis triple,
+        k innermost, with (e_i e_j) e_k != e_i (e_j e_k).
+
+        The n values of k are stacked: P = stack(rmul(k)) sends v to
+        sum_k e_k (x) v e_k, so block k of P(e_i e_j) is the left side and
+        block k of lmul(i) applied block by block to P(e_j) the right
+        side.  The two stacked vectors are compared literally once per
+        (i, j); only a pair that differs is scanned, k in order.
+        """
+        n = self.dim
+        if not n:
+            return True, None
+        stacked = stack([self.rmul(k) for k in range(n)])
+        for i in range(n):
+            left = self.lmul(i)
+            for j in range(n):
+                lhs = stacked.apply(self.table[i][j])
+                rhs = left.apply_blocks(stacked.col(j))
+                if lhs != rhs:
+                    blocks = zip(unstack(lhs, n, n), unstack(rhs, n, n))
+                    k = next(k for k, (l, r) in enumerate(blocks) if l != r)
+                    return False, (i, j, k)
         return True, None
 
     def nondegenerate_sides(self):

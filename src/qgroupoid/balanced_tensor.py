@@ -55,7 +55,9 @@ def _relations(struct1, struct2):
         for a in range(n):
             u = m1.col(a)
             for b in range(n):
-                rel = axpy({i * n + b: s for i, s in u.items()}, -ONE, m2.col(b), a * n)
+                rel, v = {i * n + b: s for i, s in u.items()}, m2.col(b)
+                if v:
+                    axpy(rel, -ONE, v, a * n)
                 if rel:
                     yield x, a, b, rel
 

@@ -27,6 +27,8 @@ from .exact_linear import (
     axpy,
     joint_kernel,
     kron_vec,
+    stack,
+    unstack,
     vec_conj,
     vec_items,
 )
@@ -444,7 +446,8 @@ def derive_antipode(M):
     eqno = 0
 
     def put(col_idx, coeff, vec):
-        axpy(cols[col_idx], coeff, vec, eqno * n)
+        if vec:
+            axpy(cols[col_idx], coeff, vec, eqno * n)
 
     for a in range(n):
         for b in range(n):
@@ -454,7 +457,7 @@ def derive_antipode(M):
             for idx, c in lifted.items():
                 i, j = divmod(idx, n)
                 for k in range(n):
-                    put(i * n + k, c, A.mul({k: ONE}, {j: ONE}))  # unknown S[k, i]
+                    put(i * n + k, c, A.table[k][j])  # unknown S[k, i]
             eqno += 1
             # m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b)))
             lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
@@ -462,7 +465,7 @@ def derive_antipode(M):
             for idx, c in lifted.items():
                 i, j = divmod(idx, n)
                 for k in range(n):
-                    put(j * n + k, c, A.mul({i: ONE}, {k: ONE}))  # unknown S[k, j]
+                    put(j * n + k, c, A.table[i][k])  # unknown S[k, j]
             eqno += 1
     # bimodule condition on generators: S(e.a) = S(a).e', S(a.e) = e'.S(a)
     pairs = [
@@ -508,6 +511,16 @@ def _first_failure(pairs):
         if lhs != rhs:
             return {"at": wit, "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
     return None
+
+
+def _block_sides(at, lhs, rhs, width, count):
+    """The (at + (t,), block t of lhs, block t of rhs) of two stacked
+    vectors for every t, when they differ; nothing when they are equal,
+    since then every block is."""
+    if lhs != rhs:
+        blocks = zip(unstack(lhs, width, count), unstack(rhs, width, count))
+        for t, (l, r) in enumerate(blocks):
+            yield at + (t,), l, r
 
 
 def verify_left_bialgebroid(M, report=None):
@@ -597,22 +610,6 @@ def _triple_expand(h, lifted, leg):
     return out
 
 
-def _triple_mul(A, w, leg, u, from_left):
-    """Multiply leg 1, 2 or 3 of a 3-tensor by u, from the left or the right."""
-    n = A.dim
-    stride = n ** (3 - leg)
-    products = {}  # leg index x -> e_x times u, re-indexed on this leg
-    out = {}
-    for idx, s in w.items():
-        x = idx // stride % n
-        if x not in products:
-            prod = A.mul(u, {x: ONE}) if from_left else A.mul({x: ONE}, u)
-            products[x] = {y * stride: t for y, t in prod.items()}
-        if products[x]:
-            axpy(out, s, products[x], idx - x * stride)
-    return out
-
-
 def _triple_for(M, kind):
     if M._triples is None:
         M._triples = {}
@@ -622,47 +619,77 @@ def _triple_for(M, kind):
     return M._triples[kind]
 
 
-def _coassociativity_sides(M, kind, b):
-    """(a, c, lhs, rhs) of the coassociativity law of kind XY at b, every a, c.
+def _coassociativity_blocks(M, kind, bs):
+    """(b, c, L, R) of the coassociativity law of kind XY, for b in bs and
+    every c: the n values of a stacked, L = sum_a e_a (x) lhs(a, c) and
+    R = sum_a e_a (x) rhs(a, c), block a at offset a * n^3.
 
     With Delta_X expanded on the left-hand side and Delta_Y on the
     right-hand side:
         (Delta_X (x) id)(Delta_Y(b) c_2) a_1 = (id (x) Delta_Y)(Delta_X(b) a_1) c_3,
     where u_k multiplies leg k by e_u from the side of the comultiplication
     acting there: from the right for Delta_B, from the left for Delta_C.
-    Both sides are vectors of A (x) A (x) A; c runs outer, a inner.
+    Each side is a vector of A (x) A (x) A, index (i*n + j)*n + k.  The leg
+    products are read from the table, indexed once: x -> [(a, e_x e_a)]
+    on leg 1 (re-indexed to leg 1's stride) and c -> [(z, e_z e_c)] on
+    leg 3, each product in the order its side takes.
     """
-    A, n = M.A, M.A.dim
+    n, table = M.A.dim, M.A.table
     X, Y = kind
     hx, hy = _Half(M, X), _Half(M, Y)
-
-    def times(h, leg, u):
-        """Lift of h's Delta(b) times e_u on one leg."""
-        return h.q.lift(h.absorbed(leg, b, u))
-
-    rhs3 = [_triple_expand(hy, times(hx, 1, a), 2) for a in range(n)]
-    for c in range(n):
-        lhs3 = _triple_expand(hx, times(hy, 2, c), 1)
+    n2, n3 = n * n, n ** 3
+    leg1 = [[(a, {p * n2: t for p, t in prod.items()})
+             for a in range(n) if (prod := table[a][x] if X == "C" else table[x][a])]
+            for x in range(n)]
+    leg3 = [[(z, prod) for z in range(n) if (prod := table[c][z] if Y == "C" else table[z][c])]
+            for c in range(n)]
+    for b in bs:
+        # sum_a e_a (x) (id (x) Delta_Y)(Delta_X(b) a_1), its entries grouped by leg 3
+        by_leg3 = [[] for _ in range(n)]
         for a in range(n):
-            lhs = _triple_mul(A, lhs3, 1, {a: ONE}, from_left=X == "C")
-            rhs = _triple_mul(A, rhs3[a], 3, {c: ONE}, from_left=Y == "C")
+            lifted = hx.q.lift(hx.absorbed(1, b, a))
+            for idx, s in _triple_expand(hy, lifted, 2).items():
+                by_leg3[idx % n].append((a * n3 + idx - idx % n, s))
+        for c in range(n):
+            L = {}
+            for idx, s in _triple_expand(hx, hy.q.lift(hy.absorbed(2, b, c)), 1).items():
+                x, rest = divmod(idx, n2)
+                for a, prod in leg1[x]:
+                    axpy(L, s, prod, a * n3 + rest)
+            R = {}
+            for z, prod in leg3[c]:
+                for base, s in by_leg3[z]:
+                    axpy(R, s, prod, base)
+            yield b, c, L, R
+
+
+def _coassociativity_sides(M, kind, b):
+    """(a, c, lhs, rhs) of the coassociativity law of kind XY at b, every
+    a, c, c outer and a inner: the blocks of ``_coassociativity_blocks``."""
+    n = M.A.dim
+    for _, c, L, R in _coassociativity_blocks(M, kind, [b]):
+        for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n))):
             yield a, c, lhs, rhs
 
 
 def _coassociativity(M, rep, kind, name, eq):
     """One coassociativity law on every basis triple (a, b, c).
 
-    The sides given by ``_coassociativity_sides`` are compared in the
-    triple quotient of flavor XY; the first mismatch is the witness.
-    Sides that are literally equal are equal in the quotient, so they are
-    compared there only when they differ, and the triple quotient is
-    built at the first such pair: a law that holds on the nose builds none.
+    For each (b, c) the two sides, stacked over a by
+    ``_coassociativity_blocks``, are compared literally; equal blocks
+    hold for every a.  Only a pair of blocks that differs is scanned, a in
+    order, comparing each pair that differs literally in the triple
+    quotient of flavor XY, which is built at the first such pair: a law
+    that holds on the nose builds none.  If every pair of the block is
+    equal there, the scan moves on to the next block.  The first mismatch
+    in (b, c, a) order is the witness.
     """
-    labels = M.A.labels
+    labels, n = M.A.labels, M.A.dim
     mismatches = (
         (labels[a], labels[b], labels[c])
-        for b in range(M.A.dim)
-        for a, c, lhs, rhs in _coassociativity_sides(M, kind, b)
+        for b, c, L, R in _coassociativity_blocks(M, kind, range(n))
+        if L != R
+        for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n)))
         if lhs != rhs and not _triple_for(M, kind).equal(lhs, rhs)
     )
     at = next(mismatches, None)
@@ -719,7 +746,9 @@ def canonical_maps(M, report=None):
         for gen, rel in zip(dom.generators, dom.relation_vectors()):
             image = {}
             for idx, s in rel.items():
-                axpy(image, s, M.canonical_tilde(which, *divmod(idx, M.A.dim)))
+                value = M.canonical_tilde(which, *divmod(idx, M.A.dim))
+                if value:
+                    axpy(image, s, value)
             if image:
                 ok_wd, wit = False, {"relation": gen}
                 break
@@ -955,17 +984,7 @@ def verify_regular_mha(M):
     wit = _first_failure(iter(checks))
     rep.check(wit is None, "counits-multiplicative", "counits-multiplicative", wit)
 
-    # first canonical-map compatibility diagram (2-leg form)
-    checks = []
-    qb = M.qb
-    for a in range(n):
-        for b in range(n):
-            tl = M.canonical_tilde("T_lambda", a, b)
-            for c in range(n):
-                lhs = qb.rmul2({c: ONE}).apply(tl)
-                rhs = qb.rmul1({a: ONE}).apply(M.canonical_tilde("T_rho", b, c))
-                checks.append(((a, b, c), lhs, rhs))
-    wit = _first_failure(iter(checks))
+    wit = _galois_compatibility(M)
     rep.check(wit is None, "galois-compatibility", "dg-left-galois-1", wit)
 
     canon, _ = canonical_maps(M, rep)
@@ -980,6 +999,37 @@ def verify_regular_mha(M):
         err if derived is None else ("derived antipode differs" if derived != M.S else None),
     )
     return rep
+
+
+def _galois_compatibility(M):
+    """The first canonical-map compatibility diagram (2-leg form),
+    rmul2(c) T_lambda(a, b) = rmul1(a) T_rho(b, c): its first witness over
+    (a, b, c), c innermost, or None.
+
+    For each (a, b) the n values of c are stacked into one vector per
+    side, block c at offset c * QB.dim: stack(rmul2) applied to
+    T_lambda(a, b), and rmul1(a) applied block by block to
+    sum_c e_c (x) T_rho(b, c).  The two are compared literally; only a
+    pair that differs is scanned block by block, c in order.
+    """
+    qb, n = M.qb, M.A.dim
+    rmul2 = stack([qb.rmul2({c: ONE}) for c in range(n)])
+    rmul1 = [qb.rmul1({a: ONE}) for a in range(n)]
+    rho = [{} for _ in range(n)]
+    for b in range(n):
+        for c in range(n):
+            value = M.canonical_tilde("T_rho", b, c)
+            if value:
+                axpy(rho[b], ONE, value, c * qb.dim)
+
+    def sides():
+        for a in range(n):
+            for b in range(n):
+                yield from _block_sides(
+                    (a, b), rmul2.apply(M.canonical_tilde("T_lambda", a, b)),
+                    rmul1[a].apply_blocks(rho[b]), qb.dim, n)
+
+    return _first_failure(sides())
 
 
 def _anti_iso_check(src, dst, f):
@@ -1036,19 +1086,20 @@ def verify_star(M):
         return rep
     qb, qc = M.qb, M.qc
     rmul1 = [qb.rmul1(star({b: ONE})) for b in range(n)]
-    rmul2 = [qb.rmul2(star({c: ONE})) for c in range(n)]
-    lmul2 = [qc.lmul2({c: ONE}) for c in range(n)]
+    rmul2 = stack([qb.rmul2(star({c: ONE})) for c in range(n)])
+    # (* (x) *)(lmul2(c) v) = star_qc_qb conj(lmul2(c)) conj(v): the map is antilinear
+    starred = stack([star_qc_qb.compose(qc.lmul2({c: ONE}).conj()) for c in range(n)])
 
     def sides():
-        """rmul2(c*) rmul1(b*) Delta_B(a*) and (* (x) *)(lmul2(c) lambda_T(b, a))."""
+        """rmul2(c*) rmul1(b*) Delta_B(a*) and (* (x) *)(lmul2(c) lambda_T(b, a)),
+        the n values of c stacked, block c at offset c * QB.dim, and
+        compared literally; only a pair that differs is scanned, c in order."""
         for a in range(n):
             dstar = M.delta_B.apply(star({a: ONE}))
             for b in range(n):
                 head = rmul1[b].apply(dstar)
-                tail = M.canonical_tilde("lambda_T", b, a)
-                for c in range(n):
-                    rhs = star_qc_qb.apply(vec_conj(lmul2[c].apply(tail)))
-                    yield (a, b, c), rmul2[c].apply(head), rhs
+                tail = vec_conj(M.canonical_tilde("lambda_T", b, a))
+                yield from _block_sides((a, b), rmul2.apply(head), starred.apply(tail), qb.dim, n)
 
     wit = _first_failure(sides())
     rep.check(wit is None, "delta-star-compatibility", "involution-3", wit)

@@ -66,6 +66,8 @@ __all__ = [
     "vec_conj",
     "kron_vec",
     "joint_kernel",
+    "stack",
+    "unstack",
     "is_positive_semidefinite",
 ]
 
@@ -566,14 +568,36 @@ def vec_conj(u):
     return {j: s.conj() if type(s) is Scalar else s for j, s in u.items()}
 
 
-def joint_kernel(maps):
-    """Basis of the common kernel of LinearMaps with one domain."""
+def stack(maps):
+    """The maps of one domain stacked into one: column j is
+    sum_t e_t (x) maps[t].col(j), block t at row offset t * rows.
+
+    A law checked once per map compares one stacked vector instead: two
+    stacked vectors are equal iff every block is, so only a pair that
+    differs needs ``unstack`` to find the first block where it does.
+    """
     rows, cols = maps[0].rows, maps[0].cols
     stacked = [{} for _ in range(cols)]
     for t, m in enumerate(maps):
-        for j in range(cols):
-            axpy(stacked[j], 1, m.col(j), t * rows)
-    return LinearMap(rows * len(maps), cols, stacked).kernel_basis()
+        for j, col in enumerate(m.data):
+            if col:
+                axpy(stacked[j], 1, col, t * rows)
+    return LinearMap(rows * len(maps), cols, stacked)
+
+
+def unstack(w, width, count):
+    """The ``count`` blocks of width ``width`` of a stacked vector, each
+    re-indexed from 0: the inverse of stacking."""
+    blocks = [{} for _ in range(count)]
+    for j, s in w.items():
+        t, i = divmod(j, width)
+        blocks[t][i] = s
+    return blocks
+
+
+def joint_kernel(maps):
+    """Basis of the common kernel of LinearMaps with one domain."""
+    return stack(maps).kernel_basis()
 
 
 def kron_vec(u, v, n2):
@@ -740,8 +764,9 @@ class LinearMap:
         """The map sum c*f over the (c, f) pairs in terms."""
         data = [{} for _ in range(cols)]
         for c, f in terms:
-            for j in range(cols):
-                axpy(data[j], c, f.data[j])
+            for j, col in enumerate(f.data):
+                if col:
+                    axpy(data[j], c, col)
         return cls(rows, cols, data)
 
     @classmethod
@@ -763,6 +788,18 @@ class LinearMap:
             col = self.data[j]
             if col:
                 axpy(w, c, col)
+        return w
+
+    def apply_blocks(self, v):
+        """(id (x) self)(v): self applied to each block of v of width
+        ``cols``, the block at offset t * cols landing at t * rows."""
+        w = {}
+        cols, rows, data = self.cols, self.rows, self.data
+        for j, c in v.items():
+            t, i = divmod(j, cols)
+            col = data[i]
+            if col:
+                axpy(w, c, col, t * rows)
         return w
 
     def __call__(self, v):

@@ -57,6 +57,21 @@ def test_nonassociative_detected():
     assert not ok and wit is not None
 
 
+def test_associativity_witness_is_the_first_triple_of_a_full_scan():
+    # functions on three points with e1 e1 = e1 + i e2: the first failure
+    # is at k = 2, past the first block of the stacked comparison
+    table = [[({i: ONE} if i == j else {}) for j in range(3)] for i in range(3)]
+    table[1][1] = {1: ONE, 2: Scalar.rational(0, 1)}
+    a = FiniteAlgebra(table)
+    expected = next(
+        (i, j, k)
+        for i in range(3) for j in range(3) for k in range(3)
+        if a.mul(a.table[i][j], {k: ONE}) != a.mul({i: ONE}, a.table[j][k])
+    )
+    assert expected == (1, 1, 2)
+    assert a.is_associative() == (False, expected)
+
+
 def test_multiplier_algebra_unital_iso():
     a = group_algebra_z2()
     m, canon = multiplier_algebra(a)

@@ -1,6 +1,6 @@
 """Verification suites, canonical maps, antipode derivation, star structures."""
 
-from qgroupoid import bialgebroid
+from qgroupoid import algebra_core, bialgebroid
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import (
     RegularMHA,
@@ -18,7 +18,7 @@ from qgroupoid.examples import (
     build_tensor_algebroid,
     pair_groupoid,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, kron_vec, vec_conj
+from qgroupoid.exact_linear import ONE, LinearMap, Scalar, axpy, kron_vec, vec_conj
 
 
 def test_function_algebroid_full_suite(m_fun):
@@ -266,3 +266,88 @@ def test_delta_operator_and_delta_star_witnesses_are_the_first_in_scan_order(m_c
         assert _failure(verify_star(M), "delta-star-compatibility") == expected_star
         seen.add((expected is None, expected_star is None))
     assert seen == {(False, False), (True, True)}
+
+
+def _tilde_perturbed(which, a, b, q):
+    """A fresh convolution p2 bundle whose memoized canonical_tilde(which,
+    a, b) has i e_q added, so the laws that read it fail there."""
+    M = build_convolution_algebroid(pair_groupoid([1, 2]))
+    value = dict(M.canonical_tilde(which, a, b))
+    M._tilde[(which, a, b)] = axpy(value, Scalar.rational(0, 1), {q: ONE})
+    return M
+
+
+def test_galois_compatibility_witness_is_the_first_of_a_full_scan():
+    # oracle: the (a, b, c) loop, one pair of vectors per triple, in order
+    M = _tilde_perturbed("T_lambda", 1, 2, 1)
+    n, qb = M.A.dim, M.qb
+    expected = bialgebroid._first_failure(
+        ((a, b, c),
+         qb.rmul2({c: ONE}).apply(M.canonical_tilde("T_lambda", a, b)),
+         qb.rmul1({a: ONE}).apply(M.canonical_tilde("T_rho", b, c)))
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+    assert expected["at"] == (1, 2, 2)  # not in the first block, nor first in its block
+    assert _failure(verify_regular_mha(M), "galois-compatibility") == expected
+
+
+def test_delta_star_witness_is_the_first_of_a_full_scan():
+    # an imaginary entry, so the conjugation of the stacked right side counts
+    M = _tilde_perturbed("lambda_T", 1, 2, 1)
+    A, n, qb, qc, star = M.A, M.A.dim, M.qb, M.qc, M.A.star
+    star_qc_qb = bialgebroid.descend_componentwise(
+        qc, qb, lambda i, j: kron_vec(star({i: ONE}), star({j: ONE}), n), "", antilinear=True)
+    expected = bialgebroid._first_failure(
+        ((a, b, c),
+         qb.rmul2(star({c: ONE})).apply(qb.rmul1(star({b: ONE})).apply(
+             M.delta_B.apply(star({a: ONE})))),
+         star_qc_qb.apply(vec_conj(qc.lmul2({c: ONE}).apply(M.canonical_tilde("lambda_T", b, a)))))
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+    assert expected["at"] == (2, 1, 1)
+    assert _failure(verify_star(M), "delta-star-compatibility") == expected
+
+
+def test_a_passing_bundle_slices_no_block(monkeypatch, m_conv):
+    sliced, built = [], []
+    unstack, triple = bialgebroid.unstack, bialgebroid.TripleTensor
+
+    def unstack_spy(w, width, count):
+        sliced.append(width)
+        return unstack(w, width, count)
+
+    def triple_spy(algebra, pair12, pair23, flavor):
+        built.append(flavor)
+        return triple(algebra, pair12, pair23, flavor)
+
+    for module in (bialgebroid, algebra_core):
+        monkeypatch.setattr(module, "unstack", unstack_spy)
+    monkeypatch.setattr(bialgebroid, "TripleTensor", triple_spy)
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        M = build(pair_groupoid([1, 2]))
+        assert verify_regular_mha(M).ok and verify_star(M).ok
+    assert sliced == [] and built == []
+    # the spies do see a failing law: its differing block is sliced
+    assert not verify_regular_mha(_delta_b_replaced(m_conv, 1, 1, 0)).ok
+    assert sliced and built == ["BC"]
+
+
+def test_verify_makes_no_more_products_than_recorded(monkeypatch):
+    # FiniteAlgebra.mul calls of verify_regular_mha on a fresh p3 bundle,
+    # counted after the basis-triple laws were stacked (11,889 on
+    # functions and 8,001 on convolution before); a per-triple product
+    # loop coming back shows here
+    calls = []
+    mul = FiniteAlgebra.mul
+
+    def counted(self, u, v):
+        calls.append(None)
+        return mul(self, u, v)
+
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        M = build(pair_groupoid([1, 2, 3]))
+        calls.clear()
+        monkeypatch.setattr(FiniteAlgebra, "mul", counted)
+        assert verify_regular_mha(M).ok
+        monkeypatch.setattr(FiniteAlgebra, "mul", mul)
+        assert len(calls) <= 4113, build.__name__

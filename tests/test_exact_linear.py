@@ -27,6 +27,8 @@ from qgroupoid.exact_linear import (
     sc,
     sign,
     solve_linear,
+    stack,
+    unstack,
     vec_from_dense,
     vscale,
 )
@@ -379,3 +381,39 @@ def test_rref_column_index_matches_a_full_scan(inserts, probes):
     assert fast.basis() == [dict(row) for _, row in sorted(ref.rows.items())]
     for v in inserts + probes:
         assert fast.reduce(v) == ref.reduce(v)
+
+
+@st.composite
+def _maps_and_vectors(draw):
+    """A few maps of one shape, columns often empty, a vector of their
+    domain and a vector of three blocks of it."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    column = st.dictionaries(st.integers(0, rows - 1), _entry, max_size=2)
+    maps = draw(st.lists(
+        st.lists(column, min_size=cols, max_size=cols).map(lambda data: LinearMap(rows, cols, data)),
+        min_size=1, max_size=4))
+    vector = st.dictionaries(st.integers(0, cols - 1), _entry, max_size=cols)
+    blocks = draw(st.lists(vector, min_size=3, max_size=3))
+    return maps, draw(vector), {t * cols + j: s for t, b in enumerate(blocks) for j, s in b.items()}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_maps_and_vectors())
+def test_stack_applies_each_map_at_its_offset(drawn):
+    maps, v, blocks = drawn
+    rows, cols = maps[0].rows, maps[0].cols
+    stacked = stack(maps)
+    assert (stacked.rows, stacked.cols) == (rows * len(maps), cols)
+    expected = {}
+    for t, m in enumerate(maps):
+        axpy(expected, ONE, m.apply(v), t * rows)
+    assert stacked.apply(v) == expected
+    assert unstack(stacked.apply(v), rows, len(maps)) == [m.apply(v) for m in maps]
+    assert [j for j in range(cols) if not stacked.col(j)] == [
+        j for j in range(cols) if not any(m.col(j) for m in maps)]
+    # the converse: one map applied block by block
+    m = maps[-1]
+    expected = {}
+    for t, block in enumerate(unstack(blocks, cols, 3)):
+        axpy(expected, ONE, m.apply(block), t * rows)
+    assert m.apply_blocks(blocks) == expected
