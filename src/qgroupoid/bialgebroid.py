@@ -682,18 +682,25 @@ def _coassociativity(M, rep, kind, name, eq):
     quotient of flavor XY, which is built at the first such pair: a law
     that holds on the nose builds none.  If every pair of the block is
     equal there, the scan moves on to the next block.  The first mismatch
-    in (b, c, a) order is the witness.
+    in (b, c, a) order is the witness, with both sides as their canonical
+    residues in the triple quotient.
     """
     labels, n = M.A.labels, M.A.dim
-    mismatches = (
-        (labels[a], labels[b], labels[c])
-        for b, c, L, R in _coassociativity_blocks(M, kind, range(n))
-        if L != R
-        for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n)))
-        if lhs != rhs and not _triple_for(M, kind).equal(lhs, rhs)
-    )
-    at = next(mismatches, None)
-    rep.check(at is None, name, eq, None if at is None else {"at": at})
+
+    def mismatches():
+        for b, c, L, R in _coassociativity_blocks(M, kind, range(n)):
+            if L == R:
+                continue
+            for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n))):
+                if lhs != rhs:
+                    triple = _triple_for(M, kind)
+                    lhs, rhs = triple.reduce(lhs), triple.reduce(rhs)
+                    if lhs != rhs:
+                        yield {"at": (labels[a], labels[b], labels[c]),
+                               "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
+
+    wit = next(mismatches(), None)
+    rep.check(wit is None, name, eq, wit)
 
 
 def _counit_checks(h, rep):

@@ -18,7 +18,8 @@ from qgroupoid.examples import (
     build_tensor_algebroid,
     pair_groupoid,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Scalar, axpy, kron_vec, vec_conj
+from qgroupoid.balanced_tensor import TripleTensor
+from qgroupoid.exact_linear import ONE, LinearMap, Scalar, axpy, kron_vec, vec_conj, vec_items
 
 
 def test_function_algebroid_full_suite(m_fun):
@@ -221,6 +222,21 @@ def test_a_passing_bundle_builds_no_triple_quotient(m_conv):
     rep = verify_regular_mha(M)
     assert _failure(rep, "mixed-coassociativity-1") is not None
     assert list(M._triples) == ["BC"]
+
+
+def test_coassociativity_witness_shows_both_sides_reduced(m_conv):
+    # oracle: every (a, c) at each b in order, compared in a fresh quotient
+    M = _delta_b_replaced(m_conv, 1, 1, 0)
+    labels, triple = M.A.labels, TripleTensor(M.A, M.qb, M.qc, "BC")
+    expected = next(
+        {"at": (labels[a], labels[b], labels[c]),
+         "lhs": vec_items(triple.reduce(lhs)), "rhs": vec_items(triple.reduce(rhs))}
+        for b in range(M.A.dim)
+        for a, c, lhs, rhs in bialgebroid._coassociativity_sides(M, "BC", b)
+        if not triple.equal(lhs, rhs)
+    )
+    assert expected["lhs"] != expected["rhs"]
+    assert _failure(verify_regular_mha(M), "mixed-coassociativity-1") == expected
 
 
 def _delta_b_replaced(M, col, i, j):
