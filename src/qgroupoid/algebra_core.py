@@ -319,7 +319,8 @@ class ModuleStructure:
             col = {}
             m = self.acts[x]
             for j in range(m.cols):
-                axpy(col, ONE, m.col(j), j * n)
+                if m.col(j):
+                    axpy(col, ONE, m.col(j), j * n)
             cols.append(col)
         return LinearMap(n * n, self.base.dim, cols).is_injective()
 
@@ -344,8 +345,10 @@ def find_unit(algebra):
         col = {}
         for i in range(n):
             # e * e_i stacked over i (left unit rows), then e_i * e
-            axpy(col, ONE, algebra.table[j][i], i * n)
-            axpy(col, ONE, algebra.table[i][j], (n + i) * n)
+            if algebra.table[j][i]:
+                axpy(col, ONE, algebra.table[j][i], i * n)
+            if algebra.table[i][j]:
+                axpy(col, ONE, algebra.table[i][j], (n + i) * n)
         cols.append(col)
     target = {}
     for i in range(n):

@@ -78,27 +78,44 @@ def tensor_mul(algebra, u, v):
     return out
 
 
-def descend_componentwise(src, dst, fn, message, antilinear=False):
+def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
     """Descend the map e_i (x) e_j -> fn(i, j) from src to dst, checked.
 
     dst is a BalancedTensor, or None for A itself; fn(i, j) is a vector of
-    dst's ambient space (A (x) A, or A).  Every relation generator of src
-    must land in dst's relation span (for A: on zero); the first that does
-    not raises NotBalanced with ``message``, in which {src!r} and {dst!r}
-    stand for the two flavors.  An antilinear map conjugates coefficients.
+    dst's ambient space (A (x) A, or A).  ``live``, if given, holds the
+    coordinates i * n + j outside which fn is zero, and only they are
+    visited; by default every basis tensor is.  Each image fn(i, j) is
+    computed once.  Every relation generator of src must land in dst's
+    relation span (for A: on zero); the first that does not raises
+    NotBalanced with ``message``, in which {src!r} and {dst!r} stand for
+    the two flavors.  An antilinear map conjugates coefficients.
 
     A linear or antilinear map sends the relation span into a subspace
     iff it sends a basis of the span there, so only the rows of src's
-    relation echelon (rank many, not one per generator) are checked.
-    Only when one of them fails are the generators scanned in order, to
-    name the first failing one as the witness.
+    relation echelon (rank many, not one per generator) are checked, and
+    of those only the rows with an entry at a coordinate whose image is
+    non-zero: every other row maps to zero.  Only when a checked row fails
+    are the generators scanned, in order, to name the first failing one
+    as the witness.
+
+    The descended map D satisfies D(project(w)) = f(w) for every w in
+    src's ambient space, f the componentwise map, because f kills the
+    relation span.  So D of a class made by another checked descent is f
+    of any representative.  This is the slice identity the partial
+    integral and convolution checks rest on: a slice of Delta(d) with e
+    absorbed on the other leg is the slice of Delta(d) times e.
     """
     n = src.leg_dim
+    images = {}
+    for ij in range(n * n) if live is None else live:
+        image = fn(*divmod(ij, n))
+        if image:
+            images[ij] = image
 
     def apply(w):
         out = {}
-        for idx, s in w.items():
-            image = fn(*divmod(idx, n))
+        for ij, s in w.items():
+            image = images.get(ij)
             if image:
                 axpy(out, conj(s) if antilinear else s, image)
         return out
@@ -107,14 +124,21 @@ def descend_componentwise(src, dst, fn, message, antilinear=False):
         rows, holds, project = src.algebra.dim, (lambda w: not w), (lambda w: w)
     else:
         rows, holds, project = dst.dim, dst.space.contains_relation, dst.project
-    if not all(holds(apply(row)) for row in src.space.rref.rows.values()):
+    echelon, touching = src.space.rref.rows, src._touching
+    if not all(holds(apply(echelon[p]))
+               for p in {p for ij in images for p in touching.get(ij, ())}):
         for gen, rel in zip(src.generators, src.relation_vectors()):
             if not holds(apply(rel)):
                 raise NotBalanced(
                     message.format(src=src.flavor, dst=getattr(dst, "flavor", None)), gen
                 )
         raise AssertionError("a relation basis row fails but no generator does")
-    return LinearMap.from_function(rows, src.dim, lambda q: project(apply(src.lift({q: ONE}))))
+    cols = [{} for _ in range(src.dim)]
+    free_pos = src.space.free_pos
+    for ij, image in images.items():
+        if ij in free_pos:
+            cols[free_pos[ij]] = project(image)
+    return LinearMap(rows, src.dim, cols)
 
 
 class BalancedTensor:
@@ -182,15 +206,10 @@ class BalancedTensor:
         op1/op2 are LinearMaps on A or None for the identity.  Only the
         basis tensors e_i (x) e_j at which op1 (x) op2 is non-zero are
         visited: i a non-empty column of op1 and j one of op2 (every index
-        for None).  Their images are computed once each.  The relation
-        span lands in the target's relation span iff every row of the
-        relation echelon does, and a row with no entry at a visited
-        coordinate maps to zero, so only the rows touching one are
-        checked.  If one fails, the check is redone by
-        ``descend_componentwise``, which raises NotBalanced with the first
+        for None).  ``descend_componentwise`` checks only the relation rows
+        touching them and, if one fails, raises NotBalanced with the first
         failing generator.  Columns at other coordinates are empty.
         """
-        target = target or self
         n = self.leg_dim
 
         def live(op):
@@ -199,26 +218,11 @@ class BalancedTensor:
         def leg(op, i):
             return op.col(i) if op is not None else {i: ONE}
 
-        def fn(i, j):
-            return kron_vec(leg(op1, i), leg(op2, j), n)
-
-        images = {i * n + j: fn(i, j) for i in live(op1) for j in live(op2)}
-        touching, rows = self._touching, self.space.rref.rows
-        for p in sorted({p for ij in images for p in touching.get(ij, ())}):
-            image = {}
-            for ij, s in rows[p].items():
-                if ij in images:
-                    axpy(image, s, images[ij])
-            if not target.space.contains_relation(image):
-                return descend_componentwise(
-                    self, target, fn, what + " does not descend between flavors {src!r} -> {dst!r}"
-                )
-        cols = [{} for _ in range(self.dim)]
-        free_pos = self.space.free_pos
-        for ij, image in images.items():
-            if ij in free_pos:
-                cols[free_pos[ij]] = target.project(image)
-        return LinearMap(target.dim, self.dim, cols)
+        return descend_componentwise(
+            self, target or self, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
+            what + " does not descend between flavors {src!r} -> {dst!r}",
+            live=[i * n + j for i in live(op1) for j in live(op2)],
+        )
 
     def _cached(self, key, build):
         """The memoized build() under key; a build() that raises stores nothing."""
@@ -280,17 +284,25 @@ class BalancedTensor:
         omega: LinearMap A -> A (a base-valued map already composed with
         its embedding).  leg selects which tensor factor omega consumes,
         multiply whether the result multiplies the other leg from the
-        left or the right.  Memoized by the content of omega.
+        left or the right.  Only the basis tensors whose consumed leg is a
+        non-empty column of omega are visited, as in ``descend``.
+        Memoized by the content of omega.
         """
-        alg = self.algebra
+        alg, n = self.algebra, self.leg_dim
 
         def sliced(i, j):
             val, other = (omega.col(i), {j: ONE}) if leg == 1 else (omega.col(j), {i: ONE})
             return alg.mul(val, other) if multiply == "left" else alg.mul(other, val)
 
-        return self._cached(("slice", omega, leg, multiply), lambda: descend_componentwise(
-            self, None, sliced, what + " is not balanced for flavor {src!r}"
-        ))
+        def build():
+            support = [k for k in range(n) if omega.col(k)]
+            pairs = ((k, j) for k in support for j in range(n))
+            return descend_componentwise(
+                self, None, sliced, what + " is not balanced for flavor {src!r}",
+                live=[k * n + j if leg == 1 else j * n + k for k, j in pairs],
+            )
+
+        return self._cached(("slice", omega, leg, multiply), build)
 
     def flip_to(self, target):
         """The map a (x) b -> b (x) a into the flipped flavor, checked; memoized."""

@@ -453,7 +453,9 @@ def derive_antipode(M):
         for b in range(n):
             # m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b
             lifted = M.qb.lift(M.canonical_tilde("T_rho", a, b))
-            axpy(rhs, ONE, A.mul(emb_sc_eps.col(a), {b: ONE}), eqno * n)
+            target = A.mul(emb_sc_eps.col(a), {b: ONE})
+            if target:
+                axpy(rhs, ONE, target, eqno * n)
             for idx, c in lifted.items():
                 i, j = divmod(idx, n)
                 for k in range(n):
@@ -461,7 +463,9 @@ def derive_antipode(M):
             eqno += 1
             # m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b)))
             lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
-            axpy(rhs, ONE, A.mul({a: ONE}, emb_sb_eps.col(b)), eqno * n)
+            target = A.mul({a: ONE}, emb_sb_eps.col(b))
+            if target:
+                axpy(rhs, ONE, target, eqno * n)
             for idx, c in lifted.items():
                 i, j = divmod(idx, n)
                 for k in range(n):
@@ -475,20 +479,23 @@ def derive_antipode(M):
     for emb, companion in pairs:
         for x in range(emb.cols):
             ex, ex2 = emb.col(x), companion.col(x)
+            # the products with x' do not depend on a: e_k x' and x' e_k
+            right = [A.mul({k: ONE}, ex2) for k in range(n)]
+            left = [A.mul(ex2, {k: ONE}) for k in range(n)]
             for a in range(n):
                 moved = A.mul(ex, {a: ONE})  # S(x a) - S(a) x' = 0
                 for i, c in moved.items():
                     for k in range(n):
                         put(i * n + k, c, {k: ONE})
                 for k in range(n):
-                    put(a * n + k, -ONE, A.mul({k: ONE}, ex2))
+                    put(a * n + k, -ONE, right[k])
                 eqno += 1
                 moved = A.mul({a: ONE}, ex)  # S(a x) - x' S(a) = 0
                 for i, c in moved.items():
                     for k in range(n):
                         put(i * n + k, c, {k: ONE})
                 for k in range(n):
-                    put(a * n + k, -ONE, A.mul(ex2, {k: ONE}))
+                    put(a * n + k, -ONE, left[k])
                 eqno += 1
     system = LinearMap(eqno * n, n * n, cols)
     sol = system.solve(rhs)
@@ -797,7 +804,8 @@ def _hom_space(M, module):
                     law = base.mul({x: ONE}, {xb: ONE})
                 else:
                     law = base.mul({xb: ONE}, {x: ONE})
-                axpy(cols[a * dim_b + xb], -ONE, law, eqno * dim_b)
+                if law:
+                    axpy(cols[a * dim_b + xb], -ONE, law, eqno * dim_b)
             eqno += 1
     system = LinearMap(eqno * dim_b, n * dim_b, cols)
     return [_unflatten(w, dim_b, n) for w in system.kernel_basis()]
@@ -858,13 +866,17 @@ def _antipode_checks(M, rep, canon):
             lhs = {}
             for idx, s in lifted.items():
                 i, j = divmod(idx, n)
-                axpy(lhs, s, A.mul(S.col(i), {j: ONE}))
+                term = A.mul(S.col(i), {j: ONE})
+                if term:
+                    axpy(lhs, s, term)
             checks1.append(((A.labels[a], A.labels[b]), lhs, A.mul(emb_sc_eps.col(a), {b: ONE})))
             lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
             lhs = {}
             for idx, s in lifted.items():
                 i, j = divmod(idx, n)
-                axpy(lhs, s, A.mul({i: ONE}, S.col(j)))
+                term = A.mul({i: ONE}, S.col(j))
+                if term:
+                    axpy(lhs, s, term)
             checks2.append(((A.labels[a], A.labels[b]), lhs, A.mul({a: ONE}, emb_sb_eps.col(b))))
     wit = _first_failure(iter(checks1))
     rep.check(wit is None, "antipode-diagram-left", "dg-antipode", wit)

@@ -806,12 +806,14 @@ class LinearMap:
         return self.apply(v)
 
     def compose(self, other):
-        """self o other."""
+        """self o other.  The columns ``apply`` builds are fresh and free
+        of zeros, so they are kept without the copy ``__init__`` makes."""
         if other.rows != self.cols:
             raise ValueError("dimension mismatch in composition")
-        return LinearMap(
-            self.rows, other.cols, [self.apply(c) for c in other.data]
-        )
+        out = LinearMap.__new__(LinearMap)
+        out.rows, out.cols, out._solver = self.rows, other.cols, None
+        out.data = tuple([self.apply(c) for c in other.data])
+        return out
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -1023,6 +1025,8 @@ def is_positive_semidefinite(h):
         idx.remove(piv)
         d_inv = inverse(h[piv][piv])
         for i in idx:
+            if not h[i][piv]:
+                continue  # a zero multiplier leaves the row as it is
             for j in idx:
                 h[i][j] = h[i][j] - _mul(_mul(h[i][piv], h[piv][j]), d_inv)
     return True

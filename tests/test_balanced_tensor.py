@@ -246,9 +246,9 @@ def descents(monkeypatch):
     (src, dst, fn, antilinear, the NotBalanced raised or None)."""
     calls = []
 
-    def spy(src, dst, fn, message, antilinear=False):
+    def spy(src, dst, fn, message, antilinear=False, live=None):
         try:
-            out = descend_componentwise(src, dst, fn, message, antilinear)
+            out = descend_componentwise(src, dst, fn, message, antilinear, live)
         except NotBalanced as e:
             calls.append((src, dst, fn, antilinear, e))
             raise
@@ -324,4 +324,42 @@ def test_perturbed_counit_slices_are_checked_on_every_generator(build):
                 witness = e.witness
             assert witness == expected, (i, k)
             verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("build", [build_function_algebroid, build_convolution_algebroid])
+def test_sparse_slices_name_the_first_failing_generator(build):
+    # omega with one non-empty column: the counit slice's column i alone,
+    # and with a unit added at some k.  The slice visits only the basis
+    # tensors whose consumed leg is i, and must decide as a generator scan
+    M = build(pair_groupoid([1, 2, 3]))
+    A, n = M.A, M.A.dim
+    counit = M.emb_SB().compose(M.eps_B)
+    verdicts = set()
+    for tensor in (M.qb, M.qc):
+        for leg in (1, 2):
+            for multiply in ("left", "right"):
+                for i in range(n):
+                    for k in (None, *range(0, n, 2)):
+                        col = dict(counit.col(i))
+                        if k is not None:
+                            axpy(col, ONE, {k: ONE})
+                        if not col:
+                            continue
+                        omega = LinearMap(n, n, [col if j == i else {} for j in range(n)])
+
+                        def sliced(a, b, leg=leg, multiply=multiply, omega=omega):
+                            val, other = ((omega.col(a), {b: ONE}) if leg == 1
+                                          else (omega.col(b), {a: ONE}))
+                            return A.mul(val, other) if multiply == "left" else A.mul(other, val)
+
+                        expected = _first_failing_generator(tensor, None, sliced)
+                        try:
+                            got, witness = tensor.slice(omega, leg, multiply), None
+                        except NotBalanced as e:
+                            witness = e.witness
+                        assert witness == expected, (tensor.flavor, leg, multiply, i, k)
+                        if witness is None:
+                            assert got == descend_componentwise(tensor, None, sliced, "{src!r}")
+                        verdicts.add(witness is None)
     assert verdicts == {True, False}

@@ -4,14 +4,20 @@ import random
 
 import pytest
 
+from qgroupoid import integration
+from qgroupoid.algebra_core import FiniteAlgebra
+from qgroupoid.balanced_tensor import NotBalanced
+from qgroupoid.bialgebroid import RegularMHA
 from qgroupoid.examples import (
+    build_convolution_algebroid,
     build_function_algebroid,
     cyclic_group_table,
     disjoint_union,
     group_groupoid,
+    pair_groupoid,
     standard_integrals,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Scalar, inverse, sc
+from qgroupoid.exact_linear import ONE, LinearMap, Scalar, axpy, inverse, sc
 from qgroupoid.integration import (
     BaseWeight,
     assemble_measured,
@@ -224,3 +230,98 @@ def test_domination_with_modular_automorphism(x_fun_14):
         delta_p = g.transpose().solve(upsilon)  # phi(delta' x) = upsilon(x)
         assert delta is not None and delta_p is not None
         assert sigma.apply(delta_p) == delta
+
+
+# -- laws decided once per comultiplied element --------------------------------
+
+
+def _scanned_module_witness(M, mapping, side, laws):
+    """Oracle for ``_module_witness``: every (x, a), with no comparison of
+    whole maps first."""
+    n, target = M.A.dim, integration._target(M, side)
+    base = target.base
+    for x in range(base.dim):
+        ex = target.s.col(x)
+        for a in range(n):
+            for h, tag in laws:
+                law = base.mul(*h.ordered({x: ONE}, mapping.col(a)))
+                if mapping.apply(h.mul(ex, {a: ONE})) != law:
+                    return tag, x, a
+    return None
+
+
+def _scanned_invariance(M, mapping, side, letter):
+    """Oracle for ``_invariance``: the slice law at every (d, e)."""
+    h = integration._Half(M, "B" if letter == "a" else "C")
+    wit = _scanned_module_witness(M, mapping, side, ((h, "module"),))
+    if wit is not None:
+        return False, wit
+    try:
+        sl = integration._integral_slice(
+            mapping, side, h, "partial-%s slice (%s)" % (side, letter))
+    except NotBalanced as e:
+        return False, str(e)
+    n, embed = M.A.dim, integration._target(M, side).s
+    leg = 1 if side == "left" else 2
+    for d in range(n):
+        head = embed.apply(mapping.col(d))
+        for e in range(n):
+            if sl.apply(h.absorbed(leg, d, e)) != h.mul(head, {e: ONE}):
+                return False, ("delta" + h.letter.lower(), d, e)
+    return True, None
+
+
+@pytest.mark.parametrize("build", [build_function_algebroid, build_convolution_algebroid],
+                         ids=["functions", "convolution"])
+@pytest.mark.parametrize("points", [[1, 2], [1, 2, 3]], ids=["p2", "p3"])
+def test_perturbed_solutions_report_what_a_full_scan_reports(build, points, monkeypatch):
+    # every solution of both sides, with 1 added at each position (x, a)
+    M = build(pair_groupoid(points))
+    cases = []
+    for side in ("left", "right"):
+        basis, rep = solve_partial_integrals(M, side)
+        assert rep.ok and basis
+        for f in basis:
+            for a in range(f.cols):
+                for x in range(f.rows):
+                    cols = [dict(f.col(j)) for j in range(f.cols)]
+                    axpy(cols[a], ONE, {x: ONE})
+                    cases.append((LinearMap(f.rows, f.cols, cols), side))
+    fast = [check_partial_integral(M, f, side).to_json_lines() for f, side in cases]
+    monkeypatch.setattr(integration, "_module_witness", _scanned_module_witness)
+    monkeypatch.setattr(integration, "_invariance", _scanned_invariance)
+    scanned = [check_partial_integral(M, f, side).to_json_lines() for f, side in cases]
+    assert fast == scanned
+    # both the module and the slice laws fail somewhere, past a first pair
+    text = "\n".join(line for lines in fast for line in lines)
+    for kind in ('"module"', '"deltab"', '"deltac"', '"left-module"'):
+        assert kind in text, kind
+    assert not all('"module", 0, 0]' in lines[0] for lines in fast)
+
+
+def test_partial_integral_solve_makes_no_more_products_than_recorded(monkeypatch):
+    # FiniteAlgebra.mul and canonical_tilde calls of solve_partial_integrals
+    # on both sides of a fresh functions-p3 bundle whose canonical maps are
+    # already built.  Counted after the slice and module laws were decided
+    # per comultiplied element (9,612 and 3,078 before); a scan over every
+    # (d, e) or (x, a) of a passing solution coming back shows here
+    M = build_function_algebroid(pair_groupoid([1, 2, 3]))
+    M.canonical()
+    muls, tildes = [], []
+    mul, tilde = FiniteAlgebra.mul, RegularMHA.canonical_tilde
+
+    def counted_mul(self, u, v):
+        muls.append(None)
+        return mul(self, u, v)
+
+    def counted_tilde(self, which, a, b):
+        tildes.append(None)
+        return tilde(self, which, a, b)
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", counted_mul)
+    monkeypatch.setattr(RegularMHA, "canonical_tilde", counted_tilde)
+    for side in ("left", "right"):
+        basis, rep = solve_partial_integrals(M, side)
+        assert len(basis) == 3 and rep.ok
+    monkeypatch.undo()
+    assert len(muls) <= 2160 and len(tildes) <= 162

@@ -226,6 +226,54 @@ def test_convolution_operators(x_fun_14):
     assert lam.operator.compose(rho.operator) == rho.operator.compose(lam.operator)
 
 
+def _scanned_product_forms(X, ups, kind):
+    """Oracle for the product forms of ``convolution``: every (a, b)."""
+    M = X.M
+    A, n = M.A, M.A.dim
+    if kind == "lambda":
+        sl_b = M.qb.slice(M.emb_SB().compose(ups.factor_Bl), 1, "left")
+        sl_c = M.qc.slice(M.C.embed.compose(M.S_C.inverse()).compose(ups.factor_Br), 1, "right")
+
+        def absorbed(a, b):
+            return M.canonical_tilde("T_rho", a, b), M.canonical_tilde("rho_T", a, b)
+    else:
+        sl_b = M.qb.slice(M.B.embed.compose(M.S_B.inverse()).compose(ups.factor_Cl), 2, "left")
+        sl_c = M.qc.slice(M.emb_SC().compose(ups.factor_Cr), 2, "right")
+
+        def absorbed(a, b):
+            return M.canonical_tilde("T_lambda", b, a), M.canonical_tilde("lambda_T", b, a)
+    op = sl_b.compose(M.delta_B)
+    return all(
+        A.mul(op.col(a), {b: ONE}) == sl_b.apply(on_b)
+        and A.mul({b: ONE}, op.col(a)) == sl_c.apply(on_c)
+        for a in range(n)
+        for b in range(n)
+        for on_b, on_c in (absorbed(a, b),)
+    )
+
+
+def test_product_forms_match_a_full_scan(x_fun_14, x_conv_uniform):
+    # the integrals and the counit, and each with its C-side factor
+    # doubled, so that the two one-sided operators no longer agree
+    from qgroupoid.integration import factorize
+
+    outcomes = set()
+    for X in (x_fun_14, x_conv_uniform):
+        eps_func = functional_of_map(X.weight.mu_B, X.M.eps_B)
+        counit, _ = factorize(X.M, X.weight, eps_func)
+        for ups in (X.phi, X.psi, counit):
+            for kind, factor in (("lambda", "factor_Br"), ("rho", "factor_Cr")):
+                doubled = dataclasses.replace(ups, **{factor: getattr(ups, factor).scale(2)})
+                for u in (ups, doubled):
+                    rep = convolution(X, u, kind).report
+                    agree = rep.status_of("two-sided-agreement")
+                    forms = rep.status_of("product-forms")
+                    assert forms == ("pass" if _scanned_product_forms(X, u, kind) else "fail")
+                    assert agree == ("pass" if u is ups else "fail")
+                    outcomes.add((agree, forms))
+    assert outcomes == {("pass", "pass"), ("fail", "fail")}
+
+
 def test_convolution_antipode_exchange(x_fun_14):
     # rho(upsilon) o S = S o lambda(upsilon o S)
     M = x_fun_14.M
