@@ -1,9 +1,10 @@
 """Golden reports on the 2-point pair groupoid, and ``dual`` on 3 points.
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
-captured), ``verify_regular_mha`` on mutant instances, or
-``check_partial_integral`` on perturbed partial integrals, and yields the
-exit code and the exact report text of every step.  The recorded texts
+captured), ``verify_regular_mha`` on mutant instances,
+``check_partial_integral`` on perturbed partial integrals, or the solved
+spaces no command reports in full, and yields the exit code and the exact
+report text of every step.  The recorded texts
 live next to this file as ``<case>.jsonl``, the exit codes in
 ``exits.json``; ``test_golden.py`` compares both byte for byte.
 
@@ -19,18 +20,38 @@ import os
 import tempfile
 
 from qgroupoid import (
+    HopfAction,
     LinearMap,
     RegularMHA,
     build_convolution_algebroid,
+    build_crossed_product,
     build_function_algebroid,
+    build_group_hopf,
+    build_tensor_algebroid,
+    build_two_sided,
     check_partial_integral,
+    derive_antipode,
     derive_counits,
+    local_projectivity,
+    multiplier_algebra,
+    orbit_algebra,
     standard_integrals,
     verify_regular_mha,
 )
+from qgroupoid.algebra_core import FiniteAlgebra
+from qgroupoid.bialgebroid import _hom_space
 from qgroupoid.cli import main
 from qgroupoid.exact_linear import ONE, axpy, vec_items
-from qgroupoid.examples import groupoid_to_json, pair_groupoid
+from qgroupoid.examples import (
+    cyclic_group_table,
+    function_algebra_z2,
+    group_groupoid,
+    groupoid_to_json,
+    pair_groupoid,
+    swap_action,
+)
+from qgroupoid.integration import _ergodic_characterization
+from qgroupoid.structure_theory import _co_hom_space
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 POINTS = [1, 2]
@@ -129,6 +150,82 @@ def _perturbed_partial_integrals():
     return steps
 
 
+def _columns(f):
+    return [vec_items(f.col(j)) for j in range(f.cols)]
+
+
+def _module_spaces(M, module):
+    """The Hom and co-Hom bases of one one-sided module structure of M."""
+    return _hom_space(M, module), _co_hom_space(M, module)
+
+
+def _antipode_bundles():
+    """The tensor, crossed and two-sided bundles over Z2's Hopf algebras."""
+    labels, table = cyclic_group_table(2)
+    hopf = build_group_hopf(labels, table, "group")
+    pointwise = FiniteAlgebra.pointwise(["u1", "u2"], involution=LinearMap.identity(2))
+    ident = LinearMap.identity(2)
+    c, b = function_algebra_z2(), function_algebra_z2()
+    right = HopfAction(hopf, b, [ident, LinearMap.from_rows([[0, 1], [1, 0]])], side="right")
+    return (
+        ("tensor", build_tensor_algebroid(pointwise, pointwise, ident, ident)),
+        ("crossed", build_crossed_product(c, hopf, swap_action(hopf, c))),
+        ("two-sided", build_two_sided(c, hopf, b, swap_action(hopf, c), right, ident, ident)),
+    )
+
+
+def _solved_spaces():
+    """The solution spaces of the stacked linear systems, in full.
+
+    One step each: for functions and convolution of p2 and Z2, every
+    one-sided module structure's local-projectivity verdict with its Hom
+    and co-Hom bases, then the orbit algebra report with the fixed points
+    of Delta_B; the multiplier algebra of functions p2; the left integrals
+    of both Z2 Hopf algebras; the antipode derived on the tensor, crossed
+    and two-sided bundles and on the p2 mutants with a changed counit.
+    """
+    labels, table = cyclic_group_table(2)
+    steps = []
+
+    def step(head, rep=None):
+        lines = [json.dumps(head, sort_keys=True)]
+        if rep is not None:
+            lines += rep.to_json_lines()
+        steps.append((0 if rep is None or rep.ok else 1, "\n".join(lines) + "\n"))
+
+    for name, g in (("p2", pair_groupoid(POINTS)), ("z2", group_groupoid(labels, table))):
+        for build in (build_function_algebroid, build_convolution_algebroid):
+            M = build(g)
+            verdicts, rep = local_projectivity(M)
+            spaces = {}
+            for module in verdicts:
+                homs, cohoms = _module_spaces(M, module)
+                spaces[module] = {"verdict": verdicts[module],
+                                  "hom": [_columns(f) for f in homs],
+                                  "co-hom": [_columns(e) for e in cohoms]}
+            step({"bundle": [build.__name__, name], "modules": spaces}, rep)
+            orbit, rep = orbit_algebra(M)
+            fixed, _ = _ergodic_characterization(M)
+            step({"bundle": [build.__name__, name],
+                  "orbit": [vec_items(v) for v in orbit],
+                  "fixed-points": None if fixed is None else [vec_items(v) for v in fixed]},
+                 rep)
+    m_alg, canonical = multiplier_algebra(build_function_algebroid(pair_groupoid(POINTS)).A)
+    step({"multiplier-algebra": "functions p2",
+          "table": [[vec_items(v) for v in row] for row in m_alg.table],
+          "canonical": _columns(canonical)})
+    for flavor in ("group", "function"):
+        hopf = build_group_hopf(labels, table, flavor)
+        step({"left-integrals": flavor, "basis": [vec_items(v) for v in hopf.left_integral_space()]})
+    unit = _unit_arrow_index()
+    mutants = [("mutant-%s-%d" % (kind, unit), mutant_bundle(kind, unit))
+               for kind in ("eps_B", "eps_C")]
+    for name, M in [*_antipode_bundles(), *mutants]:
+        S, err = derive_antipode(M)
+        step({"antipode": name, "columns": None if S is None else _columns(S), "error": err})
+    return steps
+
+
 def _unit_arrow_index():
     g = pair_groupoid(POINTS)
     return g.index[g.units[1]]
@@ -174,6 +271,7 @@ def cases(workdir):
         "mutant-eps_C-unit": lambda: _mutant("eps_C", _unit_arrow_index()),
         "mutant-sweep-p2": _mutant_sweep,
         "partial-integrals-perturbed-p2": _perturbed_partial_integrals,
+        "solved-spaces": _solved_spaces,
     }
 
 
