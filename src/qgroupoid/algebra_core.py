@@ -21,6 +21,7 @@ from .exact_linear import (
     scalar_from_json,
     scalar_to_json,
     stack,
+    stack_equations,
     unstack,
     vec_conj,
 )
@@ -338,24 +339,13 @@ class ModuleStructure:
 
 
 def find_unit(algebra):
-    """The unique two-sided unit, or None."""
-    n = algebra.dim
-    cols = []
-    for j in range(n):
-        col = {}
-        for i in range(n):
-            # e * e_i stacked over i (left unit rows), then e_i * e
-            if algebra.table[j][i]:
-                axpy(col, ONE, algebra.table[j][i], i * n)
-            if algebra.table[i][j]:
-                axpy(col, ONE, algebra.table[i][j], (n + i) * n)
-        cols.append(col)
-    target = {}
-    for i in range(n):
-        target[i * n + i] = ONE
-        target[(n + i) * n + i] = ONE
-    sol = LinearMap(2 * n * n, n, cols).solve(target)
-    return sol
+    """The unique two-sided unit, or None: e e_i = e_i, then e_i e = e_i,
+    for every i, with e's coordinate j the unknown j."""
+    n, table = algebra.dim, algebra.table
+    lefts = (({i: ONE}, [(j, ONE, table[j][i]) for j in range(n)]) for i in range(n))
+    rights = (({i: ONE}, [(j, ONE, table[i][j]) for j in range(n)]) for i in range(n))
+    system, target = stack_equations(((n, lefts), (n, rights)), n)
+    return system.solve(target)
 
 
 def check_algebra(algebra):
@@ -405,52 +395,26 @@ def multiplier_algebra(algebra):
     if not (nd_right and nd_left) or not algebra.products_span():
         raise ValueError("multiplier algebra needs a non-degenerate, idempotent algebra")
     n = algebra.dim
-    # unknowns: (L, R) as 2*n*n coordinates, L first, column-major
-    def unknown_l(i, j):
-        return j * n + i
-
-    def unknown_r(i, j):
-        return n * n + j * n + i
-
-    cols = [dict() for _ in range(2 * n * n)]
-    eqno = 0
-    for a in range(n):
-        for b in range(n):
-            # sum_i R[i,a] e_i*e_b - sum_j L[j,b] e_a*e_j = 0
-            for i in range(n):
-                axpy(cols[unknown_r(i, a)], ONE, algebra.table[i][b], eqno * n)
-            for j in range(n):
-                axpy(cols[unknown_l(j, b)], -ONE, algebra.table[a][j], eqno * n)
-            eqno += 1
-    constraint = LinearMap(eqno * n, 2 * n * n, cols)
+    # unknowns: (L, R) as 2*n*n coordinates, L first, each column-major:
+    # sum_i R[i,a] e_i*e_b - sum_j L[j,b] e_a*e_j = 0 at each (a, b)
+    laws = (({}, [(n * n + a * n + i, ONE, algebra.table[i][b]) for i in range(n)]
+                 + [(b * n + j, -ONE, algebra.table[a][j]) for j in range(n)])
+            for a in range(n) for b in range(n))
+    constraint, _ = stack_equations(((n, laws),), 2 * n * n)
     basis = constraint.kernel_basis()
 
     def unpack(w):
-        lcols = [dict() for _ in range(n)]
-        rcols = [dict() for _ in range(n)]
-        for idx, s in w.items():
-            if idx < n * n:
-                lcols[idx // n][idx % n] = s
-            else:
-                idx -= n * n
-                rcols[idx // n][idx % n] = s
-        return Multiplier(
-            algebra, LinearMap(n, n, lcols), LinearMap(n, n, rcols)
-        )
+        left, right = unstack(w, n * n, 2)
+        return Multiplier(algebra, LinearMap(n, n, unstack(left, n, n)),
+                          LinearMap(n, n, unstack(right, n, n)))
 
     mults = [unpack(w) for w in basis]
     m = len(mults)
     # structure constants of M(A): (L, R)(L', R') = (L o L', R' o R)
-    flat = LinearMap(2 * n * n, m, [w for w in basis])
+    solutions = LinearMap(2 * n * n, m, basis)
 
     def pack(mult):
-        w = {}
-        for j in range(n):
-            for i, s in mult.left.col(j).items():
-                w[j * n + i] = s
-            for i, s in mult.right.col(j).items():
-                w[n * n + j * n + i] = s
-        return w
+        return axpy(mult.left.flat(), ONE, mult.right.flat(), n * n)
 
     table = []
     for x in range(m):
@@ -461,13 +425,13 @@ def multiplier_algebra(algebra):
                 mults[x].left.compose(mults[y].left),
                 mults[y].right.compose(mults[x].right),
             )
-            coords = flat.solve(pack(prod))
+            coords = solutions.solve(pack(prod))
             assert coords is not None, "multiplier product left the solution space"
             row.append(coords)
         table.append(row)
     m_alg = FiniteAlgebra(table, labels=["m%d" % i for i in range(m)])
     canonical = LinearMap.from_function(
-        m, n, lambda j: flat.solve(pack(Multiplier.from_element(algebra, {j: ONE})))
+        m, n, lambda j: solutions.solve(pack(Multiplier.from_element(algebra, {j: ONE})))
     )
     return m_alg, canonical
 

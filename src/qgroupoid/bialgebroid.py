@@ -28,6 +28,7 @@ from .exact_linear import (
     joint_kernel,
     kron_vec,
     stack,
+    stack_equations,
     unstack,
     vec_conj,
     vec_items,
@@ -341,34 +342,6 @@ def _sigma_ss(M, src, dst):
 # ---------------------------------------------------------------------------
 
 
-def _stack_equations(groups, unknowns):
-    """One linear system from groups of (width, [(target, terms), ...]).
-
-    Each equation says sum(coeff * vec) = target over ``width`` rows, with
-    terms (unknown index, coeff, vec).  Every equation gets its own rows,
-    from eq * stride on, with one stride, the widest width, so equations of
-    different widths never share a row.  Returns (system, rhs).
-    """
-    stride = max(width for width, _ in groups)
-    cols = [{} for _ in range(unknowns)]
-    rhs = {}
-    eq = 0
-    for _, blocks in groups:
-        for target, terms in blocks:
-            axpy(rhs, ONE, target, eq * stride)
-            for col_idx, coeff, vec in terms:
-                axpy(cols[col_idx], coeff, vec, eq * stride)
-            eq += 1
-    return LinearMap(eq * stride, unknowns, cols), rhs
-
-
-def _unflatten(w, rows, cols):
-    """The rows x cols LinearMap whose entry (x, a) is w[a * rows + x]."""
-    return LinearMap.from_function(
-        rows, cols, lambda a: {x: w[a * rows + x] for x in range(rows) if a * rows + x in w}
-    )
-
-
 def _slice_form(h, leg, a, b):
     """The slice of f on ``leg`` at Delta(a) times e_b on the other leg,
     as terms linear in f: A -> base, f(e_c)_x the unknown c * dim + x.
@@ -410,11 +383,11 @@ def _solve_counit(h):
             laws += [(ab, _slice_form(h, leg, a, b)) for leg in (1, 2)]
     modules = [({}, _module_form(h, e, x, a))
                for x in range(dim) for a in range(n) for e in ("s", "t")]
-    system, rhs = _stack_equations(((n, laws), (dim, modules)), n * dim)
+    system, rhs = stack_equations(((n, laws), (dim, modules)), n * dim)
     sol = system.solve(rhs)
     if sol is None or system.kernel_basis():
         raise ValueError("%s counit does not exist or is not unique" % h.side)
-    return _unflatten(sol, dim, n)
+    return LinearMap(dim, n, unstack(sol, dim, n))
 
 
 def derive_counits(M):
@@ -427,6 +400,45 @@ def derive_counits(M):
     return _solve_counit(_Half(M, "B")), _solve_counit(_Half(M, "C"))
 
 
+def _antipode_diagrams(M):
+    """The two defining diagrams of the antipode at every (a, b), as
+    equations linear in S, the unknown S[k, i] at i * n + k:
+        m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b,
+        m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b))).
+    """
+    A, n, table = M.A, M.A.dim, M.A.table
+    emb_sc_eps = M.emb_SC().compose(M.eps_C)  # a -> iota_B(S_C(eps_C(a)))
+    emb_sb_eps = M.emb_SB().compose(M.eps_B)  # a -> iota_C(S_B(eps_B(a)))
+    for a in range(n):
+        for b in range(n):
+            terms = []
+            for idx, c in M.qb.lift(M.canonical_tilde("T_rho", a, b)).items():
+                i, j = divmod(idx, n)
+                terms += [(i * n + k, c, table[k][j]) for k in range(n)]  # S(e_i) e_j
+            yield A.mul(emb_sc_eps.col(a), {b: ONE}), terms
+            terms = []
+            for idx, c in M.qc.lift(M.canonical_tilde("lambda_T", a, b)).items():
+                i, j = divmod(idx, n)
+                terms += [(j * n + k, c, table[i][k]) for k in range(n)]  # e_i S(e_j)
+            yield A.mul({a: ONE}, emb_sb_eps.col(b)), terms
+
+
+def _antipode_bimodule(M):
+    """The base bimodule condition on generators, S(s(x) a) = S(a) t(x) and
+    S(a s(x)) = t(x) S(a) on each half, as equations linear in S."""
+    A, n = M.A, M.A.dim
+    for h in (_Half(M, "B"), _Half(M, "C")):
+        for x in range(h.base.dim):
+            sx, tx = h.s.col(x), h.t.col(x)
+            # the products with t(x) do not depend on a: e_k t(x) and t(x) e_k
+            right = [A.mul({k: ONE}, tx) for k in range(n)]
+            left = [A.mul(tx, {k: ONE}) for k in range(n)]
+            for a in range(n):
+                for moved, products in ((A.mul(sx, {a: ONE}), right), (A.mul({a: ONE}, sx), left)):
+                    terms = [(i * n + k, c, {k: ONE}) for i, c in moved.items() for k in range(n)]
+                    yield {}, terms + [(a * n + k, -ONE, products[k]) for k in range(n)]
+
+
 def derive_antipode(M):
     """Solve for the antipode; (S, None) or (None, reason).
 
@@ -436,75 +448,17 @@ def derive_antipode(M):
     pairs unconstrained, and the bimodule condition (also linear in S)
     is what pins them to zero.
     """
-    A, n = M.A, M.A.dim
+    n = M.A.dim
     if M.eps_B is None or M.eps_C is None:
         raise ValueError("derive_antipode needs verified counits")
-    emb_sc_eps = M.emb_SC().compose(M.eps_C)  # a -> iota_B(S_C(eps_C(a)))
-    emb_sb_eps = M.emb_SB().compose(M.eps_B)  # a -> iota_C(S_B(eps_B(a)))
-    cols = [dict() for _ in range(n * n)]
-    rhs = {}
-    eqno = 0
-
-    def put(col_idx, coeff, vec):
-        if vec:
-            axpy(cols[col_idx], coeff, vec, eqno * n)
-
-    for a in range(n):
-        for b in range(n):
-            # m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b
-            lifted = M.qb.lift(M.canonical_tilde("T_rho", a, b))
-            target = A.mul(emb_sc_eps.col(a), {b: ONE})
-            if target:
-                axpy(rhs, ONE, target, eqno * n)
-            for idx, c in lifted.items():
-                i, j = divmod(idx, n)
-                for k in range(n):
-                    put(i * n + k, c, A.table[k][j])  # unknown S[k, i]
-            eqno += 1
-            # m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b)))
-            lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
-            target = A.mul({a: ONE}, emb_sb_eps.col(b))
-            if target:
-                axpy(rhs, ONE, target, eqno * n)
-            for idx, c in lifted.items():
-                i, j = divmod(idx, n)
-                for k in range(n):
-                    put(j * n + k, c, A.table[i][k])  # unknown S[k, j]
-            eqno += 1
-    # bimodule condition on generators: S(e.a) = S(a).e', S(a.e) = e'.S(a)
-    pairs = [
-        (M.B.embed, M.emb_SB()),  # x in B, companion S_B(x) in C
-        (M.C.embed, M.emb_SC()),  # y in C, companion S_C(y) in B
-    ]
-    for emb, companion in pairs:
-        for x in range(emb.cols):
-            ex, ex2 = emb.col(x), companion.col(x)
-            # the products with x' do not depend on a: e_k x' and x' e_k
-            right = [A.mul({k: ONE}, ex2) for k in range(n)]
-            left = [A.mul(ex2, {k: ONE}) for k in range(n)]
-            for a in range(n):
-                moved = A.mul(ex, {a: ONE})  # S(x a) - S(a) x' = 0
-                for i, c in moved.items():
-                    for k in range(n):
-                        put(i * n + k, c, {k: ONE})
-                for k in range(n):
-                    put(a * n + k, -ONE, right[k])
-                eqno += 1
-                moved = A.mul({a: ONE}, ex)  # S(a x) - x' S(a) = 0
-                for i, c in moved.items():
-                    for k in range(n):
-                        put(i * n + k, c, {k: ONE})
-                for k in range(n):
-                    put(a * n + k, -ONE, left[k])
-                eqno += 1
-    system = LinearMap(eqno * n, n * n, cols)
+    system, rhs = stack_equations(
+        ((n, _antipode_diagrams(M)), (n, _antipode_bimodule(M))), n * n)
     sol = system.solve(rhs)
     if sol is None:
-        witness = "antipode system is inconsistent"
-        return None, witness
+        return None, "antipode system is inconsistent"
     if system.kernel_basis():
         return None, "antipode system underdetermines S"
-    return _unflatten(sol, n, n), None
+    return LinearMap(n, n, unstack(sol, n, n)), None
 
 
 # ---------------------------------------------------------------------------
@@ -780,56 +734,38 @@ def canonical_maps(M, report=None):
     return out, rep
 
 
-def _hom_space(M, module):
-    """Basis of module maps A -> base for the four one-sided structures."""
-    A, n = M.A, M.A.dim
-    if module in ("_BA", "A_B"):
-        base, emb = M.B.base, M.B.embed
-        act = emb if module == "_BA" else M.emb_SB()
-    else:
-        base, emb = M.C.base, M.C.embed
-        act = emb if module == "A_C" else M.emb_SC()
-    dim_b = base.dim
-    cols = [dict() for _ in range(n * dim_b)]
-    eqno = 0
-    for x in range(dim_b):
-        mult = A.lmul(act.col(x)) if module in ("_BA", "A_B") else A.rmul(act.col(x))
-        for a in range(n):
-            # omega(x.a) - law(x, omega(a)) = 0
-            for i, s in mult.col(a).items():
-                for xb in range(dim_b):
-                    axpy(cols[i * dim_b + xb], s, {xb: ONE}, eqno * dim_b)
-            for xb in range(dim_b):
-                if module in ("_BA", "^CA"):
-                    law = base.mul({x: ONE}, {xb: ONE})
-                else:
-                    law = base.mul({xb: ONE}, {x: ONE})
-                if law:
-                    axpy(cols[a * dim_b + xb], -ONE, law, eqno * dim_b)
-            eqno += 1
-    system = LinearMap(eqno * dim_b, n * dim_b, cols)
-    return [_unflatten(w, dim_b, n) for w in system.kernel_basis()]
+# A's four one-sided module structures over a base, by name: the half and
+# the embedding, "s" or "t", whose products act, in the half's order.
+_ONE_SIDED = {"_BA": ("B", "s"), "A_B": ("B", "t"), "^CA": ("C", "t"), "A_C": ("C", "s")}
+
+
+def _hom_space(h, e):
+    """Basis of the module maps f: A -> base with f(e(x) a) = x f(a) for
+    e "s" and f(e(x) a) = f(a) x for "t", every product in h's order."""
+    n, dim = h.A.dim, h.base.dim
+    laws = (({}, _module_form(h, e, x, a)) for x in range(dim) for a in range(n))
+    system, _ = stack_equations(((dim, laws),), n * dim)
+    return [LinearMap(dim, n, unstack(w, dim, n)) for w in system.kernel_basis()]
 
 
 def _regularity_subspaces(M, rep):
-    """The values of each Hom space, embedded and multiplied by A, span A."""
-    A, n = M.A, M.A.dim
-    for module, emb, from_left, name in (
-        ("_BA", M.emb_SB(), True, "regular-subspace-SB(IB)A"),
-        ("A_B", M.B.embed, True, "regular-subspace-IBA"),
-        ("A_C", M.emb_SC(), False, "regular-subspace-ASC(IC)"),
-        ("^CA", M.C.embed, False, "regular-subspace-AIC"),
-    ):
+    """The values of each Hom space, embedded by the other embedding of its
+    half and multiplied by A in the half's order, span A."""
+    n = M.A.dim
+    for module, name in (("_BA", "SB(IB)A"), ("A_B", "IBA"), ("A_C", "ASC(IC)"), ("^CA", "AIC")):
+        letter, e = _ONE_SIDED[module]
+        h = _Half(M, letter)
         vals = Rref()
-        for h in _hom_space(M, module):
+        for f in _hom_space(h, e):
             for a in range(n):
-                vals.add(h.col(a))
+                vals.add(f.col(a))
+        emb = h.t if e == "s" else h.s
         span = Rref()
         for v in vals.basis():
-            e = emb.apply(v)
+            e_v = emb.apply(v)
             for a in range(n):
-                span.add(A.mul(e, {a: ONE}) if from_left else A.mul({a: ONE}, e))
-        rep.check(span.rank == n, name, "regular-1")
+                span.add(h.mul(e_v, {a: ONE}))
+        rep.check(span.rank == n, "regular-subspace-" + name, "regular-1")
 
 
 def _antipode_checks(M, rep, canon):
@@ -840,20 +776,17 @@ def _antipode_checks(M, rep, canon):
     ok, wit = automorphism_check(A, S, anti=True)
     rep.check(ok, "antipode-antiautomorphism", "hopf-characterization", wit)
 
-    checks = []
-    for x in range(M.B.base.dim):
-        bx, sbx = M.B.embed.col(x), M.emb_SB().col(x)
-        for a in range(n):
-            sa = S.col(a)
-            checks.append((("S(xa)", x, a), S.apply(A.mul(bx, {a: ONE})), A.mul(sa, sbx)))
-            checks.append((("S(ax)", x, a), S.apply(A.mul({a: ONE}, bx)), A.mul(sbx, sa)))
-    for y in range(M.C.base.dim):
-        cy, scy = M.C.embed.col(y), M.emb_SC().col(y)
-        for a in range(n):
-            sa = S.col(a)
-            checks.append((("S(ya)", y, a), S.apply(A.mul(cy, {a: ONE})), A.mul(sa, scy)))
-            checks.append((("S(ay)", y, a), S.apply(A.mul({a: ONE}, cy)), A.mul(scy, sa)))
-    wit = _first_failure(iter(checks))
+    def bimodule():
+        """S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a) on each half."""
+        for h in (_Half(M, "B"), _Half(M, "C")):
+            for x in range(h.base.dim):
+                sx, tx = h.s.col(x), h.t.col(x)
+                for a in range(n):
+                    ea, sa = {a: ONE}, S.col(a)
+                    yield ("S(%sa)" % h.x, x, a), S.apply(A.mul(sx, ea)), A.mul(sa, tx)
+                    yield ("S(a%s)" % h.x, x, a), S.apply(A.mul(ea, sx)), A.mul(tx, sa)
+
+    wit = _first_failure(bimodule())
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
 
     # the two defining diagrams
@@ -966,41 +899,34 @@ def verify_regular_mha(M):
         for y in range(M.C.base.dim):
             cy = M.C.embed.col(y)
             units.append((("x", x, "y", y), A.mul(bx, cy), cy, bx))
-    for h in (_Half(M, "B"), _Half(M, "C")):
+    halves = (_Half(M, "B"), _Half(M, "C"))
+    for h in halves:
         wit = _first_failure(
             (at, h.delta.apply(xy), h.q.pure(cy, bx)) for at, xy, cy, bx in units
         )
         rep.check(wit is None, "delta-%s-extended-unit" % h.letter, "delta-bimodule-extended", wit)
 
-    # counit multiplicativity
-    checks = []
-    bb, cc = M.B.base, M.C.base
-    for a in range(n):
-        for b in range(n):
-            ab = A.mul({a: ONE}, {b: ONE})
-            eb = M.eps_B.apply(ab)
-            checks.append(
-                (("eps_B(ab)=eps_B(a eps_B(b))", a, b),
-                 eb,
-                 M.eps_B.apply(A.mul({a: ONE}, M.B.embed.apply(M.eps_B.col(b)))))
-            )
-            checks.append(
-                (("eps_B(ab)=eps_B(a S_B(eps_B(b)))", a, b),
-                 eb,
-                 M.eps_B.apply(A.mul({a: ONE}, M.emb_SB().apply(M.eps_B.col(b)))))
-            )
-            ec = M.eps_C.apply(ab)
-            checks.append(
-                (("eps_C(ab)=eps_C(eps_C(a) b)", a, b),
-                 ec,
-                 M.eps_C.apply(A.mul(M.C.embed.apply(M.eps_C.col(a)), {b: ONE})))
-            )
-            checks.append(
-                (("eps_C(ab)=eps_C(S_C(eps_C(a)) b)", a, b),
-                 ec,
-                 M.eps_C.apply(A.mul(M.emb_SC().apply(M.eps_C.col(a)), {b: ONE})))
-            )
-    wit = _first_failure(iter(checks))
+    def multiplicative():
+        """eps(ab) = eps(p e(eps(q))) in h's order, (p, q) = (a, b) on B and
+        (b, a) on C, for e = s, t, each half's pair in turn at each (a, b)."""
+        laws = []
+        for h in halves:
+            p_word, q_word = h.ordered("a", "b")
+            inner = "eps_%s(%s)" % (h.letter, q_word)
+            labels = ["eps_%s(ab)=eps_%s(%s %s)" % (h.letter, h.letter, *h.ordered(p_word, word))
+                      for word in (inner, "S_%s(%s)" % (h.letter, inner))]
+            laws.append((h, tuple(zip((h.s, h.t), labels))))
+        for a in range(n):
+            for b in range(n):
+                ab = A.mul({a: ONE}, {b: ONE})
+                for h, forms in laws:
+                    p, q = h.ordered(a, b)
+                    lhs, value = h.eps.apply(ab), h.eps.col(q)
+                    for emb, label in forms:
+                        yield ((label, a, b), lhs,
+                               h.eps.apply(h.mul({p: ONE}, emb.apply(value))))
+
+    wit = _first_failure(multiplicative())
     rep.check(wit is None, "counits-multiplicative", "counits-multiplicative", wit)
 
     wit = _galois_compatibility(M)

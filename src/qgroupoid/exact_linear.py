@@ -68,6 +68,7 @@ __all__ = [
     "joint_kernel",
     "stack",
     "unstack",
+    "stack_equations",
     "is_positive_semidefinite",
 ]
 
@@ -595,6 +596,27 @@ def unstack(w, width, count):
     return blocks
 
 
+def stack_equations(groups, unknowns):
+    """One linear system from groups of (width, [(target, terms), ...]).
+
+    Each equation says sum(coeff * vec) = target over ``width`` rows, with
+    terms (unknown index, coeff, vec).  Every equation gets its own rows,
+    from eq * stride on, with one stride, the widest width, so equations of
+    different widths never share a row.  Returns (system, rhs).
+    """
+    stride = max(width for width, _ in groups)
+    cols = [{} for _ in range(unknowns)]
+    rhs = {}
+    eq = 0
+    for _, blocks in groups:
+        for target, terms in blocks:
+            axpy(rhs, ONE, target, eq * stride)
+            for col_idx, coeff, vec in terms:
+                axpy(cols[col_idx], coeff, vec, eq * stride)
+            eq += 1
+    return LinearMap(eq * stride, unknowns, cols), rhs
+
+
 def joint_kernel(maps):
     """Basis of the common kernel of LinearMaps with one domain."""
     return stack(maps).kernel_basis()
@@ -857,6 +879,12 @@ class LinearMap:
             for i, s in col.items():
                 cols[i][j] = s
         return LinearMap(self.cols, self.rows, cols)
+
+    def flat(self):
+        """The entries as one vector, column by column: entry (i, j) at
+        j * rows + i, the layout ``unstack(w, rows, cols)`` reads back."""
+        rows = self.rows
+        return {j * rows + i: s for j, col in enumerate(self.data) for i, s in col.items()}
 
     def to_dense(self):
         return [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra_core import BaseEmbedding, FiniteAlgebra, check_algebra
 from .balanced_tensor import tensor_mul
 from .bialgebroid import RegularMHA
-from .exact_linear import ONE, ZERO, LinearMap, axpy, kron_vec, vscale
+from .exact_linear import ONE, ZERO, LinearMap, axpy, kron_vec, stack_equations, vscale
 from .report import Rejected, Report
 
 __all__ = [
@@ -324,21 +324,20 @@ class FiniteHopf:
         return True
 
     def left_integral_space(self):
-        """Basis of all left-invariant functionals, by linear solve."""
-        n = self.dim
-        cols = [dict() for _ in range(n)]
-        eqno = 0
-        for a in range(n):
-            for b in range(n):
-                prod = self.tensor_mul(
-                    self.delta.col(a), kron_vec({b: ONE}, self.H.unit(), n)
-                )
-                for idx, s in prod.items():
-                    i, j = divmod(idx, n)
-                    axpy(cols[j], s, {i: ONE}, eqno * n)
-                axpy(cols[a], -ONE, {b: ONE}, eqno * n)
-                eqno += 1
-        return LinearMap(eqno * n, n, cols).kernel_basis()
+        """Basis of all left-invariant functionals, by linear solve:
+        (id (x) phi)(Delta(a)(b (x) 1)) = phi(a) b at each (a, b), with
+        phi(e_j) the unknown j."""
+        n, one = self.dim, self.H.unit()
+
+        def laws():
+            for a in range(n):
+                for b in range(n):
+                    prod = self.tensor_mul(self.delta.col(a), kron_vec({b: ONE}, one, n))
+                    terms = [(idx % n, s, {idx // n: ONE}) for idx, s in prod.items()]
+                    yield {}, terms + [(a, -ONE, {b: ONE})]
+
+        system, _ = stack_equations(((n, laws()),), n)
+        return system.kernel_basis()
 
     def compute_modular_data(self):
         """Modular element and automorphism of the stored left integral."""

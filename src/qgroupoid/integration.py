@@ -20,8 +20,6 @@ from .bialgebroid import (
     _Half,
     _module_form,
     _slice_form,
-    _stack_equations,
-    _unflatten,
 )
 from .exact_linear import (
     ONE,
@@ -31,6 +29,8 @@ from .exact_linear import (
     ev,
     inverse,
     is_positive_semidefinite,
+    stack_equations,
+    unstack,
     vec_items,
     vsub,
 )
@@ -329,36 +329,24 @@ def solve_partial_integrals(M, side):
         for d in range(n)
         for e in range(n)
     )
-    system, _ = _stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
-    basis = [_unflatten(w, dim_b, n) for w in system.kernel_basis()]
+    system, _ = stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
+    basis = [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
     rep = Report()
     for k, mapping in enumerate(basis):
         sub = check_partial_integral(M, mapping, side)
         rep.check(sub.ok, "solution-%d-invariant" % k, "partial-integrals",
                   [e.axiom for e in sub.failures()])
 
-    # bimodule stability: x . phi . x' stays in the span
-    def flat(mapping):
-        return {a * dim_b + x: s for a in range(n) for x, s in mapping.col(a).items()}
-
+    # bimodule stability: x . phi . x' stays in the span, a -> x' a x composed
+    # once per (x, x') from the two multiplication operators
     span = Rref()
     for mapping in basis:
-        span.add(flat(mapping))
+        span.add(mapping.flat())
     other = _Half(M, "B" if side == "left" else "C")
-    other_dim = other.s.cols
-    ok = True
-    for mapping in basis:
-        for u in range(other_dim):
-            eu = other.s.col(u)
-            for v in range(other_dim):
-                ev_ = other.s.col(v)
-                moved = LinearMap.from_function(
-                    dim_b,
-                    n,
-                    lambda a: mapping.apply(A.mul(ev_, A.mul({a: ONE}, eu))),
-                )
-                if not span.contains(flat(moved)):
-                    ok = False
+    embedded = [other.s.col(u) for u in range(other.s.cols)]
+    lefts, rights = [A.lmul(v) for v in embedded], [A.rmul(u) for u in embedded]
+    moves = [left.compose(right) for right in rights for left in lefts]
+    ok = all(span.contains(mapping.compose(op).flat()) for mapping in basis for op in moves)
     rep.check(ok, "bimodule-stability", "partial-integrals-bimodule-antipode")
     # S^{+-1} o phi o S^{-+1} swaps the two solution spaces; S agrees with
     # the base anti-isomorphisms on the embedded bases
@@ -435,19 +423,13 @@ def _ergodic_characterization(M):
     if one is None:
         return None, None
     qb = M.qb
-    cols = [dict() for _ in range(n)]
-    stride = max(n, qb.dim)
-    eqno = 0
+    commutes = []  # z commutes with each y: y z - z y = 0
     for y in range(M.C.base.dim):
         cy = M.C.embed.col(y)
         lm, rm = A.lmul(cy), A.rmul(cy)
-        for j in range(n):
-            axpy(cols[j], ONE, vsub(lm.col(j), rm.col(j)), eqno * stride)
-        eqno += 1
-    for j in range(n):
-        axpy(cols[j], ONE, vsub(M.delta_B.col(j), qb.pure(one, {j: ONE})), eqno * stride)
-    eqno += 1
-    system = LinearMap(eqno * stride, n, cols)
+        commutes.append(({}, [(j, ONE, vsub(lm.col(j), rm.col(j))) for j in range(n)]))
+    fixed = ({}, [(j, ONE, vsub(M.delta_B.col(j), qb.pure(one, {j: ONE}))) for j in range(n)])
+    system, _ = stack_equations(((n, commutes), (qb.dim, [fixed])), n)
     return system.kernel_basis(), None
 
 

@@ -14,7 +14,7 @@ from itertools import product
 
 from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check
 from .balanced_tensor import NotBalanced, descend_componentwise
-from .bialgebroid import _hom_space
+from .bialgebroid import _ONE_SIDED, _Half, _hom_space
 from .exact_linear import (
     ONE,
     LinearMap,
@@ -22,6 +22,8 @@ from .exact_linear import (
     axpy,
     ev,
     kron_vec,
+    stack_equations,
+    unstack,
     vec_items,
 )
 from .integration import (
@@ -475,62 +477,37 @@ def uniqueness_check(X):
 # -- local projectivity ------------------------------------------------------------
 
 
-def _co_hom_space(M, module):
-    """Module maps from the base into A for the four one-sided structures."""
-    A, n = M.A, M.A.dim
-    if module in ("_BA", "A_B"):
-        base = M.B.base
-        act = M.B.embed if module == "_BA" else M.emb_SB()
-        side_left = module == "_BA"
-    else:
-        base = M.C.base
-        act = M.C.embed if module == "A_C" else M.emb_SC()
-        side_left = module == "^CA"
-    dim_b = base.dim
-    cols = [dict() for _ in range(n * dim_b)]
-    eqno = 0
-    for x in range(dim_b):
-        mult = A.lmul(act.col(x)) if module in ("_BA", "A_B") else A.rmul(act.col(x))
-        for b in range(dim_b):
-            prod = base.mul({x: ONE}, {b: ONE}) if side_left else base.mul({b: ONE}, {x: ONE})
-            # e(x . b) - x . e(b) = 0; unknowns e[k, b]
-            for bb, c in prod.items():
-                for k in range(n):
-                    axpy(cols[bb * n + k], c, {k: ONE}, eqno * n)
-            for k in range(n):
-                axpy(cols[b * n + k], -ONE, mult.col(k), eqno * n)
-            eqno += 1
-    system = LinearMap(eqno * n, n * dim_b, cols)
-    out = []
-    for w in system.kernel_basis():
-        out.append(
-            LinearMap.from_function(
-                n,
-                dim_b,
-                lambda b, w=w: {k: w[b * n + k] for k in range(n) if b * n + k in w},
-            )
-        )
-    return out
+def _co_hom_space(h, e):
+    """Basis of the module maps f: base -> A with f(x b) = s(x) f(b) for e
+    "s" and f(b x) = t(x) f(b) for "t", every product in h's order."""
+    n, dim = h.A.dim, h.base.dim
+    emb = h.s if e == "s" else h.t
+
+    def laws():
+        for x in range(dim):
+            acted = [h.mul(emb.col(x), {k: ONE}) for k in range(n)]
+            for b in range(dim):
+                prod = h.bmul({x: ONE}, {b: ONE}) if e == "s" else h.bmul({b: ONE}, {x: ONE})
+                # f(prod) - e(x) f(b) = 0; the unknown f[k, b] at b * n + k
+                yield {}, ([(bb * n + k, c, {k: ONE}) for bb, c in prod.items() for k in range(n)]
+                           + [(b * n + k, -ONE, acted[k]) for k in range(n)])
+
+    system, _ = stack_equations(((n, laws()),), n * dim)
+    return [LinearMap(n, dim, unstack(w, n, dim)) for w in system.kernel_basis()]
 
 
 def local_projectivity(M):
     """Dual-basis feasibility for the four one-sided module structures."""
-    A, n = M.A, M.A.dim
     rep = Report()
     out = {}
-    for module in ("_BA", "A_B", "^CA", "A_C"):
-        homs = _hom_space(M, module)
-        coh = _co_hom_space(M, module)
+    ident = LinearMap.identity(M.A.dim).flat()
+    for module, (letter, e) in _ONE_SIDED.items():
+        h = _Half(M, letter)
+        coh = _co_hom_space(h, e)
         span = Rref()
-        for upsilon in homs:
-            for e in coh:
-                comp = e.compose(upsilon)
-                v = {}
-                for j in range(n):
-                    for i, s in comp.col(j).items():
-                        v[j * n + i] = s
-                span.add(v)
-        ident = {j * n + j: ONE for j in range(n)}
+        for upsilon in _hom_space(h, e):
+            for f in coh:
+                span.add(f.compose(upsilon).flat())
         ok = span.contains(ident)
         out[module] = ok
         rep.check(ok, "locally-projective-%s" % module, "projective")

@@ -39,7 +39,7 @@ from qgroupoid import (
     verify_regular_mha,
 )
 from qgroupoid.algebra_core import FiniteAlgebra
-from qgroupoid.bialgebroid import _hom_space
+from qgroupoid.bialgebroid import _ONE_SIDED, _Half, _hom_space
 from qgroupoid.cli import main
 from qgroupoid.exact_linear import ONE, axpy, vec_items
 from qgroupoid.examples import (
@@ -156,7 +156,9 @@ def _columns(f):
 
 def _module_spaces(M, module):
     """The Hom and co-Hom bases of one one-sided module structure of M."""
-    return _hom_space(M, module), _co_hom_space(M, module)
+    letter, e = _ONE_SIDED[module]
+    h = _Half(M, letter)
+    return _hom_space(h, e), _co_hom_space(h, e)
 
 
 def _antipode_bundles():

@@ -417,3 +417,7 @@ def test_stack_applies_each_map_at_its_offset(drawn):
     for t, block in enumerate(unstack(blocks, cols, 3)):
         axpy(expected, ONE, m.apply(block), t * rows)
     assert m.apply_blocks(blocks) == expected
+    # a map's entries as one column-major vector, read back column by column
+    flat = m.flat()
+    assert flat == {j * rows + i: s for j in range(cols) for i, s in m.col(j).items()}
+    assert LinearMap(rows, cols, unstack(flat, rows, cols)) == m
