@@ -1,4 +1,5 @@
-"""Golden reports on the 2-point pair groupoid, and ``dual`` on 3 points.
+"""Golden reports on the 2-point pair groupoid, ``dual`` on 3 points, and
+the tensor algebroid over the 2x2 matrix algebra (a non-commutative base).
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
 captured), ``verify_regular_mha`` on mutant instances,
@@ -35,6 +36,7 @@ from qgroupoid import (
     local_projectivity,
     multiplier_algebra,
     orbit_algebra,
+    solve_partial_integrals,
     standard_integrals,
     verify_regular_mha,
 )
@@ -51,6 +53,7 @@ from qgroupoid.examples import (
     swap_action,
 )
 from qgroupoid.integration import _ergodic_characterization
+from qgroupoid.report import Report
 from qgroupoid.structure_theory import _co_hom_space
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -72,10 +75,20 @@ def _changed(f, k, add_col):
     return LinearMap(f.rows, f.cols, cols)
 
 
-def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, points=POINTS):
+def _with_term(f, k, term):
+    """The raw comultiplication f with the basis tensor e_i (x) e_j added to
+    column k, for term = (i, j)."""
+    i, j = term
+    cols = [dict(f.col(c)) for c in range(f.cols)]
+    cols[k] = axpy(cols[k], ONE, {i * f.cols + j: ONE})
+    return LinearMap(f.rows, f.cols, cols)
+
+
+def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, points=POINTS,
+                  term=None):
     """The pair groupoid instance with one column of delta_B, delta_C, S,
-    eps_B or eps_C changed by ``_changed``; eps_B, eps_C and S are passed
-    explicitly.
+    eps_B or eps_C changed by ``_changed``, or, given term, by ``_with_term``;
+    eps_B, eps_C and S are passed explicitly.
 
     Convolution's comultiplications are group-like, e_g -> e_g (x) e_g, and
     stay coassociative when a column is scaled, so its mutants add a column.
@@ -85,15 +98,16 @@ def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, point
     raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
     raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
     parts = {"delta_B": raw_b, "delta_C": raw_c, "S": M.S, "eps_B": M.eps_B, "eps_C": M.eps_C}
-    parts[kind] = _changed(parts[kind], col, add_col)
+    parts[kind] = (_changed(parts[kind], col, add_col) if term is None
+                   else _with_term(parts[kind], col, term))
     return RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
                       eps_B=parts["eps_B"], eps_C=parts["eps_C"], S=parts["S"],
                       name="mutant")
 
 
-def _mutant(kind, col, build=build_function_algebroid, add_col=None):
+def _mutant(kind, col, build=build_function_algebroid, add_col=None, term=None):
     """The report of ``verify_regular_mha`` on a p2 ``mutant_bundle``."""
-    rep = verify_regular_mha(mutant_bundle(kind, col, build, add_col))
+    rep = verify_regular_mha(mutant_bundle(kind, col, build, add_col, term=term))
     return [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
 
 
@@ -228,6 +242,42 @@ def _solved_spaces():
     return steps
 
 
+def matrix_tensor_algebroid():
+    """build_tensor_algebroid(M2, M2, T, T): both bases the 2x2 matrix
+    algebra, on the matrix units e11, e12, e21, e22, and both base
+    anti-isomorphisms the transpose.  Its bases are not commutative."""
+    def mul(i, j):
+        (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
+        return {a * 2 + d: ONE} if b == c else {}
+
+    m2 = FiniteAlgebra.from_mul(4, mul, labels=["e11", "e12", "e21", "e22"])
+    transpose = LinearMap.from_function(4, 4, lambda k: {(k % 2) * 2 + k // 2: ONE})
+    return build_tensor_algebroid(m2, m2, transpose, transpose)
+
+
+def _matrix_tensor():
+    """The verify report of ``matrix_tensor_algebroid``, then both
+    partial-integral space dimensions with the solve reports, then the
+    local-projectivity verdicts with their report."""
+    M = matrix_tensor_algebroid()
+    steps = []
+
+    def step(head, rep):
+        lines = ([json.dumps(head, sort_keys=True)] if head else []) + rep.to_json_lines()
+        steps.append((0 if rep.ok else 1, "\n".join(lines) + "\n"))
+
+    step(None, verify_regular_mha(M))
+    dims, reps = {}, Report()
+    for side in ("left", "right"):
+        space, rep = solve_partial_integrals(M, side)
+        dims[side + "_space_dim"] = len(space)
+        reps.merge(rep, prefix=side)
+    step(dims, reps)
+    verdicts, rep = local_projectivity(M)
+    step({"modules": verdicts}, rep)
+    return steps
+
+
 def _unit_arrow_index():
     g = pair_groupoid(POINTS)
     return g.index[g.units[1]]
@@ -268,12 +318,17 @@ def cases(workdir):
             "delta_B", 1, build_convolution_algebroid, add_col=0),
         "mutant-convolution-delta_C-col2": lambda: _mutant(
             "delta_C", 2, build_convolution_algebroid, add_col=0),
+        "mutant-convolution-delta_B-term": lambda: _mutant(
+            "delta_B", 0, build_convolution_algebroid, term=(0, 1)),
+        "mutant-convolution-delta_C-term": lambda: _mutant(
+            "delta_C", 0, build_convolution_algebroid, term=(0, 2)),
         "mutant-S-col1": lambda: _mutant("S", 1),
         "mutant-eps_B-unit": lambda: _mutant("eps_B", _unit_arrow_index()),
         "mutant-eps_C-unit": lambda: _mutant("eps_C", _unit_arrow_index()),
         "mutant-sweep-p2": _mutant_sweep,
         "partial-integrals-perturbed-p2": _perturbed_partial_integrals,
         "solved-spaces": _solved_spaces,
+        "tensor-matrix-units": _matrix_tensor,
     }
 
 
