@@ -32,6 +32,7 @@ from .exact_linear import (
     unstack,
     vec_conj,
     vec_items,
+    vsub,
 )
 from .report import Report
 
@@ -77,6 +78,7 @@ class RegularMHA:
     _structs = None  # (multiplication side, embedding) -> ModuleStructure
     _triples = None  # coassociativity kind -> TripleTensor
     _tilde = None  # (which, a, b) -> canonical_tilde(which, a, b)
+    _shared = None  # flavor -> BalancedTensor another bundle offers, see tensor()
 
     def __init__(
         self,
@@ -91,6 +93,7 @@ class RegularMHA:
         eps_C=None,
         S=None,
         name="",
+        _shared_tensors=None,
     ):
         self.A = A
         self.B = B  # BaseEmbedding
@@ -99,6 +102,7 @@ class RegularMHA:
         self.S_C = S_C  # LinearMap base_C -> base_B
         self.name = name
         self._tensors = {}
+        self._shared = _shared_tensors
         self._canonical = None
         self._emb_sb = None
         self._emb_sc = None
@@ -173,9 +177,21 @@ class RegularMHA:
     }
 
     def tensor(self, flavor):
+        """The balanced tensor of a flavor, built once per bundle.
+
+        A bundle made with ``_shared_tensors`` (flavor -> BalancedTensor of
+        another bundle over the same A, read when a flavor is first asked
+        for) takes that tensor, with its echelon and descended maps, when
+        both its module structures have this bundle's action maps.
+        """
         if flavor not in self._tensors:
             s1, s2 = (self._struct(*key) for key in self._RECIPES[flavor])
-            self._tensors[flavor] = BalancedTensor(self.A, s1, s2, flavor)
+            shared = self._shared.get(flavor) if self._shared else None
+            if (shared is not None and shared.algebra is self.A
+                    and shared.struct1.acts == s1.acts and shared.struct2.acts == s2.acts):
+                self._tensors[flavor] = shared
+            else:
+                self._tensors[flavor] = BalancedTensor(self.A, s1, s2, flavor)
         return self._tensors[flavor]
 
     @property
@@ -509,14 +525,28 @@ def _verify_bialgebroid(M, h, report):
     joints = [joint_kernel([op({j: ONE}) for j in range(n)]) for op in h.absorb]
     rep.check(not any(joints), side + "-tensor-nondegenerate", modules)
 
-    # Delta lands in the admissible operator space.  The product is linear in
-    # the relation, so the rows of the relation echelon are checked; only if
-    # one fails are the generators scanned, b outer, to name the witness.
+    # Delta lands in the admissible operator space (Takeuchi's x_B
+    # condition): Delta(b) r lies in the relation span R for every b and
+    # every relation r, the product in h's order.  The structures of q
+    # multiply, from the left on QB and from the right on QC, so the
+    # generator at (x, a, c) is g_x (a (x) c) in h's order, where
+    # g_x = x.1 (x) 1 - 1 (x) x.1 is the generator at (x, 1, 1).  If A is
+    # associative and unital, R is therefore the right ideal, in h's order,
+    # generated by the g_x, and Delta(b) R lies in R iff every Delta(b) g_x
+    # does.  Otherwise the rows of the relation echelon are checked, the
+    # product being linear in the relation.  Only if a check fails are the
+    # generators scanned, b outer, to name the witness.
     def lands(b, rel):
         return q.space.contains_relation(tensor_mul(A, *h.ordered(h.lifts[b], rel)))
 
+    unit = A.unit()
+    if unit is not None and A.is_associative()[0]:
+        spanning = [vsub(kron_vec(act1.apply(unit), unit, n), kron_vec(unit, act2.apply(unit), n))
+                    for act1, act2 in zip(q.struct1.acts, q.struct2.acts)]
+    else:
+        spanning = q.space.rref.rows.values()
     wit = None
-    if not all(lands(b, row) for b in range(n) for row in q.space.rref.rows.values()):
+    if not all(lands(b, rel) for b in range(n) for rel in spanning):
         wit = next({"delta_of": A.labels[b], "relation": gen}
                    for b in range(n)
                    for gen, rel in zip(q.generators, q.relation_vectors())

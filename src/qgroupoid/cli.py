@@ -26,7 +26,7 @@ from .examples import (
 )
 from .exact_linear import FieldExtensionNeeded, ScalarField, as_fraction, sc
 from .integration import BaseWeight, assemble_measured, solve_partial_integrals
-from .modification import check_modifier, groupoid_rn_modifier, identity_modifier, modify
+from .modification import groupoid_rn_modifier, identity_modifier, modify
 from .report import Rejected, Report
 from .structure_theory import dual_algebra, modular_automorphism, modular_element
 
@@ -219,11 +219,11 @@ def cmd_modify(args):
         mod, cocycle = identity_modifier(M), None
     else:
         raise SystemExit("unknown --recipe %r" % args.recipe)
-    rep = check_modifier(M, mod)
     try:
         modified = modify(M, mod)
     except Rejected as e:
         return _fail(e.eq, str(e), args.out)
+    rep = Report().merge(modified.modifier_report)
     rep.merge(modified.modification_report, prefix="modify")
     artifact = {
         "kind": "measured-pipeline",

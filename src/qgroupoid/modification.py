@@ -284,7 +284,17 @@ def check_modifier(M, mod):
 
 
 def modify(M, mod, verify=True):
-    """Apply a modifier; the result is rebuilt and re-verified from scratch."""
+    """Apply a modifier; the result is a new bundle, re-verified from scratch.
+
+    The result shares A, B and C with M.  It takes M's balanced tensor of a
+    flavor, with its echelon and memoized descents, whenever both module
+    structures of that flavor have the same action maps in both bundles,
+    as every flavor has for a modifier trivial on the bases; it builds the
+    others itself.  Its comultiplications, counits and antipode are its
+    own, and every axiom is checked on them again.  The ``check_modifier``
+    report of mod is kept as ``modifier_report``, the checks made here and
+    the re-verification as ``modification_report``.
+    """
     pre = check_modifier(M, mod)
     failures = [e for e in pre.failures() if e.axiom not in ("trivial-on-base", "self-adjoint")]
     if failures:
@@ -313,7 +323,7 @@ def modify(M, mod, verify=True):
     out = RegularMHA(
         A, M.B, M.C, s_b_new, s_c_new, delta_b_raw, delta_c_raw,
         eps_B=eps_b_new, eps_C=eps_c_new, S=s_new,
-        name=M.name + "~",
+        name=M.name + "~", _shared_tensors=M._tensors,
     )
     rep = Report()
     # alternative expressions for the modified counits and antipode
@@ -359,6 +369,7 @@ def modify(M, mod, verify=True):
             rep.merge(srep, prefix="modified-star")
             if not srep.ok:
                 raise Rejected("modification", "modified star structure failed", rep)
+    out.modifier_report = pre
     out.modification_report = rep
     return out
 

@@ -1,6 +1,10 @@
 """Verification suites, canonical maps, antipode derivation, star structures."""
 
+import importlib.util
+import os
 import sys
+
+import pytest
 
 from qgroupoid import algebra_core, bialgebroid
 from qgroupoid.algebra_core import FiniteAlgebra
@@ -13,6 +17,7 @@ from qgroupoid.bialgebroid import (
     derive_counits,
     verify_left_bialgebroid,
     verify_regular_mha,
+    verify_right_bialgebroid,
     verify_star,
 )
 from qgroupoid.examples import (
@@ -25,6 +30,7 @@ from qgroupoid.balanced_tensor import TripleTensor
 from qgroupoid.exact_linear import (
     ONE,
     LinearMap,
+    QuotientSpace,
     Scalar,
     axpy,
     kron_vec,
@@ -32,6 +38,11 @@ from qgroupoid.exact_linear import (
     vec_conj,
     vec_items,
 )
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
+golden_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_record)
 
 
 def test_function_algebroid_full_suite(m_fun):
@@ -400,3 +411,104 @@ def test_verify_makes_no_more_products_than_recorded(monkeypatch):
         assert verify_regular_mha(M).ok
         monkeypatch.setattr(FiniteAlgebra, "mul", mul)
         assert len(calls) <= 4113, build.__name__
+
+
+def _delta_operator_by_echelon(h):
+    """The (status, witness) of h's delta-operator entry by the relation
+    echelon: Delta(b) times every row, in h's order, must lie in the
+    relation span; if one does not, the generators are scanned, b outer,
+    for the witness."""
+    A, q = h.A, h.q
+
+    def lands(b, rel):
+        return q.space.contains_relation(bialgebroid.tensor_mul(A, *h.ordered(h.lifts[b], rel)))
+
+    if all(lands(b, row) for b in range(A.dim) for row in q.space.rref.rows.values()):
+        return "pass", None
+    return "fail", next({"delta_of": A.labels[b], "relation": gen}
+                        for b in range(A.dim)
+                        for gen, rel in zip(q.generators, q.relation_vectors())
+                        if not lands(b, rel))
+
+
+def _single_term_mutants():
+    """Every convolution p2 bundle with e_c (x) e_k added to column c of
+    Delta_B or of Delta_C: 2 * 4 * 4 of them."""
+    return [golden_record.mutant_bundle(kind, c, build_convolution_algebroid, term=(c, k))
+            for kind in ("delta_B", "delta_C") for c in range(4) for k in range(4)]
+
+
+_SUITES = ((verify_left_bialgebroid, "B"), (verify_right_bialgebroid, "C"))
+
+
+def _delta_operator_entry(rep, side):
+    entry = next(e for e in rep.entries if e.axiom == side + "-delta-operator")
+    return entry.status, entry.witness
+
+
+@pytest.mark.parametrize("fixture", ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed",
+                                     "m_twosided", "m_conv_mod"])
+def test_delta_operator_on_generators_agrees_with_the_echelon_on_fixtures(request, fixture):
+    M = request.getfixturevalue(fixture)
+    for suite, letter in _SUITES:
+        h = _Half(M, letter)
+        assert _delta_operator_entry(suite(M), h.side) == _delta_operator_by_echelon(h)
+
+
+def _matrix_term_mutant(kind, c, k):
+    """``golden_record.matrix_tensor_algebroid`` with e_c (x) e_k added to
+    column c of Delta_B or of Delta_C.  Its base is 4-dimensional, so three
+    of the generators g_x are independent, against one on p2."""
+    return golden_record.mutant_bundle(
+        kind, c, lambda _: golden_record.matrix_tensor_algebroid(), term=(c, k))
+
+
+def test_delta_operator_on_generators_agrees_with_the_echelon_on_mutants():
+    # the ideal generators g_x (x, 1, 1) decide the law on a non-commutative
+    # base and on every single-term comultiplication mutant; a failing one
+    # still names the first failing generator, b outer
+    bundles = [golden_record.matrix_tensor_algebroid(), *_single_term_mutants(),
+               _matrix_term_mutant("delta_B", 1, 5), _matrix_term_mutant("delta_C", 1, 5)]
+    verdicts = set()
+    for M in bundles:
+        for suite, letter in _SUITES:
+            h = _Half(M, letter)
+            expected = _delta_operator_by_echelon(h)
+            assert _delta_operator_entry(suite(M), h.side) == expected, (M.name, letter)
+            verdicts.add(expected[0])
+    assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("patch", [("unit", None), ("is_associative", (False, (0, 0, 0)))])
+def test_delta_operator_off_the_ideal_argument_scans_the_echelon(monkeypatch, patch):
+    # with A.unit() None, or A taken for non-associative, the rows of the
+    # relation echelon are checked instead of the generators g_x, and both
+    # suites report the same
+    method, value = patch
+    calls = []
+    contains = QuotientSpace.contains_relation
+
+    def counted(self, w):
+        calls.append(None)
+        return contains(self, w)
+
+    def reports(M):
+        calls.clear()
+        monkeypatch.setattr(QuotientSpace, "contains_relation", counted)
+        lines = [suite(M).to_json_lines() for suite, _ in _SUITES]
+        monkeypatch.setattr(QuotientSpace, "contains_relation", contains)
+        return lines, len(calls)
+
+    passing = golden_record.matrix_tensor_algebroid()
+    for M in [passing, *_single_term_mutants()[::5]]:
+        reports(M)  # the descents the suites make are memoized from here on
+        expected, by_generators = reports(M)
+        with monkeypatch.context() as patched:
+            patched.setattr(M.A, method, lambda: value)
+            lines, by_echelon = reports(M)
+        assert lines == expected, M.name
+        if M is passing:
+            # dim_B products per b on B and dim_C on C, or one per echelon
+            # row on either half
+            n, ranks = M.A.dim, M.qb.space.rref.rank + M.qc.space.rref.rank
+            assert by_echelon - by_generators == n * (ranks - M.B.base.dim - M.C.base.dim)

@@ -1,11 +1,30 @@
 """Modifiers, the modified structures, and the derivative recipes."""
 
+import json
+
 import pytest
 
-from qgroupoid.bialgebroid import verify_regular_mha, verify_star
+from qgroupoid import balanced_tensor, modification
+from qgroupoid.algebra_core import FiniteAlgebra
+from qgroupoid.bialgebroid import (
+    FLAVOR_LT,
+    FLAVOR_QB,
+    FLAVOR_QC,
+    FLAVOR_RT,
+    FLAVOR_TL,
+    FLAVOR_TR,
+    RegularMHA,
+    verify_regular_mha,
+    verify_star,
+)
+from qgroupoid.cli import main
 from qgroupoid.examples import (
+    build_convolution_algebroid,
     build_crossed_product,
+    build_tensor_algebroid,
     function_algebra_z2,
+    groupoid_to_json,
+    pair_groupoid,
     standard_integrals,
     swap_action,
 )
@@ -13,8 +32,10 @@ from qgroupoid.exact_linear import (
     ONE,
     FieldExtensionNeeded,
     LinearMap,
+    QuotientSpace,
     Rref,
     ScalarField,
+    kron_vec,
     sc,
     vadd,
     vscale,
@@ -322,3 +343,67 @@ def test_modified_counit_expressions(m_conv, rn_cocycle):
     for axiom in ("modified-left-counit", "modified-right-counit", "modified-antipode",
                   "canonical-T-lambda-twist", "canonical-T-rho-twist"):
         assert rep.status_of(axiom) == "pass"
+
+
+FLAVORS = (FLAVOR_QB, FLAVOR_QC, FLAVOR_TL, FLAVOR_TR, FLAVOR_LT, FLAVOR_RT)
+
+
+def test_a_modifier_trivial_on_the_bases_shares_every_tensor():
+    g = pair_groupoid([1, 2, 3])
+    M = build_convolution_algebroid(g)
+    mod, _ = groupoid_rn_modifier(g, {0: sc(1), 1: sc(4), 2: sc(9)})
+    out = modify(M, mod)
+    assert out.modification_report.ok
+    assert all(out.tensor(f) is M.tensor(f) for f in FLAVORS)
+
+
+def test_other_base_anti_isomorphisms_share_only_the_flavors_without_them():
+    # the tensor algebroid over functions on two points, rebuilt on the
+    # same A with S_B = S_C the swap: TR and LT act through B and C alone
+    # and are shared; QB, QC, TL and RT act through S_B or S_C and are
+    # built anew, and the report is that of a bundle that shares nothing
+    points = FiniteAlgebra.pointwise(["u1", "u2"])
+    ident, swap = LinearMap.identity(2), LinearMap.from_rows([[0, 1], [1, 0]])
+    M = build_tensor_algebroid(points, points, ident, ident)
+    M.canonical()
+    alone = build_tensor_algebroid(points, points, swap, swap)
+    n = M.A.dim
+    raw = LinearMap.from_function(
+        n * n, n, lambda k: kron_vec(M.C.embed.col(k // 2), M.B.embed.col(k % 2), n))
+    N = RegularMHA(M.A, M.B, M.C, swap, swap, raw, raw, eps_B=alone.eps_B,
+                   eps_C=alone.eps_C, S=alone.S, name=alone.name, _shared_tensors=M._tensors)
+    rep = verify_regular_mha(N)
+    assert rep.ok and rep.to_json_lines() == verify_regular_mha(alone).to_json_lines()
+    shared = {f for f in FLAVORS if N.tensor(f) is M.tensor(f)}
+    assert shared == {FLAVOR_TR, FLAVOR_LT}
+
+
+def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, monkeypatch, capsys):
+    # counted on `modify --recipe groupoid_rn` of convolution p4 after the
+    # modified bundle took its source's tensors, the modifier was checked
+    # once and the Delta-operator law was decided on the ideal generators
+    # (16 tensors, 2 modifier checks and 17,472 relation tests before)
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(groupoid_to_json(pair_groupoid([1, 2, 3, 4]))))
+    counts = {"tensors": 0, "modifier checks": 0, "relation tests": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    tensor = balanced_tensor.BalancedTensor
+    monkeypatch.setattr(tensor, "__init__", counted(tensor.__init__, "tensors"))
+    monkeypatch.setattr(modification, "check_modifier",
+                        counted(modification.check_modifier, "modifier checks"))
+    monkeypatch.setattr(QuotientSpace, "contains_relation",
+                        counted(QuotientSpace.contains_relation, "relation tests"))
+    code = main(["modify", "--example", "convolution", "--groupoid", str(path),
+                 "--mu", "1,4,9,16", "--recipe", "groupoid_rn"])
+    monkeypatch.undo()
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    assert code == 0 and summary["status"] == "pass"
+    assert counts["tensors"] <= 8
+    assert counts["modifier checks"] == 1
+    assert counts["relation tests"] <= 7232
