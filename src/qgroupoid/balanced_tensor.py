@@ -47,6 +47,22 @@ class NotBalanced(ValueError):
         super().__init__("%s; witness relation %s" % (message, witness))
 
 
+_DESCENDS = " does not descend between flavors {src!r} -> {dst!r}"
+
+
+class _Unbalanced:
+    """The memo of a descent that failed: its first failing generator."""
+
+    def __init__(self, witness):
+        self.witness = witness
+
+
+def _not_balanced(message, src, dst, witness):
+    """NotBalanced for a descent src -> dst (None for A), with {src!r} and
+    {dst!r} in message standing for the two flavors."""
+    return NotBalanced(message.format(src=src.flavor, dst=getattr(dst, "flavor", None)), witness)
+
+
 def _relations(struct1, struct2):
     """(x, a, b, x.a (x) b - a (x) x.b) for every non-zero relation generator."""
     n = struct1.total.dim
@@ -129,9 +145,7 @@ def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
                for p in {p for ij in images for p in touching.get(ij, ())}):
         for gen, rel in zip(src.generators, src.relation_vectors()):
             if not holds(apply(rel)):
-                raise NotBalanced(
-                    message.format(src=src.flavor, dst=getattr(dst, "flavor", None)), gen
-                )
+                raise _not_balanced(message, src, dst, gen)
         raise AssertionError("a relation basis row fails but no generator does")
     cols = [{} for _ in range(src.dim)]
     free_pos = src.space.free_pos
@@ -151,10 +165,10 @@ class BalancedTensor:
 
     The descended maps a tensor hands out (leg multiplications, slices
     and flips) are memoized per tensor in ``_op_cache``: a repeated call
-    returns the map computed the first time.  Only successful descents
-    are stored; a map that is not balanced is re-checked on every call and
-    raises NotBalanced with that call's own ``what`` text.  Callers must
-    not mutate the returned maps.
+    returns the map computed the first time.  A map that is not balanced
+    is memoized too, as its failing generator: a repeated call checks no
+    relation and raises NotBalanced with that generator and the call's
+    own ``what`` text.  Callers must not mutate the returned maps.
     """
 
     def __init__(self, algebra, struct1, struct2, flavor=""):
@@ -220,26 +234,39 @@ class BalancedTensor:
 
         return descend_componentwise(
             self, target or self, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
-            what + " does not descend between flavors {src!r} -> {dst!r}",
+            what + _DESCENDS,
             live=[i * n + j for i in live(op1) for j in live(op2)],
         )
 
-    def _cached(self, key, build):
-        """The memoized build() under key; a build() that raises stores nothing."""
+    def _cached(self, key, build, message, target):
+        """The memoized build() under key, build() a checked descent from
+        this tensor to target (None for A) whose failure text is
+        ``message``.  A build() that raises NotBalanced stores its witness
+        generator, and a repeated call raises NotBalanced with that
+        generator and its own message, checking nothing again."""
         if key not in self._op_cache:
-            self._op_cache[key] = build()
-        return self._op_cache[key]
+            try:
+                self._op_cache[key] = build()
+            except NotBalanced as e:
+                self._op_cache[key] = _Unbalanced(e.witness)
+                raise
+        value = self._op_cache[key]
+        if type(value) is _Unbalanced:
+            raise _not_balanced(message, self, target, value.witness)
+        return value
 
     def _leg_op(self, slot, side, u):
         """The descended multiplication by u, a basis index or a vector."""
+        what = "%s-multiplication on leg %d" % (side, slot)
+
         def build():
             alg = self.algebra
             m = alg.lmul(u) if side == "l" else alg.rmul(u)
             op1, op2 = (m, None) if slot == 1 else (None, m)
-            return self.descend(op1, op2, what="%s-multiplication on leg %d" % (side, slot))
+            return self.descend(op1, op2, what=what)
 
         key = u if isinstance(u, int) else tuple(sorted(u.items()))
-        return self._cached((slot, side, key), build)
+        return self._cached((slot, side, key), build, what + _DESCENDS, self)
 
     def _combine(self, slot, side, u):
         """Multiplication by u on a leg, combined from its basis elements'
@@ -294,23 +321,26 @@ class BalancedTensor:
             val, other = (omega.col(i), {j: ONE}) if leg == 1 else (omega.col(j), {i: ONE})
             return alg.mul(val, other) if multiply == "left" else alg.mul(other, val)
 
+        message = what + " is not balanced for flavor {src!r}"
+
         def build():
             support = [k for k in range(n) if omega.col(k)]
             pairs = ((k, j) for k in support for j in range(n))
             return descend_componentwise(
-                self, None, sliced, what + " is not balanced for flavor {src!r}",
+                self, None, sliced, message,
                 live=[k * n + j if leg == 1 else j * n + k for k, j in pairs],
             )
 
-        return self._cached(("slice", omega, leg, multiply), build)
+        return self._cached(("slice", omega, leg, multiply), build, message, None)
 
     def flip_to(self, target):
         """The map a (x) b -> b (x) a into the flipped flavor, checked; memoized."""
-        n = self.leg_dim
-        return self._cached(("flip", target), lambda: descend_componentwise(
-            self, target, lambda i, j: {j * n + i: ONE},
-            "flip does not relate flavors {src!r} -> {dst!r}",
-        ))
+        n, message = self.leg_dim, "flip does not relate flavors {src!r} -> {dst!r}"
+
+        def build():
+            return descend_componentwise(self, target, lambda i, j: {j * n + i: ONE}, message)
+
+        return self._cached(("flip", target), build, message, target)
 
     def __repr__(self):
         return "BalancedTensor(%r, dim=%d)" % (self.flavor, self.dim)

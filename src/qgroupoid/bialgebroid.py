@@ -463,6 +463,11 @@ def derive_antipode(M):
     the diagrams alone leave entries at source/target-mismatched basis
     pairs unconstrained, and the bimodule condition (also linear in S)
     is what pins them to zero.
+
+    It has n^2 unknowns.  ``verify_regular_mha`` solves it only where
+    ``_antipode_through_inverse`` cannot decide ``antipode-unique``, so
+    every failing entry keeps this solver's reason; the tests keep it as
+    the oracle of that shortcut.
     """
     n = M.A.dim
     if M.eps_B is None or M.eps_C is None:
@@ -654,15 +659,6 @@ def _coassociativity_blocks(M, kind, bs):
             yield b, c, L, R
 
 
-def _coassociativity_sides(M, kind, b):
-    """(a, c, lhs, rhs) of the coassociativity law of kind XY at b, every
-    a, c, c outer and a inner: the blocks of ``_coassociativity_blocks``."""
-    n = M.A.dim
-    for _, c, L, R in _coassociativity_blocks(M, kind, [b]):
-        for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n))):
-            yield a, c, lhs, rhs
-
-
 def _coassociativity(M, rep, kind, name, eq):
     """One coassociativity law on every basis triple (a, b, c).
 
@@ -735,7 +731,12 @@ def _counit_checks(h, rep):
 
 
 def canonical_maps(M, report=None):
-    """The four canonical maps, their well-definedness and invertibility."""
+    """The four canonical maps, their well-definedness and invertibility.
+
+    ``out[which]`` holds the map, its domain tensor and its inverse (None
+    unless bijective); ``verify_regular_mha`` reads the inverse of T_rho
+    to decide ``antipode-unique`` (see ``_antipode_through_inverse``).
+    """
     rep = report if report is not None else Report()
     maps = M.canonical()
     out = {}
@@ -799,6 +800,10 @@ def _regularity_subspaces(M, rep):
 
 
 def _antipode_checks(M, rep, canon):
+    """The antipode entries on M.S.  Returns whether the three that
+    evaluate the equations of ``derive_antipode``'s system at M.S,
+    ``antipode-base-bimodule``, ``antipode-diagram-left`` and
+    ``antipode-diagram-right``, all passed."""
     A, n = M.A, M.A.dim
     S = M.S
     from .algebra_core import automorphism_check
@@ -818,6 +823,7 @@ def _antipode_checks(M, rep, canon):
 
     wit = _first_failure(bimodule())
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
+    solves = wit is None
 
     # the two defining diagrams
     emb_sc_eps = M.emb_SC().compose(M.eps_C)
@@ -841,10 +847,10 @@ def _antipode_checks(M, rep, canon):
                 if term:
                     axpy(lhs, s, term)
             checks2.append(((A.labels[a], A.labels[b]), lhs, A.mul({a: ONE}, emb_sb_eps.col(b))))
-    wit = _first_failure(iter(checks1))
-    rep.check(wit is None, "antipode-diagram-left", "dg-antipode", wit)
-    wit = _first_failure(iter(checks2))
-    rep.check(wit is None, "antipode-diagram-right", "dg-antipode", wit)
+    for name, checks in (("left", checks1), ("right", checks2)):
+        wit = _first_failure(iter(checks))
+        rep.check(wit is None, "antipode-diagram-" + name, "dg-antipode", wit)
+        solves = solves and wit is None
 
     # antipode-counit exchange
     checks = []
@@ -899,6 +905,45 @@ def _antipode_checks(M, rep, canon):
                   None if ok else "flip SS does not intertwine lambda_T with T_rho")
     except NotBalanced as e:
         rep.check(False, "galois-antipode", "dg-galois-antipode", str(e))
+    return solves
+
+
+def _antipode_through_inverse(M, canon):
+    """Whether S(a) = m(R (x) id) T_rho^{-1}(a (x) 1) is M.S, where
+    R = iota_B S_C eps_C: the first antipode diagram solved through the
+    inverse ``canonical_maps`` holds (S(a) b = (eps (x) id) T_1^{-1}(a (x) b)
+    for multiplier Hopf algebras, A. Van Daele, Trans. AMS 342 (1994)).
+    False, without computing anything, unless T_rho is bijective and A
+    is unital and associative.
+
+    Given that, and given that M.S passes the three ``_antipode_checks``
+    entries that evaluate the equations of ``derive_antipode``'s system,
+    the system has exactly one solution and it is M.S:
+      - Existence.  Those entries compare exactly the system's equations
+        at M.S: the diagrams read qb.lift(T_rho(a, b)) and
+        qc.lift(lambda_T(a, b)), and the bimodule laws are the same.
+      - Uniqueness.  Let K be in the kernel of the system.  By the
+        bimodule law K(s(x) a) = K(a) t(x) and associativity, m(K (x) id)
+        kills QB's relations s(x) a (x) b - a (x) t(x) b; it vanishes on
+        every lift of T_rho(a, b); T_rho is onto, so m(K (x) id) = 0 on
+        QB, and K(a) = m(K (x) id)(e_a (x) 1) = 0.
+    So the entry passes with no solve.  S' == M.S is an extra, computed
+    cross-check that cannot fail under these gates; if it does, the
+    caller solves the system after all.
+    """
+    A, n, inv = M.A, M.A.dim, canon["T_rho"]["inverse"]
+    unit = A.unit()
+    if inv is None or unit is None or not A.is_associative()[0]:
+        return False
+    dom, R = canon["T_rho"]["domain"], M.emb_SC().compose(M.eps_C)
+    for a in range(n):
+        value = {}
+        for idx, c in dom.lift(inv.apply(M.qb.pure({a: ONE}, unit))).items():
+            x, y = divmod(idx, n)
+            axpy(value, c, A.mul(R.col(x), {y: ONE}))
+        if value != M.S.col(a):
+            return False
+    return True
 
 
 def verify_regular_mha(M):
@@ -964,9 +1009,10 @@ def verify_regular_mha(M):
 
     canon, _ = canonical_maps(M, rep)
     _regularity_subspaces(M, rep)
-    _antipode_checks(M, rep, canon)
-
-    derived, err = derive_antipode(M)
+    if _antipode_checks(M, rep, canon) and _antipode_through_inverse(M, canon):
+        derived, err = M.S, None
+    else:
+        derived, err = derive_antipode(M)
     rep.check(
         derived is not None and derived == M.S,
         "antipode-unique",

@@ -131,31 +131,33 @@ def _base_automorphism(emb, total_map):
     return LinearMap(emb.base.dim, emb.base.dim, cols)
 
 
-def _modified_qb(M, theta):
-    """QB-type tensor with the twisted target anti-isomorphism."""
-    s_b_new = M.S_B.compose(theta.inverse())
-    emb_b = M.B.embed
-    emb_sb_new = M.C.embed.compose(s_b_new)
-    acts1 = [M.A.lmul(emb_b.col(x)) for x in range(M.B.base.dim)]
-    acts2 = [M.A.lmul(emb_sb_new.col(x)) for x in range(M.B.base.dim)]
+def _modified_tensor(M, flavor, acts1, acts2):
+    """The tensor of flavor + "~" balancing acts1 against acts2, or M's
+    tensor of flavor if that has these action maps, as it has when theta
+    is the identity."""
+    q = M.tensor(flavor)
+    if q.struct1.acts == acts1 and q.struct2.acts == acts2:
+        return q
     from .algebra_core import ModuleStructure
 
-    s1 = ModuleStructure(M.B.base, M.A, acts1, "left")
-    s2 = ModuleStructure(M.B.base, M.A, acts2, "right")
-    return BalancedTensor(M.A, s1, s2, FLAVOR_QB + "~")
+    s1 = ModuleStructure(q.struct1.base, M.A, acts1, "left")
+    s2 = ModuleStructure(q.struct2.base, M.A, acts2, "right")
+    return BalancedTensor(M.A, s1, s2, flavor + "~")
+
+
+def _modified_qb(M, theta):
+    """QB-type tensor with the twisted target anti-isomorphism."""
+    emb_sb_new = M.C.embed.compose(M.S_B.compose(theta.inverse()))
+    acts1 = [M.A.lmul(M.B.embed.col(x)) for x in range(M.B.base.dim)]
+    acts2 = [M.A.lmul(emb_sb_new.col(x)) for x in range(M.B.base.dim)]
+    return _modified_tensor(M, FLAVOR_QB, acts1, acts2)
 
 
 def _modified_qc(M, theta_c):
-    s_c_new = M.S_C.compose(theta_c.inverse())
-    emb_c = M.C.embed
-    emb_sc_new = M.B.embed.compose(s_c_new)
+    emb_sc_new = M.B.embed.compose(M.S_C.compose(theta_c.inverse()))
     acts1 = [M.A.rmul(emb_sc_new.col(y)) for y in range(M.C.base.dim)]
-    acts2 = [M.A.rmul(emb_c.col(y)) for y in range(M.C.base.dim)]
-    from .algebra_core import ModuleStructure
-
-    s1 = ModuleStructure(M.C.base, M.A, acts1, "left")
-    s2 = ModuleStructure(M.C.base, M.A, acts2, "right")
-    return BalancedTensor(M.A, s1, s2, FLAVOR_QC + "~")
+    acts2 = [M.A.rmul(M.C.embed.col(y)) for y in range(M.C.base.dim)]
+    return _modified_tensor(M, FLAVOR_QC, acts1, acts2)
 
 
 def check_modifier(M, mod):
@@ -190,28 +192,29 @@ def check_modifier(M, mod):
     rep.check(ok, "l_theta-twists-t", "theta-base")
     # the two twists of each comultiplication agree
     try:
-        qb_new = _modified_qb(M, theta)
+        # a failure names the "~" flavor, also where qb_new is M.qb itself
+        qb_new, into = _modified_qb(M, theta), "{src!r} -> %r" % (FLAVOR_QB + "~")
         tw1 = descend_componentwise(
             M.qb, qb_new, lambda i, j: kron_vec(mod.theta_l.col(i), {j: ONE}, n),
-            "theta_l (x) id does not descend {src!r} -> {dst!r}",
+            "theta_l (x) id does not descend " + into,
         )
         tw2 = descend_componentwise(
             M.qb, qb_new, lambda i, j: kron_vec({i: ONE}, mod.theta_r.col(j), n),
-            "id (x) theta_r does not descend {src!r} -> {dst!r}",
+            "id (x) theta_r does not descend " + into,
         )
         ok = tw1.compose(M.delta_B) == tw2.compose(M.delta_B)
         rep.check(ok, "left-twists-agree", "theta-comultiplication")
     except NotBalanced as e:
         rep.check(False, "left-twists-agree", "theta-comultiplication", str(e))
     try:
-        qc_new = _modified_qc(M, theta_c)
+        qc_new, into = _modified_qc(M, theta_c), "{src!r} -> %r" % (FLAVOR_QC + "~")
         tw1 = descend_componentwise(
             M.qc, qc_new, lambda i, j: kron_vec(mod.l_theta.col(i), {j: ONE}, n),
-            "l_theta (x) id does not descend {src!r} -> {dst!r}",
+            "l_theta (x) id does not descend " + into,
         )
         tw2 = descend_componentwise(
             M.qc, qc_new, lambda i, j: kron_vec({i: ONE}, mod.r_theta.col(j), n),
-            "id (x) r_theta does not descend {src!r} -> {dst!r}",
+            "id (x) r_theta does not descend " + into,
         )
         ok = tw1.compose(M.delta_C) == tw2.compose(M.delta_C)
         rep.check(ok, "right-twists-agree", "theta-comultiplication")

@@ -120,27 +120,32 @@ def _derived_counits(M):
     return [[vec_items(eps.col(a)) for a in range(eps.cols)] for eps in (eps_B, eps_C)]
 
 
-def _mutant_sweep():
-    """Every single-column mutant of functions and convolution p2.
-
-    Each column of delta_B, delta_C, S, eps_B and eps_C is scaled by 2, and
-    separately has the next column added.  A step holds the bundle's name
-    and derive_counits outcome, then the failing verify_regular_mha entries.
-    """
-    steps = []
+def sweep_bundles():
+    """((build name, kind, col, add_col), bundle) for every single-column
+    mutant of functions and convolution p2: each column of delta_B,
+    delta_C, S, eps_B and eps_C scaled by 2, and separately with the next
+    column added."""
     for build in (build_function_algebroid, build_convolution_algebroid):
         n = build(pair_groupoid(POINTS)).A.dim
         for kind in ("delta_B", "delta_C", "S", "eps_B", "eps_C"):
             for col in range(n):
                 for add_col in (None, (col + 1) % n):
-                    M = mutant_bundle(kind, col, build, add_col)
-                    rep = verify_regular_mha(M)
-                    head = {"bundle": [build.__name__, kind, col, add_col],
-                            "derive_counits": _derived_counits(M)}
-                    lines = [json.dumps(head, sort_keys=True)]
-                    lines += [line for line, e in zip(rep.to_json_lines(), rep.entries)
-                              if e.status == "fail"]
-                    steps.append((0 if rep.ok else 1, "\n".join(lines) + "\n"))
+                    yield ((build.__name__, kind, col, add_col),
+                           mutant_bundle(kind, col, build, add_col))
+
+
+def _mutant_sweep():
+    """Every bundle of ``sweep_bundles``.  A step holds the bundle's name
+    and derive_counits outcome, then the failing verify_regular_mha entries.
+    """
+    steps = []
+    for name, M in sweep_bundles():
+        rep = verify_regular_mha(M)
+        head = {"bundle": list(name), "derive_counits": _derived_counits(M)}
+        lines = [json.dumps(head, sort_keys=True)]
+        lines += [line for line, e in zip(rep.to_json_lines(), rep.entries)
+                  if e.status == "fail"]
+        steps.append((0 if rep.ok else 1, "\n".join(lines) + "\n"))
     return steps
 
 

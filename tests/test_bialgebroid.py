@@ -35,6 +35,7 @@ from qgroupoid.exact_linear import (
     axpy,
     kron_vec,
     stack_equations,
+    unstack,
     vec_conj,
     vec_items,
 )
@@ -258,12 +259,12 @@ def test_a_passing_bundle_builds_no_triple_quotient(m_conv):
 def test_coassociativity_witness_shows_both_sides_reduced(m_conv):
     # oracle: every (a, c) at each b in order, compared in a fresh quotient
     M = _delta_b_replaced(m_conv, 1, 1, 0)
-    labels, triple = M.A.labels, TripleTensor(M.A, M.qb, M.qc, "BC")
+    labels, triple, n = M.A.labels, TripleTensor(M.A, M.qb, M.qc, "BC"), M.A.dim
     expected = next(
         {"at": (labels[a], labels[b], labels[c]),
          "lhs": vec_items(triple.reduce(lhs)), "rhs": vec_items(triple.reduce(rhs))}
-        for b in range(M.A.dim)
-        for a, c, lhs, rhs in bialgebroid._coassociativity_sides(M, "BC", b)
+        for b, c, L, R in bialgebroid._coassociativity_blocks(M, "BC", range(n))
+        for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n)))
         if not triple.equal(lhs, rhs)
     )
     assert expected["lhs"] != expected["rhs"]
@@ -512,3 +513,102 @@ def test_delta_operator_off_the_ideal_argument_scans_the_echelon(monkeypatch, pa
             # row on either half
             n, ranks = M.A.dim, M.qb.space.rref.rank + M.qc.space.rref.rank
             assert by_echelon - by_generators == n * (ranks - M.B.base.dim - M.C.base.dim)
+
+
+def _passing_bundles():
+    """Fresh passing bundles: functions and convolution of p2 and p3, and
+    the M2 tensor algebroid over a non-commutative base."""
+    return [build(pair_groupoid(points))
+            for build in (build_function_algebroid, build_convolution_algebroid)
+            for points in ([1, 2], [1, 2, 3])] + [golden_record.matrix_tensor_algebroid()]
+
+
+def _solves(monkeypatch):
+    """Spies on derive_antipode and stack_equations: the list of bundles
+    the solver ran on and the list of unknown counts of stacked systems."""
+    solved, unknowns = [], []
+    derive, stacked = bialgebroid.derive_antipode, bialgebroid.stack_equations
+
+    def derive_spy(M):
+        solved.append(M)
+        return derive(M)
+
+    def stack_spy(groups, count):
+        unknowns.append(count)
+        return stacked(groups, count)
+
+    monkeypatch.setattr(bialgebroid, "derive_antipode", derive_spy)
+    monkeypatch.setattr(bialgebroid, "stack_equations", stack_spy)
+    return solved, unknowns
+
+
+@pytest.mark.parametrize("bundles, witnesses", [
+    ("fixtures", {None}),
+    ("sweep", {None, "antipode system is inconsistent", "derived antipode differs"}),
+    ("single-term", {None, "antipode system is inconsistent"}),
+])
+def test_antipode_uniqueness_through_the_inverse_reports_what_the_solve_does(
+        request, monkeypatch, bundles, witnesses):
+    # oracle: the same suite with the shortcut declining, so that every
+    # antipode-unique entry comes from derive_antipode's n^2-unknown system
+    if bundles == "fixtures":
+        names = ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided",
+                 "m_conv_mod"]
+        bundles = [request.getfixturevalue(name) for name in names] + _passing_bundles()
+    else:
+        bundles = ([M for _, M in golden_record.sweep_bundles()] if bundles == "sweep"
+                   else _single_term_mutants())
+    seen = set()
+    for M in bundles:
+        rep = verify_regular_mha(M)
+        with monkeypatch.context() as declined:
+            declined.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon: False)
+            assert verify_regular_mha(M).to_json_lines() == rep.to_json_lines(), M.name
+        seen.add(_failure(rep, "antipode-unique"))
+    assert seen == witnesses
+
+
+def test_a_passing_bundle_solves_no_antipode_system(monkeypatch, m_group, m_tensor, m_crossed,
+                                                     m_twosided, m_conv_mod):
+    solved, unknowns = _solves(monkeypatch)
+    for M in [m_group, m_tensor, m_crossed, m_twosided, m_conv_mod, *_passing_bundles()]:
+        unknowns.clear()
+        assert verify_regular_mha(M).ok, M.name
+        assert solved == [] and M.A.dim ** 2 not in unknowns, M.name
+    # the spies do see the solve where the shortcut declines
+    M = build_function_algebroid(pair_groupoid([1, 2]))
+    unknowns.clear()
+    monkeypatch.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon: False)
+    assert verify_regular_mha(M).ok
+    assert solved == [M] and unknowns.count(M.A.dim ** 2) == 1
+
+
+def _without_t_rho_inverse(monkeypatch, M):
+    """canonical_maps hands out no inverse of T_rho, as for a singular one."""
+    canonical = bialgebroid.canonical_maps
+
+    def singular(M, report=None):
+        out, rep = canonical(M, report)
+        out["T_rho"] = dict(out["T_rho"], inverse=None)
+        return out, rep
+
+    monkeypatch.setattr(bialgebroid, "canonical_maps", singular)
+
+
+@pytest.mark.parametrize("gate", [
+    lambda monkeypatch, M: monkeypatch.setattr(M.A, "unit", lambda: None),
+    lambda monkeypatch, M: monkeypatch.setattr(M.A, "is_associative", lambda: (False, (0, 0, 0))),
+    _without_t_rho_inverse,
+], ids=["unit", "associative", "T_rho-inverse"])
+def test_antipode_uniqueness_off_the_gates_solves_the_system(monkeypatch, gate):
+    # without a unit, with A taken for non-associative, or without the
+    # inverse of T_rho, the uniqueness argument does not hold, and the
+    # entry comes from the solve
+    M = build_convolution_algebroid(pair_groupoid([1, 2, 3]))
+    gate(monkeypatch, M)
+    with monkeypatch.context() as declined:
+        declined.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon: False)
+        expected = verify_regular_mha(M).to_json_lines()
+    solved, _ = _solves(monkeypatch)
+    assert verify_regular_mha(M).to_json_lines() == expected
+    assert solved == [M]

@@ -382,7 +382,9 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
     # counted on `modify --recipe groupoid_rn` of convolution p4 after the
     # modified bundle took its source's tensors, the modifier was checked
     # once and the Delta-operator law was decided on the ideal generators
-    # (16 tensors, 2 modifier checks and 17,472 relation tests before)
+    # (16 tensors, 2 modifier checks and 17,472 relation tests before), and
+    # after check_modifier took M's QB and QC for an identity theta (8
+    # tensors before)
     path = tmp_path / "p4.json"
     path.write_text(json.dumps(groupoid_to_json(pair_groupoid([1, 2, 3, 4]))))
     counts = {"tensors": 0, "modifier checks": 0, "relation tests": 0}
@@ -404,6 +406,31 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
     monkeypatch.undo()
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
     assert code == 0 and summary["status"] == "pass"
-    assert counts["tensors"] <= 8
+    assert counts["tensors"] <= 6
     assert counts["modifier checks"] == 1
     assert counts["relation tests"] <= 7232
+
+
+@pytest.mark.parametrize("twist, expected", [
+    (("theta_r", [2, 1, 0, 3]), ("left-twists-agree",
+     "id (x) theta_r does not descend 'bsA\u2297btA' -> 'bsA\u2297btA~'; witness relation (0, 0, 2)")),
+    (("l_theta", [1, 0, 2, 3]), ("right-twists-agree",
+     "l_theta (x) id does not descend 'cAt\u2297cAs' -> 'cAt\u2297cAs~'; witness relation (0, 0, 2)")),
+])
+def test_check_modifier_with_identity_theta_builds_no_tensor(m_fun, monkeypatch, twist, expected):
+    # theta_l and r_theta are the identity, so theta and theta_c are, and
+    # the twists descend into M's own QB and QC; a twist that does not
+    # descend still names the "~" flavor, as when a tensor was built for it
+    name, perm = twist
+    ident = LinearMap.identity(4)
+    maps = dict(theta_l=ident, theta_r=ident, l_theta=ident, r_theta=ident)
+    maps[name] = LinearMap.from_function(4, 4, lambda k: {perm[k]: ONE})
+    built = []
+    init = balanced_tensor.BalancedTensor.__init__
+    monkeypatch.setattr(balanced_tensor.BalancedTensor, "__init__",
+                        lambda self, *args: built.append(args[-1]) or init(self, *args))
+    rep = modification.check_modifier(m_fun, modification.Modifier(**maps))
+    assert built == []
+    axiom, witness = expected
+    (entry,) = [e for e in rep.entries if e.axiom == axiom]
+    assert (entry.status, entry.witness) == ("fail", witness)
