@@ -21,23 +21,38 @@ import os
 import tempfile
 
 from qgroupoid import (
+    BaseWeight,
     HopfAction,
     LinearMap,
+    MeasuredMHA,
+    Modifier,
+    Rejected,
     RegularMHA,
+    assemble_measured,
     build_convolution_algebroid,
     build_crossed_product,
     build_function_algebroid,
     build_group_hopf,
     build_tensor_algebroid,
     build_two_sided,
+    check_modifier,
     check_partial_integral,
+    convolution,
     derive_antipode,
     derive_counits,
+    factorize,
+    faithfulness_check,
+    haar_analysis,
+    inner_modifier,
     local_projectivity,
+    modify,
+    modular_automorphism,
+    modular_element,
     multiplier_algebra,
     orbit_algebra,
     solve_partial_integrals,
     standard_integrals,
+    uniqueness_check,
     verify_regular_mha,
 )
 from qgroupoid.algebra_core import FiniteAlgebra
@@ -52,7 +67,7 @@ from qgroupoid.examples import (
     pair_groupoid,
     swap_action,
 )
-from qgroupoid.integration import _ergodic_characterization
+from qgroupoid.integration import _ergodic_characterization, translate_left
 from qgroupoid.report import Report
 from qgroupoid.structure_theory import _co_hom_space
 
@@ -283,6 +298,104 @@ def _matrix_tensor():
     return steps
 
 
+def _skewed(X):
+    """X with phi, and separately psi, replaced by the factorization of
+    v . phi, v = e_(1,1) + e_(1,2) + 2 e_(2,2): each is the measured data
+    of X with one total functional no longer an integral, so the checks of
+    that functional's half fail while the mirror half's still pass."""
+    v = {0: ONE, 1: ONE, 3: 2 * ONE}
+    moved, _ = factorize(X.M, X.weight, translate_left(X.M.A, v, X.phi.omega))
+    pieces = (X.M, X.weight, X.phi_C, X.psi_B)
+    return (("standard", X),
+            ("skew-phi", MeasuredMHA(*pieces, moved, X.psi, X.report)),
+            ("skew-psi", MeasuredMHA(*pieces, X.phi, moved, X.report)))
+
+
+def _one_sided_modifiers(M):
+    """The inner modifiers by (u, v) = (1, 1 + e_2) and the mirror
+    (1 + e_2, 1), then each with its companion twist on the other leg
+    replaced by the identity, which breaks one half only."""
+    one, moved = {0: ONE, 1: ONE}, {0: ONE, 1: 2 * ONE}
+    ident = LinearMap.identity(M.A.dim)
+    left, right = inner_modifier(M, one, moved), inner_modifier(M, moved, one)
+    return (("inner-u1", left), ("inner-v1", right),
+            ("inner-u1-theta_r-id", Modifier(left.theta_l, ident, left.l_theta, left.r_theta)),
+            ("inner-v1-l_theta-id", Modifier(right.theta_l, right.theta_r, ident, right.r_theta)))
+
+
+def _mirror_pins():
+    """The full reports of both halves' modular theory and of one-sided
+    modifiers, on functions p2 (weight 1, 4) and convolution p2 (weight 1, 1).
+
+    For the measured instance and its ``_skewed`` variants: sigma on both
+    sides, the modular element, uniqueness, faithfulness and the Haar
+    analysis, then lambda and rho of phi and of psi, each with the
+    computed maps.  Then ``check_modifier`` and ``modify`` of every
+    ``_one_sided_modifiers``, with the modified bundle's maps.  A step that
+    raises Rejected records its eq and message instead.
+    """
+    g = pair_groupoid(POINTS)
+    steps = []
+
+    def step(head, run):
+        try:
+            extra, rep = run()
+            head.update(extra)
+            code = 0 if rep.ok else 1
+        except Rejected as e:
+            head["rejected"] = [e.eq, str(e)]
+            rep, code = e.report, 1
+        lines = [json.dumps(head, sort_keys=True)] + (rep.to_json_lines() if rep else [])
+        steps.append((code, "\n".join(lines) + "\n"))
+
+    for build, kind, mu in ((build_function_algebroid, "groupoid-functions", {0: ONE, 1: 4 * ONE}),
+                            (build_convolution_algebroid, "groupoid-convolution",
+                             {0: ONE, 1: ONE})):
+        M = build(g)
+        phi_C, psi_B = standard_integrals(kind, M, groupoid=g)
+        X = assemble_measured(M, BaseWeight(dict(mu), dict(mu)), phi_C, psi_B)
+        for variant, Y in _skewed(X):
+            def head(what):
+                return {"bundle": [build.__name__, variant], "step": what}
+
+            for side in ("left", "right"):
+                def sigma(side=side):
+                    sig = modular_automorphism(Y, side)
+                    return {"sigma": _columns(sig.mapping)}, sig.report
+                step(head("modular_automorphism-" + side), sigma)
+
+            def element():
+                me = modular_element(Y)
+                return ({"delta_plus": vec_items(me.delta_plus.element()),
+                         "delta_minus": vec_items(me.delta_minus.element())}, me.report)
+
+            def haar():
+                h, rep = haar_analysis(Y)
+                return {"h": None if h is None else vec_items(h)}, rep
+
+            step(head("modular_element"), element)
+            step(head("uniqueness_check"), lambda: ({}, uniqueness_check(Y)))
+            step(head("faithfulness_check"), lambda: ({}, faithfulness_check(Y)))
+            step(head("haar_analysis"), haar)
+            for name, f in (("phi", Y.phi), ("psi", Y.psi)):
+                for op_kind in ("lambda", "rho"):
+                    def conv(f=f, op_kind=op_kind):
+                        op = convolution(Y, f, op_kind)
+                        return {"operator": _columns(op.operator)}, op.report
+                    step(head("convolution-%s-%s" % (op_kind, name)), conv)
+        for name, mod in _one_sided_modifiers(M):
+            def modified(mod=mod):
+                out = modify(M, mod)
+                maps = {key: _columns(getattr(out, key))
+                        for key in ("delta_B", "delta_C", "eps_B", "eps_C", "S", "S_B", "S_C")}
+                return maps, Report().merge(out.modification_report)
+
+            head = {"bundle": [build.__name__, name]}
+            step(dict(head, step="check_modifier"), lambda mod=mod: ({}, check_modifier(M, mod)))
+            step(dict(head, step="modify"), modified)
+    return steps
+
+
 def _unit_arrow_index():
     g = pair_groupoid(POINTS)
     return g.index[g.units[1]]
@@ -334,6 +447,7 @@ def cases(workdir):
         "partial-integrals-perturbed-p2": _perturbed_partial_integrals,
         "solved-spaces": _solved_spaces,
         "tensor-matrix-units": _matrix_tensor,
+        "mirror-pins-p2": _mirror_pins,
     }
 
 
