@@ -214,7 +214,7 @@ class BalancedTensor:
 
     # -- descended operators ---------------------------------------------
 
-    def descend(self, op1, op2, target=None, what="operator"):
+    def descend(self, op1, op2, message, target=None):
         """Descend (op1 (x) op2) to a map self -> target (default self).
 
         op1/op2 are LinearMaps on A or None for the identity.  Only the
@@ -222,7 +222,8 @@ class BalancedTensor:
         visited: i a non-empty column of op1 and j one of op2 (every index
         for None).  ``descend_componentwise`` checks only the relation rows
         touching them and, if one fails, raises NotBalanced with the first
-        failing generator.  Columns at other coordinates are empty.
+        failing generator and ``message``, in which {src!r} and {dst!r}
+        stand for the two flavors.  Columns at other coordinates are empty.
         """
         n = self.leg_dim
 
@@ -234,8 +235,7 @@ class BalancedTensor:
 
         return descend_componentwise(
             self, target or self, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
-            what + _DESCENDS,
-            live=[i * n + j for i in live(op1) for j in live(op2)],
+            message, live=[i * n + j for i in live(op1) for j in live(op2)],
         )
 
     def _cached(self, key, build, message, target):
@@ -257,16 +257,16 @@ class BalancedTensor:
 
     def _leg_op(self, slot, side, u):
         """The descended multiplication by u, a basis index or a vector."""
-        what = "%s-multiplication on leg %d" % (side, slot)
+        message = "%s-multiplication on leg %d" % (side, slot) + _DESCENDS
 
         def build():
             alg = self.algebra
             m = alg.lmul(u) if side == "l" else alg.rmul(u)
             op1, op2 = (m, None) if slot == 1 else (None, m)
-            return self.descend(op1, op2, what=what)
+            return self.descend(op1, op2, message=message)
 
         key = u if isinstance(u, int) else tuple(sorted(u.items()))
-        return self._cached((slot, side, key), build, what + _DESCENDS, self)
+        return self._cached((slot, side, key), build, message, self)
 
     def _combine(self, slot, side, u):
         """Multiplication by u on a leg, combined from its basis elements'

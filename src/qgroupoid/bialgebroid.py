@@ -127,12 +127,6 @@ class RegularMHA:
 
     # -- embeddings -------------------------------------------------------
 
-    def iota_B(self, x):
-        return self.B.embed.apply(x)
-
-    def iota_C(self, y):
-        return self.C.embed.apply(y)
-
     def emb_SB(self):
         """B -> A through S_B and the C-embedding."""
         if self._emb_sb is None:
@@ -204,35 +198,22 @@ class RegularMHA:
 
     # -- canonical maps --------------------------------------------------------
 
+    _DOMAINS = {"T_lambda": FLAVOR_TL, "T_rho": FLAVOR_TR,
+                "lambda_T": FLAVOR_LT, "rho_T": FLAVOR_RT}
+
     def canonical(self):
         """The four canonical maps with their domain tensors (cached)."""
         if self._canonical is None:
-            qb, qc = self.qb, self.qc
             n = self.A.dim
             self._canonical = {}
-            for which, codim in (
-                ("T_lambda", qb.dim),
-                ("T_rho", qb.dim),
-                ("lambda_T", qc.dim),
-                ("rho_T", qc.dim),
-            ):
-                dom = self.tensor(
-                    {
-                        "T_lambda": FLAVOR_TL,
-                        "T_rho": FLAVOR_TR,
-                        "lambda_T": FLAVOR_LT,
-                        "rho_T": FLAVOR_RT,
-                    }[which]
-                )
+            for which, flavor in self._DOMAINS.items():
+                dom = self.tensor(flavor)
 
                 def col(q, dom=dom, which=which):
-                    a, b = divmod(dom.space.free[q], n)
-                    return self.canonical_tilde(which, a, b)
+                    return self.canonical_tilde(which, *divmod(dom.space.free[q], n))
 
-                self._canonical[which] = (
-                    LinearMap.from_function(codim, dom.dim, col),
-                    dom,
-                )
+                codim = _codomain(self, which).dim
+                self._canonical[which] = (LinearMap.from_function(codim, dom.dim, col), dom)
         return self._canonical
 
     def canonical_tilde(self, which, a, b):
@@ -268,13 +249,14 @@ class _Half:
 
     ``q`` is the half's balanced tensor (QB or QC), ``delta`` its
     comultiplication into it and ``lifts`` the lifted columns of delta.
-    ``s`` embeds the base into A, and ``t`` embeds it through the base
-    anti-isomorphism ``anti`` (S_B or S_C) into the other base.  Delta
-    carries s(x) a onto leg ``s_leg`` of Delta(a) and t(x) a onto leg
-    ``t_leg``: legs 2 and 1 for B, 1 and 2 for C.  ``absorb`` holds the
-    leg multiplications Delta absorbs, on leg 1 and on leg 2: from the
-    right for Delta_B, from the left for Delta_C; ``absorbed`` reads their
-    products with Delta from the bundle's canonical-map memo.
+    ``s`` embeds the base into A, as ``embedding`` (M.B or M.C) does, and
+    ``t`` embeds it through the base anti-isomorphism ``anti`` (S_B or
+    S_C) into the other base.  Delta carries s(x) a onto leg ``s_leg`` of
+    Delta(a) and t(x) a onto leg ``t_leg``: legs 2 and 1 for B, 1 and 2
+    for C.  ``absorb`` holds the leg multiplications Delta absorbs, on
+    leg 1 and on leg 2: from the right for Delta_B, from the left for
+    Delta_C; ``absorbed`` reads their products with Delta from the
+    bundle's canonical-map memo.
 
     Order rule: ``mul(u, v)`` and ``bmul(u, v)`` are the products in A and
     in the base taken as u v on the B half and as v u on the C half, and
@@ -288,7 +270,7 @@ class _Half:
         self.letter = letter
         self.side, self.x = ("left", "x") if left else ("right", "y")
         self.A = M.A
-        self.base, self.s = emb.base, emb.embed
+        self.embedding, self.base, self.s = emb, emb.base, emb.embed
         self.t = M.emb_SB() if left else M.emb_SC()
         self.anti = M.S_B if left else M.S_C
         self.q = q
@@ -324,25 +306,21 @@ class _Half:
         return self.base.mul(*self.ordered(u, v))
 
 
-# ---------------------------------------------------------------------------
-# componentwise maps between tensor flavors
-# ---------------------------------------------------------------------------
+def _halves(M):
+    """M's B half and C half."""
+    return _Half(M, "B"), _Half(M, "C")
 
 
-def _id_tensor_s(M, src, dst):
-    n = M.A.dim
-    return descend_componentwise(
-        src, dst, lambda i, j: kron_vec({i: ONE}, M.S.col(j), n),
-        "id (x) S does not descend {src!r} -> {dst!r}",
-    )
+def _mirrored(M):
+    """Each half of M paired with the other: (B, C), then (C, B)."""
+    b, c = _halves(M)
+    return (b, c), (c, b)
 
 
-def _s_tensor_id(M, src, dst):
-    n = M.A.dim
-    return descend_componentwise(
-        src, dst, lambda i, j: kron_vec(M.S.col(i), {j: ONE}, n),
-        "S (x) id does not descend {src!r} -> {dst!r}",
-    )
+def _codomain(M, which):
+    """The tensor a canonical map lands in: QB for T_lambda and T_rho, QC
+    for lambda_T and rho_T."""
+    return M.qb if which.startswith("T_") else M.qc
 
 
 def _sigma_ss(M, src, dst):
@@ -413,37 +391,47 @@ def derive_counits(M):
     with the antipode, the slice laws alone can leave base-mismatched
     entries free.
     """
-    return _solve_counit(_Half(M, "B")), _solve_counit(_Half(M, "C"))
+    return tuple(_solve_counit(h) for h in _halves(M))
+
+
+def _antipode_laws(M):
+    """The two defining diagrams of the antipode at every (a, b), B's first:
+        m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b,
+        m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b))).
+    Each is one law of a half h: with (p, q) = h.ordered(a, b), S on leg
+    h.t_leg of Delta(p) with e_q absorbed on leg h.s_leg, multiplied out in
+    h's order, equals R(p) e_q in h's order, R the other half's t o eps.
+
+    Yields (h, a, b, terms, rhs), terms the (c, m, o) of the lifted tensor:
+    S applied at e_m, multiplied by e_o in h's order, with coefficient c.
+    """
+    n = M.A.dim
+    laws = [(h, other.t.compose(other.eps)) for h, other in _mirrored(M)]
+    for a in range(n):
+        for b in range(n):
+            for h, R in laws:
+                p, q = h.ordered(a, b)
+                terms = []
+                for idx, c in h.q.lift(h.absorbed(h.s_leg, p, q)).items():
+                    i, j = divmod(idx, n)
+                    terms.append((c, i, j) if h.t_leg == 1 else (c, j, i))
+                yield h, a, b, terms, h.mul(R.col(p), {q: ONE})
 
 
 def _antipode_diagrams(M):
-    """The two defining diagrams of the antipode at every (a, b), as
-    equations linear in S, the unknown S[k, i] at i * n + k:
-        m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b,
-        m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b))).
-    """
-    A, n, table = M.A, M.A.dim, M.A.table
-    emb_sc_eps = M.emb_SC().compose(M.eps_C)  # a -> iota_B(S_C(eps_C(a)))
-    emb_sb_eps = M.emb_SB().compose(M.eps_B)  # a -> iota_C(S_B(eps_B(a)))
-    for a in range(n):
-        for b in range(n):
-            terms = []
-            for idx, c in M.qb.lift(M.canonical_tilde("T_rho", a, b)).items():
-                i, j = divmod(idx, n)
-                terms += [(i * n + k, c, table[k][j]) for k in range(n)]  # S(e_i) e_j
-            yield A.mul(emb_sc_eps.col(a), {b: ONE}), terms
-            terms = []
-            for idx, c in M.qc.lift(M.canonical_tilde("lambda_T", a, b)).items():
-                i, j = divmod(idx, n)
-                terms += [(j * n + k, c, table[i][k]) for k in range(n)]  # e_i S(e_j)
-            yield A.mul({a: ONE}, emb_sb_eps.col(b)), terms
+    """``_antipode_laws`` as equations linear in S, the unknown S[k, m] at
+    m * n + k: S(e_m) e_o in h's order is sum_k S[k, m] e_k e_o."""
+    n, table = M.A.dim, M.A.table
+    for h, _, _, terms, rhs in _antipode_laws(M):
+        yield rhs, [(m * n + k, c, table[x][y])
+                    for c, m, o in terms for k in range(n) for x, y in (h.ordered(k, o),)]
 
 
 def _antipode_bimodule(M):
     """The base bimodule condition on generators, S(s(x) a) = S(a) t(x) and
     S(a s(x)) = t(x) S(a) on each half, as equations linear in S."""
     A, n = M.A, M.A.dim
-    for h in (_Half(M, "B"), _Half(M, "C")):
+    for h in _halves(M):
         for x in range(h.base.dim):
             sx, tx = h.s.col(x), h.t.col(x)
             # the products with t(x) do not depend on a: e_k t(x) and t(x) e_k
@@ -813,7 +801,7 @@ def _antipode_checks(M, rep, canon):
 
     def bimodule():
         """S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a) on each half."""
-        for h in (_Half(M, "B"), _Half(M, "C")):
+        for h in _halves(M):
             for x in range(h.base.dim):
                 sx, tx = h.s.col(x), h.t.col(x)
                 for a in range(n):
@@ -825,84 +813,50 @@ def _antipode_checks(M, rep, canon):
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
     solves = wit is None
 
-    # the two defining diagrams
-    emb_sc_eps = M.emb_SC().compose(M.eps_C)
-    emb_sb_eps = M.emb_SB().compose(M.eps_B)
-    checks1, checks2 = [], []
-    for a in range(n):
-        for b in range(n):
-            lifted = M.qb.lift(M.canonical_tilde("T_rho", a, b))
-            lhs = {}
-            for idx, s in lifted.items():
-                i, j = divmod(idx, n)
-                term = A.mul(S.col(i), {j: ONE})
-                if term:
-                    axpy(lhs, s, term)
-            checks1.append(((A.labels[a], A.labels[b]), lhs, A.mul(emb_sc_eps.col(a), {b: ONE})))
-            lifted = M.qc.lift(M.canonical_tilde("lambda_T", a, b))
-            lhs = {}
-            for idx, s in lifted.items():
-                i, j = divmod(idx, n)
-                term = A.mul({i: ONE}, S.col(j))
-                if term:
-                    axpy(lhs, s, term)
-            checks2.append(((A.labels[a], A.labels[b]), lhs, A.mul({a: ONE}, emb_sb_eps.col(b))))
-    for name, checks in (("left", checks1), ("right", checks2)):
-        wit = _first_failure(iter(checks))
-        rep.check(wit is None, "antipode-diagram-" + name, "dg-antipode", wit)
+    # the two defining diagrams, one per half
+    sides = {"B": [], "C": []}
+    for h, a, b, terms, rhs in _antipode_laws(M):
+        lhs = {}
+        for c, m, o in terms:
+            term = h.mul(S.col(m), {o: ONE})
+            if term:
+                axpy(lhs, c, term)
+        sides[h.letter].append(((A.labels[a], A.labels[b]), lhs, rhs))
+    for h in _halves(M):
+        wit = _first_failure(iter(sides[h.letter]))
+        rep.check(wit is None, "antipode-diagram-" + h.side, "dg-antipode", wit)
         solves = solves and wit is None
 
-    # antipode-counit exchange
-    checks = []
-    for a in range(n):
-        checks.append(
-            (("S_B eps_B = eps_C S", a),
-             M.S_B.apply(M.eps_B.col(a)),
-             M.eps_C.apply(S.col(a)))
-        )
-        checks.append(
-            (("S_C eps_C = eps_B S", a),
-             M.S_C.apply(M.eps_C.col(a)),
-             M.eps_B.apply(S.col(a)))
-        )
-    wit = _first_failure(iter(checks))
+    # antipode-counit exchange: S_B eps_B = eps_C S and the mirror
+    wit = _first_failure(
+        (("S_%s eps_%s = eps_%s S" % (h.letter, h.letter, other.letter), a),
+         h.anti.apply(h.eps.col(a)), other.eps.apply(S.col(a)))
+        for a in range(n) for h, other in _mirrored(M)
+    )
     rep.check(wit is None, "antipode-counits", "antipode-counits", wit)
 
     # inverse diagrams: T_rho (id x S) rho_T = (id x S) and the mirror
     try:
-        dom_rt = M.tensor(FLAVOR_RT)
-        dom_tr = canon["T_rho"]["domain"]
-        s2_qc_tr = _id_tensor_s(M, M.qc, dom_tr)
-        s2_rt_qb = _id_tensor_s(M, dom_rt, M.qb)
-        lhs = canon["T_rho"]["map"].compose(s2_qc_tr).compose(canon["rho_T"]["map"])
-        ok = lhs == s2_rt_qb
-        rep.check(ok, "galois-inverse-right", "dg-galois-inverse",
-                  None if ok else "composite differs from id (x) S")
-        dom_lt = canon["lambda_T"]["domain"]
-        dom_tl = canon["T_lambda"]["domain"]
-        s1_qb_lt = _s_tensor_id(M, M.qb, dom_lt)
-        s1_tl_qc = _s_tensor_id(M, dom_tl, M.qc)
-        lhs = canon["lambda_T"]["map"].compose(s1_qb_lt).compose(canon["T_lambda"]["map"])
-        ok = lhs == s1_tl_qc
-        rep.check(ok, "galois-inverse-left", "dg-galois-inverse",
-                  None if ok else "composite differs from S (x) id")
+        for name, outer, inner, ops, text in (
+                ("right", "T_rho", "rho_T", (None, S), "id (x) S"),
+                ("left", "lambda_T", "T_lambda", (S, None), "S (x) id")):
+            message = text + " does not descend {src!r} -> {dst!r}"
+            into = _codomain(M, inner).descend(*ops, message, canon[outer]["domain"])
+            out = canon[inner]["domain"].descend(*ops, message, _codomain(M, outer))
+            ok = canon[outer]["map"].compose(into).compose(canon[inner]["map"]) == out
+            rep.check(ok, "galois-inverse-" + name, "dg-galois-inverse",
+                      None if ok else "composite differs from " + text)
     except NotBalanced as e:
         rep.check(False, "galois-inverse", "dg-galois-inverse", str(e))
 
     # flip diagrams: rho_T o (flip SS) = (flip SS) o T_lambda, and the mirror
     try:
-        dom_tl, dom_rt = canon["T_lambda"]["domain"], canon["rho_T"]["domain"]
-        dom_lt, dom_tr = canon["lambda_T"]["domain"], canon["T_rho"]["domain"]
-        ss_tl_rt = _sigma_ss(M, dom_tl, dom_rt)
-        ss_qb_qc = _sigma_ss(M, M.qb, M.qc)
-        ok = canon["rho_T"]["map"].compose(ss_tl_rt) == ss_qb_qc.compose(canon["T_lambda"]["map"])
-        rep.check(ok, "galois-antipode-left", "dg-galois-antipode",
-                  None if ok else "flip SS does not intertwine T_lambda with rho_T")
-        ss_lt_tr = _sigma_ss(M, dom_lt, dom_tr)
-        ss_qc_qb = _sigma_ss(M, M.qc, M.qb)
-        ok = canon["T_rho"]["map"].compose(ss_lt_tr) == ss_qc_qb.compose(canon["lambda_T"]["map"])
-        rep.check(ok, "galois-antipode-right", "dg-galois-antipode",
-                  None if ok else "flip SS does not intertwine lambda_T with T_rho")
+        for name, src, dst in (("left", "T_lambda", "rho_T"), ("right", "lambda_T", "T_rho")):
+            ss_dom = _sigma_ss(M, canon[src]["domain"], canon[dst]["domain"])
+            ss_cod = _sigma_ss(M, _codomain(M, src), _codomain(M, dst))
+            ok = canon[dst]["map"].compose(ss_dom) == ss_cod.compose(canon[src]["map"])
+            rep.check(ok, "galois-antipode-" + name, "dg-galois-antipode",
+                      None if ok else "flip SS does not intertwine %s with %s" % (src, dst))
     except NotBalanced as e:
         rep.check(False, "galois-antipode", "dg-galois-antipode", str(e))
     return solves
@@ -974,7 +928,7 @@ def verify_regular_mha(M):
         for y in range(M.C.base.dim):
             cy = M.C.embed.col(y)
             units.append((("x", x, "y", y), A.mul(bx, cy), cy, bx))
-    halves = (_Half(M, "B"), _Half(M, "C"))
+    halves = _halves(M)
     for h in halves:
         wit = _first_failure(
             (at, h.delta.apply(xy), h.q.pure(cy, bx)) for at, xy, cy, bx in units

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra_core import algebra_from_json, check_algebra, scalar_to_json
@@ -64,13 +65,25 @@ def _fail(eq, message, out, hint=None):
     return MATH_ERROR
 
 
+@contextmanager
+def _schema(what):
+    """Malformed input read inside the block (a missing key, a value of the
+    wrong type or form) ends the command as a usage error, exit code 2."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise SystemExit("schema error in %s: %s: %s" % (what, type(e).__name__, e))
+
+
 def _load_groupoid(args):
     if getattr(args, "pair_groupoid", None):
         points = [p.strip() for p in args.pair_groupoid.split(",") if p.strip()]
+        if not points:
+            raise SystemExit("--pair-groupoid needs at least one point")
         return pair_groupoid(points)
     if not getattr(args, "groupoid", None):
         raise SystemExit("a --groupoid file or --pair-groupoid list is required")
-    with open(args.groupoid) as fh:
+    with open(args.groupoid) as fh, _schema("--groupoid"):
         return groupoid_from_json(json.load(fh))
 
 
@@ -80,16 +93,16 @@ def _parse_mu(raw, units):
     try:
         with open(raw) as fh:
             data = json.load(fh)
-        if isinstance(data, dict):
-            return {i: sc(Fraction(data[repr(u)])) for i, u in enumerate(units)}
-        values = data
     except (OSError, ValueError):
-        values = [v.strip() for v in raw.split(",")]
-    if len(values) != len(units):
-        raise SystemExit(
-            "--mu needs %d weights (one per unit), got %d" % (len(units), len(values))
-        )
-    return {i: sc(Fraction(str(v))) for i, v in enumerate(values)}
+        data = [v.strip() for v in raw.split(",")]
+    with _schema("--mu"):
+        if isinstance(data, dict):
+            data = [data[repr(u)] for u in units]
+        if len(data) != len(units):
+            raise SystemExit(
+                "--mu needs %d weights (one per unit), got %d" % (len(units), len(data))
+            )
+        return {i: sc(Fraction(str(v))) for i, v in enumerate(data)}
 
 
 def _build_instance(example, groupoid):
@@ -109,11 +122,12 @@ def _pipeline(args, mu=None):
         finally:
             if src is not sys.stdin:
                 src.close()
-        groupoid = groupoid_from_json(pipeline["groupoid"])
-        example = pipeline["example"]
-        mu_raw = ",".join(pipeline["mu"])
-        recipe = pipeline.get("recipe", "identity")
-        sqrts = pipeline.get("sqrt", [])
+        with _schema("--artifact"):
+            groupoid = groupoid_from_json(pipeline["groupoid"])
+            example = pipeline["example"]
+            mu_raw = ",".join(pipeline["mu"])
+            recipe = pipeline.get("recipe", "identity")
+            sqrts = pipeline.get("sqrt", [])
     else:
         groupoid = _load_groupoid(args)
         example = args.example

@@ -837,9 +837,6 @@ class LinearMap:
         out.data = tuple([self.apply(c) for c in other.data])
         return out
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def __add__(self, other):
         return LinearMap(
             self.rows,

@@ -18,6 +18,7 @@ from .bialgebroid import (
     RegularMHA,
     _first_failure,
     _Half,
+    _halves,
     _module_form,
     _slice_form,
 )
@@ -185,16 +186,15 @@ def _module_witness(M, mapping, side, laws):
     return None
 
 
-def _integral_slice(mapping, side, h, what):
-    """The slice of a partial ``side`` integral through h's tensor.
+def _integral_slice(h, leg, mapping, what):
+    """The slice through h's tensor that consumes ``leg`` by a base-valued
+    mapping and multiplies the other leg in h's order.
 
-    It consumes leg 2 for a left integral and leg 1 for a right one, and
-    multiplies the other leg in h's order.  The integral's value is
-    embedded by the embedding Delta carries onto that leg: t directly, or
-    s through the inverse base anti-isomorphism, as the value then lies in
-    the other base.
+    A partial left integral is sliced on leg 2, a right one on leg 1.  The
+    mapping's value is embedded by the embedding Delta carries onto ``leg``:
+    t directly, or s through the inverse base anti-isomorphism, as the value
+    then lies in the other base.
     """
-    leg = 2 if side == "left" else 1
     if leg == h.t_leg:
         omega = h.t.compose(mapping)
     else:
@@ -225,18 +225,18 @@ def _invariance(M, mapping, side, letter):
     wit = _module_witness(M, mapping, side, ((h, "module"),))
     if wit is not None:
         return False, wit
+    leg = 2 if side == "left" else 1
     try:
-        sl = _integral_slice(mapping, side, h, "partial-%s slice (%s)" % (side, letter))
+        sl = _integral_slice(h, leg, mapping, "partial-%s slice (%s)" % (side, letter))
     except NotBalanced as e:
         return False, str(e)
     n, embed = M.A.dim, _target(M, side).s
-    leg = 1 if side == "left" else 2
     for d in range(n):
         head = embed.apply(mapping.col(d))
         if sl.apply(h.delta.col(d)) == head:
             continue  # then the law holds at every e: see the docstring
         for e in range(n):
-            if sl.apply(h.absorbed(leg, d, e)) != h.mul(head, {e: ONE}):
+            if sl.apply(h.absorbed(3 - leg, d, e)) != h.mul(head, {e: ONE}):
                 return False, ("delta" + h.letter.lower(), d, e)
     return True, None
 
@@ -250,7 +250,7 @@ def _strong_invariance(M, mapping, side):
     A failing diagram's witness is the first basis tensor e_a (x) e_b of
     the composites' domain at which they differ, with both values.
     """
-    halves = (_Half(M, "B"), _Half(M, "C"))
+    halves = _halves(M)
     laws = ((halves[0], "left-module"), (halves[1], "right-module"))
     wit = _module_witness(M, mapping, side, laws)
     if wit is not None:
@@ -258,7 +258,8 @@ def _strong_invariance(M, mapping, side):
     names = ("T_rho", "rho_T") if side == "left" else ("T_lambda", "lambda_T")
     (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
     try:
-        sl_b, sl_c = (_integral_slice(mapping, side, h, "strong-invariance slice")
+        leg = 2 if side == "left" else 1
+        sl_b, sl_c = (_integral_slice(h, leg, mapping, "strong-invariance slice")
                       for h in halves)
         flip = dom_b.flip_to(dom_c) if side == "left" else dom_c.flip_to(dom_b)
     except NotBalanced as e:
@@ -471,37 +472,21 @@ def factorize(M, weight, omega):
     reported by name.
     """
     A, n = M.A, M.A.dim
-    bb, cc = M.B.base, M.C.base
-    gram_b = gram_map(bb, weight.mu_B)
-    gram_c = gram_map(cc, weight.mu_C)
+    gram_b, gram_c = gram_map(M.B.base, weight.mu_B), gram_map(M.C.base, weight.mu_C)
     factors = {}
-    recipes = {
-        "Bl": (gram_b, lambda a: {
-            x: v for x in range(bb.dim)
-            for v in (ev(omega, A.mul(M.B.embed.col(x), {a: ONE})),) if v
-        }),
-        "Br": (gram_b.transpose(), lambda a: {
-            x: v for x in range(bb.dim)
-            for v in (ev(omega, A.mul({a: ONE}, M.B.embed.col(x))),) if v
-        }),
-        "Cl": (gram_c, lambda a: {
-            y: v for y in range(cc.dim)
-            for v in (ev(omega, A.mul(M.C.embed.col(y), {a: ONE})),) if v
-        }),
-        "Cr": (gram_c.transpose(), lambda a: {
-            y: v for y in range(cc.dim)
-            for v in (ev(omega, A.mul({a: ONE}, M.C.embed.col(y))),) if v
-        }),
-    }
-    for name, (gram, target) in recipes.items():
-        cols = []
+    # factor Xl solves omega(x a) and Xr omega(a x), x in the embedded base X
+    for name, emb, gram in (("Bl", M.B, gram_b), ("Br", M.B, gram_b.transpose()),
+                            ("Cl", M.C, gram_c), ("Cr", M.C, gram_c.transpose())):
+        left, cols = name.endswith("l"), []
         for a in range(n):
-            sol = gram.solve(target(a))
+            ea = {a: ONE}
+            target = {x: v for x in range(emb.base.dim) for u in (emb.embed.col(x),)
+                      for v in (ev(omega, A.mul(u, ea) if left else A.mul(ea, u)),) if v}
+            sol = gram.solve(target)
             if sol is None:
                 return None, name
             cols.append(sol)
-        dim = bb.dim if name.startswith("B") else cc.dim
-        factors[name] = LinearMap(dim, n, cols)
+        factors[name] = LinearMap(emb.base.dim, n, cols)
     # consistency: mu_B o Bl = omega = mu_C o Cr
     if functional_of_map(weight.mu_B, factors["Bl"]) != dict(omega):
         return None, "Bl"
@@ -547,9 +532,8 @@ def check_base_weight(M, weight):
         if M.eps_B.is_surjective() and M.eps_C.is_surjective():
             rep.check(modular, "counital-implies-modular", "counit-kms")
         # the counit functional is invariant under the antipode
-        eps_s = {a: v for a in range(M.A.dim)
-                 for v in (ev(eps_b_func, M.S.col(a)),) if v}
-        rep.check(eps_s == eps_c_func, "counit-functional-S-invariant", "counit-antipode")
+        rep.check(functional_of_map(eps_b_func, M.S) == eps_c_func,
+                  "counit-functional-S-invariant", "counit-antipode")
     return rep
 
 

@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra_core import automorphism_check
-from .balanced_tensor import BalancedTensor, NotBalanced, descend_componentwise
-from .bialgebroid import (
-    FLAVOR_QB,
-    FLAVOR_QC,
-    RegularMHA,
-    verify_regular_mha,
-    verify_star,
-)
+from .balanced_tensor import BalancedTensor, NotBalanced
+from .bialgebroid import RegularMHA, _halves, verify_regular_mha, verify_star
 from .exact_linear import (
     ONE,
     ZERO,
@@ -32,9 +26,8 @@ from .exact_linear import (
     inverse,
     is_positive,
     kron_vec,
-    vscale,
 )
-from .integration import BaseWeight, PartialIntegral, gram_map
+from .integration import BaseWeight, gram_map
 from .report import Rejected, Report
 
 __all__ = [
@@ -145,23 +138,38 @@ def _modified_tensor(M, flavor, acts1, acts2):
     return BalancedTensor(M.A, s1, s2, flavor + "~")
 
 
-def _modified_qb(M, theta):
-    """QB-type tensor with the twisted target anti-isomorphism."""
-    emb_sb_new = M.C.embed.compose(M.S_B.compose(theta.inverse()))
-    acts1 = [M.A.lmul(M.B.embed.col(x)) for x in range(M.B.base.dim)]
-    acts2 = [M.A.lmul(emb_sb_new.col(x)) for x in range(M.B.base.dim)]
-    return _modified_tensor(M, FLAVOR_QB, acts1, acts2)
+def _modified_q(M, h, theta):
+    """h's tensor with the twisted target anti-isomorphism: s(x) against
+    t(theta^-1(x)), each acting by multiplication in h's order."""
+    mul = M.A.lmul if h.letter == "B" else M.A.rmul
+    t_new = h.t.compose(theta.inverse())
+    acts = [[mul(emb.col(x)) for x in range(h.base.dim)] for emb in (h.s, t_new)]
+    return _modified_tensor(M, h.q.flavor, *h.ordered(*acts))
 
 
-def _modified_qc(M, theta_c):
-    emb_sc_new = M.B.embed.compose(M.S_C.compose(theta_c.inverse()))
-    acts1 = [M.A.rmul(emb_sc_new.col(y)) for y in range(M.C.base.dim)]
-    acts2 = [M.A.rmul(M.C.embed.col(y)) for y in range(M.C.base.dim)]
-    return _modified_tensor(M, FLAVOR_QC, acts1, acts2)
+def _twists(mod, h):
+    """The modifier's twists of h's comultiplication on legs 1 and 2, named."""
+    if h.letter == "B":
+        return ("theta_l", mod.theta_l), ("theta_r", mod.theta_r)
+    return ("l_theta", mod.l_theta), ("r_theta", mod.r_theta)
+
+
+def _leg_twist(q, name, twist, leg, target=None, dst="{dst!r}"):
+    """twist on ``leg`` and the identity on the other, descended from q to
+    target (default q).  A failure reads "name (x) id does not descend
+    {src!r} -> dst", or "id (x) name ..." for leg 2."""
+    ops, word = ((twist, None), "%s (x) id") if leg == 1 else ((None, twist), "id (x) %s")
+    return q.descend(*ops, word % name + " does not descend {src!r} -> " + dst, target)
 
 
 def check_modifier(M, mod):
-    """All modifier axioms; in the regular case the full-case conclusions too."""
+    """All modifier axioms; in the regular case the full-case conclusions too.
+
+    Each half h's laws are written once: the twist on h's t leg (theta_l on
+    B, r_theta on C) restricts to a base automorphism theta of h's base,
+    the twist on the s leg (theta_r, l_theta) moves t by theta^-1, the two
+    twists agree on Delta, and the s-leg twist undoes theta on t.
+    """
     rep = Report()
     A, n = M.A, M.A.dim
     for name, mp in zip(("theta_l", "theta_r", "l_theta", "r_theta"), mod.maps()):
@@ -169,68 +177,36 @@ def check_modifier(M, mod):
         rep.check(ok, "%s-automorphism" % name, "left-modifier", wit)
     if not rep.ok:
         return rep
-    theta = _base_automorphism(M.B, mod.theta_l)
-    rep.check(theta is not None, "theta_l-preserves-B", "theta-base")
-    theta_c = _base_automorphism(M.C, mod.r_theta)
-    rep.check(theta_c is not None, "r_theta-preserves-C", "theta-base")
-    if theta is None or theta_c is None:
+    halves = []
+    for h in _halves(M):
+        twists = _twists(mod, h)
+        (t_name, t_twist), (s_name, s_twist) = h.ordered(*twists)
+        theta = _base_automorphism(h.embedding, t_twist)
+        rep.check(theta is not None, "%s-preserves-%s" % (t_name, h.letter), "theta-base")
+        halves.append((h, twists, s_name, s_twist, theta))
+    if any(theta is None for *_, theta in halves):
         return rep
-    # theta_r o t = t o theta^{-1} on the embedded image of S_B
-    theta_inv = theta.inverse()
-    ok = all(
-        mod.theta_r.apply(M.emb_SB().col(x))
-        == M.emb_SB().apply(theta_inv.col(x))
-        for x in range(M.B.base.dim)
-    )
-    rep.check(ok, "theta_r-twists-t", "theta-base")
-    theta_c_inv = theta_c.inverse()
-    ok = all(
-        mod.l_theta.apply(M.emb_SC().col(y))
-        == M.emb_SC().apply(theta_c_inv.col(y))
-        for y in range(M.C.base.dim)
-    )
-    rep.check(ok, "l_theta-twists-t", "theta-base")
+    # s_twist o t = t o theta^{-1} on the embedded image of the base anti-isomorphism
+    for h, _, s_name, s_twist, theta in halves:
+        theta_inv = theta.inverse()
+        ok = all(s_twist.apply(h.t.col(x)) == h.t.apply(theta_inv.col(x))
+                 for x in range(h.base.dim))
+        rep.check(ok, "%s-twists-t" % s_name, "theta-base")
     # the two twists of each comultiplication agree
-    try:
-        # a failure names the "~" flavor, also where qb_new is M.qb itself
-        qb_new, into = _modified_qb(M, theta), "{src!r} -> %r" % (FLAVOR_QB + "~")
-        tw1 = descend_componentwise(
-            M.qb, qb_new, lambda i, j: kron_vec(mod.theta_l.col(i), {j: ONE}, n),
-            "theta_l (x) id does not descend " + into,
-        )
-        tw2 = descend_componentwise(
-            M.qb, qb_new, lambda i, j: kron_vec({i: ONE}, mod.theta_r.col(j), n),
-            "id (x) theta_r does not descend " + into,
-        )
-        ok = tw1.compose(M.delta_B) == tw2.compose(M.delta_B)
-        rep.check(ok, "left-twists-agree", "theta-comultiplication")
-    except NotBalanced as e:
-        rep.check(False, "left-twists-agree", "theta-comultiplication", str(e))
-    try:
-        qc_new, into = _modified_qc(M, theta_c), "{src!r} -> %r" % (FLAVOR_QC + "~")
-        tw1 = descend_componentwise(
-            M.qc, qc_new, lambda i, j: kron_vec(mod.l_theta.col(i), {j: ONE}, n),
-            "l_theta (x) id does not descend " + into,
-        )
-        tw2 = descend_componentwise(
-            M.qc, qc_new, lambda i, j: kron_vec({i: ONE}, mod.r_theta.col(j), n),
-            "id (x) r_theta does not descend " + into,
-        )
-        ok = tw1.compose(M.delta_C) == tw2.compose(M.delta_C)
-        rep.check(ok, "right-twists-agree", "theta-comultiplication")
-    except NotBalanced as e:
-        rep.check(False, "right-twists-agree", "theta-comultiplication", str(e))
+    for h, ((name1, twist1), (name2, twist2)), _, _, theta in halves:
+        try:
+            # a failure names the "~" flavor, also where the new tensor is h.q itself
+            q_new, into = _modified_q(M, h, theta), repr(h.q.flavor + "~")
+            tw1 = _leg_twist(h.q, name1, twist1, 1, q_new, into)
+            tw2 = _leg_twist(h.q, name2, twist2, 2, q_new, into)
+            ok = tw1.compose(h.delta) == tw2.compose(h.delta)
+            rep.check(ok, h.side + "-twists-agree", "theta-comultiplication")
+        except NotBalanced as e:
+            rep.check(False, h.side + "-twists-agree", "theta-comultiplication", str(e))
     # theta_r o S_B o theta_l = S_B and the mirror, on the bases
-    ok = all(
-        mod.theta_r.apply(M.emb_SB().apply(theta.col(x))) == M.emb_SB().col(x)
-        for x in range(M.B.base.dim)
-    )
-    rep.check(ok, "antipode-base-left", "modifier-antipode-base")
-    ok = all(
-        mod.l_theta.apply(M.emb_SC().apply(theta_c.col(y))) == M.emb_SC().col(y)
-        for y in range(M.C.base.dim)
-    )
-    rep.check(ok, "antipode-base-right", "modifier-antipode-base")
+    for h, _, _, s_twist, theta in halves:
+        ok = all(s_twist.apply(h.t.apply(theta.col(x))) == h.t.col(x) for x in range(h.base.dim))
+        rep.check(ok, "antipode-base-" + h.side, "modifier-antipode-base")
     # full-case conclusions (meta-test on regular instances)
     ok = all(
         mod.theta_l.apply(M.emb_SB().col(x)) == M.emb_SB().col(x)
@@ -242,43 +218,27 @@ def check_modifier(M, mod):
     rep.check(ok, "full-case-base-fixing", "modified-full")
     if ok:
         try:
-            tw = descend_componentwise(
-                M.qb, M.qb, lambda i, j: kron_vec({i: ONE}, mod.theta_l.col(j), n),
-                "id (x) theta_l does not descend {src!r} -> {dst!r}",
-            )
-            rep.check(
-                M.delta_B.compose(mod.theta_l) == tw.compose(M.delta_B),
-                "full-case-delta-theta_l", "modified-full",
-            )
-            tw = descend_componentwise(
-                M.qb, M.qb, lambda i, j: kron_vec(mod.theta_r.col(i), {j: ONE}, n),
-                "theta_r (x) id does not descend {src!r} -> {dst!r}",
-            )
-            rep.check(
-                M.delta_B.compose(mod.theta_r) == tw.compose(M.delta_B),
-                "full-case-delta-theta_r", "modified-full",
-            )
+            for name, twist, leg in (("theta_l", mod.theta_l, 2), ("theta_r", mod.theta_r, 1)):
+                tw = _leg_twist(M.qb, name, twist, leg)
+                rep.check(M.delta_B.compose(twist) == tw.compose(M.delta_B),
+                          "full-case-delta-" + name, "modified-full")
         except NotBalanced as e:
             rep.check(False, "full-case-delta-twists", "modified-full", str(e))
     # flags
     trivial = all(
-        mp.apply(M.B.embed.col(x)) == M.B.embed.col(x)
+        mp.apply(h.s.col(x)) == h.s.col(x)
+        for h, _, _, _, _ in halves
         for mp in mod.maps()
-        for x in range(M.B.base.dim)
-    ) and all(
-        mp.apply(M.C.embed.col(y)) == M.C.embed.col(y)
-        for mp in mod.maps()
-        for y in range(M.C.base.dim)
+        for x in range(h.base.dim)
     )
     rep.note("trivial-on-base", "left-modifier", "pass" if trivial else "fail")
     mod.trivial_on_base = trivial
     if M.A.involution is not None:
+        # the star exchanges the halves' twists, leg by leg
         star = M.A.star
         sa = all(
-            star(mod.theta_l.apply({j: ONE})) == mod.l_theta.apply(star({j: ONE}))
-            for j in range(n)
-        ) and all(
-            star(mod.theta_r.apply({j: ONE})) == mod.r_theta.apply(star({j: ONE}))
+            star(twist.apply({j: ONE})) == mirror.apply(star({j: ONE}))
+            for twist, mirror in ((mod.theta_l, mod.l_theta), (mod.theta_r, mod.r_theta))
             for j in range(n)
         )
         mod.self_adjoint = sa
@@ -303,10 +263,6 @@ def modify(M, mod, verify=True):
     if failures:
         raise Rejected(failures[0].eq, "modifier axioms fail: %s" % failures[0].axiom, pre)
     A, n = M.A, M.A.dim
-    theta = _base_automorphism(M.B, mod.theta_l)
-    theta_c = _base_automorphism(M.C, mod.r_theta)
-    s_b_new = M.S_B.compose(theta.inverse())
-    s_c_new = M.S_C.compose(theta_c.inverse())
 
     def twist_raw(delta_lift, twist):
         def col(a):
@@ -318,10 +274,17 @@ def modify(M, mod, verify=True):
 
         return LinearMap.from_function(n * n, n, col)
 
-    delta_b_raw = twist_raw(M._db_lift, mod.theta_l)
-    delta_c_raw = twist_raw(M._dc_lift, mod.l_theta)
-    eps_b_new = M.eps_B.compose(mod.theta_r.inverse())
-    eps_c_new = M.eps_C.compose(mod.l_theta.inverse())
+    # per half: the base anti-isomorphism S_h theta^-1, Delta twisted on leg
+    # 1, the counit eps o s_twist^-1 and its alternative theta o eps o t_twist^-1
+    parts = []
+    for h in _halves(M):
+        twists = _twists(mod, h)
+        (_, t_twist), (_, s_twist) = h.ordered(*twists)
+        theta = _base_automorphism(h.embedding, t_twist)
+        parts.append((h.anti.compose(theta.inverse()), twist_raw(h.lifts, twists[0][1]),
+                      h.eps.compose(s_twist.inverse()),
+                      theta.compose(h.eps).compose(t_twist.inverse())))
+    (s_b_new, delta_b_raw, eps_b_new, _), (s_c_new, delta_c_raw, eps_c_new, _) = parts
     s_new = mod.theta_r.compose(M.S).compose(mod.r_theta.inverse())
     out = RegularMHA(
         A, M.B, M.C, s_b_new, s_c_new, delta_b_raw, delta_c_raw,
@@ -330,31 +293,19 @@ def modify(M, mod, verify=True):
     )
     rep = Report()
     # alternative expressions for the modified counits and antipode
-    alt_eps_b = theta.compose(M.eps_B).compose(mod.theta_l.inverse())
-    rep.check(alt_eps_b == eps_b_new, "modified-left-counit", "modified-lt-counit")
-    alt_eps_c = theta_c.compose(M.eps_C).compose(mod.r_theta.inverse())
-    rep.check(alt_eps_c == eps_c_new, "modified-right-counit", "modified-rt-counit")
+    for side, eq, (_, _, eps_new, alt_eps) in zip(
+            ("left", "right"), ("modified-lt-counit", "modified-rt-counit"), parts):
+        rep.check(alt_eps == eps_new, "modified-%s-counit" % side, eq)
     alt_s = mod.l_theta.compose(M.S).compose(mod.theta_l.inverse())
     rep.check(alt_s == s_new, "modified-antipode", "modified-antipode")
     # canonical maps transform by one-leg twists
     canon_old, canon_new = M.canonical(), out.canonical()
     try:
-        tw = descend_componentwise(
-            M.qb, out.qb, lambda i, j: kron_vec({i: ONE}, mod.theta_r.col(j), n),
-            "id (x) theta_r does not descend {src!r} -> {dst!r}",
-        )
-        rep.check(
-            canon_new["T_lambda"][0] == tw.compose(canon_old["T_lambda"][0]),
-            "canonical-T-lambda-twist", "theta-tl",
-        )
-        tw = descend_componentwise(
-            M.qb, out.qb, lambda i, j: kron_vec(mod.theta_l.col(i), {j: ONE}, n),
-            "theta_l (x) id does not descend {src!r} -> {dst!r}",
-        )
-        rep.check(
-            canon_new["T_rho"][0] == tw.compose(canon_old["T_rho"][0]),
-            "canonical-T-rho-twist", "theta-tr",
-        )
+        for which, name, twist, leg, eq in (("T_lambda", "theta_r", mod.theta_r, 2, "theta-tl"),
+                                            ("T_rho", "theta_l", mod.theta_l, 1, "theta-tr")):
+            tw = _leg_twist(M.qb, name, twist, leg, out.qb)
+            rep.check(canon_new[which][0] == tw.compose(canon_old[which][0]),
+                      "canonical-%s-twist" % which.replace("_", "-"), eq)
     except NotBalanced as e:
         rep.check(False, "canonical-map-twists", "theta-tl", str(e))
     if verify:
@@ -517,7 +468,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     left base is the opposite algebra carrying the antipode-transported
     right action.
     """
-    from .examples import HopfAction, build_two_sided
+    from .examples import HopfAction, build_two_sided, standard_integrals
 
     H, C = hopf, base_c
     mh, mc = H.dim, C.dim
@@ -601,22 +552,10 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     theta_r = LinearMap.from_function(n, n, theta_r_col)
     ident = LinearMap.identity(n)
     mod = Modifier(theta_l.inverse(), theta_r.inverse(), ident, ident)
-    mu_op = dict(mu)  # the opposite algebra shares coordinates
-    weight = BaseWeight(mu_B=mu_op, mu_C=dict(mu))
-    phi_h = hopf.phi
-
-    def phi_col(k):
-        y, r = divmod(k, mh * mc)
-        h, x = divmod(r, mc)
-        return vscale(phi_h.get(h, ZERO) * mu_op.get(x, ZERO), {y: ONE})
-
-    def psi_col(k):
-        y, r = divmod(k, mh * mc)
-        h, x = divmod(r, mc)
-        return vscale(phi_h.get(h, ZERO) * mu.get(y, ZERO), {x: ONE})
-
-    phi_C = PartialIntegral("left", LinearMap.from_function(mc, n, phi_col))
-    psi_B = PartialIntegral("right", LinearMap.from_function(mc, n, psi_col))
+    # the opposite algebra shares coordinates, so mu is also the weight on B
+    weight = BaseWeight(mu_B=dict(mu), mu_C=dict(mu))
+    phi_C, psi_B = standard_integrals("two-sided", M, hopf=hopf, upsilon=mu, omega=mu,
+                                      base_b_dim=mc)
     return {
         "M": M,
         "modifier": mod,

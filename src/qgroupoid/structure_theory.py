@@ -13,21 +13,21 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check
-from .balanced_tensor import NotBalanced, descend_componentwise
-from .bialgebroid import _ONE_SIDED, _Half, _hom_space
+from .balanced_tensor import NotBalanced
+from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
 from .exact_linear import (
     ONE,
     LinearMap,
     Rref,
     axpy,
     ev,
-    kron_vec,
     stack_equations,
     unstack,
     vec_items,
 )
 from .integration import (
     FactorizableFunctional,
+    _integral_slice,
     factorize,
     functional_of_map,
     gram_map,
@@ -87,19 +87,19 @@ class DualAlgebra:
 def convolution(X, upsilon, kind):
     """Left or right convolution operator of a factorizable functional.
 
-    Builds the operator from both one-sided formulas and checks that they
-    agree, that the defining product forms hold against every basis
-    element, and the counit identity eps o lambda(Bv) = v.
+    Each half h builds the operator as its slice sl_h of Delta_h: lambda
+    consumes leg 1 by the factors Bl (on B) and Br (on C), rho leg 2 by Cl
+    and Cr, each embedded as in ``integration._integral_slice``.  Checks
+    that the two agree, that the defining product forms hold against every
+    basis element, and the counit identity eps o lambda(Bv) = v.
 
     The product forms follow from the agreement.  By the slice identity
-    of ``integration._invariance``, sl_b of Delta_B(a) with e_b absorbed
-    is op_b(a) e_b, and sl_c of Delta_C(a) with e_b absorbed is
-    e_b op_c(a), since each multiplier is absorbed on the leg its slice
-    does not consume.  So the (a, b) pairs are scanned, in order, only
-    when op_b and op_c differ.
+    of ``integration._invariance``, sl_h of Delta_h(a) with e_b absorbed
+    on the leg sl_h does not consume is op_h(a) e_b in h's order.  So the
+    (a, b) pairs are scanned, in order, only when the two operators differ.
     """
     M = X.M
-    A, n = M.A, M.A.dim
+    n = M.A.dim
     rep = Report()
     if not isinstance(upsilon, FactorizableFunctional):
         got, side = factorize(M, X.weight, upsilon)
@@ -107,50 +107,28 @@ def convolution(X, upsilon, kind):
             raise Rejected("factorizable", "functional does not factorize (%s)" % side)
         upsilon = got
     if kind == "lambda":
-        # from the B-factor, acting through the left comultiplication
-        omega_b = M.emb_SB().compose(upsilon.factor_Bl)
-        sl_b = M.qb.slice(omega_b, 1, "left", what="lambda slice (B)")
-        op_b = sl_b.compose(M.delta_B)
-        # from the C-factor, acting through the right comultiplication
-        omega_c = M.C.embed.compose(M.S_C.inverse()).compose(upsilon.factor_Br)
-        sl_c = M.qc.slice(omega_c, 1, "right", what="lambda slice (C)")
-        op_c = sl_c.compose(M.delta_C)
-        rep.check(op_b == op_c, "two-sided-agreement", "convolution")
-        op = op_b
-        # product forms: op(a) b = slice(Delta_B(a)(1 x b));
-        # b op(a) = slice((1 x b) Delta_C(a))
-        ok = op_b == op_c or all(
-            A.mul(op.col(a), {b: ONE})
-            == sl_b.apply(M.canonical_tilde("T_rho", a, b))
-            and A.mul({b: ONE}, op.col(a))
-            == sl_c.apply(M.canonical_tilde("rho_T", a, b))
-            for a in range(n)
-            for b in range(n)
-        )
-        rep.check(ok, "product-forms", "convolution")
+        leg, factors = 1, (upsilon.factor_Bl, upsilon.factor_Br)
     elif kind == "rho":
-        omega_b = M.B.embed.compose(M.S_B.inverse()).compose(upsilon.factor_Cl)
-        sl_b = M.qb.slice(omega_b, 2, "left", what="rho slice (B)")
-        op_b = sl_b.compose(M.delta_B)
-        omega_c = M.emb_SC().compose(upsilon.factor_Cr)
-        sl_c = M.qc.slice(omega_c, 2, "right", what="rho slice (C)")
-        op_c = sl_c.compose(M.delta_C)
-        rep.check(op_b == op_c, "two-sided-agreement", "convolution")
-        op = op_b
-        ok = op_b == op_c or all(
-            A.mul(op.col(a), {b: ONE})
-            == sl_b.apply(M.canonical_tilde("T_lambda", b, a))
-            and A.mul({b: ONE}, op.col(a))
-            == sl_c.apply(M.canonical_tilde("lambda_T", b, a))
-            for a in range(n)
-            for b in range(n)
-        )
-        rep.check(ok, "product-forms", "convolution")
+        leg, factors = 2, (upsilon.factor_Cl, upsilon.factor_Cr)
     else:
         raise ValueError("kind must be 'lambda' or 'rho'")
+    slices = []
+    for h, factor in zip(_halves(M), factors):
+        sl = _integral_slice(h, leg, factor, "%s slice (%s)" % (kind, h.letter))
+        slices.append((h, sl, sl.compose(h.delta)))
+    (_, _, op), (_, _, op_c) = slices
+    rep.check(op == op_c, "two-sided-agreement", "convolution")
+    # product forms: op(a) e_b = sl_B(Delta_B(a) with e_b absorbed) and the mirror
+    ok = op == op_c or all(
+        h.mul(op.col(a), {b: ONE}) == sl.apply(h.absorbed(3 - leg, a, b))
+        for a in range(n)
+        for b in range(n)
+        for h, sl, _ in slices
+    )
+    rep.check(ok, "product-forms", "convolution")
     eps_func = functional_of_map(X.weight.mu_B, M.eps_B)
-    recovered = {a: v for a in range(n) for v in (ev(eps_func, op.col(a)),) if v}
-    rep.check(recovered == upsilon.omega, "counit-recovers-functional", "convolution")
+    rep.check(functional_of_map(eps_func, op) == upsilon.omega,
+              "counit-recovers-functional", "convolution")
     return ConvolutionOperator(kind, op, upsilon, rep)
 
 
@@ -189,7 +167,8 @@ def modular_automorphism(X, side="left"):
 def _modular_automorphism(X, side):
     M = X.M
     A, n = M.A, M.A.dim
-    omega = X.phi.omega if side == "left" else X.psi.omega
+    left = side == "left"
+    omega = X.phi.omega if left else X.psi.omega
     g = gram_map(A, omega)
     if not g.is_bijective():
         raise Rejected("integrals-faithful", "total integral has singular Gram matrix")
@@ -204,59 +183,38 @@ def _modular_automorphism(X, side):
         for b in range(n)
     )
     rep.check(ok, "sigma-defining-relation", "modular-automorphism")
-    s2 = M.S.compose(M.S)
-    if side == "left":
-        ok = all(
-            sigma.apply(M.C.embed.col(y)) == s2.apply(M.C.embed.col(y))
-            for y in range(M.C.base.dim)
-        )
-        rep.check(ok, "sigma-restricts-to-S2-on-C", "modular-automorphism")
-        first_leg, second_leg = s2, sigma
-    else:
-        s_inv = M.S.inverse()
-        s2 = s_inv.compose(s_inv)
-        ok = all(
-            sigma.apply(M.B.embed.col(x)) == s2.apply(M.B.embed.col(x))
-            for x in range(M.B.base.dim)
-        )
-        rep.check(ok, "sigma-restricts-to-Sminus2-on-B", "modular-automorphism")
-        first_leg, second_leg = sigma, s2
+    # the left side is the B half's: sigma is S^2 on C and twists Delta by
+    # S^2 on the t leg; the right side mirrors it with S^-2 on B
+    pairs = _mirrored(M)
+    h, other = pairs[0 if left else 1]
+    S = M.S if left else M.S.inverse()
+    s2 = S.compose(S)
+    ok = all(sigma.apply(other.s.col(y)) == s2.apply(other.s.col(y))
+             for y in range(other.base.dim))
+    rep.check(ok, "sigma-restricts-to-%s-on-%s" % ("S2" if left else "Sminus2", other.letter),
+              "modular-automorphism")
     try:
-        tw_b = descend_componentwise(
-            M.qb, M.qb,
-            lambda i, j: kron_vec(first_leg.col(i), second_leg.col(j), n),
-            "twist (x) sigma does not descend {src!r} -> {dst!r}",
-        )
-        ok = M.delta_B.compose(sigma) == tw_b.compose(M.delta_B)
-        rep.check(ok, "delta-B-intertwined", "modular-automorphism")
-        tw_c = descend_componentwise(
-            M.qc, M.qc,
-            lambda i, j: kron_vec(first_leg.col(i), second_leg.col(j), n),
-            "twist (x) sigma does not descend {src!r} -> {dst!r}",
-        )
-        ok = M.delta_C.compose(sigma) == tw_c.compose(M.delta_C)
-        rep.check(ok, "delta-C-intertwined", "modular-automorphism")
+        for half in _halves(M):
+            tw = half.q.descend(*h.ordered(s2, sigma),
+                                message="twist (x) sigma does not descend {src!r} -> {dst!r}")
+            ok = half.delta.compose(sigma) == tw.compose(half.delta)
+            rep.check(ok, "delta-%s-intertwined" % half.letter, "modular-automorphism")
     except NotBalanced as e:
         rep.check(False, "delta-intertwinings", "modular-automorphism", str(e))
-    # sigma preserves the relevant base (tested unconditionally, reported)
-    emb = M.B if side == "left" else M.C
-    img = emb.image_rref()
-    ok = all(img.contains(sigma.apply(emb.embed.col(x))) for x in range(emb.base.dim))
+    # sigma preserves the side's own base (tested unconditionally, reported)
+    img = h.embedding.image_rref()
+    ok = all(img.contains(sigma.apply(h.s.col(x))) for x in range(h.base.dim))
     rep.check(ok, "sigma-preserves-base", "modular-automorphism")
-    if side == "left" and ok:
+    if left and ok:
         _factor_twist_checks(X, sigma, rep)
-    # the total integral relates the bases through S^2
-    omega_phi, omega_psi = X.phi.omega, X.psi.omega
+    # each total integral relates the other half's base through S^2:
+    # phi(y a) = phi(a S^2(y)) on C, and psi(a x) = psi(S^2(x) a) on B
     s2 = M.S.compose(M.S)
     ok = all(
-        ev(omega_phi, A.mul(M.C.embed.col(y), {a: ONE}))
-        == ev(omega_phi, A.mul({a: ONE}, s2.apply(M.C.embed.col(y))))
-        for y in range(M.C.base.dim)
-        for a in range(n)
-    ) and all(
-        ev(omega_psi, A.mul({a: ONE}, M.B.embed.col(x)))
-        == ev(omega_psi, A.mul(s2.apply(M.B.embed.col(x)), {a: ONE}))
-        for x in range(M.B.base.dim)
+        ev(total, half.mul(mirror.s.col(y), {a: ONE}))
+        == ev(total, half.mul({a: ONE}, s2.apply(mirror.s.col(y))))
+        for (half, mirror), total in zip(pairs, (X.phi.omega, X.psi.omega))
+        for y in range(mirror.base.dim)
         for a in range(n)
     )
     rep.check(ok, "base-elements-under-totals", "integrals-modular-base")
@@ -264,45 +222,27 @@ def _modular_automorphism(X, side):
 
 
 def _factor_twist_checks(X, sigma, rep):
-    """phi_B(x a) = (S^2 sigma)(x) phi_B(a) and the mirrored law."""
+    """phi_B(x a) = (S^2 sigma)(x) phi_B(a) and the mirrored law
+    phi_B(a x) = phi_B(a) (sigma S^2)^-1(x), for x in B."""
     M = X.M
-    A, n = M.A, M.A.dim
+    A, n, emb = M.A, M.A.dim, M.B.embed
     s2 = M.S.compose(M.S)
-    emb_b = M.B.embed
-    ok = True
-    for x in range(M.B.base.dim):
-        bx = emb_b.col(x)
-        twisted = s2.apply(sigma.apply(bx))
-        pre = emb_b.solve(twisted)
-        if pre is None:
-            ok = False
-            break
-        for a in range(n):
-            lhs = X.phi.factor_Br.apply(A.mul(bx, {a: ONE}))
-            rhs = M.B.base.mul(pre, X.phi.factor_Br.col(a))
-            if lhs != rhs:
-                ok = False
+    for name, factor, twist, ordered in (
+            ("phi-B-factor-twist", X.phi.factor_Br, s2.compose(sigma), lambda u, v: (u, v)),
+            ("B-phi-factor-twist", X.phi.factor_Bl, sigma.compose(s2).inverse(),
+             lambda u, v: (v, u))):
+        ok = True
+        for x in range(M.B.base.dim):
+            bx = emb.col(x)
+            pre = emb.solve(twist.apply(bx))
+            ok = pre is not None and all(
+                factor.apply(A.mul(*ordered(bx, {a: ONE})))
+                == M.B.base.mul(*ordered(pre, factor.col(a)))
+                for a in range(n)
+            )
+            if not ok:
                 break
-        if not ok:
-            break
-    rep.check(ok, "phi-B-factor-twist", "bphi-phib")
-    ok = True
-    inv_twist = sigma.compose(s2).inverse()
-    for x in range(M.B.base.dim):
-        bx = emb_b.col(x)
-        pre = emb_b.solve(inv_twist.apply(bx))
-        if pre is None:
-            ok = False
-            break
-        for a in range(n):
-            lhs = X.phi.factor_Bl.apply(A.mul({a: ONE}, bx))
-            rhs = M.B.base.mul(X.phi.factor_Bl.col(a), pre)
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    rep.check(ok, "B-phi-factor-twist", "bphi-phib")
+        rep.check(ok, name, "bphi-phib")
 
 
 # -- modular element -------------------------------------------------------------
@@ -314,9 +254,9 @@ def modular_element(X):
     A, n = M.A, M.A.dim
     phi = X.phi.omega
     g = gram_map(A, phi)  # g.col(k)[a] = phi(e_a e_k)
-    psi_plus = {a: v for a in range(n) for v in (ev(phi, M.S.col(a)),) if v}
+    psi_plus = functional_of_map(phi, M.S)
     s_inv = M.S.inverse()
-    psi_minus = {a: v for a in range(n) for v in (ev(phi, s_inv.col(a)),) if v}
+    psi_minus = functional_of_map(phi, s_inv)
     delta_plus = g.solve(psi_plus)
     delta_minus = g.transpose().solve(psi_minus)
     rep = Report()
@@ -335,30 +275,17 @@ def modular_element(X):
     rep.check(prod == A.unit(), "delta-minus-S-delta-plus", "modular-element-second")
     # counit absorption
     eps_func = functional_of_map(X.weight.mu_B, M.eps_B)
-    lhs = {c: v for c in range(n)
-           for v in (ev(eps_func, A.mul(delta_minus, {c: ONE})),) if v}
-    rhs = {c: v for c in range(n)
-           for v in (ev(eps_func, A.mul({c: ONE}, delta_plus)),) if v}
-    rep.check(lhs == dict(eps_func), "eps-absorbs-delta-minus", "modular-element-second")
-    rep.check(rhs == dict(eps_func), "eps-absorbs-delta-plus", "modular-element-second")
-    # grouplike relations
-    qb, qc = M.qb, M.qc
-    rep.check(
-        M.delta_B.apply(delta_plus) == qb.pure(delta_plus, delta_plus),
-        "delta-B-grouplike-plus", "modular-element-second",
-    )
-    rep.check(
-        M.delta_B.apply(delta_minus) == qb.pure(delta_plus, delta_minus),
-        "delta-B-grouplike-minus", "modular-element-second",
-    )
-    rep.check(
-        M.delta_C.apply(delta_minus) == qc.pure(delta_minus, delta_minus),
-        "delta-C-grouplike-minus", "modular-element-second",
-    )
-    rep.check(
-        M.delta_C.apply(delta_plus) == qc.pure(delta_minus, delta_plus),
-        "delta-C-grouplike-plus", "modular-element-second",
-    )
+    rep.check(translate_right(A, eps_func, delta_minus) == eps_func,
+              "eps-absorbs-delta-minus", "modular-element-second")
+    rep.check(translate_left(A, delta_plus, eps_func) == eps_func,
+              "eps-absorbs-delta-plus", "modular-element-second")
+    # grouplike relations: Delta_B(d+) = d+ (x) d+, Delta_B(d-) = d+ (x) d-
+    # and, on C, the mirror with d+ and d- exchanged
+    deltas = {"plus": delta_plus, "minus": delta_minus}
+    for h, own, other in zip(_halves(M), ("plus", "minus"), ("minus", "plus")):
+        for name in (own, other):
+            rep.check(h.delta.apply(deltas[name]) == h.q.pure(deltas[own], deltas[name]),
+                      "delta-%s-grouplike-%s" % (h.letter, name), "modular-element-second")
     if A.involution is not None:
         rep.check(A.star(delta_minus) == delta_plus, "delta-star", "modular-element-second")
     # relation to the lambda operator of phi itself
@@ -417,53 +344,41 @@ def _algebra_inverse(algebra, v):
 
 
 def uniqueness_check(X):
-    """The left integrals for the fixed weight are exactly M(B) phi."""
+    """The left integrals for the fixed weight are exactly M(B) phi, and the
+    right ones M(C) psi."""
     M = X.M
-    A, n = M.A, M.A.dim
+    A = M.A
     rep = Report()
-    basis, _ = solve_partial_integrals(M, "left")
-    integral_span = Rref()
-    for mapping in basis:
-        f = functional_of_map(X.weight.mu_C, mapping)
-        integral_span.add(f)
-    phi = X.phi.omega
-    left_span, right_span = Rref(), Rref()
-    for x in range(M.B.base.dim):
-        bx = M.B.embed.col(x)
-        left_span.add(translate_left(A, bx, phi))
-        right_span.add(translate_right(A, phi, bx))
+
+    def spans(side, mu, total, emb):
+        """The span of the partial ``side`` integrals, under mu, and those of
+        the translates e . total and total . e, e in emb's base."""
+        basis, _ = solve_partial_integrals(M, side)
+        integrals, lefts, rights = Rref(), Rref(), Rref()
+        for mapping in basis:
+            integrals.add(functional_of_map(mu, mapping))
+        for x in range(emb.base.dim):
+            ex = emb.embed.col(x)
+            lefts.add(translate_left(A, ex, total))
+            rights.add(translate_right(A, total, ex))
+        return basis, integrals, lefts, rights
+
+    def same(u, v):
+        return all(u.contains(r) for r in v.basis()) and all(v.contains(r) for r in u.basis())
+
+    basis, integral_span, left_span, right_span = spans("left", X.weight.mu_C, X.phi.omega, M.B)
     dims = (integral_span.rank, left_span.rank, right_span.rank)
     rep.check(dims[0] == dims[1] == dims[2], "spaces-same-dimension",
               "integrals-uniqueness", dims)
-    ok = all(integral_span.contains(r) for r in left_span.basis()) and all(
-        left_span.contains(r) for r in integral_span.basis()
-    )
-    rep.check(ok, "left-integrals-equal-MB-phi", "integrals-uniqueness")
-    ok = all(integral_span.contains(r) for r in right_span.basis()) and all(
-        right_span.contains(r) for r in integral_span.basis()
-    )
-    rep.check(ok, "left-integrals-equal-phi-MB", "integrals-uniqueness")
-    # mirror for right integrals against M(C)
-    basis_r, _ = solve_partial_integrals(M, "right")
-    integral_span_r = Rref()
-    for mapping in basis_r:
-        integral_span_r.add(functional_of_map(X.weight.mu_B, mapping))
-    psi = X.psi.omega
-    span_cl, span_cr = Rref(), Rref()
-    for y in range(M.C.base.dim):
-        cy = M.C.embed.col(y)
-        span_cl.add(translate_left(A, cy, psi))
-        span_cr.add(translate_right(A, psi, cy))
-    ok = (
-        integral_span_r.rank == span_cl.rank == span_cr.rank
-        and all(integral_span_r.contains(r) for r in span_cl.basis())
-        and all(span_cl.contains(r) for r in integral_span_r.basis())
-        and all(integral_span_r.contains(r) for r in span_cr.basis())
-        and all(span_cr.contains(r) for r in integral_span_r.basis())
-    )
+    rep.check(same(integral_span, left_span), "left-integrals-equal-MB-phi", "integrals-uniqueness")
+    rep.check(same(integral_span, right_span), "left-integrals-equal-phi-MB",
+              "integrals-uniqueness")
+    _, integral_span, left_span, right_span = spans("right", X.weight.mu_B, X.psi.omega, M.C)
+    ok = (integral_span.rank == left_span.rank == right_span.rank
+          and same(integral_span, left_span) and same(integral_span, right_span))
     rep.check(ok, "right-integrals-equal-MC-psi", "integrals-uniqueness")
     # every integral is dominated by the full phi: solve the translating elements
-    g = gram_map(A, phi)
+    g = gram_map(A, X.phi.omega)
     gt = g.transpose()
     ok = True
     for mapping in basis:
@@ -582,7 +497,7 @@ def dual_algebra(X):
     wit = None
     for i, j in product(range(n), repeat=2):
         rho_j = rho_lambda(translates[j])[0]
-        direct = {c: v for c in range(n) for v in (ev(translates[i], rho_j.col(c)),) if v}
+        direct = functional_of_map(translates[i], rho_j)
         via_t = translate_left(A, hat.table[i][j], phi)
         if direct != via_t:
             wit = {"at": [A.labels[i], A.labels[j]],
@@ -607,22 +522,13 @@ def dual_algebra(X):
     # extension to multipliers: the j-embedding formulas are consistent
     sigma_inv = modular_automorphism(X, "left").mapping.inverse()
     psi = X.psi.omega
-    g_psi_r = LinearMap.from_function(
-        n, n, lambda k: {a: v for a in range(n)
-                         for v in (ev(psi, A.mul({a: ONE}, {k: ONE})),) if v}
-    )
+    g_psi_r = gram_map(A, psi)
     wit = None
     for a in range(n):
         b = sigma_inv.apply({a: ONE})  # a.phi = phi.b
-        ok = all(ev(phi, A.mul({t: ONE}, {a: ONE})) == ev(phi, A.mul(b, {t: ONE}))
-                 for t in range(n))
-        target = {t: v for t in range(n)
-                  for v in (ev(phi, A.mul({t: ONE}, {a: ONE})),) if v}
-        c = g_psi_r.solve(target)  # a.phi = c.psi
-        ok = ok and c is not None and all(
-            ev(psi, A.mul({t: ONE}, c)) == ev(phi, A.mul({t: ONE}, {a: ONE}))
-            for t in range(n)
-        )
+        c = g_psi_r.solve(translates[a])  # a.phi = c.psi
+        ok = (translates[a] == translate_right(A, phi, b) and c is not None
+              and translate_left(A, c, psi) == translates[a])
         if not ok:
             wit = {"at": A.labels[a]}
             break
@@ -641,7 +547,7 @@ def haar_analysis(X):
     rescales by its inverse.
     """
     M = X.M
-    A, n = M.A, M.A.dim
+    A = M.A
     rep = Report()
     one = A.unit()
     if one is None:
@@ -666,10 +572,8 @@ def haar_analysis(X):
     rep.check(z is not None, "invertible-multiplier-found", "integrals-proper")
     if z is None:
         return None, rep
-    h = {c: v for c in range(n)
-         for v in (ev(phi, A.mul({c: ONE}, z_inv)),) if v}
-    h_s = {c: v for c in range(n) for v in (ev(h, M.S.col(c)),) if v}
-    rep.check(h_s == h, "h-antipode-invariant", "integrals-proper")
+    h = translate_left(A, z_inv, phi)
+    rep.check(functional_of_map(h, M.S) == h, "h-antipode-invariant", "integrals-proper")
     # delta+ = z^{-1} S(z)
     me = modular_element(X)
     rep.check(

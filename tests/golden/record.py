@@ -3,9 +3,10 @@ the tensor algebroid over the 2x2 matrix algebra (a non-commutative base).
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
 captured), ``verify_regular_mha`` on mutant instances,
-``check_partial_integral`` on perturbed partial integrals, or the solved
-spaces no command reports in full, and yields the exit code and the exact
-report text of every step.  The recorded texts
+``check_partial_integral`` on perturbed partial integrals, the solved
+spaces no command reports in full, or the modular theory and modifier
+checks of both halves, and yields the exit code and the exact report text
+of every step.  The recorded texts
 live next to this file as ``<case>.jsonl``, the exit codes in
 ``exits.json``; ``test_golden.py`` compares both byte for byte.
 

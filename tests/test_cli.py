@@ -1,11 +1,12 @@
 """Batch front-end: commands, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from qgroupoid.algebra_core import FiniteAlgebra, algebra_to_json
-from qgroupoid.cli import main
+from qgroupoid.cli import _parse_mu, main
 from qgroupoid.examples import groupoid_to_json, pair_groupoid
 from qgroupoid.exact_linear import LinearMap
 from qgroupoid.report import Rejected
@@ -136,6 +137,40 @@ def test_pair_groupoid_flag(capsys):
     code, out = run(capsys, "verify", "--example", "function-algebroid",
                     "--pair-groupoid", "1,2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["measure", "--pair-groupoid", "1,2", "--mu", "1,x"], {}),
+    (["measure", "--pair-groupoid", "1,2", "--mu", "1/0,1"], {}),
+    (["verify", "--groupoid", "{noarrows}"], {"noarrows": {"units": [1]}}),
+    (["measure", "--artifact", "{artifact}"],
+     {"artifact": {"example": "convolution", "mu": ["1"]}}),
+    (["verify", "--pair-groupoid", ","], {}),
+], ids=["mu-literal", "mu-zero-denominator", "groupoid-without-arrows",
+        "artifact-without-groupoid", "pair-groupoid-without-points"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(obj))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_weight_file_forms_read_the_same_exact_weights(tmp_path):
+    # a JSON number is read through its decimal text, so 0.1 is 1/10 in
+    # both the list and the unit-keyed form
+    units = pair_groupoid([1, 2]).units
+    forms = ([0.1, "1/4"], {repr(units[0]): 0.1, repr(units[1]): "1/4"})
+    read = []
+    for k, data in enumerate(forms):
+        path = tmp_path / ("mu%d.json" % k)
+        path.write_text(json.dumps(data))
+        read.append(_parse_mu(str(path), units))
+    assert read == [{0: Fraction(1, 10), 1: Fraction(1, 4)}] * 2
 
 
 def test_missing_sqrt_hint(p2_file, capsys):

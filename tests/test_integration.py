@@ -258,7 +258,7 @@ def _scanned_invariance(M, mapping, side, letter):
         return False, wit
     try:
         sl = integration._integral_slice(
-            mapping, side, h, "partial-%s slice (%s)" % (side, letter))
+            h, 2 if side == "left" else 1, mapping, "partial-%s slice (%s)" % (side, letter))
     except NotBalanced as e:
         return False, str(e)
     n, embed = M.A.dim, integration._target(M, side).s

@@ -82,11 +82,10 @@ def _compare(tensor, op1, op2, what):
     def leg(op, i):
         return op.col(i) if op is not None else {i: ONE}
 
-    sparse = _outcome(lambda: tensor.descend(op1, op2, what=what))
+    message = what + " does not descend between flavors {src!r} -> {dst!r}"
+    sparse = _outcome(lambda: tensor.descend(op1, op2, message=message))
     full = _outcome(lambda: _full_descent(
-        tensor, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
-        what + " does not descend between flavors {src!r} -> {dst!r}",
-    ))
+        tensor, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n), message))
     assert sparse == full, (tensor.flavor, what)
     return sparse[1] is None
 
