@@ -29,6 +29,7 @@ from qgroupoid import (
     Modifier,
     Rejected,
     RegularMHA,
+    FiniteHopf,
     assemble_measured,
     build_convolution_algebroid,
     build_crossed_product,
@@ -36,9 +37,11 @@ from qgroupoid import (
     build_group_hopf,
     build_tensor_algebroid,
     build_two_sided,
+    check_base_weight,
     check_modifier,
     check_partial_integral,
     convolution,
+    crossed_rn_modifier,
     derive_antipode,
     derive_counits,
     factorize,
@@ -53,13 +56,14 @@ from qgroupoid import (
     orbit_algebra,
     solve_partial_integrals,
     standard_integrals,
+    twosided_rn_modifier,
     uniqueness_check,
     verify_regular_mha,
 )
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import _ONE_SIDED, _Half, _hom_space
 from qgroupoid.cli import main
-from qgroupoid.exact_linear import ONE, axpy, vec_items
+from qgroupoid.exact_linear import ONE, Scalar, axpy, vec_items
 from qgroupoid.examples import (
     cyclic_group_table,
     function_algebra_z2,
@@ -397,6 +401,125 @@ def _mirror_pins():
     return steps
 
 
+def _bundle_maps(M):
+    """The columns of M's embeddings, comultiplications, counits and antipodes."""
+    maps = {key: _columns(getattr(M, key))
+            for key in ("delta_B", "delta_C", "eps_B", "eps_C", "S", "S_B", "S_C")}
+    maps.update({"B": _columns(M.B.embed), "C": _columns(M.C.embed)})
+    return maps
+
+
+def _z2_actions():
+    """(name, acts) for F[Z2] or F(Z2) on functions on two points: the swap,
+    its mirror, the trivial grading and a shear that is no action."""
+    ident, zero = LinearMap.identity(2), LinearMap.zero(2, 2)
+    swap = LinearMap.from_rows([[0, 1], [1, 0]])
+    shear = LinearMap.from_rows([[1, 1], [0, 1]])
+    return (("id-swap", [ident, swap]), ("swap-id", [swap, ident]),
+            ("id-zero", [ident, zero]), ("id-shear", [ident, shear]))
+
+
+def _hopf_and_weights():
+    """The Hopf-algebra side and the base-weight flags, in full.
+
+    For both Z2 Hopf algebras: ``FiniteHopf.verify`` with the modular data,
+    the integral predicates on the stored integrals and on two
+    non-integrals, and ``verify`` of a copy with a broken counit.  Then
+    ``HopfAction.verify`` and ``is_symmetric`` on every ``_z2_actions``
+    entry, on both sides, over both Hopf algebras; ``build_two_sided``
+    accepted once (its maps and verify report) and rejected at each
+    antipode intertwining; ``build_crossed_product``'s maps;
+    ``crossed_rn_modifier`` and ``twosided_rn_modifier`` with their
+    reports, D and modifier maps, and rejected inputs; ``check_base_weight``
+    on weights failing each flag, and ``assemble_measured`` under a weight
+    that is not positive.  A step that raises Rejected records its eq and
+    message, and the report it carries.
+    """
+    labels, table = cyclic_group_table(2)
+    steps = []
+
+    def step(head, run):
+        try:
+            extra, rep = run()
+            head.update(extra)
+            code = 0 if rep is None or rep.ok else 1
+        except Rejected as e:
+            head["rejected"] = [e.eq, str(e)]
+            rep, code = e.report, 1
+        lines = [json.dumps(head, sort_keys=True)] + (rep.to_json_lines() if rep else [])
+        steps.append((code, "\n".join(lines) + "\n"))
+
+    hopfs = {flavor: build_group_hopf(labels, table, flavor) for flavor in ("group", "function")}
+    candidates = (("one-g", {1: ONE}), ("e-plus-2g", {0: ONE, 1: 2 * ONE}))
+    for flavor, hopf in hopfs.items():
+        def hopf_verify(hopf=hopf):
+            functionals = (("phi", hopf.phi), ("psi", hopf.psi), *candidates)
+            return ({"delta_mod": vec_items(hopf.delta_mod), "sigma_mod": _columns(hopf.sigma_mod),
+                     "integrals": [[name, hopf.is_left_integral(f), hopf.is_right_integral(f)]
+                                   for name, f in functionals]},
+                    hopf.verify())
+        step({"hopf": flavor}, hopf_verify)
+        broken_eps = LinearMap(1, 2, [{0: ONE}, {0: 2 * ONE}])
+        broken = FiniteHopf(hopf.H, hopf.delta, broken_eps, hopf.S, phi=hopf.phi, psi=hopf.psi)
+        step({"hopf": flavor, "counit": "broken"}, lambda broken=broken: ({}, broken.verify()))
+    for flavor, hopf in hopfs.items():
+        for name, acts in _z2_actions():
+            for side in ("left", "right"):
+                def action(hopf=hopf, acts=acts, side=side):
+                    act = HopfAction(hopf, function_algebra_z2(), acts, side=side)
+                    return {"symmetric": act.is_symmetric()}, act.verify()
+                step({"action": [flavor, name, side]}, action)
+    hopf, ident = hopfs["group"], LinearMap.identity(2)
+    swap = LinearMap.from_rows([[0, 1], [1, 0]])
+    c, b = function_algebra_z2(), function_algebra_z2()
+    left = swap_action(hopf, c)
+    for name, right_acts, s_c in (("accepted", [ident, swap], ident),
+                                  ("trivial-right", [ident, ident], ident),
+                                  ("scaled-S_C", [ident, swap], LinearMap.from_rows([[1, 0], [0, 2]]))):
+        def two_sided(right_acts=right_acts, s_c=s_c):
+            right = HopfAction(hopf, b, right_acts, side="right")
+            M = build_two_sided(c, hopf, b, left, right, ident, s_c)
+            return _bundle_maps(M), verify_regular_mha(M)
+        step({"build_two_sided": name}, two_sided)
+    step({"build_crossed_product": "swap"},
+         lambda: (_bundle_maps(build_crossed_product(c, hopf, left)), None))
+    for flavor, act_name, mu in (("group", "id-swap", {0: ONE, 1: 4 * ONE}),
+                                 ("group", "id-swap", {0: ONE}),
+                                 ("function", "id-zero", {0: ONE, 1: 4 * ONE})):
+        def crossed(flavor=flavor, act_name=act_name, mu=mu):
+            act = HopfAction(hopfs[flavor], c, dict(_z2_actions())[act_name])
+            mod, cocycle = crossed_rn_modifier(c, hopfs[flavor], act, mu)
+            return ({"D": _columns(cocycle.values),
+                     "modifier": [_columns(f) for f in mod.maps()]}, cocycle.report)
+        step({"crossed_rn_modifier": [flavor, act_name, vec_items(mu)]}, crossed)
+    for name, sigma in (("identity", ident), ("swap", swap)):
+        def twosided(sigma=sigma):
+            bundle = twosided_rn_modifier(c, hopf, left, {0: ONE, 1: 4 * ONE}, sigma)
+            return ({"D": _columns(bundle["D"]), "bundle": _bundle_maps(bundle["M"]),
+                     "modifier": [_columns(f) for f in bundle["modifier"].maps()]},
+                    bundle["report"])
+        step({"twosided_rn_modifier": name}, twosided)
+    p2 = pair_groupoid(POINTS)
+    fun, conv = build_function_algebroid(p2), build_convolution_algebroid(p2)
+    i = Scalar.rational(0, 1)
+    for name, M, mu_B, mu_C in (
+            ("functions-1-4", fun, {0: ONE, 1: 4 * ONE}, {0: ONE, 1: 4 * ONE}),
+            ("functions-singular", fun, {0: ONE}, {0: ONE, 1: ONE}),
+            ("functions-unmatched", fun, {0: ONE, 1: 4 * ONE}, {0: ONE, 1: 2 * ONE}),
+            ("functions-negative", fun, {0: ONE, 1: -ONE}, {0: ONE, 1: -ONE}),
+            ("functions-imaginary", fun, {0: ONE, 1: i}, {0: ONE, 1: i}),
+            ("convolution-1-4", conv, {0: ONE, 1: 4 * ONE}, {0: ONE, 1: 4 * ONE}),
+            ("matrix-units-nontracial", matrix_tensor_algebroid(),
+             {0: ONE, 3: 2 * ONE}, {0: ONE, 3: 2 * ONE})):
+        step({"check_base_weight": name},
+             lambda M=M, w=BaseWeight(mu_B, mu_C): ({}, check_base_weight(M, w)))
+    negative = BaseWeight({0: ONE, 1: -ONE}, {0: ONE, 1: -ONE})
+    step({"assemble_measured": "functions-negative"},
+         lambda: ({}, assemble_measured(fun, negative, *standard_integrals(
+             "groupoid-functions", fun, groupoid=p2)).report))
+    return steps
+
+
 def _unit_arrow_index():
     g = pair_groupoid(POINTS)
     return g.index[g.units[1]]
@@ -449,6 +572,7 @@ def cases(workdir):
         "solved-spaces": _solved_spaces,
         "tensor-matrix-units": _matrix_tensor,
         "mirror-pins-p2": _mirror_pins,
+        "hopf-and-weights": _hopf_and_weights,
     }
 
 
