@@ -42,7 +42,6 @@ from .balanced_tensor import (
 )
 from .bialgebroid import (
     RegularMHA,
-    StarStructure,
     canonical_maps,
     derive_antipode,
     derive_counits,

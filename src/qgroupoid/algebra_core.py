@@ -301,29 +301,24 @@ class ModuleStructure:
             axpy(out, s, self.acts[i].apply(v))
         return out
 
+    def operator(self, x):
+        """The operator by which the base vector x acts."""
+        n = self.total.dim
+        return LinearMap.combination(n, n, ((s, self.acts[k]) for k, s in x.items()))
+
     def check_action(self):
-        b, n = self.base, self.total.dim
+        b = self.base
         for x in range(b.dim):
             for y in range(b.dim):
                 prod = b.table[x][y] if self.side == "left" else b.table[y][x]
-                composite = self.acts[x].compose(self.acts[y])
-                expected = LinearMap.combination(n, n, ((s, self.acts[k]) for k, s in prod.items()))
-                if composite != expected:
+                if self.acts[x].compose(self.acts[y]) != self.operator(prod):
                     return False, (b.labels[x], b.labels[y])
         return True, None
 
     def is_faithful(self):
         # faithful iff the linear map base -> End(total) is injective
         n = self.total.dim
-        cols = []
-        for x in range(self.base.dim):
-            col = {}
-            m = self.acts[x]
-            for j in range(m.cols):
-                if m.col(j):
-                    axpy(col, ONE, m.col(j), j * n)
-            cols.append(col)
-        return LinearMap(n * n, self.base.dim, cols).is_injective()
+        return LinearMap(n * n, self.base.dim, [m.flat() for m in self.acts]).is_injective()
 
     def is_idempotent(self):
         rr = Rref()
@@ -436,20 +431,28 @@ def multiplier_algebra(algebra):
     return m_alg, canonical
 
 
+def _first_product_mismatch(src, dst, f, anti=False):
+    """The first basis pair (i, j) of src, j innermost, at which
+    f(e_i e_j) differs from f(e_i) f(e_j) in dst, or from f(e_j) f(e_i)
+    given anti; None if f is (anti)multiplicative."""
+    for i in range(src.dim):
+        fi = f.col(i)
+        for j in range(src.dim):
+            fj = f.col(j)
+            if f.apply(src.table[i][j]) != (dst.mul(fj, fi) if anti else dst.mul(fi, fj)):
+                return i, j
+    return None
+
+
 def automorphism_check(algebra, f, anti=False):
     """(ok, witness): f bijective and (anti)multiplicative on all basis pairs."""
     if f.rows != algebra.dim or f.cols != algebra.dim:
         return False, "dimension mismatch"
     if not f.is_bijective():
         return False, "not bijective"
-    for i in range(algebra.dim):
-        fi = f.col(i)
-        for j in range(algebra.dim):
-            fj = f.col(j)
-            lhs = f.apply(dict(algebra.table[i][j]))
-            rhs = algebra.mul(fj, fi) if anti else algebra.mul(fi, fj)
-            if lhs != rhs:
-                return False, (algebra.labels[i], algebra.labels[j], "products differ")
+    at = _first_product_mismatch(algebra, algebra, f, anti)
+    if at is not None:
+        return False, (*(algebra.labels[k] for k in at), "products differ")
     return True, None
 
 
@@ -475,16 +478,28 @@ def algebra_to_json(algebra):
 
 
 def algebra_from_json(obj):
-    dim = obj["dim"]
-    table = []
-    for row in obj["structure"]:
-        table_row = []
-        for entry in row:
-            table_row.append({int(k): scalar_from_json(s) for k, s in entry})
-        table.append(table_row)
+    """The algebra ``algebra_to_json`` wrote.  ValueError unless the
+    structure is dim rows of dim products over indices below dim, the
+    involution, if any, a dim x dim matrix and the labels, if any, dim."""
+    dim, labels = obj["dim"], obj.get("labels")
+
+    def square(rows, what):
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ValueError("%s must be %r rows of %r entries" % (what, dim, dim))
+        return rows
+
+    def index(k):
+        if int(k) not in range(dim):
+            raise ValueError("product index %r outside 0..%r" % (k, dim - 1))
+        return int(k)
+
+    if labels is not None and len(labels) != dim:
+        raise ValueError("labels must be %r, got %r" % (dim, len(labels)))
+    table = [[{index(k): scalar_from_json(s) for k, s in entry} for entry in row]
+             for row in square(obj["structure"], "structure")]
     involution = None
     if "involution" in obj:
         involution = LinearMap.from_rows(
-            [[scalar_from_json(x) for x in row] for row in obj["involution"]]
+            [[scalar_from_json(x) for x in row] for row in square(obj["involution"], "involution")]
         )
-    return FiniteAlgebra(table, labels=obj.get("labels"), involution=involution)
+    return FiniteAlgebra(table, labels=labels, involution=involution)

@@ -10,9 +10,12 @@ first witness tuple and both evaluated sides in canonical coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra_core import ModuleStructure, check_algebra
+from .algebra_core import (
+    ModuleStructure,
+    _first_product_mismatch,
+    automorphism_check,
+    check_algebra,
+)
 from .balanced_tensor import (
     BalancedTensor,
     NotBalanced,
@@ -38,7 +41,6 @@ from .report import Report
 
 __all__ = [
     "RegularMHA",
-    "StarStructure",
     "canonical_maps",
     "verify_left_bialgebroid",
     "verify_right_bialgebroid",
@@ -60,13 +62,6 @@ FLAVOR_TL = "btA⊗bAt"  # domain of T_lambda
 FLAVOR_TR = "bAs⊗bsA"  # domain of T_rho
 FLAVOR_LT = "cAs⊗csA"  # domain of lambda_T
 FLAVOR_RT = "ctA⊗cAt"  # domain of rho_T
-
-
-@dataclass
-class StarStructure:
-    """Antilinear anti-automorphism of the total algebra: v -> M conj(v)."""
-
-    matrix: LinearMap
 
 
 class RegularMHA:
@@ -794,8 +789,6 @@ def _antipode_checks(M, rep, canon):
     ``antipode-diagram-right``, all passed."""
     A, n = M.A, M.A.dim
     S = M.S
-    from .algebra_core import automorphism_check
-
     ok, wit = automorphism_check(A, S, anti=True)
     rep.check(ok, "antipode-antiautomorphism", "hopf-characterization", wit)
 
@@ -908,12 +901,11 @@ def verify_regular_mha(M):
     M.C.validate(rep, axiom_prefix="base-C")
     ok, wit = M.B.commutes_with(M.C)
     rep.check(ok, "bases-commute", "mult-hopf-algebroid-2", wit)
-    okb = M.S_B.is_bijective()
-    okc = M.S_C.is_bijective()
-    anti_b, wit_b = _anti_iso_check(M.B.base, M.C.base, M.S_B)
-    anti_c, wit_c = _anti_iso_check(M.C.base, M.B.base, M.S_C)
-    rep.check(okb and anti_b, "S_B-anti-isomorphism", "mult-hopf-algebroid-2", wit_b)
-    rep.check(okc and anti_c, "S_C-anti-isomorphism", "mult-hopf-algebroid-2", wit_c)
+    for name, src, dst, f in (("S_B", M.B.base, M.C.base, M.S_B),
+                              ("S_C", M.C.base, M.B.base, M.S_C)):
+        at = _first_product_mismatch(src, dst, f, anti=True)
+        rep.check(f.is_bijective() and at is None, name + "-anti-isomorphism",
+                  "mult-hopf-algebroid-2", None if at is None else tuple(src.labels[k] for k in at))
 
     verify_left_bialgebroid(M, rep)
     verify_right_bialgebroid(M, rep)
@@ -1005,17 +997,6 @@ def _galois_compatibility(M):
                     rmul1[a].apply_blocks(rho[b]), qb.dim, n)
 
     return _first_failure(sides())
-
-
-def _anti_iso_check(src, dst, f):
-    for i in range(src.dim):
-        fi = f.col(i)
-        for j in range(src.dim):
-            lhs = f.apply(dict(src.table[i][j]))
-            rhs = dst.mul(f.col(j), fi)
-            if lhs != rhs:
-                return False, (src.labels[i], src.labels[j])
-    return True, None
 
 
 def verify_star(M):

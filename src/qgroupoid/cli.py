@@ -151,12 +151,8 @@ def _pipeline(args, mu=None):
 
 
 def cmd_build(args):
-    try:
-        with open(args.algebra) as fh:
-            algebra = algebra_from_json(json.load(fh))
-    except (OSError, KeyError, ValueError, TypeError) as e:
-        sys.stderr.write("schema error: %s\n" % e)
-        return USAGE_ERROR
+    with open(args.algebra) as fh, _schema("--algebra"):
+        algebra = algebra_from_json(json.load(fh))
     return _emit(check_algebra(algebra), args.out, {"dim": algebra.dim})
 
 
@@ -279,27 +275,19 @@ def cmd_dual(args):
 def cmd_report(args):
     src = sys.stdin if args.infile == "-" else open(args.infile)
     try:
-        failures = 0
-        total = 0
-        for line in src:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "summary" in obj:
-                continue
-            total += 1
-            status = obj.get("status")
-            if status != "pass":
-                failures += 1
-            sys.stdout.write(
-                "%-4s  %-44s  [%s]\n" % (status, obj.get("axiom"), obj.get("eq"))
-            )
-        sys.stdout.write("%d checks, %d failures\n" % (total, failures))
-        return 0 if failures == 0 else MATH_ERROR
+        entries = [json.loads(line) for line in src if line.strip()]
     finally:
         if src is not sys.stdin:
             src.close()
+    for k, obj in enumerate(entries):
+        if not isinstance(obj, dict):
+            raise SystemExit("report entry %d is not a JSON object: %s" % (k + 1, json.dumps(obj)))
+    entries = [obj for obj in entries if "summary" not in obj]
+    failures = sum(obj.get("status") != "pass" for obj in entries)
+    for obj in entries:
+        sys.stdout.write("%-4s  %-44s  [%s]\n" % (obj.get("status"), obj.get("axiom"), obj.get("eq")))
+    sys.stdout.write("%d checks, %d failures\n" % (len(entries), failures))
+    return 0 if failures == 0 else MATH_ERROR
 
 
 def make_parser():

@@ -8,10 +8,13 @@ verification to the bialgebroid suite; nothing is trusted by fiat.
 
 from __future__ import annotations
 
-from .algebra_core import BaseEmbedding, FiniteAlgebra, check_algebra
+from functools import partial
+
+from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
 from .balanced_tensor import tensor_mul
 from .bialgebroid import RegularMHA
 from .exact_linear import ONE, ZERO, LinearMap, axpy, kron_vec, stack_equations, vscale
+from .integration import PartialIntegral, functional_of_map, gram_map
 from .report import Rejected, Report
 
 __all__ = [
@@ -230,10 +233,6 @@ class FiniteHopf:
         n = self.dim
         return [(idx // n, idx % n, s) for idx, s in self.delta.col(h).items()]
 
-    def tensor_mul(self, u, v):
-        """Product in H (x) H of sparse vectors over n*n indices."""
-        return tensor_mul(self.H, u, v)
-
     def verify(self):
         rep = Report()
         rep.merge(check_algebra(self.H), prefix="algebra")
@@ -246,21 +245,20 @@ class FiniteHopf:
         rep.check(self.delta.apply(one) == one_one, "delta-unital", "hopf-axioms")
         ok = all(
             self.delta.apply(self.H.mul({i: ONE}, {j: ONE}))
-            == self.tensor_mul(self.delta.col(i), self.delta.col(j))
+            == tensor_mul(self.H, self.delta.col(i), self.delta.col(j))
             for i in range(n)
             for j in range(n)
         )
         rep.check(ok, "delta-homomorphism", "hopf-axioms")
-        ok = True
-        for h in range(n):
-            lhs, rhs = {}, {}
+
+        def coassociative(h):
+            """(Delta (x) id) Delta(h) = (id (x) Delta) Delta(h)"""
+            lhs = {}
             for h1, h2, s in self.sweedler(h):
-                axpy(lhs, s, {idx * n + h2: t for idx, t in self.delta.col(h1).items()})
-                axpy(rhs, s, self.delta.col(h2), h1 * n * n)
-            if lhs != rhs:
-                ok = False
-                break
-        rep.check(ok, "coassociativity", "hopf-axioms")
+                axpy(lhs, s, kron_vec(self.delta.col(h1), {h2: ONE}, n))
+            return lhs == self.delta.apply_blocks(self.delta.col(h))
+
+        rep.check(all(coassociative(h) for h in range(n)), "coassociativity", "hopf-axioms")
         ok = True
         for h in range(n):
             left = {}
@@ -296,84 +294,43 @@ class FiniteHopf:
         return rep
 
     def is_left_integral(self, phi):
-        """(id (x) phi)(Delta(a)(b (x) 1)) = phi(a) b on all basis pairs."""
-        n = self.dim
-        for a in range(n):
-            for b in range(n):
-                prod = self.tensor_mul(self.delta.col(a), kron_vec({b: ONE}, self.H.unit(), n))
-                out = {}
-                for idx, s in prod.items():
-                    i, j = divmod(idx, n)
-                    axpy(out, s * phi.get(j, ZERO), {i: ONE})
-                if out != vscale(phi.get(a, ZERO), {b: ONE}):
-                    return False
-        return True
+        return not self._integral_system("left").apply(phi)
 
     def is_right_integral(self, psi):
-        """(psi (x) id)(Delta(a)(1 (x) b)) = psi(a) b on all basis pairs."""
-        n = self.dim
-        for a in range(n):
-            for b in range(n):
-                prod = self.tensor_mul(self.delta.col(a), kron_vec(self.H.unit(), {b: ONE}, n))
-                out = {}
-                for idx, s in prod.items():
-                    i, j = divmod(idx, n)
-                    axpy(out, s * psi.get(i, ZERO), {j: ONE})
-                if out != vscale(psi.get(a, ZERO), {b: ONE}):
-                    return False
-        return True
+        return not self._integral_system("right").apply(psi)
 
     def left_integral_space(self):
-        """Basis of all left-invariant functionals, by linear solve:
-        (id (x) phi)(Delta(a)(b (x) 1)) = phi(a) b at each (a, b), with
-        phi(e_j) the unknown j."""
+        """Basis of all left-invariant functionals."""
+        return self._integral_system("left").kernel_basis()
+
+    def _integral_system(self, side):
+        """The linear system whose kernel is the space of left (or right)
+        integrals, phi(e_j) the unknown j: at each basis pair (a, b),
+        (id (x) phi)(Delta(a)(b (x) 1)) - phi(a) b for a left integral and
+        (phi (x) id)(Delta(a)(1 (x) b)) - phi(a) b for a right one."""
         n, one = self.dim, self.H.unit()
+        left = side == "left"
 
         def laws():
             for a in range(n):
                 for b in range(n):
-                    prod = self.tensor_mul(self.delta.col(a), kron_vec({b: ONE}, one, n))
-                    terms = [(idx % n, s, {idx // n: ONE}) for idx, s in prod.items()]
+                    factor = kron_vec({b: ONE}, one, n) if left else kron_vec(one, {b: ONE}, n)
+                    prod = tensor_mul(self.H, self.delta.col(a), factor)
+                    terms = [(j, s, {i: ONE}) if left else (i, s, {j: ONE})
+                             for idx, s in prod.items() for i, j in (divmod(idx, n),)]
                     yield {}, terms + [(a, -ONE, {b: ONE})]
 
         system, _ = stack_equations(((n, laws()),), n)
-        return system.kernel_basis()
+        return system
 
     def compute_modular_data(self):
         """Modular element and automorphism of the stored left integral."""
-        n = self.dim
-        g = LinearMap.from_function(
-            n, n, lambda j: {
-                i: v
-                for i, v in enumerate(
-                    self._phi_products(j)
-                )
-                if v
-            },
-        )
-        phi_s = {}
-        for a in range(n):
-            val = ZERO
-            for k, s in self.S.col(a).items():
-                val = val + s * self.phi.get(k, ZERO)
-            if val:
-                phi_s[a] = val
-        delta = g.solve(phi_s)
+        g = gram_map(self.H, self.phi)
+        delta = g.solve(functional_of_map(self.phi, self.S))
         assert delta is not None, "integral is not faithful"
         self.delta_mod = delta
-        gt = g.transpose()
-        self.sigma_mod = g.inverse().compose(gt)
+        self.sigma_mod = g.inverse().compose(g.transpose())
         return delta, self.sigma_mod
-
-    def _phi_products(self, j):
-        # column j of the Gram matrix phi(e_a e_j) over a
-        out = []
-        for a in range(self.dim):
-            val = ZERO
-            for k, s in self.H.mul({a: ONE}, {j: ONE}).items():
-                val = val + s * self.phi.get(k, ZERO)
-            out.append(val)
-        return out
 
 
 def build_group_hopf(labels, table, flavor="group"):
@@ -419,24 +376,17 @@ def build_group_hopf(labels, table, flavor="group"):
     return hopf
 
 
-class HopfAction:
-    """A left (or right) action of a finite Hopf algebra on an algebra."""
+class HopfAction(ModuleStructure):
+    """A left (or right) action of a finite Hopf algebra on an algebra: a
+    module structure of H's algebra on the module algebra C."""
 
     def __init__(self, hopf, module_algebra, acts, side="left"):
+        super().__init__(hopf.H, module_algebra, acts, side)
         self.hopf = hopf
-        self.C = module_algebra
-        self.acts = list(acts)  # per H basis element, LinearMap C -> C
-        self.side = side
-
-    def act(self, h_vec, y_vec):
-        out = {}
-        for h, s in h_vec.items():
-            axpy(out, s, self.acts[h].apply(y_vec))
-        return out
 
     def verify(self):
         rep = Report()
-        H, C = self.hopf, self.C
+        H, C = self.hopf, self.total
         n, m = H.dim, C.dim
         one_h = H.H.unit()
         rep.check(
@@ -444,22 +394,7 @@ class HopfAction:
             "action-unital",
             "chb-action-algebra",
         )
-        ok = True
-        for h in range(n):
-            for g in range(n):
-                comp = (
-                    self.acts[h].compose(self.acts[g])
-                    if self.side == "left"
-                    else self.acts[g].compose(self.acts[h])
-                )
-                prod = H.H.mul({h: ONE}, {g: ONE})
-                expect = LinearMap.combination(m, m, ((s, self.acts[k]) for k, s in prod.items()))
-                if comp != expect:
-                    ok = False
-                    break
-            if not ok:
-                break
-        rep.check(ok, "action-multiplicative", "chb-action-algebra")
+        rep.check(self.check_action()[0], "action-multiplicative", "chb-action-algebra")
         one_c = C.unit()
         ok = all(
             self.act({h: ONE}, one_c)
@@ -467,29 +402,21 @@ class HopfAction:
             for h in range(n)
         )
         rep.check(ok, "action-counital", "chb-action-algebra")
-        ok = True
-        for h in range(n):
-            sw = H.sweedler(h)
-            for y in range(m):
-                for z in range(m):
-                    lhs = self.act({h: ONE}, C.mul({y: ONE}, {z: ONE}))
-                    rhs = {}
-                    for h1, h2, s in sw:
-                        axpy(rhs, s, C.mul(self.acts[h1].apply({y: ONE}),
-                                           self.acts[h2].apply({z: ONE})))
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+
+        def module_algebra(h, y, z):
+            """h . (yz) = (h1 . y)(h2 . z)"""
+            rhs = {}
+            for h1, h2, s in H.sweedler(h):
+                axpy(rhs, s, C.mul(self.acts[h1].col(y), self.acts[h2].col(z)))
+            return self.acts[h].apply(C.table[y][z]) == rhs
+
+        ok = all(module_algebra(h, y, z) for h in range(n) for y in range(m) for z in range(m))
         rep.check(ok, "module-algebra", "chb-action-algebra")
         return rep
 
     def is_symmetric(self):
         """h1 (x) (h2 . y) = h2 (x) (h1 . y) in H (x) C for all h, y."""
-        H, C = self.hopf, self.C
+        H, C = self.hopf, self.total
         n, m = H.dim, C.dim
         for h in range(n):
             sw = H.sweedler(h)
@@ -743,6 +670,12 @@ def build_crossed_product(base_c, hopf, action):
     )
 
 
+def _chb_element(y, h, x, mh, mb):
+    """The element y (x) h (x) x of the two-sided product C (x) H (x) B,
+    for H of dimension mh and B of dimension mb."""
+    return kron_vec(kron_vec(y, h, mh), x, mb)
+
+
 def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
     """Two-sided crossed product A = C (x) H (x) B."""
     H = hopf
@@ -750,27 +683,14 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
     lrep, rrep = left_action.verify(), right_action.verify()
     if not (lrep.ok and rrep.ok):
         raise Rejected("chb-action-algebra", "actions fail the module-algebra laws")
-    # antipode compatibility of the two actions
+    # antipode compatibility of the two actions: anti o (h . on src) = (S(h) . on dst) o anti
     for h in range(mh):
-        sh = H.S.col(h)
-        for x in range(mb):
-            lhs = s_b.apply(right_action.acts[h].apply({x: ONE}))
-            rhs = {}
-            for hh, s in sh.items():
-                axpy(rhs, s, left_action.acts[hh].apply(s_b.col(x)))
-            if lhs != rhs:
-                raise Rejected("chb-action-antipode", "S_B does not intertwine the actions")
-        for y in range(mc):
-            lhs = s_c.apply(left_action.acts[h].apply({y: ONE}))
-            rhs = {}
-            for hh, s in sh.items():
-                axpy(rhs, s, right_action.acts[hh].apply(s_c.col(y)))
-            if lhs != rhs:
-                raise Rejected("chb-action-antipode", "S_C does not intertwine the actions")
+        for name, anti, src, dst in (("S_B", s_b, right_action, left_action),
+                                     ("S_C", s_c, left_action, right_action)):
+            if anti.compose(src.acts[h]) != dst.operator(H.S.col(h)).compose(anti):
+                raise Rejected("chb-action-antipode", name + " does not intertwine the actions")
     n = mc * mh * mb
-
-    def idx(y, h, x):
-        return (y * mh + h) * mb + x
+    chb = partial(_chb_element, mh=mh, mb=mb)
 
     def mul(i, j):
         y1, r = divmod(i, mh * mb)
@@ -783,7 +703,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             for hc, hd, t in H.sweedler(h2):
                 hpart = H.H.mul({hb: ONE}, {hc: ONE})
                 xpart = base_b.mul(right_action.acts[hd].apply({x1: ONE}), {x2: ONE})
-                axpy(out, s * t, kron_vec(kron_vec(ypart, hpart, mh), xpart, mb))
+                axpy(out, s * t, chb(ypart, hpart, xpart))
         return out
 
     A = FiniteAlgebra.from_mul(
@@ -793,37 +713,18 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             for y in range(mc) for h in range(mh) for x in range(mb)
         ],
     )
-    one_c, one_b = base_c.unit(), base_b.unit()
-    eh = H.H.unit()
-
-    def emb_c_col(y):
-        out = {}
-        for h, s in eh.items():
-            for x, t in one_b.items():
-                out[idx(y, h, x)] = s * t
-        return out
-
-    def emb_b_col(x):
-        out = {}
-        for y, s in one_c.items():
-            for h, t in eh.items():
-                out[idx(y, h, x)] = s * t
-        return out
-
-    B = BaseEmbedding(base_b, A, LinearMap.from_function(n, mb, emb_b_col), name="B")
-    C = BaseEmbedding(base_c, A, LinearMap.from_function(n, mc, emb_c_col), name="C")
+    one_c, one_b, one_h = base_c.unit(), base_b.unit(), H.H.unit()
+    emb_b = LinearMap.from_function(n, mb, lambda x: chb(one_c, one_h, {x: ONE}))
+    emb_c = LinearMap.from_function(n, mc, lambda y: chb({y: ONE}, one_h, one_b))
+    B = BaseEmbedding(base_b, A, emb_b, name="B")
+    C = BaseEmbedding(base_c, A, emb_c, name="C")
 
     def delta_col(k):
         y, r = divmod(k, mh * mb)
         h, x = divmod(r, mb)
         out = {}
         for h1, h2, s in H.sweedler(h):
-            left = {}
-            for xb, t in one_b.items():
-                left[idx(y, h1, xb)] = t
-            right = {}
-            for yb, t in one_c.items():
-                right[idx(yb, h2, x)] = t
+            left, right = chb({y: ONE}, {h1: ONE}, one_b), chb(one_c, {h2: ONE}, {x: ONE})
             axpy(out, s, kron_vec(left, right, n))
         return out
 
@@ -835,12 +736,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
         # S(yhx) = S_B(x) S_H(h) S_C(y), a product in A
         sx = C.embed.apply(s_b.col(x))
         sy = B.embed.apply(s_c.col(y))
-        sh = {}
-        for hh, s in H.S.col(h).items():
-            for yb, t in one_c.items():
-                for xb, u in one_b.items():
-                    sh[idx(yb, hh, xb)] = s * t * u
-        return A.mul(A.mul(sx, sh), sy)
+        return A.mul(A.mul(sx, chb(one_c, H.S.col(h), one_b)), sy)
 
     antipode = LinearMap.from_function(n, n, antipode_col)
     return RegularMHA(
@@ -862,8 +758,6 @@ def standard_integrals(kind, M, **params):
     select the member of the family (a weight h on units, functionals on
     the bases, or the integrals of the acting Hopf algebra).
     """
-    from .integration import PartialIntegral
-
     if kind == "groupoid-functions":
         g = params["groupoid"]
         h = params.get("h")

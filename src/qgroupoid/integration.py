@@ -26,7 +26,6 @@ from .exact_linear import (
     ONE,
     LinearMap,
     Rref,
-    axpy,
     ev,
     inverse,
     is_positive_semidefinite,
@@ -47,6 +46,7 @@ __all__ = [
     "translate_left",
     "translate_right",
     "gram_map",
+    "satisfies_modular_law",
     "check_partial_integral",
     "solve_partial_integrals",
     "orbit_algebra",
@@ -72,37 +72,25 @@ def functional_of_map(mu, mapping):
 
 def translate_left(algebra, a_vec, omega):
     """(a . omega)(c) = omega(c a)."""
-    return {
-        j: v
-        for j in range(algebra.dim)
-        for v in (ev(omega, algebra.mul({j: ONE}, a_vec)),)
-        if v
-    }
+    return functional_of_map(omega, algebra.rmul(a_vec))
 
 
 def translate_right(algebra, omega, a_vec):
     """(omega . a)(c) = omega(a c)."""
-    return {
-        j: v
-        for j in range(algebra.dim)
-        for v in (ev(omega, algebra.mul(a_vec, {j: ONE})),)
-        if v
-    }
+    return functional_of_map(omega, algebra.lmul(a_vec))
 
 
 def gram_map(algebra, omega):
     """G[i][j] = omega(e_i e_j) as a LinearMap."""
     n = algebra.dim
-    return LinearMap.from_function(
-        n,
-        n,
-        lambda j: {
-            i: v
-            for i in range(n)
-            for v in (ev(omega, algebra.mul({i: ONE}, {j: ONE})),)
-            if v
-        },
-    )
+    return LinearMap.from_function(n, n, lambda j: functional_of_map(omega, algebra.rmul(j)))
+
+
+def satisfies_modular_law(gram, sigma):
+    """omega(x y) = omega(y sigma(x)) for all x, y, given the Gram map of
+    omega: entry (y, x) of gram o sigma is omega(e_y sigma(e_x)), and of
+    the transpose omega(e_x e_y)."""
+    return gram.transpose() == gram.compose(sigma)
 
 
 # -- domain types -------------------------------------------------------------
@@ -310,17 +298,14 @@ def check_partial_integral(M, mapping, side):
     return rep
 
 
-def solve_partial_integrals(M, side):
+def _partial_integral_basis(M, side):
     """Basis of the space of partial integrals, via condition (b)/(a).
 
     That condition, through the target half h (C for left, B for right),
     is linear in the integral: the module law of h's s, and the slice on
     h's t leg of Delta(d) times e_e equal to s(mapping(d)) e_e in h's order.
-    Returns (basis, report); the report records the bimodule stability
-    of the space and the antipode bijection onto the other side.
     """
-    A, n = M.A, M.A.dim
-    h = _target(M, side)
+    n, h = M.A.dim, _target(M, side)
     dim_b = h.base.dim
     # generators: each equation's terms are stacked as soon as they are built
     modules = (({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n))
@@ -331,7 +316,16 @@ def solve_partial_integrals(M, side):
         for e in range(n)
     )
     system, _ = stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
-    basis = [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
+    return [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
+
+
+def solve_partial_integrals(M, side):
+    """(basis, report): the ``_partial_integral_basis``, each basis map
+    checked by ``check_partial_integral``; the report also records the
+    bimodule stability of the space and the antipode bijection onto the
+    other side."""
+    A, h = M.A, _target(M, side)
+    basis = _partial_integral_basis(M, side)
     rep = Report()
     for k, mapping in enumerate(basis):
         sub = check_partial_integral(M, mapping, side)
@@ -373,20 +367,12 @@ def orbit_algebra(M):
     # product of base elements lies in A; recorded, not checked
     rep.note("proper", "proper", "pass")
     # intersection of the embedded bases
-    cols = []
-    for x in range(M.B.base.dim):
-        cols.append(dict(M.B.embed.col(x)))
-    for y in range(M.C.base.dim):
-        cols.append({k: -s for k, s in M.C.embed.col(y).items()})
-    stacked = LinearMap(n, M.B.base.dim + M.C.base.dim, cols)
+    dim_b = M.B.base.dim
+    stacked = LinearMap(n, dim_b + M.C.base.dim, M.B.embed.data + M.C.embed.scale(-ONE).data)
     orbit = []
     seen = Rref()
     for w in stacked.kernel_basis():
-        v = {}
-        for x in range(M.B.base.dim):
-            c = w.get(x)
-            if c:
-                axpy(v, c, M.B.embed.col(x))
+        v = M.B.embed.apply({x: c for x, c in w.items() if x < dim_b})
         if v and seen.add(v) is not None:
             orbit.append(v)
     # the antipode fixes the orbit algebra pointwise
@@ -477,12 +463,9 @@ def factorize(M, weight, omega):
     # factor Xl solves omega(x a) and Xr omega(a x), x in the embedded base X
     for name, emb, gram in (("Bl", M.B, gram_b), ("Br", M.B, gram_b.transpose()),
                             ("Cl", M.C, gram_c), ("Cr", M.C, gram_c.transpose())):
-        left, cols = name.endswith("l"), []
+        mul, cols = A.rmul if name.endswith("l") else A.lmul, []
         for a in range(n):
-            ea = {a: ONE}
-            target = {x: v for x in range(emb.base.dim) for u in (emb.embed.col(x),)
-                      for v in (ev(omega, A.mul(u, ea) if left else A.mul(ea, u)),) if v}
-            sol = gram.solve(target)
+            sol = gram.solve(functional_of_map(omega, mul(a).compose(emb.embed)))
             if sol is None:
                 return None, name
             cols.append(sol)
@@ -513,7 +496,7 @@ def check_base_weight(M, weight):
     rep.check(antipodal, "antipodal", "base-weight-antipodal")
     sigma_b = M.S_B.inverse().compose(M.S_C.inverse())
     sigma_c = M.S_B.compose(M.S_C)
-    modular = _is_modular(bb, weight.mu_B, sigma_b) and _is_modular(cc, weight.mu_C, sigma_c)
+    modular = satisfies_modular_law(gram_b, sigma_b) and satisfies_modular_law(gram_c, sigma_c)
     rep.check(modular, "modular", "base-weight-modular")
     eps_b_func = functional_of_map(weight.mu_B, M.eps_B)
     eps_c_func = functional_of_map(weight.mu_C, M.eps_C)
@@ -524,9 +507,8 @@ def check_base_weight(M, weight):
                   "mu_C.eps_C": vec_items(eps_c_func),
               })
     if M.A.involution is not None:
-        pos_b = _weight_positive(bb, weight.mu_B)
-        pos_c = _weight_positive(cc, weight.mu_C)
-        rep.check(pos_b and pos_c, "positive", "base-weight-positive")
+        pos = _is_positive(bb, weight.mu_B) and _is_positive(cc, weight.mu_C)
+        rep.check(pos, "positive", "base-weight-positive")
     if counital:
         # a counital base weight is modular (meta-test, needs surjective counits)
         if M.eps_B.is_surjective() and M.eps_C.is_surjective():
@@ -537,26 +519,15 @@ def check_base_weight(M, weight):
     return rep
 
 
-def _is_modular(base, mu, sigma):
-    for x in range(base.dim):
-        sx = sigma.col(x)
-        for y in range(base.dim):
-            lhs = ev(mu, base.mul({x: ONE}, {y: ONE}))
-            rhs = ev(mu, base.mul({y: ONE}, sx))
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _weight_positive(base, mu):
-    if base.involution is None:
+def _is_positive(algebra, omega):
+    """The form omega(a* b) is positive semidefinite; False without an involution."""
+    if algebra.involution is None:
         return False
-    n = base.dim
-    h = [
-        [ev(mu, base.mul(base.star({i: ONE}), {j: ONE})) for j in range(n)]
+    n = algebra.dim
+    return is_positive_semidefinite([
+        [ev(omega, algebra.mul(algebra.star({i: ONE}), {j: ONE})) for j in range(n)]
         for i in range(n)
-    ]
-    return is_positive_semidefinite(h)
+    ])
 
 
 def assemble_measured(M, weight, phi_C, psi_B):
@@ -616,15 +587,7 @@ def assemble_measured(M, weight, phi_C, psi_B):
     if not (gram_phi.is_bijective() and gram_psi.is_bijective()):
         raise Rejected("integrals-faithful", "total integrals are not faithful", rep)
     if M.A.involution is not None:
-        pos = _total_positive(M.A, phi_func) and _total_positive(M.A, psi_func)
+        pos = _is_positive(M.A, phi_func) and _is_positive(M.A, psi_func)
         rep.check(pos, "totals-positive", "base-weight-positive")
     return MeasuredMHA(M, weight, phi_C, psi_B, phi, psi, rep)
 
-
-def _total_positive(algebra, omega):
-    n = algebra.dim
-    h = [
-        [ev(omega, algebra.mul(algebra.star({i: ONE}), {j: ONE})) for j in range(n)]
-        for i in range(n)
-    ]
-    return is_positive_semidefinite(h)

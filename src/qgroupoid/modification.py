@@ -22,12 +22,11 @@ from .exact_linear import (
     LinearMap,
     ScalarField,
     axpy,
-    ev,
     inverse,
     is_positive,
     kron_vec,
 )
-from .integration import BaseWeight, gram_map
+from .integration import BaseWeight, functional_of_map, gram_map, satisfies_modular_law
 from .report import Rejected, Report
 
 __all__ = [
@@ -390,33 +389,17 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
         raise Rejected("base-weight-faithful", "weight on the module algebra is not faithful")
     d_cols = []
     for h in range(mh):
-        target = {}
-        for y in range(mc):
-            moved = {}
-            for hh, s in H.S.col(h).items():
-                axpy(moved, s, action.acts[hh].apply({y: ONE}))
-            val = ev(mu, moved)
-            if val:
-                target[y] = val
-        sol = gram.transpose().solve(target)
+        sol = gram.transpose().solve(functional_of_map(mu, action.operator(H.S.col(h))))
         if sol is None:
             raise Rejected("quasi-invariant", "weight is not quasi-invariant under the action")
         d_cols.append(sol)
     D = LinearMap(mc, mh, d_cols)
     rep = Report()
-    one_h = H.H.unit()
-    d_one = {}
-    for h, s in one_h.items():
-        axpy(d_one, s, D.col(h))
-    rep.check(d_one == C.unit(), "cocycle-unital", "one-cocycle")
+    rep.check(D.apply(H.H.unit()) == C.unit(), "cocycle-unital", "one-cocycle")
     ok = True
     for h in range(mh):
         for g_ in range(mh):
-            prod = H.H.mul({h: ONE}, {g_: ONE})
-            lhs = {}
-            for k, s in prod.items():
-                axpy(lhs, s, D.col(k))
-            rhs = {}
+            lhs, rhs = D.apply(H.H.table[h][g_]), {}
             for h1, h2, s in H.sweedler(h):
                 acted = action.acts[h2].apply(D.col(g_))
                 axpy(rhs, s, C.mul(D.col(h1), acted))
@@ -468,26 +451,15 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     left base is the opposite algebra carrying the antipode-transported
     right action.
     """
-    from .examples import HopfAction, build_two_sided, standard_integrals
+    from .examples import HopfAction, _chb_element, build_two_sided, standard_integrals
 
     H, C = hopf, base_c
     mh, mc = H.dim, C.dim
     rep = Report()
-    ok = all(
-        ev(mu, C.mul({x: ONE}, {y: ONE})) == ev(mu, C.mul({y: ONE}, sigma.col(x)))
-        for x in range(mc)
-        for y in range(mc)
-    )
-    rep.check(ok, "sigma-modular", "chb-modular")
+    rep.check(satisfies_modular_law(gram_map(C, mu), sigma), "sigma-modular", "chb-modular")
     s2 = H.S.compose(H.S)
-    ok = True
-    for h in range(mh):
-        lhs = sigma.compose(left_action.acts[h])
-        rhs = LinearMap.combination(
-            mc, mc, ((s, left_action.acts[hh].compose(sigma)) for hh, s in s2.col(h).items())
-        )
-        if lhs != rhs:
-            ok = False
+    ok = all(sigma.compose(left_action.acts[h]) == left_action.operator(s2.col(h)).compose(sigma)
+             for h in range(mh))
     rep.check(ok, "sigma-action-compatibility", "chb-modular")
     if not rep.ok:
         raise Rejected("chb-modular", "modular automorphism incompatible with the action", rep)
@@ -495,29 +467,17 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     _, cocycle = crossed_rn_modifier(C, H, left_action, mu)
     D = cocycle.values
     # sigma(D_h) = D_{S^2(h)} (consequence, checked)
-    ok = True
-    for h in range(mh):
-        lhs = sigma.apply(D.col(h))
-        rhs = {}
-        for hh, s in s2.col(h).items():
-            axpy(rhs, s, D.col(hh))
-        if lhs != rhs:
-            ok = False
+    ok = all(sigma.apply(D.col(h)) == D.apply(s2.col(h)) for h in range(mh))
     rep.check(ok, "sigma-of-D", "chb-modular")
     # base B = C^op with the antipode-transported right action
     base_b = C.opposite()
-    s_h = H.S
-
-    def right_act(h):
-        return LinearMap.combination(
-            mc, mc, ((s, left_action.acts[hh]) for hh, s in s_h.col(h).items())
-        )
-
-    right_action = HopfAction(H, base_b, [right_act(h) for h in range(mh)], side="right")
+    right_action = HopfAction(H, base_b, [left_action.operator(H.S.col(h)) for h in range(mh)],
+                              side="right")
     s_b = LinearMap.identity(mc)  # y^op -> y
     s_c = sigma  # y -> sigma(y)^op
     M = build_two_sided(C, H, base_b, left_action, right_action, s_b, s_c)
     n = M.A.dim
+    h_elems = [_chb_element(C.unit(), {h: ONE}, base_b.unit(), mh, mc) for h in range(mh)]
 
     def theta_l_col(k):
         y, r = divmod(k, mh * mc)
@@ -527,7 +487,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
             # y (D_{h2})^op h1 x, multiplied out in A
             elem = M.A.mul(
                 M.A.mul(M.C.embed.apply({y: ONE}), M.B.embed.apply(D.col(h2))),
-                _h_elem(M, mh, mc, h1),
+                h_elems[h1],
             )
             elem = M.A.mul(elem, M.B.embed.apply({x: ONE}))
             axpy(out, s, elem)
@@ -541,7 +501,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
             elem = M.A.mul(
                 M.A.mul(
                     M.C.embed.apply(C.mul({y: ONE}, D.col(h1))),
-                    _h_elem(M, mh, mc, h2),
+                    h_elems[h2],
                 ),
                 M.B.embed.apply({x: ONE}),
             )
@@ -565,14 +525,3 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
         "D": D,
         "report": rep,
     }
-
-
-def _h_elem(M, mh, mc, h):
-    """The element 1 (x) h (x) 1 of the two-sided product."""
-    one_c = M.C.base.unit()
-    one_b = M.B.base.unit()
-    out = {}
-    for y, s in one_c.items():
-        for x, t in one_b.items():
-            out[(y * mh + h) * mc + x] = s * t
-    return out

@@ -28,10 +28,11 @@ from .exact_linear import (
 from .integration import (
     FactorizableFunctional,
     _integral_slice,
+    _partial_integral_basis,
     factorize,
     functional_of_map,
     gram_map,
-    solve_partial_integrals,
+    satisfies_modular_law,
     translate_left,
     translate_right,
 )
@@ -176,13 +177,7 @@ def _modular_automorphism(X, side):
     rep = Report()
     ok, wit = automorphism_check(A, sigma)
     rep.check(ok, "sigma-automorphism", "modular-automorphism", wit)
-    ok = all(
-        ev(omega, A.mul({a: ONE}, {b: ONE}))
-        == ev(omega, A.mul({b: ONE}, sigma.col(a)))
-        for a in range(n)
-        for b in range(n)
-    )
-    rep.check(ok, "sigma-defining-relation", "modular-automorphism")
+    rep.check(satisfies_modular_law(g, sigma), "sigma-defining-relation", "modular-automorphism")
     # the left side is the B half's: sigma is S^2 on C and twists Delta by
     # S^2 on the t leg; the right side mirrors it with S^-2 on B
     pairs = _mirrored(M)
@@ -353,7 +348,7 @@ def uniqueness_check(X):
     def spans(side, mu, total, emb):
         """The span of the partial ``side`` integrals, under mu, and those of
         the translates e . total and total . e, e in emb's base."""
-        basis, _ = solve_partial_integrals(M, side)
+        basis = _partial_integral_basis(M, side)
         integrals, lefts, rights = Rref(), Rref(), Rref()
         for mapping in basis:
             integrals.add(functional_of_map(mu, mapping))

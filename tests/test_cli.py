@@ -139,6 +139,10 @@ def test_pair_groupoid_flag(capsys):
     assert code == 0
 
 
+# functions on two points, in algebra_to_json's form
+_TWO_POINTS = {"dim": 2, "structure": [[[[0, 1]], []], [[], [[1, 1]]]]}
+
+
 @pytest.mark.parametrize("argv, files", [
     (["measure", "--pair-groupoid", "1,2", "--mu", "1,x"], {}),
     (["measure", "--pair-groupoid", "1,2", "--mu", "1/0,1"], {}),
@@ -146,8 +150,20 @@ def test_pair_groupoid_flag(capsys):
     (["measure", "--artifact", "{artifact}"],
      {"artifact": {"example": "convolution", "mu": ["1"]}}),
     (["verify", "--pair-groupoid", ","], {}),
+    (["build", "--algebra", "{alg}"], {"alg": dict(_TWO_POINTS, dim=3)}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, structure=[[[[2, 1]], []], [[], [[1, 1]]]])}),
+    (["build", "--algebra", "{alg}"], {"alg": dict(_TWO_POINTS, structure=[[[[0, 1]], []], [[]]])}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, involution=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, labels=["a"], involution=[[1, 0], [0, 2]])}),
+    (["report", "{line}"], {"line": [1]}),
+    (["report", "{line}"], {"line": 3}),
 ], ids=["mu-literal", "mu-zero-denominator", "groupoid-without-arrows",
-        "artifact-without-groupoid", "pair-groupoid-without-points"])
+        "artifact-without-groupoid", "pair-groupoid-without-points", "build-dim-not-table-size",
+        "build-product-index-past-dim", "build-ragged-rows", "build-involution-wrong-size",
+        "build-labels-short", "report-list-line", "report-number-line"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
     paths = {}
     for name, obj in files.items():

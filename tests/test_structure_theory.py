@@ -4,12 +4,14 @@ import dataclasses
 
 import pytest
 
+from qgroupoid import integration
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.examples import (
     build_function_algebroid,
     cyclic_group_table,
     disjoint_union,
     group_groupoid,
+    pair_groupoid,
     standard_integrals,
 )
 from qgroupoid.exact_linear import ONE, LinearMap, Rref, conj, inverse, kron_vec, sc
@@ -100,6 +102,21 @@ def test_uniqueness_p2(x_fun_14):
 def test_uniqueness_group(x_group):
     rep = uniqueness_check(x_group)
     assert rep.ok
+
+
+def test_uniqueness_check_solves_the_basis_without_checking_it(monkeypatch):
+    # the partial-integral bases are solved for their span only, so none of
+    # their maps is run through the three invariance characterizations
+    g = pair_groupoid([1, 2, 3])
+    M = build_function_algebroid(g)
+    weight = BaseWeight({0: ONE, 1: sc(4), 2: sc(9)}, {0: ONE, 1: sc(4), 2: sc(9)})
+    X = assemble_measured(M, weight, *standard_integrals("groupoid-functions", M, groupoid=g))
+    calls = []
+    checked = integration.check_partial_integral
+    monkeypatch.setattr(integration, "check_partial_integral",
+                        lambda *args: calls.append(args) or checked(*args))
+    assert uniqueness_check(X).ok
+    assert calls == []
 
 
 def test_out_of_family_integral_detected(x_fun_14):
