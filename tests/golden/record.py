@@ -12,16 +12,21 @@ live next to this file as ``<case>.jsonl``, the exit codes in
 
 Re-record after an intended change of a report, from the repository root:
 
-    PYTHONPATH=src python3 tests/golden/record.py
+    PYTHONPATH=src python3 tests/golden/record.py [CASE ...]
+
+Named cases are re-recorded alone, and the other files and exit codes are
+left as they are; with no name every case is.
 """
 
 import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from qgroupoid import (
+    BaseEmbedding,
     BaseWeight,
     HopfAction,
     LinearMap,
@@ -59,6 +64,7 @@ from qgroupoid import (
     twosided_rn_modifier,
     uniqueness_check,
     verify_regular_mha,
+    verify_star,
 )
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import _ONE_SIDED, _Half, _hom_space
@@ -123,6 +129,21 @@ def mutant_bundle(kind, col, build=build_function_algebroid, add_col=None, point
     return RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, parts["delta_B"], parts["delta_C"],
                       eps_B=parts["eps_B"], eps_C=parts["eps_C"], S=parts["S"],
                       name="mutant")
+
+
+def _step(head, run):
+    """(exit code, text) of one step: the head line with the extra fields
+    run() returns, then its report.  A run that raises Rejected records
+    its eq and message, and the report it carries."""
+    try:
+        extra, rep = run()
+        head.update(extra)
+        code = 0 if rep is None or rep.ok else 1
+    except Rejected as e:
+        head["rejected"] = [e.eq, str(e)]
+        rep, code = e.report, 1
+    lines = [json.dumps(head, sort_keys=True)] + (rep.to_json_lines() if rep else [])
+    return code, "\n".join(lines) + "\n"
 
 
 def _mutant(kind, col, build=build_function_algebroid, add_col=None, term=None):
@@ -343,15 +364,7 @@ def _mirror_pins():
     steps = []
 
     def step(head, run):
-        try:
-            extra, rep = run()
-            head.update(extra)
-            code = 0 if rep.ok else 1
-        except Rejected as e:
-            head["rejected"] = [e.eq, str(e)]
-            rep, code = e.report, 1
-        lines = [json.dumps(head, sort_keys=True)] + (rep.to_json_lines() if rep else [])
-        steps.append((code, "\n".join(lines) + "\n"))
+        steps.append(_step(head, run))
 
     for build, kind, mu in ((build_function_algebroid, "groupoid-functions", {0: ONE, 1: 4 * ONE}),
                             (build_convolution_algebroid, "groupoid-convolution",
@@ -432,22 +445,13 @@ def _hopf_and_weights():
     ``crossed_rn_modifier`` and ``twosided_rn_modifier`` with their
     reports, D and modifier maps, and rejected inputs; ``check_base_weight``
     on weights failing each flag, and ``assemble_measured`` under a weight
-    that is not positive.  A step that raises Rejected records its eq and
-    message, and the report it carries.
+    that is not positive.
     """
     labels, table = cyclic_group_table(2)
     steps = []
 
     def step(head, run):
-        try:
-            extra, rep = run()
-            head.update(extra)
-            code = 0 if rep is None or rep.ok else 1
-        except Rejected as e:
-            head["rejected"] = [e.eq, str(e)]
-            rep, code = e.report, 1
-        lines = [json.dumps(head, sort_keys=True)] + (rep.to_json_lines() if rep else [])
-        steps.append((code, "\n".join(lines) + "\n"))
+        steps.append(_step(head, run))
 
     hopfs = {flavor: build_group_hopf(labels, table, flavor) for flavor in ("group", "function")}
     candidates = (("one-g", {1: ONE}), ("e-plus-2g", {0: ONE, 1: 2 * ONE}))
@@ -520,6 +524,83 @@ def _hopf_and_weights():
     return steps
 
 
+def _restarred(M, involution=None, s_c=None):
+    """M over a copy of A whose involution is ``involution``, or with S_C
+    replaced by ``s_c``; every other map is M's."""
+    A = FiniteAlgebra(M.A.table, M.A.labels, involution or M.A.involution)
+    n = A.dim
+    raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
+    raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
+    return RegularMHA(A, BaseEmbedding(M.B.base, A, M.B.embed, name="B"),
+                      BaseEmbedding(M.C.base, A, M.C.embed, name="C"),
+                      M.S_B, s_c or M.S_C, raw_b, raw_c,
+                      eps_B=M.eps_B, eps_C=M.eps_C, S=M.S, name="restarred")
+
+
+def _hopf_laws_and_star():
+    """Laws of the Hopf layer and of ``verify_star`` that fail nowhere else.
+
+    ``FiniteHopf.verify`` on copies of the Z2 group algebra with
+    Delta(g) = g (x) g + e (x) e, with S scaled by 2, and with
+    phi = e_g*; ``HopfAction.verify`` and ``is_symmetric`` of the swap
+    action, over Z2 and over a copy with Delta(g) = e (x) g;
+    ``crossed_rn_modifier`` with the shear acts [id, [[1, 1], [0, 1]]]
+    on functions of Z2 and mu = (1, 1), whose derivative
+    D_g = e_1 + 2 e_2 breaks the cocycle law; ``verify_star`` on
+    functions p2 with S_C scaled by 2, with an involution of A that
+    swaps e_(1,1) and e_(1,2), with column 1 of S or the unit column of
+    eps_B scaled by 2, and on convolution p2 with column 2 of eps_B
+    scaled by 2, which fails the eps_B(a*) law at the inverse arrow
+    before the eps_C(a*) law.
+
+    ``symmetry-compatibility`` has no failing input here: both Z2 Hopf
+    algebras are cocommutative and every module algebra in the corpus is
+    commutative, so sum D_(h1) (h2 . y) = sum (h1 . y) D_(h2) holds for
+    any D and any action.
+    """
+    labels, table = cyclic_group_table(2)
+    hopf = build_group_hopf(labels, table, "group")
+    steps = []
+
+    def step(head, run):
+        steps.append(_step(head, run))
+
+    doubled = LinearMap(4, 2, [hopf.delta.col(0), {0: ONE, 3: ONE}])
+    lopsided = LinearMap(4, 2, [hopf.delta.col(0), {1: ONE}])
+    for name, copy in (
+            ("delta-g-g-plus-e-e", FiniteHopf(hopf.H, doubled, hopf.eps, hopf.S,
+                                              phi=hopf.phi, psi=hopf.psi)),
+            ("S-times-2", FiniteHopf(hopf.H, hopf.delta, hopf.eps, hopf.S.scale(2),
+                                     phi=hopf.phi, psi=hopf.psi)),
+            ("phi-e_g*", FiniteHopf(hopf.H, hopf.delta, hopf.eps, hopf.S,
+                                    phi={1: ONE}, psi=hopf.psi))):
+        step({"hopf": ["group", name]}, lambda copy=copy: ({}, copy.verify()))
+    for name, copy in (("swap", hopf),
+                       ("delta-e-g", FiniteHopf(hopf.H, lopsided, hopf.eps, hopf.S))):
+        def action(copy=copy):
+            act = swap_action(copy, function_algebra_z2())
+            return {"symmetric": act.is_symmetric()}, act.verify()
+        step({"action": ["group", name]}, action)
+
+    def shear():
+        shear = LinearMap.from_rows([[1, 1], [0, 1]])
+        act = HopfAction(hopf, function_algebra_z2(), [LinearMap.identity(2), shear])
+        mod, cocycle = crossed_rn_modifier(function_algebra_z2(), hopf, act, {0: ONE, 1: ONE})
+        return {"D": _columns(cocycle.values)}, cocycle.report
+    step({"crossed_rn_modifier": ["group", "id-shear", [[0, "1"], [1, "1"]]]}, shear)
+    M = build_function_algebroid(pair_groupoid(POINTS))
+    swap_01 = LinearMap.from_function(4, 4, lambda k: {(1, 0, 2, 3)[k]: ONE})
+    unit = _unit_arrow_index()
+    for name, bundle in (("functions-S_C-times-2", _restarred(M, s_c=M.S_C.scale(2))),
+                         ("functions-star-swaps-e11-e12", _restarred(M, involution=swap_01)),
+                         ("functions-S-col1", mutant_bundle("S", 1)),
+                         ("functions-eps_B-unit", mutant_bundle("eps_B", unit)),
+                         ("convolution-eps_B-col2",
+                          mutant_bundle("eps_B", 2, build_convolution_algebroid))):
+        step({"verify_star": name}, lambda bundle=bundle: ({}, verify_star(bundle)))
+    return steps
+
+
 def _unit_arrow_index():
     g = pair_groupoid(POINTS)
     return g.index[g.units[1]]
@@ -573,21 +654,28 @@ def cases(workdir):
         "tensor-matrix-units": _matrix_tensor,
         "mirror-pins-p2": _mirror_pins,
         "hopf-and-weights": _hopf_and_weights,
+        "hopf-laws-and-star": _hopf_laws_and_star,
     }
 
 
-def record():
+def record(names=()):
+    exits_file = os.path.join(HERE, "exits.json")
     exits = {}
+    if names:
+        with open(exits_file) as fh:
+            exits = json.load(fh)
     with tempfile.TemporaryDirectory() as workdir:
         for name, run in sorted(cases(workdir).items()):
+            if names and name not in names:
+                continue
             steps = run()
             exits[name] = [code for code, _ in steps]
             with open(os.path.join(HERE, name + ".jsonl"), "w") as fh:
                 fh.write("".join(text for _, text in steps))
-    with open(os.path.join(HERE, "exits.json"), "w") as fh:
+    with open(exits_file, "w") as fh:
         json.dump(exits, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
