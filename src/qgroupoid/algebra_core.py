@@ -58,6 +58,7 @@ class FiniteAlgebra:
         self._unit = -1  # not computed yet
         self._lmul = {}
         self._rmul = {}
+        self._mul_map = None
 
     # -- construction helpers -------------------------------------------
 
@@ -91,6 +92,13 @@ class FiniteAlgebra:
                     st = t * s if type(s) is Scalar else s * t  # a Scalar on the right
                     axpy(w, st, row[j])
         return w
+
+    def mul_map(self):
+        """m: A (x) A -> A, column i * dim + j the product e_i e_j.  Cached."""
+        if self._mul_map is None:
+            self._mul_map = LinearMap(self.dim, self.dim * self.dim,
+                                      [col for row in self.table for col in row])
+        return self._mul_map
 
     def lmul(self, u):
         """Left multiplication operator v -> u*v for a basis index or vector."""
@@ -300,6 +308,11 @@ class ModuleStructure:
         for i, s in x.items():
             axpy(out, s, self.acts[i].apply(v))
         return out
+
+    def action_map(self):
+        """L: base (x) total -> total, column x * dim + a the action x . e_a."""
+        return LinearMap(self.total.dim, self.base.dim * self.total.dim,
+                         [col for f in self.acts for col in f.data])
 
     def operator(self, x):
         """The operator by which the base vector x acts."""

@@ -113,8 +113,10 @@ def _build_instance(example, groupoid):
     raise SystemExit("unknown --example %r (use function-algebroid or convolution)" % example)
 
 
-def _pipeline(args, mu=None):
-    """(measured-ready pieces) from CLI selectors or a pipeline artifact."""
+def _pipeline(args):
+    """(M, weight, phi, psi, cocycle) from CLI selectors or a pipeline
+    artifact: the bundle after the recipe, its weight and standard partial
+    integrals, and the recipe's cocycle or None."""
     if getattr(args, "artifact", None):
         src = sys.stdin if args.artifact == "-" else open(args.artifact)
         try:
@@ -147,7 +149,7 @@ def _pipeline(args, mu=None):
         raise SystemExit("unknown --recipe %r for the CLI pipeline" % recipe)
     phi, psi = standard_integrals(integral_kind, M, groupoid=groupoid)
     weight = BaseWeight(mu_B=dict(mu), mu_C=dict(mu))
-    return M, groupoid, example, mu, weight, phi, psi, recipe, sqrts, cocycle
+    return M, weight, phi, psi, cocycle
 
 
 def cmd_build(args):
@@ -181,7 +183,7 @@ def cmd_integrals(args):
 
 def cmd_measure(args):
     try:
-        M, groupoid, example, mu, weight, phi, psi, recipe, sqrts, cocycle = _pipeline(args)
+        M, weight, phi, psi, cocycle = _pipeline(args)
     except FieldExtensionNeeded as e:
         return _fail("quasi-invariant", str(e), args.out,
                      hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
@@ -221,14 +223,12 @@ def cmd_modify(args):
     field = ScalarField(args.sqrt or [])
     if args.recipe == "groupoid_rn":
         try:
-            mod, cocycle = groupoid_rn_modifier(groupoid, mu, field)
+            mod, _ = groupoid_rn_modifier(groupoid, mu, field)
         except FieldExtensionNeeded as e:
             return _fail("quasi-invariant", str(e), args.out,
                          hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
-    elif args.recipe == "identity":
-        mod, cocycle = identity_modifier(M), None
     else:
-        raise SystemExit("unknown --recipe %r" % args.recipe)
+        mod = identity_modifier(M)
     try:
         modified = modify(M, mod)
     except Rejected as e:
@@ -260,7 +260,7 @@ def cmd_modify(args):
 
 def cmd_dual(args):
     try:
-        M, groupoid, example, mu, weight, phi, psi, recipe, sqrts, _ = _pipeline(args)
+        M, weight, phi, psi, _ = _pipeline(args)
         X = assemble_measured(M, weight, phi, psi)
         dual = dual_algebra(X)
     except FieldExtensionNeeded as e:

@@ -65,6 +65,7 @@ __all__ = [
     "vec_from_dense",
     "vec_conj",
     "kron_vec",
+    "kron",
     "joint_kernel",
     "stack",
     "unstack",
@@ -622,6 +623,14 @@ def joint_kernel(maps):
     return stack(maps).kernel_basis()
 
 
+def kron(*maps):
+    """The tensor product of the maps, the first factor outermost."""
+    out = maps[0]
+    for f in maps[1:]:
+        out = out.kron(f)
+    return out
+
+
 def kron_vec(u, v, n2):
     w = {}
     for i, s in u.items():
@@ -678,8 +687,10 @@ class Rref:
     def add(self, v):
         """Insert v; returns the new pivot index, or None if dependent."""
         r = self.reduce(v)
-        if not r:
-            return None
+        return self._insert(r) if r else None
+
+    def _insert(self, r):
+        """Insert a non-zero residue r of ``reduce``; returns its pivot."""
         p = min(r)
         if r[p] != 1:
             r = vscale(inverse(r[p]), r)
@@ -700,49 +711,6 @@ class Rref:
 
     def basis(self):
         return [dict(row) for _, row in sorted(self.rows.items())]
-
-
-class _TrackedEchelon:
-    """Echelon over pairs (v, w) with the invariant v = sum_j w[j]*col_j."""
-
-    def __init__(self):
-        self.rows = {}  # pivot -> (v, w)
-
-    def insert(self, v, w):
-        """Returns None if v was independent, else a kernel vector w'."""
-        v, w = dict(v), dict(w)
-        for p in [k for k in v if k in self.rows]:
-            c = v.get(p)
-            if c:
-                rv, rw = self.rows[p]
-                axpy(v, -c, rv)
-                axpy(w, -c, rw)
-        if not v:
-            return w
-        p = min(v)
-        if v[p] != 1:
-            inv = inverse(v[p])
-            v, w = vscale(inv, v), vscale(inv, w)
-        for rv, rw in self.rows.values():
-            cc = rv.get(p)
-            if cc:
-                axpy(rv, -cc, v)
-                axpy(rw, -cc, w)
-        self.rows[p] = (v, w)
-        return None
-
-    def express(self, t):
-        """Writes t as a combination of the inserted columns if possible."""
-        r, u = dict(t), {}
-        for p in [k for k in r if k in self.rows]:
-            c = r.get(p)
-            if c:
-                rv, rw = self.rows[p]
-                axpy(r, -c, rv)
-                axpy(u, c, rw)
-        if r:
-            return None
-        return u
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +767,11 @@ class LinearMap:
     def zero(cls, rows, cols):
         return cls(rows, cols, [{} for _ in range(cols)])
 
+    @classmethod
+    def flip(cls, p, q):
+        """The swap F^p (x) F^q -> F^q (x) F^p, e_i (x) e_j -> e_j (x) e_i."""
+        return cls(p * q, p * q, [{j * p + i: 1} for i in range(p) for j in range(q)])
+
     # -- application -----------------------------------------------------
 
     def col(self, j):
@@ -836,6 +809,13 @@ class LinearMap:
         out.rows, out.cols, out._solver = self.rows, other.cols, None
         out.data = tuple([self.apply(c) for c in other.data])
         return out
+
+    def kron(self, other):
+        """self (x) other: column j * other.cols + k is col_j (x) col_k of
+        other, in ``kron_vec``'s layout."""
+        r = other.rows
+        return LinearMap(self.rows * r, self.cols * other.cols,
+                         [kron_vec(a, b, r) for a in self.data for b in other.data])
 
     def __add__(self, other):
         return LinearMap(
@@ -892,20 +872,33 @@ class LinearMap:
     # -- solving -----------------------------------------------------------
 
     def _get_solver(self):
+        """The echelon of the rows [col_j | e_j], e_j offset by ``rows``,
+        and the kernel basis.  A column whose reduced row has no entry
+        below ``rows`` is dependent: the offset part of that row is a
+        kernel vector, and the row is not inserted."""
         if self._solver is None:
-            ech = _TrackedEchelon()
-            ker = []
+            ech, ker, rows = Rref(), [], self.rows
             for j, c in enumerate(self.data):
-                w = ech.insert(c, {j: 1})
-                if w is not None:
-                    ker.append(w)
+                tracked = dict(c)
+                tracked[rows + j] = 1
+                r = ech.reduce(tracked)
+                if min(r) >= rows:
+                    ker.append({i - rows: s for i, s in r.items()})
+                else:
+                    ech._insert(r)
             self._solver = (ech, ker)
         return self._solver
 
     def solve(self, target):
-        """Some x with self(x) = target, or None if target not in the image."""
+        """Some x with self(x) = target, or None if target not in the image:
+        the reduced [target | 0] is [0 | -x] exactly when it has no entry
+        below ``rows``."""
         ech, _ = self._get_solver()
-        return ech.express(target)
+        rows = self.rows
+        r = ech.reduce(target)
+        if r and (min(r) < rows or max(target) >= rows):
+            return None
+        return {i - rows: -s for i, s in r.items()}
 
     def kernel_basis(self):
         _, ker = self._get_solver()
@@ -914,7 +907,7 @@ class LinearMap:
     @property
     def rank(self):
         ech, _ = self._get_solver()
-        return len(ech.rows)
+        return ech.rank
 
     def is_injective(self):
         return self.rank == self.cols

@@ -13,7 +13,7 @@ from functools import partial
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
 from .balanced_tensor import tensor_mul
 from .bialgebroid import RegularMHA
-from .exact_linear import ONE, ZERO, LinearMap, axpy, kron_vec, stack_equations, vscale
+from .exact_linear import ONE, ZERO, LinearMap, kron, kron_vec, stack_equations, vscale
 from .integration import PartialIntegral, functional_of_map, gram_map
 from .report import Rejected, Report
 
@@ -241,48 +241,23 @@ class FiniteHopf:
         rep.check(one is not None, "unital", "hopf-axioms")
         if one is None:
             return rep
-        one_one = kron_vec(one, one, n)
-        rep.check(self.delta.apply(one) == one_one, "delta-unital", "hopf-axioms")
-        ok = all(
-            self.delta.apply(self.H.mul({i: ONE}, {j: ONE}))
-            == tensor_mul(self.H, self.delta.col(i), self.delta.col(j))
-            for i in range(n)
-            for j in range(n)
-        )
-        rep.check(ok, "delta-homomorphism", "hopf-axioms")
-
-        def coassociative(h):
-            """(Delta (x) id) Delta(h) = (id (x) Delta) Delta(h)"""
-            lhs = {}
-            for h1, h2, s in self.sweedler(h):
-                axpy(lhs, s, kron_vec(self.delta.col(h1), {h2: ONE}, n))
-            return lhs == self.delta.apply_blocks(self.delta.col(h))
-
-        rep.check(all(coassociative(h) for h in range(n)), "coassociativity", "hopf-axioms")
-        ok = True
-        for h in range(n):
-            left = {}
-            right = {}
-            for h1, h2, s in self.sweedler(h):
-                e1 = self.eps.col(h1).get(0, ZERO)
-                e2 = self.eps.col(h2).get(0, ZERO)
-                axpy(left, s * e1, {h2: ONE})
-                axpy(right, s * e2, {h1: ONE})
-            if left != {h: ONE} or right != {h: ONE}:
-                ok = False
-                break
-        rep.check(ok, "counit", "hopf-axioms")
-        ok = True
-        for h in range(n):
-            acc_l, acc_r = {}, {}
-            for h1, h2, s in self.sweedler(h):
-                axpy(acc_l, s, self.H.mul(self.S.col(h1), {h2: ONE}))
-                axpy(acc_r, s, self.H.mul({h1: ONE}, self.S.col(h2)))
-            target = vscale(self.eps.col(h).get(0, ZERO), one)
-            if acc_l != target or acc_r != target:
-                ok = False
-                break
-        rep.check(ok, "antipode", "hopf-axioms")
+        rep.check(self.delta.apply(one) == kron_vec(one, one, n), "delta-unital", "hopf-axioms")
+        delta, eps, S, m = self.delta, self.eps, self.S, self.H.mul_map()
+        ident = LinearMap.identity(n)
+        # Delta m = (m (x) m)(id (x) tau (x) id)(Delta (x) Delta)
+        tensor_m = kron(m, m).compose(kron(ident, LinearMap.flip(n, n), ident))
+        rep.check(delta.compose(m) == tensor_m.compose(kron(delta, delta)),
+                  "delta-homomorphism", "hopf-axioms")
+        # (Delta (x) id) Delta = (id (x) Delta) Delta
+        rep.check(kron(delta, ident).compose(delta) == kron(ident, delta).compose(delta),
+                  "coassociativity", "hopf-axioms")
+        # (eps (x) id) Delta = id = (id (x) eps) Delta
+        rep.check(kron(eps, ident).compose(delta) == ident == kron(ident, eps).compose(delta),
+                  "counit", "hopf-axioms")
+        # m (S (x) id) Delta = eta eps = m (id (x) S) Delta
+        eta_eps = _eta(self.H).compose(eps)
+        rep.check(m.compose(kron(S, ident)).compose(delta) == eta_eps
+                  == m.compose(kron(ident, S)).compose(delta), "antipode", "hopf-axioms")
         if self.phi is not None:
             rep.check(
                 self.is_left_integral(self.phi), "left-integral", "integrals-mha"
@@ -385,49 +360,38 @@ class HopfAction(ModuleStructure):
         self.hopf = hopf
 
     def verify(self):
+        """The action laws as maps, with L the action map H (x) C -> C."""
         rep = Report()
         H, C = self.hopf, self.total
         n, m = H.dim, C.dim
-        one_h = H.H.unit()
-        rep.check(
-            all(self.act(one_h, {j: ONE}) == {j: ONE} for j in range(m)),
-            "action-unital",
-            "chb-action-algebra",
-        )
+        ident_h, ident_c = LinearMap.identity(n), LinearMap.identity(m)
+        L, m_c, eta_c = self.action_map(), C.mul_map(), _eta(C)
+        rep.check(self.operator(H.H.unit()) == ident_c, "action-unital", "chb-action-algebra")
         rep.check(self.check_action()[0], "action-multiplicative", "chb-action-algebra")
-        one_c = C.unit()
-        ok = all(
-            self.act({h: ONE}, one_c)
-            == vscale(H.eps.col(h).get(0, ZERO), one_c)
-            for h in range(n)
-        )
-        rep.check(ok, "action-counital", "chb-action-algebra")
-
-        def module_algebra(h, y, z):
-            """h . (yz) = (h1 . y)(h2 . z)"""
-            rhs = {}
-            for h1, h2, s in H.sweedler(h):
-                axpy(rhs, s, C.mul(self.acts[h1].col(y), self.acts[h2].col(z)))
-            return self.acts[h].apply(C.table[y][z]) == rhs
-
-        ok = all(module_algebra(h, y, z) for h in range(n) for y in range(m) for z in range(m))
-        rep.check(ok, "module-algebra", "chb-action-algebra")
+        # L (id (x) eta_C) = eta_C eps
+        rep.check(L.compose(kron(ident_h, eta_c)) == eta_c.compose(H.eps),
+                  "action-counital", "chb-action-algebra")
+        # h . (yz) = (h1 . y)(h2 . z):
+        # L (id (x) m_C) = m_C (L (x) L)(id (x) tau (x) id)(Delta (x) id (x) id)
+        shuffle = kron(ident_h, LinearMap.flip(n, m), ident_c).compose(
+            kron(H.delta, ident_c, ident_c))
+        rep.check(L.compose(kron(ident_h, m_c)) == m_c.compose(kron(L, L)).compose(shuffle),
+                  "module-algebra", "chb-action-algebra")
         return rep
 
     def is_symmetric(self):
-        """h1 (x) (h2 . y) = h2 (x) (h1 . y) in H (x) C for all h, y."""
-        H, C = self.hopf, self.total
-        n, m = H.dim, C.dim
-        for h in range(n):
-            sw = H.sweedler(h)
-            for y in range(m):
-                lhs, rhs = {}, {}
-                for h1, h2, s in sw:
-                    axpy(lhs, s, self.acts[h2].apply({y: ONE}), h1 * m)
-                    axpy(rhs, s, self.acts[h1].apply({y: ONE}), h2 * m)
-                if lhs != rhs:
-                    return False
-        return True
+        """h1 (x) (h2 . y) = h2 (x) (h1 . y) in H (x) C for all h, y:
+        (id (x) L)(Delta (x) id) = (id (x) L)(tau (x) id)(Delta (x) id)."""
+        n, ident_c = self.hopf.dim, LinearMap.identity(self.total.dim)
+        split = kron(self.hopf.delta, ident_c)
+        act = kron(LinearMap.identity(n), self.action_map())
+        swapped = kron(LinearMap.flip(n, n), ident_c).compose(split)
+        return act.compose(split) == act.compose(swapped)
+
+
+def _eta(algebra):
+    """The unit map F -> algebra, 1 -> 1."""
+    return LinearMap(algebra.dim, 1, [algebra.unit()])
 
 
 def function_algebra_z2():
@@ -550,44 +514,26 @@ def build_tensor_algebroid(base_b, base_c, s_b, s_c):
     """A = C (x) B with the flip-style coproducts."""
     mb, mc = base_b.dim, base_c.dim
     n = mc * mb
-    one_b = base_b.unit()
-    one_c = base_c.unit()
-    if one_b is None or one_c is None:
+    if base_b.unit() is None or base_c.unit() is None:
         raise Rejected("algebra-local-units", "tensor construction needs unital bases")
-
-    def mul(i, j):
-        y1, x1 = divmod(i, mb)
-        y2, x2 = divmod(j, mb)
-        return kron_vec(base_c.mul({y1: ONE}, {y2: ONE}), base_b.mul({x1: ONE}, {x2: ONE}), mb)
-
+    ident_b, ident_c = LinearMap.identity(mb), LinearMap.identity(mc)
+    swap = LinearMap.flip(mc, mb)
+    # (y x)(y' x') = y y' (x) x x'
+    product = kron(base_c.mul_map(), base_b.mul_map()).compose(
+        kron(ident_c, LinearMap.flip(mb, mc), ident_b))
     A = FiniteAlgebra.from_mul(
-        n, mul,
+        n, lambda i, j: product.col(i * n + j),
         labels=["%s(x)%s" % (base_c.labels[y], base_b.labels[x])
                 for y in range(mc) for x in range(mb)],
     )
-    emb_b = LinearMap.from_function(n, mb, lambda x: kron_vec(one_c, {x: ONE}, mb))
-    emb_c = LinearMap.from_function(n, mc, lambda y: kron_vec({y: ONE}, one_b, mb))
+    emb_b, emb_c = kron(_eta(base_c), ident_b), kron(ident_c, _eta(base_b))
     B = BaseEmbedding(base_b, A, emb_b, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
-
-    def delta_col(k):
-        y, x = divmod(k, mb)
-        return kron_vec(emb_c.col(y), emb_b.col(x), n)
-
-    delta_raw = LinearMap.from_function(n * n, n, delta_col)
-    s_b_inv, s_c_inv = s_b.inverse(), s_c.inverse()
-    eps_b = LinearMap.from_function(
-        mb, n, lambda k: base_b.mul({k % mb: ONE}, s_b_inv.col(k // mb))
-    )
-    eps_c = LinearMap.from_function(
-        mc, n, lambda k: base_c.mul(s_c_inv.col(k % mb), {k // mb: ONE})
-    )
-
-    def antipode_col(k):
-        y, x = divmod(k, mb)
-        return kron_vec(s_b.col(x), s_c.col(y), mb)
-
-    antipode = LinearMap.from_function(n, n, antipode_col)
+    delta_raw = kron(emb_c, emb_b)
+    # eps_B(y x) = x S_B^-1(y), eps_C(y x) = S_C^-1(x) y and S(y x) = S_B(x) (x) S_C(y)
+    eps_b = base_b.mul_map().compose(kron(ident_b, s_b.inverse())).compose(swap)
+    eps_c = base_c.mul_map().compose(kron(s_c.inverse(), ident_c)).compose(swap)
+    antipode = kron(s_b, s_c).compose(swap)
     return RegularMHA(
         A, B, C, s_b, s_c, delta_raw, delta_raw,
         eps_B=eps_b, eps_C=eps_c, S=antipode,
@@ -607,20 +553,14 @@ def build_crossed_product(base_c, hopf, action):
     H = hopf
     mc, mh = base_c.dim, H.dim
     n = mc * mh
-
-    def mul(i, j):
-        y1, h1 = divmod(i, mh)
-        y2, h2 = divmod(j, mh)
-        out = {}
-        for ha, hb, s in H.sweedler(h1):
-            acted = action.acts[ha].apply({y2: ONE})
-            ypart = base_c.mul({y1: ONE}, acted)
-            hpart = H.H.mul({hb: ONE}, {h2: ONE})
-            axpy(out, s, kron_vec(ypart, hpart, mh))
-        return out
-
+    ident_c, ident_h, L = LinearMap.identity(mc), LinearMap.identity(mh), action.action_map()
+    # (y h)(y' h') = y (h1 . y') # h2 h': (m_C (x) m_H)(id (x) L (x) id (x) id)
+    # (id (x) id (x) tau (x) id)(id (x) Delta (x) id (x) id)
+    product = (kron(base_c.mul_map(), H.H.mul_map()).compose(kron(ident_c, L, ident_h, ident_h))
+               .compose(kron(LinearMap.identity(n), LinearMap.flip(mh, mc), ident_h))
+               .compose(kron(ident_c, H.delta, ident_c, ident_h)))
     A = FiniteAlgebra.from_mul(
-        n, mul,
+        n, lambda i, j: product.col(i * n + j),
         labels=["%s#%s" % (base_c.labels[y], H.H.labels[h])
                 for y in range(mc) for h in range(mh)],
     )
@@ -630,39 +570,14 @@ def build_crossed_product(base_c, hopf, action):
     C = BaseEmbedding(base_c, A, emb_c, name="C")
     s_b = LinearMap.identity(mc)
     s_c = LinearMap.identity(mc)
-
-    def delta_col(k):
-        y, h = divmod(k, mh)
-        out = {}
-        for h1, h2, s in H.sweedler(h):
-            left = kron_vec({y: ONE}, {h1: ONE}, mh)
-            right = kron_vec(base_c.unit(), {h2: ONE}, mh)
-            axpy(out, s, kron_vec(left, right, n))
-        return out
-
-    delta_raw = LinearMap.from_function(n * n, n, delta_col)
-    eps_b = LinearMap.from_function(
-        mc, n, lambda k: vscale(H.eps.col(k % mh).get(0, ZERO), {k // mh: ONE})
-    )
-    s_h_inv = H.S.inverse()
-
-    def eps_c_col(k):
-        y, h = divmod(k, mh)
-        return action.act(s_h_inv.col(h), {y: ONE})
-
-    eps_c = LinearMap.from_function(mc, n, eps_c_col)
-
-    def antipode_col(k):
-        y, h = divmod(k, mh)
-        out = {}
-        for hh, s in H.S.col(h).items():
-            # (1 # S(h)) (y # 1)
-            for h1, h2, t in H.sweedler(hh):
-                acted = action.acts[h1].apply({y: ONE})
-                axpy(out, s * t, kron_vec(acted, {h2: ONE}, mh))
-        return out
-
-    antipode = LinearMap.from_function(n, n, antipode_col)
+    # Delta(y h) = (y h1) (x) (1 h2)
+    delta_raw = kron(ident_c, ident_h, _eta(base_c), ident_h).compose(kron(ident_c, H.delta))
+    # eps_B(y h) = eps(h) y and eps_C(y h) = S^-1(h) . y
+    eps_b = kron(ident_c, H.eps)
+    eps_c = L.compose(kron(H.S.inverse(), ident_c)).compose(LinearMap.flip(mc, mh))
+    # S(y h) = (1 # S(h)) (y # 1): (L (x) id)(tau (x) id)(id (x) Delta S)
+    antipode = (kron(L, ident_h).compose(kron(LinearMap.flip(mc, mh), ident_h))
+                .compose(kron(ident_c, H.delta.compose(H.S))))
     return RegularMHA(
         A, B, C, s_b, s_c, delta_raw, delta_raw,
         eps_B=eps_b, eps_C=eps_c, S=antipode,
@@ -691,23 +606,17 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
                 raise Rejected("chb-action-antipode", name + " does not intertwine the actions")
     n = mc * mh * mb
     chb = partial(_chb_element, mh=mh, mb=mb)
-
-    def mul(i, j):
-        y1, r = divmod(i, mh * mb)
-        h1, x1 = divmod(r, mb)
-        y2, r = divmod(j, mh * mb)
-        h2, x2 = divmod(r, mb)
-        out = {}
-        for ha, hb, s in H.sweedler(h1):
-            ypart = base_c.mul({y1: ONE}, left_action.acts[ha].apply({y2: ONE}))
-            for hc, hd, t in H.sweedler(h2):
-                hpart = H.H.mul({hb: ONE}, {hc: ONE})
-                xpart = base_b.mul(right_action.acts[hd].apply({x1: ONE}), {x2: ONE})
-                axpy(out, s * t, chb(ypart, hpart, xpart))
-        return out
-
+    ident = LinearMap.identity
+    # (y h x)(y' h' x') = y (h1 . y') h2 h'1 (x . h'2) x': split both h, move
+    # y' beside h1 and x beside h'2, act, and multiply each factor
+    product = (kron(base_c.mul_map(), H.H.mul_map(), base_b.mul_map())
+               .compose(kron(ident(mc), left_action.action_map(), ident(mh * mh),
+                             right_action.action_map(), ident(mb)))
+               .compose(kron(ident(mc * mh * mc * mh), LinearMap.flip(mb, mh * mh), ident(mb)))
+               .compose(kron(ident(mc * mh), LinearMap.flip(mh * mb, mc), ident(mh * mh * mb)))
+               .compose(kron(ident(mc), H.delta, ident(mb * mc), H.delta, ident(mb))))
     A = FiniteAlgebra.from_mul(
-        n, mul,
+        n, lambda i, j: product.col(i * n + j),
         labels=[
             "%s.%s.%s" % (base_c.labels[y], H.H.labels[h], base_b.labels[x])
             for y in range(mc) for h in range(mh) for x in range(mb)
@@ -718,17 +627,9 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
     emb_c = LinearMap.from_function(n, mc, lambda y: chb({y: ONE}, one_h, one_b))
     B = BaseEmbedding(base_b, A, emb_b, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
-
-    def delta_col(k):
-        y, r = divmod(k, mh * mb)
-        h, x = divmod(r, mb)
-        out = {}
-        for h1, h2, s in H.sweedler(h):
-            left, right = chb({y: ONE}, {h1: ONE}, one_b), chb(one_c, {h2: ONE}, {x: ONE})
-            axpy(out, s, kron_vec(left, right, n))
-        return out
-
-    delta_raw = LinearMap.from_function(n * n, n, delta_col)
+    # Delta(y h x) = (y h1 1) (x) (1 h2 x)
+    delta_raw = (kron(ident(mc * mh), _eta(base_b), _eta(base_c), ident(mh * mb))
+                 .compose(kron(ident(mc), H.delta, ident(mb))))
 
     def antipode_col(k):
         y, r = divmod(k, mh * mb)

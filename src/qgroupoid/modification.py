@@ -24,7 +24,7 @@ from .exact_linear import (
     axpy,
     inverse,
     is_positive,
-    kron_vec,
+    kron,
 )
 from .integration import BaseWeight, functional_of_map, gram_map, satisfies_modular_law
 from .report import Rejected, Report
@@ -262,17 +262,6 @@ def modify(M, mod, verify=True):
     if failures:
         raise Rejected(failures[0].eq, "modifier axioms fail: %s" % failures[0].axiom, pre)
     A, n = M.A, M.A.dim
-
-    def twist_raw(delta_lift, twist):
-        def col(a):
-            out = {}
-            for idx, s in delta_lift[a].items():
-                i, j = divmod(idx, n)
-                axpy(out, s, kron_vec(twist.col(i), {j: ONE}, n))
-            return out
-
-        return LinearMap.from_function(n * n, n, col)
-
     # per half: the base anti-isomorphism S_h theta^-1, Delta twisted on leg
     # 1, the counit eps o s_twist^-1 and its alternative theta o eps o t_twist^-1
     parts = []
@@ -280,7 +269,8 @@ def modify(M, mod, verify=True):
         twists = _twists(mod, h)
         (_, t_twist), (_, s_twist) = h.ordered(*twists)
         theta = _base_automorphism(h.embedding, t_twist)
-        parts.append((h.anti.compose(theta.inverse()), twist_raw(h.lifts, twists[0][1]),
+        parts.append((h.anti.compose(theta.inverse()),
+                      kron(twists[0][1], LinearMap.identity(n)).compose(LinearMap(n * n, n, h.lifts)),
                       h.eps.compose(s_twist.inverse()),
                       theta.compose(h.eps).compose(t_twist.inverse())))
     (s_b_new, delta_b_raw, eps_b_new, _), (s_c_new, delta_c_raw, eps_c_new, _) = parts
@@ -394,50 +384,26 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
             raise Rejected("quasi-invariant", "weight is not quasi-invariant under the action")
         d_cols.append(sol)
     D = LinearMap(mc, mh, d_cols)
+    ident_c, ident_h = LinearMap.identity(mc), LinearMap.identity(mh)
+    L, m_c = action.action_map(), C.mul_map()
     rep = Report()
     rep.check(D.apply(H.H.unit()) == C.unit(), "cocycle-unital", "one-cocycle")
-    ok = True
-    for h in range(mh):
-        for g_ in range(mh):
-            lhs, rhs = D.apply(H.H.table[h][g_]), {}
-            for h1, h2, s in H.sweedler(h):
-                acted = action.acts[h2].apply(D.col(g_))
-                axpy(rhs, s, C.mul(D.col(h1), acted))
-            if lhs != rhs:
-                ok = False
-    rep.check(ok, "cocycle-law", "one-cocycle")
-    ok = True
-    for h in range(mh):
-        sw = H.sweedler(h)
-        for y in range(mc):
-            lhs, rhs = {}, {}
-            for h1, h2, s in sw:
-                axpy(lhs, s, C.mul(D.col(h1), action.acts[h2].apply({y: ONE})))
-                axpy(rhs, s, C.mul(action.acts[h1].apply({y: ONE}), D.col(h2)))
-            if lhs != rhs:
-                ok = False
-    rep.check(ok, "symmetry-compatibility", "ch-symmetric")
+    # D_(hg) = D_(h1) (h2 . D_g): D m_H = m_C (D (x) L)(id (x) id (x) D)(Delta (x) id)
+    rep.check(D.compose(H.H.mul_map()) == m_c.compose(kron(D, L)).compose(kron(ident_h, ident_h, D))
+              .compose(kron(H.delta, ident_h)), "cocycle-law", "one-cocycle")
+    # D_(h1) (h2 . y) = (h1 . y) D_(h2): m_C (D (x) L)(Delta (x) id) = m_C (L (x) D)(id (x) tau)(Delta (x) id)
+    split = kron(H.delta, ident_c)
+    rep.check(m_c.compose(kron(D, L)).compose(split) == m_c.compose(kron(L, D))
+              .compose(kron(ident_h, LinearMap.flip(mh, mc))).compose(split),
+              "symmetry-compatibility", "ch-symmetric")
     if not rep.ok:
         raise Rejected("one-cocycle", "derivative is not a unital one-cocycle", rep)
-    n = mc * mh
-
-    def beta_col(k):
-        y, h = divmod(k, mh)
-        out = {}
-        for h1, h2, s in H.sweedler(h):
-            axpy(out, s, kron_vec(C.mul({y: ONE}, D.col(h1)), {h2: ONE}, mh))
-        return out
-
-    def beta_dag_col(k):
-        y, h = divmod(k, mh)
-        out = {}
-        for h1, h2, s in H.sweedler(h):
-            axpy(out, s, kron_vec(C.mul(D.col(h2), {y: ONE}), {h1: ONE}, mh))
-        return out
-
-    beta = LinearMap.from_function(n, n, beta_col)
-    beta_dag = LinearMap.from_function(n, n, beta_dag_col)
-    ident = LinearMap.identity(n)
+    # beta(y h) = y D_(h1) # h2 and beta_dag(y h) = D_(h2) y # h1
+    lift = kron(m_c, ident_h)
+    beta = lift.compose(kron(ident_c, D, ident_h)).compose(kron(ident_c, H.delta))
+    beta_dag = (lift.compose(kron(D, ident_c, ident_h)).compose(LinearMap.flip(mc * mh, mh))
+                .compose(kron(ident_c, H.delta)))
+    ident = LinearMap.identity(mc * mh)
     mod = Modifier(beta_dag.inverse(), beta.inverse(), ident, ident)
     return mod, Cocycle("hopf", D, rep)
 

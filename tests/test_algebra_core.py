@@ -139,6 +139,22 @@ def test_module_structure_action():
     assert left.is_idempotent()
 
 
+def test_multiplication_and_action_maps_read_the_table_and_the_acts():
+    a = FiniteAlgebra.from_mul(3, lambda i, j: {(i + j) % 3: sc(i + 1)} if i != 2 else {},
+                               labels=["x", "y", "z"])
+    m = a.mul_map()
+    assert (m.rows, m.cols) == (3, 9)
+    assert all(m.col(i * 3 + j) == a.mul({i: ONE}, {j: ONE}) for i in range(3) for j in range(3))
+    assert a.mul_map() is m
+    b = FiniteAlgebra([[{0: ONE}, {1: ONE}], [{1: ONE}, {0: ONE}]], labels=["e", "g"])
+    acts = [LinearMap.identity(3), LinearMap.from_rows([[0, 0, 1], [1, 0, 0], [0, 2, 0]])]
+    action = ModuleStructure(b, a, acts, "left")
+    L = action.action_map()
+    assert (L.rows, L.cols) == (3, 6)
+    assert all(L.col(x * 3 + k) == action.act({x: ONE}, {k: ONE})
+               for x in range(2) for k in range(3))
+
+
 def test_involution_axioms():
     conj_id = LinearMap.identity(2)
     a = FiniteAlgebra.pointwise(["u", "v"], involution=conj_id)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,8 @@ from qgroupoid.exact_linear import (
     is_positive,
     is_positive_semidefinite,
     kernel,
+    kron,
+    kron_vec,
     quotient_by,
     sc,
     sign,
@@ -421,3 +424,131 @@ def test_stack_applies_each_map_at_its_offset(drawn):
     flat = m.flat()
     assert flat == {j * rows + i: s for j in range(cols) for i, s in m.col(j).items()}
     assert LinearMap(rows, cols, unstack(flat, rows, cols)) == m
+
+
+# -- the solver against sympy, and against the two-part echelon it replaced --
+
+
+class _PairEchelon:
+    """Oracle: the echelon over pairs (v, w) with v = sum_j w[j] col_j that
+    LinearMap solved through before it used one ``Rref``; it scans every
+    stored row on each insert."""
+
+    def __init__(self, f):
+        self.rows, self.kernel = {}, []
+        for j, c in enumerate(f.data):
+            v, w = self._reduce(c, {j: ONE})
+            if not v:
+                self.kernel.append(w)
+                continue
+            p = min(v)
+            c = inverse(v[p])
+            v, w = vscale(c, v), vscale(c, w)
+            for rv, rw in self.rows.values():
+                cc = rv.get(p)
+                if cc:
+                    axpy(rv, -cc, v)
+                    axpy(rw, -cc, w)
+            self.rows[p] = (v, w)
+
+    def _reduce(self, v, w):
+        v, w = dict(v), dict(w)
+        for p in [k for k in v if k in self.rows]:
+            c = v.get(p)
+            if c:
+                rv, rw = self.rows[p]
+                axpy(v, -c, rv)
+                axpy(w, -c, rw)
+        return v, w
+
+    def solve(self, t):
+        r, u = self._reduce(t, {})
+        return None if r else {j: -s for j, s in u.items()}
+
+
+def _to_sympy(s):
+    if type(s) is Scalar:
+        (m, re, im), = s.terms
+        assert m == 1
+        return sympy.Rational(re) + sympy.I * sympy.Rational(im)
+    return sympy.Rational(s)
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_over_q = _rational.filter(bool).map(sc)
+_over_qi = st.builds(Scalar.rational, _rational, _rational).filter(bool)
+
+
+@st.composite
+def _systems(draw):
+    """A sparse matrix over Q or Q(i), often rank-deficient, and targets
+    drawn from its column space and from anywhere."""
+    entry = draw(st.sampled_from([_over_q, _over_qi]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    column = st.dictionaries(st.integers(0, rows - 1), entry, max_size=3)
+    data = draw(st.lists(column, min_size=cols, max_size=cols))
+    if cols > 1 and draw(st.booleans()):
+        data[-1] = axpy(vscale(draw(entry), data[0]), ONE, data[cols - 2])  # a dependent column
+    f = LinearMap(rows, cols, data)
+    x = draw(st.dictionaries(st.integers(0, cols - 1), entry, max_size=cols))
+    anywhere = draw(st.dictionaries(st.integers(0, rows - 1), entry, max_size=rows))
+    return f, [f.apply(x), anywhere, {}]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_systems())
+def test_solver_agrees_with_sympy_and_the_pair_echelon(drawn):
+    f, targets = drawn
+    dense = sympy.Matrix(f.rows, f.cols, lambda i, j: _to_sympy(f.col(j).get(i, ZERO)))
+    rank = dense.rank()
+    assert f.rank == rank
+    basis = f.kernel_basis()
+    assert len(basis) == f.cols - rank
+    assert all(not f.apply(w) for w in basis)
+    old = _PairEchelon(f)
+    assert basis == old.kernel
+    for t in targets:
+        column = sympy.Matrix(f.rows, 1, lambda i, _: _to_sympy(t.get(i, ZERO)))
+        reachable = dense.row_join(column).rank() == rank
+        x = f.solve(t)
+        assert (x is not None) == reachable
+        if reachable:
+            assert f.apply(x) == t
+        assert x == old.solve(t)
+
+
+# -- tensor products of maps --
+
+
+@st.composite
+def _map_pairs(draw):
+    """Two maps of any small shapes over Q(i)[sqrt(2)], and a vector of
+    each domain."""
+    def one_map():
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        column = st.dictionaries(st.integers(0, rows - 1), _entry, max_size=2)
+        return LinearMap(rows, cols, draw(st.lists(column, min_size=cols, max_size=cols)))
+
+    f, g = one_map(), one_map()
+    u = draw(st.dictionaries(st.integers(0, f.cols - 1), _entry, max_size=f.cols))
+    v = draw(st.dictionaries(st.integers(0, g.cols - 1), _entry, max_size=g.cols))
+    return f, g, u, v
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_map_pairs())
+def test_kron_is_the_tensor_product_in_kron_vec_layout(drawn):
+    f, g, u, v = drawn
+    fg = f.kron(g)
+    assert (fg.rows, fg.cols) == (f.rows * g.rows, f.cols * g.cols)
+    assert all(fg.col(j * g.cols + k) == kron_vec(f.col(j), g.col(k), g.rows)
+               for j in range(f.cols) for k in range(g.cols))
+    # (f (x) g)(u (x) v) = f(u) (x) g(v)
+    assert fg.apply(kron_vec(u, v, g.cols)) == kron_vec(f.apply(u), g.apply(v), g.rows)
+    assert kron(f, g, f) == fg.kron(f) == f.kron(g.kron(f))
+    # the flip swaps the factors, and flipping back is the identity
+    p, q = f.cols, g.cols
+    assert LinearMap.flip(p, q).apply(kron_vec(u, v, q)) == kron_vec(v, u, p)
+    assert LinearMap.flip(q, p).compose(LinearMap.flip(p, q)) == LinearMap.identity(p * q)
+    # and is natural: tau (f (x) g) = (g (x) f) tau
+    assert LinearMap.flip(f.rows, g.rows).compose(fg) == g.kron(f).compose(LinearMap.flip(p, q))
