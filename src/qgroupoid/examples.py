@@ -12,7 +12,7 @@ from functools import partial
 
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
 from .balanced_tensor import tensor_mul
-from .bialgebroid import RegularMHA
+from .bialgebroid import RegularMHA, _first_failure
 from .exact_linear import ONE, ZERO, LinearMap, kron, kron_vec, stack_equations, vscale
 from .integration import PartialIntegral, functional_of_map, gram_map
 from .report import Rejected, Report
@@ -241,23 +241,24 @@ class FiniteHopf:
         rep.check(one is not None, "unital", "hopf-axioms")
         if one is None:
             return rep
-        rep.check(self.delta.apply(one) == kron_vec(one, one, n), "delta-unital", "hopf-axioms")
-        delta, eps, S, m = self.delta, self.eps, self.S, self.H.mul_map()
-        ident = LinearMap.identity(n)
+        delta, eps, S, m, eta = self.delta, self.eps, self.S, self.H.mul_map(), _eta(self.H)
+        ident, at, at2 = LinearMap.identity(n), _basis_tuple(self.H), _basis_tuple(self.H, self.H)
+        _check_maps(rep, "delta-unital", "hopf-axioms", lambda _: ("1",),
+                    (None, delta.compose(eta), kron(eta, eta)))
         # Delta m = (m (x) m)(id (x) tau (x) id)(Delta (x) Delta)
         tensor_m = kron(m, m).compose(kron(ident, LinearMap.flip(n, n), ident))
-        rep.check(delta.compose(m) == tensor_m.compose(kron(delta, delta)),
-                  "delta-homomorphism", "hopf-axioms")
-        # (Delta (x) id) Delta = (id (x) Delta) Delta
-        rep.check(kron(delta, ident).compose(delta) == kron(ident, delta).compose(delta),
-                  "coassociativity", "hopf-axioms")
-        # (eps (x) id) Delta = id = (id (x) eps) Delta
-        rep.check(kron(eps, ident).compose(delta) == ident == kron(ident, eps).compose(delta),
-                  "counit", "hopf-axioms")
-        # m (S (x) id) Delta = eta eps = m (id (x) S) Delta
-        eta_eps = _eta(self.H).compose(eps)
-        rep.check(m.compose(kron(S, ident)).compose(delta) == eta_eps
-                  == m.compose(kron(ident, S)).compose(delta), "antipode", "hopf-axioms")
+        _check_maps(rep, "delta-homomorphism", "hopf-axioms", at2,
+                    (None, delta.compose(m), tensor_m.compose(kron(delta, delta))))
+        _check_maps(rep, "coassociativity", "hopf-axioms", at,
+                    (None, kron(delta, ident).compose(delta), kron(ident, delta).compose(delta)))
+        _check_maps(rep, "counit", "hopf-axioms", at,
+                    ("(eps (x) id) Delta", kron(eps, ident).compose(delta), ident),
+                    ("(id (x) eps) Delta", kron(ident, eps).compose(delta), ident))
+        _check_maps(rep, "antipode", "hopf-axioms", at,
+                    ("m (S (x) id) Delta", m.compose(kron(S, ident)).compose(delta),
+                     eta.compose(eps)),
+                    ("m (id (x) S) Delta", m.compose(kron(ident, S)).compose(delta),
+                     eta.compose(eps)))
         if self.phi is not None:
             rep.check(
                 self.is_left_integral(self.phi), "left-integral", "integrals-mha"
@@ -366,17 +367,19 @@ class HopfAction(ModuleStructure):
         n, m = H.dim, C.dim
         ident_h, ident_c = LinearMap.identity(n), LinearMap.identity(m)
         L, m_c, eta_c = self.action_map(), C.mul_map(), _eta(C)
-        rep.check(self.operator(H.H.unit()) == ident_c, "action-unital", "chb-action-algebra")
-        rep.check(self.check_action()[0], "action-multiplicative", "chb-action-algebra")
+        _check_maps(rep, "action-unital", "chb-action-algebra", _basis_tuple(C),
+                    (None, self.operator(H.H.unit()), ident_c))
+        ok, wit = self.check_action()
+        rep.check(ok, "action-multiplicative", "chb-action-algebra", wit)
         # L (id (x) eta_C) = eta_C eps
-        rep.check(L.compose(kron(ident_h, eta_c)) == eta_c.compose(H.eps),
-                  "action-counital", "chb-action-algebra")
+        _check_maps(rep, "action-counital", "chb-action-algebra", _basis_tuple(H.H),
+                    (None, L.compose(kron(ident_h, eta_c)), eta_c.compose(H.eps)))
         # h . (yz) = (h1 . y)(h2 . z):
         # L (id (x) m_C) = m_C (L (x) L)(id (x) tau (x) id)(Delta (x) id (x) id)
         shuffle = kron(ident_h, LinearMap.flip(n, m), ident_c).compose(
             kron(H.delta, ident_c, ident_c))
-        rep.check(L.compose(kron(ident_h, m_c)) == m_c.compose(kron(L, L)).compose(shuffle),
-                  "module-algebra", "chb-action-algebra")
+        _check_maps(rep, "module-algebra", "chb-action-algebra", _basis_tuple(H.H, C, C),
+                    (None, L.compose(kron(ident_h, m_c)), m_c.compose(kron(L, L)).compose(shuffle)))
         return rep
 
     def is_symmetric(self):
@@ -392,6 +395,29 @@ class HopfAction(ModuleStructure):
 def _eta(algebra):
     """The unit map F -> algebra, 1 -> 1."""
     return LinearMap(algebra.dim, 1, [algebra.unit()])
+
+
+def _basis_tuple(*algebras):
+    """at(j): the labels of the basis tuple of column j of a map on
+    algebras[0] (x) ... (x) algebras[-1]."""
+    def at(j):
+        labels = []
+        for alg in reversed(algebras):
+            j, k = divmod(j, alg.dim)
+            labels.append(alg.labels[k])
+        return tuple(reversed(labels))
+
+    return at
+
+
+def _check_maps(rep, axiom, eq, at, *sides):
+    """Check lhs == rhs for each (name, lhs, rhs) of sides, maps of one
+    domain.  A failing entry's witness is the first column j where the
+    maps of a side differ, at at(j), after the side's name unless it is
+    None."""
+    wit = _first_failure((at(j) if name is None else (name, *at(j)), lhs.col(j), rhs.col(j))
+                         for name, lhs, rhs in sides for j in range(lhs.cols))
+    rep.check(wit is None, axiom, eq, wit)
 
 
 def function_algebra_z2():
