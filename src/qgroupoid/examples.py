@@ -8,8 +8,6 @@ verification to the bialgebroid suite; nothing is trusted by fiat.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
 from .balanced_tensor import tensor_mul
 from .bialgebroid import RegularMHA, _first_failure
@@ -254,11 +252,10 @@ class FiniteHopf:
         _check_maps(rep, "counit", "hopf-axioms", at,
                     ("(eps (x) id) Delta", kron(eps, ident).compose(delta), ident),
                     ("(id (x) eps) Delta", kron(ident, eps).compose(delta), ident))
+        eta_eps = eta.compose(eps)
         _check_maps(rep, "antipode", "hopf-axioms", at,
-                    ("m (S (x) id) Delta", m.compose(kron(S, ident)).compose(delta),
-                     eta.compose(eps)),
-                    ("m (id (x) S) Delta", m.compose(kron(ident, S)).compose(delta),
-                     eta.compose(eps)))
+                    ("m (S (x) id) Delta", m.compose(kron(S, ident)).compose(delta), eta_eps),
+                    ("m (id (x) S) Delta", m.compose(kron(ident, S)).compose(delta), eta_eps))
         if self.phi is not None:
             rep.check(
                 self.is_left_integral(self.phi), "left-integral", "integrals-mha"
@@ -590,8 +587,7 @@ def build_crossed_product(base_c, hopf, action):
         labels=["%s#%s" % (base_c.labels[y], H.H.labels[h])
                 for y in range(mc) for h in range(mh)],
     )
-    one_h = H.H.unit()
-    emb_c = LinearMap.from_function(n, mc, lambda y: kron_vec({y: ONE}, one_h, mh))
+    emb_c = kron(ident_c, _eta(H.H))
     B = BaseEmbedding(base_c, A, emb_c, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
     s_b = LinearMap.identity(mc)
@@ -611,12 +607,6 @@ def build_crossed_product(base_c, hopf, action):
     )
 
 
-def _chb_element(y, h, x, mh, mb):
-    """The element y (x) h (x) x of the two-sided product C (x) H (x) B,
-    for H of dimension mh and B of dimension mb."""
-    return kron_vec(kron_vec(y, h, mh), x, mb)
-
-
 def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
     """Two-sided crossed product A = C (x) H (x) B."""
     H = hopf
@@ -631,8 +621,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             if anti.compose(src.acts[h]) != dst.operator(H.S.col(h)).compose(anti):
                 raise Rejected("chb-action-antipode", name + " does not intertwine the actions")
     n = mc * mh * mb
-    chb = partial(_chb_element, mh=mh, mb=mb)
-    ident = LinearMap.identity
+    ident, eta_c, eta_b = LinearMap.identity, _eta(base_c), _eta(base_b)
     # (y h x)(y' h' x') = y (h1 . y') h2 h'1 (x . h'2) x': split both h, move
     # y' beside h1 and x beside h'2, act, and multiply each factor
     product = (kron(base_c.mul_map(), H.H.mul_map(), base_b.mul_map())
@@ -648,14 +637,13 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             for y in range(mc) for h in range(mh) for x in range(mb)
         ],
     )
-    one_c, one_b, one_h = base_c.unit(), base_b.unit(), H.H.unit()
-    emb_b = LinearMap.from_function(n, mb, lambda x: chb(one_c, one_h, {x: ONE}))
-    emb_c = LinearMap.from_function(n, mc, lambda y: chb({y: ONE}, one_h, one_b))
+    emb_b, emb_c = kron(eta_c, _eta(H.H), ident(mb)), kron(ident(mc), _eta(H.H), eta_b)
     B = BaseEmbedding(base_b, A, emb_b, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
     # Delta(y h x) = (y h1 1) (x) (1 h2 x)
-    delta_raw = (kron(ident(mc * mh), _eta(base_b), _eta(base_c), ident(mh * mb))
+    delta_raw = (kron(ident(mc * mh), eta_b, eta_c, ident(mh * mb))
                  .compose(kron(ident(mc), H.delta, ident(mb))))
+    s_h = kron(eta_c, H.S, eta_b)  # h -> 1 S_H(h) 1
 
     def antipode_col(k):
         y, r = divmod(k, mh * mb)
@@ -663,7 +651,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
         # S(yhx) = S_B(x) S_H(h) S_C(y), a product in A
         sx = C.embed.apply(s_b.col(x))
         sy = B.embed.apply(s_c.col(y))
-        return A.mul(A.mul(sx, chb(one_c, H.S.col(h), one_b)), sy)
+        return A.mul(A.mul(sx, s_h.col(h)), sy)
 
     antipode = LinearMap.from_function(n, n, antipode_col)
     return RegularMHA(

@@ -417,7 +417,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     left base is the opposite algebra carrying the antipode-transported
     right action.
     """
-    from .examples import HopfAction, _chb_element, build_two_sided, standard_integrals
+    from .examples import HopfAction, _eta, build_two_sided, standard_integrals
 
     H, C = hopf, base_c
     mh, mc = H.dim, C.dim
@@ -443,7 +443,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     s_c = sigma  # y -> sigma(y)^op
     M = build_two_sided(C, H, base_b, left_action, right_action, s_b, s_c)
     n = M.A.dim
-    h_elems = [_chb_element(C.unit(), {h: ONE}, base_b.unit(), mh, mc) for h in range(mh)]
+    h_elems = kron(_eta(C), LinearMap.identity(mh), _eta(base_b))
 
     def theta_l_col(k):
         y, r = divmod(k, mh * mc)
@@ -453,7 +453,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
             # y (D_{h2})^op h1 x, multiplied out in A
             elem = M.A.mul(
                 M.A.mul(M.C.embed.apply({y: ONE}), M.B.embed.apply(D.col(h2))),
-                h_elems[h1],
+                h_elems.col(h1),
             )
             elem = M.A.mul(elem, M.B.embed.apply({x: ONE}))
             axpy(out, s, elem)
@@ -467,7 +467,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
             elem = M.A.mul(
                 M.A.mul(
                     M.C.embed.apply(C.mul({y: ONE}, D.col(h1))),
-                    h_elems[h2],
+                    h_elems.col(h2),
                 ),
                 M.B.embed.apply({x: ONE}),
             )
