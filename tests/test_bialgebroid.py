@@ -33,6 +33,7 @@ from qgroupoid.exact_linear import (
     QuotientSpace,
     Scalar,
     axpy,
+    kron,
     kron_vec,
     stack_equations,
     unstack,
@@ -185,6 +186,35 @@ def test_star_violating_antiiso_compatibility_fails_item_two():
     rep = verify_star(m)
     assert not rep.ok
     assert any(e.eq == "involution-2" for e in rep.failures())
+
+
+def _matrix_units_starred(s_c):
+    """The tensor algebroid of M2 over M2 with S_B the transpose T and S_C
+    as given, B starred by T and C by x -> J x^T J, J = diag(1, -1), and A
+    = C (x) B starred factor by factor: its two base stars differ."""
+    def mul(i, j):
+        (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
+        return {a * 2 + d: ONE} if b == c else {}
+
+    def m2(star):
+        return FiniteAlgebra.from_mul(4, mul, labels=["e11", "e12", "e21", "e22"], involution=star)
+
+    M = build_tensor_algebroid(m2(_T), m2(_JTJ), _T, s_c)
+    M.A.involution = kron(_JTJ, _T)
+    return M
+
+
+_T = LinearMap.from_function(4, 4, lambda k: {(k % 2) * 2 + k // 2: ONE})
+_JTJ = LinearMap.from_function(4, 4, lambda k: {(k % 2) * 2 + k // 2: ONE if k in (0, 3) else -ONE})
+
+
+def test_verify_star_keeps_the_two_base_stars_apart():
+    M = _matrix_units_starred(_JTJ)
+    assert verify_regular_mha(M).ok and verify_star(M).ok
+    # with S_C = T both round trips are T o (x -> J x^T J) = (x -> J x J),
+    # which sends e12 to -e12 on either base
+    rep = verify_star(_matrix_units_starred(_T))
+    assert [e.axiom for e in rep.failures()][:2] == ["SB-star-SC-star", "SC-star-SB-star"]
 
 
 def test_extended_unit_comultiplication(m_fun):

@@ -195,6 +195,14 @@ def test_solve_dimension_mismatch():
         solve_linear(mk([[1, 0], [0, 1]]), {5: ONE})
 
 
+def test_solve_finds_no_preimage_of_a_target_outside_the_codomain():
+    # the echelon keeps its column tags past the last row; a target
+    # entry there must not read as a tag
+    f = mk([[1, 0], [0, 0]])
+    assert f.solve({2: ONE}) is None and f.solve({3: ONE}) is None
+    assert f.solve({0: ONE}) == {0: ONE}
+
+
 def test_kernel():
     assert kernel(LinearMap.identity(4)) == []
     zero_kernel = kernel(LinearMap.zero(2, 2))

@@ -6,6 +6,7 @@ from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import verify_regular_mha
 from qgroupoid.examples import (
     FiniteGroupoid,
+    FiniteHopf,
     HopfAction,
     build_crossed_product,
     build_function_algebroid,
@@ -87,6 +88,30 @@ def test_z3_group_hopf_over_plain_field():
     assert h.verify().ok
     assert h.phi == {0: ONE}
     assert len(h.left_integral_space()) == 1
+
+
+def _witness(rep, axiom):
+    (entry,) = [e for e in rep.entries if e.axiom == axiom]
+    return entry.status, entry.witness
+
+
+def test_hopf_witness_names_the_side_of_counit_and_antipode_that_fails(hopf_z2):
+    """Copies of the Z2 group algebra (e = 0, g = 1, S(g) = g) that fail
+    only the second form of a law, worked by hand."""
+    # Delta(g) = g (x) g + g (x) e - e (x) e: (eps (x) id) Delta(g) = g + e - e = g,
+    # but (id (x) eps) Delta(g) = g + g - e
+    delta = LinearMap(4, 2, [{0: ONE}, {3: ONE, 2: ONE, 0: -ONE}])
+    rep = FiniteHopf(hopf_z2.H, delta, hopf_z2.eps, hopf_z2.S).verify()
+    assert _witness(rep, "counit") == ("fail", {
+        "at": ("(id (x) eps) Delta", "g1"), "lhs": [(0, "-1"), (1, "2")], "rhs": [(1, "1")]})
+    # S(g) = 2g and Delta(g) = g (x) g - e (x) e - 2 e (x) g + g (x) e:
+    # m (S (x) id) Delta(g) = 2e - e - 2g + 2g = e = eps(g) 1,
+    # but m (id (x) S) Delta(g) = 2e - e - 4g + g = e - 3g
+    delta = LinearMap(4, 2, [{0: ONE}, {3: ONE, 0: -ONE, 1: -2 * ONE, 2: ONE}])
+    S = LinearMap.from_rows([[1, 0], [0, 2]])
+    rep = FiniteHopf(hopf_z2.H, delta, hopf_z2.eps, S).verify()
+    assert _witness(rep, "antipode") == ("fail", {
+        "at": ("m (id (x) S) Delta", "g1"), "lhs": [(0, "1"), (1, "-3")], "rhs": [(0, "1")]})
 
 
 def test_crossed_product_isomorphic_to_pair_convolution(m_crossed, m_conv, p2, hopf_z2):
