@@ -376,7 +376,8 @@ class HopfAction(ModuleStructure):
         shuffle = kron(ident_h, LinearMap.flip(n, m), ident_c).compose(
             kron(H.delta, ident_c, ident_c))
         _check_maps(rep, "module-algebra", "chb-action-algebra", _basis_tuple(H.H, C, C),
-                    (None, L.compose(kron(ident_h, m_c)), m_c.compose(kron(L, L)).compose(shuffle)))
+                    (None, L.compose(kron(ident_h, m_c)),
+                     m_c.compose(kron(L, L)).compose(shuffle)))
         return rep
 
     def is_symmetric(self):

@@ -269,8 +269,9 @@ def modify(M, mod, verify=True):
         twists = _twists(mod, h)
         (_, t_twist), (_, s_twist) = h.ordered(*twists)
         theta = _base_automorphism(h.embedding, t_twist)
+        delta = LinearMap(n * n, n, h.lifts)
         parts.append((h.anti.compose(theta.inverse()),
-                      kron(twists[0][1], LinearMap.identity(n)).compose(LinearMap(n * n, n, h.lifts)),
+                      kron(twists[0][1], LinearMap.identity(n)).compose(delta),
                       h.eps.compose(s_twist.inverse()),
                       theta.compose(h.eps).compose(t_twist.inverse())))
     (s_b_new, delta_b_raw, eps_b_new, _), (s_c_new, delta_c_raw, eps_c_new, _) = parts
@@ -389,11 +390,13 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
     rep = Report()
     rep.check(D.apply(H.H.unit()) == C.unit(), "cocycle-unital", "one-cocycle")
     # D_(hg) = D_(h1) (h2 . D_g): D m_H = m_C (D (x) L)(id (x) id (x) D)(Delta (x) id)
-    rep.check(D.compose(H.H.mul_map()) == m_c.compose(kron(D, L)).compose(kron(ident_h, ident_h, D))
+    d_acted = m_c.compose(kron(D, L))
+    rep.check(D.compose(H.H.mul_map()) == d_acted.compose(kron(ident_h, ident_h, D))
               .compose(kron(H.delta, ident_h)), "cocycle-law", "one-cocycle")
-    # D_(h1) (h2 . y) = (h1 . y) D_(h2): m_C (D (x) L)(Delta (x) id) = m_C (L (x) D)(id (x) tau)(Delta (x) id)
+    # D_(h1) (h2 . y) = (h1 . y) D_(h2):
+    # m_C (D (x) L)(Delta (x) id) = m_C (L (x) D)(id (x) tau)(Delta (x) id)
     split = kron(H.delta, ident_c)
-    rep.check(m_c.compose(kron(D, L)).compose(split) == m_c.compose(kron(L, D))
+    rep.check(d_acted.compose(split) == m_c.compose(kron(L, D))
               .compose(kron(ident_h, LinearMap.flip(mh, mc))).compose(split),
               "symmetry-compatibility", "ch-symmetric")
     if not rep.ok:

@@ -205,7 +205,8 @@ def _matrix_units_starred(s_c):
 
 
 _T = LinearMap.from_function(4, 4, lambda k: {(k % 2) * 2 + k // 2: ONE})
-_JTJ = LinearMap.from_function(4, 4, lambda k: {(k % 2) * 2 + k // 2: ONE if k in (0, 3) else -ONE})
+_JTJ = LinearMap.from_function(
+    4, 4, lambda k: {(k % 2) * 2 + k // 2: ONE if k in (0, 3) else -ONE})
 
 
 def test_verify_star_keeps_the_two_base_stars_apart():
