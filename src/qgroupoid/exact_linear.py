@@ -800,22 +800,26 @@ class LinearMap:
     def __call__(self, v):
         return self.apply(v)
 
+    @classmethod
+    def _fresh(cls, rows, cols, data):
+        """The map with these columns, kept without the copy ``__init__``
+        makes: each must be a new dict with no zero entry."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.data, out._solver = rows, cols, tuple(data), None
+        return out
+
     def compose(self, other):
-        """self o other.  The columns ``apply`` builds are fresh and free
-        of zeros, so they are kept without the copy ``__init__`` makes."""
+        """self o other, on the fresh columns ``apply`` builds."""
         if other.rows != self.cols:
             raise ValueError("dimension mismatch in composition")
-        out = LinearMap.__new__(LinearMap)
-        out.rows, out.cols, out._solver = self.rows, other.cols, None
-        out.data = tuple([self.apply(c) for c in other.data])
-        return out
+        return LinearMap._fresh(self.rows, other.cols, [self.apply(c) for c in other.data])
 
     def kron(self, other):
         """self (x) other: column j * other.cols + k is col_j (x) col_k of
-        other, in ``kron_vec``'s layout."""
+        other, in ``kron_vec``'s layout, on the fresh columns it builds."""
         r = other.rows
-        return LinearMap(self.rows * r, self.cols * other.cols,
-                         [kron_vec(a, b, r) for a in self.data for b in other.data])
+        return LinearMap._fresh(self.rows * r, self.cols * other.cols,
+                                [kron_vec(a, b, r) for a in self.data for b in other.data])
 
     def __add__(self, other):
         return LinearMap(
