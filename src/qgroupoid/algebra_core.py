@@ -100,6 +100,10 @@ class FiniteAlgebra:
                                       [col for row in self.table for col in row])
         return self._mul_map
 
+    def unit_map(self):
+        """eta: F -> A, 1 -> the unit."""
+        return LinearMap(self.dim, 1, [self.unit()])
+
     def lmul(self, u):
         """Left multiplication operator v -> u*v for a basis index or vector."""
         if isinstance(u, int):

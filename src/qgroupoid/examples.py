@@ -239,7 +239,8 @@ class FiniteHopf:
         rep.check(one is not None, "unital", "hopf-axioms")
         if one is None:
             return rep
-        delta, eps, S, m, eta = self.delta, self.eps, self.S, self.H.mul_map(), _eta(self.H)
+        delta, eps, S = self.delta, self.eps, self.S
+        m, eta = self.H.mul_map(), self.H.unit_map()
         ident, at, at2 = LinearMap.identity(n), _basis_tuple(self.H), _basis_tuple(self.H, self.H)
         _check_maps(rep, "delta-unital", "hopf-axioms", lambda _: ("1",),
                     (None, delta.compose(eta), kron(eta, eta)))
@@ -363,7 +364,7 @@ class HopfAction(ModuleStructure):
         H, C = self.hopf, self.total
         n, m = H.dim, C.dim
         ident_h, ident_c = LinearMap.identity(n), LinearMap.identity(m)
-        L, m_c, eta_c = self.action_map(), C.mul_map(), _eta(C)
+        L, m_c, eta_c = self.action_map(), C.mul_map(), C.unit_map()
         _check_maps(rep, "action-unital", "chb-action-algebra", _basis_tuple(C),
                     (None, self.operator(H.H.unit()), ident_c))
         ok, wit = self.check_action()
@@ -388,11 +389,6 @@ class HopfAction(ModuleStructure):
         act = kron(LinearMap.identity(n), self.action_map())
         swapped = kron(LinearMap.flip(n, n), ident_c).compose(split)
         return act.compose(split) == act.compose(swapped)
-
-
-def _eta(algebra):
-    """The unit map F -> algebra, 1 -> 1."""
-    return LinearMap(algebra.dim, 1, [algebra.unit()])
 
 
 def _basis_tuple(*algebras):
@@ -550,7 +546,7 @@ def build_tensor_algebroid(base_b, base_c, s_b, s_c):
         labels=["%s(x)%s" % (base_c.labels[y], base_b.labels[x])
                 for y in range(mc) for x in range(mb)],
     )
-    emb_b, emb_c = kron(_eta(base_c), ident_b), kron(ident_c, _eta(base_b))
+    emb_b, emb_c = kron(base_c.unit_map(), ident_b), kron(ident_c, base_b.unit_map())
     B = BaseEmbedding(base_b, A, emb_b, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
     delta_raw = kron(emb_c, emb_b)
@@ -588,13 +584,14 @@ def build_crossed_product(base_c, hopf, action):
         labels=["%s#%s" % (base_c.labels[y], H.H.labels[h])
                 for y in range(mc) for h in range(mh)],
     )
-    emb_c = kron(ident_c, _eta(H.H))
+    emb_c = kron(ident_c, H.H.unit_map())
     B = BaseEmbedding(base_c, A, emb_c, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
     s_b = LinearMap.identity(mc)
     s_c = LinearMap.identity(mc)
     # Delta(y h) = (y h1) (x) (1 h2)
-    delta_raw = kron(ident_c, ident_h, _eta(base_c), ident_h).compose(kron(ident_c, H.delta))
+    delta_raw = (kron(ident_c, ident_h, base_c.unit_map(), ident_h)
+                 .compose(kron(ident_c, H.delta)))
     # eps_B(y h) = eps(h) y and eps_C(y h) = S^-1(h) . y
     eps_b = kron(ident_c, H.eps)
     eps_c = L.compose(kron(H.S.inverse(), ident_c)).compose(LinearMap.flip(mc, mh))
@@ -622,7 +619,8 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             if anti.compose(src.acts[h]) != dst.operator(H.S.col(h)).compose(anti):
                 raise Rejected("chb-action-antipode", name + " does not intertwine the actions")
     n = mc * mh * mb
-    ident, eta_c, eta_b = LinearMap.identity, _eta(base_c), _eta(base_b)
+    ident, eta_c, eta_h, eta_b = (LinearMap.identity, base_c.unit_map(), H.H.unit_map(),
+                                  base_b.unit_map())
     # (y h x)(y' h' x') = y (h1 . y') h2 h'1 (x . h'2) x': split both h, move
     # y' beside h1 and x beside h'2, act, and multiply each factor
     product = (kron(base_c.mul_map(), H.H.mul_map(), base_b.mul_map())
@@ -638,7 +636,7 @@ def build_two_sided(base_c, hopf, base_b, left_action, right_action, s_b, s_c):
             for y in range(mc) for h in range(mh) for x in range(mb)
         ],
     )
-    emb_b, emb_c = kron(eta_c, _eta(H.H), ident(mb)), kron(ident(mc), _eta(H.H), eta_b)
+    emb_b, emb_c = kron(eta_c, eta_h, ident(mb)), kron(ident(mc), eta_h, eta_b)
     B = BaseEmbedding(base_b, A, emb_b, name="B")
     C = BaseEmbedding(base_c, A, emb_c, name="C")
     # Delta(y h x) = (y h1 1) (x) (1 h2 x)

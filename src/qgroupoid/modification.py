@@ -420,7 +420,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     left base is the opposite algebra carrying the antipode-transported
     right action.
     """
-    from .examples import HopfAction, _eta, build_two_sided, standard_integrals
+    from .examples import HopfAction, build_two_sided, standard_integrals
 
     H, C = hopf, base_c
     mh, mc = H.dim, C.dim
@@ -446,7 +446,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     s_c = sigma  # y -> sigma(y)^op
     M = build_two_sided(C, H, base_b, left_action, right_action, s_b, s_c)
     n = M.A.dim
-    h_elems = kron(_eta(C), LinearMap.identity(mh), _eta(base_b))
+    h_elems = kron(C.unit_map(), LinearMap.identity(mh), base_b.unit_map())
 
     def theta_l_col(k):
         y, r = divmod(k, mh * mc)
