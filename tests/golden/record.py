@@ -4,10 +4,10 @@ the tensor algebroid over the 2x2 matrix algebra (a non-commutative base).
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
 captured), ``verify_regular_mha`` on mutant instances,
 ``check_partial_integral`` on perturbed partial integrals, the solved
-spaces no command reports in full, or the modular theory and modifier
-checks of both halves, and yields the exit code and the exact report text
-of every step.  The recorded texts
-live next to this file as ``<case>.jsonl``, the exit codes in
+spaces no command reports in full, the modular theory and modifier
+checks of both halves, or the Hopf, action and star laws on broken
+copies, and yields the exit code and the exact report text of every
+step.  The recorded texts live next to this file as ``<case>.jsonl``, the exit codes in
 ``exits.json``; ``test_golden.py`` compares both byte for byte.
 
 Re-record after an intended change of a report, from the repository root:
