@@ -59,6 +59,7 @@ class FiniteAlgebra:
         self._lmul = {}
         self._rmul = {}
         self._mul_map = None
+        self._associative = None
 
     # -- construction helpers -------------------------------------------
 
@@ -139,8 +140,13 @@ class FiniteAlgebra:
         sum_k e_k (x) v e_k, so block k of P(e_i e_j) is the left side and
         block k of lmul(i) applied block by block to P(e_j) the right
         side.  The two stacked vectors are compared literally once per
-        (i, j); only a pair that differs is scanned, k in order.
+        (i, j); only a pair that differs is scanned, k in order.  Cached.
         """
+        if self._associative is None:
+            self._associative = self._associativity()
+        return self._associative
+
+    def _associativity(self):
         n = self.dim
         if not n:
             return True, None

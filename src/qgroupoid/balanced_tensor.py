@@ -3,9 +3,13 @@
 A balanced product is the quotient of A (x) A by the span of
 act1[x](a) (x) b - a (x) act2[x](b) over a pair of module structures; the
 six flavors a quantum groupoid needs differ only in which multiplications
-act on which leg.  Operators on A (x) A descend to such a quotient only
-after an explicit check that they map relations into relations; every
-descent here is checked, never assumed, and failures carry a witness.
+act on which leg.  Every descent here is checked, never assumed, by one
+of two exact checks.  A map f (x) g whose legs f and g intertwine the
+base actions sends each relation generator to a generator of the target,
+so it descends by the universal property of the balanced product; that
+is checked on the action maps alone.  Any other map descends only after
+the check that it sends the relations into the target's relations, and
+a failure carries a witness.
 
 The triple product A (x) A (x) A, balanced on legs (1,2) by one such
 quotient Q12 and on legs (2,3) by another Q23, is where coassociativity
@@ -158,10 +162,12 @@ def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
 class BalancedTensor:
     """Quotient of A (x) A balancing act1 on the first against act2 on the second leg.
 
-    Every descent out of the tensor is checked on the basis of its
-    relation span, the rows of ``space.rref``; the relation generators
-    are scanned, in order, only after a basis row fails, so the witness
-    of NotBalanced is still the first failing generator.
+    Every descent out of the tensor is checked.  ``descend`` first tries
+    ``_module_maps`` on the action maps; a descent that fails it, and every
+    slice, is checked on the basis of the relation span, the rows of
+    ``space.rref``.  The relation generators are scanned, in order, only
+    after a basis row fails, so the witness of NotBalanced is still the
+    first failing generator.
 
     The descended maps a tensor hands out (leg multiplications, slices
     and flips) are memoized per tensor in ``_op_cache``: a repeated call
@@ -214,18 +220,26 @@ class BalancedTensor:
 
     # -- descended operators ---------------------------------------------
 
-    def descend(self, op1, op2, message, target=None):
-        """Descend (op1 (x) op2) to a map self -> target (default self).
+    def descend(self, op1, op2, message, target=None, swap=False):
+        """Descend op1 (x) op2 to a map self -> target (default self).
 
-        op1/op2 are LinearMaps on A or None for the identity.  Only the
-        basis tensors e_i (x) e_j at which op1 (x) op2 is non-zero are
-        visited: i a non-empty column of op1 and j one of op2 (every index
-        for None).  ``descend_componentwise`` checks only the relation rows
-        touching them and, if one fails, raises NotBalanced with the first
-        failing generator and ``message``, in which {src!r} and {dst!r}
-        stand for the two flavors.  Columns at other coordinates are empty.
+        op1/op2 are LinearMaps on A or None for the identity; with ``swap``
+        the map is a (x) b -> op2(b) (x) op1(a) instead.  Only the basis
+        tensors e_i (x) e_j at which the map is non-zero are visited: i a
+        non-empty column of op1 and j one of op2 (every index for None).
+
+        Two exact checks decide the descent.  The first is
+        ``_module_maps``: if op1 and op2 intertwine the base actions, the
+        map sends each relation generator (x, a, b) to target's generator
+        (x, op1 a, op2 b) (with swap, to minus its (x, op2 b, op1 a)),
+        so it descends, and only its columns at this tensor's free
+        coordinates are projected.  Otherwise ``descend_componentwise``
+        checks the relation rows touching those basis tensors and, if one
+        fails, raises NotBalanced with the first failing generator and
+        ``message``, in which {src!r} and {dst!r} stand for the two
+        flavors.  Columns at other coordinates are empty.
         """
-        n = self.leg_dim
+        n, dst = self.leg_dim, target or self
 
         def live(op):
             return range(n) if op is None else [i for i in range(n) if op.col(i)]
@@ -233,10 +247,38 @@ class BalancedTensor:
         def leg(op, i):
             return op.col(i) if op is not None else {i: ONE}
 
-        return descend_componentwise(
-            self, target or self, lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n),
-            message, live=[i * n + j for i in live(op1) for j in live(op2)],
-        )
+        def fn(i, j):
+            u, v = leg(op1, i), leg(op2, j)
+            return kron_vec(v, u, n) if swap else kron_vec(u, v, n)
+
+        live1, live2 = live(op1), live(op2)
+        coords = [i * n + j for i in live1 for j in live2]
+        if not self._module_maps(dst, op1, op2, swap):
+            return descend_componentwise(self, dst, fn, message, live=coords)
+        cols = [{} for _ in range(self.dim)]
+        free_pos = self.space.free_pos
+        for ij in coords:
+            if ij in free_pos:
+                image = fn(*divmod(ij, n))
+                if image:
+                    cols[free_pos[ij]] = dst.project(image)
+        return LinearMap(dst.dim, self.dim, cols)
+
+    def _module_maps(self, dst, op1, op2, swap):
+        """Whether op1 and op2 intertwine the base actions from this tensor
+        to dst: op_k o acts[x] == acts'[x] o op_k for every base index x
+        and both legs k, acts' dst's action on leg k (on the other leg with
+        ``swap``).  None is the identity, which needs equal action maps.
+        False when the two tensors' bases differ in dimension."""
+        outs = (dst.struct2, dst.struct1) if swap else (dst.struct1, dst.struct2)
+        if self.struct1.base.dim != outs[0].base.dim:
+            return False
+        for op, struct, out in zip((op1, op2), (self.struct1, self.struct2), outs):
+            for f, g in zip(struct.acts, out.acts):
+                same = (f is g or f == g) if op is None else op.compose(f) == g.compose(op)
+                if not same:
+                    return False
+        return True
 
     def _cached(self, key, build, message, target):
         """The memoized build() under key, build() a checked descent from
@@ -335,10 +377,10 @@ class BalancedTensor:
 
     def flip_to(self, target):
         """The map a (x) b -> b (x) a into the flipped flavor, checked; memoized."""
-        n, message = self.leg_dim, "flip does not relate flavors {src!r} -> {dst!r}"
+        message = "flip does not relate flavors {src!r} -> {dst!r}"
 
         def build():
-            return descend_componentwise(self, target, lambda i, j: {j * n + i: ONE}, message)
+            return self.descend(None, None, message, target, swap=True)
 
         return self._cached(("flip", target), build, message, target)
 

@@ -319,11 +319,9 @@ def _codomain(M, which):
 
 
 def _sigma_ss(M, src, dst):
-    n = M.A.dim
-    return descend_componentwise(
-        src, dst, lambda i, j: kron_vec(M.S.col(j), M.S.col(i), n),
-        "flip o (S (x) S) does not descend {src!r} -> {dst!r}",
-    )
+    """flip o (S (x) S), a (x) b -> S(b) (x) S(a), descended from src to dst."""
+    return src.descend(M.S, M.S, "flip o (S (x) S) does not descend {src!r} -> {dst!r}",
+                       dst, swap=True)
 
 
 # ---------------------------------------------------------------------------

@@ -662,11 +662,16 @@ class Rref:
     pivots whose rows have an entry there, ``{j: {q : j in rows[q]}}``,
     so ``add`` eliminates a new pivot from exactly the rows that use it
     instead of scanning them all.  Every set in it is non-empty.
+
+    Columns from ``tags_from`` on, if given, are tags: the caller inserts
+    no row whose pivot would be one, so no tag is ever eliminated and
+    ``_users`` leaves them out.
     """
 
-    def __init__(self):
+    def __init__(self, tags_from=None):
         self.rows = {}  # pivot index -> reduced row dict (pivot coeff 1)
-        self._users = {}  # non-pivot column -> pivots whose rows use it
+        self._users = {}  # non-pivot column below tags_from -> pivots whose rows use it
+        self._tags_from = tags_from
 
     @property
     def rank(self):
@@ -694,8 +699,11 @@ class Rref:
         p = min(r)
         if r[p] != 1:
             r = vscale(inverse(r[p]), r)
-        rows, users = self.rows, self._users
-        cols = [j for j in r if j != p]
+        rows, users, tags = self.rows, self._users, self._tags_from
+        if tags is None:
+            cols = [j for j in r if j != p]
+        else:
+            cols = [j for j in r if j != p and j < tags]
         for j in cols:
             users.setdefault(j, set()).add(p)
         for q in users.pop(p, ()):
@@ -879,9 +887,10 @@ class LinearMap:
         """The echelon of the rows [col_j | e_j], e_j offset by ``rows``,
         and the kernel basis.  A column whose reduced row has no entry
         below ``rows`` is dependent: the offset part of that row is a
-        kernel vector, and the row is not inserted."""
+        kernel vector, and the row is not inserted.  So no pivot is at or
+        past ``rows``, and the echelon leaves those tag columns unindexed."""
         if self._solver is None:
-            ech, ker, rows = Rref(), [], self.rows
+            ech, ker, rows = Rref(self.rows), [], self.rows
             for j, c in enumerate(self.data):
                 tracked = dict(c)
                 tracked[rows + j] = 1

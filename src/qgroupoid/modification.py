@@ -25,6 +25,7 @@ from .exact_linear import (
     inverse,
     is_positive,
     kron,
+    kron_vec,
 )
 from .integration import BaseWeight, functional_of_map, gram_map, satisfies_modular_law
 from .report import Rejected, Report
@@ -245,6 +246,16 @@ def check_modifier(M, mod):
     return rep
 
 
+def _on_leg1(f, w, n):
+    """(f (x) id)(w) for w in A (x) A, building only the columns of
+    f (x) id at w's entries."""
+    out = {}
+    for ij, s in w.items():
+        i, j = divmod(ij, n)
+        axpy(out, ONE, kron_vec(f.col(i), {j: s}, n))
+    return out
+
+
 def modify(M, mod, verify=True):
     """Apply a modifier; the result is a new bundle, re-verified from scratch.
 
@@ -269,9 +280,8 @@ def modify(M, mod, verify=True):
         twists = _twists(mod, h)
         (_, t_twist), (_, s_twist) = h.ordered(*twists)
         theta = _base_automorphism(h.embedding, t_twist)
-        delta = LinearMap(n * n, n, h.lifts)
-        parts.append((h.anti.compose(theta.inverse()),
-                      kron(twists[0][1], LinearMap.identity(n)).compose(delta),
+        delta = LinearMap(n * n, n, [_on_leg1(twists[0][1], w, n) for w in h.lifts])
+        parts.append((h.anti.compose(theta.inverse()), delta,
                       h.eps.compose(s_twist.inverse()),
                       theta.compose(h.eps).compose(t_twist.inverse())))
     (s_b_new, delta_b_raw, eps_b_new, _), (s_c_new, delta_c_raw, eps_c_new, _) = parts

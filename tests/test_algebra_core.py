@@ -72,6 +72,22 @@ def test_associativity_witness_is_the_first_triple_of_a_full_scan():
     assert a.is_associative() == (False, expected)
 
 
+def test_associativity_is_decided_once_per_algebra(monkeypatch):
+    # check_algebra and the verifier's gates ask again and again
+    a, calls = group_algebra_z2(), []
+    decide = FiniteAlgebra._associativity
+
+    def counted(self):
+        calls.append(self)
+        return decide(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "_associativity", counted)
+    assert a.is_associative() == (True, None)
+    assert check_algebra(a).ok
+    assert a.is_associative() == (True, None)
+    assert calls == [a]
+
+
 def test_multiplier_algebra_unital_iso():
     a = group_algebra_z2()
     m, canon = multiplier_algebra(a)

@@ -5,7 +5,17 @@ import os
 
 import pytest
 
-from qgroupoid import balanced_tensor, bialgebroid, verify_regular_mha
+from qgroupoid import (
+    BaseWeight,
+    assemble_measured,
+    balanced_tensor,
+    bialgebroid,
+    modify,
+    modular_automorphism,
+    standard_integrals,
+    verify_regular_mha,
+)
+from qgroupoid.algebra_core import FiniteAlgebra, ModuleStructure
 from qgroupoid.balanced_tensor import (
     BalancedTensor,
     NotBalanced,
@@ -22,9 +32,21 @@ from qgroupoid.bialgebroid import (
 from qgroupoid.examples import (
     build_convolution_algebroid,
     build_function_algebroid,
+    cyclic_group_table,
+    group_groupoid,
     pair_groupoid,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Rref, axpy, unstack, vsub
+from qgroupoid.exact_linear import (
+    ONE,
+    LinearMap,
+    Rref,
+    ScalarField,
+    axpy,
+    kron_vec,
+    unstack,
+    vsub,
+)
+from qgroupoid.modification import groupoid_rn_modifier
 
 _spec = importlib.util.spec_from_file_location(
     "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
@@ -399,3 +421,152 @@ def test_failing_leg_descents_are_not_checked_again(monkeypatch):
     second = [suite(M).to_json_lines() for suite in suites]
     assert second == first
     assert len(calls) <= 128
+
+
+def _tensor_map(src, op1, op2, swap=False):
+    """e_i (x) e_j -> op1(e_i) (x) op2(e_j), or with swap op2(e_j) (x)
+    op1(e_i), None the identity: the map ``descend`` descends."""
+    n = src.leg_dim
+
+    def leg(op, i):
+        return {i: ONE} if op is None else op.col(i)
+
+    if swap:
+        return lambda i, j: kron_vec(leg(op2, j), leg(op1, i), n)
+    return lambda i, j: kron_vec(leg(op1, i), leg(op2, j), n)
+
+
+@pytest.fixture
+def module_map_descents(monkeypatch):
+    """Every descent ``BalancedTensor.descend`` decides by the module-map
+    test, as (src, dst, fn, the descended map)."""
+    calls = []
+    descend = BalancedTensor.descend
+
+    def spy(self, op1, op2, message, target=None, swap=False):
+        out = descend(self, op1, op2, message, target, swap)
+        dst = target or self
+        if self._module_maps(dst, op1, op2, swap):
+            calls.append((self, dst, _tensor_map(self, op1, op2, swap), out))
+        return out
+
+    monkeypatch.setattr(BalancedTensor, "descend", spy)
+    return calls
+
+
+def _measured_p2(build, kind, mu):
+    """verify, the measured bundle with weight mu on both bases and both
+    modular automorphisms of a fresh p2 instance: leg multiplications,
+    flips and modular twists."""
+    g = pair_groupoid([1, 2])
+    M = build(g)
+    verify_regular_mha(M)
+    weight = BaseWeight(mu_B=dict(mu), mu_C=dict(mu))
+    X = assemble_measured(M, weight, *standard_integrals(kind, M, groupoid=g))
+    for side in ("left", "right"):
+        modular_automorphism(X, side)
+
+
+def _modified_p2():
+    """groupoid_rn on convolution p2 with weights 1 and 2: twists by
+    sqrt(2), and the modified bundle verified inside ``modify``."""
+    g = pair_groupoid([1, 2])
+    mod, _ = groupoid_rn_modifier(g, {0: 1, 1: 2}, ScalarField((2,)))
+    modify(build_convolution_algebroid(g), mod)
+
+
+def _verified(build):
+    return lambda: verify_regular_mha(build())
+
+
+_MODULE_MAP_RUNS = {
+    "functions-p2": lambda: _measured_p2(
+        build_function_algebroid, "groupoid-functions", {0: 1, 1: 4}),
+    "convolution-p2": lambda: _measured_p2(
+        build_convolution_algebroid, "groupoid-convolution", {0: 1, 1: 1}),
+    "functions-p3": _verified(lambda: build_function_algebroid(pair_groupoid([1, 2, 3]))),
+    "convolution-p3": _verified(lambda: build_convolution_algebroid(pair_groupoid([1, 2, 3]))),
+    "z2": _verified(lambda: build_convolution_algebroid(group_groupoid(*cyclic_group_table(2)))),
+    "crossed": _verified(lambda: dict(golden_record._antipode_bundles())["crossed"]),
+    "two-sided": _verified(lambda: dict(golden_record._antipode_bundles())["two-sided"]),
+    "tensor-matrix-units": _verified(golden_record.matrix_tensor_algebroid),
+    "groupoid_rn-modified": _modified_p2,
+}
+
+
+@pytest.mark.parametrize("run", sorted(_MODULE_MAP_RUNS))
+def test_module_map_descents_equal_the_checked_descent(run, module_map_descents):
+    # a descent accepted by the module-map test sends every generator into
+    # the target and is the map the relation-checked descent builds
+    _MODULE_MAP_RUNS[run]()
+    assert module_map_descents
+    for src, dst, fn, got in module_map_descents:
+        assert _first_failing_generator(src, dst, fn) is None
+        assert got == descend_componentwise(src, dst, fn, "{src!r}")
+
+
+def test_descents_outside_the_module_map_test_fall_back_to_the_checked_descent(descents):
+    # functions p2: op1 the matrix unit e_a -> e_k, op2 the projection onto
+    # e_b.  Every pair is decided as a generator scan decides it.  A unit
+    # that moves an arrow's end point is no module map, yet the pair
+    # descends when a and b compose: e_a (x) e_b, the one basis tensor
+    # the map moves, then lies in no relation
+    M = build_function_algebroid(pair_groupoid([1, 2]))
+    qb, n = M.qb, M.A.dim
+    verdicts = set()
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                op1 = LinearMap(n, n, [{k: ONE} if j == a else {} for j in range(n)])
+                op2 = LinearMap(n, n, [{b: ONE} if j == b else {} for j in range(n)])
+                fn = _tensor_map(qb, op1, op2)
+                fast = qb._module_maps(qb, op1, op2, False)
+                expected = _first_failing_generator(qb, qb, fn)
+                descents.clear()
+                try:
+                    got, witness = qb.descend(op1, op2, "{src!r}"), None
+                except NotBalanced as e:
+                    witness = e.witness
+                assert witness == expected, (k, a, b)
+                assert len(descents) == (0 if fast else 1), (k, a, b)
+                if witness is None:
+                    assert got == descend_componentwise(qb, qb, fn, "{src!r}")
+                verdicts.add((fast, witness is None))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_tensors_over_bases_of_different_dimension_do_not_take_the_module_map_test(descents):
+    # functions p3 balanced over the full base of three objects, and over
+    # the one-dimensional base acting as the first object's projection:
+    # the action maps of base index 0 agree, so a test reading only the
+    # indices both bases have would accept the identity both ways
+    M = build_function_algebroid(pair_groupoid([1, 2, 3]))
+    qb = M.qb
+    point = FiniteAlgebra.pointwise(["x0"])
+    s1, s2 = (ModuleStructure(point, M.A, [s.acts[0]], s.side) for s in (qb.struct1, qb.struct2))
+    coarse = BalancedTensor(M.A, s1, s2, "coarse")
+    verdicts = []
+    for src, dst in ((qb, coarse), (coarse, qb)):
+        assert not src._module_maps(dst, None, None, False)
+        fn = _tensor_map(src, None, None)
+        descents.clear()
+        try:
+            got, witness = src.descend(None, None, "{src!r}", dst), None
+        except NotBalanced as e:
+            witness = e.witness
+        assert len(descents) == 1 and witness == _first_failing_generator(src, dst, fn)
+        if witness is None:
+            assert got == descend_componentwise(src, dst, fn, "{src!r}")
+        verdicts.append(witness is None)
+    # the finer relations do not hold in the coarse quotient; the coarse do in the fine
+    assert verdicts == [False, True]
+
+
+def test_verify_takes_the_checked_descent_only_for_the_counit_slices(descents):
+    # convolution p3: every leg multiplication, Galois-inverse descent and
+    # flip o (S (x) S) passes the module-map test, and only the four
+    # counit slices are checked on relations (60 checked descents when
+    # every f (x) g map was).  A change that disables the test, such as
+    # LinearMap equality no longer normalizing entries, fails here
+    verify_regular_mha(build_convolution_algebroid(pair_groupoid([1, 2, 3])))
+    assert len(descents) <= 4

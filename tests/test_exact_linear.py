@@ -394,6 +394,22 @@ def test_rref_column_index_matches_a_full_scan(inserts, probes):
         assert fast.reduce(v) == ref.reduce(v)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_sparse_row, max_size=12), st.integers(1, 8))
+def test_tagged_rref_leaves_its_tag_columns_unindexed(inserts, tags):
+    # rows inserted as the solver inserts them, only where the pivot is
+    # below ``tags``: the echelon is the untagged one's, and its index is
+    # the untagged index without the tag columns
+    tagged, plain = Rref(tags), Rref()
+    for v in inserts:
+        r = tagged.reduce(v)
+        if r and min(r) < tags:
+            tagged._insert(r)
+            plain.add(v)
+        assert _ordered(tagged.rows) == _ordered(plain.rows)
+        assert tagged._users == {j: q for j, q in plain._users.items() if j < tags}
+
+
 @st.composite
 def _maps_and_vectors(draw):
     """A few maps of one shape, columns often empty, a vector of their

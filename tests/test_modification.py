@@ -34,7 +34,9 @@ from qgroupoid.exact_linear import (
     LinearMap,
     QuotientSpace,
     Rref,
+    Scalar,
     ScalarField,
+    kron,
     kron_vec,
     sc,
     vadd,
@@ -434,3 +436,19 @@ def test_check_modifier_with_identity_theta_builds_no_tensor(m_fun, monkeypatch,
     axiom, witness = expected
     (entry,) = [e for e in rep.entries if e.axiom == axiom]
     assert (entry.status, entry.witness) == ("fail", witness)
+
+
+def test_twist_on_the_first_leg_is_twist_tensor_identity(m_conv, p2):
+    # modify twists leg 1 of each lifted Delta column by building only the
+    # columns of twist (x) id the column reads; sqrt(2) twists, and a dense
+    # vector with a radical coefficient besides the lifted columns
+    mod, _ = groupoid_rn_modifier(p2, {0: 1, 1: 2}, ScalarField((2,)))
+    n = m_conv.A.dim
+    lifted = [q.lift(delta.col(j)) for q, delta in ((m_conv.qb, m_conv.delta_B),
+                                                    (m_conv.qc, m_conv.delta_C))
+              for j in range(n)]
+    dense = {ij: Scalar.root_term(2) if ij % 3 else ONE for ij in range(n * n)}
+    for twist in mod.maps():
+        full = kron(twist, LinearMap.identity(n))
+        for w in lifted + [dense]:
+            assert modification._on_leg1(twist, w, n) == full.apply(w)
