@@ -10,9 +10,11 @@ all checked against it, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_linear import (
     ONE,
+    ZERO,
     LinearMap,
     Rref,
     Scalar,
@@ -312,6 +314,17 @@ class ModuleStructure:
             "left",
             name,
         )
+
+    @cached_property
+    def weights(self):
+        """The weight w(a) = (lambda_x(a))_x of each basis element e_a of
+        the total algebra, as a list of tuples, when every acts[x] is
+        diagonal, acts[x] e_a = lambda_x(a) e_a; None when one is not.
+        Two diagonal actions are equal iff their weights are."""
+        n = self.total.dim
+        if any(j != a for f in self.acts for a in range(n) for j in f.col(a)):
+            return None
+        return [tuple(f.col(a).get(a, ZERO) for f in self.acts) for a in range(n)]
 
     def act(self, x, v):
         out = {}

@@ -3,13 +3,28 @@
 A balanced product is the quotient of A (x) A by the span of
 act1[x](a) (x) b - a (x) act2[x](b) over a pair of module structures; the
 six flavors a quantum groupoid needs differ only in which multiplications
-act on which leg.  Every descent here is checked, never assumed, by one
-of two exact checks.  A map f (x) g whose legs f and g intertwine the
-base actions sends each relation generator to a generator of the target,
-so it descends by the universal property of the balanced product; that
-is checked on the action maps alone.  Any other map descends only after
-the check that it sends the relations into the target's relations, and
-a failure carries a witness.
+act on which leg.
+
+When every act1[x] and act2[x] is diagonal in A's basis, with weights
+w1(a) and w2(b) (``ModuleStructure.weights``), the generator at (x, a, b)
+is a multiple of the one basis tensor e_a (x) e_b, so the relation span
+is spanned by the basis tensors with w1(a) != w2(b); on the pair
+groupoids the others are the composable pairs.  The quotient is then a
+``QuotientSpace.coordinate`` built with no relation and no elimination,
+and it equals the echelon quotient of the generators.  Every builder's
+bundle is of this kind.  Other actions, such as the M2 base of the
+matrix-unit tensor algebroid, are eliminated in an echelon.  No tensor
+stores its relation vectors: ``generators`` and ``relation_vectors``
+make them again, and only failing checks and tests read them.
+
+Every descent here is checked, never assumed, by one of two exact
+checks.  A map f (x) g whose legs f and g intertwine the base actions
+sends each relation generator to a generator of the target, so it
+descends by the universal property of the balanced product; that is
+checked on the action maps alone, or on the weights when both actions
+of a leg are diagonal.  Any other map descends only after the check
+that it sends the relations into the target's relations, and a failure
+carries a witness.
 
 The triple product A (x) A (x) A, balanced on legs (1,2) by one such
 quotient Q12 and on legs (2,3) by another Q23, is where coassociativity
@@ -82,6 +97,25 @@ def _relations(struct1, struct2):
                     yield x, a, b, rel
 
 
+def _intertwines(op, struct, out):
+    """Whether op (None for the identity) intertwines the actions struct
+    and out of one base: op o struct.acts[x] == out.acts[x] o op for every
+    x.  When both actions are diagonal this reads their weights: op e_a =
+    sum_b op[b, a] e_b is sent to sum_b lambda_x(a) op[b, a] e_b by one
+    side and to sum_b mu_x(b) op[b, a] e_b by the other, so the law holds
+    iff w_out(b) == w_in(a) at every non-zero entry op[b, a]."""
+    w_in, w_out = struct.weights, out.weights
+    if w_in is not None and w_out is not None:
+        if op is None:
+            return w_in == w_out
+        return all(w_out[b] == w_in[a] for a, col in enumerate(op.data) for b in col)
+    for f, g in zip(struct.acts, out.acts):
+        same = (f is g or f == g) if op is None else op.compose(f) == g.compose(op)
+        if not same:
+            return False
+    return True
+
+
 def tensor_mul(algebra, u, v):
     """Product in A (x) A of two sparse vectors over n*n indices."""
     n = algebra.dim
@@ -144,9 +178,7 @@ def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
         rows, holds, project = src.algebra.dim, (lambda w: not w), (lambda w: w)
     else:
         rows, holds, project = dst.dim, dst.space.contains_relation, dst.project
-    echelon, touching = src.space.rref.rows, src._touching
-    if not all(holds(apply(echelon[p]))
-               for p in {p for ij in images for p in touching.get(ij, ())}):
+    if not all(holds(apply(row)) for row in src.space.rows_touching(images).values()):
         for gen, rel in zip(src.generators, src.relation_vectors()):
             if not holds(apply(rel)):
                 raise _not_balanced(message, src, dst, gen)
@@ -162,12 +194,17 @@ def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
 class BalancedTensor:
     """Quotient of A (x) A balancing act1 on the first against act2 on the second leg.
 
+    ``space`` is a coordinate quotient when both structures have weights
+    (see the module docstring) and the echelon quotient of the relation
+    generators otherwise; the two are equal where both apply.
+
     Every descent out of the tensor is checked.  ``descend`` first tries
-    ``_module_maps`` on the action maps; a descent that fails it, and every
-    slice, is checked on the basis of the relation span, the rows of
-    ``space.rref``.  The relation generators are scanned, in order, only
-    after a basis row fails, so the witness of NotBalanced is still the
-    first failing generator.
+    ``_module_maps`` on the action maps, or their weights; a descent that
+    fails it, and every slice, is checked on the basis of the relation
+    span, the rows of ``space.rref`` (``space.rows_touching``).  The
+    relation generators are made and scanned, in order, only after a
+    basis row fails, so the witness of NotBalanced is still the first
+    failing generator.
 
     The descended maps a tensor hands out (leg multiplications, slices
     and flips) are memoized per tensor in ``_op_cache``: a repeated call
@@ -188,18 +225,14 @@ class BalancedTensor:
         self.flavor = flavor
         n = algebra.dim
         self.leg_dim = n
-        self.generators = []  # (x, a, b) triples for witness reporting
-        self._relations = []
-        for x, a, b, rel in _relations(struct1, struct2):
-            self.generators.append((x, a, b))
-            self._relations.append(rel)
-        self.space = QuotientSpace(n * n, self._relations)
+        w1, w2 = struct1.weights, struct2.weights
+        if w1 is None or w2 is None:
+            self.space = QuotientSpace(n * n, (rel for *_, rel in _relations(struct1, struct2)))
+        else:
+            self.space = QuotientSpace.coordinate(
+                n * n, [a * n + b for a in range(n) for b in range(n) if w1[a] != w2[b]])
         self.dim = self.space.dim
         self._op_cache = {}
-        self._touching = {}  # ambient coordinate -> pivots of the echelon rows with an entry there
-        for p, row in self.space.rref.rows.items():
-            for ij in row:
-                self._touching.setdefault(ij, []).append(p)
 
     # -- elements -------------------------------------------------------
 
@@ -214,9 +247,15 @@ class BalancedTensor:
         """Canonical A (x) A representative."""
         return self.space.lift(q)
 
+    @property
+    def generators(self):
+        """The (x, a, b) of every non-zero relation generator, for witness
+        reporting; regenerated on each read, as ``relation_vectors`` is."""
+        return [(x, a, b) for x, a, b, _ in _relations(self.struct1, self.struct2)]
+
     def relation_vectors(self):
         """The relation generators' vectors, in the order of ``generators``."""
-        return self._relations
+        return [rel for *_, rel in _relations(self.struct1, self.struct2)]
 
     # -- descended operators ---------------------------------------------
 
@@ -268,17 +307,14 @@ class BalancedTensor:
         """Whether op1 and op2 intertwine the base actions from this tensor
         to dst: op_k o acts[x] == acts'[x] o op_k for every base index x
         and both legs k, acts' dst's action on leg k (on the other leg with
-        ``swap``).  None is the identity, which needs equal action maps.
-        False when the two tensors' bases differ in dimension."""
+        ``swap``), each leg decided by ``_intertwines``.  None is the
+        identity, which needs equal action maps.  False when the two
+        tensors' bases differ in dimension."""
         outs = (dst.struct2, dst.struct1) if swap else (dst.struct1, dst.struct2)
         if self.struct1.base.dim != outs[0].base.dim:
             return False
-        for op, struct, out in zip((op1, op2), (self.struct1, self.struct2), outs):
-            for f, g in zip(struct.acts, out.acts):
-                same = (f is g or f == g) if op is None else op.compose(f) == g.compose(op)
-                if not same:
-                    return False
-        return True
+        return all(_intertwines(op, struct, out)
+                   for op, struct, out in zip((op1, op2), (self.struct1, self.struct2), outs))
 
     def _cached(self, key, build, message, target):
         """The memoized build() under key, build() a checked descent from

@@ -721,18 +721,25 @@ def canonical_maps(M, report=None):
     rep = report if report is not None else Report()
     maps = M.canonical()
     out = {}
+
+    def image(which, rel):
+        w = {}
+        for idx, s in rel.items():
+            value = M.canonical_tilde(which, *divmod(idx, M.A.dim))
+            if value:
+                axpy(w, s, value)
+        return w
+
+    # the unfactored map kills the relation span iff it kills the rows of
+    # its echelon; only if one survives are the generators scanned, in
+    # order, to name the first one that does as the witness
     for which, (mat, dom) in maps.items():
-        ok_wd, wit = True, None
-        for gen, rel in zip(dom.generators, dom.relation_vectors()):
-            image = {}
-            for idx, s in rel.items():
-                value = M.canonical_tilde(which, *divmod(idx, M.A.dim))
-                if value:
-                    axpy(image, s, value)
-            if image:
-                ok_wd, wit = False, {"relation": gen}
-                break
-        rep.check(ok_wd, "%s-welldefined" % which, "left-galois-maps"
+        wit = None
+        if any(image(which, row) for row in dom.space.rref.rows.values()):
+            wit = next({"relation": gen}
+                       for gen, rel in zip(dom.generators, dom.relation_vectors())
+                       if image(which, rel))
+        rep.check(wit is None, "%s-welldefined" % which, "left-galois-maps"
                   if which in ("T_lambda", "T_rho") else "right-galois-maps", wit)
         bij = mat.rows == mat.cols and mat.is_bijective()
         ker = None

@@ -34,6 +34,7 @@ has a canonical representative.  Sparse vectors keep three invariants:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 __all__ = [
@@ -957,31 +958,75 @@ class QuotientSpace:
     The canonical representative of a class zeroes every pivot coordinate
     of the relation echelon; the section places quotient coordinates at
     the free indices, so project o section = identity exactly.
+
+    ``QuotientSpace.coordinate`` is the quotient by a coordinate subspace,
+    the span of the e_p for p in a pivot set, built with no elimination.
+    Its echelon rows are {p: {p: 1}}, the rows ``Rref`` reduces those
+    relations to, and are built only when ``rref`` is first read: to
+    project or reduce drops the pivot coordinates, and a vector is a
+    relation iff every coordinate it has is a pivot.
     """
 
     def __init__(self, ambient_dim, relations):
-        self.ambient_dim = ambient_dim
         self.rref = Rref()
         for r in relations:
             self.rref.add(r)
-        pivots = set(self.rref.rows)
+        self._pivots = None
+        self._set_free(ambient_dim, set(self.rref.rows))
+
+    @classmethod
+    def coordinate(cls, ambient_dim, pivots):
+        """F^ambient_dim modulo the span of the e_p, p in pivots."""
+        space = cls.__new__(cls)
+        space._pivots = pivots = frozenset(pivots)
+        space._set_free(ambient_dim, pivots)
+        return space
+
+    def _set_free(self, ambient_dim, pivots):
+        self.ambient_dim = ambient_dim
         self.free = [j for j in range(ambient_dim) if j not in pivots]
         self.free_pos = {f: q for q, f in enumerate(self.free)}
         self.dim = len(self.free)
+        self._touching = None
+
+    @cached_property
+    def rref(self):
+        """The echelon of a coordinate quotient (see the class docstring)."""
+        rref = Rref()
+        rref.rows = {p: {p: ONE} for p in sorted(self._pivots)}
+        return rref
 
     def project(self, v):
-        r = self.rref.reduce(v)
-        return {self.free_pos[j]: s for j, s in r.items()}
+        free_pos = self.free_pos
+        if self._pivots is not None:
+            return {free_pos[j]: s for j, s in v.items() if j in free_pos}
+        return {free_pos[j]: s for j, s in self.rref.reduce(v).items()}
 
     def lift(self, q):
         return {self.free[i]: s for i, s in q.items()}
 
     def reduce(self, v):
         """Canonical ambient representative of the class of v."""
+        if self._pivots is not None:
+            return {j: s for j, s in v.items() if j in self.free_pos}
         return self.rref.reduce(v)
 
     def contains_relation(self, v):
+        if self._pivots is not None:
+            return self._pivots.issuperset(v)
         return self.rref.contains(v)
+
+    def rows_touching(self, coords):
+        """The echelon rows, by pivot, with an entry at one of coords."""
+        if self._pivots is not None:
+            return {p: {p: ONE} for p in coords if p in self._pivots}
+        rows = self.rref.rows
+        if self._touching is None:
+            self._touching = {}  # coordinate -> pivots of the rows with an entry there
+            for p, row in rows.items():
+                for j in row:
+                    self._touching.setdefault(j, []).append(p)
+        return {p: rows[p] for j in coords for p in self._touching.get(j, ())}
 
     @property
     def projection(self):

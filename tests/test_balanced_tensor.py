@@ -505,6 +505,77 @@ def test_module_map_descents_equal_the_checked_descent(run, module_map_descents)
         assert got == descend_componentwise(src, dst, fn, "{src!r}")
 
 
+def _module_maps_by_composites(src, dst, op1, op2, swap):
+    """The module-map test on the action maps, with no weights: op o
+    acts[x] == acts'[x] o op on both legs, None the identity."""
+    outs = (dst.struct2, dst.struct1) if swap else (dst.struct1, dst.struct2)
+    if src.struct1.base.dim != outs[0].base.dim:
+        return False
+    ident = LinearMap.identity(src.leg_dim)
+    return all((op or ident).compose(f) == g.compose(op or ident)
+               for op, struct, out in zip((op1, op2), (src.struct1, src.struct2), outs)
+               for f, g in zip(struct.acts, out.acts))
+
+
+@pytest.mark.parametrize("run", sorted(_MODULE_MAP_RUNS))
+def test_weight_test_agrees_with_the_composite_test(run, monkeypatch):
+    # every descent of the run, and the matrix units e_i -> e_k on either
+    # leg between the same two tensors, flips (swap) included: most units
+    # move a basis element to one of another weight and fail the test
+    calls = []
+    descend = BalancedTensor.descend
+
+    def spy(self, op1, op2, message, target=None, swap=False):
+        calls.append((self, target or self, op1, op2, swap))
+        return descend(self, op1, op2, message, target, swap)
+
+    monkeypatch.setattr(BalancedTensor, "descend", spy)
+    _MODULE_MAP_RUNS[run]()
+    monkeypatch.undo()
+    by_weights = {src.struct1.weights is not None and dst.struct1.weights is not None
+                  for src, dst, *_ in calls}
+    assert by_weights == ({False} if run == "tensor-matrix-units" else {True})
+    def units(n):
+        return [LinearMap(n, n, [{k: ONE} if j == i else {} for j in range(n)])
+                for i in range(n) for k in range(n)]
+
+    pairs = {(src, dst, swap) for src, dst, _, _, swap in calls}
+    cases = calls + [(src, dst, op1, op2, swap) for src, dst, swap in pairs
+                     for unit in units(src.leg_dim) for op1, op2 in ((unit, None), (None, unit))]
+    verdicts = set()
+    for src, dst, op1, op2, swap in cases:
+        verdict = src._module_maps(dst, op1, op2, swap)
+        assert verdict == _module_maps_by_composites(src, dst, op1, op2, swap)
+        verdicts.add(verdict)
+    # Z2's base is one-dimensional: every basis element has the same weight
+    assert verdicts == ({True} if run == "z2" else {True, False})
+    assert any(swap for *_, swap in calls)
+
+
+def test_passing_verify_on_diagonal_bases_builds_no_relation(monkeypatch):
+    # convolution p3: every base acts diagonally, so no relation generator
+    # is made and no pair tensor's echelon gets a row by elimination
+    generated, added = [], []
+    relations, add = balanced_tensor._relations, Rref.add
+
+    def counted_relations(*args):
+        generated.append(None)
+        return relations(*args)
+
+    def counted_add(self, v):
+        added.append(self)
+        return add(self, v)
+
+    monkeypatch.setattr(balanced_tensor, "_relations", counted_relations)
+    monkeypatch.setattr(Rref, "add", counted_add)
+    M = build_convolution_algebroid(pair_groupoid([1, 2, 3]))
+    assert verify_regular_mha(M).ok
+    monkeypatch.undo()
+    assert not generated
+    pair_echelons = [vars(M.tensor(f).space).get("rref") for f in M._tensors]
+    assert not any(r is e for r in added for e in pair_echelons)
+
+
 def test_descents_outside_the_module_map_test_fall_back_to_the_checked_descent(descents):
     # functions p2: op1 the matrix unit e_a -> e_k, op2 the projection onto
     # e_b.  Every pair is decided as a generator scan decides it.  A unit

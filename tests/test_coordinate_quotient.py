@@ -1,0 +1,158 @@
+"""Balanced tensors over diagonal base actions are coordinate quotients.
+
+When every action map of both module structures is diagonal in A's
+basis, act[x] e_a = lambda_x(a) e_a, the relation generator at (x, a, b)
+is (lambda_x(a) - mu_x(b)) e_a (x) e_b.  The relation span is then the
+span of the basis tensors whose weights differ, and ``BalancedTensor``
+builds it as ``QuotientSpace.coordinate`` with no elimination.  The
+reference here is the echelon of the relation vectors themselves,
+``QuotientSpace(n * n, relation_vectors())``: both quotients must have the
+same echelon rows, free coordinates and dimension, and must project,
+reduce and test relations alike.
+"""
+
+import importlib.util
+import os
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgroupoid.algebra_core import FiniteAlgebra, ModuleStructure
+from qgroupoid.balanced_tensor import BalancedTensor, _intertwines
+from qgroupoid.bialgebroid import (
+    FLAVOR_LT,
+    FLAVOR_QB,
+    FLAVOR_QC,
+    FLAVOR_RT,
+    FLAVOR_TL,
+    FLAVOR_TR,
+)
+from qgroupoid.examples import (
+    build_convolution_algebroid,
+    build_function_algebroid,
+    pair_groupoid,
+)
+from qgroupoid.exact_linear import (
+    ONE,
+    ZERO,
+    LinearMap,
+    QuotientSpace,
+    Scalar,
+    sc,
+    vsub,
+)
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
+golden_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_record)
+
+FLAVORS = (FLAVOR_QB, FLAVOR_QC, FLAVOR_TL, FLAVOR_TR, FLAVOR_LT, FLAVOR_RT)
+
+_VALUES = (ONE, -ONE, sc(2), Scalar.rational(0, 1), Scalar.root_term(2))
+
+
+def _random_vector(rng, dim, size):
+    return {j: rng.choice(_VALUES) for j in rng.sample(range(dim), min(size, dim))}
+
+
+def _assert_same_quotient(space, ref, rng):
+    """space and ref are the same quotient: echelon rows, free coordinates
+    and dimension, and they agree on random vectors and on their relation
+    parts."""
+    assert space.rref.rows == ref.rref.rows
+    assert (space.free, space.free_pos, space.dim) == (ref.free, ref.free_pos, ref.dim)
+    dim = space.ambient_dim
+    for size in (1, 2, 3, 5, 8):
+        v = _random_vector(rng, dim, size)
+        assert space.project(v) == ref.project(v)
+        assert space.reduce(v) == ref.reduce(v)
+        assert space.contains_relation(v) == ref.contains_relation(v)
+        coords = rng.sample(range(dim), min(size, dim))
+        assert space.rows_touching(coords) == ref.rows_touching(coords)
+        relation = vsub(v, space.lift(space.project(v)))
+        assert space.contains_relation(relation) and ref.contains_relation(relation)
+        assert space.contains_relation(v) == (not space.project(v))
+
+
+def _echelon_reference(tensor):
+    return QuotientSpace(tensor.leg_dim ** 2, tensor.relation_vectors())
+
+
+@pytest.fixture(scope="module")
+def p3_bundles():
+    p3 = pair_groupoid([1, 2, 3])
+    return build_function_algebroid(p3), build_convolution_algebroid(p3)
+
+
+def test_coordinate_quotient_equals_the_echelon_quotient_on_every_builder_fixture(
+    m_fun, m_conv, m_group, m_tensor, m_crossed, m_twosided, p3_bundles
+):
+    rng = random.Random(19)
+    for M in (m_fun, m_conv, m_group, m_tensor, m_crossed, m_twosided, *p3_bundles):
+        for flavor in FLAVORS:
+            tensor = M.tensor(flavor)
+            assert tensor.struct1.weights is not None and tensor.struct2.weights is not None
+            assert tensor.space._pivots is not None, (M.name, flavor)
+            _assert_same_quotient(tensor.space, _echelon_reference(tensor), rng)
+
+
+def test_matrix_unit_bases_take_the_echelon_path():
+    # M2 acts by multiplication with matrix units, which are not diagonal
+    M = golden_record.matrix_tensor_algebroid()
+    for flavor in FLAVORS:
+        tensor = M.tensor(flavor)
+        assert tensor.struct1.weights is None or tensor.struct2.weights is None
+        assert tensor.space._pivots is None
+        assert tensor.space.rref.rows == _echelon_reference(tensor).rref.rows
+
+
+# eigenvalues of the random diagonal actions: zero and radicals, few of
+# them, so that weights of different basis elements often agree
+_eigenvalue = st.sampled_from([ZERO, Scalar.root_term(2), ONE + Scalar.root_term(3)])
+
+
+@st.composite
+def _diagonal_structures(draw):
+    """Two diagonal actions of a k-dimensional base on an n-dimensional
+    algebra, and an n x n map whose columns have at most two entries."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    A = FiniteAlgebra.pointwise(["a%d" % i for i in range(n)])
+    base = FiniteAlgebra.pointwise(["x%d" % i for i in range(k)])
+
+    def diagonal():
+        values = draw(st.lists(_eigenvalue, min_size=n, max_size=n))
+        return LinearMap(n, n, [{a: s} for a, s in enumerate(values)])
+
+    s1, s2 = (ModuleStructure(base, A, [diagonal() for _ in range(k)], side)
+              for side in ("left", "right"))
+    entry = st.sampled_from([ONE, -Scalar.root_term(2)])
+    column = st.dictionaries(st.integers(0, n - 1), entry, max_size=2)
+    op = LinearMap(n, n, draw(st.lists(column, min_size=n, max_size=n)))
+    return A, s1, s2, op
+
+
+def _intertwines_by_composites(op, struct, out):
+    ident = LinearMap.identity(struct.total.dim)
+    op = ident if op is None else op
+    return all(op.compose(f) == g.compose(op) for f, g in zip(struct.acts, out.acts))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_diagonal_structures(), st.integers(0, 2 ** 16))
+def test_random_diagonal_actions_give_the_echelon_quotient(drawn, seed):
+    A, s1, s2, op = drawn
+    tensor = BalancedTensor(A, s1, s2, "random")
+    assert tensor.space._pivots is not None
+    _assert_same_quotient(tensor.space, _echelon_reference(tensor), random.Random(seed))
+    # the weight test for module maps agrees with the composites, on op,
+    # on the identity and on op cut down to its entries between equal weights
+    for struct, out in ((s1, s2), (s2, s1), (s1, s1)):
+        w_in, w_out = struct.weights, out.weights
+        kept = LinearMap(op.rows, op.cols, [{b: s for b, s in col.items() if w_out[b] == w_in[a]}
+                                            for a, col in enumerate(op.data)])
+        for f in (op, None, kept):
+            assert _intertwines(f, struct, out) == _intertwines_by_composites(f, struct, out)
+        assert _intertwines_by_composites(kept, struct, out)

@@ -10,11 +10,17 @@ text and witness.
 
 The basis-change cases move a bundle along an invertible change of basis
 of A.  Its relation-echelon rows then have several entries, where every
-bundle the builders make has single-coordinate relations.
+bundle the builders make has single-coordinate relations: the builders'
+base actions are diagonal, so their balanced tensors are coordinate
+quotients, built with no echelon.  The moved bundles are the builder
+bundles that exercise the echelon path, and their verdicts are compared
+with the unmoved ones' verdict by verdict.
 """
 
 import importlib.util
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,7 +42,7 @@ from qgroupoid.examples import (
     build_function_algebroid,
     pair_groupoid,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, axpy, kron_vec
+from qgroupoid.exact_linear import ONE, LinearMap, axpy, kron_vec, sc
 
 _spec = importlib.util.spec_from_file_location(
     "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
@@ -163,37 +169,75 @@ def _transport(M, P):
     def embedding(emb):
         return BaseEmbedding(emb.base, A2, Pinv.compose(emb.embed), anti=emb.anti, name=emb.name)
 
-    def moved(w):  # (P^-1 (x) P^-1)(w)
-        out = {}
-        for idx, s in w.items():
-            i, j = divmod(idx, n)
-            axpy(out, s, kron_vec(Pinv.col(i), Pinv.col(j), n))
-        return out
-
     raw_b, raw_c = (
-        LinearMap.from_function(n * n, n, lambda k, q=q, d=d: moved(q.lift(d.apply(P.col(k)))))
+        LinearMap.from_function(
+            n * n, n, lambda k, q=q, d=d: _moved(Pinv, q.lift(d.apply(P.col(k)))))
         for q, d in ((M.qb, M.delta_B), (M.qc, M.delta_C))
     )
     return RegularMHA(A2, embedding(M.B), embedding(M.C), M.S_B, M.S_C, raw_b, raw_c,
                       name=M.name + " (basis changed)")
 
 
-def _change_of_basis(n):
-    """f_k = e_k + 2 e_(k-1): upper unitriangular, so invertible."""
-    return LinearMap.from_function(n, n, lambda k: {k: ONE, **({k - 1: 2} if k else {})})
+def _moved(Pinv, w):
+    """(P^-1 (x) P^-1)(w) for w in A (x) A."""
+    n, out = Pinv.rows, {}
+    for idx, s in w.items():
+        i, j = divmod(idx, n)
+        axpy(out, s, kron_vec(Pinv.col(i), Pinv.col(j), n))
+    return out
+
+
+def _seeded_change(n, rng):
+    """f_k = e_k + sum_(i<k) c_ik e_i, each c_ik drawn by rng from 0 (most
+    often), 1, -1, 2 and 1/2."""
+
+    def column(k):
+        drawn = {i: rng.choice([0] * 8 + [1, -1, 2, sc(Fraction(1, 2))]) for i in range(k)}
+        return {k: ONE, **{i: c for i, c in drawn.items() if c}}
+
+    return LinearMap.from_function(n, n, column)
+
+
+# upper unitriangular changes of basis f_k = e_k + sum_(i<k) c_ik e_i, so
+# invertible and rational
+_CHANGES = {
+    # f_k = e_k + 2 e_(k-1)
+    "shift": lambda n: LinearMap.from_function(
+        n, n, lambda k: {k: ONE, **({k - 1: 2} if k else {})}),
+    # f_k = e_0 + ... + e_k
+    "ones": lambda n: LinearMap.from_function(n, n, lambda k: {i: ONE for i in range(k + 1)}),
+    "seeded": lambda n: _seeded_change(n, random.Random(1)),
+}
 
 
 @pytest.fixture(scope="module", params=[build_function_algebroid, build_convolution_algebroid],
                 ids=["functions-p2", "convolution-p2"])
 def transported(request):
     M = request.param(pair_groupoid([1, 2]))
-    P = _change_of_basis(M.A.dim)
+    P = _CHANGES["shift"](M.A.dim)
     return M, P, _transport(M, P)
 
 
-def test_basis_change_keeps_every_verdict(transported):
-    M, P, M2 = transported
-    Pinv = P.inverse()
+_BUILDS = {"functions": build_function_algebroid, "convolution": build_convolution_algebroid}
+
+
+@pytest.mark.parametrize("case", [
+    "functions-p2", "convolution-p2", "functions-p2-ones", "convolution-p2-ones",
+    "functions-p3-ones", "convolution-p3-ones", "functions-p3-seeded", "convolution-p3-seeded",
+])
+def test_basis_change_keeps_every_verdict(case):
+    # the builder's bundle takes the coordinate path and the moved one the
+    # echelon path, in every flavor: the moved relation span is the image
+    # of the coordinate one, and every verdict is the same
+    build, points, *change = case.split("-")
+    M = _BUILDS[build](pair_groupoid(list(range(1, int(points[1:]) + 1))))
+    P = _CHANGES[change[0] if change else "shift"](M.A.dim)
+    M2, Pinv = _transport(M, P), P.inverse()
+    for flavor in FLAVORS:
+        q, q2 = M.tensor(flavor), M2.tensor(flavor)
+        assert q.space._pivots is not None and q2.space._pivots is None
+        assert q2.dim == q.dim
+        assert all(q2.space.contains_relation(_moved(Pinv, {p: ONE})) for p in q.space.rref.rows)
     assert max(len(row) for row in M2.qb.space.rref.rows.values()) > 1
     assert M2.S == Pinv.compose(M.S).compose(P)
     assert M2.eps_B == M.eps_B.compose(P) and M2.eps_C == M.eps_C.compose(P)
