@@ -129,16 +129,16 @@ def _pipeline(args):
             example = pipeline["example"]
             mu_raw = ",".join(pipeline["mu"])
             recipe = pipeline.get("recipe", "identity")
-            sqrts = pipeline.get("sqrt", [])
+            field = ScalarField(pipeline.get("sqrt", []))
     else:
         groupoid = _load_groupoid(args)
         example = args.example
         mu_raw = args.mu
         recipe = getattr(args, "recipe", None) or "identity"
-        sqrts = getattr(args, "sqrt", None) or []
+        with _schema("--sqrt"):
+            field = ScalarField(getattr(args, "sqrt", None) or [])
     M, integral_kind = _build_instance(example, groupoid)
     mu = _parse_mu(mu_raw, groupoid.units)
-    field = ScalarField(sqrts)
     cocycle = None
     if recipe == "groupoid_rn":
         mod, cocycle = groupoid_rn_modifier(groupoid, mu, field)
@@ -220,7 +220,8 @@ def cmd_modify(args):
     groupoid = _load_groupoid(args)
     M, _ = _build_instance(args.example, groupoid)
     mu = _parse_mu(args.mu, groupoid.units)
-    field = ScalarField(args.sqrt or [])
+    with _schema("--sqrt"):
+        field = ScalarField(args.sqrt or [])
     if args.recipe == "groupoid_rn":
         try:
             mod, _ = groupoid_rn_modifier(groupoid, mu, field)

@@ -18,7 +18,10 @@ rational, the ``Scalar`` goes on the right, so the rational's operator
 hands over to ``Scalar.__rmul__``.  Division goes through ``inverse``,
 never ``/``: on two ints ``/`` is float division.  ``conj``,
 ``inverse``, ``sign``, ``is_positive`` and ``as_fraction`` take a scalar
-of any form.
+of any form.  The arithmetic skips work whose result it knows: a product
+by 1 returns the ``Scalar`` itself, a zero imaginary part is never
+multiplied, and ``axpy`` stores the scaled entry in an empty slot
+without adding it to 0.
 
 Vectors are sparse dicts index -> scalar, matrices are column-sparse
 LinearMaps; quotient spaces carry an echelon-form section so every class
@@ -140,7 +143,8 @@ class Scalar:
     and every operation below returns that form when its result is one.
     A Scalar is never zero.  Put it on the right of a product with a
     rational, and divide with ``inverse``: ``Scalar`` has no ``/``.
-    Immutable and hashable.
+    Immutable and hashable, so a product by 1 returns the Scalar itself.
+    A zero imaginary part is never multiplied: it stays the int 0.
     """
 
     __slots__ = ("terms", "_hash")
@@ -221,9 +225,9 @@ class Scalar:
                 return NotImplemented
             if not other:
                 return 0
-            return Scalar(
-                tuple((m, _q(re * other), _q(im * other)) for m, re, im in self.terms)
-            )
+            return Scalar(tuple(
+                (m, _q(re * other), _q(im * other) if im else 0) for m, re, im in self.terms
+            ))
         a, b = self.terms, other.terms
         if len(a) == 1 and len(b) == 1 and a[0][0] == 1 and b[0][0] == 1:
             # two Gaussian rationals, each with an imaginary part
@@ -235,8 +239,11 @@ class Scalar:
         for m1, re1, im1 in a:
             for m2, re2, im2 in b:
                 g, m = _root_mul(m1, m2)
-                re = g * (re1 * re2 - im1 * im2)
-                im = g * (re1 * im2 + im1 * re2)
+                if im1 or im2:
+                    re = g * (re1 * re2 - im1 * im2)
+                    im = g * (re1 * im2 + im1 * re2)
+                else:
+                    re, im = g * re1 * re2, 0
                 if m in d:
                     d[m] = (d[m][0] + re, d[m][1] + im)
                 else:
@@ -248,9 +255,11 @@ class Scalar:
             return NotImplemented
         if not other:
             return 0
-        return Scalar(
-            tuple((m, _q(other * re), _q(other * im)) for m, re, im in self.terms)
-        )
+        if other == 1:
+            return self
+        return Scalar(tuple(
+            (m, _q(other * re), _q(other * im) if im else 0) for m, re, im in self.terms
+        ))
 
     def conj(self):
         """Complex conjugation; fixes every sqrt(m)."""
@@ -503,13 +512,15 @@ def axpy(acc, c, v, shift=0):
 
     Entries that cancel are dropped, and an integral Fraction is stored
     as its int.  A coefficient of 1 or -1 adds or subtracts v's entries
-    without multiplying them.  v must not be acc.
+    without multiplying them; a Scalar coefficient is stored itself where
+    v's entry is 1.  An empty slot of acc takes the scaled entry directly,
+    with no addition.  v must not be acc.
     """
     if not v or not c:
         return acc
     neg = False
     if type(c) is Scalar:
-        terms = ((j, s * c) for j, s in v.items())
+        terms = ((j, c if s == 1 else s * c) for j, s in v.items())
     elif c == 1:
         terms = v.items()
     elif c == -1:
@@ -519,7 +530,11 @@ def axpy(acc, c, v, shift=0):
     get = acc.get
     for j, s in terms:
         j += shift
-        t = get(j, 0) - s if neg else get(j, 0) + s
+        t = get(j)
+        if t is None:
+            t = -s if neg else s
+        else:
+            t = t - s if neg else t + s
         if not t:
             acc.pop(j, None)
         elif type(t) is Fraction and t.denominator == 1:

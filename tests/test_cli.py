@@ -141,6 +141,10 @@ def test_pair_groupoid_flag(capsys):
 
 # functions on two points, in algebra_to_json's form
 _TWO_POINTS = {"dim": 2, "structure": [[[[0, 1]], []], [[], [[1, 1]]]]}
+# a pipeline artifact on the pair groupoid of two points, as modify writes it
+_P2_ARTIFACT = {"kind": "measured-pipeline", "example": "convolution",
+                "groupoid": groupoid_to_json(pair_groupoid([1, 2])), "mu": ["1", "2"],
+                "recipe": "groupoid_rn", "sqrt": [2]}
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -160,10 +164,20 @@ _TWO_POINTS = {"dim": 2, "structure": [[[[0, 1]], []], [[], [[1, 1]]]]}
      {"alg": dict(_TWO_POINTS, labels=["a"], involution=[[1, 0], [0, 2]])}),
     (["report", "{line}"], {"line": [1]}),
     (["report", "{line}"], {"line": 3}),
+    (["modify", "--pair-groupoid", "1,2", "--mu", "1,2", "--recipe", "groupoid_rn",
+      "--sqrt", "4"], {}),
+    (["measure", "--pair-groupoid", "1,2", "--mu", "1,2", "--recipe", "groupoid_rn",
+      "--sqrt", "0"], {}),
+    (["dual", "--pair-groupoid", "1,2", "--mu", "1,2", "--recipe", "groupoid_rn",
+      "--sqrt", "-3"], {}),
+    (["measure", "--artifact", "{artifact}"], {"artifact": dict(_P2_ARTIFACT, sqrt=[4])}),
+    (["measure", "--artifact", "{artifact}"], {"artifact": dict(_P2_ARTIFACT, sqrt=["x"])}),
 ], ids=["mu-literal", "mu-zero-denominator", "groupoid-without-arrows",
         "artifact-without-groupoid", "pair-groupoid-without-points", "build-dim-not-table-size",
         "build-product-index-past-dim", "build-ragged-rows", "build-involution-wrong-size",
-        "build-labels-short", "report-list-line", "report-number-line"])
+        "build-labels-short", "report-list-line", "report-number-line",
+        "modify-sqrt-not-square-free", "measure-sqrt-zero", "dual-sqrt-negative",
+        "artifact-sqrt-not-square-free", "artifact-sqrt-not-a-number"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
     paths = {}
     for name, obj in files.items():

@@ -331,6 +331,33 @@ def test_axpy_unit_coefficients_match_general_path():
             assert axpy(dict(acc), c, v) == general
 
 
+def test_axpy_fills_empty_slots_and_shares_unit_products():
+    half, s = Fraction(1, 2), sc(2) * inverse(sc(3)) + Scalar.root_term(6, Fraction(1, 3))
+    filled = axpy({}, half, {0: 2})
+    assert filled == {0: 1} and type(filled[0]) is int
+    assert axpy({}, -1, {0: s}) == {0: -s}
+    assert axpy({}, -1, {0: s, 1: half}, shift=3) == {3: -s, 4: -half}
+    c = Scalar.root_term(2)
+    shared = axpy({}, c, {0: 1, 2: 1, 3: half})
+    assert shared[0] is c and shared[2] is c and shared[3] == half * c
+    rng = random.Random(17)
+    entries = [1, -1, 2, half, Fraction(-3, 2), Scalar.root_term(2), -Scalar.root_term(3),
+               Scalar.root_term(6, half) + 1, Scalar.root_term(2, 2) + Scalar.root_term(3)]
+    for _ in range(200):
+        acc = {j: rng.choice(entries) for j in range(6) if rng.random() < 0.5}
+        v = {j: rng.choice(entries) for j in range(6) if rng.random() < 0.6}
+        c = rng.choice(entries)
+        expected = {}
+        for j in set(acc) | set(v):
+            t = acc.get(j, 0) + c * v[j] if j in v else acc[j]
+            if t:
+                expected[j] = t
+        out = axpy(dict(acc), c, v)
+        assert out == expected
+        for t in out.values():
+            assert type(t) is int or type(t) is Scalar or t.denominator > 1
+
+
 class _ScanRref:
     """Oracle: the reduced echelon that finds the rows using a new pivot
     by scanning every stored row, and multiplies each entry by the

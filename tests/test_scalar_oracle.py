@@ -217,6 +217,8 @@ R2 = build([(2, 1, 0)])
 I = build([(1, 0, 1)])
 HALF = build([(1, Fraction(1, 2), 0)])
 THREE = build([(1, 3, 0)])
+ONE = build([(1, 1, 0)])
+R6_THIRD = build([(6, Fraction(1, 3), 0)])
 
 
 def check(new, ref, expected_sympy, operands=()):
@@ -243,15 +245,35 @@ def check(new, ref, expected_sympy, operands=()):
 @example(HALF, I)  # Fraction with Scalar
 @example(R2, HALF)  # Scalar with Fraction
 @example(build([(1, 2, 1)]), THREE)  # Scalar with int
+@example(ONE, R2)  # 1 * sqrt(2) is sqrt(2) itself
+@example(build([(1, -1, 0)]), R2)
+@example(R6_THIRD, R6_THIRD)  # a real radical squared is the Fraction 2/3
+@example(build([(2, 1, 0), (3, Fraction(1, 2), 0)]), build([(6, 2, 0)]))
+@example(ONE, build([(1, Fraction(1, 2), 1)]))  # 1 * (1/2 + i)
 def test_ring_operations_match_both_references(a, b):
     (x, rx), (y, ry) = a, b
     assert is_canonical(x) and as_fractions(x) == rx.terms
+    for s in (x, y):
+        if type(s) is Scalar:
+            assert 1 * s is s  # a product by 1 shares the Scalar
     sx, sy = to_sympy(x), to_sympy(y)
     check(x + y, rx + ry, sx + sy, (x, y))
     check(x - y, rx - ry, sx - sy, (x, y))
     check(-x, -rx, -sx, (x,))
     check(x * y, rx * ry, sx * sy, (x, y))
     check(conj(x), rx.conj(), sympy.conjugate(sx))
+
+
+@SETTINGS
+@given(real_scalars, real_scalars)
+@example(R6_THIRD, R6_THIRD)
+@example(build([(2, 1, 0), (3, Fraction(1, 2), 0)]), build([(6, 2, 0), (1, 1, 0)]))
+def test_real_products_match_both_references(a, b):
+    # products of real radicals, whose imaginary parts are never multiplied
+    (x, rx), (y, ry) = a, b
+    product = x * y
+    check(product, rx * ry, to_sympy(x) * to_sympy(y), (x, y))
+    assert type(product) is not Scalar or product.is_real()
 
 
 @SETTINGS
