@@ -18,6 +18,7 @@ from .exact_linear import (
     LinearMap,
     Rref,
     Scalar,
+    apply_legs,
     axpy,
     joint_kernel,
     scalar_from_json,
@@ -140,9 +141,9 @@ class FiniteAlgebra:
 
         The n values of k are stacked: P = stack(rmul(k)) sends v to
         sum_k e_k (x) v e_k, so block k of P(e_i e_j) is the left side and
-        block k of lmul(i) applied block by block to P(e_j) the right
-        side.  The two stacked vectors are compared literally once per
-        (i, j); only a pair that differs is scanned, k in order.  Cached.
+        block k of (id (x) lmul(i))(P(e_j)) the right side.  The two
+        stacked vectors are compared literally once per (i, j); only a
+        pair that differs is scanned, k in order.  Cached.
         """
         if self._associative is None:
             self._associative = self._associativity()
@@ -157,7 +158,7 @@ class FiniteAlgebra:
             left = self.lmul(i)
             for j in range(n):
                 lhs = stacked.apply(self.table[i][j])
-                rhs = left.apply_blocks(stacked.col(j))
+                rhs = apply_legs(None, left, stacked.col(j))
                 if lhs != rhs:
                     blocks = zip(unstack(lhs, n, n), unstack(rhs, n, n))
                     k = next(k for k, (l, r) in enumerate(blocks) if l != r)

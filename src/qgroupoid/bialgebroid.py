@@ -27,6 +27,7 @@ from .exact_linear import (
     ONE,
     LinearMap,
     Rref,
+    apply_legs,
     axpy,
     joint_kernel,
     kron_vec,
@@ -108,8 +109,8 @@ class RegularMHA:
         self.delta_C = LinearMap.from_function(
             qc.dim, A.dim, lambda j: qc.project(delta_C_raw.col(j))
         )
-        self._db_lift = [qb.lift(self.delta_B.col(j)) for j in range(A.dim)]
-        self._dc_lift = [qc.lift(self.delta_C.col(j)) for j in range(A.dim)]
+        self._db_lift = qb.space.section.compose(self.delta_B)
+        self._dc_lift = qc.space.section.compose(self.delta_C)
         if eps_B is None or eps_C is None:
             eps_B, eps_C = derive_counits(self)
         self.eps_B = eps_B
@@ -243,7 +244,8 @@ class _Half:
     "B", the right one (C, Delta_C) for "C".
 
     ``q`` is the half's balanced tensor (QB or QC), ``delta`` its
-    comultiplication into it and ``lifts`` the lifted columns of delta.
+    comultiplication into it and ``lifts`` delta lifted to A (x) A, a map
+    A -> A (x) A built once per bundle.
     ``s`` embeds the base into A, as ``embedding`` (M.B or M.C) does, and
     ``t`` embeds it through the base anti-isomorphism ``anti`` (S_B or
     S_C) into the other base.  Delta carries s(x) a onto leg ``s_leg`` of
@@ -519,20 +521,26 @@ def _verify_bialgebroid(M, h, report):
     # g_x = x.1 (x) 1 - 1 (x) x.1 is the generator at (x, 1, 1).  If A is
     # associative and unital, R is therefore the right ideal, in h's order,
     # generated by the g_x, and Delta(b) R lies in R iff every Delta(b) g_x
-    # does.  Otherwise the rows of the relation echelon are checked, the
-    # product being linear in the relation.  Only if a check fails are the
-    # generators scanned, b outer, to name the witness.
+    # does.  That product is (R_1 (x) id) Delta(b) - (id (x) R_2) Delta(b),
+    # R_k multiplying by x.1 on leg k from the right in h's order (A.rmul
+    # on B, A.lmul on C).  Otherwise the rows of the relation echelon are
+    # checked, the product being linear in the relation.  Only if a check
+    # fails are the generators scanned, b outer, to name the witness.
     def lands(b, rel):
-        return q.space.contains_relation(tensor_mul(A, *h.ordered(h.lifts[b], rel)))
+        return q.space.contains_relation(tensor_mul(A, *h.ordered(h.lifts.col(b), rel)))
 
     unit = A.unit()
     if unit is not None and A.is_associative()[0]:
-        spanning = [vsub(kron_vec(act1.apply(unit), unit, n), kron_vec(unit, act2.apply(unit), n))
-                    for act1, act2 in zip(q.struct1.acts, q.struct2.acts)]
+        times = A.rmul if h.letter == "B" else A.lmul
+        ops = [(times(act1.apply(unit)), times(act2.apply(unit)))
+               for act1, act2 in zip(q.struct1.acts, q.struct2.acts)]
+        holds = all(q.space.contains_relation(
+                        vsub(apply_legs(r1, None, w, n), apply_legs(None, r2, w)))
+                    for w in h.lifts.data for r1, r2 in ops)
     else:
-        spanning = q.space.rref.rows.values()
+        holds = all(lands(b, rel) for b in range(n) for rel in q.space.rref.rows.values())
     wit = None
-    if not all(lands(b, rel) for b in range(n) for rel in spanning):
+    if not holds:
         wit = next({"delta_of": A.labels[b], "relation": gen}
                    for b in range(n)
                    for gen, rel in zip(q.generators, q.relation_vectors())
@@ -569,22 +577,6 @@ def _verify_bialgebroid(M, h, report):
     if h.eps is not None:
         _counit_checks(h, rep)
     return rep
-
-
-def _triple_expand(h, lifted, leg):
-    """Apply h's Delta to one leg of a lifted 2-tensor, giving a 3-tensor.
-
-    leg=1: c (x) d -> Delta(c) (x) d;  leg=2: c (x) d -> c (x) Delta(d).
-    """
-    n, lifts = h.A.dim, h.lifts
-    out = {}
-    for idx, s in lifted.items():
-        i, j = divmod(idx, n)
-        if leg == 1:
-            axpy(out, s, {k * n + j: t for k, t in lifts[i].items()})
-        else:
-            axpy(out, s, lifts[j], i * n * n)
-    return out
 
 
 def _triple_for(M, kind):
@@ -625,11 +617,11 @@ def _coassociativity_blocks(M, kind, bs):
         by_leg3 = [[] for _ in range(n)]
         for a in range(n):
             lifted = hx.q.lift(hx.absorbed(1, b, a))
-            for idx, s in _triple_expand(hy, lifted, 2).items():
+            for idx, s in apply_legs(None, hy.lifts, lifted).items():
                 by_leg3[idx % n].append((a * n3 + idx - idx % n, s))
         for c in range(n):
             L = {}
-            for idx, s in _triple_expand(hx, hy.q.lift(hy.absorbed(2, b, c)), 1).items():
+            for idx, s in apply_legs(hx.lifts, None, hy.q.lift(hy.absorbed(2, b, c)), n).items():
                 x, rest = divmod(idx, n2)
                 for a, prod in leg1[x]:
                     axpy(L, s, prod, a * n3 + rest)
@@ -887,13 +879,10 @@ def _antipode_through_inverse(M, canon):
     unit = A.unit()
     if inv is None or unit is None or not A.is_associative()[0]:
         return False
-    dom, R = canon["T_rho"]["domain"], M.emb_SC().compose(M.eps_C)
+    dom, R, m = canon["T_rho"]["domain"], M.emb_SC().compose(M.eps_C), A.mul_map()
     for a in range(n):
-        value = {}
-        for idx, c in dom.lift(inv.apply(M.qb.pure({a: ONE}, unit))).items():
-            x, y = divmod(idx, n)
-            axpy(value, c, A.mul(R.col(x), {y: ONE}))
-        if value != M.S.col(a):
+        lifted = dom.lift(inv.apply(M.qb.pure({a: ONE}, unit)))
+        if m.apply(apply_legs(R, None, lifted, n)) != M.S.col(a):
             return False
     return True
 
@@ -980,7 +969,7 @@ def _galois_compatibility(M):
 
     For each (a, b) the n values of c are stacked into one vector per
     side, block c at offset c * QB.dim: stack(rmul2) applied to
-    T_lambda(a, b), and rmul1(a) applied block by block to
+    T_lambda(a, b), and (id (x) rmul1(a)) applied to
     sum_c e_c (x) T_rho(b, c).  The two are compared literally; only a
     pair that differs is scanned block by block, c in order.
     """
@@ -999,7 +988,7 @@ def _galois_compatibility(M):
             for b in range(n):
                 yield from _block_sides(
                     (a, b), rmul2.apply(M.canonical_tilde("T_lambda", a, b)),
-                    rmul1[a].apply_blocks(rho[b]), qb.dim, n)
+                    apply_legs(None, rmul1[a], rho[b]), qb.dim, n)
 
     return _first_failure(sides())
 

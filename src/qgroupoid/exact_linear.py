@@ -70,6 +70,7 @@ __all__ = [
     "vec_conj",
     "kron_vec",
     "kron",
+    "apply_legs",
     "joint_kernel",
     "stack",
     "unstack",
@@ -664,6 +665,26 @@ def kron_vec(u, v, n2):
     return w
 
 
+def apply_legs(f, g, w, width=None):
+    """(f (x) g)(w) for a sparse w in ``kron_vec``'s layout, None standing
+    for the identity and ``width`` the width of leg 2 when g is None.
+
+    Only the columns of f (x) g at w's entries are built, and f and g
+    need not be square: leg 2 of w has g.cols entries, that of the
+    result g.rows.
+    """
+    cols2, rows2 = (width, width) if g is None else (g.cols, g.rows)
+    out = {}
+    for ij, s in w.items():
+        i, j = divmod(ij, cols2)
+        right = {j: ONE} if g is None else g.data[j]
+        if f is None:
+            axpy(out, s, right, i * rows2)
+        elif right:
+            axpy(out, s, kron_vec(f.data[i], right, rows2))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reduced row echelon over sparse rows
 # ---------------------------------------------------------------------------
@@ -807,18 +828,6 @@ class LinearMap:
             col = self.data[j]
             if col:
                 axpy(w, c, col)
-        return w
-
-    def apply_blocks(self, v):
-        """(id (x) self)(v): self applied to each block of v of width
-        ``cols``, the block at offset t * cols landing at t * rows."""
-        w = {}
-        cols, rows, data = self.cols, self.rows, self.data
-        for j, c in v.items():
-            t, i = divmod(j, cols)
-            col = data[i]
-            if col:
-                axpy(w, c, col, t * rows)
         return w
 
     def __call__(self, v):

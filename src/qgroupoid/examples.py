@@ -9,9 +9,8 @@ verification to the bialgebroid suite; nothing is trusted by fiat.
 from __future__ import annotations
 
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
-from .balanced_tensor import tensor_mul
 from .bialgebroid import RegularMHA, _first_failure
-from .exact_linear import ONE, ZERO, LinearMap, kron, kron_vec, stack_equations, vscale
+from .exact_linear import ONE, ZERO, LinearMap, apply_legs, kron, stack_equations, vscale
 from .integration import PartialIntegral, functional_of_map, gram_map
 from .report import Rejected, Report
 
@@ -226,11 +225,6 @@ class FiniteHopf:
     def dim(self):
         return self.H.dim
 
-    def sweedler(self, h):
-        """List of (h1, h2, coeff) triples of the coproduct of basis h."""
-        n = self.dim
-        return [(idx // n, idx % n, s) for idx, s in self.delta.col(h).items()]
-
     def verify(self):
         rep = Report()
         rep.merge(check_algebra(self.H), prefix="algebra")
@@ -281,15 +275,19 @@ class FiniteHopf:
         """The linear system whose kernel is the space of left (or right)
         integrals, phi(e_j) the unknown j: at each basis pair (a, b),
         (id (x) phi)(Delta(a)(b (x) 1)) - phi(a) b for a left integral and
-        (phi (x) id)(Delta(a)(1 (x) b)) - phi(a) b for a right one."""
-        n, one = self.dim, self.H.unit()
+        (phi (x) id)(Delta(a)(1 (x) b)) - phi(a) b for a right one, the
+        products being (R_b (x) id) Delta(a) and (id (x) R_b) Delta(a)."""
+        if self.H.unit() is None:
+            raise ValueError("the integral laws multiply by the unit of H, and H has no unit")
+        n = self.dim
         left = side == "left"
 
         def laws():
             for a in range(n):
                 for b in range(n):
-                    factor = kron_vec({b: ONE}, one, n) if left else kron_vec(one, {b: ONE}, n)
-                    prod = tensor_mul(self.H, self.delta.col(a), factor)
+                    r_b = self.H.rmul(b)
+                    legs = (r_b, None) if left else (None, r_b)
+                    prod = apply_legs(*legs, self.delta.col(a), n)
                     terms = [(j, s, {i: ONE}) if left else (i, s, {j: ONE})
                              for idx, s in prod.items() for i, j in (divmod(idx, n),)]
                     yield {}, terms + [(a, -ONE, {b: ONE})]

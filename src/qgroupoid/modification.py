@@ -21,11 +21,10 @@ from .exact_linear import (
     FieldExtensionNeeded,
     LinearMap,
     ScalarField,
-    axpy,
+    apply_legs,
     inverse,
     is_positive,
     kron,
-    kron_vec,
 )
 from .integration import BaseWeight, functional_of_map, gram_map, satisfies_modular_law
 from .report import Rejected, Report
@@ -246,16 +245,6 @@ def check_modifier(M, mod):
     return rep
 
 
-def _on_leg1(f, w, n):
-    """(f (x) id)(w) for w in A (x) A, building only the columns of
-    f (x) id at w's entries."""
-    out = {}
-    for ij, s in w.items():
-        i, j = divmod(ij, n)
-        axpy(out, ONE, kron_vec(f.col(i), {j: s}, n))
-    return out
-
-
 def modify(M, mod, verify=True):
     """Apply a modifier; the result is a new bundle, re-verified from scratch.
 
@@ -280,7 +269,7 @@ def modify(M, mod, verify=True):
         twists = _twists(mod, h)
         (_, t_twist), (_, s_twist) = h.ordered(*twists)
         theta = _base_automorphism(h.embedding, t_twist)
-        delta = LinearMap(n * n, n, [_on_leg1(twists[0][1], w, n) for w in h.lifts])
+        delta = LinearMap(n * n, n, [apply_legs(twists[0][1], None, w, n) for w in h.lifts.data])
         parts.append((h.anti.compose(theta.inverse()), delta,
                       h.eps.compose(s_twist.inverse()),
                       theta.compose(h.eps).compose(t_twist.inverse())))
@@ -455,40 +444,23 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     s_b = LinearMap.identity(mc)  # y^op -> y
     s_c = sigma  # y -> sigma(y)^op
     M = build_two_sided(C, H, base_b, left_action, right_action, s_b, s_c)
-    n = M.A.dim
+    A, n = M.A, M.A.dim
     h_elems = kron(C.unit_map(), LinearMap.identity(mh), base_b.unit_map())
+    m = A.mul_map()
+    # beta_l(h) = (D_{h2})^op h1 and beta_r(h) = D_{h1} h2, multiplied out in A
+    beta_l = m.compose(kron(M.B.embed.compose(D), h_elems)).compose(
+        LinearMap.flip(mh, mh).compose(H.delta))
+    beta_r = m.compose(kron(M.C.embed.compose(D), h_elems)).compose(H.delta)
 
-    def theta_l_col(k):
-        y, r = divmod(k, mh * mc)
-        h, x = divmod(r, mc)
-        out = {}
-        for h1, h2, s in H.sweedler(h):
-            # y (D_{h2})^op h1 x, multiplied out in A
-            elem = M.A.mul(
-                M.A.mul(M.C.embed.apply({y: ONE}), M.B.embed.apply(D.col(h2))),
-                h_elems.col(h1),
-            )
-            elem = M.A.mul(elem, M.B.embed.apply({x: ONE}))
-            axpy(out, s, elem)
-        return out
+    def theta(beta):
+        """y h x -> y beta(h) x."""
+        def col(k):
+            y, r = divmod(k, mh * mc)
+            h, x = divmod(r, mc)
+            return A.mul(A.mul(M.C.embed.col(y), beta.col(h)), M.B.embed.col(x))
+        return LinearMap.from_function(n, n, col)
 
-    def theta_r_col(k):
-        y, r = divmod(k, mh * mc)
-        h, x = divmod(r, mc)
-        out = {}
-        for h1, h2, s in H.sweedler(h):
-            elem = M.A.mul(
-                M.A.mul(
-                    M.C.embed.apply(C.mul({y: ONE}, D.col(h1))),
-                    h_elems.col(h2),
-                ),
-                M.B.embed.apply({x: ONE}),
-            )
-            axpy(out, s, elem)
-        return out
-
-    theta_l = LinearMap.from_function(n, n, theta_l_col)
-    theta_r = LinearMap.from_function(n, n, theta_r_col)
+    theta_l, theta_r = theta(beta_l), theta(beta_r)
     ident = LinearMap.identity(n)
     mod = Modifier(theta_l.inverse(), theta_r.inverse(), ident, ident)
     # the opposite algebra shares coordinates, so mu is also the weight on B

@@ -4,6 +4,7 @@ import pytest
 
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.examples import (
+    FiniteHopf,
     HopfAction,
     build_convolution_algebroid,
     build_crossed_product,
@@ -18,7 +19,7 @@ from qgroupoid.examples import (
     standard_integrals,
     swap_action,
 )
-from qgroupoid.exact_linear import LinearMap, sc
+from qgroupoid.exact_linear import ONE, LinearMap, sc
 from qgroupoid.integration import BaseWeight, assemble_measured
 from qgroupoid.modification import groupoid_rn_modifier, modify
 
@@ -59,6 +60,25 @@ def hopf_z2():
 def hopf_z2_fun():
     labels, table = cyclic_group_table(2)
     return build_group_hopf(labels, table, "function")
+
+
+@pytest.fixture(scope="session")
+def sweedler_h4():
+    """Sweedler's Hopf algebra on the basis 1, g, x, gx: g^2 = 1, x^2 = 0,
+    xg = -gx, Delta(x) = x (x) 1 + g (x) x, S(x) = -gx and S(gx) = x.  It
+    is neither commutative nor cocommutative, and S^2 != id."""
+    table = [  # e_i e_j, the basis 1, g, x, gx
+        [{0: ONE}, {1: ONE}, {2: ONE}, {3: ONE}],
+        [{1: ONE}, {0: ONE}, {3: ONE}, {2: ONE}],
+        [{2: ONE}, {3: -ONE}, {}, {}],
+        [{3: ONE}, {2: -ONE}, {}, {}],
+    ]
+    algebra = FiniteAlgebra(table, labels=["1", "g", "x", "gx"])
+    # Delta(gx) = Delta(g) Delta(x) = gx (x) g + 1 (x) gx
+    delta = LinearMap(16, 4, [{0: ONE}, {5: ONE}, {8: ONE, 6: ONE}, {13: ONE, 3: ONE}])
+    eps = LinearMap(1, 4, [{0: ONE}, {0: ONE}, {}, {}])
+    antipode = LinearMap(4, 4, [{0: ONE}, {1: ONE}, {3: -ONE}, {2: ONE}])
+    return FiniteHopf(algebra, delta, eps, antipode)
 
 
 @pytest.fixture(scope="session")

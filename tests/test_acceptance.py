@@ -269,7 +269,8 @@ def test_criterion_09_crossed_pipeline(x_crossed_mod, hopf_z2):
     def expected_col(k):
         y, h = divmod(k, mh)
         out = {}
-        for h1, h2, s in hopf_z2.sweedler(h):
+        for idx, s in hopf_z2.delta.col(h).items():
+            h1, h2 = divmod(idx, mh)
             d_part = {}
             for hh, t in hopf_z2.S.inverse().col(h1).items():
                 d_part = vadd(d_part, vscale(t, d.col(hh)))

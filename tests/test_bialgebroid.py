@@ -121,7 +121,7 @@ def test_swapped_legs_break_bimodule_law(m_fun, p2):
     raw = LinearMap.from_function(n * n, n, delta_col)
     broken = RegularMHA(
         m_fun.A, m_fun.B, m_fun.C, m_fun.S_B, m_fun.S_C, raw,
-        LinearMap.from_function(n * n, n, lambda k: dict(m_fun._dc_lift[k])),
+        LinearMap.from_function(n * n, n, lambda k: dict(m_fun._dc_lift.col(k))),
         eps_B=m_fun.eps_B, eps_C=m_fun.eps_C, S=m_fun.S,
     )
     rep = verify_left_bialgebroid(broken)
@@ -131,12 +131,12 @@ def test_swapped_legs_break_bimodule_law(m_fun, p2):
 def test_zeroed_leg_makes_canonical_map_singular(m_fun):
     # kill the coproduct of one basis element: T_lambda loses rank
     n = m_fun.A.dim
-    raw_cols = [dict(m_fun._db_lift[k]) for k in range(n)]
+    raw_cols = [dict(m_fun._db_lift.col(k)) for k in range(n)]
     raw_cols[1] = {}
     raw = LinearMap(n * n, n, raw_cols)
     broken = RegularMHA(
         m_fun.A, m_fun.B, m_fun.C, m_fun.S_B, m_fun.S_C, raw,
-        LinearMap.from_function(n * n, n, lambda k: dict(m_fun._dc_lift[k])),
+        LinearMap.from_function(n * n, n, lambda k: dict(m_fun._dc_lift.col(k))),
         eps_B=m_fun.eps_B, eps_C=m_fun.eps_C, S=m_fun.S,
     )
     maps, rep = canonical_maps(broken)
@@ -165,8 +165,8 @@ def test_identity_comultiplication_fake_is_inconsistent():
     qb, qc = fake.tensor("bsA⊗btA"), fake.tensor("cAt⊗cAs")
     fake.delta_B = LinearMap.from_function(qb.dim, 2, lambda j: qb.project(raw.col(j)))
     fake.delta_C = LinearMap.from_function(qc.dim, 2, lambda j: qc.project(raw.col(j)))
-    fake._db_lift = [qb.lift(fake.delta_B.col(j)) for j in range(2)]
-    fake._dc_lift = [qc.lift(fake.delta_C.col(j)) for j in range(2)]
+    fake._db_lift = qb.space.section.compose(fake.delta_B)
+    fake._dc_lift = qc.space.section.compose(fake.delta_C)
     fake.eps_B = LinearMap.from_rows([[1, 1]])
     fake.eps_C = LinearMap.from_rows([[1, 1]])
     fake.S = LinearMap.identity(2)
@@ -328,7 +328,7 @@ def test_delta_operator_and_delta_star_witnesses_are_the_first_in_scan_order(m_c
             ({"delta_of": A.labels[b], "relation": gen}
              for b in range(n)
              for gen, rel in zip(qb.generators, qb.relation_vectors())
-             if not qb.space.contains_relation(bialgebroid.tensor_mul(A, M._db_lift[b], rel))),
+             if not qb.space.contains_relation(bialgebroid.tensor_mul(A, M._db_lift.col(b), rel))),
             None)
         assert _failure(verify_regular_mha(M), "left-delta-operator") == expected
         star_qc_qb = bialgebroid.descend_componentwise(
@@ -453,7 +453,7 @@ def _delta_operator_by_echelon(h):
     A, q = h.A, h.q
 
     def lands(b, rel):
-        return q.space.contains_relation(bialgebroid.tensor_mul(A, *h.ordered(h.lifts[b], rel)))
+        return q.space.contains_relation(bialgebroid.tensor_mul(A, *h.ordered(h.lifts.col(b), rel)))
 
     if all(lands(b, row) for b in range(A.dim) for row in q.space.rref.rows.values()):
         return "pass", None

@@ -17,6 +17,7 @@ from qgroupoid.exact_linear import (
     Rref,
     Scalar,
     ScalarField,
+    apply_legs,
     as_fraction,
     axpy,
     conj,
@@ -440,7 +441,7 @@ def test_tagged_rref_leaves_its_tag_columns_unindexed(inserts, tags):
 @st.composite
 def _maps_and_vectors(draw):
     """A few maps of one shape, columns often empty, a vector of their
-    domain and a vector of three blocks of it."""
+    domain, a vector of three blocks of it and a map on the three blocks."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     column = st.dictionaries(st.integers(0, rows - 1), _entry, max_size=2)
     maps = draw(st.lists(
@@ -448,13 +449,17 @@ def _maps_and_vectors(draw):
         min_size=1, max_size=4))
     vector = st.dictionaries(st.integers(0, cols - 1), _entry, max_size=cols)
     blocks = draw(st.lists(vector, min_size=3, max_size=3))
-    return maps, draw(vector), {t * cols + j: s for t, b in enumerate(blocks) for j, s in b.items()}
+    outer = draw(st.integers(1, 4))
+    on_blocks = LinearMap(outer, 3, draw(st.lists(
+        st.dictionaries(st.integers(0, outer - 1), _entry, max_size=2), min_size=3, max_size=3)))
+    return (maps, draw(vector),
+            {t * cols + j: s for t, b in enumerate(blocks) for j, s in b.items()}, on_blocks)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(_maps_and_vectors())
 def test_stack_applies_each_map_at_its_offset(drawn):
-    maps, v, blocks = drawn
+    maps, v, blocks, on_blocks = drawn
     rows, cols = maps[0].rows, maps[0].cols
     stacked = stack(maps)
     assert (stacked.rows, stacked.cols) == (rows * len(maps), cols)
@@ -465,12 +470,16 @@ def test_stack_applies_each_map_at_its_offset(drawn):
     assert unstack(stacked.apply(v), rows, len(maps)) == [m.apply(v) for m in maps]
     assert [j for j in range(cols) if not stacked.col(j)] == [
         j for j in range(cols) if not any(m.col(j) for m in maps)]
-    # the converse: one map applied block by block
+    # the converse: one map applied block by block, (id (x) m)
     m = maps[-1]
     expected = {}
     for t, block in enumerate(unstack(blocks, cols, 3)):
         axpy(expected, ONE, m.apply(block), t * rows)
-    assert m.apply_blocks(blocks) == expected
+    assert apply_legs(None, m, blocks) == expected
+    # a map on each leg, None the identity, against the full tensor product
+    for f, g in ((None, m), (on_blocks, None), (on_blocks, m), (None, None)):
+        full = kron(f or LinearMap.identity(3), g or LinearMap.identity(cols))
+        assert apply_legs(f, g, blocks, cols) == full.apply(blocks)
     # a map's entries as one column-major vector, read back column by column
     flat = m.flat()
     assert flat == {j * rows + i: s for j in range(cols) for i, s in m.col(j).items()}

@@ -82,6 +82,30 @@ def test_group_hopf_integral_space(hopf_z2, hopf_z2_fun):
     assert len(hopf_z2_fun.left_integral_space()) == 1
 
 
+def test_sweedler_h4_integrals_pin_the_leg_order(sweedler_h4):
+    # worked by hand: (id (x) phi) Delta(gx) = phi(g) gx + phi(gx) 1 and
+    # (phi (x) id) Delta(x) = phi(x) 1 + phi(g) x, so the left integral is
+    # (gx)* and the right one x*; H4 is not cocommutative, so the two
+    # differ and a swap of the legs in the integral laws shows
+    h = sweedler_h4
+    assert h.verify().ok
+    assert h.S.compose(h.S) != LinearMap.identity(4)
+    assert [set(w) for w in h.left_integral_space()] == [{3}]
+    assert [set(w) for w in h._integral_system("right").kernel_basis()] == [{2}]
+    assert h.is_right_integral({2: ONE}) and not h.is_right_integral({3: ONE})
+
+
+def test_integral_laws_without_a_unit_name_it():
+    # the laws multiply Delta(a) by b (x) 1; with no unit there is nothing
+    # to stand for it, and no identity leg may stand in
+    algebra = FiniteAlgebra([[{}]])
+    hopf = FiniteHopf(algebra, LinearMap(1, 1, [{0: ONE}]), LinearMap(1, 1, [{0: ONE}]),
+                      LinearMap.identity(1))
+    for check in (hopf.left_integral_space, lambda: hopf.is_right_integral({0: ONE})):
+        with pytest.raises(ValueError, match="no unit"):
+            check()
+
+
 def test_z3_group_hopf_over_plain_field():
     labels, table = cyclic_group_table(3)
     h = build_group_hopf(labels, table, "group")

@@ -36,6 +36,7 @@ from qgroupoid.exact_linear import (
     Rref,
     Scalar,
     ScalarField,
+    apply_legs,
     kron,
     kron_vec,
     sc,
@@ -259,7 +260,8 @@ def test_crossed_rn_pipeline(hopf_z2):
     def expected_col(k):
         y, h = divmod(k, mh)
         out = {}
-        for h1, h2, s in hopf_z2.sweedler(h):
+        for idx, s in hopf_z2.delta.col(h).items():
+            h1, h2 = divmod(idx, mh)
             d_part = {}
             for hh, t in hopf_z2.S.inverse().col(h1).items():
                 d_part = vadd(d_part, vscale(t, d.col(hh)))
@@ -439,16 +441,20 @@ def test_check_modifier_with_identity_theta_builds_no_tensor(m_fun, monkeypatch,
 
 
 def test_twist_on_the_first_leg_is_twist_tensor_identity(m_conv, p2):
-    # modify twists leg 1 of each lifted Delta column by building only the
-    # columns of twist (x) id the column reads; sqrt(2) twists, and a dense
+    # modify twists leg 1 of each lifted Delta column, and coassociativity
+    # expands one leg by the lifted Delta, an n -> n^2 map; apply_legs
+    # builds only the columns of f (x) g the vector reads.  sqrt(2) twists
+    # on either leg or both, the lifted Delta on either leg, and a dense
     # vector with a radical coefficient besides the lifted columns
     mod, _ = groupoid_rn_modifier(p2, {0: 1, 1: 2}, ScalarField((2,)))
-    n = m_conv.A.dim
-    lifted = [q.lift(delta.col(j)) for q, delta in ((m_conv.qb, m_conv.delta_B),
-                                                    (m_conv.qc, m_conv.delta_C))
-              for j in range(n)]
+    n, ident = m_conv.A.dim, LinearMap.identity(m_conv.A.dim)
+    lifts = (m_conv._db_lift, m_conv._dc_lift)
+    lifted = [lift.col(j) for lift in lifts for j in range(n)]
     dense = {ij: Scalar.root_term(2) if ij % 3 else ONE for ij in range(n * n)}
-    for twist in mod.maps():
-        full = kron(twist, LinearMap.identity(n))
+    twists = mod.maps()
+    legs = ([(twist, None) for twist in twists] + [(None, twist) for twist in twists]
+            + [(twists[0], twists[1]), (lifts[0], None), (None, lifts[1]), (twists[1], lifts[0])])
+    for f, g in legs:
+        full = kron(f or ident, g or ident)
         for w in lifted + [dense]:
-            assert modification._on_leg1(twist, w, n) == full.apply(w)
+            assert apply_legs(f, g, w, n) == full.apply(w)

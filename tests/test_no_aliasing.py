@@ -20,17 +20,16 @@ from qgroupoid import (
     standard_integrals,
     verify_regular_mha,
 )
+from qgroupoid.exact_linear import apply_legs
 from qgroupoid.structure_theory import _modular_automorphism
 
 WEIGHT = {0: sc(1), 1: sc(4)}
 
 
 def snapshot(M):
-    maps = {name: getattr(M, name) for name in ("delta_B", "delta_C", "eps_B", "eps_C", "S")}
-    out = {name: [dict(f.col(j)) for j in range(f.cols)] for name, f in maps.items()}
-    out["_db_lift"] = [dict(v) for v in M._db_lift]
-    out["_dc_lift"] = [dict(v) for v in M._dc_lift]
-    return out
+    names = ("delta_B", "delta_C", "eps_B", "eps_C", "S", "_db_lift", "_dc_lift")
+    maps = {name: getattr(M, name) for name in names}
+    return {name: [dict(f.col(j)) for j in range(f.cols)] for name, f in maps.items()}
 
 
 def test_verify_measure_and_dual_leave_the_instance_unchanged():
@@ -120,3 +119,24 @@ def test_memoized_canonical_values_still_equal_fresh_computations():
         stored = dict(bundle._tilde)
         assert len(stored) == 4 * bundle.A.dim ** 2, name
         assert _fresh_canonical_values(fresh[name], stored) == stored, name
+
+
+def test_apply_legs_returns_a_fresh_vector():
+    # modify and coassociativity accumulate into what apply_legs returns;
+    # w is a stored column, and f and g are cached operators or the lifted
+    # Delta, an n -> n^2 map
+    M = build_convolution_algebroid(pair_groupoid([1, 2]))
+    n, lift = M.A.dim, M._db_lift
+    f, g, w = M.A.rmul(2), M.A.lmul(2), lift.col(1)
+
+    def state():
+        return [dict(c) for m in (f, g, lift) for c in m.data], dict(w)
+
+    before = state()
+    for legs in ((f, None), (None, g), (f, g), (lift, None), (None, lift), (None, None)):
+        out = apply_legs(*legs, w, n)
+        assert out
+        for k in out:
+            out[k] = sc(7)
+        out[-1] = sc(1)
+        assert state() == before, legs
