@@ -306,16 +306,6 @@ class ModuleStructure:
         self.side = side
         self.name = name
 
-    @classmethod
-    def by_left_mult(cls, emb, name=""):
-        return cls(
-            emb.base,
-            emb.total,
-            [emb.total.lmul(emb.embed.col(x)) for x in range(emb.base.dim)],
-            "left",
-            name,
-        )
-
     @cached_property
     def weights(self):
         """The weight w(a) = (lambda_x(a))_x of each basis element e_a of

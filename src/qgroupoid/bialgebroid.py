@@ -142,7 +142,9 @@ class RegularMHA:
         emb is "B", "C", "SB" or "SC".  Left multiplication through a
         homomorphic embedding, or right multiplication through an
         anti-homomorphic one (S_B, S_C), is a left action; the other two
-        are right actions.  Built once per bundle.
+        are right actions.  Built once per bundle, as the one way to multiply
+        A by an embedded base element; callers share the operators' columns
+        and must not mutate them.
         """
         if self._structs is None:
             self._structs = {}
@@ -253,7 +255,11 @@ class _Half:
     for C.  ``absorb`` holds the leg multiplications Delta absorbs, on
     leg 1 and on leg 2: from the right for Delta_B, from the left for
     Delta_C; ``absorbed`` reads their products with Delta from the
-    bundle's canonical-map memo.
+    bundle's canonical-map memo.  ``struct(e, first)`` is the bundle's
+    ``_struct`` of e(x) a in h's order, e "s" or "t", or of a e(x) if not
+    ``first``: the one way to multiply A by s(x) or t(x), its ``acts[x]``
+    for a basis element x and ``operator(v)`` or ``act(v, w)`` for a base
+    vector v.  Callers must not mutate the operators' shared columns.
 
     Order rule: ``mul(u, v)`` and ``bmul(u, v)`` are the products in A and
     in the base taken as u v on the B half and as v u on the C half, and
@@ -279,6 +285,8 @@ class _Half:
         self._tilde = M.canonical_tilde
         self._maps = ("T_lambda", "T_rho") if left else ("lambda_T", "rho_T")
         self._reversed = not left
+        self._struct = M._struct
+        self._embs = {"s": letter, "t": "S" + letter}
 
     def absorbed(self, leg, d, e):
         """Delta(d) with e_e absorbed on ``leg`` (1 or 2), i.e.
@@ -290,8 +298,11 @@ class _Half:
         return self._tilde(self._maps[1], d, e)
 
     def on_leg(self, leg):
-        """The embedding whose elements Delta carries onto ``leg``."""
-        return self.s if leg == self.s_leg else self.t
+        """The embedding, "s" or "t", whose elements Delta carries onto ``leg``."""
+        return "s" if leg == self.s_leg else "t"
+
+    def struct(self, e, first=True):
+        return self._struct("l" if first != self._reversed else "r", self._embs[e])
 
     def ordered(self, u, v):
         return (v, u) if self._reversed else (u, v)
@@ -338,13 +349,13 @@ def _slice_form(h, leg, a, b):
     The value of f on ``leg``, embedded by h.on_leg(leg), multiplies the
     other leg in h's order.
     """
-    n, dim, emb = h.A.dim, h.base.dim, h.on_leg(leg)
+    n, dim, acts = h.A.dim, h.base.dim, h.struct(h.on_leg(leg)).acts
     terms = []
     for idx, c in h.q.lift(h.absorbed(3 - leg, a, b)).items():
         i, j = divmod(idx, n)
         sliced, other = (i, j) if leg == 1 else (j, i)
         for x in range(dim):
-            terms.append((sliced * dim + x, c, h.mul(emb.col(x), {other: ONE})))
+            terms.append((sliced * dim + x, c, acts[x].col(other)))
     return terms
 
 
@@ -352,9 +363,8 @@ def _module_form(h, e, x, a):
     """f(e(x) a) - x f(a) for e "s", f(e(x) a) - f(a) x for e "t", every
     product in h's order, as terms linear in f (unknowns as in _slice_form)."""
     dim = h.base.dim
-    emb = h.s if e == "s" else h.t
     terms = [(i * dim + xb, c, {xb: ONE})
-             for i, c in h.mul(emb.col(x), {a: ONE}).items() for xb in range(dim)]
+             for i, c in h.struct(e).acts[x].col(a).items() for xb in range(dim)]
     for xb in range(dim):
         law = h.bmul({x: ONE}, {xb: ONE}) if e == "s" else h.bmul({xb: ONE}, {x: ONE})
         terms.append((a * dim + xb, -ONE, law))
@@ -401,16 +411,16 @@ def _antipode_laws(M):
     S applied at e_m, multiplied by e_o in h's order, with coefficient c.
     """
     n = M.A.dim
-    laws = [(h, other.t.compose(other.eps)) for h, other in _mirrored(M)]
+    laws = [(h, other.eps, other.struct("t", first=False)) for h, other in _mirrored(M)]
     for a in range(n):
         for b in range(n):
-            for h, R in laws:
+            for h, eps, R in laws:
                 p, q = h.ordered(a, b)
                 terms = []
                 for idx, c in h.q.lift(h.absorbed(h.s_leg, p, q)).items():
                     i, j = divmod(idx, n)
                     terms.append((c, i, j) if h.t_leg == 1 else (c, j, i))
-                yield h, a, b, terms, h.mul(R.col(p), {q: ONE})
+                yield h, a, b, terms, R.act(eps.col(p), {q: ONE})
 
 
 def _antipode_diagrams(M):
@@ -422,20 +432,23 @@ def _antipode_diagrams(M):
                     for c, m, o in terms for k in range(n) for x, y in (h.ordered(k, o),)]
 
 
+def _bimodule_acts(h):
+    """The (s, t) operators of S(s(x) a) = S(a) t(x), then of S(a s(x)) = t(x) S(a)."""
+    return [(h.struct("s", f).acts, h.struct("t", not f).acts) for f in h.ordered(True, False)]
+
+
 def _antipode_bimodule(M):
     """The base bimodule condition on generators, S(s(x) a) = S(a) t(x) and
     S(a s(x)) = t(x) S(a) on each half, as equations linear in S."""
-    A, n = M.A, M.A.dim
+    n = M.A.dim
     for h in _halves(M):
+        laws = _bimodule_acts(h)
         for x in range(h.base.dim):
-            sx, tx = h.s.col(x), h.t.col(x)
-            # the products with t(x) do not depend on a: e_k t(x) and t(x) e_k
-            right = [A.mul({k: ONE}, tx) for k in range(n)]
-            left = [A.mul(tx, {k: ONE}) for k in range(n)]
             for a in range(n):
-                for moved, products in ((A.mul(sx, {a: ONE}), right), (A.mul({a: ONE}, sx), left)):
-                    terms = [(i * n + k, c, {k: ONE}) for i, c in moved.items() for k in range(n)]
-                    yield {}, terms + [(a * n + k, -ONE, products[k]) for k in range(n)]
+                for s, t in laws:
+                    terms = [(i * n + k, c, {k: ONE}) for i, c in s[x].col(a).items()
+                             for k in range(n)]
+                    yield {}, terms + [(a * n + k, -ONE, t[x].col(k)) for k in range(n)]
 
 
 def derive_antipode(M):
@@ -522,8 +535,8 @@ def _verify_bialgebroid(M, h, report):
     # associative and unital, R is therefore the right ideal, in h's order,
     # generated by the g_x, and Delta(b) R lies in R iff every Delta(b) g_x
     # does.  That product is (R_1 (x) id) Delta(b) - (id (x) R_2) Delta(b),
-    # R_k multiplying by x.1 on leg k from the right in h's order (A.rmul
-    # on B, A.lmul on C).  Otherwise the rows of the relation echelon are
+    # R_k multiplying by x.1, s(x) or t(x), on leg k from the right in h's
+    # order.  Otherwise the rows of the relation echelon are
     # checked, the product being linear in the relation.  Only if a check
     # fails are the generators scanned, b outer, to name the witness.
     def lands(b, rel):
@@ -531,9 +544,7 @@ def _verify_bialgebroid(M, h, report):
 
     unit = A.unit()
     if unit is not None and A.is_associative()[0]:
-        times = A.rmul if h.letter == "B" else A.lmul
-        ops = [(times(act1.apply(unit)), times(act2.apply(unit)))
-               for act1, act2 in zip(q.struct1.acts, q.struct2.acts)]
+        ops = list(zip(*(h.struct(e, first=False).acts for e in h.ordered("s", "t"))))
         holds = all(q.space.contains_relation(
                         vsub(apply_legs(r1, None, w, n), apply_legs(None, r2, w)))
                     for w in h.lifts.data for r1, r2 in ops)
@@ -558,16 +569,17 @@ def _verify_bialgebroid(M, h, report):
 
     lmul, rmul = (q.lmul1, q.lmul2), (q.rmul1, q.rmul2)
     words = ("s(%s)a", "t(%s)a", "as(%s)", "at(%s)")
+    # products in A's order, h's on B and its reverse on C
+    acts = [h.struct(e, first).acts for first in h.ordered(True, False) for e in "st"]
     checks = []
     for x in range(h.base.dim):
         sx, tx = h.s.col(x), h.t.col(x)
         ops = (lmul[h.s_leg - 1](sx), lmul[h.t_leg - 1](tx),
                rmul[h.s_leg - 1](sx), rmul[h.t_leg - 1](tx))
         for a in range(n):
-            ea, da = {a: ONE}, h.delta.col(a)
-            products = (A.mul(sx, ea), A.mul(tx, ea), A.mul(ea, sx), A.mul(ea, tx))
-            for word, prod, op in zip(words, products, ops):
-                checks.append(((word % h.x, x, a), h.delta.apply(prod), op.apply(da)))
+            da = h.delta.col(a)
+            for word, act, op in zip(words, acts, ops):
+                checks.append(((word % h.x, x, a), h.delta.apply(act[x].col(a)), op.apply(da)))
     wit = _first_failure(iter(checks))
     rep.check(wit is None, side + "-delta-bimodule", side + "-delta-bimodule", wit)
 
@@ -671,22 +683,16 @@ def _counit_checks(h, rep):
         ex = {x: ONE}
         for a in range(n):
             ea = eps.col(a)
-            checks.append(
-                (("eps(%s%s)" % h.ordered("s(%s)" % h.x, "a"), x, a),
-                 eps.apply(h.mul(h.s.col(x), {a: ONE})),
-                 h.bmul(ex, ea))
-            )
-            checks.append(
-                (("eps(%s%s)" % h.ordered("t(%s)" % h.x, "a"), x, a),
-                 eps.apply(h.mul(h.t.col(x), {a: ONE})),
-                 h.bmul(ea, ex))
-            )
+            for e, law in (("s", h.bmul(ex, ea)), ("t", h.bmul(ea, ex))):
+                checks.append((("eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a"), x, a),
+                               eps.apply(h.struct(e).acts[x].col(a)), law))
     wit = _first_failure(iter(checks))
     rep.check(wit is None, side + "-counit-bimodule",
               "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
     try:
-        slices = [h.q.slice(h.on_leg(leg).compose(eps), leg, side, what="counit slice")
+        slices = [h.q.slice(getattr(h, h.on_leg(leg)).compose(eps), leg, side,
+                            what="counit slice")
                   for leg in (1, 2)]
     except NotBalanced as e:
         rep.check(False, side + "-counit", side + "-counit", str(e))
@@ -770,12 +776,12 @@ def _regularity_subspaces(M, rep):
         for f in _hom_space(h, e):
             for a in range(n):
                 vals.add(f.col(a))
-        emb = h.t if e == "s" else h.s
+        struct = h.struct("t" if e == "s" else "s")
         span = Rref()
         for v in vals.basis():
-            e_v = emb.apply(v)
+            op = struct.operator(v)
             for a in range(n):
-                span.add(h.mul(e_v, {a: ONE}))
+                span.add(op.col(a))
         rep.check(span.rank == n, "regular-subspace-" + name, "regular-1")
 
 
@@ -792,12 +798,11 @@ def _antipode_checks(M, rep, canon):
     def bimodule():
         """S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a) on each half."""
         for h in _halves(M):
+            laws = list(zip(("S(%sa)", "S(a%s)"), _bimodule_acts(h)))
             for x in range(h.base.dim):
-                sx, tx = h.s.col(x), h.t.col(x)
                 for a in range(n):
-                    ea, sa = {a: ONE}, S.col(a)
-                    yield ("S(%sa)" % h.x, x, a), S.apply(A.mul(sx, ea)), A.mul(sa, tx)
-                    yield ("S(a%s)" % h.x, x, a), S.apply(A.mul(ea, sx)), A.mul(tx, sa)
+                    for word, (s, t) in laws:
+                        yield (word % h.x, x, a), S.apply(s[x].col(a)), t[x].apply(S.col(a))
 
     wit = _first_failure(bimodule())
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
@@ -908,13 +913,13 @@ def verify_regular_mha(M):
 
     # extended bimodule value on the unit: Delta(xy) = y (x) x
     A, n = M.A, M.A.dim
+    halves = _halves(M)
     units = []
     for x in range(M.B.base.dim):
         bx = M.B.embed.col(x)
         for y in range(M.C.base.dim):
             cy = M.C.embed.col(y)
-            units.append((("x", x, "y", y), A.mul(bx, cy), cy, bx))
-    halves = _halves(M)
+            units.append((("x", x, "y", y), halves[0].struct("s").acts[x].apply(cy), cy, bx))
     for h in halves:
         wit = _first_failure(
             (at, h.delta.apply(xy), h.q.pure(cy, bx)) for at, xy, cy, bx in units
@@ -930,16 +935,15 @@ def verify_regular_mha(M):
             inner = "eps_%s(%s)" % (h.letter, q_word)
             labels = ["eps_%s(ab)=eps_%s(%s %s)" % (h.letter, h.letter, *h.ordered(p_word, word))
                       for word in (inner, "S_%s(%s)" % (h.letter, inner))]
-            laws.append((h, tuple(zip((h.s, h.t), labels))))
+            laws.append((h, tuple(zip((h.struct(e, first=False) for e in "st"), labels))))
         for a in range(n):
             for b in range(n):
                 ab = A.mul({a: ONE}, {b: ONE})
                 for h, forms in laws:
                     p, q = h.ordered(a, b)
                     lhs, value = h.eps.apply(ab), h.eps.col(q)
-                    for emb, label in forms:
-                        yield ((label, a, b), lhs,
-                               h.eps.apply(h.mul({p: ONE}, emb.apply(value))))
+                    for struct, label in forms:
+                        yield ((label, a, b), lhs, h.eps.apply(struct.act(value, {p: ONE})))
 
     wit = _first_failure(multiplicative())
     rep.check(wit is None, "counits-multiplicative", "counits-multiplicative", wit)

@@ -80,7 +80,8 @@ def _load_groupoid(args):
         points = [p.strip() for p in args.pair_groupoid.split(",") if p.strip()]
         if not points:
             raise SystemExit("--pair-groupoid needs at least one point")
-        return pair_groupoid(points)
+        with _schema("--pair-groupoid"):
+            return pair_groupoid(points)
     if not getattr(args, "groupoid", None):
         raise SystemExit("a --groupoid file or --pair-groupoid list is required")
     with open(args.groupoid) as fh, _schema("--groupoid"):

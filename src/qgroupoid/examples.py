@@ -57,6 +57,11 @@ class FiniteGroupoid:
 
     def validate(self):
         s, t, c, inv = self.source, self.target, self.compose, self.inverse
+        for what, items, index in (("arrow", self.arrows, self.index),
+                                   ("unit", self.units, self.unit_index)):
+            if len(index) != len(items):
+                twice = next(a for k, a in enumerate(items) if index[a] != k)
+                raise ValueError("%s %r is listed twice" % (what, twice))
         for u in self.units:
             if not (s[u] == u and t[u] == u):
                 raise ValueError("unit %r has s or t off itself" % (u,))

@@ -156,20 +156,20 @@ def _module_witness(M, mapping, side, laws):
     first of a full scan."""
     n, target = M.A.dim, _target(M, side)
     base = target.base
+    # s(x) a in h's order is target's own order or its reverse
+    acting = [(h, tag, target.struct("s", h.letter == target.letter).acts) for h, tag in laws]
 
-    def commutes(h, x):
-        kind, mul = ("l", base.lmul) if h.letter == "B" else ("r", base.rmul)
-        act = M._struct(kind, target.letter).acts[x]
-        return mapping.compose(act) == mul(x).compose(mapping)
+    def commutes(h, acts, x):
+        mul = base.lmul if h.letter == "B" else base.rmul
+        return mapping.compose(acts[x]) == mul(x).compose(mapping)
 
     for x in range(base.dim):
-        if all(commutes(h, x) for h, _ in laws):
+        if all(commutes(h, acts, x) for h, _, acts in acting):
             continue
-        ex = target.s.col(x)
         for a in range(n):
-            for h, tag in laws:
+            for h, tag, acts in acting:
                 law = base.mul(*h.ordered({x: ONE}, mapping.col(a)))
-                if mapping.apply(h.mul(ex, {a: ONE})) != law:
+                if mapping.apply(acts[x].col(a)) != law:
                     return tag, x, a
     return None
 
@@ -218,13 +218,13 @@ def _invariance(M, mapping, side, letter):
         sl = _integral_slice(h, leg, mapping, "partial-%s slice (%s)" % (side, letter))
     except NotBalanced as e:
         return False, str(e)
-    n, embed = M.A.dim, _target(M, side).s
+    n, target = M.A.dim, _target(M, side)
+    action = target.struct("s", h.letter == target.letter)  # s(x) a in h's order
     for d in range(n):
-        head = embed.apply(mapping.col(d))
-        if sl.apply(h.delta.col(d)) == head:
+        if sl.apply(h.delta.col(d)) == target.s.apply(mapping.col(d)):
             continue  # then the law holds at every e: see the docstring
         for e in range(n):
-            if sl.apply(h.absorbed(3 - leg, d, e)) != h.mul(head, {e: ONE}):
+            if sl.apply(h.absorbed(3 - leg, d, e)) != action.act(mapping.col(d), {e: ONE}):
                 return False, ("delta" + h.letter.lower(), d, e)
     return True, None
 
@@ -306,12 +306,12 @@ def _partial_integral_basis(M, side):
     h's t leg of Delta(d) times e_e equal to s(mapping(d)) e_e in h's order.
     """
     n, h = M.A.dim, _target(M, side)
-    dim_b = h.base.dim
+    dim_b, s_acts = h.base.dim, h.struct("s").acts
     # generators: each equation's terms are stacked as soon as they are built
     modules = (({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n))
     laws = (
         ({}, _slice_form(h, h.t_leg, d, e)
-         + [(d * dim_b + x, -ONE, h.mul(h.s.col(x), {e: ONE})) for x in range(dim_b)])
+         + [(d * dim_b + x, -ONE, s_acts[x].col(e)) for x in range(dim_b)])
         for d in range(n)
         for e in range(n)
     )
@@ -324,7 +324,7 @@ def solve_partial_integrals(M, side):
     checked by ``check_partial_integral``; the report also records the
     bimodule stability of the space and the antipode bijection onto the
     other side."""
-    A, h = M.A, _target(M, side)
+    h = _target(M, side)
     basis = _partial_integral_basis(M, side)
     rep = Report()
     for k, mapping in enumerate(basis):
@@ -338,8 +338,7 @@ def solve_partial_integrals(M, side):
     for mapping in basis:
         span.add(mapping.flat())
     other = _Half(M, "B" if side == "left" else "C")
-    embedded = [other.s.col(u) for u in range(other.s.cols)]
-    lefts, rights = [A.lmul(v) for v in embedded], [A.rmul(u) for u in embedded]
+    lefts, rights = (M._struct(kind, other.letter).acts for kind in ("l", "r"))
     moves = [left.compose(right) for right in rights for left in lefts]
     ok = all(span.contains(mapping.compose(op).flat()) for mapping in basis for op in moves)
     rep.check(ok, "bimodule-stability", "partial-integrals-bimodule-antipode")
@@ -410,11 +409,9 @@ def _ergodic_characterization(M):
     if one is None:
         return None, None
     qb = M.qb
-    commutes = []  # z commutes with each y: y z - z y = 0
-    for y in range(M.C.base.dim):
-        cy = M.C.embed.col(y)
-        lm, rm = A.lmul(cy), A.rmul(cy)
-        commutes.append(({}, [(j, ONE, vsub(lm.col(j), rm.col(j))) for j in range(n)]))
+    # z commutes with each y: y z - z y = 0
+    commutes = [({}, [(j, ONE, vsub(lm.col(j), rm.col(j))) for j in range(n)])
+                for lm, rm in zip(M._struct("l", "C").acts, M._struct("r", "C").acts)]
     fixed = ({}, [(j, ONE, vsub(M.delta_B.col(j), qb.pure(one, {j: ONE}))) for j in range(n)])
     system, _ = stack_equations(((n, commutes), (qb.dim, [fixed])), n)
     return system.kernel_basis(), None

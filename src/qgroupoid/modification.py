@@ -140,9 +140,7 @@ def _modified_tensor(M, flavor, acts1, acts2):
 def _modified_q(M, h, theta):
     """h's tensor with the twisted target anti-isomorphism: s(x) against
     t(theta^-1(x)), each acting by multiplication in h's order."""
-    mul = M.A.lmul if h.letter == "B" else M.A.rmul
-    t_new = h.t.compose(theta.inverse())
-    acts = [[mul(emb.col(x)) for x in range(h.base.dim)] for emb in (h.s, t_new)]
+    acts = (h.struct("s").acts, [h.struct("t").operator(v) for v in theta.inverse().data])
     return _modified_tensor(M, h.q.flavor, *h.ordered(*acts))
 
 
@@ -452,12 +450,14 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
         LinearMap.flip(mh, mh).compose(H.delta))
     beta_r = m.compose(kron(M.C.embed.compose(D), h_elems)).compose(H.delta)
 
+    c_left, b_right = M._struct("l", "C").acts, M._struct("r", "B").acts
+
     def theta(beta):
         """y h x -> y beta(h) x."""
         def col(k):
             y, r = divmod(k, mh * mc)
             h, x = divmod(r, mc)
-            return A.mul(A.mul(M.C.embed.col(y), beta.col(h)), M.B.embed.col(x))
+            return b_right[x].apply(c_left[y].apply(beta.col(h)))
         return LinearMap.from_function(n, n, col)
 
     theta_l, theta_r = theta(beta_l), theta(beta_r)

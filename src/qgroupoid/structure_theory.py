@@ -204,11 +204,13 @@ def _modular_automorphism(X, side):
         _factor_twist_checks(X, sigma, rep)
     # each total integral relates the other half's base through S^2:
     # phi(y a) = phi(a S^2(y)) on C, and psi(a x) = psi(S^2(x) a) on B
+    # (y a in half's order is a y in mirror's)
     s2 = M.S.compose(M.S)
     ok = all(
-        ev(total, half.mul(mirror.s.col(y), {a: ONE}))
+        ev(total, acts[y].col(a))
         == ev(total, half.mul({a: ONE}, s2.apply(mirror.s.col(y))))
         for (half, mirror), total in zip(pairs, (X.phi.omega, X.psi.omega))
+        for acts in (mirror.struct("s", first=False).acts,)
         for y in range(mirror.base.dim)
         for a in range(n)
     )
@@ -220,18 +222,17 @@ def _factor_twist_checks(X, sigma, rep):
     """phi_B(x a) = (S^2 sigma)(x) phi_B(a) and the mirrored law
     phi_B(a x) = phi_B(a) (sigma S^2)^-1(x), for x in B."""
     M = X.M
-    A, n, emb = M.A, M.A.dim, M.B.embed
+    n, emb = M.A.dim, M.B.embed
     s2 = M.S.compose(M.S)
-    for name, factor, twist, ordered in (
-            ("phi-B-factor-twist", X.phi.factor_Br, s2.compose(sigma), lambda u, v: (u, v)),
-            ("B-phi-factor-twist", X.phi.factor_Bl, sigma.compose(s2).inverse(),
+    for name, factor, twist, kind, ordered in (
+            ("phi-B-factor-twist", X.phi.factor_Br, s2.compose(sigma), "l", lambda u, v: (u, v)),
+            ("B-phi-factor-twist", X.phi.factor_Bl, sigma.compose(s2).inverse(), "r",
              lambda u, v: (v, u))):
-        ok = True
+        ok, acts = True, M._struct(kind, "B").acts
         for x in range(M.B.base.dim):
-            bx = emb.col(x)
-            pre = emb.solve(twist.apply(bx))
+            pre = emb.solve(twist.apply(emb.col(x)))
             ok = pre is not None and all(
-                factor.apply(A.mul(*ordered(bx, {a: ONE})))
+                factor.apply(acts[x].col(a))
                 == M.B.base.mul(*ordered(pre, factor.col(a)))
                 for a in range(n)
             )
@@ -285,9 +286,10 @@ def modular_element(X):
         rep.check(A.star(delta_minus) == delta_plus, "delta-star", "modular-element-second")
     # relation to the lambda operator of phi itself
     lam = convolution(X, X.phi, "lambda").operator
+    b_left, b_right = M._struct("l", "B"), M._struct("r", "B")
     ok = all(
-        A.mul(M.B.embed.apply(X.phi.factor_Bl.col(a)), delta_plus) == lam.col(a)
-        and A.mul(delta_minus, M.B.embed.apply(X.phi.factor_Br.col(a))) == lam.col(a)
+        b_left.act(X.phi.factor_Bl.col(a), delta_plus) == lam.col(a)
+        and b_right.act(X.phi.factor_Br.col(a), delta_minus) == lam.col(a)
         for a in range(n)
     )
     rep.check(ok, "lambda-phi-relation", "modular-element-second")
@@ -297,9 +299,9 @@ def modular_element(X):
     s2 = M.S.compose(M.S)
     if sig.report.status_of("sigma-preserves-base") == "pass":
         ok = all(
-            A.mul(M.B.embed.col(x), delta_minus)
+            b_left.acts[x].apply(delta_minus)
             == A.mul(delta_minus, s2.apply(sigma.apply(M.B.embed.col(x))))
-            and A.mul(M.B.embed.col(x), delta_plus)
+            and b_left.acts[x].apply(delta_plus)
             == A.mul(delta_plus, sigma.apply(s2.apply(M.B.embed.col(x))))
             for x in range(M.B.base.dim)
         )
@@ -308,10 +310,11 @@ def modular_element(X):
         sigma_psi_minus = M.S.compose(sigma_inv).compose(s_inv)
         sigma_psi_plus = s_inv.compose(sigma_inv).compose(M.S)
         s_minus2 = s_inv.compose(s_inv)
+        c_left, c_right = M._struct("l", "C").acts, M._struct("r", "C").acts
         ok = all(
-            A.mul(delta_minus, M.C.embed.col(y))
+            c_right[y].apply(delta_minus)
             == A.mul(s_minus2.apply(sigma_psi_minus.apply(M.C.embed.col(y))), delta_minus)
-            and A.mul(M.C.embed.col(y), delta_plus)
+            and c_left[y].apply(delta_plus)
             == A.mul(delta_plus, sigma_psi_plus.apply(s_minus2.apply(M.C.embed.col(y))))
             for y in range(M.C.base.dim)
         )
@@ -347,28 +350,28 @@ def uniqueness_check(X):
 
     def spans(side, mu, total, emb):
         """The span of the partial ``side`` integrals, under mu, and those of
-        the translates e . total and total . e, e in emb's base."""
+        the translates e . total and total . e, e in the base emb, "B" or "C":
+        (e . total)(c) = total(c e) and (total . e)(c) = total(e c)."""
         basis = _partial_integral_basis(M, side)
         integrals, lefts, rights = Rref(), Rref(), Rref()
         for mapping in basis:
             integrals.add(functional_of_map(mu, mapping))
-        for x in range(emb.base.dim):
-            ex = emb.embed.col(x)
-            lefts.add(translate_left(A, ex, total))
-            rights.add(translate_right(A, total, ex))
+        for times_e, e_times in zip(M._struct("r", emb).acts, M._struct("l", emb).acts):
+            lefts.add(functional_of_map(total, times_e))
+            rights.add(functional_of_map(total, e_times))
         return basis, integrals, lefts, rights
 
     def same(u, v):
         return all(u.contains(r) for r in v.basis()) and all(v.contains(r) for r in u.basis())
 
-    basis, integral_span, left_span, right_span = spans("left", X.weight.mu_C, X.phi.omega, M.B)
+    basis, integral_span, left_span, right_span = spans("left", X.weight.mu_C, X.phi.omega, "B")
     dims = (integral_span.rank, left_span.rank, right_span.rank)
     rep.check(dims[0] == dims[1] == dims[2], "spaces-same-dimension",
               "integrals-uniqueness", dims)
     rep.check(same(integral_span, left_span), "left-integrals-equal-MB-phi", "integrals-uniqueness")
     rep.check(same(integral_span, right_span), "left-integrals-equal-phi-MB",
               "integrals-uniqueness")
-    _, integral_span, left_span, right_span = spans("right", X.weight.mu_B, X.psi.omega, M.C)
+    _, integral_span, left_span, right_span = spans("right", X.weight.mu_B, X.psi.omega, "C")
     ok = (integral_span.rank == left_span.rank == right_span.rank
           and same(integral_span, left_span) and same(integral_span, right_span))
     rep.check(ok, "right-integrals-equal-MC-psi", "integrals-uniqueness")
@@ -390,17 +393,15 @@ def uniqueness_check(X):
 def _co_hom_space(h, e):
     """Basis of the module maps f: base -> A with f(x b) = s(x) f(b) for e
     "s" and f(b x) = t(x) f(b) for "t", every product in h's order."""
-    n, dim = h.A.dim, h.base.dim
-    emb = h.s if e == "s" else h.t
+    n, dim, acts = h.A.dim, h.base.dim, h.struct(e).acts
 
     def laws():
         for x in range(dim):
-            acted = [h.mul(emb.col(x), {k: ONE}) for k in range(n)]
             for b in range(dim):
                 prod = h.bmul({x: ONE}, {b: ONE}) if e == "s" else h.bmul({b: ONE}, {x: ONE})
                 # f(prod) - e(x) f(b) = 0; the unknown f[k, b] at b * n + k
                 yield {}, ([(bb * n + k, c, {k: ONE}) for bb, c in prod.items() for k in range(n)]
-                           + [(b * n + k, -ONE, acted[k]) for k in range(n)])
+                           + [(b * n + k, -ONE, acts[x].col(k)) for k in range(n)])
 
     system, _ = stack_equations(((n, laws()),), n * dim)
     return [LinearMap(n, dim, unstack(w, n, dim)) for w in system.kernel_basis()]

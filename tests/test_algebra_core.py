@@ -148,7 +148,7 @@ def test_module_structure_action():
     a = group_algebra_z2()
     b = FiniteAlgebra([[{0: ONE}]], labels=["1"])
     emb = BaseEmbedding(b, a, LinearMap.from_rows([[1], [0]]))
-    left = ModuleStructure.by_left_mult(emb)
+    left = ModuleStructure(b, a, [a.lmul(emb.embed.col(x)) for x in range(b.dim)], "left")
     ok, _ = left.check_action()
     assert ok
     assert left.is_faithful()

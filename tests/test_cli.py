@@ -141,9 +141,10 @@ def test_pair_groupoid_flag(capsys):
 
 # functions on two points, in algebra_to_json's form
 _TWO_POINTS = {"dim": 2, "structure": [[[[0, 1]], []], [[], [[1, 1]]]]}
+_P2_GROUPOID = groupoid_to_json(pair_groupoid([1, 2]))
 # a pipeline artifact on the pair groupoid of two points, as modify writes it
 _P2_ARTIFACT = {"kind": "measured-pipeline", "example": "convolution",
-                "groupoid": groupoid_to_json(pair_groupoid([1, 2])), "mu": ["1", "2"],
+                "groupoid": _P2_GROUPOID, "mu": ["1", "2"],
                 "recipe": "groupoid_rn", "sqrt": [2]}
 
 
@@ -172,12 +173,18 @@ _P2_ARTIFACT = {"kind": "measured-pipeline", "example": "convolution",
       "--sqrt", "-3"], {}),
     (["measure", "--artifact", "{artifact}"], {"artifact": dict(_P2_ARTIFACT, sqrt=[4])}),
     (["measure", "--artifact", "{artifact}"], {"artifact": dict(_P2_ARTIFACT, sqrt=["x"])}),
+    (["verify", "--pair-groupoid", "1,1"], {}),
+    (["measure", "--pair-groupoid", "1,2,1", "--mu", "1,4,9"], {}),
+    (["verify", "--groupoid", "{twice}"], {"twice": dict(
+        _P2_GROUPOID, arrows=_P2_GROUPOID["arrows"] + _P2_GROUPOID["arrows"][1:2])}),
 ], ids=["mu-literal", "mu-zero-denominator", "groupoid-without-arrows",
         "artifact-without-groupoid", "pair-groupoid-without-points", "build-dim-not-table-size",
         "build-product-index-past-dim", "build-ragged-rows", "build-involution-wrong-size",
         "build-labels-short", "report-list-line", "report-number-line",
         "modify-sqrt-not-square-free", "measure-sqrt-zero", "dual-sqrt-negative",
-        "artifact-sqrt-not-square-free", "artifact-sqrt-not-a-number"])
+        "artifact-sqrt-not-square-free", "artifact-sqrt-not-a-number",
+        "pair-groupoid-point-twice", "pair-groupoid-point-twice-with-weights",
+        "groupoid-arrow-twice"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
     paths = {}
     for name, obj in files.items():

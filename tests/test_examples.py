@@ -106,6 +106,31 @@ def test_integral_laws_without_a_unit_name_it():
             check()
 
 
+def test_module_algebra_law_splits_h_by_delta_not_tau_delta(sweedler_h4):
+    # H4 acts on M2 = End(V), V the module g -> diag(1, -1), x -> E12, by
+    # h . T = rho(h1) T rho(S(h2)).  That is a module algebra for Delta but
+    # not for tau Delta, so the law pins the leg order; the adjoint action
+    # of H4 on itself satisfies the law under both.
+    h = sweedler_h4
+    e12 = LinearMap.from_rows([[0, 1], [0, 0]])
+    rho = [LinearMap.identity(2), LinearMap.from_rows([[1, 0], [0, -1]]), e12, e12]
+
+    def rep(v):
+        return LinearMap.combination(2, 2, ((c, rho[m]) for m, c in v.items()))
+
+    # T -> A T B is kron(A, B^T) on the row-major matrix units E11, E12, E21, E22
+    acts = [LinearMap.combination(4, 4, (
+                (c, rep({k // 4: ONE}).kron(rep(h.S.col(k % 4)).transpose()))
+                for k, c in h.delta.col(b).items()))
+            for b in range(4)]
+    m2 = FiniteAlgebra.from_mul(
+        4, lambda i, j: {2 * (i // 2) + j % 2: ONE} if i % 2 == j // 2 else {},
+        labels=["E11", "E12", "E21", "E22"])
+    assert HopfAction(h, m2, acts).verify().ok
+    cop = FiniteHopf(h.H, LinearMap.flip(4, 4).compose(h.delta), h.eps, h.S)
+    assert [e.axiom for e in HopfAction(cop, m2, acts).verify().failures()] == ["module-algebra"]
+
+
 def test_z3_group_hopf_over_plain_field():
     labels, table = cyclic_group_table(3)
     h = build_group_hopf(labels, table, "group")

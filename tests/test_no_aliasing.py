@@ -24,11 +24,16 @@ from qgroupoid.exact_linear import apply_legs
 from qgroupoid.structure_theory import _modular_automorphism
 
 WEIGHT = {0: sc(1), 1: sc(4)}
+# every module structure of a bundle: its operators are the products of A
+# with the embedded base elements, read by every check and solve
+STRUCTS = [(kind, emb) for kind in "lr" for emb in ("B", "C", "SB", "SC")]
 
 
 def snapshot(M):
     names = ("delta_B", "delta_C", "eps_B", "eps_C", "S", "_db_lift", "_dc_lift")
     maps = {name: getattr(M, name) for name in names}
+    maps.update(((kind, emb, x), f) for kind, emb in STRUCTS
+                for x, f in enumerate(M._struct(kind, emb).acts))
     return {name: [dict(f.col(j)) for j in range(f.cols)] for name, f in maps.items()}
 
 
@@ -37,6 +42,10 @@ def test_verify_measure_and_dual_leave_the_instance_unchanged():
     M = build_function_algebroid(g)
     before = snapshot(M)
     assert verify_regular_mha(M).ok
+    assert snapshot(M) == before
+    for side in ("left", "right"):
+        basis, rep = solve_partial_integrals(M, side)
+        assert basis and rep.ok
     assert snapshot(M) == before
     phi, psi = standard_integrals("groupoid-functions", M, groupoid=g)
     X = assemble_measured(M, BaseWeight(mu_B=dict(WEIGHT), mu_C=dict(WEIGHT)), phi, psi)
