@@ -2,7 +2,8 @@
 the tensor algebroid over the 2x2 matrix algebra (a non-commutative base).
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
-captured), ``verify_regular_mha`` on mutant instances,
+captured), ``verify_regular_mha`` on mutant instances and on a non-associative
+copy of functions p2,
 ``check_partial_integral`` on perturbed partial integrals, the solved
 spaces no command reports in full, the modular theory and modifier
 checks of both halves, or the Hopf, action and star laws on broken
@@ -146,10 +147,34 @@ def _step(head, run):
     return code, "\n".join(lines) + "\n"
 
 
+def _verified(M):
+    """The one step of ``verify_regular_mha`` on M."""
+    rep = verify_regular_mha(M)
+    return [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
+
+
 def _mutant(kind, col, build=build_function_algebroid, add_col=None, term=None):
     """The report of ``verify_regular_mha`` on a p2 ``mutant_bundle``."""
-    rep = verify_regular_mha(mutant_bundle(kind, col, build, add_col, term=term))
-    return [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
+    return _verified(mutant_bundle(kind, col, build, add_col, term=term))
+
+
+def nonassociative_bundle(build=build_function_algebroid):
+    """The p2 instance of ``build`` over a copy of A with e_0 e_1 := e_0,
+    which is not associative: (e_0 e_1) e_0 = e_0 but e_0 (e_1 e_0) = 0 on
+    functions.  Its comultiplications, counits and antipode are the
+    instance's own, passed explicitly.  Every check gated on an associative
+    A takes its general path here."""
+    M = build(pair_groupoid(POINTS))
+    n = M.A.dim
+    table = [list(row) for row in M.A.table]
+    table[0][1] = {0: ONE}
+    A = FiniteAlgebra(table, M.A.labels, M.A.involution)
+    raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
+    raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
+    return RegularMHA(A, BaseEmbedding(M.B.base, A, M.B.embed, name="B"),
+                      BaseEmbedding(M.C.base, A, M.C.embed, name="C"),
+                      M.S_B, M.S_C, raw_b, raw_c,
+                      eps_B=M.eps_B, eps_C=M.eps_C, S=M.S, name="nonassociative")
 
 
 def _derived_counits(M):
@@ -649,6 +674,7 @@ def cases(workdir):
         "mutant-eps_B-unit": lambda: _mutant("eps_B", _unit_arrow_index()),
         "mutant-eps_C-unit": lambda: _mutant("eps_C", _unit_arrow_index()),
         "mutant-sweep-p2": _mutant_sweep,
+        "nonassociative-functions-p2": lambda: _verified(nonassociative_bundle()),
         "partial-integrals-perturbed-p2": _perturbed_partial_integrals,
         "solved-spaces": _solved_spaces,
         "tensor-matrix-units": _matrix_tensor,
