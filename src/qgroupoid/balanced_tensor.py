@@ -43,9 +43,11 @@ from .exact_linear import (
     QuotientSpace,
     Rref,
     Scalar,
+    apply_legs,
     axpy,
     conj,
     kron_vec,
+    kron_vec_at,
     vsub,
 )
 
@@ -207,7 +209,8 @@ class BalancedTensor:
     failing generator.
 
     The descended maps a tensor hands out (leg multiplications, slices
-    and flips) are memoized per tensor in ``_op_cache``: a repeated call
+    and flips), and the module-map verdicts of ``leg_product``, are
+    memoized per tensor in ``_op_cache``: a repeated call
     returns the map computed the first time.  A map that is not balanced
     is memoized too, as its failing generator: a repeated call checks no
     relation and raises NotBalanced with that generator and the call's
@@ -226,7 +229,8 @@ class BalancedTensor:
         n = algebra.dim
         self.leg_dim = n
         w1, w2 = struct1.weights, struct2.weights
-        if w1 is None or w2 is None:
+        self.coordinate = w1 is not None and w2 is not None
+        if not self.coordinate:
             self.space = QuotientSpace(n * n, (rel for *_, rel in _relations(struct1, struct2)))
         else:
             self.space = QuotientSpace.coordinate(
@@ -272,7 +276,12 @@ class BalancedTensor:
         map sends each relation generator (x, a, b) to target's generator
         (x, op1 a, op2 b) (with swap, to minus its (x, op2 b, op1 a)),
         so it descends, and only its columns at this tensor's free
-        coordinates are projected.  Otherwise ``descend_componentwise``
+        coordinates are built.  Into a coordinate target each column is
+        written straight into the target's free positions
+        (``kron_vec_at``): to project onto a coordinate quotient is to drop
+        its relation coordinates, so that is the projected image.  An
+        echelon target projects each image through its echelon.
+        Otherwise ``descend_componentwise``
         checks the relation rows touching those basis tensors and, if one
         fails, raises NotBalanced with the first failing generator and
         ``message``, in which {src!r} and {dst!r} stand for the two
@@ -286,9 +295,12 @@ class BalancedTensor:
         def leg(op, i):
             return op.col(i) if op is not None else {i: ONE}
 
-        def fn(i, j):
+        def legs(i, j):
             u, v = leg(op1, i), leg(op2, j)
-            return kron_vec(v, u, n) if swap else kron_vec(u, v, n)
+            return (v, u) if swap else (u, v)
+
+        def fn(i, j):
+            return kron_vec(*legs(i, j), n)
 
         live1, live2 = live(op1), live(op2)
         coords = [i * n + j for i in live1 for j in live2]
@@ -296,12 +308,17 @@ class BalancedTensor:
             return descend_componentwise(self, dst, fn, message, live=coords)
         cols = [{} for _ in range(self.dim)]
         free_pos = self.space.free_pos
+        into = dst.space.free_pos if dst.coordinate else None
         for ij in coords:
-            if ij in free_pos:
-                image = fn(*divmod(ij, n))
-                if image:
-                    cols[free_pos[ij]] = dst.project(image)
-        return LinearMap(dst.dim, self.dim, cols)
+            q = free_pos.get(ij)
+            if q is not None:
+                if into is not None:
+                    cols[q] = kron_vec_at(*legs(*divmod(ij, n)), n, into)
+                else:
+                    image = fn(*divmod(ij, n))
+                    if image:
+                        cols[q] = dst.project(image)
+        return LinearMap._fresh(dst.dim, self.dim, cols)
 
     def _module_maps(self, dst, op1, op2, swap):
         """Whether op1 and op2 intertwine the base actions from this tensor
@@ -345,6 +362,27 @@ class BalancedTensor:
 
         key = u if isinstance(u, int) else tuple(sorted(u.items()))
         return self._cached((slot, side, key), build, message, self)
+
+    def leg_product(self, slot, side, u, w):
+        """The class of w, a vector of A (x) A, times e_u on leg ``slot``
+        from the left (side "l") or the right ("r"): ``_leg_op(slot, side,
+        u)`` applied to the class of w, with no descended operator built.
+
+        A checked descent D of a map f satisfies D(project(w)) =
+        project(f(w)) for every w (see ``descend_componentwise``), so once
+        the multiplication is known to descend, its value is the projected
+        product.  The module-map test decides that first, memoized per
+        (slot, side, u); where it fails the checked descent runs, which
+        raises NotBalanced as ``_leg_op`` does.
+        """
+        m = self.algebra.lmul(u) if side == "l" else self.algebra.rmul(u)
+        ops = (m, None) if slot == 1 else (None, m)
+        key = ("module-map", slot, side, u)
+        if key not in self._op_cache:
+            self._op_cache[key] = self._module_maps(self, *ops, False)
+        if not self._op_cache[key]:
+            self._leg_op(slot, side, u)
+        return self.project(apply_legs(*ops, w, self.leg_dim))
 
     def _combine(self, slot, side, u):
         """Multiplication by u on a leg, combined from its basis elements'

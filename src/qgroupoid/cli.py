@@ -185,11 +185,10 @@ def cmd_integrals(args):
 def cmd_measure(args):
     try:
         M, weight, phi, psi, cocycle = _pipeline(args)
+        X = assemble_measured(M, weight, phi, psi)
     except FieldExtensionNeeded as e:
         return _fail("quasi-invariant", str(e), args.out,
                      hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
-    try:
-        X = assemble_measured(M, weight, phi, psi)
     except Rejected as e:
         hint = e.hint
         if e.eq == "base-weight-counital":

@@ -69,6 +69,7 @@ __all__ = [
     "vec_from_dense",
     "vec_conj",
     "kron_vec",
+    "kron_vec_at",
     "kron",
     "apply_legs",
     "joint_kernel",
@@ -662,6 +663,20 @@ def kron_vec(u, v, n2):
             for j, t in v.items():
                 p = s * t
                 w[i + j] = p.numerator if type(p) is Fraction and p.denominator == 1 else p
+    return w
+
+
+def kron_vec_at(u, v, n2, positions):
+    """``kron_vec(u, v, n2)`` restricted to the indices in ``positions``,
+    the entry at index k stored at positions[k]: u (x) v projected to the
+    coordinate quotient whose ``free_pos`` is positions, in one pass."""
+    w = {}
+    for i, s in u.items():
+        i *= n2
+        for j, t in v.items():
+            p = positions.get(i + j)
+            if p is not None:
+                w[p] = _mul(s, t)
     return w
 
 

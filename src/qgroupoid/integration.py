@@ -207,7 +207,8 @@ def _invariance(M, mapping, side, letter):
     checked descents.  So the law at (d, e) is the law at d times e_e.
     Each d is decided by comparing sl(Delta(d)) with s(mapping(d)); the
     multipliers e of a d where they differ are then scanned in order, so
-    the witness is the first failing (d, e) of a full scan.
+    the witness is the first failing (d, e) of a full scan.  The identity
+    needs an associative A; for any other A every (d, e) is scanned.
     """
     h = _Half(M, "B" if letter == "a" else "C")
     wit = _module_witness(M, mapping, side, ((h, "module"),))
@@ -220,8 +221,9 @@ def _invariance(M, mapping, side, letter):
         return False, str(e)
     n, target = M.A.dim, _target(M, side)
     action = target.struct("s", h.letter == target.letter)  # s(x) a in h's order
+    associative = M.A.is_associative()[0]
     for d in range(n):
-        if sl.apply(h.delta.col(d)) == target.s.apply(mapping.col(d)):
+        if associative and sl.apply(h.delta.col(d)) == target.s.apply(mapping.col(d)):
             continue  # then the law holds at every e: see the docstring
         for e in range(n):
             if sl.apply(h.absorbed(3 - leg, d, e)) != action.act(mapping.col(d), {e: ONE}):

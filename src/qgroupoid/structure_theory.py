@@ -97,7 +97,8 @@ def convolution(X, upsilon, kind):
     The product forms follow from the agreement.  By the slice identity
     of ``integration._invariance``, sl_h of Delta_h(a) with e_b absorbed
     on the leg sl_h does not consume is op_h(a) e_b in h's order.  So the
-    (a, b) pairs are scanned, in order, only when the two operators differ.
+    (a, b) pairs are scanned, in order, only when the two operators differ
+    or A is not associative, where that identity fails.
     """
     M = X.M
     n = M.A.dim
@@ -120,7 +121,7 @@ def convolution(X, upsilon, kind):
     (_, _, op), (_, _, op_c) = slices
     rep.check(op == op_c, "two-sided-agreement", "convolution")
     # product forms: op(a) e_b = sl_B(Delta_B(a) with e_b absorbed) and the mirror
-    ok = op == op_c or all(
+    ok = (op == op_c and M.A.is_associative()[0]) or all(
         h.mul(op.col(a), {b: ONE}) == sl.apply(h.absorbed(3 - leg, a, b))
         for a in range(n)
         for b in range(n)

@@ -82,6 +82,16 @@ def sweedler_h4():
 
 
 @pytest.fixture(scope="session")
+def m_h4_crossed(sweedler_h4):
+    """H4 as a bundle: its crossed product over a one-point base under the
+    trivial action h . 1 = eps(h)."""
+    h = sweedler_h4
+    point = FiniteAlgebra.pointwise(["pt"])
+    acts = [LinearMap(1, 1, [h.eps.col(k)]) for k in range(h.dim)]
+    return build_crossed_product(point, h, HopfAction(h, point, acts))
+
+
+@pytest.fixture(scope="session")
 def m_tensor():
     b = FiniteAlgebra.pointwise(["u1", "u2"], involution=LinearMap.identity(2))
     c = FiniteAlgebra.pointwise(["v1", "v2"], involution=LinearMap.identity(2))

@@ -200,6 +200,13 @@ def sweep_bundles():
                            mutant_bundle(kind, col, build, add_col))
 
 
+def single_term_mutants():
+    """Every convolution p2 bundle with e_c (x) e_k added to column c of
+    Delta_B or of Delta_C: 2 * 4 * 4 of them."""
+    return [mutant_bundle(kind, c, build_convolution_algebroid, term=(c, k))
+            for kind in ("delta_B", "delta_C") for c in range(4) for k in range(4)]
+
+
 def _mutant_sweep():
     """Every bundle of ``sweep_bundles``.  A step holds the bundle's name
     and derive_counits outcome, then the failing verify_regular_mha entries.

@@ -463,13 +463,6 @@ def _delta_operator_by_echelon(h):
                         if not lands(b, rel))
 
 
-def _single_term_mutants():
-    """Every convolution p2 bundle with e_c (x) e_k added to column c of
-    Delta_B or of Delta_C: 2 * 4 * 4 of them."""
-    return [golden_record.mutant_bundle(kind, c, build_convolution_algebroid, term=(c, k))
-            for kind in ("delta_B", "delta_C") for c in range(4) for k in range(4)]
-
-
 _SUITES = ((verify_left_bialgebroid, "B"), (verify_right_bialgebroid, "C"))
 
 
@@ -499,7 +492,7 @@ def test_delta_operator_on_generators_agrees_with_the_echelon_on_mutants():
     # the ideal generators g_x (x, 1, 1) decide the law on a non-commutative
     # base and on every single-term comultiplication mutant; a failing one
     # still names the first failing generator, b outer
-    bundles = [golden_record.matrix_tensor_algebroid(), *_single_term_mutants(),
+    bundles = [golden_record.matrix_tensor_algebroid(), *golden_record.single_term_mutants(),
                _matrix_term_mutant("delta_B", 1, 5), _matrix_term_mutant("delta_C", 1, 5)]
     verdicts = set()
     for M in bundles:
@@ -532,7 +525,7 @@ def test_delta_operator_off_the_ideal_argument_scans_the_echelon(monkeypatch, pa
         return lines, len(calls)
 
     passing = golden_record.matrix_tensor_algebroid()
-    for M in [passing, *_single_term_mutants()[::5]]:
+    for M in [passing, *golden_record.single_term_mutants()[::5]]:
         reports(M)  # the descents the suites make are memoized from here on
         expected, by_generators = reports(M)
         with monkeypatch.context() as patched:
@@ -588,7 +581,7 @@ def test_antipode_uniqueness_through_the_inverse_reports_what_the_solve_does(
         bundles = [request.getfixturevalue(name) for name in names] + _passing_bundles()
     else:
         bundles = ([M for _, M in golden_record.sweep_bundles()] if bundles == "sweep"
-                   else _single_term_mutants())
+                   else golden_record.single_term_mutants())
     seen = set()
     for M in bundles:
         rep = verify_regular_mha(M)

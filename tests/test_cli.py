@@ -123,6 +123,21 @@ def test_dual_rejection_exits_1_with_a_fail_line(p2_file, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_measure_rejected_recipe_exits_1_with_one_entry(capsys):
+    """On the function algebroid the groupoid_rn modifier is no automorphism,
+    so ``modify`` inside the pipeline rejects it, as ``dual`` reports too."""
+    code = main(["measure", "--pair-groupoid", "1,2", "--mu", "1,4",
+                 "--recipe", "groupoid_rn"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = [json.loads(line) for line in captured.out.strip().splitlines()]
+    assert len(lines) == 2 and lines[0]["eq"] == "left-modifier"
+    assert lines[0]["status"] == "fail"
+    summary = lines[-1]["summary"]
+    assert summary["checks"] == 1 and summary["rejected"] == "left-modifier"
+    assert "Traceback" not in captured.err
+
+
 def test_report_command(p2_file, capsys, tmp_path):
     code, out = run(capsys, "verify", "--example", "convolution",
                     "--groupoid", p2_file)

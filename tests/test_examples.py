@@ -131,6 +131,18 @@ def test_module_algebra_law_splits_h_by_delta_not_tau_delta(sweedler_h4):
     assert [e.axiom for e in HopfAction(cop, m2, acts).verify().failures()] == ["module-algebra"]
 
 
+def test_h4_crossed_product_over_a_point_passes_every_law(m_h4_crossed):
+    # the trivial action h . 1 = eps(h) over a one-point base makes C # H4
+    # the Hopf algebra H4 as a bundle: the first fixture whose Delta is not
+    # cocommutative and whose antipode squares to no identity
+    M = m_h4_crossed
+    rep = verify_regular_mha(M)
+    assert rep.ok, str(rep)
+    assert len(rep.entries) == 62
+    assert M.S.compose(M.S) != LinearMap.identity(M.A.dim)
+    assert M._db_lift != LinearMap.flip(4, 4).compose(M._db_lift)
+
+
 def test_z3_group_hopf_over_plain_field():
     labels, table = cyclic_group_table(3)
     h = build_group_hopf(labels, table, "group")

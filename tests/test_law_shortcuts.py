@@ -1,0 +1,248 @@
+"""The multiplier-law shortcuts report what the general paths report.
+
+``_coassociativity`` decides each law from Lambda(b) and P(b) alone when
+both tensors are coordinate quotients and A is associative;
+``_counit_checks``, ``integration._invariance`` and the product forms of
+``structure_theory.convolution`` skip their multiplier scans through the
+slice identity when A is associative.  Each is run here as it is and
+with A taken for non-associative during the call, which sends it down
+its general path, on the fixtures and on the mutants of the golden
+corpus; both runs must give the same report.  ``canonical_tilde``, which
+reads the canonical maps as projected products of the stored lift, is
+compared with the descended leg operator applied to Delta.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+from qgroupoid import bialgebroid, integration, structure_theory
+from qgroupoid.balanced_tensor import BalancedTensor, NotBalanced
+from qgroupoid.bialgebroid import RegularMHA, verify_regular_mha
+from qgroupoid.examples import (
+    build_convolution_algebroid,
+    build_function_algebroid,
+    pair_groupoid,
+    standard_integrals,
+)
+from qgroupoid.exact_linear import ONE, LinearMap
+from qgroupoid.integration import BaseWeight, assemble_measured, check_partial_integral
+
+
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(os.path.dirname(__file__), *path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_record = _load("golden_record", "golden", "record.py")
+sparse_descent = _load("sparse_descent", "test_sparse_descent.py")
+
+_FIXTURES = ("m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided",
+             "m_h4_crossed", "m_conv_mod")
+
+
+def _named_bundles(request):
+    """The fixtures, functions and convolution of p3, and functions on Z2."""
+    p3 = pair_groupoid([1, 2, 3])
+    return ([request.getfixturevalue(name) for name in _FIXTURES]
+            + [build_function_algebroid(p3), build_convolution_algebroid(p3),
+               build_function_algebroid(request.getfixturevalue("z2"))])
+
+
+def _non_associative(monkeypatch, module, name, algebra_of):
+    """module.name with A, read by algebra_of from its first argument,
+    taken for non-associative during each call: its gate declines."""
+    real = getattr(module, name)
+
+    def declined(first, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra_of(first), "is_associative", lambda: (False, None))
+            return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, declined)
+
+
+# the entries of the two shortcuts
+_LAWS = {"delta-coassociative", "right-delta-co-associative", "compatible",
+         "left-counit", "right-counit"}
+
+
+@pytest.mark.parametrize("bundles", ["named", "sweep", "single-term"])
+def test_coassociativity_and_counit_shortcuts_report_what_the_scans_do(
+        request, monkeypatch, bundles):
+    if bundles == "named":
+        bundles = _named_bundles(request) + [golden_record.nonassociative_bundle()]
+    elif bundles == "sweep":
+        bundles = [M for _, M in golden_record.sweep_bundles()]
+    else:
+        bundles = golden_record.single_term_mutants()
+    failing = set()
+    for M in bundles:
+        rep = verify_regular_mha(M)
+        with monkeypatch.context() as declined:
+            _non_associative(declined, bialgebroid, "_coassociativity", lambda M: M.A)
+            _non_associative(declined, bialgebroid, "_counit_checks", lambda h: h.A)
+            assert verify_regular_mha(M).to_json_lines() == rep.to_json_lines(), M.name
+        failing |= {e.eq for e in rep.failures()}
+    assert _LAWS <= failing  # the general paths are compared on failing laws too
+
+
+def test_integral_shortcuts_report_what_the_scans_do(request, monkeypatch):
+    # every characterization of the standard integrals and of their
+    # copies with e_x added to one column (as in the golden corpus), and
+    # every convolution operator of the measured fixtures
+    cases = []
+    for name, kind in (("m_fun", "groupoid-functions"), ("m_conv", "groupoid-convolution")):
+        M = request.getfixturevalue(name)
+        for integral in standard_integrals(kind, M, groupoid=request.getfixturevalue("p2")):
+            f = integral.mapping
+            cases.append((M, f, integral.side))
+            for a in range(f.cols):
+                for x in range(f.rows):
+                    cols = [dict(f.col(j)) for j in range(f.cols)]
+                    cols[a][x] = cols[a].get(x, 0) + ONE
+                    cases.append((M, LinearMap(f.rows, f.cols, cols), integral.side))
+    measured = [request.getfixturevalue(name)
+                for name in ("x_fun_14", "x_conv_uniform", "x_conv_mod", "x_group", "x_tensor")]
+
+    def reports():
+        out = [check_partial_integral(M, f, side).to_json_lines() for M, f, side in cases]
+        for X in measured:
+            for f in (X.phi, X.psi):
+                for kind in ("lambda", "rho"):
+                    out.append(structure_theory.convolution(X, f, kind).report.to_json_lines())
+        return out
+
+    expected = reports()
+    # some perturbed copies fail only at a multiplier, found by the scan
+    assert any('["deltab"' in line for lines in expected for line in lines)
+    assert any('["deltac"' in line for lines in expected for line in lines)
+    with monkeypatch.context() as declined:
+        _non_associative(declined, integration, "_invariance", lambda M: M.A)
+        _non_associative(declined, structure_theory, "convolution", lambda X: X.M.A)
+        assert reports() == expected
+
+
+def _tilde_by_operator(M, which, a, b):
+    """The canonical map on e_a (x) e_b as the descended multiplication by
+    e_a or e_b on its leg, applied to Delta."""
+    if which == "T_lambda":
+        return M.qb.rmul1({a: ONE}).apply(M.delta_B.col(b))
+    if which == "T_rho":
+        return M.qb.rmul2({b: ONE}).apply(M.delta_B.col(a))
+    if which == "lambda_T":
+        return M.qc.lmul1({a: ONE}).apply(M.delta_C.col(b))
+    return M.qc.lmul2({b: ONE}).apply(M.delta_C.col(a))
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except NotBalanced as e:
+        return None, (str(e), e.witness)
+
+
+def _basis_changed():
+    """Functions and convolution of p2 moved by the shift change of basis:
+    their tensors are echelon quotients."""
+    out = []
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        M = build(pair_groupoid([1, 2]))
+        out.append(sparse_descent._transport(M, sparse_descent._CHANGES["shift"](M.A.dim)))
+    return out
+
+
+def test_canonical_tilde_is_the_descended_operator_on_delta(request):
+    bundles = (_named_bundles(request) + [golden_record.matrix_tensor_algebroid()]
+               + _basis_changed()
+               + [golden_record.nonassociative_bundle(build)
+                  for build in (build_function_algebroid, build_convolution_algebroid)]
+               + [M for _, M in golden_record.sweep_bundles()]
+               + golden_record.single_term_mutants())
+    raised = 0
+    for M in bundles:
+        for which in RegularMHA._TILDES:
+            for a in range(M.A.dim):
+                for b in range(M.A.dim):
+                    got = _outcome(lambda: M.canonical_tilde(which, a, b))
+                    assert got == _outcome(lambda: _tilde_by_operator(M, which, a, b)), \
+                        (M.name, which, a, b)
+                    raised += got[1] is not None
+    assert raised  # on non-associative convolution some do not descend
+
+
+def test_descent_into_a_coordinate_target_is_its_projected_image(request, monkeypatch):
+    # the columns written straight into a coordinate target's free
+    # positions equal the images projected by the target, the path an
+    # echelon target takes: flips and flip o (S (x) S) between every pair
+    # of flavors, and every leg multiplication of each flavor
+    bundles = _named_bundles(request) + [golden_record.nonassociative_bundle(build)
+                                        for build in (build_function_algebroid,
+                                                      build_convolution_algebroid)]
+    message = "{src!r} -> {dst!r}"
+    for M in bundles:
+        A, tensors = M.A, [M.tensor(flavor) for flavor in RegularMHA._RECIPES]
+        legs = [(f(k), None) for f in (A.lmul, A.rmul) for k in range(A.dim)]
+        legs += [(None, op) for op, _ in legs]
+        calls = [(src, dst, ops, True) for src in tensors for dst in tensors
+                 for ops in ((None, None), (M.S, M.S))]
+        calls += [(q, q, ops, False) for q in tensors for ops in legs]
+        for src, dst, ops, swap in calls:
+            direct = _outcome(lambda: src.descend(*ops, message, dst, swap=swap))
+            with monkeypatch.context() as echelon:
+                echelon.setattr(dst, "coordinate", False)
+                assert _outcome(lambda: src.descend(*ops, message, dst, swap=swap)) == direct, \
+                    (M.name, src.flavor, dst.flavor)
+
+
+def _blocks_spy(monkeypatch):
+    """The multiplied elements b each ``_coassociativity_blocks`` call scans."""
+    scanned = []
+    blocks = bialgebroid._coassociativity_blocks
+
+    def spy(M, kind, bs):
+        scanned.append(list(bs))
+        return blocks(M, kind, bs)
+
+    monkeypatch.setattr(bialgebroid, "_coassociativity_blocks", spy)
+    return scanned
+
+
+def test_a_passing_coordinate_bundle_scans_no_coassociativity_block(monkeypatch):
+    scanned = _blocks_spy(monkeypatch)
+    M = build_convolution_algebroid(pair_groupoid([1, 2, 3]))
+    assert verify_regular_mha(M).ok
+    assert scanned == []
+
+
+def test_the_coordinate_gate_declines_on_echelon_quotients(monkeypatch):
+    # the M2 base and the basis-changed bundles are associative but not
+    # diagonal, so every b of all four laws is scanned
+    scanned = _blocks_spy(monkeypatch)
+    for M in [golden_record.matrix_tensor_algebroid(), *_basis_changed()]:
+        scanned.clear()
+        assert not (M.qb.coordinate or M.qc.coordinate) and M.A.is_associative()[0]
+        assert verify_regular_mha(M).ok
+        assert scanned == [list(range(M.A.dim))] * 4, M.name
+
+
+def test_assemble_measured_descends_no_leg_multiplication(monkeypatch):
+    p3 = pair_groupoid([1, 2, 3])
+    M = build_function_algebroid(p3)
+    phi, psi = standard_integrals("groupoid-functions", M, groupoid=p3)
+    weight = BaseWeight(mu_B={0: ONE, 1: 4 * ONE, 2: 9 * ONE},
+                        mu_C={0: ONE, 1: 4 * ONE, 2: 9 * ONE})
+    built = []
+    leg_op = BalancedTensor._leg_op
+
+    def spy(self, slot, side, u):
+        built.append((self.flavor, slot, side, u))
+        return leg_op(self, slot, side, u)
+
+    monkeypatch.setattr(BalancedTensor, "_leg_op", spy)
+    assert assemble_measured(M, weight, phi, psi).report.ok
+    assert built == []
