@@ -37,13 +37,14 @@ left to eliminate in, not n^3.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .exact_linear import (
     ONE,
     LinearMap,
     QuotientSpace,
     Rref,
     Scalar,
-    apply_legs,
     axpy,
     conj,
     kron_vec,
@@ -69,6 +70,11 @@ class NotBalanced(ValueError):
 
 
 _DESCENDS = " does not descend between flavors {src!r} -> {dst!r}"
+
+# The zero column of every map ``descend`` and ``descend_componentwise``
+# build: one read-only empty mapping, shared, so that a zero column costs a
+# pointer and a write into one raises TypeError.
+_ZERO_COLUMN = MappingProxyType({})
 
 
 class _Unbalanced:
@@ -176,8 +182,8 @@ def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
                 axpy(out, conj(s) if antilinear else s, image)
         return out
 
-    if dst is None:
-        rows, holds, project = src.algebra.dim, (lambda w: not w), (lambda w: w)
+    if dst is None:  # fn's vectors may be held elsewhere: each column is a copy
+        rows, holds, project = src.algebra.dim, (lambda w: not w), dict
     else:
         rows, holds, project = dst.dim, dst.space.contains_relation, dst.project
     if not all(holds(apply(row)) for row in src.space.rows_touching(images).values()):
@@ -185,12 +191,13 @@ def descend_componentwise(src, dst, fn, message, antilinear=False, live=None):
             if not holds(apply(rel)):
                 raise _not_balanced(message, src, dst, gen)
         raise AssertionError("a relation basis row fails but no generator does")
-    cols = [{} for _ in range(src.dim)]
+    cols = [_ZERO_COLUMN] * src.dim
     free_pos = src.space.free_pos
     for ij, image in images.items():
-        if ij in free_pos:
-            cols[free_pos[ij]] = project(image)
-    return LinearMap(rows, src.dim, cols)
+        q = free_pos.get(ij)
+        if q is not None and (col := project(image)):
+            cols[q] = col
+    return LinearMap._fresh(rows, src.dim, cols)
 
 
 class BalancedTensor:
@@ -208,10 +215,11 @@ class BalancedTensor:
     basis row fails, so the witness of NotBalanced is still the first
     failing generator.
 
-    The descended maps a tensor hands out (leg multiplications, slices
-    and flips), and the module-map verdicts of ``leg_product``, are
-    memoized per tensor in ``_op_cache``: a repeated call
-    returns the map computed the first time.  A map that is not balanced
+    The descended maps a tensor hands out (``leg_op``, slices and flips)
+    are memoized per tensor in ``_op_cache``: a repeated call returns the
+    map computed the first time.  Their zero columns are one shared
+    read-only mapping, ``_ZERO_COLUMN``, so a tensor that holds its 4n
+    leg multiplications stores mostly pointers.  A map that is not balanced
     is memoized too, as its failing generator: a repeated call checks no
     relation and raises NotBalanced with that generator and the call's
     own ``what`` text.  Callers must not mutate the returned maps.
@@ -285,7 +293,8 @@ class BalancedTensor:
         checks the relation rows touching those basis tensors and, if one
         fails, raises NotBalanced with the first failing generator and
         ``message``, in which {src!r} and {dst!r} stand for the two
-        flavors.  Columns at other coordinates are empty.
+        flavors.  Columns at other coordinates, and every other zero
+        column, are the shared read-only ``_ZERO_COLUMN``.
         """
         n, dst = self.leg_dim, target or self
 
@@ -306,18 +315,19 @@ class BalancedTensor:
         coords = [i * n + j for i in live1 for j in live2]
         if not self._module_maps(dst, op1, op2, swap):
             return descend_componentwise(self, dst, fn, message, live=coords)
-        cols = [{} for _ in range(self.dim)]
+        cols = [_ZERO_COLUMN] * self.dim
         free_pos = self.space.free_pos
         into = dst.space.free_pos if dst.coordinate else None
         for ij in coords:
             q = free_pos.get(ij)
             if q is not None:
                 if into is not None:
-                    cols[q] = kron_vec_at(*legs(*divmod(ij, n)), n, into)
+                    col = kron_vec_at(*legs(*divmod(ij, n)), n, into)
                 else:
                     image = fn(*divmod(ij, n))
-                    if image:
-                        cols[q] = dst.project(image)
+                    col = image and dst.project(image)
+                if col:
+                    cols[q] = col
         return LinearMap._fresh(dst.dim, self.dim, cols)
 
     def _module_maps(self, dst, op1, op2, swap):
@@ -350,8 +360,17 @@ class BalancedTensor:
             raise _not_balanced(message, self, target, value.witness)
         return value
 
-    def _leg_op(self, slot, side, u):
-        """The descended multiplication by u, a basis index or a vector."""
+    def leg_op(self, slot, side, u):
+        """The descended multiplication by u on leg ``slot`` (1 or 2), from
+        the left (side "l") or the right ("r"): u is a basis index or a
+        vector of A, and its own multiplication, ``algebra.lmul(u)`` or
+        ``rmul(u)``, is descended by ``descend``.  A vector e_k is taken as
+        the index k, so the two share one memo entry.  Raises NotBalanced
+        when the multiplication does not descend."""
+        if not isinstance(u, int):
+            items = list(u.items())
+            if len(items) == 1 and items[0][1] == ONE:
+                u = items[0][0]
         message = "%s-multiplication on leg %d" % (side, slot) + _DESCENDS
 
         def build():
@@ -362,56 +381,6 @@ class BalancedTensor:
 
         key = u if isinstance(u, int) else tuple(sorted(u.items()))
         return self._cached((slot, side, key), build, message, self)
-
-    def leg_product(self, slot, side, u, w):
-        """The class of w, a vector of A (x) A, times e_u on leg ``slot``
-        from the left (side "l") or the right ("r"): ``_leg_op(slot, side,
-        u)`` applied to the class of w, with no descended operator built.
-
-        A checked descent D of a map f satisfies D(project(w)) =
-        project(f(w)) for every w (see ``descend_componentwise``), so once
-        the multiplication is known to descend, its value is the projected
-        product.  The module-map test decides that first, memoized per
-        (slot, side, u); where it fails the checked descent runs, which
-        raises NotBalanced as ``_leg_op`` does.
-        """
-        m = self.algebra.lmul(u) if side == "l" else self.algebra.rmul(u)
-        ops = (m, None) if slot == 1 else (None, m)
-        key = ("module-map", slot, side, u)
-        if key not in self._op_cache:
-            self._op_cache[key] = self._module_maps(self, *ops, False)
-        if not self._op_cache[key]:
-            self._leg_op(slot, side, u)
-        return self.project(apply_legs(*ops, w, self.leg_dim))
-
-    def _combine(self, slot, side, u):
-        """Multiplication by u on a leg, combined from its basis elements'
-        descended maps.  A basis element need not descend where u does (in
-        a basis that does not diagonalize the base action, say); then u's
-        own map is descended."""
-        items = list(u.items())
-        if len(items) == 1 and items[0][1] == ONE:
-            return self._leg_op(slot, side, items[0][0])
-        try:
-            return LinearMap.combination(
-                self.dim, self.dim, ((s, self._leg_op(slot, side, i)) for i, s in items)
-            )
-        except NotBalanced:
-            return self._leg_op(slot, side, u)
-
-    def lmul1(self, u):
-        """Descended u*(.) on the first leg."""
-        return self._combine(1, "l", u)
-
-    def lmul2(self, u):
-        return self._combine(2, "l", u)
-
-    def rmul1(self, u):
-        """Descended (.)*u on the first leg."""
-        return self._combine(1, "r", u)
-
-    def rmul2(self, u):
-        return self._combine(2, "r", u)
 
     def mul_class(self, q1, q2):
         """Product of canonical representatives, projected back.

@@ -851,7 +851,8 @@ class LinearMap:
     @classmethod
     def _fresh(cls, rows, cols, data):
         """The map with these columns, kept without the copy ``__init__``
-        makes: each must be a new dict with no zero entry."""
+        makes: each must be a new dict with no zero entry, or a read-only
+        empty mapping, which may be shared."""
         out = cls.__new__(cls)
         out.rows, out.cols, out.data, out._solver = rows, cols, tuple(data), None
         return out

@@ -3,6 +3,7 @@
 import pytest
 
 from qgroupoid.algebra_core import FiniteAlgebra
+from qgroupoid.balanced_tensor import descend_componentwise
 from qgroupoid.examples import (
     FiniteHopf,
     HopfAction,
@@ -19,9 +20,36 @@ from qgroupoid.examples import (
     standard_integrals,
     swap_action,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, sc
+from qgroupoid.exact_linear import ONE, LinearMap, kron_vec, sc
 from qgroupoid.integration import BaseWeight, assemble_measured
 from qgroupoid.modification import groupoid_rn_modifier, modify
+
+
+def _leg_op_by_components(q, slot, side, u):
+    """The multiplication by u, a vector of A, on leg ``slot`` of the
+    balanced tensor q, from the left (side "l") or the right ("r"),
+    descended by the relation-checked ``descend_componentwise`` from its
+    values on the basis tensors e_i (x) e_j, each taken with one
+    ``A.mul``.  It reads no leg operator, module-map test or memo of
+    ``BalancedTensor.leg_op``, and raises NotBalanced with the same text
+    and witness where the multiplication does not descend."""
+    A, n = q.algebra, q.leg_dim
+
+    def times(k):
+        return A.mul(u, {k: ONE}) if side == "l" else A.mul({k: ONE}, u)
+
+    def fn(i, j):
+        return kron_vec(times(i), {j: ONE}, n) if slot == 1 else kron_vec({i: ONE}, times(j), n)
+
+    message = "%s-multiplication on leg %d does not descend between flavors {src!r} -> {dst!r}"
+    return descend_componentwise(q, q, fn, message % (side, slot))
+
+
+@pytest.fixture(scope="session")
+def leg_op_by_components():
+    """The independent oracle of ``BalancedTensor.leg_op`` (see
+    ``_leg_op_by_components``)."""
+    return _leg_op_by_components
 
 
 @pytest.fixture(scope="session")

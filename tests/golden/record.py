@@ -158,23 +158,43 @@ def _mutant(kind, col, build=build_function_algebroid, add_col=None, term=None):
     return _verified(mutant_bundle(kind, col, build, add_col, term=term))
 
 
-def nonassociative_bundle(build=build_function_algebroid):
-    """The p2 instance of ``build`` over a copy of A with e_0 e_1 := e_0,
-    which is not associative: (e_0 e_1) e_0 = e_0 but e_0 (e_1 e_0) = 0 on
-    functions.  Its comultiplications, counits and antipode are the
-    instance's own, passed explicitly.  Every check gated on an associative
-    A takes its general path here."""
+def product_changed(build, i, j, value, name="product-changed"):
+    """The p2 instance of ``build`` over a copy of A with e_i e_j := value,
+    a vector of A.  Its comultiplications, counits and antipode are the
+    instance's own, passed explicitly."""
     M = build(pair_groupoid(POINTS))
     n = M.A.dim
     table = [list(row) for row in M.A.table]
-    table[0][1] = {0: ONE}
+    table[i][j] = value
     A = FiniteAlgebra(table, M.A.labels, M.A.involution)
-    raw_b = LinearMap.from_function(n * n, n, lambda j: M.qb.lift(M.delta_B.col(j)))
-    raw_c = LinearMap.from_function(n * n, n, lambda j: M.qc.lift(M.delta_C.col(j)))
+    raw_b = LinearMap.from_function(n * n, n, lambda k: M.qb.lift(M.delta_B.col(k)))
+    raw_c = LinearMap.from_function(n * n, n, lambda k: M.qc.lift(M.delta_C.col(k)))
     return RegularMHA(A, BaseEmbedding(M.B.base, A, M.B.embed, name="B"),
                       BaseEmbedding(M.C.base, A, M.C.embed, name="C"),
                       M.S_B, M.S_C, raw_b, raw_c,
-                      eps_B=M.eps_B, eps_C=M.eps_C, S=M.S, name="nonassociative")
+                      eps_B=M.eps_B, eps_C=M.eps_C, S=M.S, name=name)
+
+
+def nonassociative_bundle(build=build_function_algebroid):
+    """The p2 instance of ``build`` with e_0 e_1 := e_0, which is not
+    associative: (e_0 e_1) e_0 = e_0 but e_0 (e_1 e_0) = 0 on functions.
+    Every check gated on an associative A takes its general path here."""
+    return product_changed(build, 0, 1, {0: ONE}, name="nonassociative")
+
+
+def single_product_changes():
+    """((build name, i, j, k), bundle) for every single-product change
+    e_i e_j := e_k of functions and convolution p2, k None for 0, that
+    differs from the instance's own product."""
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        table = build(pair_groupoid(POINTS)).A.table
+        n = len(table)
+        for i in range(n):
+            for j in range(n):
+                for k in [*range(n), None]:
+                    value = {} if k is None else {k: ONE}
+                    if table[i][j] != value:
+                        yield (build.__name__, i, j, k), product_changed(build, i, j, value)
 
 
 def _derived_counits(M):

@@ -84,19 +84,19 @@ def test_defining_relation_quantified(m_fun):
                 assert lhs == rhs
 
 
-def test_leg_multiplications_descend(m_fun):
+def test_leg_multiplications_descend(m_fun, leg_op_by_components):
     qb = m_fun.qb
     # descending is checked internally; any failure raises NotBalanced
     for j in range(m_fun.A.dim):
-        qb.rmul1({j: ONE})
-        qb.rmul2({j: ONE})
+        leg_op_by_components(qb, 1, "r", {j: ONE})
+        leg_op_by_components(qb, 2, "r", {j: ONE})
     qc = m_fun.qc
     for j in range(m_fun.A.dim):
-        qc.lmul1({j: ONE})
-        qc.lmul2({j: ONE})
+        leg_op_by_components(qc, 1, "l", {j: ONE})
+        leg_op_by_components(qc, 2, "l", {j: ONE})
 
 
-def test_counit_slice_recovers_product(m_fun):
+def test_counit_slice_recovers_product(m_fun, leg_op_by_components):
     # the left-counit slice of Delta(f)(1 (x) g) is f g, all basis pairs
     qb = m_fun.qb
     A = m_fun.A
@@ -105,7 +105,8 @@ def test_counit_slice_recovers_product(m_fun):
     for f in range(A.dim):
         df = m_fun.delta_B.col(f)
         for g in range(A.dim):
-            assert sl.apply(qb.rmul2({g: ONE}).apply(df)) == A.mul({f: ONE}, {g: ONE})
+            times_g = leg_op_by_components(qb, 2, "r", {g: ONE})
+            assert sl.apply(times_g.apply(df)) == A.mul({f: ONE}, {g: ONE})
 
 
 def test_zero_slice(m_fun):

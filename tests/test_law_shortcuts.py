@@ -7,9 +7,9 @@ both tensors are coordinate quotients and A is associative;
 slice identity when A is associative.  Each is run here as it is and
 with A taken for non-associative during the call, which sends it down
 its general path, on the fixtures and on the mutants of the golden
-corpus; both runs must give the same report.  ``canonical_tilde``, which
-reads the canonical maps as projected products of the stored lift, is
-compared with the descended leg operator applied to Delta.
+corpus; both runs must give the same report.  ``canonical_tilde`` is
+compared with the leg multiplication descended one basis tensor at a
+time, applied to Delta.
 """
 
 import importlib.util
@@ -18,7 +18,7 @@ import os
 import pytest
 
 from qgroupoid import bialgebroid, integration, structure_theory
-from qgroupoid.balanced_tensor import BalancedTensor, NotBalanced
+from qgroupoid.balanced_tensor import NotBalanced
 from qgroupoid.bialgebroid import RegularMHA, verify_regular_mha
 from qgroupoid.examples import (
     build_convolution_algebroid,
@@ -27,7 +27,7 @@ from qgroupoid.examples import (
     standard_integrals,
 )
 from qgroupoid.exact_linear import ONE, LinearMap
-from qgroupoid.integration import BaseWeight, assemble_measured, check_partial_integral
+from qgroupoid.integration import check_partial_integral
 
 
 def _load(name, *path):
@@ -127,18 +127,6 @@ def test_integral_shortcuts_report_what_the_scans_do(request, monkeypatch):
         assert reports() == expected
 
 
-def _tilde_by_operator(M, which, a, b):
-    """The canonical map on e_a (x) e_b as the descended multiplication by
-    e_a or e_b on its leg, applied to Delta."""
-    if which == "T_lambda":
-        return M.qb.rmul1({a: ONE}).apply(M.delta_B.col(b))
-    if which == "T_rho":
-        return M.qb.rmul2({b: ONE}).apply(M.delta_B.col(a))
-    if which == "lambda_T":
-        return M.qc.lmul1({a: ONE}).apply(M.delta_C.col(b))
-    return M.qc.lmul2({b: ONE}).apply(M.delta_C.col(a))
-
-
 def _outcome(call):
     try:
         return call(), None
@@ -156,7 +144,9 @@ def _basis_changed():
     return out
 
 
-def test_canonical_tilde_is_the_descended_operator_on_delta(request):
+def test_canonical_tilde_is_the_descended_operator_on_delta(request, leg_op_by_components):
+    # the oracle descends the multiplication by e_u on the canonical map's
+    # leg, one basis tensor at a time, and applies it to Delta(d)
     bundles = (_named_bundles(request) + [golden_record.matrix_tensor_algebroid()]
                + _basis_changed()
                + [golden_record.nonassociative_bundle(build)
@@ -165,12 +155,15 @@ def test_canonical_tilde_is_the_descended_operator_on_delta(request):
                + golden_record.single_term_mutants())
     raised = 0
     for M in bundles:
-        for which in RegularMHA._TILDES:
-            for a in range(M.A.dim):
-                for b in range(M.A.dim):
+        for which, (letter, leg, side) in RegularMHA._TILDES.items():
+            q, delta = (M.qb, M.delta_B) if letter == "B" else (M.qc, M.delta_C)
+            for u in range(M.A.dim):
+                op, error = _outcome(lambda: leg_op_by_components(q, leg, side, {u: ONE}))
+                for d in range(M.A.dim):
+                    a, b = (u, d) if leg == 1 else (d, u)
                     got = _outcome(lambda: M.canonical_tilde(which, a, b))
-                    assert got == _outcome(lambda: _tilde_by_operator(M, which, a, b)), \
-                        (M.name, which, a, b)
+                    expected = (None, error) if op is None else (op.apply(delta.col(d)), None)
+                    assert got == expected, (M.name, which, a, b)
                     raised += got[1] is not None
     assert raised  # on non-associative convolution some do not descend
 
@@ -228,21 +221,3 @@ def test_the_coordinate_gate_declines_on_echelon_quotients(monkeypatch):
         assert not (M.qb.coordinate or M.qc.coordinate) and M.A.is_associative()[0]
         assert verify_regular_mha(M).ok
         assert scanned == [list(range(M.A.dim))] * 4, M.name
-
-
-def test_assemble_measured_descends_no_leg_multiplication(monkeypatch):
-    p3 = pair_groupoid([1, 2, 3])
-    M = build_function_algebroid(p3)
-    phi, psi = standard_integrals("groupoid-functions", M, groupoid=p3)
-    weight = BaseWeight(mu_B={0: ONE, 1: 4 * ONE, 2: 9 * ONE},
-                        mu_C={0: ONE, 1: 4 * ONE, 2: 9 * ONE})
-    built = []
-    leg_op = BalancedTensor._leg_op
-
-    def spy(self, slot, side, u):
-        built.append((self.flavor, slot, side, u))
-        return leg_op(self, slot, side, u)
-
-    monkeypatch.setattr(BalancedTensor, "_leg_op", spy)
-    assert assemble_measured(M, weight, phi, psi).report.ok
-    assert built == []

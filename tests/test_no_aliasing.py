@@ -4,6 +4,8 @@ accumulation started from a column would silently corrupt the map."""
 
 import dataclasses
 
+import pytest
+
 from qgroupoid import (
     BaseWeight,
     assemble_measured,
@@ -20,7 +22,7 @@ from qgroupoid import (
     standard_integrals,
     verify_regular_mha,
 )
-from qgroupoid.exact_linear import apply_legs
+from qgroupoid.exact_linear import LinearMap, apply_legs
 from qgroupoid.structure_theory import _modular_automorphism
 
 WEIGHT = {0: sc(1), 1: sc(4)}
@@ -149,3 +151,26 @@ def test_apply_legs_returns_a_fresh_vector():
             out[k] = sc(7)
         out[-1] = sc(1)
         assert state() == before, legs
+
+
+def test_descended_maps_share_one_read_only_zero_column():
+    # a memoized leg multiplication, slice or flip keeps one column per basis
+    # element of its tensor, and most are zero: each must be the one shared
+    # read-only mapping, so that it costs a pointer and cannot be written
+    g = pair_groupoid([1, 2, 3])
+    M = build_function_algebroid(g)
+    assert verify_regular_mha(M).ok
+    phi, psi = standard_integrals("groupoid-functions", M, groupoid=g)
+    mu = {0: sc(1), 1: sc(4), 2: sc(9)}
+    assert assemble_measured(M, BaseWeight(mu_B=dict(mu), mu_C=dict(mu)), phi, psi).report.ok
+    zeros, kinds = {}, set()
+    for tensor in M._tensors.values():
+        for key, stored in tensor._op_cache.items():
+            if isinstance(stored, LinearMap):
+                kinds.add(key[0] if isinstance(key[0], str) else "leg")
+                zeros.update((id(col), col) for col in stored.data if not col)
+    assert kinds == {"leg", "slice", "flip"}
+    [zero] = zeros.values()
+    with pytest.raises(TypeError):
+        zero[0] = sc(1)
+    assert not zero
