@@ -237,13 +237,12 @@ class Multiplier:
 
 
 class BaseEmbedding:
-    """A base algebra together with its (anti)homomorphic embedding into A."""
+    """A base algebra together with its homomorphic embedding into A."""
 
-    def __init__(self, base, total, embed, anti=False, name="B"):
+    def __init__(self, base, total, embed, name="B"):
         self.base = base
         self.total = total
         self.embed = embed  # LinearMap base -> total
-        self.anti = anti
         self.name = name
 
     def __call__(self, v):
@@ -255,23 +254,9 @@ class BaseEmbedding:
         rep.check(
             self.embed.is_injective(), "%s-injective" % pre, "mult-hopf-algebroid-2"
         )
-        b, a = self.base, self.total
-        ok, wit = True, None
-        for i in range(b.dim):
-            for j in range(b.dim):
-                prod = b.table[j][i] if self.anti else b.table[i][j]
-                lhs = a.mul(self.embed.apply({i: ONE}), self.embed.apply({j: ONE}))
-                if lhs != self.embed.apply(dict(prod)):
-                    ok, wit = False, (b.labels[i], b.labels[j])
-                    break
-            if not ok:
-                break
-        rep.check(
-            ok,
-            "%s-%smultiplicative" % (pre, "anti" if self.anti else ""),
-            "mult-hopf-algebroid-2",
-            wit,
-        )
+        at = _first_product_mismatch(self.base, self.total, self.embed)
+        wit = None if at is None else tuple(self.base.labels[k] for k in at)
+        rep.check(at is None, "%s-multiplicative" % pre, "mult-hopf-algebroid-2", wit)
         return rep
 
     def commutes_with(self, other):
@@ -299,12 +284,11 @@ class ModuleStructure:
     or contravariantly ("right").
     """
 
-    def __init__(self, base, total, acts, side, name=""):
+    def __init__(self, base, total, acts, side):
         self.base = base
         self.total = total
         self.acts = list(acts)
         self.side = side
-        self.name = name
 
     @cached_property
     def weights(self):

@@ -65,6 +65,13 @@ def _fail(eq, message, out, hint=None):
     return MATH_ERROR
 
 
+def _fail_extension(e, out):
+    """The report of a FieldExtensionNeeded e: the rejected quasi-invariant
+    entry, with a hint naming every square root it misses."""
+    return _fail("quasi-invariant", str(e), out,
+                 hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
+
+
 @contextmanager
 def _schema(what):
     """Malformed input read inside the block (a missing key, a value of the
@@ -187,8 +194,7 @@ def cmd_measure(args):
         M, weight, phi, psi, cocycle = _pipeline(args)
         X = assemble_measured(M, weight, phi, psi)
     except FieldExtensionNeeded as e:
-        return _fail("quasi-invariant", str(e), args.out,
-                     hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
+        return _fail_extension(e, args.out)
     except Rejected as e:
         hint = e.hint
         if e.eq == "base-weight-counital":
@@ -226,8 +232,7 @@ def cmd_modify(args):
         try:
             mod, _ = groupoid_rn_modifier(groupoid, mu, field)
         except FieldExtensionNeeded as e:
-            return _fail("quasi-invariant", str(e), args.out,
-                         hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
+            return _fail_extension(e, args.out)
     else:
         mod = identity_modifier(M)
     try:
@@ -265,7 +270,7 @@ def cmd_dual(args):
         X = assemble_measured(M, weight, phi, psi)
         dual = dual_algebra(X)
     except FieldExtensionNeeded as e:
-        return _fail("quasi-invariant", str(e), args.out)
+        return _fail_extension(e, args.out)
     except Rejected as e:
         return _fail(e.eq, str(e), args.out, hint=e.hint)
     from .algebra_core import algebra_to_json

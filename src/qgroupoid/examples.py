@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
 from .bialgebroid import RegularMHA, _first_failure
-from .exact_linear import ONE, ZERO, LinearMap, apply_legs, kron, stack_equations, vscale
+from .exact_linear import ONE, ZERO, LinearMap, apply_legs, kron, stack_equations
 from .integration import PartialIntegral, functional_of_map, gram_map
 from .report import Rejected, Report
 
@@ -311,46 +311,46 @@ class FiniteHopf:
 
 
 def build_group_hopf(labels, table, flavor="group"):
-    """Group algebra or function algebra of a finite group, with integrals."""
+    """Group algebra or function algebra of a finite group, with integrals.
+
+    The function algebra is the transpose of the group algebra: product
+    Delta^T, Delta = m^T, eps = eta^T, S = S^T, and the integrals the
+    group algebra's eps read as a functional."""
+    if flavor not in ("group", "function"):
+        raise ValueError("flavor must be 'group' or 'function'")
     n = len(labels)
     inv = [None] * n
     for i in range(n):
         for j in range(n):
             if table[i][j] == 0:
                 inv[i] = j
-    if flavor == "group":
-        alg = FiniteAlgebra(
-            [[{table[i][j]: ONE} for j in range(n)] for i in range(n)],
-            labels=labels,
-            involution=LinearMap.from_function(n, n, lambda i: {inv[i]: ONE}),
-        )
-        delta = LinearMap.from_function(n * n, n, lambda h: {h * n + h: ONE})
-        eps = LinearMap.from_function(1, n, lambda h: {0: ONE})
-        antipode = LinearMap.from_function(n, n, lambda h: {inv[h]: ONE})
-        phi = {0: ONE}  # coefficient of the identity
-        hopf = FiniteHopf(alg, delta, eps, antipode, phi=phi, psi=dict(phi))
-    elif flavor == "function":
-        alg = FiniteAlgebra.pointwise(labels, involution=LinearMap.identity(n))
-        def delta_col(g):
-            out = {}
-            for u in range(n):
-                for v in range(n):
-                    if table[u][v] == g:
-                        out[u * n + v] = ONE
-            return out
-
-        delta = LinearMap.from_function(n * n, n, delta_col)
-        eps = LinearMap.from_function(1, n, lambda g: {0: ONE} if g == 0 else {})
-        antipode = LinearMap.from_function(n, n, lambda g: {inv[g]: ONE})
-        phi = {g: ONE for g in range(n)}  # summation over points
-        hopf = FiniteHopf(alg, delta, eps, antipode, phi=phi, psi=dict(phi))
-    else:
-        raise ValueError("flavor must be 'group' or 'function'")
+    antipode = LinearMap.from_function(n, n, lambda h: {inv[h]: ONE})
+    alg = FiniteAlgebra([[{table[i][j]: ONE} for j in range(n)] for i in range(n)],
+                        labels=labels, involution=antipode)
+    delta = LinearMap.from_function(n * n, n, lambda h: {h * n + h: ONE})
+    eps = LinearMap.from_function(1, n, lambda h: {0: ONE})
+    phi = {0: ONE}  # coefficient of the identity
+    if flavor == "function":
+        phi = functional_of_map({0: ONE}, eps)  # summation over points
+        alg, delta, eps, antipode = _transposed(alg, delta, alg.unit_map(), antipode)
+    hopf = FiniteHopf(alg, delta, eps, antipode, phi=phi, psi=dict(phi))
     rep = hopf.verify()
     if not rep.ok:
         raise Rejected("hopf-axioms", "group Hopf algebra failed verification", rep)
     hopf.compute_modular_data()
     return hopf
+
+
+def _transposed(A, delta, unit, S):
+    """The dual of A on the dual basis, every structure map transposed:
+    (algebra, m^T, unit^T, S^T).  The algebra's product is delta^T, and its
+    involution conj((S o L)^T), L the linear part of A's star, so that
+    f*(a) = conj(f(S(a)*))."""
+    n, product = A.dim, delta.transpose()
+    star = None if A.involution is None else S.compose(A.involution).transpose().conj()
+    dual = FiniteAlgebra.from_mul(n, lambda i, j: product.col(i * n + j),
+                                  labels=A.labels, involution=star)
+    return dual, A.mul_map().transpose(), unit.transpose(), S.transpose()
 
 
 class HopfAction(ModuleStructure):
@@ -434,101 +434,58 @@ def swap_action(hopf, module_algebra):
 # ---------------------------------------------------------------------------
 
 
+def _convolution_maps(g):
+    """The convolution algebra A of g and its raw structure maps, (A, unit,
+    delta, eps_B, eps_C, S): unit embeds the units, delta(gamma) =
+    gamma (x) gamma, eps_B(gamma) = t(gamma), eps_C(gamma) = s(gamma) and
+    S(gamma) = gamma^-1, which is also A's involution."""
+    n, m, arrows, aidx, uidx = g.n_arrows, len(g.units), g.arrows, g.index, g.unit_index
+
+    def mul(i, j):
+        pair = (arrows[i], arrows[j])
+        return {aidx[g.compose[pair]]: ONE} if pair in g.compose else {}
+
+    inv = LinearMap.from_function(n, n, lambda k: {aidx[g.inverse[arrows[k]]]: ONE})
+    A = FiniteAlgebra.from_mul(n, mul, labels=[repr(a) for a in arrows], involution=inv)
+    unit = LinearMap.from_function(n, m, lambda u: {aidx[g.units[u]]: ONE})
+    delta = LinearMap.from_function(n * n, n, lambda k: {k * n + k: ONE})
+    eps_b = LinearMap.from_function(m, n, lambda k: {uidx[g.target[arrows[k]]]: ONE})
+    eps_c = LinearMap.from_function(m, n, lambda k: {uidx[g.source[arrows[k]]]: ONE})
+    return A, unit, delta, eps_b, eps_c, inv
+
+
+def _units_algebra(g):
+    """Functions on the units of g, a base of both groupoid algebroids."""
+    m = len(g.units)
+    return FiniteAlgebra.pointwise([repr(u) for u in g.units], involution=LinearMap.identity(m))
+
+
 def build_function_algebroid(g):
-    """Functions on a finite groupoid, pointwise product."""
-    n = g.n_arrows
-    arrows, units = g.arrows, g.units
-    aidx, uidx = g.index, g.unit_index
-    A = FiniteAlgebra.pointwise(
-        [repr(a) for a in arrows], involution=LinearMap.identity(n)
-    )
-    m = len(units)
-    base_b = FiniteAlgebra.pointwise(
-        [repr(u) for u in units], involution=LinearMap.identity(m)
-    )
-    base_c = FiniteAlgebra.pointwise(
-        [repr(u) for u in units], involution=LinearMap.identity(m)
-    )
-    s_star = LinearMap.from_function(
-        n, m, lambda u: {aidx[a]: ONE for a in arrows if g.source[a] == units[u]}
-    )
-    t_star = LinearMap.from_function(
-        n, m, lambda u: {aidx[a]: ONE for a in arrows if g.target[a] == units[u]}
-    )
-    B = BaseEmbedding(base_b, A, s_star, name="B")
-    C = BaseEmbedding(base_c, A, t_star, name="C")
-    S_B = LinearMap.identity(m)
-    S_C = LinearMap.identity(m)
-
-    def delta_col(k):
-        gamma = arrows[k]
-        out = {}
-        for (a, b) in g.composable_pairs():
-            if g.compose[(a, b)] == gamma:
-                out[aidx[a] * n + aidx[b]] = ONE
-        return out
-
-    delta_raw = LinearMap.from_function(n * n, n, delta_col)
-    eps_b = LinearMap.from_function(
-        m, n, lambda k: {uidx[arrows[k]]: ONE} if arrows[k] in uidx else {}
-    )
-    eps_c = LinearMap.from_function(
-        m, n, lambda k: {uidx[arrows[k]]: ONE} if arrows[k] in uidx else {}
-    )
-    antipode = LinearMap.from_function(
-        n, n, lambda k: {aidx[g.inverse[arrows[k]]]: ONE}
-    )
+    """Functions on a finite groupoid: the transpose of its convolution
+    algebroid.  The product is Delta^T, Delta is m^T, s* = eps_C^T embeds
+    B, t* = eps_B^T embeds C, both counits restrict to the units (the unit
+    embedding transposed), and S is S^T."""
+    conv, unit, delta, eps_b, eps_c, S = _convolution_maps(g)
+    A, delta_fun, eps, antipode = _transposed(conv, delta, unit, S)
+    B = BaseEmbedding(_units_algebra(g), A, eps_c.transpose(), name="B")
+    C = BaseEmbedding(_units_algebra(g), A, eps_b.transpose(), name="C")
+    ident = LinearMap.identity(len(g.units))
     return RegularMHA(
-        A, B, C, S_B, S_C, delta_raw, delta_raw,
-        eps_B=eps_b, eps_C=eps_c, S=antipode,
+        A, B, C, ident, ident, delta_fun, delta_fun,
+        eps_B=eps, eps_C=eps, S=antipode,
         name="function-algebroid",
     )
 
 
 def build_convolution_algebroid(g):
     """Convolution algebra of a finite groupoid."""
-    n = g.n_arrows
-    arrows, units = g.arrows, g.units
-    aidx, uidx = g.index, g.unit_index
-
-    def mul(i, j):
-        pair = (arrows[i], arrows[j])
-        if pair in g.compose:
-            return {aidx[g.compose[pair]]: ONE}
-        return {}
-
-    inv_perm = LinearMap.from_function(
-        n, n, lambda k: {aidx[g.inverse[arrows[k]]]: ONE}
-    )
-    A = FiniteAlgebra.from_mul(
-        n, mul, labels=[repr(a) for a in arrows], involution=inv_perm
-    )
-    m = len(units)
-    base = FiniteAlgebra.pointwise(
-        [repr(u) for u in units], involution=LinearMap.identity(m)
-    )
-    embed = LinearMap.from_function(n, m, lambda u: {aidx[units[u]]: ONE})
-    B = BaseEmbedding(base, A, embed, name="B")
-    C = BaseEmbedding(
-        FiniteAlgebra.pointwise(
-            [repr(u) for u in units], involution=LinearMap.identity(m)
-        ),
-        A,
-        embed,
-        name="C",
-    )
-    S_B = LinearMap.identity(m)
-    S_C = LinearMap.identity(m)
-    delta_raw = LinearMap.from_function(n * n, n, lambda k: {k * n + k: ONE})
-    eps_b = LinearMap.from_function(
-        m, n, lambda k: {uidx[g.target[arrows[k]]]: ONE}
-    )
-    eps_c = LinearMap.from_function(
-        m, n, lambda k: {uidx[g.source[arrows[k]]]: ONE}
-    )
+    A, unit, delta, eps_b, eps_c, S = _convolution_maps(g)
+    B = BaseEmbedding(_units_algebra(g), A, unit, name="B")
+    C = BaseEmbedding(_units_algebra(g), A, unit, name="C")
+    ident = LinearMap.identity(len(g.units))
     return RegularMHA(
-        A, B, C, S_B, S_C, delta_raw, delta_raw,
-        eps_B=eps_b, eps_C=eps_c, S=inv_perm,
+        A, B, C, ident, ident, delta, delta,
+        eps_B=eps_b, eps_C=eps_c, S=S,
         name="convolution-algebroid",
     )
 
@@ -673,95 +630,50 @@ def standard_integrals(kind, M, **params):
 
     Returns (phi_C, psi_B) as linear maps A -> C and A -> B; parameters
     select the member of the family (a weight h on units, functionals on
-    the bases, or the integrals of the acting Hopf algebra).
+    the bases, or the integrals of the acting Hopf algebra).  Each family
+    is a tensor product of identities and functionals, or, on a groupoid,
+    a composite of the convolution algebroid's raw maps.
     """
-    if kind == "groupoid-functions":
+    if kind in ("groupoid-functions", "groupoid-convolution"):
         g = params["groupoid"]
+        _, unit, _, eps_b, eps_c, _ = _convolution_maps(g)
         h = params.get("h")
-        aidx, uidx = g.index, g.unit_index
-        n, m = g.n_arrows, len(g.units)
-        hv = {u: ONE for u in range(m)} if h is None else dict(h)
-        phi = LinearMap.from_function(
-            m,
-            n,
-            lambda k: vscale(
-                hv.get(uidx[g.source[g.arrows[k]]], ZERO),
-                {uidx[g.target[g.arrows[k]]]: ONE},
-            ),
-        )
-        psi = LinearMap.from_function(
-            m,
-            n,
-            lambda k: vscale(
-                hv.get(uidx[g.target[g.arrows[k]]], ZERO),
-                {uidx[g.source[g.arrows[k]]]: ONE},
-            ),
-        )
-        return PartialIntegral("left", phi), PartialIntegral("right", psi)
-    if kind == "groupoid-convolution":
-        g = params["groupoid"]
-        h = params.get("h")
-        uidx = g.unit_index
-        n, m = g.n_arrows, len(g.units)
-        hv = {u: ONE for u in range(m)} if h is None else dict(h)
-        restrict = LinearMap.from_function(
-            m,
-            n,
-            lambda k: (
-                vscale(hv.get(uidx[g.arrows[k]], ZERO), {uidx[g.arrows[k]]: ONE})
-                if g.arrows[k] in uidx
-                else {}
-            ),
-        )
-        return PartialIntegral("left", restrict), PartialIntegral("right", restrict)
-    if kind == "tensor":
+        h = {u: ONE for u in range(len(g.units))} if h is None else dict(h)
+        if kind == "groupoid-convolution":
+            restrict = _diagonal(len(g.units), h).compose(unit.transpose())
+            return PartialIntegral("left", restrict), PartialIntegral("right", restrict)
+        # phi(gamma) = h(s(gamma)) t(gamma) and psi(gamma) = h(t(gamma)) s(gamma)
+        phi = eps_b.compose(_diagonal(g.n_arrows, eps_c.transpose().apply(h)))
+        psi = eps_c.compose(_diagonal(g.n_arrows, eps_b.transpose().apply(h)))
+    elif kind == "tensor":
+        # A = C (x) B
         mb = params["base_b_dim"]
-        upsilon = params["upsilon"]  # functional on B (dict)
-        omega = params["omega"]  # functional on C (dict)
-        n = M.A.dim
-        mc = n // mb
-        phi = LinearMap.from_function(
-            mc,
-            n,
-            lambda k: vscale(upsilon.get(k % mb, ZERO), {k // mb: ONE}),
-        )
-        psi = LinearMap.from_function(
-            mb,
-            n,
-            lambda k: vscale(omega.get(k // mb, ZERO), {k % mb: ONE}),
-        )
-        return PartialIntegral("left", phi), PartialIntegral("right", psi)
-    if kind == "crossed":
+        mc = M.A.dim // mb
+        phi = kron(LinearMap.identity(mc), _functional(params["upsilon"], mb))
+        psi = kron(_functional(params["omega"], mc), LinearMap.identity(mb))
+    elif kind == "crossed":
+        # A = C (x) H
         hopf = params["hopf"]
-        mh = hopf.dim
-        n = M.A.dim
-        mc = n // mh
-        phi = LinearMap.from_function(
-            mc, n, lambda k: vscale(hopf.phi.get(k % mh, ZERO), {k // mh: ONE})
-        )
-        psi = LinearMap.from_function(
-            mc, n, lambda k: vscale(hopf.psi.get(k % mh, ZERO), {k // mh: ONE})
-        )
-        return PartialIntegral("left", phi), PartialIntegral("right", psi)
-    if kind == "two-sided":
-        hopf = params["hopf"]
-        upsilon = params["upsilon"]  # functional on B
-        omega = params["omega"]  # functional on C
-        mh, mb = hopf.dim, params["base_b_dim"]
-        n = M.A.dim
-        mc = n // (mh * mb)
+        ident = LinearMap.identity(M.A.dim // hopf.dim)
+        phi = kron(ident, _functional(hopf.phi, hopf.dim))
+        psi = kron(ident, _functional(hopf.psi, hopf.dim))
+    elif kind == "two-sided":
+        # A = C (x) H (x) B; psi reads phi_H too (Z2 cannot tell it from psi_H)
+        hopf, mb = params["hopf"], params["base_b_dim"]
+        mc = M.A.dim // (hopf.dim * mb)
+        phi_h = _functional(hopf.phi, hopf.dim)
+        phi = kron(LinearMap.identity(mc), phi_h, _functional(params["upsilon"], mb))
+        psi = kron(_functional(params["omega"], mc), phi_h, LinearMap.identity(mb))
+    else:
+        raise ValueError("unknown integral family %r" % kind)
+    return PartialIntegral("left", phi), PartialIntegral("right", psi)
 
-        def phi_col(k):
-            y, r = divmod(k, mh * mb)
-            h, x = divmod(r, mb)
-            return vscale(hopf.phi.get(h, ZERO) * upsilon.get(x, ZERO), {y: ONE})
 
-        def psi_col(k):
-            y, r = divmod(k, mh * mb)
-            h, x = divmod(r, mb)
-            return vscale(hopf.phi.get(h, ZERO) * omega.get(y, ZERO), {x: ONE})
+def _functional(omega, dim):
+    """The functional omega (a dual vector) as a map F^dim -> F."""
+    return LinearMap.from_function(1, dim, lambda j: {0: omega.get(j, ZERO)})
 
-        phi = LinearMap.from_function(mc, n, phi_col)
-        psi = LinearMap.from_function(mb, n, psi_col)
-        return PartialIntegral("left", phi), PartialIntegral("right", psi)
-    raise ValueError("unknown integral family %r" % kind)
+
+def _diagonal(dim, v):
+    """The diagonal map e_k -> v_k e_k."""
+    return LinearMap.from_function(dim, dim, lambda k: {k: v.get(k, ZERO)})

@@ -478,7 +478,8 @@ def dual_algebra(X):
     nd1, nd2 = hat.nondegenerate_sides()
     rep.check(nd1 and nd2, "dual-nondegenerate", "dual-algebra")
     phi = X.phi.omega
-    translates = [translate_left(A, {i: ONE}, phi) for i in range(n)]
+    g_phi = gram_map(A, phi)  # a . phi = g_phi(a), so e_i . phi is column i
+    translates = g_phi.data
     operators = {}
 
     def rho_lambda(f):
@@ -495,7 +496,7 @@ def dual_algebra(X):
     for i, j in product(range(n), repeat=2):
         rho_j = rho_lambda(translates[j])[0]
         direct = functional_of_map(translates[i], rho_j)
-        via_t = translate_left(A, hat.table[i][j], phi)
+        via_t = g_phi.apply(hat.table[i][j])
         if direct != via_t:
             wit = {"at": [A.labels[i], A.labels[j]],
                    "lhs": vec_items(direct), "rhs": vec_items(via_t)}
@@ -506,7 +507,7 @@ def dual_algebra(X):
     for i, j in product(range(n), repeat=2):
         rho_i, lam_i = rho_lambda(translates[i])
         rho_j, lam_j = rho_lambda(translates[j])
-        rho_p, lam_p = rho_lambda(translate_left(A, hat.table[i][j], phi))
+        rho_p, lam_p = rho_lambda(g_phi.apply(hat.table[i][j]))
         failed = [name for name, holds in (
             ("rho", rho_p == rho_i.compose(rho_j)),
             ("lambda", lam_p == lam_j.compose(lam_i)),
@@ -518,14 +519,13 @@ def dual_algebra(X):
     rep.check(wit is None, "bimodule-identities", "dual-algebra", wit)
     # extension to multipliers: the j-embedding formulas are consistent
     sigma_inv = modular_automorphism(X, "left").mapping.inverse()
-    psi = X.psi.omega
-    g_psi_r = gram_map(A, psi)
+    g_psi = gram_map(A, X.psi.omega)
     wit = None
     for a in range(n):
         b = sigma_inv.apply({a: ONE})  # a.phi = phi.b
-        c = g_psi_r.solve(translates[a])  # a.phi = c.psi
-        ok = (translates[a] == translate_right(A, phi, b) and c is not None
-              and translate_left(A, c, psi) == translates[a])
+        # a.phi = c.psi for some c, c.psi being g_psi(c)
+        ok = (translates[a] == translate_right(A, phi, b)
+              and g_psi.solve(translates[a]) is not None)
         if not ok:
             wit = {"at": A.labels[a]}
             break

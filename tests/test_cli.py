@@ -226,16 +226,22 @@ def test_weight_file_forms_read_the_same_exact_weights(tmp_path):
 
 
 def test_missing_sqrt_hint(p2_file, capsys):
-    code, out = run(capsys, "measure", "--example", "convolution",
-                    "--groupoid", p2_file, "--mu", "1,2",
-                    "--recipe", "groupoid_rn")
-    assert code == 1
-    summary = json.loads(out.strip().splitlines()[-1])["summary"]
-    assert "--sqrt 2" in summary["hint"]
-    code, out = run(capsys, "measure", "--example", "convolution",
-                    "--groupoid", p2_file, "--mu", "1,2",
-                    "--recipe", "groupoid_rn", "--sqrt", "2")
-    assert code == 0
+    # every command that meets a missing root names it the same way
+    for command in ("measure", "modify", "dual"):
+        code, out = run(capsys, command, "--example", "convolution",
+                        "--groupoid", p2_file, "--mu", "1,2",
+                        "--recipe", "groupoid_rn")
+        assert code == 1
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert summary["rejected"] == "quasi-invariant"
+        assert summary["hint"] == "re-run with --sqrt 2", command
+        code, out = run(capsys, command, "--example", "convolution",
+                        "--groupoid", p2_file, "--mu", "1,2",
+                        "--recipe", "groupoid_rn", "--sqrt", "2")
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert "hint" not in summary and summary.get("rejected") != "quasi-invariant", command
+        if command != "dual":  # dual stops later, at its own dual-product check
+            assert code == 0, command
 
 
 def test_reports_with_scalar_witnesses_serialize():

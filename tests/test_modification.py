@@ -440,6 +440,29 @@ def test_check_modifier_with_identity_theta_builds_no_tensor(m_fun, monkeypatch,
     assert (entry.status, entry.witness) == ("fail", witness)
 
 
+def test_a_modifier_that_moves_the_bases_twists_their_tensors(m_conv, p2, monkeypatch):
+    """alpha relabels the arrows of p2 by the swap of its two points, on all
+    four legs.  It moves both bases, so each half's twists are compared in
+    a new "~" tensor that balances the moved actions.  They disagree:
+    Delta(gamma) = gamma (x) gamma goes to alpha(gamma) (x) gamma by the
+    twist of leg 1 and to gamma (x) alpha(gamma) by that of leg 2, two
+    different classes.  alpha fixes no base element, and every other law
+    holds."""
+    swap = {1: 2, 2: 1}
+    alpha = LinearMap.from_function(
+        4, 4, lambda k: {p2.index[tuple(swap[x] for x in p2.arrows[k])]: ONE})
+    built = []
+    make = modification._modified_tensor
+    monkeypatch.setattr(modification, "_modified_tensor",
+                        lambda *args: built.append(make(*args)) or built[-1])
+    rep = check_modifier(m_conv, Modifier(alpha, alpha, alpha, alpha))
+    assert [(q.flavor, q.dim) for q in built] == [("bsA\u2297btA~", 8), ("cAt\u2297cAs~", 8)]
+    assert not any(q is m_conv.qb or q is m_conv.qc for q in built)
+    assert len(rep.entries) == 15
+    assert {e.axiom for e in rep.entries if e.status != "pass"} == {
+        "left-twists-agree", "right-twists-agree", "full-case-base-fixing", "trivial-on-base"}
+
+
 def test_twist_on_the_first_leg_is_twist_tensor_identity(m_conv, p2):
     # modify twists leg 1 of each lifted Delta column, and coassociativity
     # expands one leg by the lifted Delta, an n -> n^2 map; apply_legs

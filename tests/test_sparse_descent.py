@@ -167,7 +167,7 @@ def _transport(M, P):
     A2 = FiniteAlgebra(table, labels=A.labels, involution=star)
 
     def embedding(emb):
-        return BaseEmbedding(emb.base, A2, Pinv.compose(emb.embed), anti=emb.anti, name=emb.name)
+        return BaseEmbedding(emb.base, A2, Pinv.compose(emb.embed), name=emb.name)
 
     raw_b, raw_c = (
         LinearMap.from_function(
