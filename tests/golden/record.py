@@ -4,8 +4,9 @@ the tensor algebroid over the 2x2 matrix algebra (a non-commutative base).
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
 captured), ``verify_regular_mha`` on mutant instances and on a non-associative
 copy of functions p2,
-``check_partial_integral`` on perturbed partial integrals, the solved
-spaces no command reports in full, the modular theory and modifier
+``check_partial_integral`` on perturbed partial integrals,
+``solve_partial_integrals`` on antipode mutants, the solved spaces no
+command reports in full, the modular theory and modifier
 checks of both halves, or the Hopf, action and star laws on broken
 copies, and yields the exit code and the exact report text of every
 step.  The recorded texts live next to this file as ``<case>.jsonl``, the exit codes in
@@ -264,6 +265,23 @@ def _perturbed_partial_integrals():
 
 def _columns(f):
     return [vec_items(f.col(j)) for j in range(f.cols)]
+
+
+def _mutant_s_integrals():
+    """solve_partial_integrals on both sides of functions and convolution
+    p2 with antipode column 0 scaled by 2, the bases in full: that S no
+    longer carries one solution space onto the other, so
+    ``antipode-swaps-sides`` fails."""
+    steps = []
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        M = mutant_bundle("S", 0, build)
+        for side in ("left", "right"):
+            def run(M=M, side=side):
+                basis, rep = solve_partial_integrals(M, side)
+                return {"basis": [_columns(f) for f in basis]}, rep
+            steps.append(_step({"solve_partial_integrals": [build.__name__, "S-col0", side]},
+                               run))
+    return steps
 
 
 def _module_spaces(M, module):
@@ -681,10 +699,12 @@ def cases(workdir):
         "verify-functions-p2": lambda: [_cli("verify", *fun)],
         "verify-convolution-p2": lambda: [_cli("verify", *conv)],
         "integrals-functions-p2": lambda: [_cli("integrals", *fun)],
+        "integrals-mutant-S-p2": _mutant_s_integrals,
         "measure-functions-p2": lambda: [_cli("measure", *fun, "--mu", "1,4")],
         "measure-convolution-p2": lambda: [_cli("measure", *conv, "--mu", "1,4")],
         "modify-measure-convolution-p2": modify_then_measure,
         "dual-functions-p2": lambda: [_cli("dual", *fun, "--mu", "1,4")],
+        "dual-convolution-p2": lambda: [_cli("dual", *conv, "--mu", "1,1")],
         "dual-functions-p3": lambda: [_cli(
             "dual", "--example", "function-algebroid", "--groupoid", p3, "--mu", "1,4,9")],
         "mutant-delta_B-col0": lambda: _mutant("delta_B", 0),
