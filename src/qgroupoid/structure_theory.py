@@ -446,6 +446,20 @@ def faithfulness_check(X):
 def dual_algebra(X):
     """The convolution algebra on A . phi, with its bimodule actions.
 
+    The dual product is (a.phi)(b.phi) = (a.phi) o rho(b.phi), with
+    (a.phi)(x) = phi(x a) and phi = mu_C o phi_C; it is c.phi for
+    c = sum q phi_C(p), where sum p (x) q = T_lambda^-1(a (x) b): phi_C(p)
+    multiplies q from the right.  For rho(b.phi)(x) = sl(Delta_B(x)(1 (x) b)),
+    sl the slice of condition (a) of ``integration._invariance``, and
+    a (x) b = sum Delta_B(q)(p (x) 1), so by (a):
+        rho(b.phi)(x) a = sl(Delta_B(x)(a (x) b)) = sum sl(Delta_B(x q)(p (x) 1))
+                        = sum phi_C(x q) p,
+        phi(phi_C(x q) p) = mu_C(phi_C(x q) phi_C(p)) = mu_C(phi_C(x q phi_C(p))),
+    by the module laws phi_C(y p) = y phi_C(p) of (a) and
+    phi_C(a y) = phi_C(a) y of (b), y in C.  On a commutative A either
+    side gives the same table; on the convolution algebroids phi_C(p) q
+    does not descend.
+
     The dual products are computed once, through T_lambda; the checks
     read them from the product table.  Each distinct functional the
     checks meet (the basis translates e_i . phi and their products) is
@@ -460,7 +474,7 @@ def dual_algebra(X):
     if t_inv is None:
         raise Rejected("regular-2", "T_lambda is not invertible")
     try:
-        sl = dom_tl.slice(M.C.embed.compose(X.phi_C.mapping), 1, "left",
+        sl = dom_tl.slice(M.C.embed.compose(X.phi_C.mapping), 1, "right",
                           what="dual product slice")
     except NotBalanced as e:
         raise Rejected("dual-product", "phi_C slice is not balanced: %s" % e)

@@ -240,8 +240,7 @@ def test_missing_sqrt_hint(p2_file, capsys):
                         "--recipe", "groupoid_rn", "--sqrt", "2")
         summary = json.loads(out.strip().splitlines()[-1])["summary"]
         assert "hint" not in summary and summary.get("rejected") != "quasi-invariant", command
-        if command != "dual":  # dual stops later, at its own dual-product check
-            assert code == 0, command
+        assert code == 0, command
 
 
 def test_reports_with_scalar_witnesses_serialize():

@@ -6,6 +6,7 @@ import pytest
 
 from qgroupoid import integration
 from qgroupoid.algebra_core import FiniteAlgebra
+from qgroupoid.balanced_tensor import NotBalanced
 from qgroupoid.examples import (
     build_function_algebroid,
     cyclic_group_table,
@@ -207,6 +208,21 @@ def test_dual_algebra_of_p2_functions_is_matrix_algebra(x_fun_14, m_conv):
     # groupoid under the identity identification of bases
     assert da.algebra.table == m_conv.A.table
     assert da.algebra.dim == x_fun_14.M.A.dim  # dim A^ = dim A always
+
+
+def test_dual_of_p2_convolution_is_functions_on_the_arrows(x_conv_uniform):
+    # the dual product multiplies the other leg by phi_C's value from the
+    # right; from the left, the slice does not descend on convolution p2
+    da = dual_algebra(x_conv_uniform)
+    assert da.report.ok, str(da.report)
+    assert [list(row) for row in da.algebra.table] == [
+        [{i: ONE} if i == j else {} for j in range(4)] for i in range(4)]
+    M = x_conv_uniform.M
+    _, dom = M.canonical()["T_lambda"]
+    omega = M.C.embed.compose(x_conv_uniform.phi_C.mapping)
+    with pytest.raises(NotBalanced):
+        dom.slice(omega, 1, "left")
+    dom.slice(omega, 1, "right")
 
 
 def test_dual_checks_report_their_first_failing_pair(x_fun_14):
