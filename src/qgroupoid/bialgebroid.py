@@ -75,6 +75,7 @@ class RegularMHA:
     _triples = None  # coassociativity kind -> TripleTensor
     _tilde = None  # (which, a, b) -> canonical_tilde(which, a, b)
     _shared = None  # flavor -> BalancedTensor another bundle offers, see tensor()
+    _integral_bases = None  # side -> (basis, reports), see integration._checked_basis
 
     def __init__(
         self,

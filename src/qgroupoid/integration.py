@@ -143,34 +143,28 @@ def _target(M, side):
     return _Half(M, "C" if side == "left" else "B")
 
 
-def _module_witness(M, mapping, side, laws):
-    """The first (tag, x, a) at which mapping, for each (half h, tag) in
-    laws, is not a module map in h's order: mapping(x a) = x mapping(a)
-    for B's order, mapping(a x) = mapping(a) x for C's; x runs over the
-    target base, embedded by its s.  None if there is none.
+def _module_witness(M, mapping, side, h):
+    """The first (x, a) at which mapping is not a module map in h's
+    order: mapping(x a) = x mapping(a) for B's order, mapping(a x) =
+    mapping(a) x for C's; x runs over the target base, embedded by its s.
+    None if there is none.
 
-    For each x the laws are first compared as whole maps: mapping after
+    For each x the law is first compared as a whole map: mapping after
     the action of s(x) on A against the action of x on the base after
     mapping, both in h's order.  The a in A are scanned, in order, only
-    for an x at which some pair of maps differs, so the witness is the
-    first of a full scan."""
+    for an x at which the maps differ, so the witness is the first of a
+    full scan."""
     n, target = M.A.dim, _target(M, side)
     base = target.base
     # s(x) a in h's order is target's own order or its reverse
-    acting = [(h, tag, target.struct("s", h.letter == target.letter).acts) for h, tag in laws]
-
-    def commutes(h, acts, x):
-        mul = base.lmul if h.letter == "B" else base.rmul
-        return mapping.compose(acts[x]) == mul(x).compose(mapping)
-
+    acts = target.struct("s", h.letter == target.letter).acts
+    mul = base.lmul if h.letter == "B" else base.rmul
     for x in range(base.dim):
-        if all(commutes(h, acts, x) for h, _, acts in acting):
+        if mapping.compose(acts[x]) == mul(x).compose(mapping):
             continue
         for a in range(n):
-            for h, tag, acts in acting:
-                law = base.mul(*h.ordered({x: ONE}, mapping.col(a)))
-                if mapping.apply(acts[x].col(a)) != law:
-                    return tag, x, a
+            if mapping.apply(acts[x].col(a)) != base.mul(*h.ordered({x: ONE}, mapping.col(a))):
+                return x, a
     return None
 
 
@@ -190,15 +184,16 @@ def _integral_slice(h, leg, mapping, what):
     return h.q.slice(omega, leg, h.side, what=what)
 
 
-def _invariance(M, mapping, side, letter):
-    """Condition (a) (letter "a", through Delta_B) or (b) ("b", Delta_C).
+def _invariance(M, mapping, side, h, module):
+    """Condition (a) (h the B half, through Delta_B) or (b) (the C half,
+    Delta_C), given h's ``_module_witness`` ``module``.
 
     For a partial left integral phi: A -> C and a right one psi: A -> B:
         left (a):  phi in Hom(_C A, _C C), (id (x) S_B^-1 phi)(Delta_B(b)(a (x) 1)) = phi(b) a
         left (b):  phi in Hom(A_C, C_C), (id (x) phi)((a (x) 1) Delta_C(b)) = a phi(b)
         right (a): psi in Hom(_B A, _B B), (psi (x) id)(Delta_B(a)(1 (x) b)) = psi(a) b
         right (b): psi in Hom(A_B, B_B), (S_C^-1 psi (x) id)((1 (x) b) Delta_C(a)) = b psi(a)
-    Returns (ok, witness); the witness is the module tuple, the slice's
+    Returns (ok, witness); the witness is ("module", x, a), the slice's
     NotBalanced text, or ("deltab" | "deltac", Delta's argument, multiplier).
 
     Slice identity: sl(absorbed(leg, d, e)) = h.mul(sl(Delta(d)), e_e)
@@ -210,11 +205,10 @@ def _invariance(M, mapping, side, letter):
     the witness is the first failing (d, e) of a full scan.  The identity
     needs an associative A; for any other A every (d, e) is scanned.
     """
-    h = _Half(M, "B" if letter == "a" else "C")
-    wit = _module_witness(M, mapping, side, ((h, "module"),))
-    if wit is not None:
-        return False, wit
+    if module is not None:
+        return False, ("module", *module)
     leg = 2 if side == "left" else 1
+    letter = "a" if h.letter == "B" else "b"
     try:
         sl = _integral_slice(h, leg, mapping, "partial-%s slice (%s)" % (side, letter))
     except NotBalanced as e:
@@ -231,20 +225,25 @@ def _invariance(M, mapping, side, letter):
     return True, None
 
 
-def _strong_invariance(M, mapping, side):
+def _strong_invariance(M, mapping, side, module):
     """Condition (c): a two-sided module map plus the strong-invariance diagram.
 
+    The module law is the B half's ("left-module") and the C half's
+    ("right-module"); ``module`` holds their ``_module_witness`` values.  Its
+    witness is the first failing (x, a, half) of a scan over x, then a,
+    then the two halves: the least of the two one-sided witnesses, each
+    the first failing (x, a) of its half, ties going to the B half.
     With the slices of (a) and (b), slice_B and slice_C:
         left:  S slice_B T_rho = slice_C rho_T flip
         right: slice_B T_lambda flip = S slice_C lambda_T
     A failing diagram's witness is the first basis tensor e_a (x) e_b of
     the composites' domain at which they differ, with both values.
     """
+    failing = [(wit, k) for k, wit in enumerate(module) if wit is not None]
+    if failing:
+        wit, k = min(failing)
+        return False, (("left-module", "right-module")[k], *wit)
     halves = _halves(M)
-    laws = ((halves[0], "left-module"), (halves[1], "right-module"))
-    wit = _module_witness(M, mapping, side, laws)
-    if wit is not None:
-        return False, wit
     names = ("T_rho", "rho_T") if side == "left" else ("T_lambda", "lambda_T")
     (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
     try:
@@ -269,7 +268,12 @@ def _strong_invariance(M, mapping, side):
 
 
 def check_partial_integral(M, mapping, side):
-    """Evaluate all three invariance characterizations; they must agree."""
+    """Evaluate all three invariance characterizations; they must agree.
+
+    The one-sided module laws of (a) and (b) are scanned once, by
+    ``_module_witness`` for the B and the C half; (c)'s two-sided law is
+    both, and ``_strong_invariance`` derives its witness from theirs.
+    """
     if isinstance(mapping, PartialIntegral):
         mapping = mapping.mapping
     other = "right" if side == "left" else "left"
@@ -279,15 +283,15 @@ def check_partial_integral(M, mapping, side):
             "partial %s integral must map A (dim %d) to the %s base (dim %d)"
             % (side, M.A.dim, other, expected)
         )
+    halves = _halves(M)
+    module = [_module_witness(M, mapping, side, h) for h in halves]
+    results = [_invariance(M, mapping, side, h, wit) for h, wit in zip(halves, module)]
+    results.append(_strong_invariance(M, mapping, side, module))
     rep = Report()
-    verdicts = []
-    for tag, eq in (("a", "partial-%s-deltab" % other), ("b", "partial-%s-deltac" % other),
-                    ("c", "dg-strong-invariance-" + side)):
-        if tag == "c":
-            ok, wit = _strong_invariance(M, mapping, side)
-        else:
-            ok, wit = _invariance(M, mapping, side, tag)
-        verdicts.append(ok)
+    verdicts = [ok for ok, _ in results]
+    eqs = ("partial-%s-deltab" % other, "partial-%s-deltac" % other,
+           "dg-strong-invariance-" + side)
+    for tag, eq, (ok, wit) in zip("abc", eqs, results):
         rep.check(ok, "invariance-(%s)" % tag, eq, wit)
     rep.check(
         len(set(verdicts)) == 1,
@@ -321,24 +325,65 @@ def _partial_integral_basis(M, side):
     return [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
 
 
+def _checked_basis(M, side):
+    """(basis, reports): the ``_partial_integral_basis`` of ``side`` and
+    the ``check_partial_integral`` report of each of its maps, memoized
+    per bundle in ``M._integral_bases``; callers must not mutate them."""
+    if M._integral_bases is None:
+        M._integral_bases = {}
+    if side not in M._integral_bases:
+        basis = _partial_integral_basis(M, side)
+        M._integral_bases[side] = basis, [check_partial_integral(M, m, side) for m in basis]
+    return M._integral_bases[side]
+
+
+def _span(maps):
+    """The echelon span of the maps, as ``LinearMap.flat`` vectors."""
+    span = Rref()
+    for mapping in maps:
+        span.add(mapping.flat())
+    return span
+
+
 def solve_partial_integrals(M, side):
     """(basis, report): the ``_partial_integral_basis``, each basis map
     checked by ``check_partial_integral``; the report also records the
     bimodule stability of the space and the antipode bijection onto the
-    other side."""
+    other side.  Both sides' bases and reports are checked once per
+    bundle (``_checked_basis``); the basis returned is a new list of the
+    shared maps.
+
+    The antipode law asks whether conv(m) passes ``check_partial_integral``
+    on the other side, for each basis map m and each of the two
+    converters.  The maps that pass it on a side form a linear subspace V,
+    if any map does: every condition it checks is linear in the mapping.
+      - The module laws compare mapping o s(x) with x o mapping.
+      - Each slice descends iff its relation rows vanish, and those rows
+        are linear in the sliced map omega, itself an embedding after the
+        mapping (``descend_componentwise``); the descended map is linear
+        in omega.
+      - The (a) and (b) laws hold at every (d, e) exactly when the gate
+        of ``_invariance`` passes (slice identity) or the scan finds no
+        failure: in both cases an equation per (d, e), linear in the
+        mapping.
+      - The (c) composites are the slices composed with maps that do not
+        depend on the mapping, and they are compared column by column.
+      - Only ``flip_to`` can fail for every mapping, and it does not
+        depend on the mapping.
+    So if the other side's basis is not empty and each of its maps
+    passed, and conv(m) lies in its span, conv(m) passes; the full check
+    runs only on the other inputs.
+    """
     h = _target(M, side)
-    basis = _partial_integral_basis(M, side)
+    basis, reports = _checked_basis(M, side)
     rep = Report()
-    for k, mapping in enumerate(basis):
-        sub = check_partial_integral(M, mapping, side)
+    for k, sub in enumerate(reports):
         rep.check(sub.ok, "solution-%d-invariant" % k, "partial-integrals",
                   [e.axiom for e in sub.failures()])
 
     # bimodule stability: x . phi . x' stays in the span, a -> x' a x composed
     # once per (x, x') from the two multiplication operators
-    span = Rref()
-    for mapping in basis:
-        span.add(mapping.flat())
+    span = _span(basis)
     other = _Half(M, "B" if side == "left" else "C")
     lefts, rights = (M._struct(kind, other.letter).acts for kind in ("l", "r"))
     moves = [left.compose(right) for right in rights for left in lefts]
@@ -351,13 +396,20 @@ def solve_partial_integrals(M, side):
         lambda m: h.anti.compose(m).compose(M.S.inverse()),
         lambda m: other.anti.inverse().compose(m).compose(M.S),
     ]
+    other_basis, other_reports = _checked_basis(M, other_side)
+    # the other side's span lies in V if its basis is not empty and passed
+    in_v = bool(other_basis) and all(sub.ok for sub in other_reports)
+    other_span = _span(other_basis)
     ok = True
     for mapping in basis:
         for conv in converters:
-            if not check_partial_integral(M, conv(mapping), other_side).ok:
+            image = conv(mapping)
+            if in_v and other_span.contains(image.flat()):
+                continue  # passes: see the docstring
+            if not check_partial_integral(M, image, other_side).ok:
                 ok = False
     rep.check(ok, "antipode-swaps-sides", "partial-integrals-bimodule-antipode")
-    return basis, rep
+    return list(basis), rep
 
 
 def orbit_algebra(M):

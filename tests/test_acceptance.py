@@ -24,6 +24,7 @@ from qgroupoid.exact_linear import ONE, LinearMap, Rref, inverse, sc, vadd, vsca
 from qgroupoid.integration import (
     BaseWeight,
     assemble_measured,
+    check_partial_integral,
     ev,
     solve_partial_integrals,
 )
@@ -95,8 +96,6 @@ def test_criterion_01_axiom_suites(m_fun, m_conv, m_tensor, m_crossed, m_twoside
 def test_criterion_02_partial_integral_equivalence(
     m_fun, m_conv, m_tensor, m_crossed, m_twosided
 ):
-    from qgroupoid.integration import _invariance, _strong_invariance
-
     rng = random.Random(42)
     ok = True
     for m in (m_fun, m_conv, m_tensor, m_crossed, m_twosided):
@@ -126,11 +125,8 @@ def test_criterion_02_partial_integral_equivalence(
                     )
             assert len(candidates) >= 20
             for cand in candidates:
-                verdicts = {
-                    _invariance(m, cand, side, "a")[0],
-                    _invariance(m, cand, side, "b")[0],
-                    _strong_invariance(m, cand, side)[0],
-                }
+                rep = check_partial_integral(m, cand, side)
+                verdicts = {rep.status_of("invariance-(%s)" % tag) for tag in "abc"}
                 if len(verdicts) != 1:
                     ok = False
     outcome(2, "three invariance characterizations agree on 20+ candidates", ok)

@@ -1,5 +1,7 @@
 """Partial integrals, base weights, factorization, measured assembly."""
 
+import importlib.util
+import os
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from qgroupoid.examples import (
     pair_groupoid,
     standard_integrals,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Scalar, axpy, inverse, sc
+from qgroupoid.exact_linear import ONE, LinearMap, Rref, Scalar, axpy, inverse, sc
 from qgroupoid.integration import (
     BaseWeight,
     assemble_measured,
@@ -31,7 +33,12 @@ from qgroupoid.integration import (
     orbit_algebra,
     solve_partial_integrals,
 )
-from qgroupoid.report import Rejected
+from qgroupoid.report import Rejected, Report
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
+golden_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_record)
 
 
 def test_counting_integrals_pass_all_three_conditions(m_fun, p2):
@@ -235,7 +242,7 @@ def test_domination_with_modular_automorphism(x_fun_14):
 # -- laws decided once per comultiplied element --------------------------------
 
 
-def _scanned_module_witness(M, mapping, side, laws):
+def _scanned_module_witness(M, mapping, side, h):
     """Oracle for ``_module_witness``: every (x, a), with no comparison of
     whole maps first."""
     n, target = M.A.dim, integration._target(M, side)
@@ -243,19 +250,19 @@ def _scanned_module_witness(M, mapping, side, laws):
     for x in range(base.dim):
         ex = target.s.col(x)
         for a in range(n):
-            for h, tag in laws:
-                law = base.mul(*h.ordered({x: ONE}, mapping.col(a)))
-                if mapping.apply(h.mul(ex, {a: ONE})) != law:
-                    return tag, x, a
+            law = base.mul(*h.ordered({x: ONE}, mapping.col(a)))
+            if mapping.apply(h.mul(ex, {a: ONE})) != law:
+                return x, a
     return None
 
 
-def _scanned_invariance(M, mapping, side, letter):
-    """Oracle for ``_invariance``: the slice law at every (d, e)."""
-    h = integration._Half(M, "B" if letter == "a" else "C")
-    wit = _scanned_module_witness(M, mapping, side, ((h, "module"),))
+def _scanned_invariance(M, mapping, side, h, module):
+    """Oracle for ``_invariance``: the module law scanned again, whatever
+    ``module`` holds, and the slice law at every (d, e)."""
+    wit = _scanned_module_witness(M, mapping, side, h)
     if wit is not None:
-        return False, wit
+        return False, ("module", *wit)
+    letter = "a" if h.letter == "B" else "b"
     try:
         sl = integration._integral_slice(
             h, 2 if side == "left" else 1, mapping, "partial-%s slice (%s)" % (side, letter))
@@ -269,6 +276,24 @@ def _scanned_invariance(M, mapping, side, letter):
             if sl.apply(h.absorbed(leg, d, e)) != h.mul(head, {e: ONE}):
                 return False, ("delta" + h.letter.lower(), d, e)
     return True, None
+
+
+_STRONG_INVARIANCE = integration._strong_invariance
+
+
+def _scanned_strong_invariance(M, mapping, side, module):
+    """Oracle for ``_strong_invariance``: both halves' module laws scanned
+    together at every (x, a), whatever ``module`` holds, then the diagram."""
+    n, target = M.A.dim, integration._target(M, side)
+    laws = list(zip(integration._halves(M), ("left-module", "right-module")))
+    for x in range(target.base.dim):
+        ex = target.s.col(x)
+        for a in range(n):
+            for h, tag in laws:
+                law = target.base.mul(*h.ordered({x: ONE}, mapping.col(a)))
+                if mapping.apply(h.mul(ex, {a: ONE})) != law:
+                    return False, (tag, x, a)
+    return _STRONG_INVARIANCE(M, mapping, side, (None, None))
 
 
 @pytest.mark.parametrize("build", [build_function_algebroid, build_convolution_algebroid],
@@ -290,27 +315,37 @@ def test_perturbed_solutions_report_what_a_full_scan_reports(build, points, monk
     fast = [check_partial_integral(M, f, side).to_json_lines() for f, side in cases]
     monkeypatch.setattr(integration, "_module_witness", _scanned_module_witness)
     monkeypatch.setattr(integration, "_invariance", _scanned_invariance)
+    monkeypatch.setattr(integration, "_strong_invariance", _scanned_strong_invariance)
     scanned = [check_partial_integral(M, f, side).to_json_lines() for f, side in cases]
     assert fast == scanned
-    # both the module and the slice laws fail somewhere, past a first pair
+    # both the module and the slice laws fail somewhere, past a first pair;
+    # (c)'s module witness comes from either half, except on a commutative
+    # A, where the two halves' laws are one and a tie goes to the B half
     text = "\n".join(line for lines in fast for line in lines)
-    for kind in ('"module"', '"deltab"', '"deltac"', '"left-module"'):
+    kinds = ['"module"', '"deltab"', '"deltac"', '"left-module"']
+    if build is build_convolution_algebroid:
+        kinds.append('"right-module"')
+    for kind in kinds:
         assert kind in text, kind
     assert not all('"module", 0, 0]' in lines[0] for lines in fast)
 
 
 def test_partial_integral_solve_makes_no_more_products_than_recorded(monkeypatch):
-    # FiniteAlgebra.mul and canonical_tilde calls of solve_partial_integrals
-    # on both sides of a fresh functions-p3 bundle whose canonical maps are
-    # already built.  Counted after the slice and module laws were decided
-    # per comultiplied element (9,612 and 3,078 before) and the bimodule
-    # stability maps were composed once per base pair (2,160 products
-    # before); a scan over every (d, e) or (x, a) of a passing solution, or
-    # a product per solution and base pair, coming back shows here
+    # FiniteAlgebra.mul, canonical_tilde and check_partial_integral calls of
+    # solve_partial_integrals on both sides of a fresh functions-p3 bundle
+    # whose canonical maps are already built.  Counted after the slice and
+    # module laws were decided per comultiplied element (9,612 and 3,078
+    # before), the bimodule stability maps were composed once per base pair
+    # (2,160 products before) and each side's basis was checked once per
+    # bundle, its antipode images decided by the other side's span (18
+    # checks before); a scan over every (d, e) or (x, a) of a passing
+    # solution, a product per solution and base pair, or a check per
+    # antipode image coming back shows here
     M = build_function_algebroid(pair_groupoid([1, 2, 3]))
     M.canonical()
-    muls, tildes = [], []
+    muls, tildes, checks = [], [], []
     mul, tilde = FiniteAlgebra.mul, RegularMHA.canonical_tilde
+    check = integration.check_partial_integral
 
     def counted_mul(self, u, v):
         muls.append(None)
@@ -320,10 +355,88 @@ def test_partial_integral_solve_makes_no_more_products_than_recorded(monkeypatch
         tildes.append(None)
         return tilde(self, which, a, b)
 
+    def counted_check(*args):
+        checks.append(None)
+        return check(*args)
+
     monkeypatch.setattr(FiniteAlgebra, "mul", counted_mul)
     monkeypatch.setattr(RegularMHA, "canonical_tilde", counted_tilde)
+    monkeypatch.setattr(integration, "check_partial_integral", counted_check)
     for side in ("left", "right"):
         basis, rep = solve_partial_integrals(M, side)
         assert len(basis) == 3 and rep.ok
     monkeypatch.undo()
-    assert len(muls) <= 1296 and len(tildes) <= 162
+    assert len(muls) <= 486 and len(tildes) <= 162 and len(checks) <= 6
+
+
+# -- each partial-integral space checked once per bundle -----------------------
+
+
+def _solved_in_full(M, side):
+    """Oracle for ``solve_partial_integrals``: no memo, and every antipode
+    image checked by ``check_partial_integral``."""
+    basis = integration._partial_integral_basis(M, side)
+    rep = Report()
+    for k, mapping in enumerate(basis):
+        sub = check_partial_integral(M, mapping, side)
+        rep.check(sub.ok, "solution-%d-invariant" % k, "partial-integrals",
+                  [e.axiom for e in sub.failures()])
+    span = Rref()
+    for mapping in basis:
+        span.add(mapping.flat())
+    other = integration._Half(M, "B" if side == "left" else "C")
+    lefts, rights = (M._struct(kind, other.letter).acts for kind in ("l", "r"))
+    ok = all(span.contains(mapping.compose(left).compose(right).flat())
+             for mapping in basis for left in lefts for right in rights)
+    rep.check(ok, "bimodule-stability", "partial-integrals-bimodule-antipode")
+    h, other_side = integration._target(M, side), "right" if side == "left" else "left"
+    images = [f for m in basis for f in (h.anti.compose(m).compose(M.S.inverse()),
+                                         other.anti.inverse().compose(m).compose(M.S))]
+    ok = all(check_partial_integral(M, f, other_side).ok for f in images)
+    rep.check(ok, "antipode-swaps-sides", "partial-integrals-bimodule-antipode")
+    return basis, rep
+
+
+def _named_integral_bundles():
+    bundles = [build(pair_groupoid(points))
+               for build in (build_function_algebroid, build_convolution_algebroid)
+               for points in ([1, 2], [1, 2, 3])]
+    return bundles + [M for _, M in golden_record._antipode_bundles()]
+
+
+@pytest.mark.parametrize("bundles", ["named", "sweep"])
+def test_solved_spaces_report_what_full_checks_report(monkeypatch, bundles):
+    # "sweep" holds every single-column mutant of functions and convolution
+    # p2, the antipode mutants among them
+    named = bundles == "named"
+    bundles = (_named_integral_bundles() if named
+               else [M for _, M in golden_record.sweep_bundles()])
+    check = integration.check_partial_integral
+    checks = []
+    full_checks = {}  # whether the other side's basis passed -> images checked in full
+
+    def counted_check(*args):
+        checks.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(integration, "check_partial_integral", counted_check)
+    for M in bundles:
+        full = {side: _solved_in_full(M, side) for side in ("left", "right")}
+        # the first solve also checks both bases, once
+        extra = sum(len(basis) for basis, _ in full.values())
+        for side, other in (("left", "right"), ("right", "left")):
+            del checks[:]
+            basis, rep = solve_partial_integrals(M, side)
+            assert (basis, rep.to_json_lines()) == (full[side][0], full[side][1].to_json_lines())
+            other_basis, other_rep = full[other]
+            passed = bool(other_basis) and all(
+                other_rep.status_of("solution-%d-invariant" % k) == "pass"
+                for k in range(len(other_basis)))
+            full_checks[passed] = full_checks.get(passed, 0) + len(checks) - extra
+            extra = 0
+    if named:
+        # on bundles whose spaces pass, no antipode image is checked in full
+        assert full_checks == {True: 0}
+    else:
+        # images outside the other side's span, and where its basis failed
+        assert full_checks[True] > 0 and full_checks[False] > 0
