@@ -1,4 +1,5 @@
-"""Golden reports on the 2-point pair groupoid, ``dual`` on 3 points, and
+"""Golden reports on the 2-point pair groupoid, ``dual`` on 3 and 4 points
+(on 3 also of the convolution algebroid modified with radical weights), and
 the tensor algebroid over the 2x2 matrix algebra (a non-commutative base).
 
 Each case runs CLI commands (``qgroupoid.cli.main`` in-process, stdout
@@ -707,6 +708,12 @@ def cases(workdir):
         "dual-convolution-p2": lambda: [_cli("dual", *conv, "--mu", "1,1")],
         "dual-functions-p3": lambda: [_cli(
             "dual", "--example", "function-algebroid", "--groupoid", p3, "--mu", "1,4,9")],
+        "dual-functions-p4": lambda: [_cli(
+            "dual", "--example", "function-algebroid", "--pair-groupoid", "1,2,3,4",
+            "--mu", "1,4,9,16")],
+        "dual-convolution-p3-rn-radicals": lambda: [_cli(
+            "dual", "--example", "convolution", "--pair-groupoid", "1,2,3", "--mu", "2,3,5",
+            "--recipe", "groupoid_rn", "--sqrt", "6", "--sqrt", "10", "--sqrt", "15")],
         "mutant-delta_B-col0": lambda: _mutant("delta_B", 0),
         "mutant-delta_C-col1": lambda: _mutant("delta_C", 1),
         "mutant-convolution-delta_B-col1": lambda: _mutant(
