@@ -443,6 +443,52 @@ def faithfulness_check(X):
 # -- dual algebra -----------------------------------------------------------------
 
 
+def _translate_operators(X):
+    """[(rho, lambda)] of the translates e_b . phi, b in order, for an
+    associative A, built from phi's own factors: column x of
+    rho(e_b.phi) is sl_rho(T_rho(x, b)), and column x of lambda(e_b.phi)
+    is sl_lambda(T_lambda(b, x)).  sl_rho and sl_lambda are the B-half
+    slices of ``convolution`` for phi's factors Cl (leg 2) and Bl (leg 1),
+    and the T values are read from the bundle's canonical-map memo.
+
+    The translate's factors are phi's after R_b, the right multiplication
+    by e_b.  For y in C, (e_b.phi)(y a) = phi((y a) e_b) = phi(y (a e_b))
+    = mu_C(y . Cl(a e_b)) by associativity.  ``factorize`` finds the Cl of
+    e_b.phi by a Gram solve of the weight, which ``assemble_measured`` has
+    checked to be faithful, so the solution is unique and equals Cl o R_b.
+    In the same way the Bl of e_b.phi is Bl o R_b, and mu_B o Bl o R_b is
+    e_b.phi, so ``factorize`` accepts the translate.
+
+    The columns follow by the slice identity of ``descend_componentwise``:
+    a checked descent D of a componentwise map f has D(project(w)) = f(w)
+    for every w.  The slice of Cl o R_b sends p (x) q to t(Cl(q e_b)) p,
+    that is, the slice of Cl after (id (x) R_b).  T_rho(x, b) =
+    Delta_B(x)(1 (x) e_b) is the projection of (id (x) R_b) applied to a
+    lift of Delta_B(x), since it is the checked descent ``leg_op``.  So
+    both sides are the slice of Cl, taken componentwise at that lift:
+        rho(e_b.phi)(x) = sl of Cl o R_b at Delta_B(x) = sl_rho(T_rho(x, b)).
+    (Because sl_rho and (id (x) R_b) both descend, the slice of Cl o R_b
+    descends too.)  On leg 1, R_b (x) id gives Delta_B(x)(e_b (x) 1) =
+    T_lambda(b, x) and the lambda column.
+
+    rho and lambda are linear in the functional for the same reason.  The
+    Gram solves of ``factorize`` are unique, so the factors of
+    sum c_k e_k.phi are sum c_k times those of e_k.phi.  Each slice's
+    componentwise map is linear in its factor.  So the operators of
+    sum c_k e_k.phi are sum c_k rho(e_k.phi) and sum c_k lambda(e_k.phi).
+    """
+    M = X.M
+    n = M.A.dim
+    h = _Half(M, "B")
+    sl_rho = _integral_slice(h, 2, X.phi.factor_Cl, "rho slice (B)")
+    sl_lam = _integral_slice(h, 1, X.phi.factor_Bl, "lambda slice (B)")
+    return [
+        (LinearMap.from_function(n, n, lambda x, b=b: sl_rho.apply(h.absorbed(2, x, b))),
+         LinearMap.from_function(n, n, lambda x, b=b: sl_lam.apply(h.absorbed(1, x, b))))
+        for b in range(n)
+    ]
+
+
 def dual_algebra(X):
     """The convolution algebra on A . phi, with its bimodule actions.
 
@@ -462,8 +508,10 @@ def dual_algebra(X):
 
     The dual products are computed once, through T_lambda; the checks
     read them from the product table.  Each distinct functional the
-    checks meet (the basis translates e_i . phi and their products) is
-    factorized, and its rho and lambda operators built, once.
+    checks meet (the basis translates e_i . phi and their products) gets
+    its rho and lambda operators once: on an associative A as the
+    combination of the translates' operators of ``_translate_operators``,
+    on any other A by ``convolution``.
     """
     M = X.M
     A, n = M.A, M.A.dim
@@ -494,21 +542,32 @@ def dual_algebra(X):
     phi = X.phi.omega
     g_phi = gram_map(A, phi)  # a . phi = g_phi(a), so e_i . phi is column i
     translates = g_phi.data
-    operators = {}
+    associative = A.is_associative()[0]
+    operators = {}  # coefficients of sum c_k e_k.phi -> its (rho, lambda)
+    if associative:
+        for b, ops in enumerate(_translate_operators(X)):
+            operators[((b, ONE),)] = ops
 
-    def rho_lambda(f):
-        """(rho, lambda) of the functional f, built once per distinct f."""
-        key = tuple(sorted(f.items()))
+    def rho_lambda(c):
+        """(rho, lambda) of the functional sum c_k e_k.phi, built once per
+        distinct c; phi is faithful, so distinct c are distinct functionals."""
+        key = tuple(sorted(c.items()))
         if key not in operators:
-            rho = convolution(X, f, "rho")
-            operators[key] = (rho.operator, convolution(X, rho.source, "lambda").operator)
+            if associative:
+                operators[key] = tuple(
+                    LinearMap.combination(n, n, [(s, operators[((k, ONE),)][kind])
+                                                 for k, s in key])
+                    for kind in (0, 1))
+            else:
+                rho = convolution(X, g_phi.apply(c), "rho")
+                operators[key] = (rho.operator, convolution(X, rho.source, "lambda").operator)
         return operators[key]
 
     # the product must match direct composition of functionals:
     # (a.phi)(b.phi) = (a.phi) o rho(b.phi)
     wit = None
     for i, j in product(range(n), repeat=2):
-        rho_j = rho_lambda(translates[j])[0]
+        rho_j = rho_lambda({j: ONE})[0]
         direct = functional_of_map(translates[i], rho_j)
         via_t = g_phi.apply(hat.table[i][j])
         if direct != via_t:
@@ -519,9 +578,9 @@ def dual_algebra(X):
     # bimodule actions: omega * a = rho(omega)(a), a * omega = lambda(omega)(a)
     wit = None
     for i, j in product(range(n), repeat=2):
-        rho_i, lam_i = rho_lambda(translates[i])
-        rho_j, lam_j = rho_lambda(translates[j])
-        rho_p, lam_p = rho_lambda(g_phi.apply(hat.table[i][j]))
+        rho_i, lam_i = rho_lambda({i: ONE})
+        rho_j, lam_j = rho_lambda({j: ONE})
+        rho_p, lam_p = rho_lambda(hat.table[i][j])
         failed = [name for name, holds in (
             ("rho", rho_p == rho_i.compose(rho_j)),
             ("lambda", lam_p == lam_j.compose(lam_i)),
