@@ -2,7 +2,9 @@
 
 ``structure_theory._translate_operators`` builds rho and lambda of every
 translate e_b . phi from phi's own two slices; each must equal the
-operator ``convolution`` builds from the factorized translate.
+operator ``convolution`` builds from the factorized translate.  The
+``bimodule-identities`` entry is decided on algebra generators of the
+dual; it must equal the full (i, j) scan, witness included.
 """
 
 import pytest
@@ -17,7 +19,12 @@ from qgroupoid.examples import (
 from qgroupoid.exact_linear import ONE, LinearMap, sc
 from qgroupoid.integration import BaseWeight, assemble_measured, gram_map
 from qgroupoid.modification import groupoid_rn_modifier, modify
-from qgroupoid.structure_theory import _translate_operators, convolution, dual_algebra
+from qgroupoid.structure_theory import (
+    _generators,
+    _translate_operators,
+    convolution,
+    dual_algebra,
+)
 
 P3 = pair_groupoid([1, 2, 3])
 WEIGHT_P3 = BaseWeight(mu_B={0: sc(1), 1: sc(4), 2: sc(9)},
@@ -67,9 +74,10 @@ def test_dual_algebra_makes_no_more_operator_builds_than_recorded(monkeypatch, x
     # factorize, convolution and LinearMap.compose calls of dual_algebra on
     # functions p3, sigma already built.  Counted after the translates'
     # operators were read from phi's own slices (10 factorize and 20
-    # convolution calls and 785 compositions before, 324 of them in
-    # bimodule-identities); a factorization per functional coming back
-    # shows here
+    # convolution calls before) and bimodule-identities was decided on the
+    # dual's 5 generators (785 compositions before, 324 of them in
+    # bimodule-identities, then 328); a factorization per functional or a
+    # scan over every pair coming back shows here
     structure_theory.modular_automorphism(x_fun_p3, "left")
     calls = {"factorize": 0, "convolution": 0, "compose": 0}
 
@@ -86,4 +94,94 @@ def test_dual_algebra_makes_no_more_operator_builds_than_recorded(monkeypatch, x
     assert dual_algebra(x_fun_p3).report.ok
     monkeypatch.undo()
     assert calls["factorize"] == calls["convolution"] == 0
-    assert calls["compose"] <= 328
+    assert calls["compose"] <= 144
+
+
+def _full_scan(hat, ops, labels):
+    """Oracle for the ``bimodule-identities`` entry: (status, witness) of
+    the scan over every pair (i, j), in order, with the translates'
+    operators ops and those of each product the combination of ops its
+    coefficients name."""
+    n = hat.dim
+
+    def of(c, kind):
+        return LinearMap.combination(n, n, [(s, ops[k][kind]) for k, s in c.items()])
+
+    for i in range(n):
+        for j in range(n):
+            (rho_i, lam_i), (rho_j, lam_j) = ops[i], ops[j]
+            failed = [name for name, holds in (
+                ("rho", of(hat.table[i][j], 0) == rho_i.compose(rho_j)),
+                ("lambda", of(hat.table[i][j], 1) == lam_j.compose(lam_i)),
+                ("commute", rho_j.compose(lam_i) == lam_i.compose(rho_j)),
+            ) if not holds]
+            if failed:
+                return "fail", {"at": [labels[i], labels[j]], "identity": failed[0]}
+    return "pass", None
+
+
+def _bimodule_entry(X):
+    da = dual_algebra(X)
+    (entry,) = [e for e in da.report.entries if e.axiom == "bimodule-identities"]
+    return da.algebra, (entry.status, entry.witness)
+
+
+@pytest.mark.parametrize("fixture", MEASURED)
+def test_bimodule_identities_on_generators_equal_the_full_scan(request, fixture):
+    X = request.getfixturevalue(fixture)
+    translates = gram_map(X.M.A, X.phi.omega).data
+    ops = [tuple(convolution(X, f, kind).operator for kind in ("rho", "lambda"))
+           for f in translates]
+    hat, entry = _bimodule_entry(X)
+    assert entry == _full_scan(hat, ops, X.M.A.labels) == ("pass", None)
+
+
+def _entry_with(monkeypatch, X, ops):
+    """The ``bimodule-identities`` entry of X with the translates'
+    operators ops, and the full scan's."""
+    monkeypatch.setattr(structure_theory, "_translate_operators", lambda X: ops)
+    hat, entry = _bimodule_entry(X)
+    monkeypatch.undo()
+    return entry, _full_scan(hat, ops, X.M.A.labels)
+
+
+@pytest.mark.parametrize("fixture", MEASURED)
+def test_perturbed_translate_falls_back_to_the_full_scan(request, monkeypatch, fixture):
+    # column 0 of one rho(e_b.phi), or of one lambda(e_b.phi), plus e_0:
+    # the identities fail, the generators' laws with them, and the scan
+    # names the first failing pair
+    X = request.getfixturevalue(fixture)
+    n = X.M.A.dim
+    for b in range(n):
+        for kind in (0, 1):
+            ops = _translate_operators(X)
+            cols = [dict(col) for col in ops[b][kind].data]
+            cols[0][0] = cols[0].get(0, 0) + ONE
+            ops[b] = tuple(LinearMap(n, n, cols) if k == kind else op
+                           for k, op in enumerate(ops[b]))
+            entry, oracle = _entry_with(monkeypatch, X, ops)
+            assert entry == oracle and oracle[0] == "fail", (b, kind)
+
+
+@pytest.mark.parametrize("fixture", ["x_fun_14", "x_fun_p3", "x_conv_mod_p3", "x_h4"])
+def test_conjugated_lambda_fails_only_the_commutation(request, monkeypatch, fixture):
+    # lambda conjugated by P = 1 + E, E sending e_0 to e_(n-1), is still an
+    # antihomomorphism, so only the commutation with rho can fail
+    X = request.getfixturevalue(fixture)
+    n = X.M.A.dim
+    shear, unshear = (LinearMap(n, n, [{0: ONE, n - 1: c}] + [{j: ONE} for j in range(1, n)])
+                      for c in (ONE, -ONE))
+    ops = [(rho, shear.compose(lam).compose(unshear)) for rho, lam in _translate_operators(X)]
+    entry, oracle = _entry_with(monkeypatch, X, ops)
+    assert entry == oracle and oracle[0] == "fail" and oracle[1]["identity"] == "commute"
+
+
+def test_generators_of_the_dual_of_functions_on_pair_groupoids(x_fun_14, x_fun_p3):
+    # the dual of functions on p_k is the convolution algebra M_k of the
+    # pair groupoid: the matrix units along the first row and column
+    # generate it, 2k - 1 of its k^2 basis elements
+    for X, k in ((x_fun_14, 2), (x_fun_p3, 3)):
+        labels = X.M.A.labels
+        gens = [labels[g] for g in _generators(dual_algebra(X).algebra)]
+        row = [str((1, j)) for j in range(1, k + 1)]
+        assert gens == row + [str((i, 1)) for i in range(2, k + 1)]
