@@ -193,8 +193,9 @@ def _invariance(M, mapping, side, h, module):
         left (b):  phi in Hom(A_C, C_C), (id (x) phi)((a (x) 1) Delta_C(b)) = a phi(b)
         right (a): psi in Hom(_B A, _B B), (psi (x) id)(Delta_B(a)(1 (x) b)) = psi(a) b
         right (b): psi in Hom(A_B, B_B), (S_C^-1 psi (x) id)((1 (x) b) Delta_C(a)) = b psi(a)
-    Returns (ok, witness); the witness is ("module", x, a), the slice's
-    NotBalanced text, or ("deltab" | "deltac", Delta's argument, multiplier).
+    Returns (ok, witness); the witness is ("module", x, a), the NotBalanced
+    text of the slice or of a multiplication Delta absorbs, or ("deltab" |
+    "deltac", Delta's argument, multiplier).
 
     Slice identity: sl(absorbed(leg, d, e)) = h.mul(sl(Delta(d)), e_e)
     for the slice sl, since the multiplier is absorbed on the leg sl does
@@ -216,12 +217,15 @@ def _invariance(M, mapping, side, h, module):
     n, target = M.A.dim, _target(M, side)
     action = target.struct("s", h.letter == target.letter)  # s(x) a in h's order
     associative = M.A.is_associative()[0]
-    for d in range(n):
-        if associative and sl.apply(h.delta.col(d)) == target.s.apply(mapping.col(d)):
-            continue  # then the law holds at every e: see the docstring
-        for e in range(n):
-            if sl.apply(h.absorbed(3 - leg, d, e)) != action.act(mapping.col(d), {e: ONE}):
-                return False, ("delta" + h.letter.lower(), d, e)
+    try:
+        for d in range(n):
+            if associative and sl.apply(h.delta.col(d)) == target.s.apply(mapping.col(d)):
+                continue  # then the law holds at every e: see the docstring
+            for e in range(n):
+                if sl.apply(h.absorbed(3 - leg, d, e)) != action.act(mapping.col(d), {e: ONE}):
+                    return False, ("delta" + h.letter.lower(), d, e)
+    except NotBalanced as e:  # a multiplication Delta absorbs does not descend
+        return False, str(e)
     return True, None
 
 
@@ -245,8 +249,8 @@ def _strong_invariance(M, mapping, side, module):
         return False, (("left-module", "right-module")[k], *wit)
     halves = _halves(M)
     names = ("T_rho", "rho_T") if side == "left" else ("T_lambda", "lambda_T")
-    (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
     try:
+        (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
         leg = 2 if side == "left" else 1
         sl_b, sl_c = (_integral_slice(h, leg, mapping, "strong-invariance slice")
                       for h in halves)
@@ -373,10 +377,19 @@ def solve_partial_integrals(M, side):
     So if the other side's basis is not empty and each of its maps
     passed, and conv(m) lies in its span, conv(m) passes; the full check
     runs only on the other inputs.
+
+    Where a multiplication Delta absorbs does not descend, the system of
+    ``_partial_integral_basis`` cannot be stated: the basis is empty and
+    the NotBalanced text fails ``solution-space`` (or, on the other side,
+    ``antipode-swaps-sides``).
     """
     h = _target(M, side)
-    basis, reports = _checked_basis(M, side)
     rep = Report()
+    try:
+        basis, reports = _checked_basis(M, side)
+    except NotBalanced as e:  # a multiplication Delta absorbs does not descend
+        rep.check(False, "solution-space", "partial-integrals", str(e))
+        return [], rep
     for k, sub in enumerate(reports):
         rep.check(sub.ok, "solution-%d-invariant" % k, "partial-integrals",
                   [e.axiom for e in sub.failures()])
@@ -396,7 +409,11 @@ def solve_partial_integrals(M, side):
         lambda m: h.anti.compose(m).compose(M.S.inverse()),
         lambda m: other.anti.inverse().compose(m).compose(M.S),
     ]
-    other_basis, other_reports = _checked_basis(M, other_side)
+    try:
+        other_basis, other_reports = _checked_basis(M, other_side)
+    except NotBalanced as e:
+        rep.check(False, "antipode-swaps-sides", "partial-integrals-bimodule-antipode", str(e))
+        return list(basis), rep
     # the other side's span lies in V if its basis is not empty and passed
     in_v = bool(other_basis) and all(sub.ok for sub in other_reports)
     other_span = _span(other_basis)

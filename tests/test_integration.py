@@ -1,6 +1,7 @@
 """Partial integrals, base weights, factorization, measured assembly."""
 
 import importlib.util
+import json
 import os
 import random
 
@@ -440,3 +441,42 @@ def test_solved_spaces_report_what_full_checks_report(monkeypatch, bundles):
     else:
         # images outside the other side's span, and where its basis failed
         assert full_checks[True] > 0 and full_checks[False] > 0
+
+
+# -- a multiplication Delta absorbs that does not descend ----------------------
+
+_NOT_DESCENDING = "multiplication on leg %d does not descend between flavors"
+
+
+def test_check_partial_integral_reports_a_product_that_does_not_descend():
+    # on the non-associative convolution p2, e_0 e_1 := e_0, the zero map
+    # passes the module laws, and the slice laws then meet products of
+    # Delta that do not descend: each condition fails with the text
+    M = golden_record.nonassociative_bundle(build_convolution_algebroid)
+    for side in ("left", "right"):
+        zero = LinearMap.zero(integration._target(M, side).base.dim, M.A.dim)
+        rep = check_partial_integral(M, zero, side)
+        witnesses = [e.witness for e in rep.failures()]
+        assert [e.axiom for e in rep.failures()] == [
+            "invariance-(a)", "invariance-(b)", "invariance-(c)"]
+        assert all(isinstance(w, str) and "does not descend" in w for w in witnesses)
+
+
+def test_integrals_reports_an_unsolvable_space_and_exits_1(monkeypatch, capsys):
+    # the same bundle: the system of condition (b) or (a) reads a product
+    # that does not descend, and `integrals` fails that entry with its text
+    # instead of ending in a traceback
+    from qgroupoid import cli
+
+    M = golden_record.nonassociative_bundle(build_convolution_algebroid)
+    for side, leg in (("left", 1), ("right", 2)):
+        basis, rep = solve_partial_integrals(M, side)
+        (entry,) = rep.failures()
+        assert basis == [] and entry.axiom == "solution-space"
+        assert _NOT_DESCENDING % leg in entry.witness
+    monkeypatch.setattr(cli, "_build_instance", lambda example, groupoid: (M, None))
+    assert cli.main(["integrals", "--pair-groupoid", "1,2"]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["axiom"], e["status"]) for e in lines if "axiom" in e] == [
+        ("left:solution-space", "fail"), ("right:solution-space", "fail")]
+    assert lines[-1]["summary"]["left_space_dim"] == 0
