@@ -1,6 +1,7 @@
 """Modular theory, uniqueness, faithfulness, dual algebra, Haar rescaling."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -223,6 +224,41 @@ def test_dual_of_p2_convolution_is_functions_on_the_arrows(x_conv_uniform):
     with pytest.raises(NotBalanced):
         dom.slice(omega, 1, "left")
     dom.slice(omega, 1, "right")
+
+
+def test_dual_of_rn_modified_p2_convolution_scales_each_arrow_by_root_delta(
+        x_conv_mod, rn_cocycle):
+    """On convolution p2 after ``groupoid_rn`` with mu = (1, 4), the dual
+    is diagonal: e_g . e_g = c_g e_g with c_g = delta(g)^(1/2), where
+    delta(g) = mu(s(g)) / mu(t(g)).
+
+    By hand.  The modifier's derivative is D(g) = mu(t(g)) / mu(s(g)), and
+    the modified Delta_B(e_g) = d_g e_g (x) e_g with d_g = D(g)^(1/2).
+    phi(e_g) is mu(g) on a unit g and 0 elsewhere, so the translate e_b.phi,
+    (e_b.phi)(e_y) = phi(e_y e_b), is mu(s(b)) times the dual basis
+    functional at b^-1.  The factor Cl of a functional f solves
+    f(e_u e_x) = mu_C(u . Cl(e_x)) over the units u, so Cl(e_x) is
+    f(e_x) / mu(t(x)) at the unit t(x).  rho(f) slices Cl on leg 2 of
+    Delta_B and multiplies leg 1 from the left:
+        rho(f)(e_x) = d_x f(e_x) / mu(t(x)) e_x.
+    The dual product is (a.phi)(b.phi) = (a.phi) o rho(b.phi).  At e_x it
+    is d_x (e_a.phi)(e_x) (e_b.phi)(e_x) / mu(t(x)).  That is non-zero only
+    for a = b = g and x = g^-1, where it is
+        d_(g^-1) mu(s(g))^2 / mu(s(g)) = d_(g^-1) (e_g.phi)(e_(g^-1)).
+    So c_g = d_(g^-1) = D(g)^(-1/2) = delta(g)^(1/2).  The arrows (1,1),
+    (1,2), (2,1), (2,2) have sources 1, 2, 1, 2 and targets 1, 1, 2, 2:
+    delta = (1, 4, 1/4, 1) and c = (1, 2, 1/2, 1).
+    """
+    _, cocycle = rn_cocycle
+    quarter = Fraction(1, 4)
+    assert cocycle.values == {0: 1, 1: quarter, 2: 4, 3: 1}  # D = 1 / delta
+    half = Fraction(1, 2)
+    assert list(x_conv_mod.M._db_lift.data) == [{0: 1}, {5: half}, {10: 2}, {15: 1}]
+    da = dual_algebra(x_conv_mod)
+    assert da.report.ok, str(da.report)
+    c = [1, 2, half, 1]
+    assert [list(row) for row in da.algebra.table] == [
+        [{i: c[i]} if i == j else {} for j in range(4)] for i in range(4)]
 
 
 def test_dual_checks_report_their_first_failing_pair(x_fun_14):
