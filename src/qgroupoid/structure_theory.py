@@ -514,7 +514,9 @@ def _identities_on_generators(hat, rho_lambda):
     the associative hat: rho(g y) = rho(g) rho(y) and lambda(g y) =
     lambda(y) lambda(g) for g in G and every basis element y, and
     rho(h) lambda(g) = lambda(g) rho(h) for g, h in G.  rho_lambda(c)
-    gives the two operators of sum c_k e_k, linear in c.
+    gives the two operators of sum c_k e_k, linear in c on either path of
+    ``dual_algebra``: the Gram solves of ``factorize`` and the slices are
+    linear in the functional (see ``_translate_operators``).
 
     Given associativity, this decides the identities at every pair.  The
     words w = g_1 ... g_k (k >= 1) in G span hat, by the choice of G.
