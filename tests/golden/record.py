@@ -106,10 +106,10 @@ def _changed(f, k, add_col):
 
 def _with_term(f, k, term):
     """The raw comultiplication f with the basis tensor e_i (x) e_j added to
-    column k, for term = (i, j)."""
-    i, j = term
+    column k, for term = (i, j), or s e_i (x) e_j for term = (i, j, s)."""
+    i, j, s = term if len(term) == 3 else (*term, ONE)
     cols = [dict(f.col(c)) for c in range(f.cols)]
-    cols[k] = axpy(cols[k], ONE, {i * f.cols + j: ONE})
+    cols[k] = axpy(cols[k], s, {i * f.cols + j: ONE})
     return LinearMap(f.rows, f.cols, cols)
 
 
@@ -227,6 +227,23 @@ def single_term_mutants():
     Delta_B or of Delta_C: 2 * 4 * 4 of them."""
     return [mutant_bundle(kind, c, build_convolution_algebroid, term=(c, k))
             for kind in ("delta_B", "delta_C") for c in range(4) for k in range(4)]
+
+
+def imaginary_term_mutant():
+    """Convolution p2 with i e_(2,1) (x) e_(2,1) added to column (2,1) of
+    Delta_C, eps and S passed explicitly.  The entry is imaginary, so the
+    conjugation in ``verify_star``'s star (x) star counts; it fails
+    ``delta-star-compatibility`` at (2, 1, 1), neither in the first block
+    nor first in its block."""
+    return mutant_bundle("delta_C", 2, build_convolution_algebroid,
+                         term=(2, 2, Scalar.rational(0, 1)))
+
+
+def _imaginary_term():
+    """``verify_regular_mha`` and then ``verify_star`` on ``imaginary_term_mutant``."""
+    M = imaginary_term_mutant()
+    rep = verify_star(M)
+    return _verified(M) + [(0 if rep.ok else 1, "\n".join(rep.to_json_lines()) + "\n")]
 
 
 def _mutant_sweep():
@@ -724,6 +741,7 @@ def cases(workdir):
             "delta_B", 0, build_convolution_algebroid, term=(0, 1)),
         "mutant-convolution-delta_C-term": lambda: _mutant(
             "delta_C", 0, build_convolution_algebroid, term=(0, 2)),
+        "mutant-convolution-delta_C-imaginary": _imaginary_term,
         "mutant-S-col1": lambda: _mutant("S", 1),
         "mutant-eps_B-unit": lambda: _mutant("eps_B", _unit_arrow_index()),
         "mutant-eps_C-unit": lambda: _mutant("eps_C", _unit_arrow_index()),

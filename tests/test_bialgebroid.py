@@ -377,8 +377,10 @@ def test_galois_compatibility_witness_is_the_first_of_a_full_scan(leg_op_by_comp
 
 
 def test_delta_star_witness_is_the_first_of_a_full_scan(leg_op_by_components):
-    # an imaginary entry, so the conjugation of the stacked right side counts
-    M = _tilde_perturbed("lambda_T", 1, 2, 1)
+    # an imaginary entry of Delta_C, so the conjugation of the stacked right
+    # side counts; a corrupted memo would go unread at an a whose Delta_C(a)
+    # is the star of Delta_B(a*), where the law is decided without a scan
+    M = golden_record.imaginary_term_mutant()
     A, n, qb, qc, star = M.A, M.A.dim, M.qb, M.qc, M.A.star
     rmul1, rmul2 = ([leg_op_by_components(qb, slot, "r", star({u: ONE})) for u in range(n)]
                     for slot in (1, 2))
