@@ -63,6 +63,7 @@ class FiniteAlgebra:
         self._rmul = {}
         self._mul_map = None
         self._associative = None
+        self._checked = None  # (involution, report) of check_algebra
 
     # -- construction helpers -------------------------------------------
 
@@ -355,7 +356,17 @@ def find_unit(algebra):
 
 
 def check_algebra(algebra):
-    """Pass/fail report for the algebra axioms the theory relies on."""
+    """Pass/fail report for the algebra axioms the theory relies on.
+
+    Decided once per algebra and involution, as ``is_associative`` and
+    ``unit`` are; each call returns a copy of the stored report.
+    """
+    if algebra._checked is None or algebra._checked[0] is not algebra.involution:
+        algebra._checked = (algebra.involution, _algebra_report(algebra))
+    return Report().merge(algebra._checked[1])
+
+
+def _algebra_report(algebra):
     rep = Report()
     ok, wit = algebra.is_associative()
     rep.check(ok, "associativity", "algebra-associative", wit)
