@@ -415,20 +415,37 @@ def _antipode_laws(M):
     h.t_leg of Delta(p) with e_q absorbed on leg h.s_leg, multiplied out in
     h's order, equals R(p) e_q in h's order, R the other half's t o eps.
 
-    Yields (h, a, b, terms, rhs), terms the (c, m, o) of the lifted tensor:
-    S applied at e_m, multiplied by e_o in h's order, with coefficient c.
+    Yields (h, a, b, terms, rhs), terms as ``_antipode_law`` gives them.
     """
     n = M.A.dim
-    laws = [(h, other.eps, other.struct("t", first=False)) for h, other in _mirrored(M)]
+    laws = [(h, _antipode_law(h, other)) for h, other in _mirrored(M)]
     for a in range(n):
         for b in range(n):
-            for h, eps, R in laws:
-                p, q = h.ordered(a, b)
-                terms = []
-                for idx, c in h.q.lift(h.absorbed(h.s_leg, p, q)).items():
-                    i, j = divmod(idx, n)
-                    terms.append((c, i, j) if h.t_leg == 1 else (c, j, i))
-                yield h, a, b, terms, R.act(eps.col(p), {q: ONE})
+            for h, law in laws:
+                yield (h, a, b, *law(a, b))
+
+
+def _antipode_law(h, other):
+    """law(a, b) -> (terms, rhs) of h's antipode diagram at (a, b), as in
+    ``_antipode_laws``; terms the (c, m, o) of the lifted tensor (see
+    ``_antipode_terms``)."""
+    eps, R = other.eps, other.struct("t", first=False)
+
+    def law(a, b):
+        p, q = h.ordered(a, b)
+        return (_antipode_terms(h, h.q.lift(h.absorbed(h.s_leg, p, q))),
+                R.act(eps.col(p), {q: ONE}))
+    return law
+
+
+def _antipode_terms(h, lifted):
+    """The (c, m, o) of a vector of A (x) A: S is applied at e_m, on leg
+    h.t_leg, and multiplied by e_o in h's order, with coefficient c."""
+    n, terms = h.A.dim, []
+    for idx, c in lifted.items():
+        i, j = divmod(idx, n)
+        terms.append((c, i, j) if h.t_leg == 1 else (c, j, i))
+    return terms
 
 
 def _antipode_diagrams(M):
@@ -518,7 +535,17 @@ def verify_right_bialgebroid(M, report=None):
 
 
 def _verify_bialgebroid(M, h, report):
-    """The bialgebroid suite of one half, its entries named by h.side."""
+    """The bialgebroid suite of one half, its entries named by h.side.
+
+    Gate of ``-tensor-nondegenerate``: A has a unit 1 = sum u_j e_j.  The
+    leg operator R_j of each leg is the descended multiplication by e_j,
+    and a descended map is fixed by its lifts, so sum u_j R_j is the
+    descended multiplication by 1, the identity of q.  A vector that every
+    R_j kills is killed by the identity: the joint kernel is 0 once every
+    R_j descends.  The 2n operators are still built, since one that does
+    not descend fails the entry with its text, and only an A without a
+    unit solves the joint kernels.
+    """
     rep = report if report is not None else Report()
     A, n, q, side = h.A, h.A.dim, h.q, h.side
     modules = side + "-bialgebroid-modules"
@@ -533,12 +560,14 @@ def _verify_bialgebroid(M, h, report):
     # non-degeneracy of the quotient over the legs' multiplications; the
     # laws below multiply Delta by them, so a bundle where one does not
     # descend is reported here and its suite ends
+    unit = A.unit()
     try:
-        joints = [joint_kernel([q.leg_op(leg, h.absorb, j) for j in range(n)]) for leg in (1, 2)]
+        legs = [[q.leg_op(leg, h.absorb, j) for j in range(n)] for leg in (1, 2)]
     except NotBalanced as e:
         rep.check(False, side + "-tensor-nondegenerate", modules, str(e))
         return rep
-    rep.check(not any(joints), side + "-tensor-nondegenerate", modules)
+    rep.check(unit is not None or not any(map(joint_kernel, legs)),
+              side + "-tensor-nondegenerate", modules)
 
     # Delta lands in the admissible operator space (Takeuchi's x_B
     # condition): Delta(b) r lies in the relation span R for every b and
@@ -556,7 +585,6 @@ def _verify_bialgebroid(M, h, report):
     def lands(b, rel):
         return q.space.contains_relation(tensor_mul(A, *h.ordered(h.lifts.col(b), rel)))
 
-    unit = A.unit()
     if unit is not None and A.is_associative()[0]:
         ops = list(zip(*(h.struct(e, first=False).acts for e in h.ordered("s", "t"))))
         holds = all(q.space.contains_relation(
@@ -809,6 +837,39 @@ def _hom_space(h, e):
     return [LinearMap(dim, n, unstack(w, dim, n)) for w in system.kernel_basis()]
 
 
+def _hom_values(h, e):
+    """An echelon of the values f(e_a) of the maps f of ``_hom_space(h, e)``.
+
+    When the structure of e(x) a has ``weights``, e(x) e_a = lambda_x(a) e_a,
+    the law at (x, a) reads lambda_x(a) f(e_a) = x f(e_a) for e "s", or
+    f(e_a) x for "t", in h's order: it involves f(e_a) alone.  So Hom is
+    the sum over a of the joint eigenspaces E_w(a), E_w the vectors v of
+    the base with x v = lambda_x v (or v x = lambda_x v) for every x, and
+    the values span the sum of E_w over the distinct weights.  Each E_w is
+    a joint kernel of dim x dim maps.  ``Rref.basis`` is the reduced basis
+    of the span, whichever vectors span it.  A structure without weights
+    solves ``_hom_space``.
+    """
+    vals, n, dim = Rref(), h.A.dim, h.base.dim
+    weights = h.struct(e).weights
+    if weights is None:
+        for f in _hom_space(h, e):
+            for a in range(n):
+                vals.add(f.col(a))
+        return vals
+
+    def shifted(x, lam):
+        """v -> x v - lam v (or v x - lam v) in h's order."""
+        law = (lambda y: h.bmul({x: ONE}, {y: ONE})) if e == "s" else (
+            lambda y: h.bmul({y: ONE}, {x: ONE}))
+        return LinearMap.from_function(dim, dim, lambda y: axpy(law(y), -lam, {y: ONE}))
+
+    for w in dict.fromkeys(weights):
+        for v in joint_kernel([shifted(x, lam) for x, lam in enumerate(w)]):
+            vals.add(v)
+    return vals
+
+
 def _regularity_subspaces(M, rep):
     """The values of each Hom space, embedded by the other embedding of its
     half and multiplied by A in the half's order, span A."""
@@ -816,10 +877,7 @@ def _regularity_subspaces(M, rep):
     for module, name in (("_BA", "SB(IB)A"), ("A_B", "IBA"), ("A_C", "ASC(IC)"), ("^CA", "AIC")):
         letter, e = _ONE_SIDED[module]
         h = _Half(M, letter)
-        vals = Rref()
-        for f in _hom_space(h, e):
-            for a in range(n):
-                vals.add(f.col(a))
+        vals = _hom_values(h, e)
         struct = h.struct("t" if e == "s" else "s")
         span = Rref()
         for v in vals.basis():
@@ -833,7 +891,24 @@ def _antipode_checks(M, rep, canon):
     """The antipode entries on M.S.  Returns whether the three that
     evaluate the equations of ``derive_antipode``'s system at M.S,
     ``antipode-base-bimodule``, ``antipode-diagram-left`` and
-    ``antipode-diagram-right``, all passed."""
+    ``antipode-diagram-right``, all passed.
+
+    Gate of the diagrams: A is associative and unital, and
+    ``antipode-base-bimodule`` passed.  Write m_S for S applied on leg
+    h.t_leg and multiplied out in h's order: m(S (x) id) on B, m(id (x) S)
+    on C.  By the bimodule law S(s(x) a) = S(a) t(x) and associativity,
+    m_S kills QB's relations s(x) a (x) b - a (x) t(x) b, as in
+    ``_antipode_through_inverse``, and on C S(a s(x)) = t(x) S(a) kills
+    QC's mirror ones.  So m_S takes one value on every lift of a class.
+    The diagram at (p, q) = h.ordered(a, b) multiplies Delta(p) by e_q on
+    leg h.s_leg, and by associativity both of its sides are their values
+    at q = 1 times e_q in h's order:
+        m_S(lift Delta(p)) e_q  and  (R(p) 1) e_q.
+    So the diagram holds at every q for a p where the two values at 1
+    agree.  Where they differ, 1 = sum u_q e_q gives a failing q, and
+    the (a, b) whose p fails are scanned in the old order, so the
+    witness is the first of a full scan.
+    """
     A, n = M.A, M.A.dim
     S = M.S
     ok, wit = automorphism_check(A, S, anti=True)
@@ -851,18 +926,27 @@ def _antipode_checks(M, rep, canon):
     wit = _first_failure(bimodule())
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
     solves = wit is None
+    unit = A.unit()
+    gated = solves and unit is not None and A.is_associative()[0]
 
-    # the two defining diagrams, one per half
-    sides = {"B": [], "C": []}
-    for h, a, b, terms, rhs in _antipode_laws(M):
+    def m_s(h, terms):
         lhs = {}
         for c, m, o in terms:
             term = h.mul(S.col(m), {o: ONE})
             if term:
                 axpy(lhs, c, term)
-        sides[h.letter].append(((A.labels[a], A.labels[b]), lhs, rhs))
-    for h in _halves(M):
-        wit = _first_failure(iter(sides[h.letter]))
+        return lhs
+
+    # the two defining diagrams, one per half
+    for h, other in _mirrored(M):
+        law, pairs = _antipode_law(h, other), ((a, b) for a in range(n) for b in range(n))
+        if gated:
+            R = other.struct("t", first=False)
+            failing = {p for p in range(n) if m_s(h, _antipode_terms(h, h.lifts.col(p)))
+                       != R.act(other.eps.col(p), unit)}
+            pairs = (ab for ab in pairs if h.ordered(*ab)[0] in failing) if failing else ()
+        wit = _first_failure(((A.labels[a], A.labels[b]), m_s(h, terms), rhs)
+                             for a, b in pairs for terms, rhs in (law(a, b),))
         rep.check(wit is None, "antipode-diagram-" + h.side, "dg-antipode", wit)
         solves = solves and wit is None
 
@@ -1064,6 +1148,17 @@ def verify_star(M):
     The star of each base is antilinear, x* = L(conj(x)) with L its linear
     part, so the round trip S_h star_h S_o star_o on the other half's base
     is the linear map S_h L_h conj(S_o) conj(L_o).
+
+    Gate of ``delta-star-compatibility``: A is associative and unital, and
+    ``algebra:involution`` passed.  Associativity makes every leg
+    multiplication below descend.  Since (b x)* = x* b*, the descended
+    star (x) star carries L1(b) and L2(c) on QC to R1(b*) and R2(c*) on QB,
+    so the law at (a, b, c) is R2(c*) R1(b*) D(a) = 0, with
+    D(a) = Delta_B(a*) - (* (x) *) Delta_C(a).  It holds at every (b, c)
+    for an a with D(a) = 0.  The stars of the basis span A, so with
+    1 = sum u_b e_b* the operators R1(e_b*) combine to the identity, and
+    an a with D(a) != 0 fails at some (b, c).  Only those a are scanned,
+    (b, c) in the old order, so the witness is the first of a full scan.
     """
     rep = Report()
     A, n = M.A, M.A.dim
@@ -1095,6 +1190,11 @@ def verify_star(M):
         rep.check(False, "star-tensor-map", "involution-2", str(e))
         return rep
     qb, qc = M.qb, M.qc
+    scanned = range(n)
+    if (A.unit() is not None and A.is_associative()[0]
+            and rep.status_of("algebra:involution") == "pass"):
+        scanned = [a for a in scanned if M.delta_B.apply(star({a: ONE}))
+                   != star_qc_qb.apply(vec_conj(M.delta_C.col(a)))]
 
     def sides():
         """R2(c*) R1(b*) Delta_B(a*) and (* (x) *)(L2(c) lambda_T(b, a)),
@@ -1105,7 +1205,7 @@ def verify_star(M):
         r2 = stack([qb.leg_op(2, "r", star({c: ONE})) for c in range(n)])
         # (* (x) *)(L2(c) v) = star_qc_qb conj(L2(c)) conj(v): the map is antilinear
         starred = stack([star_qc_qb.compose(qc.leg_op(2, "l", c).conj()) for c in range(n)])
-        for a in range(n):
+        for a in scanned:
             dstar = M.delta_B.apply(star({a: ONE}))
             for b in range(n):
                 head = r1[b].apply(dstar)
@@ -1113,7 +1213,7 @@ def verify_star(M):
                 yield from _block_sides((a, b), r2.apply(head), starred.apply(tail), qb.dim, n)
 
     try:
-        wit = _first_failure(sides())
+        wit = _first_failure(sides()) if scanned else None
     except NotBalanced as e:
         wit = str(e)
     rep.check(wit is None, "delta-star-compatibility", "involution-3", wit)

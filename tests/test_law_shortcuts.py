@@ -7,26 +7,39 @@ both tensors are coordinate quotients and A is associative;
 slice identity when A is associative.  Each is run here as it is and
 with A taken for non-associative during the call, which sends it down
 its general path, on the fixtures and on the mutants of the golden
-corpus; both runs must give the same report.  ``canonical_tilde`` is
+corpus; both runs must give the same report.  So are the gates that
+decide a law from the unit or the base weights: the antipode diagrams
+and ``delta-star-compatibility`` once per multiplied element,
+``-tensor-nondegenerate`` with no joint kernel, and ``regular-1`` from
+the joint eigenspaces of the base.  ``canonical_tilde`` is
 compared with the leg multiplication descended one basis tensor at a
 time, applied to Delta.
 """
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
 from qgroupoid import bialgebroid, integration, structure_theory
 from qgroupoid.balanced_tensor import NotBalanced
-from qgroupoid.bialgebroid import RegularMHA, verify_regular_mha
+from qgroupoid.bialgebroid import (
+    _ONE_SIDED,
+    RegularMHA,
+    _Half,
+    _hom_space,
+    _hom_values,
+    verify_regular_mha,
+    verify_star,
+)
 from qgroupoid.examples import (
     build_convolution_algebroid,
     build_function_algebroid,
     pair_groupoid,
     standard_integrals,
 )
-from qgroupoid.exact_linear import ONE, LinearMap
+from qgroupoid.exact_linear import ONE, LinearMap, Rref
 from qgroupoid.integration import check_partial_integral
 
 
@@ -53,17 +66,24 @@ def _named_bundles(request):
                build_function_algebroid(request.getfixturevalue("z2"))])
 
 
-def _non_associative(monkeypatch, module, name, algebra_of):
-    """module.name with A, read by algebra_of from its first argument,
-    taken for non-associative during each call: its gate declines."""
+def _declined(monkeypatch, module, name, target, attr, value):
+    """module.name with the attribute attr of target(first argument) set to
+    value during each call: its gate declines."""
     real = getattr(module, name)
 
     def declined(first, *args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algebra_of(first), "is_associative", lambda: (False, None))
+            patch.setattr(target(first, *args), attr, value)
             return real(first, *args, **kwargs)
 
     monkeypatch.setattr(module, name, declined)
+
+
+def _non_associative(monkeypatch, module, name, algebra_of):
+    """module.name with A, read by algebra_of from its first argument,
+    taken for non-associative during each call: its gate declines."""
+    _declined(monkeypatch, module, name, lambda first, *_: algebra_of(first),
+              "is_associative", lambda: (False, None))
 
 
 # the entries of the two shortcuts
@@ -221,3 +241,83 @@ def test_the_coordinate_gate_declines_on_echelon_quotients(monkeypatch):
         assert not (M.qb.coordinate or M.qc.coordinate) and M.A.is_associative()[0]
         assert verify_regular_mha(M).ok
         assert scanned == [list(range(M.A.dim))] * 4, M.name
+
+
+def _verified(M):
+    return verify_regular_mha(M).to_json_lines() + verify_star(M).to_json_lines()
+
+
+@pytest.mark.parametrize("kind", ["named", "sweep", "single-term", "single-product"])
+def test_unit_and_weight_gates_report_what_the_general_paths_do(request, monkeypatch, kind):
+    # each gate forced off during its call: the antipode diagrams with A
+    # taken for non-associative, delta-star and tensor-nondegenerate with
+    # no unit, regular-1 with the Hom structure's weights None.  The first
+    # run has stored check_algebra's report, so the algebra entries do not
+    # see the patches
+    if kind == "named":
+        bundles = (_named_bundles(request)
+                   + [golden_record.imaginary_term_mutant(),
+                      golden_record.matrix_tensor_algebroid(),
+                      golden_record.mutant_bundle("S", 4, points=[1, 2, 3]),
+                      *(golden_record.nonassociative_bundle(build)
+                        for build in (build_function_algebroid, build_convolution_algebroid))])
+    elif kind == "sweep":
+        bundles = [M for _, M in golden_record.sweep_bundles()]
+    elif kind == "single-term":
+        bundles = golden_record.single_term_mutants()
+    else:
+        bundles = [M for _, M in golden_record.single_product_changes()]
+    failing, bimodule_failed = set(), False
+    for M in bundles:
+        lines = _verified(M)
+        with monkeypatch.context() as declined:
+            _non_associative(declined, bialgebroid, "_antipode_checks", lambda M: M.A)
+            _declined(declined, bialgebroid, "verify_star", lambda M: M.A, "unit", lambda: None)
+            _declined(declined, bialgebroid, "_verify_bialgebroid", lambda M, *_: M.A,
+                      "unit", lambda: None)
+            _declined(declined, bialgebroid, "_hom_values", lambda h, e: h.struct(e),
+                      "weights", None)
+            assert _verified(M) == lines, M.name
+        rep = verify_regular_mha(M)
+        failing |= {e.eq for e in rep.failures() + verify_star(M).failures()}
+        bimodule_failed |= rep.status_of("antipode-base-bimodule") == "fail"
+    # the general paths are compared on failing laws too: on an S that
+    # fails antipode-base-bimodule, and where a multiplication does not descend
+    if kind == "sweep":
+        assert {"dg-antipode", "involution-3"} <= failing and bimodule_failed
+    if kind == "single-product":
+        assert {"left-bialgebroid-modules", "right-bialgebroid-modules"} <= failing
+
+
+def _hom_space_echelon(h, e):
+    vals = Rref()
+    for f in _hom_space(h, e):
+        for a in range(h.A.dim):
+            vals.add(f.col(a))
+    return vals.basis()
+
+
+def test_weighted_hom_values_span_what_the_hom_space_solve_spans(request):
+    bundles = (_named_bundles(request) + [M for _, M in golden_record.sweep_bundles()]
+               + golden_record.single_term_mutants()
+               + [M for _, M in golden_record.single_product_changes()]
+               + [golden_record.matrix_tensor_algebroid()])
+    weighted = set()
+    for M in bundles:
+        for module, (letter, e) in _ONE_SIDED.items():
+            h = _Half(M, letter)
+            assert _hom_values(h, e).basis() == _hom_space_echelon(h, e), (M.name, module)
+            weighted.add(h.struct(e).weights is not None)
+    assert weighted == {True, False}  # the M2 base has no weights
+
+
+def test_a_passing_convolution_p3_solves_no_hom_space_or_nondegeneracy_kernel(monkeypatch):
+    calls = []
+    for name in ("_hom_space", "joint_kernel"):
+        def spy(*args, real=getattr(bialgebroid, name), name=name):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+        monkeypatch.setattr(bialgebroid, name, spy)
+    M = build_convolution_algebroid(pair_groupoid([1, 2, 3]))
+    assert verify_regular_mha(M).ok and verify_star(M).ok
+    assert calls and set(calls) == {("joint_kernel", "_hom_values")}
