@@ -622,16 +622,18 @@ def dual_algebra(X):
         return operators[key]
 
     # the product must match direct composition of functionals:
-    # (a.phi)(b.phi) = (a.phi) o rho(b.phi)
-    wit = None
-    for i, j in product(range(n), repeat=2):
-        rho_j = rho_lambda({j: ONE})[0]
-        direct = functional_of_map(translates[i], rho_j)
-        via_t = g_phi.apply(hat.table[i][j])
-        if direct != via_t:
-            wit = {"at": [A.labels[i], A.labels[j]],
-                   "lhs": vec_items(direct), "rhs": vec_items(via_t)}
-            break
+    # (a.phi)(b.phi) = (a.phi) o rho(b.phi), column i of rho_j^T g_phi for
+    # b = e_j; j runs outer, each j scanning only the i before the first
+    # mismatch found so far, so the witness is the first in (i, j) order
+    wit, first = None, n
+    for j in range(n):
+        composite = rho_lambda({j: ONE})[0].transpose().compose(g_phi)
+        for i in range(first):
+            direct, via_t = composite.col(i), g_phi.apply(hat.table[i][j])
+            if direct != via_t:
+                wit, first = {"at": [A.labels[i], A.labels[j]],
+                              "lhs": vec_items(direct), "rhs": vec_items(via_t)}, i
+                break
     rep.check(wit is None, "dual-product-matches-composition", "dual-product", wit)
     # bimodule actions: omega * a = rho(omega)(a), a * omega = lambda(omega)(a);
     # every (i, j) is scanned, in order, only when hat is not associative or

@@ -71,15 +71,17 @@ def test_translate_operators_equal_convolution_of_each_translate(request, fixtur
 
 
 def test_dual_algebra_makes_no_more_operator_builds_than_recorded(monkeypatch, x_fun_p3):
-    # factorize, convolution and LinearMap.compose calls of dual_algebra on
-    # functions p3, sigma already built.  Counted after the translates'
-    # operators were read from phi's own slices (10 factorize and 20
-    # convolution calls before) and bimodule-identities was decided on the
-    # dual's 5 generators (785 compositions before, 324 of them in
-    # bimodule-identities, then 328); a factorization per functional or a
-    # scan over every pair coming back shows here
+    # factorize, convolution, functional_of_map and LinearMap.compose calls
+    # of dual_algebra on functions p3, sigma already built.  Counted after
+    # the translates' operators were read from phi's own slices (10
+    # factorize and 20 convolution calls before), bimodule-identities was
+    # decided on the dual's 5 generators (785 compositions before, 324 of
+    # them in bimodule-identities, then 328) and the product check composed
+    # rho_j^T with the Gram map once per j (9 compositions in place of 81
+    # functional_of_map calls); a factorization per functional or a scan
+    # over every pair coming back shows here
     structure_theory.modular_automorphism(x_fun_p3, "left")
-    calls = {"factorize": 0, "convolution": 0, "compose": 0}
+    calls = {"factorize": 0, "convolution": 0, "functional_of_map": 0, "compose": 0}
 
     def counted(name, f):
         def call(*args):
@@ -87,14 +89,14 @@ def test_dual_algebra_makes_no_more_operator_builds_than_recorded(monkeypatch, x
             return f(*args)
         return call
 
-    for name in ("factorize", "convolution"):
+    for name in ("factorize", "convolution", "functional_of_map"):
         monkeypatch.setattr(structure_theory, name,
                             counted(name, getattr(structure_theory, name)))
     monkeypatch.setattr(LinearMap, "compose", counted("compose", LinearMap.compose))
     assert dual_algebra(x_fun_p3).report.ok
     monkeypatch.undo()
-    assert calls["factorize"] == calls["convolution"] == 0
-    assert calls["compose"] <= 144
+    assert calls["factorize"] == calls["convolution"] == calls["functional_of_map"] == 0
+    assert calls["compose"] <= 144 + 9
 
 
 def _full_scan(hat, ops, labels):
