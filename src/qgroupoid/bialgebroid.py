@@ -407,28 +407,14 @@ def derive_counits(M):
     return tuple(_solve_counit(h) for h in _halves(M))
 
 
-def _antipode_laws(M):
-    """The two defining diagrams of the antipode at every (a, b), B's first:
-        m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b,
-        m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b))).
-    Each is one law of a half h: with (p, q) = h.ordered(a, b), S on leg
-    h.t_leg of Delta(p) with e_q absorbed on leg h.s_leg, multiplied out in
-    h's order, equals R(p) e_q in h's order, R the other half's t o eps.
-
-    Yields (h, a, b, terms, rhs), terms as ``_antipode_law`` gives them.
-    """
-    n = M.A.dim
-    laws = [(h, _antipode_law(h, other)) for h, other in _mirrored(M)]
-    for a in range(n):
-        for b in range(n):
-            for h, law in laws:
-                yield (h, a, b, *law(a, b))
-
-
 def _antipode_law(h, other):
-    """law(a, b) -> (terms, rhs) of h's antipode diagram at (a, b), as in
-    ``_antipode_laws``; terms the (c, m, o) of the lifted tensor (see
-    ``_antipode_terms``)."""
+    """law(a, b) -> (terms, rhs) of h's defining diagram of the antipode:
+        m (S (x) id) T_rho(a (x) b) = iota_B(S_C(eps_C(a))) * b on B,
+        m (id (x) S) lambda_T(a (x) b) = a * iota_C(S_B(eps_B(b))) on C.
+    With (p, q) = h.ordered(a, b), S on leg h.t_leg of Delta(p) with e_q
+    absorbed on leg h.s_leg, multiplied out in h's order, equals R(p) e_q
+    in h's order, R the other half's t o eps; terms as ``_antipode_terms``.
+    """
     eps, R = other.eps, other.struct("t", first=False)
 
     def law(a, b):
@@ -449,12 +435,17 @@ def _antipode_terms(h, lifted):
 
 
 def _antipode_diagrams(M):
-    """``_antipode_laws`` as equations linear in S, the unknown S[k, m] at
-    m * n + k: S(e_m) e_o in h's order is sum_k S[k, m] e_k e_o."""
+    """Both halves' ``_antipode_law`` at every (a, b), B's first, as
+    equations linear in S, the unknown S[k, m] at m * n + k: S(e_m) e_o in
+    h's order is sum_k S[k, m] e_k e_o."""
     n, table = M.A.dim, M.A.table
-    for h, _, _, terms, rhs in _antipode_laws(M):
-        yield rhs, [(m * n + k, c, table[x][y])
-                    for c, m, o in terms for k in range(n) for x, y in (h.ordered(k, o),)]
+    laws = [(h, _antipode_law(h, other)) for h, other in _mirrored(M)]
+    for a in range(n):
+        for b in range(n):
+            for h, law in laws:
+                terms, rhs = law(a, b)
+                yield rhs, [(m * n + k, c, table[x][y])
+                            for c, m, o in terms for k in range(n) for x, y in (h.ordered(k, o),)]
 
 
 def _bimodule_acts(h):
