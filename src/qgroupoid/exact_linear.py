@@ -25,7 +25,9 @@ without adding it to 0.
 
 Vectors are sparse dicts index -> scalar, matrices are column-sparse
 LinearMaps; quotient spaces carry an echelon-form section so every class
-has a canonical representative.  Sparse vectors keep three invariants:
+has a canonical representative; a LinearMap solves through one ``Rref``
+echelon, or from its entries if it is a generalized permutation.  Sparse
+vectors keep three invariants:
 
 - no entry stored is zero, so equal vectors are equal dicts;
 - ``axpy`` is the one in-place accumulator: every sum of scaled vectors
@@ -779,9 +781,10 @@ class Rref:
 
 
 class LinearMap:
-    """A linear map F^cols -> F^rows, stored column-sparse."""
+    """A linear map F^cols -> F^rows, stored column-sparse; its solver
+    and inverse are built once (see ``_get_solver``)."""
 
-    __slots__ = ("rows", "cols", "data", "_solver")
+    __slots__ = ("rows", "cols", "data", "_solver", "_inverse")
 
     def __init__(self, rows, cols, data):
         self.rows = rows
@@ -789,7 +792,7 @@ class LinearMap:
         self.data = tuple(
             {i: s for i, s in col.items() if s} for col in data
         )
-        self._solver = None
+        self._solver = self._inverse = None
 
     # -- constructors --------------------------------------------------
 
@@ -854,7 +857,8 @@ class LinearMap:
         makes: each must be a new dict with no zero entry, or a read-only
         empty mapping, which may be shared."""
         out = cls.__new__(cls)
-        out.rows, out.cols, out.data, out._solver = rows, cols, tuple(data), None
+        out.rows, out.cols, out.data = rows, cols, tuple(data)
+        out._solver = out._inverse = None
         return out
 
     def compose(self, other):
@@ -925,12 +929,34 @@ class LinearMap:
     # -- solving -----------------------------------------------------------
 
     def _get_solver(self):
-        """The echelon of the rows [col_j | e_j], e_j offset by ``rows``,
-        and the kernel basis.  A column whose reduced row has no entry
-        below ``rows`` is dependent: the offset part of that row is a
-        kernel vector, and the row is not inserted.  So no pivot is at or
-        past ``rows``, and the echelon leaves those tag columns unindexed."""
+        """The solver: for a generalized permutation map, the dict
+        {i: j} of the row that each column j hits; for any other map, the
+        echelon of the rows [col_j | e_j], e_j offset by ``rows``, and the
+        kernel basis.
+
+        Echelon: a column whose reduced row has no entry below ``rows`` is
+        dependent: the offset part of that row is a kernel vector, and the
+        row is not inserted.  So no pivot is at or past ``rows``, and the
+        echelon leaves those tag columns unindexed.
+
+        Generalized permutation, column j = {i(j): c_j} with the rows i(j)
+        distinct: f(x) = sum_j x_j c_j e_i(j) is 0 only for x = 0, so f is
+        injective, its rank is ``cols`` and its kernel basis is empty, as
+        the echelon's would be.  So a target t has at most one preimage,
+        and every x with f(x) = t, the echelon's answer included, is that
+        one.  x_j = t_i(j) c_j^-1 is it when every row of t is some i(j);
+        otherwise t is outside the image and both answer None.  Both list
+        x in the order of t's entries.  Column i(j) of the inverse is the
+        preimage of e_i(j), {j: c_j^-1}.  Which path a map takes is decided
+        by its entries alone."""
         if self._solver is None:
+            hits = {}
+            for j, c in enumerate(self.data):
+                if len(c) != 1 or hits.setdefault(next(iter(c)), j) != j:
+                    break
+            else:
+                self._solver = hits
+                return hits
             ech, ker, rows = Rref(self.rows), [], self.rows
             for j, c in enumerate(self.data):
                 tracked = dict(c)
@@ -947,7 +973,16 @@ class LinearMap:
         """Some x with self(x) = target, or None if target not in the image:
         the reduced [target | 0] is [0 | -x] exactly when it has no entry
         below ``rows``."""
-        ech, _ = self._get_solver()
+        solver = self._get_solver()
+        if type(solver) is dict:
+            x = {}
+            for i, s in target.items():
+                j = solver.get(i)
+                if j is None:
+                    return None
+                x[j] = _mul(s, inverse(self.data[j][i]))
+            return x
+        ech, _ = solver
         rows = self.rows
         r = ech.reduce(target)
         if r and (min(r) < rows or max(target) >= rows):
@@ -955,13 +990,13 @@ class LinearMap:
         return {i - rows: -s for i, s in r.items()}
 
     def kernel_basis(self):
-        _, ker = self._get_solver()
-        return [dict(w) for w in ker]
+        solver = self._get_solver()
+        return [] if type(solver) is dict else [dict(w) for w in solver[1]]
 
     @property
     def rank(self):
-        ech, _ = self._get_solver()
-        return ech.rank
+        solver = self._get_solver()
+        return self.cols if type(solver) is dict else solver[0].rank
 
     def is_injective(self):
         return self.rank == self.cols
@@ -973,10 +1008,18 @@ class LinearMap:
         return self.rows == self.cols and self.rank == self.rows
 
     def inverse(self):
-        if not self.is_bijective():
-            return None
-        cols = [self.solve({i: 1}) for i in range(self.rows)]
-        return LinearMap(self.cols, self.rows, cols)
+        """The inverse map, or None if self is not bijective; built once."""
+        if self._inverse is None and self.is_bijective():
+            solver = self._solver
+            if type(solver) is dict:
+                cols = [None] * self.rows
+                for i, j in solver.items():
+                    cols[i] = {j: inverse(self.data[j][i])}
+                self._inverse = LinearMap._fresh(self.cols, self.rows, cols)
+            else:
+                cols = [self.solve({i: 1}) for i in range(self.rows)]
+                self._inverse = LinearMap(self.cols, self.rows, cols)
+        return self._inverse
 
     def conj(self):
         return LinearMap(

@@ -528,31 +528,55 @@ class _PairEchelon:
 
 def _to_sympy(s):
     if type(s) is Scalar:
-        (m, re, im), = s.terms
-        assert m == 1
-        return sympy.Rational(re) + sympy.I * sympy.Rational(im)
+        return sum((sympy.Rational(re) + sympy.I * sympy.Rational(im)) * sympy.sqrt(m)
+                   for m, re, im in s.terms)
     return sympy.Rational(s)
 
 
 _rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _over_q = _rational.filter(bool).map(sc)
 _over_qi = st.builds(Scalar.rational, _rational, _rational).filter(bool)
+_over_q_root2 = st.one_of(_over_q, st.builds(
+    lambda a, b: Scalar.root_term(2, b) + a, _rational, _rational.filter(bool)))
+
+
+def _monomial(draw, entry):
+    """A generalized permutation map, square or with more rows, each column
+    one non-zero entry on a row no other column hits; or a near miss: two
+    columns on one row, a zero column, or a column with a second entry."""
+    cols = draw(st.integers(1, 4))
+    rows = cols if draw(st.booleans()) else cols + draw(st.integers(1, 2))
+    hit = draw(st.permutations(range(rows)))[:cols]
+    data = [{i: draw(entry)} for i in hit]
+    miss = draw(st.sampled_from([None, "shared row", "zero column", "two entries"]))
+    j = draw(st.integers(0, cols - 1))
+    if miss == "shared row" and cols > 1:
+        data[j] = {hit[j - 1]: draw(entry)}
+    elif miss == "zero column":
+        data[j] = {}
+    elif miss == "two entries" and rows > 1:
+        data[j][draw(st.sampled_from([i for i in range(rows) if i != hit[j]]))] = draw(entry)
+    return rows, cols, data
 
 
 @st.composite
 def _systems(draw):
-    """A sparse matrix over Q or Q(i), often rank-deficient, and targets
-    drawn from its column space and from anywhere."""
-    entry = draw(st.sampled_from([_over_q, _over_qi]))
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    column = st.dictionaries(st.integers(0, rows - 1), entry, max_size=3)
-    data = draw(st.lists(column, min_size=cols, max_size=cols))
-    if cols > 1 and draw(st.booleans()):
-        data[-1] = axpy(vscale(draw(entry), data[0]), ONE, data[cols - 2])  # a dependent column
+    """A sparse matrix over Q, Q(i) or Q(sqrt 2), often rank-deficient or a
+    generalized permutation map, and targets drawn from its column space,
+    from anywhere and on one row, each row in turn."""
+    entry = draw(st.sampled_from([_over_q, _over_qi, _over_q_root2]))
+    if draw(st.booleans()):
+        rows, cols, data = _monomial(draw, entry)
+    else:
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        column = st.dictionaries(st.integers(0, rows - 1), entry, max_size=3)
+        data = draw(st.lists(column, min_size=cols, max_size=cols))
+        if cols > 1 and draw(st.booleans()):
+            data[-1] = axpy(vscale(draw(entry), data[0]), ONE, data[cols - 2])  # a dependent column
     f = LinearMap(rows, cols, data)
     x = draw(st.dictionaries(st.integers(0, cols - 1), entry, max_size=cols))
     anywhere = draw(st.dictionaries(st.integers(0, rows - 1), entry, max_size=rows))
-    return f, [f.apply(x), anywhere, {}]
+    return f, [f.apply(x), anywhere, {}] + [{i: draw(entry)} for i in range(rows)]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -562,6 +586,10 @@ def test_solver_agrees_with_sympy_and_the_pair_echelon(drawn):
     dense = sympy.Matrix(f.rows, f.cols, lambda i, j: _to_sympy(f.col(j).get(i, ZERO)))
     rank = dense.rank()
     assert f.rank == rank
+    # the map's own entries decide the solver: one echelon, or the rows hit
+    hit = [next(iter(c)) for c in f.data if len(c) == 1]
+    monomial = len(hit) == f.cols and len(set(hit)) == f.cols
+    assert (type(f._solver) is dict) == monomial
     basis = f.kernel_basis()
     assert len(basis) == f.cols - rank
     assert all(not f.apply(w) for w in basis)
@@ -575,6 +603,17 @@ def test_solver_agrees_with_sympy_and_the_pair_echelon(drawn):
         if reachable:
             assert f.apply(x) == t
         assert x == old.solve(t)
+    bijective = f.rows == f.cols == rank
+    assert f.is_bijective() == bijective
+    inv = f.inverse()
+    if not bijective:
+        assert inv is None
+        return
+    product = dense * sympy.Matrix(f.rows, f.rows, lambda i, j: _to_sympy(inv.col(j).get(i, ZERO)))
+    assert product.expand() == sympy.eye(f.rows)
+    assert inv.compose(f) == LinearMap.identity(f.cols)
+    assert [old.solve({i: ONE}) for i in range(f.rows)] == list(inv.data)
+    assert f.inverse() is inv
 
 
 # -- tensor products of maps --

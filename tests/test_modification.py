@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qgroupoid import balanced_tensor, modification
+from qgroupoid import balanced_tensor, exact_linear, modification
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import (
     FLAVOR_LT,
@@ -388,10 +388,11 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
     # once and the Delta-operator law was decided on the ideal generators
     # (16 tensors, 2 modifier checks and 17,472 relation tests before), and
     # after check_modifier took M's QB and QC for an identity theta (8
-    # tensors before)
+    # tensors before), and after generalized permutation maps were solved
+    # and inverted from their entries (37 solver echelons before)
     path = tmp_path / "p4.json"
     path.write_text(json.dumps(groupoid_to_json(pair_groupoid([1, 2, 3, 4]))))
-    counts = {"tensors": 0, "modifier checks": 0, "relation tests": 0}
+    counts = {"tensors": 0, "modifier checks": 0, "relation tests": 0, "solver echelons": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -405,6 +406,14 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
                         counted(modification.check_modifier, "modifier checks"))
     monkeypatch.setattr(QuotientSpace, "contains_relation",
                         counted(QuotientSpace.contains_relation, "relation tests"))
+
+    class Echelon(Rref):
+        def __init__(self, tags_from=None):
+            # a LinearMap's solver is the one echelon built with tag columns
+            counts["solver echelons"] += tags_from is not None
+            super().__init__(tags_from)
+
+    monkeypatch.setattr(exact_linear, "Rref", Echelon)
     code = main(["modify", "--example", "convolution", "--groupoid", str(path),
                  "--mu", "1,4,9,16", "--recipe", "groupoid_rn"])
     monkeypatch.undo()
@@ -413,6 +422,7 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
     assert counts["tensors"] <= 6
     assert counts["modifier checks"] == 1
     assert counts["relation tests"] <= 7232
+    assert counts["solver echelons"] <= 23
 
 
 @pytest.mark.parametrize("twist, expected", [
