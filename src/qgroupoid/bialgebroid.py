@@ -100,7 +100,7 @@ class RegularMHA:
         self.name = name
         self._tensors = {}
         self._shared = _shared_tensors
-        self._canonical = None
+        self._canonical = None  # which -> (map, domain), see canonical_map
         self._emb_sb = None
         self._emb_sc = None
         qb, qc = self.tensor(FLAVOR_QB), self.tensor(FLAVOR_QC)
@@ -201,19 +201,22 @@ class RegularMHA:
                 "lambda_T": FLAVOR_LT, "rho_T": FLAVOR_RT}
 
     def canonical(self):
-        """The four canonical maps with their domain tensors (cached)."""
+        """The four canonical maps with their domain tensors, by name."""
+        return {which: self.canonical_map(which) for which in self._DOMAINS}
+
+    def canonical_map(self, which):
+        """One canonical map with its domain tensor, built once per bundle."""
         if self._canonical is None:
-            n, maps = self.A.dim, {}
-            for which, flavor in self._DOMAINS.items():
-                dom = self.tensor(flavor)
+            self._canonical = {}
+        if which not in self._canonical:
+            n, dom = self.A.dim, self.tensor(self._DOMAINS[which])
 
-                def col(q, dom=dom, which=which):
-                    return self.canonical_tilde(which, *divmod(dom.space.free[q], n))
+            def col(q, dom=dom, which=which):
+                return self.canonical_tilde(which, *divmod(dom.space.free[q], n))
 
-                codim = _codomain(self, which).dim
-                maps[which] = (LinearMap.from_function(codim, dom.dim, col), dom)
-            self._canonical = maps  # only once all four are built
-        return self._canonical
+            codim = _codomain(self, which).dim
+            self._canonical[which] = (LinearMap.from_function(codim, dom.dim, col), dom)
+        return self._canonical[which]
 
     # which -> (half, leg, side) of the multiplication each canonical map
     # applies to Delta: T_lambda(a, b) = Delta_B(b)(a (x) 1), T_rho(a, b) =
