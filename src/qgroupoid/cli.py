@@ -228,17 +228,16 @@ def cmd_modify(args):
     mu = _parse_mu(args.mu, groupoid.units)
     with _schema("--sqrt"):
         field = ScalarField(args.sqrt or [])
-    if args.recipe == "groupoid_rn":
-        try:
-            mod, _ = groupoid_rn_modifier(groupoid, mu, field)
-        except FieldExtensionNeeded as e:
-            return _fail_extension(e, args.out)
-    else:
-        mod = identity_modifier(M)
     try:
+        if args.recipe == "groupoid_rn":
+            mod, _ = groupoid_rn_modifier(groupoid, mu, field)
+        else:
+            mod = identity_modifier(M)
         modified = modify(M, mod)
+    except FieldExtensionNeeded as e:
+        return _fail_extension(e, args.out)
     except Rejected as e:
-        return _fail(e.eq, str(e), args.out)
+        return _fail(e.eq, str(e), args.out, hint=e.hint)
     rep = Report().merge(modified.modifier_report)
     rep.merge(modified.modification_report, prefix="modify")
     artifact = {

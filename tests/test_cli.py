@@ -123,6 +123,21 @@ def test_dual_rejection_exits_1_with_a_fail_line(p2_file, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["modify", "measure", "dual"])
+def test_a_weight_zero_at_a_unit_is_rejected_as_quasi_invariant(command, capsys):
+    """groupoid_rn_modifier rejects a weight that is not strictly positive on
+    the units before any bundle is modified; each command that applies the
+    recipe reports that as one failing entry and exits 1."""
+    code = main([command, "--example", "convolution", "--pair-groupoid", "1,2",
+                 "--mu", "0,4", "--recipe", "groupoid_rn"])
+    captured = capsys.readouterr()
+    assert code == 1
+    summary = json.loads(captured.out.strip().splitlines()[-1])["summary"]
+    assert summary == {"checks": 1, "failures": 1, "rejected": "quasi-invariant",
+                       "status": "fail"}
+    assert "Traceback" not in captured.err
+
+
 def test_measure_rejected_recipe_exits_1_with_one_entry(capsys):
     """On the function algebroid the groupoid_rn modifier is no automorphism,
     so ``modify`` inside the pipeline rejects it, as ``dual`` reports too."""
