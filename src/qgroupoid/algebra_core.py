@@ -38,6 +38,7 @@ __all__ = [
     "check_algebra",
     "multiplier_algebra",
     "find_unit",
+    "generating_basis",
     "automorphism_check",
     "algebra_to_json",
     "algebra_from_json",
@@ -319,25 +320,50 @@ class ModuleStructure:
         return LinearMap.combination(n, n, ((s, self.acts[k]) for k, s in x.items()))
 
     def check_action(self):
-        b = self.base
+        """(ok, witness) of the action law acts[x] acts[y] = sum c_k acts[k],
+        x y = sum c_k x_k in the base (y x on a right action), witness the
+        first failing (x, y) by labels.  With weights both sides are
+        diagonal, so the law holds at (x, y) iff
+        lambda_x(a) lambda_y(a) = sum c_k lambda_k(a) for every a."""
+        b, w = self.base, self.weights
         for x in range(b.dim):
             for y in range(b.dim):
                 prod = b.table[x][y] if self.side == "left" else b.table[y][x]
-                if self.acts[x].compose(self.acts[y]) != self.operator(prod):
+                if w is not None:
+                    same = all(wa[x] * wa[y] == sum(c * wa[k] for k, c in prod.items())
+                               for wa in w)
+                else:
+                    same = self.acts[x].compose(self.acts[y]) == self.operator(prod)
+                if not same:
                     return False, (b.labels[x], b.labels[y])
         return True, None
 
-    def is_faithful(self):
-        # faithful iff the linear map base -> End(total) is injective
-        n = self.total.dim
-        return LinearMap(n * n, self.base.dim, [m.flat() for m in self.acts]).is_injective()
+    def check_faithful(self):
+        """(ok, x): faithful iff the map base -> End(total), x -> acts[x],
+        is injective; x is the first base index whose operator is a
+        combination of the earlier ones.  A diagonal operator is fixed by
+        its diagonal, so with weights the rows of the weight matrix stand
+        for the operators."""
+        w, rr = self.weights, Rref()
+        for x, f in enumerate(self.acts):
+            row = f.flat() if w is None else {a: wa[x] for a, wa in enumerate(w) if wa[x]}
+            if rr.add(row) is None:
+                return False, x
+        return True, None
 
-    def is_idempotent(self):
-        rr = Rref()
-        for x in range(self.base.dim):
-            for j in range(self.total.dim):
-                rr.add(self.acts[x].col(j))
-        return rr.rank == self.total.dim
+    def check_idempotent(self):
+        """(ok, a): the images acts[x] e_j span the total algebra; a is the
+        first basis element outside their span.  With weights the span is
+        that of the e_a whose weight tuple is not all zero."""
+        w, rr = self.weights, Rref()
+        if w is None:
+            for f in self.acts:
+                for col in f.data:
+                    rr.add(col)
+        for a in range(self.total.dim):
+            if not (any(w[a]) if w is not None else rr.contains({a: ONE})):
+                return False, a
+        return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +379,37 @@ def find_unit(algebra):
     rights = (({i: ONE}, [(j, ONE, table[i][j]) for j in range(n)]) for i in range(n))
     system, target = stack_equations(((n, lefts), (n, rights)), n)
     return system.solve(target)
+
+
+def generating_basis(algebra, seeds=()):
+    """Basis indices G, in order, that with the seed vectors generate the
+    associative algebra: i joins G when e_i is not in the span V of the
+    words in the seeds and the earlier members.  V is grown as the least
+    subspace that holds the seeds and G and is closed under left
+    multiplication by them; in an associative algebra that is the span of
+    the words g_1 g_2 ... g_k = g_1 (g_2 ... g_k), the subalgebra they
+    generate."""
+    span, words, vecs, gens = Rref(), [], [], []
+
+    def join(u):
+        vecs.append(u)
+        new = [u] + [algebra.mul(u, w) for w in words]
+        while new:
+            v = new.pop()
+            if span.add(v) is not None:
+                words.append(v)
+                new.extend(algebra.mul(g, v) for g in vecs)
+
+    # a vector already in V multiplies V into V, since V is closed under
+    # left multiplication by every word, so it joins no list
+    for u in seeds:
+        if not span.contains(u):
+            join(u)
+    for i in range(algebra.dim):
+        if not span.contains({i: ONE}):
+            gens.append(i)
+            join({i: ONE})
+    return gens
 
 
 def check_algebra(algebra):

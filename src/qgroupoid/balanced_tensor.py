@@ -56,6 +56,7 @@ __all__ = [
     "BalancedTensor",
     "TripleTensor",
     "descend_componentwise",
+    "keeps_weights",
     "tensor_mul",
     "NotBalanced",
 ]
@@ -105,18 +106,24 @@ def _relations(struct1, struct2):
                     yield x, a, b, rel
 
 
+def keeps_weights(op, w_in, w_out):
+    """Whether op intertwines two diagonal actions of one base, given by
+    their weights w_in on op's domain and w_out on its codomain: op e_a =
+    sum_b op[b, a] e_b is sent to sum_b lambda_x(a) op[b, a] e_b by
+    op o act_in[x] and to sum_b mu_x(b) op[b, a] e_b by act_out[x] o op,
+    so the law holds for every x iff w_out[b] == w_in[a] at every
+    non-zero entry op[b, a]."""
+    return all(w_out[b] == w_in[a] for a, col in enumerate(op.data) for b in col)
+
+
 def _intertwines(op, struct, out):
     """Whether op (None for the identity) intertwines the actions struct
     and out of one base: op o struct.acts[x] == out.acts[x] o op for every
-    x.  When both actions are diagonal this reads their weights: op e_a =
-    sum_b op[b, a] e_b is sent to sum_b lambda_x(a) op[b, a] e_b by one
-    side and to sum_b mu_x(b) op[b, a] e_b by the other, so the law holds
-    iff w_out(b) == w_in(a) at every non-zero entry op[b, a]."""
+    x, read from the weights (``keeps_weights``) when both actions are
+    diagonal."""
     w_in, w_out = struct.weights, out.weights
     if w_in is not None and w_out is not None:
-        if op is None:
-            return w_in == w_out
-        return all(w_out[b] == w_in[a] for a, col in enumerate(op.data) for b in col)
+        return w_in == w_out if op is None else keeps_weights(op, w_in, w_out)
     for f, g in zip(struct.acts, out.acts):
         same = (f is g or f == g) if op is None else op.compose(f) == g.compose(op)
         if not same:

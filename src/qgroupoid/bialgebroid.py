@@ -15,12 +15,14 @@ from .algebra_core import (
     _first_product_mismatch,
     automorphism_check,
     check_algebra,
+    generating_basis,
 )
 from .balanced_tensor import (
     BalancedTensor,
     NotBalanced,
     TripleTensor,
     descend_componentwise,
+    keeps_weights,
     tensor_mul,
 )
 from .exact_linear import (
@@ -544,13 +546,22 @@ def _verify_bialgebroid(M, h, report):
     A, n, q, side = h.A, h.A.dim, h.q, h.side
     modules = side + "-bialgebroid-modules"
     # struct k of q acts on leg k through the embedding Delta carries onto the other leg
-    for k, struct in ((1, q.struct1), (2, q.struct2)):
+    structs = (q.struct1, q.struct2)
+    for k, struct in enumerate(structs, 1):
         ok, wit = struct.check_action()
         name = "s" if k == h.t_leg else "t"
         rep.check(ok, "%s-module-action-%s" % (side, name), modules, wit)
-    structs = (q.struct1, q.struct2)
-    rep.check(all(st.is_faithful() for st in structs), side + "-modules-faithful", modules)
-    rep.check(all(st.is_idempotent() for st in structs), side + "-modules-idempotent", modules)
+    # the witness: the leg, and its first dependent base element or first
+    # basis element of A outside the span of the action's images
+    for law, check, labels in (("faithful", ModuleStructure.check_faithful, h.base.labels),
+                               ("idempotent", ModuleStructure.check_idempotent, A.labels)):
+        wit = None
+        for k, struct in enumerate(structs, 1):
+            ok, at = check(struct)
+            if not ok:
+                wit = {"leg": k, "at": labels[at]}
+                break
+        rep.check(wit is None, "%s-modules-%s" % (side, law), modules, wit)
     # non-degeneracy of the quotient over the legs' multiplications; the
     # laws below multiply Delta by them, so a bundle where one does not
     # descend is reported here and its suite ends
@@ -594,29 +605,20 @@ def _verify_bialgebroid(M, h, report):
                    if not lands(b, rel))
     rep.check(wit is None, side + "-delta-operator", side + "-delta-operator", wit)
 
-    wit = _first_failure(
-        ((A.labels[i], A.labels[j]),
-         h.delta.apply(A.mul({i: ONE}, {j: ONE})),
-         q.mul_class(h.delta.col(i), h.delta.col(j)))
-        for i in range(n)
-        for j in range(n)
-    )
-    rep.check(wit is None, side + "-delta-homomorphism", side + "-delta-homomorphism", wit)
-
-    words = ("s(%s)a", "t(%s)a", "as(%s)", "at(%s)")
-    # products in A's order, h's on B and its reverse on C
-    acts = [h.struct(e, first).acts for first in h.ordered(True, False) for e in "st"]
-    checks = []
-    for x in range(h.base.dim):
-        sx, tx = h.s.col(x), h.t.col(x)
-        ops = [q.leg_op(leg, hand, u)
-               for hand in "lr" for leg, u in ((h.s_leg, sx), (h.t_leg, tx))]
-        for a in range(n):
-            da = h.delta.col(a)
-            for word, act, op in zip(words, acts, ops):
-                checks.append(((word % h.x, x, a), h.delta.apply(act[x].col(a)), op.apply(da)))
-    wit = _first_failure(iter(checks))
-    rep.check(wit is None, side + "-delta-bimodule", side + "-delta-bimodule", wit)
+    # the Delta-bimodule law is decided first, since the homomorphism gate
+    # rests on it, and reported after the homomorphism law, as it always was
+    bimodule = None if _bimodule_by_weights(h) else _bimodule_witness(h)
+    hom = None
+    if not (wit is None and bimodule is None and _homomorphism_on_generators(h)):
+        hom = _first_failure(
+            ((A.labels[i], A.labels[j]),
+             h.delta.apply(A.mul({i: ONE}, {j: ONE})),
+             q.mul_class(h.delta.col(i), h.delta.col(j)))
+            for i in range(n)
+            for j in range(n)
+        )
+    rep.check(hom is None, side + "-delta-homomorphism", side + "-delta-homomorphism", hom)
+    rep.check(bimodule is None, side + "-delta-bimodule", side + "-delta-bimodule", bimodule)
 
     _coassociativity(M, rep, h.letter * 2, side + "-coassociativity",
                      "delta-coassociative" if side == "left" else "right-delta-co-associative")
@@ -624,6 +626,107 @@ def _verify_bialgebroid(M, h, report):
     if h.eps is not None:
         _counit_checks(h, rep)
     return rep
+
+
+def _bimodule_witness(h):
+    """The first failure of the Delta-bimodule law, scanned: for each base
+    index x, basis element a and word, in that order, Delta(s(x) a),
+    Delta(t(x) a), Delta(a s(x)) and Delta(a t(x)) against the descended
+    multiplication by s(x) or t(x) on its leg, applied to Delta(a)."""
+    words = ("s(%s)a", "t(%s)a", "as(%s)", "at(%s)")
+    # products in A's order, h's on B and its reverse on C
+    acts = [h.struct(e, first).acts for first in h.ordered(True, False) for e in "st"]
+
+    def sides():
+        for x in range(h.base.dim):
+            sx, tx = h.s.col(x), h.t.col(x)
+            ops = [h.q.leg_op(leg, hand, u)
+                   for hand in "lr" for leg, u in ((h.s_leg, sx), (h.t_leg, tx))]
+            for a in range(h.A.dim):
+                da = h.delta.col(a)
+                for word, act, op in zip(words, acts, ops):
+                    yield (word % h.x, x, a), h.delta.apply(act[x].col(a)), op.apply(da)
+
+    return _first_failure(sides())
+
+
+def _bimodule_by_weights(h):
+    """Whether the base weights show that the Delta-bimodule law holds.
+
+    Declined (False) unless q is a coordinate quotient and the four
+    structures ``h.struct(e, first)`` have weights.  Then each operator
+    acts[x] of the multiplication by e(x), e "s" or "t", on either side is
+    diagonal, acts[x] e_a = lambda_x(a) e_a, and it is the multiplication
+    that ``q.leg_op`` descends on e's leg k.  On A (x) A that
+    multiplication sends e_i (x) e_j to lambda_x(i) e_i (x) e_j for k = 1,
+    lambda_x(j) e_i (x) e_j for k = 2, so it sends every relation e_p of
+    the coordinate quotient to a multiple of e_p: it descends, and its
+    descent is diagonal on q's free coordinates, with weight w(i) or w(j)
+    at the free coordinate (i, j).  The law at (x, a) compares
+    Delta(acts[x] e_a) = lambda_x(a) Delta(a) with that operator applied
+    to Delta(a), so it holds for every x and a iff every free coordinate
+    (i, j) in the support of Delta(a) has w(i) or w(j) equal to w(a):
+    ``keeps_weights`` of Delta from the weights of A to those of q's
+    coordinates.  False also when that fails, and the scan then names the
+    witness.  No leg operator is built.
+    """
+    q, n = h.q, h.A.dim
+    if not q.coordinate:
+        return False
+    for leg in (1, 2):
+        for first in (True, False):
+            w = h.struct(h.on_leg(leg), first).weights
+            if w is None:
+                return False
+            at = [w[divmod(p, n)[leg - 1]] for p in q.space.free]
+            if not keeps_weights(h.delta, w, at):
+                return False
+    return True
+
+
+def _homomorphism_on_generators(h):
+    """Whether Delta(x y) = Delta(x) Delta(y) holds for all x, y in A,
+    decided on the pairs (g, b), g in the ``generating_basis`` G of A over
+    the seeds s(B) and t(B) and b a basis element.  Products are in h's
+    order (u v on B, v u on C) and Delta(x) Delta(y) is ``q.mul_class``,
+    the class of the product of the canonical lifts.
+
+    Declined (False) unless A is unital and associative and
+    Delta(1) = [1 (x) 1]; the caller asks only once ``-delta-operator``
+    and ``-delta-bimodule`` have passed.  Then:
+      - R, the relation span of q, is a right ideal of A (x) A: q's
+        structures multiply from the left in h's order, so the generator at (x, a, c)
+        times u (x) v is the generator at (x, a u, c v).  By the
+        Delta-operator law, Delta(b) R lies in R for every b.  So the class
+        product [w][w'] = [w w'] is well defined when w is a lift of some
+        Delta(b), whatever the lift of either factor, and it is
+        associative on such classes, since A (x) A is.
+      - 1 is in P = {x : Delta(x y) = Delta(x) Delta(y) for every y}, a
+        subspace: Delta(1) Delta(y) = [(1 (x) 1) lift Delta(y)] = Delta(y).
+      - s(x) and t(x) are in P.  With e(x) on its leg k of 1 (x) 1 written
+        E, the Delta-bimodule law gives Delta(e(x)) = Delta(e(x) 1) = [E],
+        and [E] Delta(y) = [E lift Delta(y)], the descended multiplication
+        by e(x) on leg k applied to Delta(y), which is Delta(e(x) y) by the
+        same law.
+      - P is closed under products: for x, x' in P and every y,
+            Delta(x x' y) = Delta(x) Delta(x' y) = Delta(x) (Delta(x') Delta(y))
+                          = (Delta(x) Delta(x')) Delta(y) = Delta(x x') Delta(y).
+    So P holds the subalgebra generated by s(B), t(B) and G, which is A by
+    the choice of G, and the law holds at every pair; the pairs checked
+    here are among the full scan's, so the gate passes exactly when the
+    scan does.  G is empty on the function algebras of pair groupoids and
+    has 2(k - 1) elements on the convolution algebra of p_k.
+    """
+    A, q, delta, unit = h.A, h.q, h.delta, h.A.unit()
+    if unit is None or not A.is_associative()[0] or delta.apply(unit) != q.pure(unit, unit):
+        return False
+    seeds = [col for emb in (h.s, h.t) for col in emb.data]
+    for g in generating_basis(A, seeds):
+        dg = delta.col(g)
+        for b in range(A.dim):
+            if delta.apply(h.mul({g: ONE}, {b: ONE})) != q.mul_class(*h.ordered(dg, delta.col(b))):
+                return False
+    return True
 
 
 def _triple_for(M, kind):

@@ -658,12 +658,13 @@ def standard_integrals(kind, M, **params):
         phi = kron(ident, _functional(hopf.phi, hopf.dim))
         psi = kron(ident, _functional(hopf.psi, hopf.dim))
     elif kind == "two-sided":
-        # A = C (x) H (x) B; psi reads phi_H too (Z2 cannot tell it from psi_H)
+        # A = C (x) H (x) B
         hopf, mb = params["hopf"], params["base_b_dim"]
         mc = M.A.dim // (hopf.dim * mb)
-        phi_h = _functional(hopf.phi, hopf.dim)
-        phi = kron(LinearMap.identity(mc), phi_h, _functional(params["upsilon"], mb))
-        psi = kron(_functional(params["omega"], mc), phi_h, LinearMap.identity(mb))
+        phi = kron(LinearMap.identity(mc), _functional(hopf.phi, hopf.dim),
+                   _functional(params["upsilon"], mb))
+        psi = kron(_functional(params["omega"], mc), _functional(hopf.psi, hopf.dim),
+                   LinearMap.identity(mb))
     else:
         raise ValueError("unknown integral family %r" % kind)
     return PartialIntegral("left", phi), PartialIntegral("right", psi)

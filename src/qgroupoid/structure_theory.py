@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check
+from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check, generating_basis
 from .balanced_tensor import NotBalanced
 from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
 from .exact_linear import (
@@ -489,28 +489,8 @@ def _translate_operators(X):
     ]
 
 
-def _generators(hat):
-    """Basis indices G, in order, that generate the associative algebra
-    hat: i joins G when e_i is not in the span V of the words in the
-    earlier members.  V is grown as the least subspace that holds G and
-    is closed under left multiplication by G; in an associative algebra
-    that is the span of the words g_1 g_2 ... g_k = g_1 (g_2 ... g_k)."""
-    span, words, gens = Rref(), [], []
-    for i in range(hat.dim):
-        if span.contains({i: ONE}):
-            continue
-        gens.append(i)
-        new = [{i: ONE}] + [hat.mul({i: ONE}, w) for w in words]
-        while new:
-            v = new.pop()
-            if span.add(v) is not None:
-                words.append(v)
-                new.extend(hat.mul({g: ONE}, v) for g in gens)
-    return gens
-
-
 def _identities_on_generators(hat, rho_lambda):
-    """Whether the bimodule identities hold on the ``_generators`` G of
+    """Whether the bimodule identities hold on the ``generating_basis`` G of
     the associative hat: rho(g y) = rho(g) rho(y) and lambda(g y) =
     lambda(y) lambda(g) for g in G and every basis element y, and
     rho(h) lambda(g) = lambda(g) rho(h) for g, h in G.  rho_lambda(c)
@@ -535,7 +515,7 @@ def _identities_on_generators(hat, rho_lambda):
     Each gated law is itself one of the full scan's laws, so the gate
     passes exactly when the full scan does.
     """
-    n, gens = hat.dim, _generators(hat)
+    n, gens = hat.dim, generating_basis(hat)
     for g in gens:
         rho_g, lam_g = rho_lambda({g: ONE})
         for y in range(n):

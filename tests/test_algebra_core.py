@@ -1,6 +1,8 @@
 """Structure-constant algebras, multipliers, embeddings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgroupoid.algebra_core import (
     BaseEmbedding,
@@ -16,7 +18,7 @@ from qgroupoid.algebra_core import (
     scalar_from_json,
     scalar_to_json,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Scalar, sc
+from qgroupoid.exact_linear import ONE, ZERO, LinearMap, Scalar, sc
 
 
 def group_algebra_z2():
@@ -151,8 +153,54 @@ def test_module_structure_action():
     left = ModuleStructure(b, a, [a.lmul(emb.embed.col(x)) for x in range(b.dim)], "left")
     ok, _ = left.check_action()
     assert ok
-    assert left.is_faithful()
-    assert left.is_idempotent()
+    assert left.check_faithful() == (True, None)
+    assert left.check_idempotent() == (True, None)
+    # two base elements acting alike, and e_1 in no image: the witnesses
+    # are the first dependent base index and the first basis element missed
+    two = FiniteAlgebra.pointwise(["x", "y"])
+    alike = ModuleStructure(two, a, [LinearMap.from_rows([[1, 0], [0, 0]])] * 2, "left")
+    for weights in (alike.weights, None):
+        alike.weights = weights
+        assert alike.check_faithful() == (False, 1)
+        assert alike.check_idempotent() == (False, 1)
+
+
+# bases with their characters, the weight tuples that pass the action law:
+# functions on one and on two points, the group algebra of Z2, and the
+# non-commutative algebra e0 e0 = e0, e0 e1 = e1 (its other products zero)
+_BASES = (
+    (FiniteAlgebra.pointwise(["p"]), [(ZERO,), (ONE,)]),
+    (FiniteAlgebra.pointwise(["p", "q"]), [(ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)]),
+    (group_algebra_z2(), [(ZERO, ZERO), (ONE, ONE), (ONE, -ONE)]),
+    (FiniteAlgebra([[{0: ONE}, {1: ONE}], [{}, {}]], labels=["e0", "e1"]),
+     [(ZERO, ZERO), (ONE, ZERO)]),
+)
+_eigenvalue = st.sampled_from([ZERO, ONE, -ONE, Scalar.root_term(2), ONE + Scalar.root_term(3)])
+
+
+@st.composite
+def _diagonal_actions(draw):
+    """A diagonal action of one of ``_BASES`` on an algebra of dimension
+    1 to 5, on either side: each basis element's weight tuple is a
+    character of the base or drawn at random, so the laws pass and fail."""
+    base, characters = draw(st.sampled_from(_BASES))
+    n, k = draw(st.integers(1, 5)), base.dim
+    tuples = st.one_of(st.sampled_from(characters),
+                       st.tuples(*[_eigenvalue] * k))
+    weights = draw(st.lists(tuples, min_size=n, max_size=n))
+    acts = [LinearMap(n, n, [{a: w[x]} for a, w in enumerate(weights)]) for x in range(k)]
+    total = FiniteAlgebra.pointwise(["a%d" % a for a in range(n)])
+    return ModuleStructure(base, total, acts, draw(st.sampled_from(["left", "right"])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_diagonal_actions())
+def test_module_laws_by_weights_agree_with_the_operator_laws(struct):
+    assert struct.weights is not None
+    by_weights = (struct.check_action(), struct.check_faithful(), struct.check_idempotent())
+    struct.weights = None  # shadows the cached weights: the operator paths run
+    assert (struct.check_action(), struct.check_faithful(),
+            struct.check_idempotent()) == by_weights
 
 
 def test_multiplication_and_action_maps_read_the_table_and_the_acts():

@@ -26,7 +26,7 @@ from qgroupoid.examples import (
     build_tensor_algebroid,
     pair_groupoid,
 )
-from qgroupoid.balanced_tensor import NotBalanced, TripleTensor
+from qgroupoid.balanced_tensor import BalancedTensor, NotBalanced, TripleTensor
 from qgroupoid.exact_linear import (
     ONE,
     LinearMap,
@@ -491,6 +491,48 @@ def test_verify_makes_no_more_products_than_recorded(monkeypatch):
         assert verify_regular_mha(M).ok
         monkeypatch.setattr(FiniteAlgebra, "mul", mul)
         assert len(calls) <= 4113, build.__name__
+
+
+def test_delta_laws_make_no_more_tensor_products_than_recorded(monkeypatch):
+    # BalancedTensor.mul_class calls per half and leg operators of vectors
+    # other than basis elements in verify_regular_mha on a fresh bundle,
+    # counted after the Delta-bimodule law was decided from the base
+    # weights and the Delta-homomorphism law on generators.  Before, each
+    # half made n^2 mul_class calls (81 on p3, 256 on p4) and built four
+    # leg operators of s(x) or t(x) per base element x.  The generators
+    # over s(B) and t(B) are none on functions p3 and 2(k - 1) = 6 on
+    # convolution p4, each paired with the 16 basis elements.
+    classes, vectors = [], []
+    mul_class, leg_op = BalancedTensor.mul_class, BalancedTensor.leg_op
+
+    def counted_class(self, q1, q2):
+        classes.append(self.flavor)
+        return mul_class(self, q1, q2)
+
+    def counted_leg(self, slot, side, u):
+        if not isinstance(u, int) and list(u.values()) != [ONE]:
+            vectors.append(u)
+        return leg_op(self, slot, side, u)
+
+    monkeypatch.setattr(BalancedTensor, "mul_class", counted_class)
+    monkeypatch.setattr(BalancedTensor, "leg_op", counted_leg)
+    assert verify_regular_mha(build_function_algebroid(pair_groupoid([1, 2, 3]))).ok
+    assert classes == [] and vectors == []
+    M = build_convolution_algebroid(pair_groupoid([1, 2, 3, 4]))
+    assert verify_regular_mha(M).ok
+    assert set(classes) == {M.qb.flavor, M.qc.flavor}
+    assert all(classes.count(q.flavor) <= 6 * 16 for q in (M.qb, M.qc))
+
+
+def test_module_law_witnesses_name_the_leg_and_the_first_failing_element():
+    # e_(1,1) e_(1,1) := 0 on functions p2: every s(x) and t(x) kills
+    # e_(1,1), so it lies outside the images of leg 1's action on both halves
+    M = golden_record.product_changed(build_function_algebroid, 0, 0, {})
+    rep = verify_regular_mha(M)
+    for side in ("left", "right"):
+        (entry,) = [e for e in rep.entries if e.axiom == side + "-modules-idempotent"]
+        assert (entry.status, entry.witness) == ("fail", {"leg": 1, "at": "(1, 1)"})
+        assert rep.status_of(side + "-modules-faithful") == "pass"
 
 
 def _delta_operator_by_echelon(h):

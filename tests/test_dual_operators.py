@@ -19,8 +19,8 @@ from qgroupoid.examples import (
 from qgroupoid.exact_linear import ONE, LinearMap, sc
 from qgroupoid.integration import BaseWeight, assemble_measured, gram_map
 from qgroupoid.modification import groupoid_rn_modifier, modify
+from qgroupoid.algebra_core import generating_basis
 from qgroupoid.structure_theory import (
-    _generators,
     _translate_operators,
     convolution,
     dual_algebra,
@@ -184,6 +184,6 @@ def test_generators_of_the_dual_of_functions_on_pair_groupoids(x_fun_14, x_fun_p
     # generate it, 2k - 1 of its k^2 basis elements
     for X, k in ((x_fun_14, 2), (x_fun_p3, 3)):
         labels = X.M.A.labels
-        gens = [labels[g] for g in _generators(dual_algebra(X).algebra)]
+        gens = [labels[g] for g in generating_basis(dual_algebra(X).algebra)]
         row = [str((1, j)) for j in range(1, k + 1)]
         assert gens == row + [str((i, 1)) for i in range(2, k + 1)]

@@ -143,6 +143,29 @@ def test_h4_crossed_product_over_a_point_passes_every_law(m_h4_crossed):
     assert M._db_lift != LinearMap.flip(4, 4).compose(M._db_lift)
 
 
+def test_two_sided_h4_over_a_point_takes_its_right_integral_from_psi_h(sweedler_h4):
+    # H4 is not unimodular: its left integral phi_H = (gx)* is no right
+    # integral, so the right partial integral psi_B = omega (x) psi_H (x) id
+    # of the two-sided family must read psi_H = x*, not phi_H
+    h = sweedler_h4
+    point = FiniteAlgebra.pointwise(["pt"])
+    trivial = [LinearMap(1, 1, [h.eps.col(k)]) for k in range(h.dim)]
+    ident = LinearMap.identity(1)
+    M = build_two_sided(point, h, point, HopfAction(h, point, trivial),
+                        HopfAction(h, point, trivial, side="right"), ident, ident)
+    assert verify_regular_mha(M).ok
+
+    def psi_b(psi_h):
+        hopf = FiniteHopf(h.H, h.delta, h.eps, h.S, phi={3: ONE}, psi=psi_h)
+        _, psi = standard_integrals("two-sided", M, hopf=hopf, base_b_dim=1,
+                                    upsilon={0: ONE}, omega={0: ONE})
+        return check_partial_integral(M, psi, "right")
+
+    assert psi_b({2: ONE}).ok
+    failing = {e.eq for e in psi_b({3: ONE}).failures()}
+    assert failing == {"partial-left-deltab", "partial-left-deltac", "dg-strong-invariance-right"}
+
+
 def test_z3_group_hopf_over_plain_field():
     labels, table = cyclic_group_table(3)
     h = build_group_hopf(labels, table, "group")

@@ -124,11 +124,12 @@ def test_product_integrals_are_the_per_column_formulas(m_tensor, m_crossed, m_tw
         2, 4, lambda k: {k // 2: hopf_z2.phi[k % 2]} if k % 2 in hopf_z2.phi else {})
     assert psi.mapping == LinearMap.from_function(
         2, 4, lambda k: {k // 2: hopf_z2.psi[k % 2]} if k % 2 in hopf_z2.psi else {})
-    # two-sided, A = C (x) H (x) B at k = (y * 2 + h) * 2 + x; psi reads phi_H too
+    # two-sided, A = C (x) H (x) B at k = (y * 2 + h) * 2 + x
     phi, psi = standard_integrals("two-sided", m_twosided, hopf=hopf_z2, base_b_dim=2,
                                   upsilon=UPSILON, omega=OMEGA)
     phi_h = [hopf_z2.phi.get(h, ZERO) for h in range(2)]
+    psi_h = [hopf_z2.psi.get(h, ZERO) for h in range(2)]
     assert phi.mapping == LinearMap.from_function(
         2, 8, lambda k: {k // 4: phi_h[k // 2 % 2] * UPSILON[k % 2]})
     assert psi.mapping == LinearMap.from_function(
-        2, 8, lambda k: {k % 2: phi_h[k // 2 % 2] * OMEGA[k // 4]})
+        2, 8, lambda k: {k % 2: psi_h[k // 2 % 2] * OMEGA[k // 4]})

@@ -13,7 +13,10 @@ and ``delta-star-compatibility`` once per multiplied element,
 ``-tensor-nondegenerate`` with no joint kernel, and ``regular-1`` from
 the joint eigenspaces of the base.  ``canonical_tilde`` is
 compared with the leg multiplication descended one basis tensor at a
-time, applied to Delta.
+time, applied to Delta.  The bialgebroid suites' module laws and
+``-delta-bimodule``, decided from the base weights, and
+``-delta-homomorphism``, decided on generators, are compared with their
+scans.
 """
 
 import importlib.util
@@ -23,6 +26,7 @@ import sys
 import pytest
 
 from qgroupoid import bialgebroid, integration, structure_theory
+from qgroupoid.algebra_core import ModuleStructure
 from qgroupoid.balanced_tensor import NotBalanced
 from qgroupoid.bialgebroid import (
     _ONE_SIDED,
@@ -243,6 +247,24 @@ def test_the_coordinate_gate_declines_on_echelon_quotients(monkeypatch):
         assert scanned == [list(range(M.A.dim))] * 4, M.name
 
 
+def _gate_bundles(request, kind):
+    """The bundles on which a gate is compared with its general path."""
+    if kind == "named":
+        return (_named_bundles(request)
+                + [golden_record.imaginary_term_mutant(),
+                   golden_record.matrix_tensor_algebroid(),
+                   golden_record.mutant_bundle("S", 4, points=[1, 2, 3]),
+                   golden_record.mutant_bundle("delta_B", 0),
+                   golden_record.mutant_bundle("delta_C", 1),
+                   *(golden_record.nonassociative_bundle(build)
+                     for build in (build_function_algebroid, build_convolution_algebroid))])
+    if kind == "sweep":
+        return [M for _, M in golden_record.sweep_bundles()]
+    if kind == "single-term":
+        return golden_record.single_term_mutants()
+    return [M for _, M in golden_record.single_product_changes()]
+
+
 def _verified(M):
     """Both suites, read from the module so that a patched verify_star runs."""
     return (bialgebroid.verify_regular_mha(M).to_json_lines()
@@ -256,21 +278,8 @@ def test_unit_and_weight_gates_report_what_the_general_paths_do(request, monkeyp
     # no unit, regular-1 with the Hom structure's weights None.  The first
     # run has stored check_algebra's report, so the algebra entries do not
     # see the patches
-    if kind == "named":
-        bundles = (_named_bundles(request)
-                   + [golden_record.imaginary_term_mutant(),
-                      golden_record.matrix_tensor_algebroid(),
-                      golden_record.mutant_bundle("S", 4, points=[1, 2, 3]),
-                      *(golden_record.nonassociative_bundle(build)
-                        for build in (build_function_algebroid, build_convolution_algebroid))])
-    elif kind == "sweep":
-        bundles = [M for _, M in golden_record.sweep_bundles()]
-    elif kind == "single-term":
-        bundles = golden_record.single_term_mutants()
-    else:
-        bundles = [M for _, M in golden_record.single_product_changes()]
     failing, bimodule_failed = set(), False
-    for M in bundles:
+    for M in _gate_bundles(request, kind):
         lines = _verified(M)
         with monkeypatch.context() as declined:
             _non_associative(declined, bialgebroid, "_antipode_checks", lambda M: M.A)
@@ -323,3 +332,42 @@ def test_a_passing_convolution_p3_solves_no_hom_space_or_nondegeneracy_kernel(mo
     M = build_convolution_algebroid(pair_groupoid([1, 2, 3]))
     assert verify_regular_mha(M).ok and verify_star(M).ok
     assert calls and set(calls) == {("joint_kernel", "_hom_values")}
+
+
+def _scanned(monkeypatch):
+    """The bialgebroid suites with their weight and generator gates off
+    during each call: every module structure's weights None, so the
+    Delta-bimodule law and the module laws take their operator scans,
+    and the Delta-homomorphism law on generators declined."""
+    real = bialgebroid._verify_bialgebroid
+
+    def scanned(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ModuleStructure, "weights", property(lambda self: None))
+            patch.setattr(bialgebroid, "_homomorphism_on_generators", lambda h: False)
+            return real(*args)
+
+    monkeypatch.setattr(bialgebroid, "_verify_bialgebroid", scanned)
+
+
+@pytest.mark.parametrize("kind", ["named", "sweep", "single-term", "single-product"])
+def test_bialgebroid_weight_and_generator_gates_report_what_the_scans_do(
+        request, monkeypatch, kind):
+    failing, gate_failed = set(), set()
+    for M in _gate_bundles(request, kind):
+        rep = verify_regular_mha(M)
+        with monkeypatch.context() as off:
+            _scanned(off)
+            assert verify_regular_mha(M).to_json_lines() == rep.to_json_lines(), M.name
+        failing |= {e.eq for e in rep.failures()}
+        gate_failed |= {side for side in ("left", "right")
+                        if rep.status_of(side + "-delta-homomorphism") == "fail"
+                        and rep.status_of(side + "-delta-bimodule") == "pass"}
+    assert {side + law for side in ("left", "right")
+            for law in ("-delta-homomorphism", "-delta-bimodule")} <= failing
+    if kind in ("named", "single-product"):
+        assert {"left-bialgebroid-modules", "right-bialgebroid-modules"} <= failing
+    if kind == "named":
+        # the Delta mutants of the golden corpus: the generator gate is
+        # tried, fails, and the scan names the witness
+        assert gate_failed == {"left", "right"}
