@@ -25,3 +25,39 @@ def test_golden_report(name, tmp_path):
 
 def test_every_case_is_recorded(tmp_path):
     assert sorted(cases(str(tmp_path))) == sorted(EXITS)
+
+
+def test_galois_compatibility_is_the_left_coassociativity_entry():
+    # in every verify block of the corpus, prefixed copies included, the
+    # galois-compatibility entry has the status and witness of the block's
+    # left-coassociativity entry, or of its left-tensor-nondegenerate
+    # failure where the left suite ended there.  The sweep records failing
+    # entries only, so each galois line is compared with the last of those
+    # entries before it in its step, and a failing left-coassociativity
+    # line must be followed by one
+    compared, failed = 0, set()
+    for name in sorted(EXITS):
+        with open(os.path.join(HERE, name + ".jsonl")) as fh:
+            entries = [json.loads(line) for line in fh]
+        source, unread = {}, set()
+        for entry in entries + [{}]:
+            if "axiom" not in entry:  # a step's head line, or the end of the file
+                assert not unread, (name, unread)
+                source = {}
+                continue
+            prefix, _, law = entry["axiom"].rpartition(":")
+            if law in ("left-tensor-nondegenerate", "left-coassociativity"):
+                source[prefix] = entry
+                if law == "left-coassociativity" and entry["status"] == "fail":
+                    unread.add(prefix)
+            elif law == "galois-compatibility":
+                expected = source.pop(prefix)
+                assert ((entry["status"], entry.get("witness"))
+                        == (expected["status"], expected.get("witness"))), (name, entry)
+                unread.discard(prefix)
+                compared += 1
+                if entry["status"] == "fail":
+                    failed.add(name)
+    assert compared == 30
+    assert failed == {"mutant-convolution-delta_B-col1", "mutant-convolution-delta_B-term",
+                      "mutant-delta_B-col0", "mutant-sweep-p2", "nonassociative-functions-p2"}

@@ -31,7 +31,6 @@ from qgroupoid.exact_linear import (
     ONE,
     LinearMap,
     QuotientSpace,
-    Scalar,
     axpy,
     kron,
     kron_vec,
@@ -351,29 +350,63 @@ def test_delta_operator_and_delta_star_witnesses_are_the_first_in_scan_order(
     assert seen == {(False, False), (True, True)}
 
 
-def _tilde_perturbed(which, a, b, q):
-    """A fresh convolution p2 bundle whose memoized canonical_tilde(which,
-    a, b) has i e_q added, so the laws that read it fail there."""
-    M = build_convolution_algebroid(pair_groupoid([1, 2]))
-    value = dict(M.canonical_tilde(which, a, b))
-    M._tilde[(which, a, b)] = axpy(value, Scalar.rational(0, 1), {q: ONE})
-    return M
+def _compatibility_failure(M):
+    """The first failure, in (b, c, a) order, of the compatibility of the
+    canonical maps (T_lambda (x) id)(id (x) T_rho) = (id (x) T_rho)(T_lambda
+    (x) id) on e_a (x) e_b (x) e_c, or None.  Each side is computed from
+    its formula: the second map is applied to the lift of the first map's
+    value, term by term, with ``canonical_tilde``, and the sides are
+    compared as canonical residues in the triple tensor of kind BB."""
+    A, n, qb = M.A, M.A.dim, M.qb
+    triple = TripleTensor(A, qb, qb, "BB")
+
+    def lifted(which, a, b):
+        return qb.lift(M.canonical_tilde(which, a, b))
+
+    for b in range(n):
+        for c in range(n):
+            for a in range(n):
+                lhs, rhs = {}, {}
+                # (T_lambda (x) id)(e_a (x) T_rho(b, c))
+                for ij, s in lifted("T_rho", b, c).items():
+                    i, j = divmod(ij, n)
+                    axpy(lhs, s, kron_vec(lifted("T_lambda", a, i), {j: ONE}, n))
+                # (id (x) T_rho)(T_lambda(a, b) (x) e_c)
+                for ij, s in lifted("T_lambda", a, b).items():
+                    i, j = divmod(ij, n)
+                    axpy(rhs, s, kron_vec({i: ONE}, lifted("T_rho", j, c), n * n))
+                lhs, rhs = triple.reduce(lhs), triple.reduce(rhs)
+                if lhs != rhs:
+                    return {"at": (A.labels[a], A.labels[b], A.labels[c]),
+                            "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
+    return None
 
 
-def test_galois_compatibility_witness_is_the_first_of_a_full_scan(leg_op_by_components):
-    # oracle: the (a, b, c) loop, one pair of vectors per triple, in order
-    M = _tilde_perturbed("T_lambda", 1, 2, 1)
-    n, qb = M.A.dim, M.qb
-    rmul1, rmul2 = ([leg_op_by_components(qb, slot, "r", {u: ONE}) for u in range(n)]
-                    for slot in (1, 2))
-    expected = bialgebroid._first_failure(
-        ((a, b, c),
-         rmul2[c].apply(M.canonical_tilde("T_lambda", a, b)),
-         rmul1[a].apply(M.canonical_tilde("T_rho", b, c)))
-        for a in range(n) for b in range(n) for c in range(n)
-    )
-    assert expected["at"] == (1, 2, 2)  # not in the first block, nor first in its block
-    assert _failure(verify_regular_mha(M), "galois-compatibility") == expected
+def test_canonical_map_compatibility_fails_where_left_coassociativity_does(request):
+    # galois-compatibility is read from left-coassociativity; the diagram,
+    # computed from the canonical maps alone, must fail on exactly the same
+    # bundles with the same first witness.  The bundles: the fixtures, the
+    # golden Delta_B mutants, the single-term mutants and the sweep set
+    mutant = golden_record.mutant_bundle
+    bundles = ([request.getfixturevalue(name) for name in (
+                   "m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided",
+                   "m_h4_crossed", "m_conv_mod")]
+               + [mutant("delta_B", 0),
+                  mutant("delta_B", 1, build_convolution_algebroid, add_col=0),
+                  mutant("delta_B", 0, build_convolution_algebroid, term=(0, 1)),
+                  golden_record.nonassociative_bundle()]
+               + golden_record.single_term_mutants()
+               + [M for _, M in golden_record.sweep_bundles()])
+    failed = 0
+    for M in bundles:
+        rep = verify_regular_mha(M)
+        expected = _compatibility_failure(M)
+        assert _failure(rep, "left-coassociativity") == expected, M.name
+        assert _failure(rep, "galois-compatibility") == expected, M.name
+        failed += expected is not None
+    # the three golden Delta_B mutants, the non-associative functions p2,
+    # four single-term mutants and eight of the sweep
+    assert failed == 16
 
 
 def test_delta_star_witness_is_the_first_of_a_full_scan(leg_op_by_components):
@@ -427,12 +460,14 @@ def test_multiplications_that_do_not_descend_end_in_a_report(leg_op_by_component
     # single-product change of functions and convolution p2: where a
     # multiplication Delta absorbs does not descend, the half's
     # tensor-nondegenerate entry fails with the NotBalanced text and ends
-    # that half's suite, and no law raises
+    # that half's suite, and no law raises; galois-compatibility, read from
+    # left-coassociativity, then fails with the left entry's text
     twin = golden_record.nonassociative_bundle(build_convolution_algebroid)
     undescended = []
     for name, M in [("twin", twin), *golden_record.single_product_changes()]:
         rep = verify_regular_mha(M)
         verify_star(M)
+        [galois] = [e for e in rep.entries if e.axiom == "galois-compatibility"]
         for half, q, side in (("left", M.qb, "r"), ("right", M.qc, "l")):
             text = _absorbed_failure(M, leg_op_by_components, q, side)
             [entry] = [e for e in rep.entries if e.axiom == half + "-tensor-nondegenerate"]
@@ -441,8 +476,14 @@ def test_multiplications_that_do_not_descend_end_in_a_report(leg_op_by_component
             else:
                 assert (entry.status, entry.witness) == ("fail", text), (name, half)
                 assert rep.status_of(half + "-delta-operator") is None, (name, half)
-                undescended.append(name)
-    assert "twin" in undescended
+                undescended.append((name, half))
+            if half == "left":
+                # the left entry, ("fail", text), where the left suite ended
+                [source] = [e for e in rep.entries if e.axiom == "left-coassociativity"] or [entry]
+                assert (galois.status, galois.witness) == (source.status, source.witness), name
+    assert "twin" in {name for name, _ in undescended}
+    # the left suite ends on some bundle, so galois-compatibility copies its text there
+    assert {half for _, half in undescended} == {"left", "right"}
     [entry] = [e for e in verify_star(twin).entries if e.axiom == "delta-star-compatibility"]
     assert entry.status == "fail" and "does not descend" in entry.witness
 
@@ -501,9 +542,11 @@ def test_delta_laws_make_no_more_tensor_products_than_recorded(monkeypatch):
     # half made n^2 mul_class calls (81 on p3, 256 on p4) and built four
     # leg operators of s(x) or t(x) per base element x.  The generators
     # over s(B) and t(B) are none on functions p3 and 2(k - 1) = 6 on
-    # convolution p4, each paired with the 16 basis elements.
-    classes, vectors = [], []
+    # convolution p4, each paired with the 16 basis elements; they are
+    # computed once per bundle for both halves (before, once per half).
+    classes, vectors, generators = [], [], []
     mul_class, leg_op = BalancedTensor.mul_class, BalancedTensor.leg_op
+    generating_basis = bialgebroid.generating_basis
 
     def counted_class(self, q1, q2):
         classes.append(self.flavor)
@@ -514,14 +557,20 @@ def test_delta_laws_make_no_more_tensor_products_than_recorded(monkeypatch):
             vectors.append(u)
         return leg_op(self, slot, side, u)
 
+    def counted_generators(algebra, seeds):
+        generators.append(generating_basis(algebra, seeds))
+        return generators[-1]
+
     monkeypatch.setattr(BalancedTensor, "mul_class", counted_class)
     monkeypatch.setattr(BalancedTensor, "leg_op", counted_leg)
+    monkeypatch.setattr(bialgebroid, "generating_basis", counted_generators)
     assert verify_regular_mha(build_function_algebroid(pair_groupoid([1, 2, 3]))).ok
-    assert classes == [] and vectors == []
+    assert classes == [] and vectors == [] and generators == [[]]
     M = build_convolution_algebroid(pair_groupoid([1, 2, 3, 4]))
     assert verify_regular_mha(M).ok
     assert set(classes) == {M.qb.flavor, M.qc.flavor}
     assert all(classes.count(q.flavor) <= 6 * 16 for q in (M.qb, M.qc))
+    assert len(generators) == 2 and len(generators[1]) == 6
 
 
 def test_module_law_witnesses_name_the_leg_and_the_first_failing_element():

@@ -344,7 +344,7 @@ def _scanned(monkeypatch):
     def scanned(*args):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ModuleStructure, "weights", property(lambda self: None))
-            patch.setattr(bialgebroid, "_homomorphism_on_generators", lambda h: False)
+            patch.setattr(bialgebroid, "_homomorphism_on_generators", lambda h, generators: False)
             return real(*args)
 
     monkeypatch.setattr(bialgebroid, "_verify_bialgebroid", scanned)
