@@ -11,7 +11,8 @@ is a multiple of the one basis tensor e_a (x) e_b, so the relation span
 is spanned by the basis tensors with w1(a) != w2(b); on the pair
 groupoids the others are the composable pairs.  The quotient is then a
 ``QuotientSpace.coordinate`` built with no relation and no elimination,
-and it equals the echelon quotient of the generators.  Every builder's
+which keeps only the free coordinates, those with w1(a) == w2(b), and
+equals the echelon quotient of the generators.  Every builder's
 bundle is of this kind.  Other actions, such as the M2 base of the
 matrix-unit tensor algebroid, are eliminated in an echelon.  No tensor
 stores its relation vectors: ``generators`` and ``relation_vectors``
@@ -31,8 +32,8 @@ quotient Q12 and on legs (2,3) by another Q23, is where coassociativity
 is compared.  ``TripleTensor(algebra, pair12, pair23)`` takes the two
 BalancedTensors and builds it as Q12 (x) A modulo the image of
 A (x) R23, R23 the relations of Q23: the relations of Q12 are already
-eliminated by Q12's own echelon, so only pair12.dim * n coordinates are
-left to eliminate in, not n^3.
+eliminated by Q12's own projection, so only pair12.dim * n coordinates
+are left to eliminate in, not n^3.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class BalancedTensor:
     Every descent out of the tensor is checked.  ``descend`` first tries
     ``_module_maps`` on the action maps, or their weights; a descent that
     fails it, and every slice, is checked on the basis of the relation
-    span, the rows of ``space.rref`` (``space.rows_touching``).  The
+    span, the relation rows of ``space`` (``space.rows_touching``).  The
     relation generators are made and scanned, in order, only after a
     basis row fails, so the witness of NotBalanced is still the first
     failing generator.
@@ -249,7 +250,7 @@ class BalancedTensor:
             self.space = QuotientSpace(n * n, (rel for *_, rel in _relations(struct1, struct2)))
         else:
             self.space = QuotientSpace.coordinate(
-                n * n, [a * n + b for a in range(n) for b in range(n) if w1[a] != w2[b]])
+                n * n, [a * n + b for a in range(n) for b in range(n) if w1[a] == w2[b]])
         self.dim = self.space.dim
         self._op_cache = {}
 
@@ -445,7 +446,7 @@ class TripleTensor:
     hold on legs (1,2) and on legs (2,3).  The quotient by R12 (x) A +
     A (x) R23 is built as (pair12 (x) A) modulo the image of A (x) R23:
     pi12 (x) id is onto with kernel R12 (x) A.  So the only rows
-    eliminated are e_a (x) r, for r in pair23's relation echelon, each
+    eliminated are e_a (x) r, for r in pair23's ``relation_rows``, each
     projected third-leg block by third-leg block into pair12.dim * n
     coordinates (index k * pair12.dim + q, q in pair12, k the third leg).
     ``reduce`` and ``equal`` take vectors of A (x) A (x) A, index
@@ -465,7 +466,7 @@ class TripleTensor:
         # column ij of pi12, so a third-leg block projects term by term
         self._pi12 = [pair12.project({ij: ONE}) for ij in range(n * n)]
         rref = Rref()
-        for r in pair23.space.rref.basis():
+        for r in pair23.space.relation_rows():
             for a in range(n):
                 # e_a (x) r projects to zero whenever it lies in R12 (x) A
                 w = self._project({a * n * n + jk: s for jk, s in r.items()})

@@ -75,7 +75,6 @@ class RegularMHA:
     eps_B = eps_C = None  # set in __init__, after derive_counits
     _structs = None  # (multiplication side, embedding) -> ModuleStructure
     _triples = None  # coassociativity kind -> TripleTensor
-    _tilde = None  # (which, a, b) -> canonical_tilde(which, a, b)
     _shared = None  # flavor -> BalancedTensor another bundle offers, see tensor()
     _integral_bases = None  # side -> (basis, reports), see integration._checked_basis
 
@@ -176,7 +175,7 @@ class RegularMHA:
 
         A bundle made with ``_shared_tensors`` (flavor -> BalancedTensor of
         another bundle over the same A, read when a flavor is first asked
-        for) takes that tensor, with its echelon and descended maps, when
+        for) takes that tensor, with its quotient and descended maps, when
         both its module structures have this bundle's action maps.
         """
         if flavor not in self._tensors:
@@ -232,22 +231,15 @@ class RegularMHA:
 
         The value is the descended leg multiplication,
         ``BalancedTensor.leg_op``, applied to Delta; it raises NotBalanced
-        where that multiplication does not descend.
-
-        Memoized per bundle: every value is computed once and the stored
-        vector is returned again, so callers must not mutate it.
+        where that multiplication does not descend.  Each call returns a
+        fresh vector: only the leg operator is cached, by its tensor.
         """
-        if self._tilde is None:
-            self._tilde = {}
-        key = (which, a, b)
-        if key not in self._tilde:
-            if which not in self._TILDES:
-                raise ValueError(which)
-            letter, leg, side = self._TILDES[which]
-            q, delta = (self.qb, self.delta_B) if letter == "B" else (self.qc, self.delta_C)
-            u, d = (a, b) if leg == 1 else (b, a)
-            self._tilde[key] = q.leg_op(leg, side, u).apply(delta.col(d))
-        return self._tilde[key]
+        if which not in self._TILDES:
+            raise ValueError(which)
+        letter, leg, side = self._TILDES[which]
+        q, delta = (self.qb, self.delta_B) if letter == "B" else (self.qc, self.delta_C)
+        u, d = (a, b) if leg == 1 else (b, a)
+        return q.leg_op(leg, side, u).apply(delta.col(d))
 
     def __repr__(self):
         return "RegularMHA(%r, dim=%d)" % (self.name, self.A.dim)
@@ -266,8 +258,8 @@ class _Half:
     Delta(a) and t(x) a onto leg ``t_leg``: legs 2 and 1 for B, 1 and 2
     for C.  ``absorb`` is the side, "r" or "l" as ``BalancedTensor.leg_op``
     names it, from which Delta absorbs multiplications on either leg: from
-    the right for Delta_B, from the left for Delta_C; ``absorbed`` reads
-    their products with Delta from the bundle's canonical-map memo.
+    the right for Delta_B, from the left for Delta_C; ``absorbed`` computes
+    their products with Delta by the bundle's ``canonical_tilde``.
     ``struct(e, first)`` is the bundle's ``_struct`` of e(x) a in h's
     order, e "s" or "t", or of a e(x) if not ``first``: the one way to
     multiply A by s(x) or t(x), its ``acts[x]`` for a basis element x and
@@ -304,8 +296,8 @@ class _Half:
     def absorbed(self, leg, d, e):
         """Delta(d) with e_e absorbed on ``leg`` (1 or 2), i.e.
         ``q.leg_op(leg, absorb, e).apply(delta.col(d))``: T_lambda(e, d) or
-        T_rho(d, e) on B, lambda_T(e, d) or rho_T(d, e) on C.  The vector
-        is memoized by the bundle; callers must not mutate it."""
+        T_rho(d, e) on B, lambda_T(e, d) or rho_T(d, e) on C, as a fresh
+        vector."""
         if leg == 1:
             return self._tilde(self._maps[0], e, d)
         return self._tilde(self._maps[1], d, e)
@@ -590,7 +582,7 @@ def _verify_bialgebroid(M, h, rep, generators):
     # generated by the g_x, and Delta(b) R lies in R iff every Delta(b) g_x
     # does.  That product is (R_1 (x) id) Delta(b) - (id (x) R_2) Delta(b),
     # R_k multiplying by x.1, s(x) or t(x), on leg k from the right in h's
-    # order.  Otherwise the rows of the relation echelon are
+    # order.  Otherwise the relation rows (``relation_rows``) are
     # checked, the product being linear in the relation.  Only if a check
     # fails are the generators scanned, b outer, to name the witness.
     def lands(b, rel):
@@ -602,7 +594,7 @@ def _verify_bialgebroid(M, h, rep, generators):
                         vsub(apply_legs(r1, None, w, n), apply_legs(None, r2, w)))
                     for w in h.lifts.data for r1, r2 in ops)
     else:
-        holds = all(lands(b, rel) for b in range(n) for rel in q.space.rref.rows.values())
+        holds = all(lands(b, rel) for b in range(n) for rel in q.space.relation_rows())
     wit = None
     if not holds:
         wit = next({"delta_of": A.labels[b], "relation": gen}
@@ -907,12 +899,12 @@ def canonical_maps(M, report=None):
                 axpy(w, s, value)
         return w
 
-    # the unfactored map kills the relation span iff it kills the rows of
-    # its echelon; only if one survives are the generators scanned, in
+    # the unfactored map kills the relation span iff it kills the relation
+    # rows of its domain; only if one survives are the generators scanned, in
     # order, to name the first one that does as the witness
     for which, (mat, dom) in maps.items():
         wit = None
-        if any(image(which, row) for row in dom.space.rref.rows.values()):
+        if any(image(which, row) for row in dom.space.relation_rows()):
             wit = next({"relation": gen}
                        for gen, rel in zip(dom.generators, dom.relation_vectors())
                        if image(which, rel))

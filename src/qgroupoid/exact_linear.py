@@ -24,8 +24,9 @@ multiplied, and ``axpy`` stores the scaled entry in an empty slot
 without adding it to 0.
 
 Vectors are sparse dicts index -> scalar, matrices are column-sparse
-LinearMaps; quotient spaces carry an echelon-form section so every class
-has a canonical representative; a LinearMap solves through one ``Rref``
+LinearMaps; a quotient space keeps a relation echelon, or only its free
+coordinates when the relations are coordinate vectors, so every class has a
+canonical representative; a LinearMap solves through one ``Rref``
 echelon, or from its entries if it is a generalized permutation.  Sparse
 vectors keep three invariants:
 
@@ -39,7 +40,6 @@ vectors keep three invariants:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt
 
 __all__ = [
@@ -1039,49 +1039,50 @@ class QuotientSpace:
     """F^n modulo the span of relation vectors.
 
     The canonical representative of a class zeroes every pivot coordinate
-    of the relation echelon; the section places quotient coordinates at
-    the free indices, so project o section = identity exactly.
+    of the relation echelon ``rref``; the section places quotient
+    coordinates at the free indices, so project o section = identity
+    exactly.
 
     ``QuotientSpace.coordinate`` is the quotient by a coordinate subspace,
-    the span of the e_p for p in a pivot set, built with no elimination.
-    Its echelon rows are {p: {p: 1}}, the rows ``Rref`` reduces those
-    relations to, and are built only when ``rref`` is first read: to
-    project or reduce drops the pivot coordinates, and a vector is a
-    relation iff every coordinate it has is a pivot.
+    the span of the e_p for p outside a set of free coordinates, built
+    with no elimination and kept as its free coordinates alone: its
+    ``rref`` is None.  To project or reduce drops the relation
+    coordinates, and a vector is a relation iff it has no free
+    coordinate.  ``relation_rows`` reads the relation rows of either kind.
     """
 
     def __init__(self, ambient_dim, relations):
         self.rref = Rref()
         for r in relations:
             self.rref.add(r)
-        self._pivots = None
-        self._set_free(ambient_dim, set(self.rref.rows))
+        self._set_free(ambient_dim, [j for j in range(ambient_dim) if j not in self.rref.rows])
 
     @classmethod
-    def coordinate(cls, ambient_dim, pivots):
-        """F^ambient_dim modulo the span of the e_p, p in pivots."""
+    def coordinate(cls, ambient_dim, free):
+        """F^ambient_dim modulo the span of the e_p, p not in free (ascending)."""
         space = cls.__new__(cls)
-        space._pivots = pivots = frozenset(pivots)
-        space._set_free(ambient_dim, pivots)
+        space.rref = None
+        space._set_free(ambient_dim, free)
         return space
 
-    def _set_free(self, ambient_dim, pivots):
+    def _set_free(self, ambient_dim, free):
         self.ambient_dim = ambient_dim
-        self.free = [j for j in range(ambient_dim) if j not in pivots]
-        self.free_pos = {f: q for q, f in enumerate(self.free)}
-        self.dim = len(self.free)
+        self.free = free
+        self.free_pos = {f: q for q, f in enumerate(free)}
+        self.dim = len(free)
         self._touching = None
 
-    @cached_property
-    def rref(self):
-        """The echelon of a coordinate quotient (see the class docstring)."""
-        rref = Rref()
-        rref.rows = {p: {p: ONE} for p in sorted(self._pivots)}
-        return rref
+    def relation_rows(self):
+        """The rows of the relation echelon: on a coordinate quotient each
+        e_p, p not free, made as it is read, in ascending p."""
+        if self.rref is None:
+            free_pos = self.free_pos
+            return ({p: ONE} for p in range(self.ambient_dim) if p not in free_pos)
+        return iter(self.rref.rows.values())
 
     def project(self, v):
         free_pos = self.free_pos
-        if self._pivots is not None:
+        if self.rref is None:
             return {free_pos[j]: s for j, s in v.items() if j in free_pos}
         return {free_pos[j]: s for j, s in self.rref.reduce(v).items()}
 
@@ -1090,19 +1091,19 @@ class QuotientSpace:
 
     def reduce(self, v):
         """Canonical ambient representative of the class of v."""
-        if self._pivots is not None:
+        if self.rref is None:
             return {j: s for j, s in v.items() if j in self.free_pos}
         return self.rref.reduce(v)
 
     def contains_relation(self, v):
-        if self._pivots is not None:
-            return self._pivots.issuperset(v)
+        if self.rref is None:
+            return self.free_pos.keys().isdisjoint(v)
         return self.rref.contains(v)
 
     def rows_touching(self, coords):
-        """The echelon rows, by pivot, with an entry at one of coords."""
-        if self._pivots is not None:
-            return {p: {p: ONE} for p in coords if p in self._pivots}
+        """The relation rows, by pivot, with an entry at one of coords."""
+        if self.rref is None:
+            return {p: {p: ONE} for p in coords if p not in self.free_pos}
         rows = self.rref.rows
         if self._touching is None:
             self._touching = {}  # coordinate -> pivots of the rows with an entry there

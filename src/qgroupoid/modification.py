@@ -243,11 +243,11 @@ def check_modifier(M, mod):
     return rep
 
 
-def modify(M, mod, verify=True):
+def modify(M, mod):
     """Apply a modifier; the result is a new bundle, re-verified from scratch.
 
     The result shares A, B and C with M.  It takes M's balanced tensor of a
-    flavor, with its echelon and memoized descents, whenever both module
+    flavor, with its quotient and memoized descents, whenever both module
     structures of that flavor have the same action maps in both bundles,
     as every flavor has for a modifier trivial on the bases; it builds the
     others itself.  Its comultiplications, counits and antipode are its
@@ -299,21 +299,20 @@ def modify(M, mod, verify=True):
                       "canonical-%s-twist" % which.replace("_", "-"), eq)
     except NotBalanced as e:
         rep.check(False, "canonical-map-twists", "theta-tl", str(e))
-    if verify:
-        suite = verify_regular_mha(out)
-        rep.merge(suite, prefix="modified")
-        if not suite.ok:
-            raise Rejected(
-                "modification",
-                "modified structure failed verification: %s"
-                % [e.axiom for e in suite.failures()],
-                rep,
-            )
-        if M.A.involution is not None and mod.self_adjoint:
-            srep = verify_star(out)
-            rep.merge(srep, prefix="modified-star")
-            if not srep.ok:
-                raise Rejected("modification", "modified star structure failed", rep)
+    suite = verify_regular_mha(out)
+    rep.merge(suite, prefix="modified")
+    if not suite.ok:
+        raise Rejected(
+            "modification",
+            "modified structure failed verification: %s"
+            % [e.axiom for e in suite.failures()],
+            rep,
+        )
+    if M.A.involution is not None and mod.self_adjoint:
+        srep = verify_star(out)
+        rep.merge(srep, prefix="modified-star")
+        if not srep.ok:
+            raise Rejected("modification", "modified star structure failed", rep)
     out.modifier_report = pre
     out.modification_report = rep
     return out

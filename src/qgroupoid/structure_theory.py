@@ -449,7 +449,7 @@ def _translate_operators(X):
     rho(e_b.phi) is sl_rho(T_rho(x, b)), and column x of lambda(e_b.phi)
     is sl_lambda(T_lambda(b, x)).  sl_rho and sl_lambda are the B-half
     slices of ``convolution`` for phi's factors Cl (leg 2) and Bl (leg 1),
-    and the T values are read from the bundle's canonical-map memo.
+    and the T values are computed by the bundle's ``canonical_tilde``.
 
     The translate's factors are phi's after R_b, the right multiplication
     by e_b.  For y in C, (e_b.phi)(y a) = phi((y a) e_b) = phi(y (a e_b))

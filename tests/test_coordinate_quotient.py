@@ -7,8 +7,10 @@ span of the basis tensors whose weights differ, and ``BalancedTensor``
 builds it as ``QuotientSpace.coordinate`` with no elimination.  The
 reference here is the echelon of the relation vectors themselves,
 ``QuotientSpace(n * n, relation_vectors())``: both quotients must have the
-same echelon rows, free coordinates and dimension, and must project,
-reduce and test relations alike.
+same relation rows, free coordinates and dimension, and must project,
+reduce, test relations and find the rows touching a coordinate alike.
+A coordinate quotient keeps no echelon (``space.rref is None``): its
+relation rows are made from its free coordinates as they are read.
 """
 
 import importlib.util
@@ -28,12 +30,16 @@ from qgroupoid.bialgebroid import (
     FLAVOR_RT,
     FLAVOR_TL,
     FLAVOR_TR,
+    verify_regular_mha,
+    verify_star,
 )
 from qgroupoid.examples import (
     build_convolution_algebroid,
     build_function_algebroid,
     pair_groupoid,
 )
+from qgroupoid.integration import solve_partial_integrals
+from qgroupoid.modification import groupoid_rn_modifier, modify
 from qgroupoid.exact_linear import (
     ONE,
     ZERO,
@@ -58,11 +64,17 @@ def _random_vector(rng, dim, size):
     return {j: rng.choice(_VALUES) for j in rng.sample(range(dim), min(size, dim))}
 
 
-def _assert_same_quotient(space, ref, rng):
-    """space and ref are the same quotient: echelon rows, free coordinates
-    and dimension, and they agree on random vectors and on their relation
-    parts."""
-    assert space.rref.rows == ref.rref.rows
+def _rows_by_pivot(space):
+    """space's relation rows by pivot, the least index of a reduced row."""
+    return {min(row): row for row in space.relation_rows()}
+
+
+def _assert_same_quotient(space, ref, rng, generators=()):
+    """space and ref are the same quotient: relation rows, free
+    coordinates and dimension, and they agree on random vectors, on their
+    relation parts and on each relation generator."""
+    assert _rows_by_pivot(space) == _rows_by_pivot(ref) == ref.rref.rows
+    assert list(ref.relation_rows()) == list(ref.rref.rows.values())
     assert (space.free, space.free_pos, space.dim) == (ref.free, ref.free_pos, ref.dim)
     dim = space.ambient_dim
     for size in (1, 2, 3, 5, 8):
@@ -75,10 +87,19 @@ def _assert_same_quotient(space, ref, rng):
         relation = vsub(v, space.lift(space.project(v)))
         assert space.contains_relation(relation) and ref.contains_relation(relation)
         assert space.contains_relation(v) == (not space.project(v))
+    for rel in generators:
+        assert space.contains_relation(rel) and ref.contains_relation(rel)
+        assert space.reduce(rel) == ref.reduce(rel) == {}
+        assert space.rows_touching(rel) == ref.rows_touching(rel)
 
 
 def _echelon_reference(tensor):
     return QuotientSpace(tensor.leg_dim ** 2, tensor.relation_vectors())
+
+
+def _assert_tensor_is_its_echelon_quotient(tensor, rng):
+    _assert_same_quotient(tensor.space, _echelon_reference(tensor), rng,
+                          tensor.relation_vectors())
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +116,26 @@ def test_coordinate_quotient_equals_the_echelon_quotient_on_every_builder_fixtur
         for flavor in FLAVORS:
             tensor = M.tensor(flavor)
             assert tensor.struct1.weights is not None and tensor.struct2.weights is not None
-            assert tensor.space._pivots is not None, (M.name, flavor)
-            _assert_same_quotient(tensor.space, _echelon_reference(tensor), rng)
+            assert tensor.space.rref is None, (M.name, flavor)
+            _assert_tensor_is_its_echelon_quotient(tensor, rng)
+
+
+def test_the_pipeline_builds_no_echelon_on_a_coordinate_tensor():
+    # verify, the star laws, both partial-integral solves and modify read
+    # every relation row of a coordinate tensor from its free coordinates:
+    # on convolution p4 neither bundle's six tensors ever holds an echelon
+    g = pair_groupoid([1, 2, 3, 4])
+    M = build_convolution_algebroid(g)
+    assert verify_regular_mha(M).ok and verify_star(M).ok
+    for side in ("left", "right"):
+        basis, rep = solve_partial_integrals(M, side)
+        assert basis and rep.ok
+    mod, _ = groupoid_rn_modifier(g, {u: (u + 1) ** 2 for u in range(4)})
+    Mt = modify(M, mod)
+    for bundle in (M, Mt):
+        assert set(bundle._tensors) == set(FLAVORS), bundle.name
+        for flavor, tensor in bundle._tensors.items():
+            assert tensor.coordinate and tensor.space.rref is None, (bundle.name, flavor)
 
 
 def test_matrix_unit_bases_take_the_echelon_path():
@@ -105,8 +144,8 @@ def test_matrix_unit_bases_take_the_echelon_path():
     for flavor in FLAVORS:
         tensor = M.tensor(flavor)
         assert tensor.struct1.weights is None or tensor.struct2.weights is None
-        assert tensor.space._pivots is None
-        assert tensor.space.rref.rows == _echelon_reference(tensor).rref.rows
+        assert tensor.space.rref is not None
+        assert _rows_by_pivot(tensor.space) == _echelon_reference(tensor).rref.rows
 
 
 # eigenvalues of the random diagonal actions: zero and radicals, few of
@@ -145,8 +184,8 @@ def _intertwines_by_composites(op, struct, out):
 def test_random_diagonal_actions_give_the_echelon_quotient(drawn, seed):
     A, s1, s2, op = drawn
     tensor = BalancedTensor(A, s1, s2, "random")
-    assert tensor.space._pivots is not None
-    _assert_same_quotient(tensor.space, _echelon_reference(tensor), random.Random(seed))
+    assert tensor.space.rref is None
+    _assert_tensor_is_its_echelon_quotient(tensor, random.Random(seed))
     # the weight test for module maps agrees with the composites, on op,
     # on the identity and on op cut down to its entries between equal weights
     for struct, out in ((s1, s2), (s2, s1), (s1, s1)):
