@@ -23,9 +23,11 @@ checks.  A map f (x) g whose legs f and g intertwine the base actions
 sends each relation generator to a generator of the target, so it
 descends by the universal property of the balanced product; that is
 checked on the action maps alone, or on the weights when both actions
-of a leg are diagonal.  Any other map descends only after the check
-that it sends the relations into the target's relations, and a failure
-carries a witness.
+of a leg are diagonal.  A slice on a coordinate quotient, by a
+structure with weights, is decided on the weights: each image is one
+basis vector times a pairing, zero or not.  Any other map descends only
+after the check that it sends the relations into the target's
+relations, and a failure carries a witness.
 
 The triple product A (x) A (x) A, balanced on legs (1,2) by one such
 quotient Q12 and on legs (2,3) by another Q23, is where coassociativity
@@ -48,6 +50,7 @@ from .exact_linear import (
     Scalar,
     axpy,
     conj,
+    ev,
     kron_vec,
     kron_vec_at,
     vsub,
@@ -216,9 +219,10 @@ class BalancedTensor:
     generators otherwise; the two are equal where both apply.
 
     Every descent out of the tensor is checked.  ``descend`` first tries
-    ``_module_maps`` on the action maps, or their weights; a descent that
-    fails it, and every slice, is checked on the basis of the relation
-    span, the relation rows of ``space`` (``space.rows_touching``).  The
+    ``_module_maps`` on the action maps, or their weights, and ``slice``
+    first tries ``_slice_by_weights``; a descent that fails them is
+    checked on the basis of the relation span, the relation rows of
+    ``space`` (``space.rows_touching``).  The
     relation generators are made and scanned, in order, only after a
     basis row fails, so the witness of NotBalanced is still the first
     failing generator.
@@ -398,33 +402,79 @@ class BalancedTensor:
         """
         return self.project(tensor_mul(self.algebra, self.lift(q1), self.lift(q2)))
 
-    def slice(self, omega, leg, multiply, what="slice"):
-        """Descend c (x) d -> omega(c).d (and the three sibling patterns) to A.
+    def slice(self, struct, mapping, leg, what="slice"):
+        """Descend c (x) d -> struct.act(mapping(c), e_d) to A.
 
-        omega: LinearMap A -> A (a base-valued map already composed with
-        its embedding).  leg selects which tensor factor omega consumes,
-        multiply whether the result multiplies the other leg from the
-        left or the right.  Only the basis tensors whose consumed leg is a
-        non-empty column of omega are visited, as in ``descend``.
-        Memoized by the content of omega.
+        mapping: LinearMap A -> base, the base of ``struct``, a module
+        structure on A: the value on the consumed leg ``leg`` (1 or 2)
+        acts on the other leg, from the side struct multiplies.  Only the
+        basis tensors whose consumed leg is a non-empty column of mapping
+        are visited.  Memoized by struct, the content of mapping and leg.
+
+        On a coordinate quotient with ``struct.weights`` the slice is
+        decided by ``_slice_by_weights``; where that declines, and on
+        every other tensor, ``descend_componentwise`` checks it.
         """
-        alg, n = self.algebra, self.leg_dim
+        n = self.leg_dim
 
         def sliced(i, j):
-            val, other = (omega.col(i), {j: ONE}) if leg == 1 else (omega.col(j), {i: ONE})
-            return alg.mul(val, other) if multiply == "left" else alg.mul(other, val)
+            c, d = (i, j) if leg == 1 else (j, i)
+            return struct.act(mapping.col(c), {d: ONE})
 
         message = what + " is not balanced for flavor {src!r}"
 
         def build():
-            support = [k for k in range(n) if omega.col(k)]
+            if self.coordinate and struct.weights is not None:
+                cols = self._slice_by_weights(struct.weights, mapping, leg)
+                if cols is not None:
+                    return LinearMap._fresh(n, self.dim, cols)
+            support = [k for k in range(n) if mapping.col(k)]
             pairs = ((k, j) for k in support for j in range(n))
             return descend_componentwise(
                 self, None, sliced, message,
                 live=[k * n + j if leg == 1 else j * n + k for k, j in pairs],
             )
 
-        return self._cached(("slice", omega, leg, multiply), build, message, None)
+        return self._cached(("slice", struct, mapping, leg), build, message, None)
+
+    def _slice_by_weights(self, weights, mapping, leg):
+        """The columns of the slice by a structure with these ``weights``,
+        or None if the slice does not descend.
+
+        The structure's acts[x] e_d is w(d)_x e_d, so the image of
+        e_c (x) e_d (c on the consumed leg) is <mapping(c), w(d)> e_d.  On
+        a coordinate quotient the relations are the e_c (x) e_d whose
+        tensor weights differ, and the map descends to A iff each of them
+        has a zero image: then the column at each free coordinate is its
+        image.  So the other-leg indices d are grouped by their structure
+        weight w(d) and, within it, by their tensor weight, and one exact
+        pairing per (c, structure weight) decides every coordinate of the
+        group.  A non-zero pairing at a relation coordinate returns None,
+        and ``descend_componentwise`` names the first failing generator.
+        """
+        n, free_pos = self.leg_dim, self.space.free_pos
+        w1, w2 = self.struct1.weights, self.struct2.weights
+        own, other = (w1, w2) if leg == 1 else (w2, w1)
+        groups = {}  # structure weight -> tensor weight -> [d]
+        for d in range(n):
+            groups.setdefault(weights[d], {}).setdefault(other[d], []).append(d)
+        pairings = [({x: s for x, s in enumerate(w) if s}, by_tensor)
+                    for w, by_tensor in groups.items()]
+        cols = [_ZERO_COLUMN] * self.dim
+        for c in range(n):
+            value = mapping.col(c)
+            if not value:
+                continue
+            for w, by_tensor in pairings:
+                s = ev(w, value)
+                if not s:
+                    continue
+                for tensor_weight, ds in by_tensor.items():
+                    if tensor_weight != own[c]:
+                        return None
+                    for d in ds:
+                        cols[free_pos[c * n + d if leg == 1 else d * n + c]] = {d: s}
+        return cols
 
     def flip_to(self, target):
         """The map a (x) b -> b (x) a into the flipped flavor, checked; memoized."""

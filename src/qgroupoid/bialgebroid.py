@@ -206,17 +206,36 @@ class RegularMHA:
         return {which: self.canonical_map(which) for which in self._DOMAINS}
 
     def canonical_map(self, which):
-        """One canonical map with its domain tensor, built once per bundle."""
+        """One canonical map with its domain tensor, built once per bundle.
+
+        Column q is ``canonical_tilde`` at the free coordinate (a, b) of
+        the domain.  When the codomain q is a coordinate quotient and A is
+        associative, the multiplication by e_u that Delta absorbs on its
+        leg keeps the weights (see ``_coassociativity``), so it descends,
+        and its descent applied to Delta(d) is the projected product of
+        the lift: the column is read from the lifted Delta, and no leg
+        operator is built.
+        """
         if self._canonical is None:
             self._canonical = {}
         if which not in self._canonical:
             n, dom = self.A.dim, self.tensor(self._DOMAINS[which])
+            letter, leg, side = self._TILDES[which]
+            q = _codomain(self, which)
+            if q.coordinate and self.A.is_associative()[0]:
+                lifts = self._db_lift if letter == "B" else self._dc_lift
+                mul = self.A.rmul if side == "r" else self.A.lmul
 
-            def col(q, dom=dom, which=which):
-                return self.canonical_tilde(which, *divmod(dom.space.free[q], n))
+                def col(p):
+                    a, b = divmod(dom.space.free[p], n)
+                    if leg == 1:
+                        return q.project(apply_legs(mul(a), None, lifts.col(b), n))
+                    return q.project(apply_legs(None, mul(b), lifts.col(a)))
+            else:
+                def col(p):
+                    return self.canonical_tilde(which, *divmod(dom.space.free[p], n))
 
-            codim = _codomain(self, which).dim
-            self._canonical[which] = (LinearMap.from_function(codim, dom.dim, col), dom)
+            self._canonical[which] = (LinearMap.from_function(q.dim, dom.dim, col), dom)
         return self._canonical[which]
 
     # which -> (half, leg, side) of the multiplication each canonical map
@@ -349,14 +368,20 @@ def _sigma_ss(M, src, dst):
 
 def _slice_form(h, leg, a, b):
     """The slice of f on ``leg`` at Delta(a) times e_b on the other leg,
-    as terms linear in f: A -> base, f(e_c)_x the unknown c * dim + x.
+    as ``_slice_terms``."""
+    return _slice_terms(h, leg, h.q.lift(h.absorbed(3 - leg, a, b)))
+
+
+def _slice_terms(h, leg, lifted):
+    """The slice of f on ``leg`` at a vector of A (x) A, as terms linear
+    in f: A -> base, f(e_c)_x the unknown c * dim + x.
 
     The value of f on ``leg``, embedded by h.on_leg(leg), multiplies the
     other leg in h's order.
     """
     n, dim, acts = h.A.dim, h.base.dim, h.struct(h.on_leg(leg)).acts
     terms = []
-    for idx, c in h.q.lift(h.absorbed(3 - leg, a, b)).items():
+    for idx, c in lifted.items():
         i, j = divmod(idx, n)
         sliced, other = (i, j) if leg == 1 else (j, i)
         for x in range(dim):
@@ -366,7 +391,7 @@ def _slice_form(h, leg, a, b):
 
 def _module_form(h, e, x, a):
     """f(e(x) a) - x f(a) for e "s", f(e(x) a) - f(a) x for e "t", every
-    product in h's order, as terms linear in f (unknowns as in _slice_form)."""
+    product in h's order, as terms linear in f (unknowns as in _slice_terms)."""
     dim = h.base.dim
     terms = [(i * dim + xb, c, {xb: ONE})
              for i, c in h.struct(e).acts[x].col(a).items() for xb in range(dim)]
@@ -859,8 +884,7 @@ def _counit_checks(h, rep):
               "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
     try:
-        slices = [h.q.slice(getattr(h, h.on_leg(leg)).compose(eps), leg, side,
-                            what="counit slice")
+        slices = [h.q.slice(h.struct(h.on_leg(leg)), eps, leg, what="counit slice")
                   for leg in (1, 2)]
     except NotBalanced as e:
         rep.check(False, side + "-counit", side + "-counit", str(e))

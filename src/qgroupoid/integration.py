@@ -21,6 +21,7 @@ from .bialgebroid import (
     _halves,
     _module_form,
     _slice_form,
+    _slice_terms,
 )
 from .exact_linear import (
     ONE,
@@ -173,15 +174,13 @@ def _integral_slice(h, leg, mapping, what):
     mapping and multiplies the other leg in h's order.
 
     A partial left integral is sliced on leg 2, a right one on leg 1.  The
-    mapping's value is embedded by the embedding Delta carries onto ``leg``:
-    t directly, or s through the inverse base anti-isomorphism, as the value
-    then lies in the other base.
+    mapping's value acts through the embedding Delta carries onto ``leg``,
+    ``h.struct``: t directly, or s through the inverse base
+    anti-isomorphism, as the value then lies in the other base.
     """
     if leg == h.t_leg:
-        omega = h.t.compose(mapping)
-    else:
-        omega = h.s.compose(h.anti.inverse()).compose(mapping)
-    return h.q.slice(omega, leg, h.side, what=what)
+        return h.q.slice(h.struct("t"), mapping, leg, what=what)
+    return h.q.slice(h.struct("s"), h.anti.inverse().compose(mapping), leg, what=what)
 
 
 def _invariance(M, mapping, side, h, module):
@@ -250,7 +249,7 @@ def _strong_invariance(M, mapping, side, module):
     halves = _halves(M)
     names = ("T_rho", "rho_T") if side == "left" else ("T_lambda", "lambda_T")
     try:
-        (map_b, dom_b), (map_c, dom_c) = (M.canonical()[name] for name in names)
+        (map_b, dom_b), (map_c, dom_c) = (M.canonical_map(name) for name in names)
         leg = 2 if side == "left" else 1
         sl_b, sl_c = (_integral_slice(h, leg, mapping, "strong-invariance slice")
                       for h in halves)
@@ -312,19 +311,48 @@ def _partial_integral_basis(M, side):
     """Basis of the space of partial integrals, via condition (b)/(a).
 
     That condition, through the target half h (C for left, B for right),
-    is linear in the integral: the module law of h's s, and the slice on
-    h's t leg of Delta(d) times e_e equal to s(mapping(d)) e_e in h's order.
+    is linear in the integral: the module law of h's s, and the law at
+    (d, e), the slice on h's t leg of Delta(d) times e_e equal to
+    s(mapping(d)) e_e in h's order.
+
+    Gate: A is unital, 1 = sum u_e e_e, and associative, and h's q is a
+    coordinate quotient.  Then the n laws at d alone, the slice of the
+    lift of Delta(d) equal to s(mapping(d)), state the same system as
+    the n^2 laws at (d, e):
+      - The multiplication by e_e that Delta absorbs keeps the weights
+        (see ``_coassociativity``), so the lift of Delta(d) times e_e is
+        the lift of Delta(d), multiplied by e_e on the leg the slice does
+        not consume: exactly, with no projection.
+      - By associativity the law at (d, e), a vector of equations, is
+        then R_e applied to the law at d, R_e the multiplication by e_e
+        in h's order: each of its rows is a combination of the rows of
+        the law at d.
+      - By the unit the law at d is sum_e u_e times the law at (d, e).
+    So the two systems, each with the module laws, have one row space,
+    hence one kernel.  Their kernel bases are then identical, in order:
+    ``LinearMap.kernel_basis`` gives, for each unknown j whose column
+    depends on the earlier ones, the one kernel vector that is 1 at j
+    and is supported on j and the earlier independent columns, and
+    which columns are independent is read from the kernel alone.
     """
     n, h = M.A.dim, _target(M, side)
-    dim_b, s_acts = h.base.dim, h.struct("s").acts
+    dim_b = h.base.dim
     # generators: each equation's terms are stacked as soon as they are built
     modules = (({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n))
-    laws = (
-        ({}, _slice_form(h, h.t_leg, d, e)
-         + [(d * dim_b + x, -ONE, s_acts[x].col(e)) for x in range(dim_b)])
-        for d in range(n)
-        for e in range(n)
-    )
+    if M.A.unit() is not None and M.A.is_associative()[0] and h.q.coordinate:
+        laws = (
+            ({}, _slice_terms(h, h.t_leg, h.lifts.col(d))
+             + [(d * dim_b + x, -ONE, h.s.col(x)) for x in range(dim_b)])
+            for d in range(n)
+        )
+    else:
+        s_acts = h.struct("s").acts
+        laws = (
+            ({}, _slice_form(h, h.t_leg, d, e)
+             + [(d * dim_b + x, -ONE, s_acts[x].col(e)) for x in range(dim_b)])
+            for d in range(n)
+            for e in range(n)
+        )
     system, _ = stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
     return [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
 

@@ -554,14 +554,12 @@ def dual_algebra(X):
     M = X.M
     A, n = M.A, M.A.dim
     rep = Report()
-    canon = M.canonical()
-    t_lambda, dom_tl = canon["T_lambda"]
+    t_lambda, dom_tl = M.canonical_map("T_lambda")
     t_inv = t_lambda.inverse()
     if t_inv is None:
         raise Rejected("regular-2", "T_lambda is not invertible")
     try:
-        sl = dom_tl.slice(M.C.embed.compose(X.phi_C.mapping), 1, "right",
-                          what="dual product slice")
+        sl = dom_tl.slice(M._struct("r", "C"), X.phi_C.mapping, 1, what="dual product slice")
     except NotBalanced as e:
         raise Rejected("dual-product", "phi_C slice is not balanced: %s" % e)
 

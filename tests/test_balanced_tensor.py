@@ -100,8 +100,7 @@ def test_counit_slice_recovers_product(m_fun, leg_op_by_components):
     # the left-counit slice of Delta(f)(1 (x) g) is f g, all basis pairs
     qb = m_fun.qb
     A = m_fun.A
-    omega = m_fun.emb_SB().compose(m_fun.eps_B)
-    sl = qb.slice(omega, 1, "left")
+    sl = qb.slice(m_fun._struct("l", "SB"), m_fun.eps_B, 1)
     for f in range(A.dim):
         df = m_fun.delta_B.col(f)
         for g in range(A.dim):
@@ -110,17 +109,16 @@ def test_counit_slice_recovers_product(m_fun, leg_op_by_components):
 
 
 def test_zero_slice(m_fun):
-    sl = m_fun.qb.slice(LinearMap.zero(m_fun.A.dim, m_fun.A.dim), 1, "left")
+    zero = LinearMap.zero(m_fun.B.base.dim, m_fun.A.dim)
+    sl = m_fun.qb.slice(m_fun._struct("l", "SB"), zero, 1)
     assert sl.is_zero()
 
 
 def test_unbalanced_slice_rejected_with_witness(m_fun):
-    # sends the (1,2)-arrow coefficient to the (1,1)-unit: not a module map
-    bad = LinearMap.from_rows(
-        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    )
+    # sends the (1,2)-arrow coefficient to the first base element: not a module map
+    bad = LinearMap.from_rows([[0, 1, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(NotBalanced) as exc:
-        m_fun.qb.slice(bad, 1, "left")
+        m_fun.qb.slice(m_fun._struct("l", "SB"), bad, 1)
     assert exc.value.witness is not None
 
 
@@ -128,13 +126,14 @@ def test_repeated_slice_and_flip_equal_a_fresh_descent():
     M = build_function_algebroid(pair_groupoid([1, 2]))
     A, n, qb = M.A, M.A.dim, M.qb
     omega = M.emb_SB().compose(M.eps_B)
-    first = qb.slice(omega, 1, "left")
-    # an equal omega built anew, and another caller's text, hit the same entry
-    again = qb.slice(M.emb_SB().compose(M.eps_B), 1, "left", what="another slice")
+    first = qb.slice(M._struct("l", "SB"), M.eps_B, 1)
+    # an equal mapping built anew, and another caller's text, hit the same entry
+    anew = LinearMap(M.eps_B.rows, n, [dict(col) for col in M.eps_B.data])
+    again = qb.slice(M._struct("l", "SB"), anew, 1, what="another slice")
     assert again is first
     assert again == descend_componentwise(
         qb, None, lambda i, j: A.mul(omega.col(i), {j: ONE}), "{src!r}")
-    assert qb.slice(omega, 1, "right") == descend_componentwise(
+    assert qb.slice(M._struct("r", "SB"), M.eps_B, 1) == descend_componentwise(
         qb, None, lambda i, j: A.mul({j: ONE}, omega.col(i)), "{src!r}")
     dom_tr, dom_rt = M.tensor(FLAVOR_TR), M.tensor(FLAVOR_RT)
     f = dom_tr.flip_to(dom_rt)
@@ -144,9 +143,7 @@ def test_repeated_slice_and_flip_equal_a_fresh_descent():
 
 def test_failed_slice_is_memoized_and_raised_with_each_callers_message(monkeypatch):
     M = build_function_algebroid(pair_groupoid([1, 2]))
-    bad = LinearMap.from_rows(
-        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    )
+    bad = LinearMap.from_rows([[0, 1, 0, 0], [0, 0, 0, 0]])
     descents, descend = [], balanced_tensor.descend_componentwise
 
     def counted(*args, **kwargs):
@@ -157,7 +154,7 @@ def test_failed_slice_is_memoized_and_raised_with_each_callers_message(monkeypat
     witnesses = []
     for what in ("first caller", "second caller"):
         with pytest.raises(NotBalanced) as exc:
-            M.qb.slice(bad, 1, "left", what=what)
+            M.qb.slice(M._struct("l", "SB"), bad, 1, what=what)
         assert str(exc.value).startswith(what + " is not balanced for flavor")
         witnesses.append(exc.value.witness)
     # the second call checked nothing and named the same first failing generator
@@ -327,11 +324,29 @@ def test_rejected_descent_names_the_first_failing_generator(mutant, descents):
         assert error.witness == _first_failing_generator(src, dst, fn, antilinear)
 
 
+def _slice_map(struct, mapping, leg):
+    """e_i (x) e_j -> the value of mapping on leg ``leg`` acting on the
+    other leg's basis element through struct: the map ``slice`` descends."""
+    def fn(i, j):
+        c, d = (i, j) if leg == 1 else (j, i)
+        return struct.act(mapping.col(c), {d: ONE})
+    return fn
+
+
 @pytest.mark.parametrize("mutant", _MUTANTS, ids=_mutant_id)
-def test_accepted_descent_sends_every_generator_into_the_target(mutant, descents):
+def test_accepted_descent_sends_every_generator_into_the_target(mutant, descents, monkeypatch):
+    # the checked descents, and the slices, most of them decided on the weights
     points, build, kind, col, add_col = mutant
+    slices, real = [], BalancedTensor.slice
+
+    def spy(self, struct, mapping, leg, what="slice"):
+        out = real(self, struct, mapping, leg, what)
+        slices.append((self, None, _slice_map(struct, mapping, leg), False, None))
+        return out
+
+    monkeypatch.setattr(BalancedTensor, "slice", spy)
     verify_regular_mha(golden_record.mutant_bundle(kind, col, build, add_col, points))
-    accepted = [call for call in descents if call[4] is None]
+    accepted = [call for call in descents + slices if call[4] is None]
     assert accepted
     for src, dst, fn, antilinear, _ in accepted:
         assert _first_failing_generator(src, dst, fn, antilinear) is None
@@ -366,36 +381,38 @@ def test_perturbed_counit_slices_are_checked_on_every_generator(build):
 
 @pytest.mark.parametrize("build", [build_function_algebroid, build_convolution_algebroid])
 def test_sparse_slices_name_the_first_failing_generator(build):
-    # omega with one non-empty column: the counit slice's column i alone,
-    # and with a unit added at some k.  The slice visits only the basis
-    # tensors whose consumed leg is i, and must decide as a generator scan
+    # a mapping with one non-empty column: the counit's column i alone,
+    # and with a base unit added at some k, acting through t from either
+    # side.  The slice visits only the basis tensors whose consumed leg is
+    # i, and must decide as a generator scan
     M = build(pair_groupoid([1, 2, 3]))
-    A, n = M.A, M.A.dim
-    counit = M.emb_SB().compose(M.eps_B)
+    A, n, dim = M.A, M.A.dim, M.B.base.dim
+    t = M.emb_SB()
     verdicts = set()
     for tensor in (M.qb, M.qc):
         for leg in (1, 2):
-            for multiply in ("left", "right"):
+            for kind in ("l", "r"):
                 for i in range(n):
-                    for k in (None, *range(0, n, 2)):
-                        col = dict(counit.col(i))
+                    for k in (None, *range(dim)):
+                        col = dict(M.eps_B.col(i))
                         if k is not None:
                             axpy(col, ONE, {k: ONE})
                         if not col:
                             continue
-                        omega = LinearMap(n, n, [col if j == i else {} for j in range(n)])
+                        mapping = LinearMap(dim, n, [col if j == i else {} for j in range(n)])
 
-                        def sliced(a, b, leg=leg, multiply=multiply, omega=omega):
-                            val, other = ((omega.col(a), {b: ONE}) if leg == 1
-                                          else (omega.col(b), {a: ONE}))
-                            return A.mul(val, other) if multiply == "left" else A.mul(other, val)
+                        def sliced(a, b, leg=leg, kind=kind, mapping=mapping):
+                            c, d = (a, b) if leg == 1 else (b, a)
+                            val = t.apply(mapping.col(c))
+                            return A.mul(val, {d: ONE}) if kind == "l" else A.mul({d: ONE}, val)
 
                         expected = _first_failing_generator(tensor, None, sliced)
                         try:
-                            got, witness = tensor.slice(omega, leg, multiply), None
+                            got = tensor.slice(M._struct(kind, "SB"), mapping, leg)
+                            witness = None
                         except NotBalanced as e:
                             witness = e.witness
-                        assert witness == expected, (tensor.flavor, leg, multiply, i, k)
+                        assert witness == expected, (tensor.flavor, leg, kind, i, k)
                         if witness is None:
                             assert got == descend_componentwise(tensor, None, sliced, "{src!r}")
                         verdicts.add(witness is None)

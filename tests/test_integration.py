@@ -480,3 +480,42 @@ def test_integrals_reports_an_unsolvable_space_and_exits_1(monkeypatch, capsys):
     assert [(e["axiom"], e["status"]) for e in lines if "axiom" in e] == [
         ("left:solution-space", "fail"), ("right:solution-space", "fail")]
     assert lines[-1]["summary"]["left_space_dim"] == 0
+
+
+def _doubled(f, a):
+    """f with column a doubled: still a module map, since the column keeps
+    its base element."""
+    cols = [dict(col) for col in f.data]
+    cols[a] = {x: 2 * s for x, s in cols[a].items()}
+    return LinearMap(f.rows, f.cols, cols)
+
+
+@pytest.mark.parametrize("which", ["phi_C", "psi_B"])
+def test_assemble_measured_rejects_a_map_that_is_not_a_partial_integral(
+        m_fun, p2, weight_14, which):
+    # functions p2 with the standard phi_C or psi_B doubled on the arrow
+    # (1, 2): the module laws hold and every invariance fails, (a) and (b)
+    # at their first failing (Delta's argument, multiplier), (c) at its
+    # first basis tensor; the other integral's entries all pass
+    phi, psi = standard_integrals("groupoid-functions", m_fun, groupoid=p2)
+    if which == "phi_C":
+        phi, side, other, (d, e) = _doubled(phi.mapping, 1), "left", "right", (1, 1)
+        at, lhs, rhs = ["(1, 2)", "(2, 2)"], [[2, "1"]], [[2, "2"]]
+    else:
+        psi, side, other, (d, e) = _doubled(psi.mapping, 1), "right", "left", (0, 2)
+        at, lhs, rhs = ["(1, 1)", "(1, 2)"], [[2, "2"]], [[2, "1"]]
+    with pytest.raises(Rejected) as exc:
+        assemble_measured(m_fun, weight_14, phi, psi)
+    assert exc.value.eq == "partial-integrals"
+    assert str(exc.value) == "%s is not a partial %s integral [partial-integrals]" % (which, side)
+    lines = [json.loads(line) for line in exc.value.report.to_json_lines()]
+    failed = [(e["axiom"], e["eq"], e["witness"]) for e in lines if e["status"] == "fail"]
+    assert failed == [
+        (which + ":invariance-(a)", "partial-%s-deltab" % other, ["deltab", d, e]),
+        (which + ":invariance-(b)", "partial-%s-deltac" % other, ["deltac", d, e]),
+        (which + ":invariance-(c)", "dg-strong-invariance-" + side,
+         {"at": at, "lhs": lhs, "rhs": rhs}),
+    ]
+    assert [e["axiom"] for e in lines if not e["axiom"].startswith(which)] == (
+        [] if which == "phi_C" else ["phi_C:invariance-(%s)" % t for t in "abc"]
+        + ["phi_C:characterizations-agree"])

@@ -16,7 +16,7 @@ from qgroupoid.examples import (
     pair_groupoid,
     standard_integrals,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Rref, conj, inverse, kron_vec, sc
+from qgroupoid.exact_linear import ONE, LinearMap, Rref, axpy, conj, inverse, kron_vec, sc
 from qgroupoid.integration import (
     BaseWeight,
     PartialIntegral,
@@ -219,11 +219,11 @@ def test_dual_of_p2_convolution_is_functions_on_the_arrows(x_conv_uniform):
     assert [list(row) for row in da.algebra.table] == [
         [{i: ONE} if i == j else {} for j in range(4)] for i in range(4)]
     M = x_conv_uniform.M
-    _, dom = M.canonical()["T_lambda"]
-    omega = M.C.embed.compose(x_conv_uniform.phi_C.mapping)
+    _, dom = M.canonical_map("T_lambda")
+    phi_c = x_conv_uniform.phi_C.mapping
     with pytest.raises(NotBalanced):
-        dom.slice(omega, 1, "left")
-    dom.slice(omega, 1, "right")
+        dom.slice(M._struct("l", "C"), phi_c, 1)
+    dom.slice(M._struct("r", "C"), phi_c, 1)
 
 
 def test_dual_of_rn_modified_p2_convolution_scales_each_arrow_by_root_delta(
@@ -300,14 +300,14 @@ def _scanned_product_forms(X, ups, kind):
     M = X.M
     A, n = M.A, M.A.dim
     if kind == "lambda":
-        sl_b = M.qb.slice(M.emb_SB().compose(ups.factor_Bl), 1, "left")
-        sl_c = M.qc.slice(M.C.embed.compose(M.S_C.inverse()).compose(ups.factor_Br), 1, "right")
+        sl_b = M.qb.slice(M._struct("l", "SB"), ups.factor_Bl, 1)
+        sl_c = M.qc.slice(M._struct("r", "C"), M.S_C.inverse().compose(ups.factor_Br), 1)
 
         def absorbed(a, b):
             return M.canonical_tilde("T_rho", a, b), M.canonical_tilde("rho_T", a, b)
     else:
-        sl_b = M.qb.slice(M.B.embed.compose(M.S_B.inverse()).compose(ups.factor_Cl), 2, "left")
-        sl_c = M.qc.slice(M.emb_SC().compose(ups.factor_Cr), 2, "right")
+        sl_b = M.qb.slice(M._struct("l", "B"), M.S_B.inverse().compose(ups.factor_Cl), 2)
+        sl_c = M.qc.slice(M._struct("r", "SC"), ups.factor_Cr, 2)
 
         def absorbed(a, b):
             return M.canonical_tilde("T_lambda", b, a), M.canonical_tilde("lambda_T", b, a)
@@ -459,3 +459,33 @@ def test_convolution_base_translation_laws(x_fun_14):
             assert l2.col(b) == lam_u.apply(A.mul(cy, {b: ONE}))
             assert l3.col(b) == A.mul(lam_u.col(b), sbx)
             assert l4.col(b) == A.mul(cy, lam_u.col(b))
+
+
+def test_dual_rejects_a_phi_c_whose_slice_does_not_descend(x_fun_14):
+    # phi_C with e_1 added at the arrow (1, 1): its value there no longer
+    # lies over the arrow's target, so e_a (x) e_b -> e_b C(phi_C(e_a)) is
+    # not balanced on T_lambda's domain.  The witness is the first
+    # generator, in order, whose image is not zero
+    M = x_fun_14.M
+    cols = [dict(col) for col in x_fun_14.phi_C.mapping.data]
+    cols[0][1] = ONE
+    phi_c = LinearMap(len(M.C.base.labels), M.A.dim, cols)
+    _, dom = M.canonical_map("T_lambda")
+
+    def image(rel):
+        out = {}
+        for idx, s in rel.items():
+            i, j = divmod(idx, M.A.dim)
+            axpy(out, s, M.A.mul({j: ONE}, M.C.embed.apply(phi_c.col(i))))
+        return out
+
+    witness = next(gen for gen, rel in zip(dom.generators, dom.relation_vectors())
+                   if image(rel))
+    assert witness == (0, 0, 2)
+    X = dataclasses.replace(x_fun_14, phi_C=PartialIntegral("left", phi_c))
+    with pytest.raises(Rejected) as exc:
+        dual_algebra(X)
+    assert exc.value.eq == "dual-product"
+    assert str(exc.value) == (
+        "phi_C slice is not balanced: dual product slice is not balanced for flavor %r; "
+        "witness relation %s [dual-product]" % (dom.flavor, witness))
