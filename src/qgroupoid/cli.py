@@ -10,6 +10,7 @@ input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -295,7 +296,13 @@ def cmd_report(args):
     return 0 if failures == 0 else MATH_ERROR
 
 
-def make_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on the first ``main`` call, not at import,
+    and kept for the process.  ``parse_args`` leaves it as it was: each
+    call fills a fresh namespace with the defaults, and an appended option
+    (``--sqrt``) starts from its default None, so a call sees nothing of
+    an earlier one."""
     parser = argparse.ArgumentParser(
         prog="qgroupoid",
         description="Exact verification workbench for finite quantum groupoids.",
@@ -351,9 +358,8 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:

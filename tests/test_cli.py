@@ -1,12 +1,15 @@
 """Batch front-end: commands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from qgroupoid.algebra_core import FiniteAlgebra, algebra_to_json
-from qgroupoid.cli import _parse_mu, main
+from qgroupoid.cli import _parse_mu, _parser, main
 from qgroupoid.examples import groupoid_to_json, pair_groupoid
 from qgroupoid.exact_linear import LinearMap
 from qgroupoid.report import Rejected
@@ -284,3 +287,29 @@ def test_artifact_out_pipe_form(p2_file, capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "measure", "--artifact", "-")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["summary"]["delta_trivial"] is True
+
+
+def test_the_cached_parser_carries_no_state_between_calls(capsys):
+    # the parser is built once per process, on the first call, and kept
+    assert _parser() is _parser()
+
+    def artifact(*extra):
+        code, out = run(capsys, "modify", "--example", "convolution", "--pair-groupoid", "1,2",
+                        "--mu", "1,4", *extra)
+        assert code == 0
+        return json.loads(out.strip().splitlines()[-1])["summary"]["artifact"]
+
+    first = artifact("--recipe", "groupoid_rn", "--sqrt", "2", "--sqrt", "3")
+    assert (first["recipe"], first["sqrt"]) == ("groupoid_rn", [2, 3])
+    # the next call starts from the defaults: no appended root, the identity recipe
+    second = artifact()
+    assert (second["recipe"], second["sqrt"]) == ("identity", [])
+    third = artifact("--recipe", "groupoid_rn", "--sqrt", "5")
+    assert third["sqrt"] == [5]
+
+
+def test_the_parser_is_not_built_at_import():
+    code = ("import qgroupoid.cli as c; assert c._parser.cache_info().currsize == 0;"
+            " c._parser(); assert c._parser.cache_info().currsize == 1")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
