@@ -62,6 +62,7 @@ class FiniteAlgebra:
         self._unit = -1  # not computed yet
         self._lmul = {}
         self._rmul = {}
+        self._gram = {}  # functional content -> Gram map, see integration.gram_map
         self._mul_map = None
         self._associative = None
         self._checked = None  # (involution, report) of check_algebra

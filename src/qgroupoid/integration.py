@@ -82,9 +82,19 @@ def translate_right(algebra, omega, a_vec):
 
 
 def gram_map(algebra, omega):
-    """G[i][j] = omega(e_i e_j) as a LinearMap."""
-    n = algebra.dim
-    return LinearMap.from_function(n, n, lambda j: functional_of_map(omega, algebra.rmul(j)))
+    """G[i][j] = omega(e_i e_j) as a LinearMap, built once per algebra and
+    functional content (``FiniteAlgebra._gram``), so every reader shares
+    its solver and inverse.  Callers share its columns and must not mutate
+    them."""
+    key = tuple(sorted((i, s) for i, s in omega.items() if s))
+    if key not in algebra._gram:
+        cols = [{} for _ in range(algebra.dim)]
+        for i, row in enumerate(algebra.table):
+            for j, prod in enumerate(row):
+                if prod and (v := ev(omega, prod)):
+                    cols[j][i] = v
+        algebra._gram[key] = LinearMap._fresh(algebra.dim, algebra.dim, cols)
+    return algebra._gram[key]
 
 
 def satisfies_modular_law(gram, sigma):
@@ -553,15 +563,19 @@ def factorize(M, weight, omega):
     succeed; an unsolvable side indicates a degenerate weight and is
     reported by name.
     """
-    A, n = M.A, M.A.dim
+    n = M.A.dim
     gram_b, gram_c = gram_map(M.B.base, weight.mu_B), gram_map(M.C.base, weight.mu_C)
+    # omega(x a) = sum_i x_i omega(e_i e_a) is x paired with column a of the
+    # Gram map G of omega, and omega(a x) with column a of G^T
+    g = gram_map(M.A, omega)
+    gt = g.transpose()
     factors = {}
     # factor Xl solves omega(x a) and Xr omega(a x), x in the embedded base X
-    for name, emb, gram in (("Bl", M.B, gram_b), ("Br", M.B, gram_b.transpose()),
-                            ("Cl", M.C, gram_c), ("Cr", M.C, gram_c.transpose())):
-        mul, cols = A.rmul if name.endswith("l") else A.lmul, []
+    for name, emb, gram, values in (("Bl", M.B, gram_b, g), ("Br", M.B, gram_b.transpose(), gt),
+                                    ("Cl", M.C, gram_c, g), ("Cr", M.C, gram_c.transpose(), gt)):
+        cols = []
         for a in range(n):
-            sol = gram.solve(functional_of_map(omega, mul(a).compose(emb.embed)))
+            sol = gram.solve(functional_of_map(values.col(a), emb.embed))
             if sol is None:
                 return None, name
             cols.append(sol)
@@ -619,11 +633,17 @@ def _is_positive(algebra, omega):
     """The form omega(a* b) is positive semidefinite; False without an involution."""
     if algebra.involution is None:
         return False
+    return is_positive_semidefinite(_star_gram(algebra, omega))
+
+
+def _star_gram(algebra, omega):
+    """The matrix [omega(e_i* e_j)] of the form omega(a* b), read from the
+    Gram map G of omega: e_i* is column i of the involution, so
+    omega(e_i* e_j) = sum_k (e_i*)_k omega(e_k e_j) is entry j of column i
+    of G^T o involution."""
     n = algebra.dim
-    return is_positive_semidefinite([
-        [ev(omega, algebra.mul(algebra.star({i: ONE}), {j: ONE})) for j in range(n)]
-        for i in range(n)
-    ])
+    form = gram_map(algebra, omega).transpose().compose(algebra.involution)
+    return [[form.col(i).get(j, 0) for j in range(n)] for i in range(n)]
 
 
 def assemble_measured(M, weight, phi_C, psi_B):
