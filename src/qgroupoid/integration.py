@@ -387,6 +387,32 @@ def _span(maps):
     return span
 
 
+def _stability_moves(left, right):
+    """The operators op whose precompositions m o op, for every basis map m
+    of a partial-integral space V, decide that V is stable under the base's
+    two actions, left by the L_x and right by the R_x' (x, x' basis
+    elements of the base): when the base's unit acts as the identity in
+    both structures, the 2k moves L_x and R_x'; otherwise the k^2 moves
+    L_x o R_x', a -> x' a x.
+
+    The gate makes the one-sided laws (m o L_x and m o R_x' in V for every
+    basis map m) equivalent to the two-sided one (m o L_x o R_x' in V):
+      - two-sided implies one-sided.  With the unit u = sum u_x' e_x', the
+        operator of u is R_1 = sum u_x' R_x' = id, so
+        sum u_x' (m o L_x o R_x') = m o L_x is a combination of maps in V;
+        likewise m o R_x' = sum u_x (m o L_x o R_x') by L_1 = id.
+      - one-sided implies two-sided, with no gate.  Precomposition is
+        linear, so V is stable under each L_x and each R_x' once the basis
+        maps are: m o L_x is in V, so (m o L_x) o R_x' is, and it is
+        m o (L_x o R_x').
+    Where the gate declines the k^2 scan runs as before."""
+    one = left.base.unit()
+    ident = LinearMap.identity(left.total.dim)
+    if one is not None and left.operator(one) == ident == right.operator(one):
+        return left.acts + right.acts
+    return [x.compose(x2) for x2 in right.acts for x in left.acts]
+
+
 def solve_partial_integrals(M, side):
     """(basis, report): the ``_partial_integral_basis``, each basis map
     checked by ``check_partial_integral``; the report also records the
@@ -432,12 +458,11 @@ def solve_partial_integrals(M, side):
         rep.check(sub.ok, "solution-%d-invariant" % k, "partial-integrals",
                   [e.axiom for e in sub.failures()])
 
-    # bimodule stability: x . phi . x' stays in the span, a -> x' a x composed
-    # once per (x, x') from the two multiplication operators
+    # bimodule stability: x . phi . x' stays in the span, x and x' in the
+    # other half's base (see _stability_moves)
     span = _span(basis)
     other = _Half(M, "B" if side == "left" else "C")
-    lefts, rights = (M._struct(kind, other.letter).acts for kind in ("l", "r"))
-    moves = [left.compose(right) for right in rights for left in lefts]
+    moves = _stability_moves(*(M._struct(kind, other.letter) for kind in ("l", "r")))
     ok = all(span.contains(mapping.compose(op).flat()) for mapping in basis for op in moves)
     rep.check(ok, "bimodule-stability", "partial-integrals-bimodule-antipode")
     # S^{+-1} o phi o S^{-+1} swaps the two solution spaces; S agrees with
