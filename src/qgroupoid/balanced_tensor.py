@@ -261,7 +261,10 @@ class BalancedTensor:
     # -- elements -------------------------------------------------------
 
     def pure(self, u, v):
-        """Class of u (x) v."""
+        """Class of u (x) v; on a coordinate quotient written straight into
+        the free positions (``kron_vec_at``), as ``descend`` writes."""
+        if self.coordinate:
+            return kron_vec_at(u, v, self.leg_dim, self.space.free_pos)
         return self.space.project(kron_vec(u, v, self.leg_dim))
 
     def project(self, w):
