@@ -210,9 +210,9 @@ def cmd_measure(args):
     extra = {
         "delta_plus": {
             M.A.labels[k]: scalar_to_json(v)
-            for k, v in sorted(delta.delta_plus.element().items())
+            for k, v in sorted(delta.delta_plus.items())
         },
-        "delta_trivial": delta.delta_plus.element() == M.A.unit(),
+        "delta_trivial": delta.delta_plus == M.A.unit(),
     }
     if cocycle is not None:
         d_mult = all(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
 from .bialgebroid import RegularMHA, _first_failure
 from .exact_linear import ONE, ZERO, LinearMap, apply_legs, kron, stack_equations
-from .integration import PartialIntegral, functional_of_map, gram_map
+from .integration import PartialIntegral, functional_of_map, gram_map, gram_transpose
 from .report import Rejected, Report
 
 __all__ = [
@@ -306,7 +306,7 @@ class FiniteHopf:
         delta = g.solve(functional_of_map(self.phi, self.S))
         assert delta is not None, "integral is not faithful"
         self.delta_mod = delta
-        self.sigma_mod = g.inverse().compose(g.transpose())
+        self.sigma_mod = g.inverse().compose(gram_transpose(self.H, self.phi))
         return delta, self.sigma_mod
 
 
@@ -491,34 +491,23 @@ def build_convolution_algebroid(g):
 
 
 def build_tensor_algebroid(base_b, base_c, s_b, s_c):
-    """A = C (x) B with the flip-style coproducts."""
-    mb, mc = base_b.dim, base_c.dim
-    n = mc * mb
+    """A = C (x) B: the two-sided product C (x) k (x) B over the trivial
+    Hopf algebra k, which acts on each base as the identity, with A's
+    basis labelled y(x)x."""
     if base_b.unit() is None or base_c.unit() is None:
         raise Rejected("algebra-local-units", "tensor construction needs unital bases")
-    ident_b, ident_c = LinearMap.identity(mb), LinearMap.identity(mc)
-    swap = LinearMap.flip(mc, mb)
-    # (y x)(y' x') = y y' (x) x x'
-    product = kron(base_c.mul_map(), base_b.mul_map()).compose(
-        kron(ident_c, LinearMap.flip(mb, mc), ident_b))
-    A = FiniteAlgebra.from_mul(
-        n, lambda i, j: product.col(i * n + j),
-        labels=["%s(x)%s" % (base_c.labels[y], base_b.labels[x])
-                for y in range(mc) for x in range(mb)],
-    )
-    emb_b, emb_c = kron(base_c.unit_map(), ident_b), kron(ident_c, base_b.unit_map())
-    B = BaseEmbedding(base_b, A, emb_b, name="B")
-    C = BaseEmbedding(base_c, A, emb_c, name="C")
-    delta_raw = kron(emb_c, emb_b)
-    # eps_B(y x) = x S_B^-1(y), eps_C(y x) = S_C^-1(x) y and S(y x) = S_B(x) (x) S_C(y)
-    eps_b = base_b.mul_map().compose(kron(ident_b, s_b.inverse())).compose(swap)
-    eps_c = base_c.mul_map().compose(kron(s_c.inverse(), ident_c)).compose(swap)
-    antipode = kron(s_b, s_c).compose(swap)
-    return RegularMHA(
-        A, B, C, s_b, s_c, delta_raw, delta_raw,
-        eps_B=eps_b, eps_C=eps_c, S=antipode,
-        name="tensor-algebroid",
-    )
+    k = _trivial_hopf()
+    left = HopfAction(k, base_c, [LinearMap.identity(base_c.dim)])
+    right = HopfAction(k, base_b, [LinearMap.identity(base_b.dim)], side="right")
+    M = build_two_sided(base_c, k, base_b, left, right, s_b, s_c)
+    M.A.labels = ["%s(x)%s" % (y, x) for y in base_c.labels for x in base_b.labels]
+    M.name = "tensor-algebroid"
+    return M
+
+
+def _trivial_hopf():
+    """The group algebra of the one-element group, whose integrals are e_0*."""
+    return build_group_hopf(*cyclic_group_table(1))
 
 
 def build_crossed_product(base_c, hopf, action):
@@ -645,21 +634,16 @@ def standard_integrals(kind, M, **params):
         # phi(gamma) = h(s(gamma)) t(gamma) and psi(gamma) = h(t(gamma)) s(gamma)
         phi = eps_b.compose(_diagonal(g.n_arrows, eps_c.transpose().apply(h)))
         psi = eps_c.compose(_diagonal(g.n_arrows, eps_b.transpose().apply(h)))
-    elif kind == "tensor":
-        # A = C (x) B
-        mb = params["base_b_dim"]
-        mc = M.A.dim // mb
-        phi = kron(LinearMap.identity(mc), _functional(params["upsilon"], mb))
-        psi = kron(_functional(params["omega"], mc), LinearMap.identity(mb))
     elif kind == "crossed":
         # A = C (x) H
         hopf = params["hopf"]
         ident = LinearMap.identity(M.A.dim // hopf.dim)
         phi = kron(ident, _functional(hopf.phi, hopf.dim))
         psi = kron(ident, _functional(hopf.psi, hopf.dim))
-    elif kind == "two-sided":
-        # A = C (x) H (x) B
-        hopf, mb = params["hopf"], params["base_b_dim"]
+    elif kind in ("tensor", "two-sided"):
+        # A = C (x) H (x) B, the tensor's H the trivial Hopf algebra
+        hopf = params["hopf"] if kind == "two-sided" else _trivial_hopf()
+        mb = params["base_b_dim"]
         mc = M.A.dim // (hopf.dim * mb)
         phi = kron(LinearMap.identity(mc), _functional(hopf.phi, hopf.dim),
                    _functional(params["upsilon"], mb))

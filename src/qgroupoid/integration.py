@@ -11,7 +11,7 @@ linear solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .balanced_tensor import NotBalanced
 from .bialgebroid import (
@@ -47,6 +47,7 @@ __all__ = [
     "translate_left",
     "translate_right",
     "gram_map",
+    "gram_transpose",
     "satisfies_modular_law",
     "check_partial_integral",
     "solve_partial_integrals",
@@ -86,6 +87,23 @@ def gram_map(algebra, omega):
     functional content (``FiniteAlgebra._gram``), so every reader shares
     its solver and inverse.  Callers share its columns and must not mutate
     them."""
+    return _gram_entry(algebra, omega)[0]
+
+
+def gram_transpose(algebra, omega):
+    """G^T[i][j] = omega(e_j e_i), the transpose of ``gram_map(algebra,
+    omega)``, built on the first call and kept beside G; when G is
+    symmetric it is G itself, so the two share one solver.  Callers share
+    its columns and must not mutate them."""
+    entry = _gram_entry(algebra, omega)
+    if entry[1] is None:
+        gt = entry[0].transpose()
+        entry[1] = entry[0] if gt == entry[0] else gt
+    return entry[1]
+
+
+def _gram_entry(algebra, omega):
+    """The memo entry [G, G^T or None] of omega on algebra."""
     key = tuple(sorted((i, s) for i, s in omega.items() if s))
     if key not in algebra._gram:
         cols = [{} for _ in range(algebra.dim)]
@@ -93,7 +111,7 @@ def gram_map(algebra, omega):
             for j, prod in enumerate(row):
                 if prod and (v := ev(omega, prod)):
                     cols[j][i] = v
-        algebra._gram[key] = LinearMap._fresh(algebra.dim, algebra.dim, cols)
+        algebra._gram[key] = [LinearMap._fresh(algebra.dim, algebra.dim, cols), None]
     return algebra._gram[key]
 
 
@@ -121,7 +139,6 @@ class PartialIntegral:
 class BaseWeight:
     mu_B: dict
     mu_C: dict
-    flags: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -589,15 +606,16 @@ def factorize(M, weight, omega):
     reported by name.
     """
     n = M.A.dim
-    gram_b, gram_c = gram_map(M.B.base, weight.mu_B), gram_map(M.C.base, weight.mu_C)
     # omega(x a) = sum_i x_i omega(e_i e_a) is x paired with column a of the
     # Gram map G of omega, and omega(a x) with column a of G^T
-    g = gram_map(M.A, omega)
-    gt = g.transpose()
+    g, gt = gram_map(M.A, omega), gram_transpose(M.A, omega)
     factors = {}
     # factor Xl solves omega(x a) and Xr omega(a x), x in the embedded base X
-    for name, emb, gram, values in (("Bl", M.B, gram_b, g), ("Br", M.B, gram_b.transpose(), gt),
-                                    ("Cl", M.C, gram_c, g), ("Cr", M.C, gram_c.transpose(), gt)):
+    for name, emb, gram, values in (
+            ("Bl", M.B, gram_map(M.B.base, weight.mu_B), g),
+            ("Br", M.B, gram_transpose(M.B.base, weight.mu_B), gt),
+            ("Cl", M.C, gram_map(M.C.base, weight.mu_C), g),
+            ("Cr", M.C, gram_transpose(M.C.base, weight.mu_C), gt)):
         cols = []
         for a in range(n):
             sol = gram.solve(functional_of_map(values.col(a), emb.embed))
@@ -667,7 +685,7 @@ def _star_gram(algebra, omega):
     omega(e_i* e_j) = sum_k (e_i*)_k omega(e_k e_j) is entry j of column i
     of G^T o involution."""
     n = algebra.dim
-    form = gram_map(algebra, omega).transpose().compose(algebra.involution)
+    form = gram_transpose(algebra, omega).compose(algebra.involution)
     return [[form.col(i).get(j, 0) for j in range(n)] for i in range(n)]
 
 

@@ -10,7 +10,7 @@ to its translate and use its square root to symmetrize the counits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra_core import automorphism_check
 from .balanced_tensor import BalancedTensor, NotBalanced
@@ -26,7 +26,13 @@ from .exact_linear import (
     is_positive,
     kron,
 )
-from .integration import BaseWeight, functional_of_map, gram_map, satisfies_modular_law
+from .integration import (
+    BaseWeight,
+    functional_of_map,
+    gram_map,
+    gram_transpose,
+    satisfies_modular_law,
+)
 from .report import Rejected, Report
 
 __all__ = [
@@ -49,8 +55,6 @@ class Modifier:
     theta_r: LinearMap  # its right-leg companion
     l_theta: LinearMap  # twists the left leg of the right comultiplication
     r_theta: LinearMap  # its companion
-    trivial_on_base: bool = False
-    self_adjoint: bool = False
 
     def maps(self):
         return (self.theta_l, self.theta_r, self.l_theta, self.r_theta)
@@ -60,15 +64,13 @@ class Modifier:
 class Cocycle:
     """A multiplicative derivative: per-arrow scalars or a map H -> C."""
 
-    kind: str  # "groupoid" | "hopf"
     values: object
-    report: Report = field(default_factory=Report)
+    report: Report
 
 
 def identity_modifier(M):
     ident = LinearMap.identity(M.A.dim)
-    return Modifier(ident, ident, ident, ident, trivial_on_base=True,
-                    self_adjoint=M.A.involution is not None)
+    return Modifier(ident, ident, ident, ident)
 
 
 def inner_modifier(M, u, v):
@@ -106,8 +108,6 @@ def compose_modifiers(m1, m2):
         m2.theta_r.compose(m1.theta_r),
         m2.l_theta.compose(m1.l_theta),
         m1.r_theta.compose(m2.r_theta),
-        trivial_on_base=m1.trivial_on_base and m2.trivial_on_base,
-        self_adjoint=m1.self_adjoint and m2.self_adjoint,
     )
 
 
@@ -221,7 +221,7 @@ def check_modifier(M, mod):
                           "full-case-delta-" + name, "modified-full")
         except NotBalanced as e:
             rep.check(False, "full-case-delta-twists", "modified-full", str(e))
-    # flags
+    # notes, not axioms: modify accepts a modifier that fails them
     trivial = all(
         mp.apply(h.s.col(x)) == h.s.col(x)
         for h, _, _, _, _ in halves
@@ -229,7 +229,6 @@ def check_modifier(M, mod):
         for x in range(h.base.dim)
     )
     rep.note("trivial-on-base", "left-modifier", "pass" if trivial else "fail")
-    mod.trivial_on_base = trivial
     if M.A.involution is not None:
         # the star exchanges the halves' twists, leg by leg
         star = M.A.star
@@ -238,7 +237,6 @@ def check_modifier(M, mod):
             for twist, mirror in ((mod.theta_l, mod.l_theta), (mod.theta_r, mod.r_theta))
             for j in range(n)
         )
-        mod.self_adjoint = sa
         rep.note("self-adjoint", "left-modifier", "pass" if sa else "fail")
     return rep
 
@@ -308,7 +306,7 @@ def modify(M, mod):
             % [e.axiom for e in suite.failures()],
             rep,
         )
-    if M.A.involution is not None and mod.self_adjoint:
+    if pre.status_of("self-adjoint") == "pass":
         srep = verify_star(out)
         rep.merge(srep, prefix="modified-star")
         if not srep.ok:
@@ -361,9 +359,7 @@ def groupoid_rn_modifier(g, mu, scalar_field=None):
     n = g.n_arrows
     sigma_half = LinearMap.from_function(n, n, lambda k: {k: half[k]})
     sigma_neg = LinearMap.from_function(n, n, lambda k: {k: neg_half[k]})
-    mod = Modifier(sigma_half, sigma_half, sigma_neg, sigma_neg,
-                   trivial_on_base=True, self_adjoint=True)
-    return mod, Cocycle("groupoid", d_vals, rep)
+    return Modifier(sigma_half, sigma_half, sigma_neg, sigma_neg), Cocycle(d_vals, rep)
 
 
 def crossed_rn_modifier(base_c, hopf, action, mu):
@@ -375,12 +371,12 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
     """
     H, C = hopf, base_c
     mh, mc = H.dim, C.dim
-    gram = gram_map(C, mu)
-    if not gram.is_bijective():
+    if not gram_map(C, mu).is_bijective():
         raise Rejected("base-weight-faithful", "weight on the module algebra is not faithful")
+    gram_t = gram_transpose(C, mu)
     d_cols = []
     for h in range(mh):
-        sol = gram.transpose().solve(functional_of_map(mu, action.operator(H.S.col(h))))
+        sol = gram_t.solve(functional_of_map(mu, action.operator(H.S.col(h))))
         if sol is None:
             raise Rejected("quasi-invariant", "weight is not quasi-invariant under the action")
         d_cols.append(sol)
@@ -408,7 +404,7 @@ def crossed_rn_modifier(base_c, hopf, action, mu):
                 .compose(kron(ident_c, H.delta)))
     ident = LinearMap.identity(mc * mh)
     mod = Modifier(beta_dag.inverse(), beta.inverse(), ident, ident)
-    return mod, Cocycle("hopf", D, rep)
+    return mod, Cocycle(D, rep)
 
 
 def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra_core import FiniteAlgebra, Multiplier, automorphism_check, generating_basis
+from .algebra_core import FiniteAlgebra, automorphism_check, generating_basis
 from .balanced_tensor import NotBalanced
 from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
 from .exact_linear import (
@@ -33,6 +33,7 @@ from .integration import (
     factorize,
     functional_of_map,
     gram_map,
+    gram_transpose,
     satisfies_modular_law,
     translate_left,
     translate_right,
@@ -57,7 +58,6 @@ __all__ = [
 
 @dataclass
 class ConvolutionOperator:
-    kind: str  # "lambda" | "rho"
     operator: LinearMap
     source: FactorizableFunctional
     report: Report
@@ -72,8 +72,8 @@ class ModularAutomorphism:
 
 @dataclass
 class ModularElement:
-    delta_plus: Multiplier
-    delta_minus: Multiplier
+    delta_plus: dict  # the element of A
+    delta_minus: dict
     report: Report
 
 
@@ -132,7 +132,7 @@ def convolution(X, upsilon, kind):
     eps_func = functional_of_map(X.weight.mu_B, M.eps_B)
     rep.check(functional_of_map(eps_func, op) == upsilon.omega,
               "counit-recovers-functional", "convolution")
-    return ConvolutionOperator(kind, op, upsilon, rep)
+    return ConvolutionOperator(op, upsilon, rep)
 
 
 def convolution_counit_identity(X):
@@ -175,7 +175,7 @@ def _modular_automorphism(X, side):
     g = gram_map(A, omega)
     if not g.is_bijective():
         raise Rejected("integrals-faithful", "total integral has singular Gram matrix")
-    sigma = g.inverse().compose(g.transpose())
+    sigma = g.inverse().compose(gram_transpose(A, omega))
     rep = Report()
     ok, wit = automorphism_check(A, sigma)
     rep.check(ok, "sigma-automorphism", "modular-automorphism", wit)
@@ -247,7 +247,7 @@ def _factor_twist_checks(X, sigma, rep):
 
 
 def modular_element(X):
-    """The invertible multipliers relating phi to phi o S^{-+1}."""
+    """The invertible elements delta+ and delta- of A relating phi to phi o S^{-+1}."""
     M = X.M
     A, n = M.A, M.A.dim
     phi = X.phi.omega
@@ -256,7 +256,7 @@ def modular_element(X):
     s_inv = M.S.inverse()
     psi_minus = functional_of_map(phi, s_inv)
     delta_plus = g.solve(psi_plus)
-    delta_minus = g.transpose().solve(psi_minus)
+    delta_minus = gram_transpose(A, phi).solve(psi_minus)
     rep = Report()
     rep.check(delta_plus is not None and delta_minus is not None,
               "modular-elements-exist", "modular-element-second")
@@ -321,11 +321,7 @@ def modular_element(X):
             for y in range(M.C.base.dim)
         )
         rep.check(ok, "delta-C-intertwinings", "modular-element-second")
-    return ModularElement(
-        Multiplier.from_element(A, delta_plus),
-        Multiplier.from_element(A, delta_minus),
-        rep,
-    )
+    return ModularElement(delta_plus, delta_minus, rep)
 
 
 def _algebra_inverse(algebra, v):
@@ -378,8 +374,7 @@ def uniqueness_check(X):
           and same(integral_span, left_span) and same(integral_span, right_span))
     rep.check(ok, "right-integrals-equal-MC-psi", "integrals-uniqueness")
     # every integral is dominated by the full phi: solve the translating elements
-    g = gram_map(A, X.phi.omega)
-    gt = g.transpose()
+    g, gt = gram_map(A, X.phi.omega), gram_transpose(A, X.phi.omega)
     ok = True
     for mapping in basis:
         f = functional_of_map(X.weight.mu_C, mapping)
@@ -732,7 +727,7 @@ def haar_analysis(X):
     # delta+ = z^{-1} S(z)
     me = modular_element(X)
     rep.check(
-        A.mul(z_inv, M.S.apply(z)) == me.delta_plus.element(),
+        A.mul(z_inv, M.S.apply(z)) == me.delta_plus,
         "delta-plus-from-z", "integrals-proper",
     )
     # h is a left and a right integral: its factors are partial integrals

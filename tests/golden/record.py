@@ -472,8 +472,8 @@ def _mirror_pins():
 
             def element():
                 me = modular_element(Y)
-                return ({"delta_plus": vec_items(me.delta_plus.element()),
-                         "delta_minus": vec_items(me.delta_minus.element())}, me.report)
+                return ({"delta_plus": vec_items(me.delta_plus),
+                         "delta_minus": vec_items(me.delta_minus)}, me.report)
 
             def haar():
                 h, rep = haar_analysis(Y)

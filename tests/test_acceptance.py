@@ -165,7 +165,7 @@ def test_criterion_05_modular_element(x_fun_14, p2):
     me = modular_element(x_fun_14)
     expected = {p2.index[(1, 1)]: sc(1), p2.index[(1, 2)]: sc(4),
                 p2.index[(2, 1)]: sc("1/4"), p2.index[(2, 2)]: sc(1)}
-    ok = me.report.ok and me.delta_plus.element() == expected
+    ok = me.report.ok and me.delta_plus == expected
     for axiom in ("delta-B-grouplike-plus", "S-of-delta-plus",
                   "eps-absorbs-delta-minus", "delta-star"):
         ok = ok and me.report.status_of(axiom) == "pass"
@@ -315,4 +315,4 @@ def test_scale_three_point_pair_groupoid():
         val = mu[uidx[(a[1], a[1])]] * inverse(mu[uidx[(a[0], a[0])]])
         if val:
             expected[k] = val
-    assert me.delta_plus.element() == expected
+    assert me.delta_plus == expected

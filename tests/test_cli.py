@@ -67,6 +67,21 @@ def test_modify_then_measure_pipeline(p2_file, capsys, tmp_path):
     assert summary["sigma_is_derivative_multiplier"] is True
 
 
+@pytest.mark.parametrize("example, mu", [("functions", "1,4"), ("convolution", "3,3")])
+def test_modify_with_the_default_identity_recipe(example, mu, capsys, tmp_path):
+    selectors = ["--example", example, "--pair-groupoid", "1,2", "--mu", mu]
+    artifact = str(tmp_path / "artifact.json")
+    code, out = run(capsys, "modify", *selectors, "--artifact-out", artifact)
+    assert code == 0
+    notes = {e["axiom"]: e["status"] for e in map(json.loads, out.strip().splitlines())
+             if e.get("axiom") in ("trivial-on-base", "self-adjoint")}
+    assert notes == {"trivial-on-base": "pass", "self-adjoint": "pass"}
+    # the identity modifier leaves the measured structure as it was
+    code, modified = run(capsys, "measure", "--artifact", artifact)
+    assert code == 0
+    assert modified == run(capsys, "measure", *selectors)[1]
+
+
 def test_determinism(p2_file, capsys):
     _, out1 = run(capsys, "verify", "--example", "convolution",
                   "--groupoid", p2_file)

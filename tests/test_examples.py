@@ -1,5 +1,8 @@
 """Instance constructors: groupoids, Hopf data, rejection paths, cross-family identities."""
 
+import importlib.util
+import os
+
 import pytest
 
 from qgroupoid.algebra_core import FiniteAlgebra
@@ -21,9 +24,14 @@ from qgroupoid.examples import (
     standard_integrals,
     swap_action,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, inverse, kron_vec, sc
+from qgroupoid.exact_linear import ONE, LinearMap, inverse, kron, kron_vec, sc
 from qgroupoid.integration import check_partial_integral
 from qgroupoid.report import Rejected
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
+golden_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_record)
 
 
 def test_groupoid_validation_rejects_bad_tables():
@@ -294,21 +302,57 @@ def test_noncommutative_base_rejected(hopf_z2, m_conv):
         ))
 
 
+def _tensor_by_hand(base_b, base_c, s_b, s_c):
+    """The maps of C (x) B written out: the product y y' (x) x x', the
+    embeddings y -> y (x) 1 and x -> 1 (x) x, Delta_B = Delta_C = emb_C (x)
+    emb_B, eps_B(y x) = x S_B^-1(y), eps_C(y x) = S_C^-1(x) y and
+    S(y x) = S_B(x) (x) S_C(y)."""
+    mb, mc = base_b.dim, base_c.dim
+    ident_b, ident_c = LinearMap.identity(mb), LinearMap.identity(mc)
+    flip = LinearMap.flip(mc, mb)
+    emb_b, emb_c = kron(base_c.unit_map(), ident_b), kron(ident_c, base_b.unit_map())
+    return {
+        "product": kron(base_c.mul_map(), base_b.mul_map()).compose(
+            kron(ident_c, LinearMap.flip(mb, mc), ident_b)),
+        "emb_B": emb_b,
+        "emb_C": emb_c,
+        "delta": kron(emb_c, emb_b),
+        "eps_B": base_b.mul_map().compose(kron(ident_b, s_b.inverse())).compose(flip),
+        "eps_C": base_c.mul_map().compose(kron(s_c.inverse(), ident_c)).compose(flip),
+        "S": kron(s_b, s_c).compose(flip),
+    }
+
+
 def test_two_sided_with_trivial_hopf_reduces_to_tensor():
-    labels, table = cyclic_group_table(1)
-    h_triv = build_group_hopf(labels, table, "group")
-    c = function_algebra_z2()
-    b = function_algebra_z2()
-    ident = LinearMap.identity(2)
-    act = HopfAction(h_triv, c, [ident])
-    act_r = HopfAction(h_triv, b, [ident], side="right")
-    m = build_two_sided(c, h_triv, b, act, act_r, ident, ident)
-    assert m.A.dim == 4
-    m_ref = build_tensor_algebroid(b, c, ident, ident)
-    # same products under the index identification (y, 1, x) <-> (y, x)
-    for i in range(4):
-        for j in range(4):
-            assert m.A.mul({i: ONE}, {j: ONE}) == m_ref.A.mul({i: ONE}, {j: ONE})
+    # build_tensor_algebroid is the two-sided product over the trivial Hopf
+    # algebra; each of its maps is the tensor product's own formula, on the
+    # functions on Z2 with S_B the identity or the swap and on M2 with both
+    # anti-isomorphisms the transpose
+    ident, swap = LinearMap.identity(2), LinearMap.from_rows([[0, 1], [1, 0]])
+    z2 = function_algebra_z2
+    for M in (build_tensor_algebroid(z2(), z2(), ident, ident),
+              build_tensor_algebroid(z2(), z2(), swap, ident),
+              golden_record.matrix_tensor_algebroid()):
+        b, c = M.B.base, M.C.base
+        hand = _tensor_by_hand(b, c, M.S_B, M.S_C)
+        n = M.A.dim
+        assert n == b.dim * c.dim
+        assert M.A.mul_map() == hand["product"]
+        assert (M.B.embed, M.C.embed) == (hand["emb_B"], hand["emb_C"])
+        for delta, q in ((M.delta_B, M.qb), (M.delta_C, M.qc)):
+            assert all(delta.col(j) == q.project(hand["delta"].col(j)) for j in range(n))
+        assert (M.eps_B, M.eps_C, M.S) == (hand["eps_B"], hand["eps_C"], hand["S"])
+        assert M.name == "tensor-algebroid"
+        assert M.A.labels == ["%s(x)%s" % (y, x) for y in c.labels for x in b.labels]
+        assert verify_regular_mha(M).ok
+
+
+def test_tensor_of_a_base_without_unit_is_rejected():
+    no_unit, z2 = FiniteAlgebra([[{}]]), function_algebra_z2()
+    for b, c in ((no_unit, z2), (z2, no_unit)):
+        with pytest.raises(Rejected) as exc:
+            build_tensor_algebroid(b, c, LinearMap.zero(c.dim, b.dim), LinearMap.zero(b.dim, c.dim))
+        assert exc.value.eq == "algebra-local-units"
 
 
 def test_two_sided_broken_antipode_compatibility_rejected(hopf_z2):

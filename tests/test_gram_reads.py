@@ -212,13 +212,21 @@ def test_a_measure_run_builds_one_gram_map_and_one_solver_per_functional(
     # its weight
     assert len(builds) == len({(id(memo), key) for memo, key in builds})
     memos = list({id(memo): memo for memo, _ in builds}.values())
-    assert sorted((len(next(iter(m.values())).data), len(m)) for m in memos) == [
+    assert sorted((len(next(iter(m.values()))[0].data), len(m)) for m in memos) == [
         (2, 1), (2, 1), (4, totals)]
     # faithfulness, sigma and the modular element solve phi's one map; each
     # weight's map serves faithfulness and both factorizations
     for memo in memos:
-        for gram in memo.values():
+        for gram, _ in memo.values():
             assert sum(m is gram for m in solved) == 1
+    # the transposes too: as many solvers were built on maps equal to a
+    # stored G or G^T as there are stored copies of it, and G^T is kept as
+    # G itself where G is symmetric
+    stored = [m for memo in memos for gram, gram_t in memo.values()
+              for m in ((gram,) if gram_t is None or gram_t is gram else (gram, gram_t))]
+    for gram in stored:
+        for value in (gram, gram.transpose()):
+            assert sum(m == value for m in solved) == sum(m == value for m in stored)
 
 
 def test_no_reader_mutates_a_shared_gram_column(x_conv_mod, x_fun_14):
@@ -231,6 +239,7 @@ def test_no_reader_mutates_a_shared_gram_column(x_conv_mod, x_fun_14):
         dual_algebra(X)
         for alg in _algebras(X.M):
             assert alg._gram
-            for key, gram in alg._gram.items():
+            for key, (gram, gram_t) in alg._gram.items():
                 assert list(gram.data) == _gram_by_products(alg, dict(key))
+                assert gram_t is None or gram_t == gram.transpose()
         assert gram_map(X.M.A, X.phi.omega) is gram_map(X.M.A, dict(X.phi.omega))

@@ -78,7 +78,7 @@ def test_modular_element_p2_weights(x_fun_14, p2):
         k: mu[a[1]] * inverse(mu[a[0]]) for k, a in enumerate(p2.arrows)
     }
     expected = {k: v for k, v in expected.items() if v}
-    assert me.delta_plus.element() == expected
+    assert me.delta_plus == expected
     assert [str(expected[k]) for k in range(4)] == ["1", "4", "1/4", "1"]
 
 
@@ -86,14 +86,14 @@ def test_modular_element_trivial_for_invariant_weight(x_conv_uniform):
     me = modular_element(x_conv_uniform)
     assert me.report.ok
     one = x_conv_uniform.M.A.unit()
-    assert me.delta_plus.element() == one
-    assert me.delta_minus.element() == one
+    assert me.delta_plus == one
+    assert me.delta_minus == one
 
 
 def test_modular_element_group_case(x_group):
     me = modular_element(x_group)
     assert me.report.ok
-    assert me.delta_plus.element() == x_group.M.A.unit()  # delta_H = 1 for Z/2
+    assert me.delta_plus == x_group.M.A.unit()  # delta_H = 1 for Z/2
 
 
 def test_uniqueness_p2(x_fun_14):
