@@ -18,6 +18,7 @@ from .exact_linear import (
     LinearMap,
     Rref,
     Scalar,
+    _mul,
     apply_legs,
     axpy,
     joint_kernel,
@@ -325,17 +326,35 @@ class ModuleStructure:
         x y = sum c_k x_k in the base (y x on a right action), witness the
         first failing (x, y) by labels.  With weights both sides are
         diagonal, so the law holds at (x, y) iff
-        lambda_x(a) lambda_y(a) = sum c_k lambda_k(a) for every a."""
+        lambda_x(a) lambda_y(a) = sum c_k lambda_k(a) for every a.  For
+        one a both sides are 0 unless x and y are in the support of w(a)
+        or x y has a term x_k with k in it, so only those pairs are read,
+        and the witness is the least pair that fails for some a."""
         b, w = self.base, self.weights
+
+        def product(x, y):
+            return b.table[x][y] if self.side == "left" else b.table[y][x]
+
+        if w is not None:
+            reach = {}  # k -> the (x, y) whose product has a term x_k
+            for x in range(b.dim):
+                for y in range(b.dim):
+                    for k in product(x, y):
+                        reach.setdefault(k, []).append((x, y))
+            failing = []
+            for wa in w:
+                support = [x for x, s in enumerate(wa) if s]
+                pairs = {(x, y) for x in support for y in support}
+                pairs.update(xy for k in support for xy in reach.get(k, ()))
+                failing += [(x, y) for x, y in pairs if _mul(wa[x], wa[y])
+                            != sum(_mul(c, wa[k]) for k, c in product(x, y).items())]
+            if failing:
+                x, y = min(failing)
+                return False, (b.labels[x], b.labels[y])
+            return True, None
         for x in range(b.dim):
             for y in range(b.dim):
-                prod = b.table[x][y] if self.side == "left" else b.table[y][x]
-                if w is not None:
-                    same = all(wa[x] * wa[y] == sum(c * wa[k] for k, c in prod.items())
-                               for wa in w)
-                else:
-                    same = self.acts[x].compose(self.acts[y]) == self.operator(prod)
-                if not same:
+                if self.acts[x].compose(self.acts[y]) != self.operator(product(x, y)):
                     return False, (b.labels[x], b.labels[y])
         return True, None
 

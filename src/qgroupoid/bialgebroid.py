@@ -31,6 +31,7 @@ from .exact_linear import (
     Rref,
     apply_legs,
     axpy,
+    ev,
     joint_kernel,
     kron_vec,
     stack,
@@ -38,6 +39,7 @@ from .exact_linear import (
     unstack,
     vec_conj,
     vec_items,
+    vscale,
     vsub,
 )
 from .report import Report
@@ -540,11 +542,17 @@ def _block_sides(at, lhs, rhs, width, count):
 
 
 def verify_left_bialgebroid(M):
-    return _verify_bialgebroid(M, _Half(M, "B"), Report(), _base_generators(M))
+    return _suite(M, "B")
 
 
 def verify_right_bialgebroid(M):
-    return _verify_bialgebroid(M, _Half(M, "C"), Report(), _base_generators(M))
+    return _suite(M, "C")
+
+
+def _suite(M, letter):
+    rep = Report()
+    _verify_bialgebroid(M, _Half(M, letter), rep, _base_generators(M))
+    return rep
 
 
 def _base_generators(M):
@@ -555,16 +563,19 @@ def _base_generators(M):
 
 def _verify_bialgebroid(M, h, rep, generators):
     """The bialgebroid suite of one half, its entries named by h.side and
-    appended to rep; ``generators`` is ``_base_generators(M)``.
+    appended to rep; ``generators`` is ``_base_generators(M)``.  Returns
+    whether ``_bimodule_by_weights(h)`` held (False where the suite ends
+    early), which ``canonical_maps`` reads.
 
     Gate of ``-tensor-nondegenerate``: A has a unit 1 = sum u_j e_j.  The
     leg operator R_j of each leg is the descended multiplication by e_j,
     and a descended map is fixed by its lifts, so sum u_j R_j is the
     descended multiplication by 1, the identity of q.  A vector that every
     R_j kills is killed by the identity: the joint kernel is 0 once every
-    R_j descends.  The 2n operators are still built, since one that does
-    not descend fails the entry with its text, and only an A without a
-    unit solves the joint kernels.
+    R_j descends.  Where ``_legs_descend_by_weights`` shows that, none is
+    built.  Otherwise the 2n operators are built, since one that does not
+    descend fails the entry with its text, and only an A without a unit
+    solves the joint kernels.
     """
     A, n, q, side = h.A, h.A.dim, h.q, h.side
     modules = side + "-bialgebroid-modules"
@@ -589,12 +600,14 @@ def _verify_bialgebroid(M, h, rep, generators):
     # laws below multiply Delta by them, so a bundle where one does not
     # descend is reported here and its suite ends
     unit = A.unit()
-    try:
-        legs = [[q.leg_op(leg, h.absorb, j) for j in range(n)] for leg in (1, 2)]
-    except NotBalanced as e:
-        rep.check(False, side + "-tensor-nondegenerate", modules, str(e))
-        return rep
-    rep.check(unit is not None or not any(map(joint_kernel, legs)),
+    gated = unit is not None and _legs_descend_by_weights(h)
+    if not gated:
+        try:
+            legs = [[q.leg_op(leg, h.absorb, j) for j in range(n)] for leg in (1, 2)]
+        except NotBalanced as e:
+            rep.check(False, side + "-tensor-nondegenerate", modules, str(e))
+            return False
+    rep.check(gated or unit is not None or not any(map(joint_kernel, legs)),
               side + "-tensor-nondegenerate", modules)
 
     # Delta lands in the admissible operator space (Takeuchi's x_B
@@ -630,7 +643,8 @@ def _verify_bialgebroid(M, h, rep, generators):
 
     # the Delta-bimodule law is decided first, since the homomorphism gate
     # rests on it, and reported after the homomorphism law, as it always was
-    bimodule = None if _bimodule_by_weights(h) else _bimodule_witness(h)
+    weighted = _bimodule_by_weights(h)
+    bimodule = None if weighted else _bimodule_witness(h)
     hom = None
     if not (wit is None and bimodule is None and _homomorphism_on_generators(h, generators)):
         hom = _first_failure(
@@ -648,7 +662,17 @@ def _verify_bialgebroid(M, h, rep, generators):
 
     if h.eps is not None:
         _counit_checks(h, rep)
-    return rep
+    return weighted
+
+
+def _legs_descend_by_weights(h):
+    """Whether every multiplication by e_j that Delta absorbs, on either
+    leg, descends to q: True when A is associative and q a coordinate
+    quotient.  The multiplication acts from the side opposite to q's
+    actions, so by associativity it commutes with them; they are
+    diagonal, so it keeps their weights (``keeps_weights``) and descends,
+    as in ``canonical_map``.  No leg operator is built."""
+    return h.q.coordinate and h.A.is_associative()[0]
 
 
 def _bimodule_witness(h):
@@ -904,15 +928,30 @@ def _counit_checks(h, rep):
     rep.check(wit is None, side + "-counit", side + "-counit", wit)
 
 
-def canonical_maps(M, report=None):
+def canonical_maps(M, report=None, weighted=()):
     """The four canonical maps, their well-definedness and invertibility.
 
     ``out[which]`` holds the map, its domain tensor and its inverse (None
     unless bijective); ``verify_regular_mha`` reads the inverse of T_rho
     to decide ``antipode-unique`` (see ``_antipode_through_inverse``).
+
+    Gate of ``*-welldefined``: ``weighted`` holds the letters of the
+    halves where ``_bimodule_by_weights`` held.  For a map reading such a
+    half's Delta, with A associative and the domain a coordinate
+    quotient, the relation rows are not scanned: the map kills every
+    relation coordinate.  Take T_rho(a, b) = Delta_B(a)(1 (x) e_b); the
+    others mirror it (legs swapped for T_lambda, products reversed on C).
+    The domain balances a s(x) against s(x) b, with weights w_r and w_l,
+    so (a, b) is a relation coordinate iff w_r(a) != w_l(b).  A term
+    e_i (x) e_j of the lift of Delta_B(a) with e_j e_b != 0 has
+    w_r(j) = w_l(b), since (e_j s(x)) e_b = e_j (s(x) e_b), and
+    w_r(j) = w_r(a) by ``keeps_weights``.  So at a relation coordinate
+    every e_j e_b is 0, and T_rho(a, b), the projection of the lift times
+    1 (x) e_b (``canonical_tilde``), is 0.
     """
     rep = report if report is not None else Report()
     maps = M.canonical()
+    associative = M.A.is_associative()[0]
     out = {}
 
     def image(which, rel):
@@ -928,7 +967,8 @@ def canonical_maps(M, report=None):
     # order, to name the first one that does as the witness
     for which, (mat, dom) in maps.items():
         wit = None
-        if any(image(which, row) for row in dom.space.relation_rows()):
+        scanned = not (M._TILDES[which][0] in weighted and associative and dom.coordinate)
+        if scanned and any(image(which, row) for row in dom.space.relation_rows()):
             wit = next({"relation": gen}
                        for gen, rel in zip(dom.generators, dom.relation_vectors())
                        if image(which, rel))
@@ -1143,6 +1183,37 @@ def _antipode_through_inverse(M, canon):
     return True
 
 
+def _counits_by_weights(M):
+    """Whether ``counits-multiplicative`` holds, read from the weights.
+
+    Declined (False) unless every ``h.struct(e, first=False)`` has
+    weights.  Then its operator acts[x] is diagonal, acts[x] e_p =
+    lambda_x(p) e_p, so the law at (p, q) = h.ordered(a, b) reads
+        eps(e_a e_b) = <lambda(p), eps(e_q)> eps(e_p),
+    <lambda(p), v> = sum_x v_x lambda_x(p): the left side is eps of a
+    product read from A's table, the right side a scalar, computed once
+    per weight and q, times a stored column.  False also when a law
+    fails, and the scan then names the witness.
+    """
+    table, n = M.A.table, M.A.dim
+    for h in _halves(M):
+        weights = [h.struct(e, first=False).weights for e in "st"]
+        if any(w is None for w in weights):
+            return False
+        eps, scalars = h.eps, []  # scalars[k][p][q] = <lambda(p), eps(e_q)>, structure k
+        for w in weights:
+            rows = {wp: [ev(dict(enumerate(wp)), eps.col(q)) for q in range(n)] for wp in set(w)}
+            scalars.append([rows[wp] for wp in w])
+        for a, row in enumerate(table):
+            for b, prod in enumerate(row):
+                p, q = h.ordered(a, b)
+                lhs, col = eps.apply(prod), eps.col(p)
+                for s in scalars:
+                    if lhs != vscale(s[p][q], col):
+                        return False
+    return True
+
+
 def verify_regular_mha(M):
     """The full axiom suite; every entry carries its registry label."""
     rep = Report()
@@ -1158,8 +1229,7 @@ def verify_regular_mha(M):
                   "mult-hopf-algebroid-2", None if at is None else tuple(src.labels[k] for k in at))
 
     generators = _base_generators(M)
-    for h in _halves(M):
-        _verify_bialgebroid(M, h, rep, generators)
+    weighted = [h.letter for h in _halves(M) if _verify_bialgebroid(M, h, rep, generators)]
     _coassociativity(M, rep, "BC", "mixed-coassociativity-1", "compatible")
     _coassociativity(M, rep, "CB", "mixed-coassociativity-2", "compatible")
 
@@ -1197,7 +1267,7 @@ def verify_regular_mha(M):
                     for struct, label in forms:
                         yield ((label, a, b), lhs, h.eps.apply(struct.act(value, {p: ONE})))
 
-    wit = _first_failure(multiplicative())
+    wit = None if _counits_by_weights(M) else _first_failure(multiplicative())
     rep.check(wit is None, "counits-multiplicative", "counits-multiplicative", wit)
 
     # The first compatibility of the canonical maps,
@@ -1220,7 +1290,7 @@ def verify_regular_mha(M):
               compat.witness)
 
     try:
-        canon, _ = canonical_maps(M, rep)
+        canon, _ = canonical_maps(M, rep, weighted)
     except NotBalanced as e:
         # the canonical maps multiply Delta on a leg, and the laws left read them
         rep.check(False, "canonical-maps-welldefined", "galois-maps", str(e))

@@ -115,11 +115,11 @@ def _gram_entry(algebra, omega):
     return algebra._gram[key]
 
 
-def satisfies_modular_law(gram, sigma):
-    """omega(x y) = omega(y sigma(x)) for all x, y, given the Gram map of
-    omega: entry (y, x) of gram o sigma is omega(e_y sigma(e_x)), and of
-    the transpose omega(e_x e_y)."""
-    return gram.transpose() == gram.compose(sigma)
+def satisfies_modular_law(algebra, omega, sigma):
+    """omega(x y) = omega(y sigma(x)) for all x, y: entry (y, x) of G o sigma,
+    G = ``gram_map(algebra, omega)``, is omega(e_y sigma(e_x)), and of the
+    kept transpose ``gram_transpose`` omega(e_x e_y)."""
+    return gram_transpose(algebra, omega) == gram_map(algebra, omega).compose(sigma)
 
 
 # -- domain types -------------------------------------------------------------
@@ -622,7 +622,10 @@ def factorize(M, weight, omega):
             if sol is None:
                 return None, name
             cols.append(sol)
-        factors[name] = LinearMap(emb.base.dim, n, cols)
+        mapping, left = LinearMap(emb.base.dim, n, cols), factors.get(name[0] + "l")
+        # a side's two factors are equal maps on a commutative A: they
+        # share one map, so its solver is built once
+        factors[name] = left if left == mapping else mapping
     # consistency: mu_B o Bl = omega = mu_C o Cr
     if functional_of_map(weight.mu_B, factors["Bl"]) != dict(omega):
         return None, "Bl"
@@ -649,7 +652,8 @@ def check_base_weight(M, weight):
     rep.check(antipodal, "antipodal", "base-weight-antipodal")
     sigma_b = M.S_B.inverse().compose(M.S_C.inverse())
     sigma_c = M.S_B.compose(M.S_C)
-    modular = satisfies_modular_law(gram_b, sigma_b) and satisfies_modular_law(gram_c, sigma_c)
+    modular = (satisfies_modular_law(bb, weight.mu_B, sigma_b)
+               and satisfies_modular_law(cc, weight.mu_C, sigma_c))
     rep.check(modular, "modular", "base-weight-modular")
     eps_b_func = functional_of_map(weight.mu_B, M.eps_B)
     eps_c_func = functional_of_map(weight.mu_C, M.eps_C)

@@ -421,7 +421,7 @@ def twosided_rn_modifier(base_c, hopf, left_action, mu, sigma):
     H, C = hopf, base_c
     mh, mc = H.dim, C.dim
     rep = Report()
-    rep.check(satisfies_modular_law(gram_map(C, mu), sigma), "sigma-modular", "chb-modular")
+    rep.check(satisfies_modular_law(C, mu, sigma), "sigma-modular", "chb-modular")
     s2 = H.S.compose(H.S)
     ok = all(sigma.compose(left_action.acts[h]) == left_action.operator(s2.col(h)).compose(sigma)
              for h in range(mh))

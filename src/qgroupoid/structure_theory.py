@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra_core import FiniteAlgebra, automorphism_check, generating_basis
+from .algebra_core import (
+    FiniteAlgebra,
+    ModuleStructure,
+    automorphism_check,
+    generating_basis,
+)
 from .balanced_tensor import NotBalanced
 from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
 from .exact_linear import (
@@ -179,7 +184,8 @@ def _modular_automorphism(X, side):
     rep = Report()
     ok, wit = automorphism_check(A, sigma)
     rep.check(ok, "sigma-automorphism", "modular-automorphism", wit)
-    rep.check(satisfies_modular_law(g, sigma), "sigma-defining-relation", "modular-automorphism")
+    rep.check(satisfies_modular_law(A, omega, sigma), "sigma-defining-relation",
+              "modular-automorphism")
     # the left side is the B half's: sigma is S^2 on C and twists Delta by
     # S^2 on the t leg; the right side mirrors it with S^-2 on B
     pairs = _mirrored(M)
@@ -553,16 +559,31 @@ def _identities_on_generators(hat, rho_lambda):
         combinations of them.
     Each gated law is itself one of the full scan's laws, so the gate
     passes exactly when the full scan does.
+
+    No generator is needed when every rho(e_i) and lambda(e_i) is
+    diagonal, as on the dual of a convolution algebroid.  Then rho and
+    lambda are a left and a right action of hat with weights
+    (``ModuleStructure``; they act on A, whose basis is hat's, a.phi
+    being a), and by linearity ``check_action`` decides
+    rho(e_x) rho(e_y) = rho(e_x e_y) and lambda(e_x) lambda(e_y) =
+    lambda(e_y e_x) at every basis pair, the laws of the full scan.
+    Diagonal operators commute.
     """
-    n, gens = hat.dim, generating_basis(hat)
+    n = hat.dim
+    ops = [rho_lambda({i: ONE}) for i in range(n)]
+    rho, lam = (ModuleStructure(hat, hat, [op[k] for op in ops], side)
+                for k, side in enumerate(("left", "right")))
+    if rho.weights is not None and lam.weights is not None:
+        return rho.check_action()[0] and lam.check_action()[0]
+    gens = generating_basis(hat)
     for g in gens:
-        rho_g, lam_g = rho_lambda({g: ONE})
+        rho_g, lam_g = ops[g]
         for y in range(n):
-            rho_y, lam_y = rho_lambda({y: ONE})
+            rho_y, lam_y = ops[y]
             rho_p, lam_p = rho_lambda(hat.table[g][y])
             if rho_p != rho_g.compose(rho_y) or lam_p != lam_y.compose(lam_g):
                 return False
-    ops = [rho_lambda({g: ONE}) for g in gens]
+    ops = [ops[g] for g in gens]
     return all(rho.compose(lam) == lam.compose(rho) for _, lam in ops for rho, _ in ops)
 
 

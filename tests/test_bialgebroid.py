@@ -750,8 +750,8 @@ def _without_t_rho_inverse(monkeypatch, M):
     """canonical_maps hands out no inverse of T_rho, as for a singular one."""
     canonical = bialgebroid.canonical_maps
 
-    def singular(M, report=None):
-        out, rep = canonical(M, report)
+    def singular(M, *args):
+        out, rep = canonical(M, *args)
         out["T_rho"] = dict(out["T_rho"], inverse=None)
         return out, rep
 

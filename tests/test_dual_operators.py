@@ -187,3 +187,61 @@ def test_generators_of_the_dual_of_functions_on_pair_groupoids(x_fun_14, x_fun_p
         gens = [labels[g] for g in generating_basis(dual_algebra(X).algebra)]
         row = [str((1, j)) for j in range(1, k + 1)]
         assert gens == row + [str((i, 1)) for i in range(2, k + 1)]
+
+
+def _diagonal(op):
+    return all(set(col) <= {a} for a, col in enumerate(op.data))
+
+
+def _generating_basis_spy(monkeypatch):
+    calls = []
+
+    def spy(algebra, *args):
+        calls.append(algebra)
+        return generating_basis(algebra, *args)
+
+    monkeypatch.setattr(structure_theory, "generating_basis", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", MEASURED)
+def test_diagonal_operators_decide_the_identities_with_no_generator(
+        request, monkeypatch, fixture):
+    # the dual of a convolution algebroid is the pointwise algebra on the
+    # arrows: every rho(e_b.phi) and lambda(e_b.phi) is diagonal, and the
+    # weights decide the entry; elsewhere the generators do
+    X = request.getfixturevalue(fixture)
+    diagonal = all(map(_diagonal, (op for ops in _translate_operators(X) for op in ops)))
+    calls = _generating_basis_spy(monkeypatch)
+    _, entry = _bimodule_entry(X)
+    assert entry == ("pass", None)
+    assert (calls == []) == diagonal
+    assert diagonal == (fixture in ("x_conv_uniform", "x_group", "x_conv_mod_p3"))
+
+
+def test_one_changed_weight_fails_the_diagonal_gate_and_the_scan_names_the_witness(
+        monkeypatch, x_conv_mod_p3):
+    # one diagonal entry of one rho(e_b.phi) doubled: every operator is
+    # still diagonal, so the gate reads the weights, finds the broken law
+    # and returns False, and the full scan names its first failing pair
+    X = x_conv_mod_p3
+    n = X.M.A.dim
+    ops = _translate_operators(X)
+    b = 1
+    cols = [dict(col) for col in ops[b][0].data]
+    a = next(a for a, col in enumerate(cols) if col)
+    cols[a][a] = 2 * cols[a][a]
+    ops[b] = (LinearMap(n, n, cols), ops[b][1])
+    assert all(map(_diagonal, (op for pair in ops for op in pair)))
+    hat = dual_algebra(X).algebra
+
+    def rho_lambda(c):
+        return tuple(LinearMap.combination(n, n, [(s, ops[k][kind]) for k, s in c.items()])
+                     for kind in (0, 1))
+
+    calls = _generating_basis_spy(monkeypatch)
+    assert structure_theory._identities_on_generators(hat, rho_lambda) is False
+    assert calls == []
+    monkeypatch.undo()
+    entry, oracle = _entry_with(monkeypatch, X, ops)
+    assert entry == oracle and oracle[0] == "fail"

@@ -152,6 +152,9 @@ def test_descended_maps_share_one_read_only_zero_column():
     g = pair_groupoid([1, 2, 3])
     M = build_function_algebroid(g)
     assert verify_regular_mha(M).ok
+    # verify decides this bundle's leg laws on the weights and builds no
+    # leg multiplication, so one is built here
+    M.qb.leg_op(2, "r", 0)
     phi, psi = standard_integrals("groupoid-functions", M, groupoid=g)
     mu = {0: sc(1), 1: sc(4), 2: sc(9)}
     assert assemble_measured(M, BaseWeight(mu_B=dict(mu), mu_C=dict(mu)), phi, psi).report.ok
