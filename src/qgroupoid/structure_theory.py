@@ -583,8 +583,8 @@ def _identities_on_generators(hat, rho_lambda):
             rho_p, lam_p = rho_lambda(hat.table[g][y])
             if rho_p != rho_g.compose(rho_y) or lam_p != lam_y.compose(lam_g):
                 return False
-    ops = [ops[g] for g in gens]
-    return all(rho.compose(lam) == lam.compose(rho) for _, lam in ops for rho, _ in ops)
+    pairs = [ops[g] for g in gens]
+    return all(rho.compose(lam) == lam.compose(rho) for _, lam in pairs for rho, _ in pairs)
 
 
 def dual_algebra(X):
