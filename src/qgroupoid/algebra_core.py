@@ -461,15 +461,14 @@ def _algebra_report(algebra):
     if algebra.involution is not None:
         inv_ok = True
         wit = None
-        star = algebra.star
-        for i in range(algebra.dim):
-            ei = {i: ONE}
-            if star(star(ei)) != ei:
+        star, table = algebra.star, algebra.table
+        stars = [star({i: ONE}) for i in range(algebra.dim)]
+        for i, si in enumerate(stars):
+            if star(si) != {i: ONE}:
                 inv_ok, wit = False, ("involutive", algebra.labels[i])
                 break
-            for j in range(algebra.dim):
-                ej = {j: ONE}
-                if star(algebra.mul(ei, ej)) != algebra.mul(star(ej), star(ei)):
+            for j, sj in enumerate(stars):
+                if star(table[i][j]) != algebra.mul(sj, si):
                     inv_ok = False
                     wit = ("anti-multiplicative", algebra.labels[i], algebra.labels[j])
                     break

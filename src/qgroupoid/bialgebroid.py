@@ -163,6 +163,20 @@ class RegularMHA:
             self._structs[key] = ModuleStructure(base, self.A, acts, side)
         return self._structs[key]
 
+    def _own_struct(self, kind, letter):
+        """The base of ``letter``, "B" or "C", acting on itself by its own
+        multiplication from the left (kind "l") or the right ("r"), built
+        once per bundle beside ``_struct``.  Its ``weights`` show a
+        diagonal base: every groupoid unit space is, the M2 base is not."""
+        key = (kind, letter * 2)
+        if key not in self._structs:
+            base = self.B.base if letter == "B" else self.C.base
+            mul = base.lmul if kind == "l" else base.rmul
+            acts = [mul(x) for x in range(base.dim)]
+            side = "left" if kind == "l" else "right"
+            self._structs[key] = ModuleStructure(base, base, acts, side)
+        return self._structs[key]
+
     _RECIPES = {
         FLAVOR_QB: (("l", "B"), ("l", "SB")),
         FLAVOR_QC: (("r", "SC"), ("r", "C")),
@@ -285,7 +299,9 @@ class _Half:
     order, e "s" or "t", or of a e(x) if not ``first``: the one way to
     multiply A by s(x) or t(x), its ``acts[x]`` for a basis element x and
     ``operator(v)`` or ``act(v, w)`` for a base vector v.  Callers must not
-    mutate the operators' shared columns.
+    mutate the operators' shared columns.  ``own(e)`` is the base acting on
+    itself as e's module law reads it, v -> x v for "s" and v -> v x for
+    "t" in h's order: the bundle's ``_own_struct``.
 
     Order rule: ``mul(u, v)`` and ``bmul(u, v)`` are the products in A and
     in the base taken as u v on the B half and as v u on the C half, and
@@ -311,7 +327,7 @@ class _Half:
         self._tilde = M.canonical_tilde
         self._maps = ("T_lambda", "T_rho") if left else ("lambda_T", "rho_T")
         self._reversed = not left
-        self._struct = M._struct
+        self._struct, self._own = M._struct, M._own_struct
         self._embs = {"s": letter, "t": "S" + letter}
 
     def absorbed(self, leg, d, e):
@@ -329,6 +345,9 @@ class _Half:
 
     def struct(self, e, first=True):
         return self._struct("l" if first != self._reversed else "r", self._embs[e])
+
+    def own(self, e):
+        return self._own("l" if (e == "s") != self._reversed else "r", self.letter)
 
     def ordered(self, u, v):
         return (v, u) if self._reversed else (u, v)
@@ -473,8 +492,8 @@ def _antipode_diagrams(M):
 
 
 def _bimodule_acts(h):
-    """The (s, t) operators of S(s(x) a) = S(a) t(x), then of S(a s(x)) = t(x) S(a)."""
-    return [(h.struct("s", f).acts, h.struct("t", not f).acts) for f in h.ordered(True, False)]
+    """The (s, t) structures of S(s(x) a) = S(a) t(x), then of S(a s(x)) = t(x) S(a)."""
+    return [(h.struct("s", f), h.struct("t", not f)) for f in h.ordered(True, False)]
 
 
 def _antipode_bimodule(M):
@@ -486,9 +505,9 @@ def _antipode_bimodule(M):
         for x in range(h.base.dim):
             for a in range(n):
                 for s, t in laws:
-                    terms = [(i * n + k, c, {k: ONE}) for i, c in s[x].col(a).items()
+                    terms = [(i * n + k, c, {k: ONE}) for i, c in s.acts[x].col(a).items()
                              for k in range(n)]
-                    yield {}, terms + [(a * n + k, -ONE, t[x].col(k)) for k in range(n)]
+                    yield {}, terms + [(a * n + k, -ONE, t.acts[x].col(k)) for k in range(n)]
 
 
 def derive_antipode(M):
@@ -884,8 +903,24 @@ def _coassociativity(M, rep, kind, name, eq):
     rep.check(wit is None, name, eq, wit)
 
 
+def _keeps(op, src, dst):
+    """Whether op o src.acts[x] = dst.acts[x] o op for every x, read from
+    both actions' weights by ``keeps_weights``; False (declined) when
+    either has none."""
+    w_in, w_out = src.weights, dst.weights
+    return w_in is not None and w_out is not None and keeps_weights(op, w_in, w_out)
+
+
 def _counit_checks(h, rep):
     """The counit bimodule laws and both counit slice laws of one half.
+
+    Gate of the bimodule laws: for e "s" and "t" the law at (x, a) is
+    eps(acts[x] e_a) = own[x] eps(e_a), acts the structure ``h.struct(e)``
+    and own the base acting on itself, ``h.own(e)``, so it holds at every
+    (x, a) iff eps o acts[x] = own[x] o eps for every x: when both have
+    weights, ``keeps_weights(eps, ...)`` (``_keeps``).  Where that declines
+    or fails, the (x, a) are scanned in order and the witness is the first
+    failure.
 
     Gate of the slice laws: A is associative.  Then the slice of Delta(a)
     with e_b absorbed on the other leg is the slice of Delta(a) times e_b
@@ -895,15 +930,14 @@ def _counit_checks(h, rep):
     witness is the first failing (a, b, leg) of a full scan.
     """
     A, n, eps, side = h.A, h.A.dim, h.eps, h.side
-    checks = []
-    for x in range(h.base.dim):
-        ex = {x: ONE}
-        for a in range(n):
-            ea = eps.col(a)
-            for e, law in (("s", h.bmul(ex, ea)), ("t", h.bmul(ea, ex))):
-                checks.append((("eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a"), x, a),
-                               eps.apply(h.struct(e).acts[x].col(a)), law))
-    wit = _first_failure(iter(checks))
+    wit = None
+    if not all(_keeps(eps, h.struct(e), h.own(e)) for e in "st"):
+        wit = _first_failure(
+            (("eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a"), x, a),
+             eps.apply(h.struct(e).acts[x].col(a)), law)
+            for x in range(h.base.dim) for a in range(n)
+            for e, law in (("s", h.bmul({x: ONE}, eps.col(a))),
+                           ("t", h.bmul(eps.col(a), {x: ONE}))))
     rep.check(wit is None, side + "-counit-bimodule",
               "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
@@ -1008,17 +1042,27 @@ def _hom_values(h, e):
     f(e_a) x for "t", in h's order: it involves f(e_a) alone.  So Hom is
     the sum over a of the joint eigenspaces E_w(a), E_w the vectors v of
     the base with x v = lambda_x v (or v x = lambda_x v) for every x, and
-    the values span the sum of E_w over the distinct weights.  Each E_w is
-    a joint kernel of dim x dim maps.  ``Rref.basis`` is the reduced basis
-    of the span, whichever vectors span it.  A structure without weights
-    solves ``_hom_space``.
+    the values span the sum of E_w over the distinct weights.  When the
+    base acting on itself, ``h.own(e)``, has weights too, x e_y =
+    nu_x(y) e_y, then x v = sum_y nu_x(y) v_y e_y equals lambda_x v for
+    every x iff nu(y) = lambda at every y in the support of v: E_w is
+    spanned by the e_y with nu(y) = w, and no kernel is solved.  Otherwise
+    each E_w is a joint kernel of dim x dim maps.  ``Rref.basis`` is the
+    reduced basis of the span, whichever vectors span it.  A structure
+    without weights solves ``_hom_space``.
     """
     vals, n, dim = Rref(), h.A.dim, h.base.dim
-    weights = h.struct(e).weights
+    weights, nu = h.struct(e).weights, h.own(e).weights
     if weights is None:
         for f in _hom_space(h, e):
             for a in range(n):
                 vals.add(f.col(a))
+        return vals
+    if nu is not None:
+        present = set(weights)
+        for y, wy in enumerate(nu):
+            if wy in present:
+                vals.add({y: ONE})
         return vals
 
     def shifted(x, lam):
@@ -1035,19 +1079,36 @@ def _hom_values(h, e):
 
 def _regularity_subspaces(M, rep):
     """The values of each Hom space, embedded by the other embedding of its
-    half and multiplied by A in the half's order, span A."""
+    half and multiplied by A in the half's order, span A: the rank is read
+    by ``_rank_by_weights``, or from an echelon of the products where that
+    declines."""
     n = M.A.dim
     for module, name in (("_BA", "SB(IB)A"), ("A_B", "IBA"), ("A_C", "ASC(IC)"), ("^CA", "AIC")):
         letter, e = _ONE_SIDED[module]
         h = _Half(M, letter)
-        vals = _hom_values(h, e)
+        vals = _hom_values(h, e).basis()
         struct = h.struct("t" if e == "s" else "s")
-        span = Rref()
-        for v in vals.basis():
-            op = struct.operator(v)
-            for a in range(n):
-                span.add(op.col(a))
-        rep.check(span.rank == n, "regular-subspace-" + name, "regular-1")
+        rank = _rank_by_weights(struct, vals)
+        if rank is None:
+            span = Rref()
+            for v in vals:
+                op = struct.operator(v)
+                for a in range(n):
+                    span.add(op.col(a))
+            rank = span.rank
+        rep.check(rank == n, "regular-subspace-" + name, "regular-1")
+
+
+def _rank_by_weights(struct, vals):
+    """The rank of the span of the struct.operator(v) e_a over the base
+    vectors v in vals and every a, read from the weights; None (declined)
+    when struct has none.  With weights mu, acts[x] e_a = mu_x(a) e_a, the
+    operator of v is diagonal, sending e_a to <v, mu(a)> e_a with
+    <v, mu(a)> = sum_x v_x mu_x(a).  So the span is that of the e_a where
+    some v has <v, mu(a)> != 0, and its rank is their number."""
+    if struct.weights is None:
+        return None
+    return sum(any(ev(dict(enumerate(mu)), v) for v in vals) for mu in struct.weights)
 
 
 def _antipode_checks(M, rep, canon):
@@ -1055,6 +1116,13 @@ def _antipode_checks(M, rep, canon):
     evaluate the equations of ``derive_antipode``'s system at M.S,
     ``antipode-base-bimodule``, ``antipode-diagram-left`` and
     ``antipode-diagram-right``, all passed.
+
+    Gate of ``antipode-base-bimodule``: each law, S(s(x) a) = S(a) t(x) or
+    S(a s(x)) = t(x) S(a), holds at every (x, a) iff S o s[x] = t[x] o S
+    for every x, (s, t) a pair of ``_bimodule_acts``: when both have
+    weights, ``keeps_weights(S, ...)`` (``_keeps``) on all four pairs.
+    Where that declines or fails, the (x, a) are scanned in the old order
+    and the witness is the first failure.
 
     Gate of the diagrams: A is associative and unital, and
     ``antipode-base-bimodule`` passed.  Write m_S for S applied on leg
@@ -1084,9 +1152,11 @@ def _antipode_checks(M, rep, canon):
             for x in range(h.base.dim):
                 for a in range(n):
                     for word, (s, t) in laws:
-                        yield (word % h.x, x, a), S.apply(s[x].col(a)), t[x].apply(S.col(a))
+                        yield ((word % h.x, x, a), S.apply(s.acts[x].col(a)),
+                               t.acts[x].apply(S.col(a)))
 
-    wit = _first_failure(bimodule())
+    weighted = all(_keeps(S, s, t) for h in _halves(M) for s, t in _bimodule_acts(h))
+    wit = None if weighted else _first_failure(bimodule())
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
     solves = wit is None
     unit = A.unit()

@@ -5,11 +5,14 @@ their scans report.
 leg operator, ``canonical_maps`` skips the ``*-welldefined`` relation
 scan of a half whose Delta-bimodule law the weights decided, and
 ``_counits_by_weights`` decides ``counits-multiplicative`` with no
-product in A.  The dual's bimodule identities are decided on the weights
-of diagonal operators.  Each gate is shown declining or failing on a
-fixture whose entry is pinned as the full scan names it, and with every
-gate forced to decline the mutants of the golden corpus's recorder, and
-the corpus itself, keep their reports byte for byte.
+product in A.  The base-module laws are read from the bases' own
+weights: ``_hom_values`` solves no kernel, ``_rank_by_weights`` decides
+``regular-1`` with no echelon, and ``_keeps`` decides the counit and
+antipode bimodule laws.  The dual's bimodule identities are decided on
+the weights of diagonal operators.  Each gate is shown declining or
+failing on a fixture whose entry is pinned as the full scan names it,
+and with every gate forced to decline the mutants of the golden corpus's
+recorder, and the corpus itself, keep their reports byte for byte.
 """
 
 import importlib.util
@@ -39,6 +42,7 @@ def _load(name, *path):
 
 
 golden_record = _load("golden_record", "golden", "record.py")
+_REGULAR_1 = ["regular-subspace-" + name for name in ("SB(IB)A", "IBA", "ASC(IC)", "AIC")]
 
 
 def _lines(M, *laws):
@@ -134,14 +138,102 @@ def test_the_counit_gate_declines_without_weights():
     assert json.loads(line)["status"] == "pass"
 
 
+def test_the_hom_value_and_regular_1_gates_decline_on_the_m2_base(monkeypatch):
+    # neither the M2 base nor its action on A is diagonal: each Hom space
+    # is solved, the products are ranked by an echelon, and regular-1 passes
+    M = golden_record.matrix_tensor_algebroid()
+    for h in bialgebroid._halves(M):
+        for e in "st":
+            assert h.own(e).weights is None and h.struct(e).weights is None
+            assert bialgebroid._rank_by_weights(h.struct(e), [{0: 1}]) is None
+    solved, real = [], bialgebroid._hom_space
+    monkeypatch.setattr(bialgebroid, "_hom_space",
+                        lambda h, e: solved.append((h.letter, e)) or real(h, e))
+    assert _lines(M, *_REGULAR_1) == [
+        json.dumps({"axiom": axiom, "eq": "regular-1", "status": "pass"}, sort_keys=True)
+        for axiom in _REGULAR_1]
+    assert solved == [("B", "s"), ("B", "t"), ("C", "s"), ("C", "t")]
+
+
+def test_a_product_mutant_fails_regular_1_on_the_weights():
+    # e_(1,1) e_(1,1) := 0 on functions p2: every base element acts on
+    # e_(1,1) by 0, so no product of a Hom value with A reaches it
+    M = golden_record.product_changed(build_function_algebroid, 0, 0, {})
+    assert all(bialgebroid._rank_by_weights(h.struct(e), []) is not None and h.own(e).weights
+               for h in bialgebroid._halves(M) for e in "st")
+    assert _lines(M, *_REGULAR_1) == [
+        json.dumps({"axiom": axiom, "eq": "regular-1", "status": "fail"}, sort_keys=True)
+        for axiom in _REGULAR_1]
+
+
+def _counit_gate(M):
+    """Whether ``_counit_checks`` decides both bimodule laws of each half
+    from the weights."""
+    return [all(bialgebroid._keeps(h.eps, h.struct(e), h.own(e)) for e in "st")
+            for h in bialgebroid._halves(M)]
+
+
+def _antipode_gate(M):
+    return all(bialgebroid._keeps(M.S, s, t)
+               for h in bialgebroid._halves(M) for s, t in bialgebroid._bimodule_acts(h))
+
+
+@pytest.mark.parametrize("name, axioms", [
+    ("mutant-eps_B-unit", ["left-counit-bimodule", "right-counit-bimodule"]),
+    ("mutant-S-col1", ["antipode-base-bimodule"]),
+])
+def test_a_scaled_column_keeps_the_weights_and_the_bimodule_gates_pass(name, axioms):
+    # the golden mutants scale one column by 2, which keeps its support:
+    # both bimodule gates are taken, and the entries are the golden file's
+    kind, col = ("eps_B", golden_record._unit_arrow_index()) if "eps" in name else ("S", 1)
+    M = golden_record.mutant_bundle(kind, col)
+    assert _counit_gate(M) == [True, True] and _antipode_gate(M)
+    with open(os.path.join(HERE, "golden", name + ".jsonl")) as fh:
+        golden = [line.rstrip("\n") for line in fh if json.loads(line).get("axiom") in axioms]
+    assert _lines(M, *axioms) == golden and len(golden) == len(axioms)
+
+
+@pytest.mark.parametrize("build, kind, col, add_col, axiom, eq, witness", [
+    (build_function_algebroid, "eps_B", 3, 0, "left-counit-bimodule", "left-counit-bimodule",
+     {"at": ["eps(s(x)a)", 0, 3], "lhs": [], "rhs": [[0, "1"]]}),
+    (build_convolution_algebroid, "eps_C", 2, 3, "right-counit-bimodule", "rt-counit-bimodule",
+     {"at": ["eps(as(y))", 0, 2], "lhs": [[0, "1"], [1, "1"]], "rhs": [[0, "1"]]}),
+    (build_function_algebroid, "S", 3, 0, "antipode-base-bimodule", "hopf-characterization-1",
+     {"at": ["S(xa)", 0, 3], "lhs": [], "rhs": [[0, "1"]]}),
+    (build_convolution_algebroid, "S", 0, 1, "antipode-base-bimodule", "hopf-characterization-1",
+     {"at": ["S(ax)", 0, 0], "lhs": [[0, "1"], [2, "1"]], "rhs": [[0, "1"]]}),
+])
+def test_a_bimodule_mutant_fails_the_weight_gate_and_the_scan_names_the_witness(
+        build, kind, col, add_col, axiom, eq, witness):
+    # a column with the next one added lands off its weight
+    M = golden_record.mutant_bundle(kind, col, build, add_col)
+    assert all(s.weights is not None for h in bialgebroid._halves(M)
+               for s in (h.own("s"), h.own("t"), h.struct("s"), h.struct("t"))
+               + tuple(t for pair in bialgebroid._bimodule_acts(h) for t in pair))
+    gate = _antipode_gate(M) if kind == "S" else _counit_gate(M)["BC".index(kind[-1])]
+    assert not gate
+    [line] = _lines(M, axiom)
+    assert json.loads(line) == {"axiom": axiom, "eq": eq, "status": "fail", "witness": witness}
+
+
 class _Unweighted(ModuleStructure):
     weights = None
 
 
+def _unweighted(struct):
+    return _Unweighted(struct.base, struct.total, struct.acts, struct.side)
+
+
 def _gates_off(monkeypatch):
     """Every gate of this file declined: the leg and counit gates, the
-    welldefined gate by no weighted half, and the dual's weights."""
+    welldefined gate by no weighted half, the base-module gates by bases
+    without weights, and the dual's weights."""
     canonical_maps = bialgebroid.canonical_maps
+    own = bialgebroid.RegularMHA._own_struct
+    monkeypatch.setattr(bialgebroid.RegularMHA, "_own_struct",
+                        lambda M, kind, letter: _unweighted(own(M, kind, letter)))
+    monkeypatch.setattr(bialgebroid, "_keeps", lambda op, src, dst: False)
+    monkeypatch.setattr(bialgebroid, "_rank_by_weights", lambda struct, vals: None)
     monkeypatch.setattr(bialgebroid, "_legs_descend_by_weights", lambda h: False)
     monkeypatch.setattr(bialgebroid, "canonical_maps",
                         lambda M, report=None, weighted=(): canonical_maps(M, report))
@@ -158,8 +250,8 @@ def test_every_mutant_reports_the_same_with_the_gates_declined(monkeypatch):
     expected = [verify_regular_mha(M).to_json_lines() for M in bundles]
     failing = {json.loads(line)["axiom"] for lines in expected for line in lines
                if '"fail"' in line}
-    assert {"left-tensor-nondegenerate", "T_rho-welldefined",
-            "counits-multiplicative"} <= failing
+    assert {"left-tensor-nondegenerate", "T_rho-welldefined", "counits-multiplicative",
+            "left-counit-bimodule", "antipode-base-bimodule"} <= failing
     _gates_off(monkeypatch)
     assert [verify_regular_mha(M).to_json_lines() for M in bundles] == expected
 
