@@ -13,15 +13,13 @@ whose weights are not counital otherwise.  On functions ``modify`` is
 rejected with ``left-modifier`` (exit 1): the recipe modifies the
 convolution algebroid.
 
-Each stage runs three times, each time in a fresh interpreter that
-times ``qgroupoid.cli.main`` alone and reads its own peak resident
-memory, so no run inherits another's heap.  A stage records the median
-of its three times and the largest of its three peaks; its three exit
-codes and ``--out`` reports must agree, or the ladder stops.  The record
-names the commit, the Python version, the CPU count and
-``PYTHONDONTWRITEBYTECODE``, and keeps the sha256 of each stage's
-report: two files are a before/after pair only when those hashes agree,
-and both sides should be recorded with the same bytecode setting.
+Each stage runs in a fresh interpreter that times ``qgroupoid.cli.main``
+alone and reads its own peak resident memory, so no stage inherits
+another's heap.  The record names the commit, the Python version, the
+CPU count and ``PYTHONDONTWRITEBYTECODE``, and keeps the sha256 of each
+stage's ``--out`` report: two files are a before/after pair only when
+those hashes agree, and both sides should be recorded with the same
+bytecode setting.
 """
 
 import argparse
@@ -29,7 +27,6 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,8 +35,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
 FAMILIES = ("functions", "convolution")
 STAGES = ("verify", "integrals", "measure", "dual", "modify")
-RUNS = 3  # children per stage
-SCHEMA = 2
+SCHEMA = 1
 
 # the child: time cli.main alone, then print its seconds and peak RSS
 CHILD = """
@@ -66,9 +62,9 @@ def stage_argv(family, size, stage):
     return argv
 
 
-def run_once(src, argv, workdir):
-    """One child process: its exit code, seconds, peak RSS and the sha256
-    of its report."""
+def run_stage(src, argv, workdir):
+    """One stage in a child process: its argv, exit code, seconds, peak
+    RSS and the sha256 of its report."""
     out = os.path.join(workdir, "report.jsonl")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, os.path.join(src, "src"), *argv, "--out", out],
@@ -80,19 +76,7 @@ def run_once(src, argv, workdir):
     with open(out, "rb") as fh:
         record["out_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     os.remove(out)
-    return record
-
-
-def run_stage(src, argv, workdir):
-    """One stage in ``RUNS`` children: its argv, exit code, median seconds,
-    largest peak RSS and the sha256 of its report, which every child must
-    reproduce with the same exit code."""
-    runs = [run_once(src, argv, workdir) for _ in range(RUNS)]
-    if len({(r["exit"], r["out_sha256"]) for r in runs}) != 1:
-        raise RuntimeError("stage %s gave different reports: %s" % (" ".join(argv), runs))
-    return dict(argv=argv, exit=runs[0]["exit"], out_sha256=runs[0]["out_sha256"],
-                seconds=statistics.median(r["seconds"] for r in runs),
-                peak_rss_mb=max(r["peak_rss_mb"] for r in runs))
+    return dict(argv=argv, **record)
 
 
 def commit_of(src):

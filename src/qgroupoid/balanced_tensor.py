@@ -60,6 +60,7 @@ __all__ = [
     "BalancedTensor",
     "TripleTensor",
     "descend_componentwise",
+    "keeps_actions",
     "keeps_weights",
     "tensor_mul",
     "NotBalanced",
@@ -120,14 +121,21 @@ def keeps_weights(op, w_in, w_out):
     return all(w_out[b] == w_in[a] for a, col in enumerate(op.data) for b in col)
 
 
+def keeps_actions(op, src, dst):
+    """Whether op o src.acts[x] == dst.acts[x] o op for every x, read from
+    both actions' weights by ``keeps_weights``; False (declined) when
+    either has none."""
+    w_in, w_out = src.weights, dst.weights
+    return w_in is not None and w_out is not None and keeps_weights(op, w_in, w_out)
+
+
 def _intertwines(op, struct, out):
     """Whether op (None for the identity) intertwines the actions struct
     and out of one base: op o struct.acts[x] == out.acts[x] o op for every
-    x, read from the weights (``keeps_weights``) when both actions are
+    x, read from the weights (``keeps_actions``) when both actions are
     diagonal."""
-    w_in, w_out = struct.weights, out.weights
-    if w_in is not None and w_out is not None:
-        return w_in == w_out if op is None else keeps_weights(op, w_in, w_out)
+    if struct.weights is not None and out.weights is not None:
+        return struct.weights == out.weights if op is None else keeps_actions(op, struct, out)
     for f, g in zip(struct.acts, out.acts):
         same = (f is g or f == g) if op is None else op.compose(f) == g.compose(op)
         if not same:

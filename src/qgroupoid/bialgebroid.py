@@ -22,6 +22,7 @@ from .balanced_tensor import (
     NotBalanced,
     TripleTensor,
     descend_componentwise,
+    keeps_actions,
     keeps_weights,
     tensor_mul,
 )
@@ -903,14 +904,6 @@ def _coassociativity(M, rep, kind, name, eq):
     rep.check(wit is None, name, eq, wit)
 
 
-def _keeps(op, src, dst):
-    """Whether op o src.acts[x] = dst.acts[x] o op for every x, read from
-    both actions' weights by ``keeps_weights``; False (declined) when
-    either has none."""
-    w_in, w_out = src.weights, dst.weights
-    return w_in is not None and w_out is not None and keeps_weights(op, w_in, w_out)
-
-
 def _counit_checks(h, rep):
     """The counit bimodule laws and both counit slice laws of one half.
 
@@ -918,9 +911,8 @@ def _counit_checks(h, rep):
     eps(acts[x] e_a) = own[x] eps(e_a), acts the structure ``h.struct(e)``
     and own the base acting on itself, ``h.own(e)``, so it holds at every
     (x, a) iff eps o acts[x] = own[x] o eps for every x: when both have
-    weights, ``keeps_weights(eps, ...)`` (``_keeps``).  Where that declines
-    or fails, the (x, a) are scanned in order and the witness is the first
-    failure.
+    weights, ``keeps_actions(eps, ...)``.  Where that declines or fails,
+    the (x, a) are scanned in order and the witness is the first failure.
 
     Gate of the slice laws: A is associative.  Then the slice of Delta(a)
     with e_b absorbed on the other leg is the slice of Delta(a) times e_b
@@ -931,7 +923,7 @@ def _counit_checks(h, rep):
     """
     A, n, eps, side = h.A, h.A.dim, h.eps, h.side
     wit = None
-    if not all(_keeps(eps, h.struct(e), h.own(e)) for e in "st"):
+    if not all(keeps_actions(eps, h.struct(e), h.own(e)) for e in "st"):
         wit = _first_failure(
             (("eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a"), x, a),
              eps.apply(h.struct(e).acts[x].col(a)), law)
@@ -1046,34 +1038,21 @@ def _hom_values(h, e):
     base acting on itself, ``h.own(e)``, has weights too, x e_y =
     nu_x(y) e_y, then x v = sum_y nu_x(y) v_y e_y equals lambda_x v for
     every x iff nu(y) = lambda at every y in the support of v: E_w is
-    spanned by the e_y with nu(y) = w, and no kernel is solved.  Otherwise
-    each E_w is a joint kernel of dim x dim maps.  ``Rref.basis`` is the
-    reduced basis of the span, whichever vectors span it.  A structure
-    without weights solves ``_hom_space``.
+    spanned by the e_y with nu(y) = w, and no kernel is solved.
+    ``Rref.basis`` is the reduced basis of the span, whichever vectors span
+    it.  Where either structure has no weights, ``_hom_space`` is solved.
     """
-    vals, n, dim = Rref(), h.A.dim, h.base.dim
+    vals = Rref()
     weights, nu = h.struct(e).weights, h.own(e).weights
-    if weights is None:
+    if weights is None or nu is None:
         for f in _hom_space(h, e):
-            for a in range(n):
+            for a in range(h.A.dim):
                 vals.add(f.col(a))
         return vals
-    if nu is not None:
-        present = set(weights)
-        for y, wy in enumerate(nu):
-            if wy in present:
-                vals.add({y: ONE})
-        return vals
-
-    def shifted(x, lam):
-        """v -> x v - lam v (or v x - lam v) in h's order."""
-        law = (lambda y: h.bmul({x: ONE}, {y: ONE})) if e == "s" else (
-            lambda y: h.bmul({y: ONE}, {x: ONE}))
-        return LinearMap.from_function(dim, dim, lambda y: axpy(law(y), -lam, {y: ONE}))
-
-    for w in dict.fromkeys(weights):
-        for v in joint_kernel([shifted(x, lam) for x, lam in enumerate(w)]):
-            vals.add(v)
+    present = set(weights)
+    for y, wy in enumerate(nu):
+        if wy in present:
+            vals.add({y: ONE})
     return vals
 
 
@@ -1120,7 +1099,7 @@ def _antipode_checks(M, rep, canon):
     Gate of ``antipode-base-bimodule``: each law, S(s(x) a) = S(a) t(x) or
     S(a s(x)) = t(x) S(a), holds at every (x, a) iff S o s[x] = t[x] o S
     for every x, (s, t) a pair of ``_bimodule_acts``: when both have
-    weights, ``keeps_weights(S, ...)`` (``_keeps``) on all four pairs.
+    weights, ``keeps_actions(S, ...)`` on all four pairs.
     Where that declines or fails, the (x, a) are scanned in the old order
     and the witness is the first failure.
 
@@ -1155,7 +1134,7 @@ def _antipode_checks(M, rep, canon):
                         yield ((word % h.x, x, a), S.apply(s.acts[x].col(a)),
                                t.acts[x].apply(S.col(a)))
 
-    weighted = all(_keeps(S, s, t) for h in _halves(M) for s, t in _bimodule_acts(h))
+    weighted = all(keeps_actions(S, s, t) for h in _halves(M) for s, t in _bimodule_acts(h))
     wit = None if weighted else _first_failure(bimodule())
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
     solves = wit is None

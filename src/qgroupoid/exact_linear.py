@@ -862,12 +862,10 @@ class LinearMap:
         return out
 
     def compose(self, other):
-        """self o other, on the fresh columns ``apply`` builds; an empty
-        column of other stays a fresh empty one, with no ``apply``."""
+        """self o other, on the fresh columns ``apply`` builds."""
         if other.rows != self.cols:
             raise ValueError("dimension mismatch in composition")
-        return LinearMap._fresh(self.rows, other.cols,
-                                [self.apply(c) if c else {} for c in other.data])
+        return LinearMap._fresh(self.rows, other.cols, [self.apply(c) for c in other.data])
 
     def kron(self, other):
         """self (x) other: column j * other.cols + k is col_j (x) col_k of

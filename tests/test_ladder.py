@@ -1,15 +1,11 @@
 """The benchmark ladder's smoke run: ``bench/ladder.py`` on p2 writes one
-record per family and stage, each from its own child processes, with the
-fields a before/after pair is checked by; a stage keeps the median time
-and the largest peak of its runs, whose reports must agree."""
+record per family and stage, each from its own child process, with the
+fields a before/after pair is checked by."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ["verify", "integrals", "measure", "dual", "modify"]
@@ -22,7 +18,7 @@ def test_ladder_on_p2_writes_the_schema(tmp_path):
     record = json.loads(out.read_text())
     assert set(record) == {"schema", "commit", "python", "cpu_count",
                            "PYTHONDONTWRITEBYTECODE", "stages"}
-    assert record["schema"] == 2
+    assert record["schema"] == 1
     assert record["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert record["cpu_count"] == os.cpu_count()
     assert record["PYTHONDONTWRITEBYTECODE"] == os.environ.get("PYTHONDONTWRITEBYTECODE")
@@ -37,35 +33,3 @@ def test_ladder_on_p2_writes_the_schema(tmp_path):
         assert len(s["out_sha256"]) == 64 and int(s["out_sha256"], 16) >= 0
     # groupoid_rn modifies the convolution algebroid only; every other stage passes
     assert [s["exit"] for s in stages] == [0, 0, 0, 0, 1] + [0] * 5
-
-
-def _ladder_module():
-    path = os.path.join(ROOT, "bench", "ladder.py")
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _runs(monkeypatch, ladder, runs):
-    it = iter(runs)
-    monkeypatch.setattr(ladder, "run_once", lambda src, argv, workdir: dict(next(it)))
-
-
-def test_a_stage_keeps_the_median_time_and_the_largest_peak(monkeypatch):
-    ladder = _ladder_module()
-    _runs(monkeypatch, ladder, [
-        {"exit": 0, "seconds": s, "peak_rss_mb": m, "out_sha256": "ab"}
-        for s, m in ((0.3, 20.0), (0.1, 22.0), (0.2, 21.0))])
-    assert ladder.run_stage("src", ["verify"], "work") == {
-        "argv": ["verify"], "exit": 0, "seconds": 0.2, "peak_rss_mb": 22.0, "out_sha256": "ab"}
-
-
-@pytest.mark.parametrize("field, value", [("out_sha256", "cd"), ("exit", 1)])
-def test_a_stage_whose_runs_disagree_stops_the_ladder(monkeypatch, field, value):
-    ladder = _ladder_module()
-    runs = [{"exit": 0, "seconds": 0.1, "peak_rss_mb": 20.0, "out_sha256": "ab"} for _ in range(3)]
-    runs[2][field] = value
-    _runs(monkeypatch, ladder, runs)
-    with pytest.raises(RuntimeError, match="different reports"):
-        ladder.run_stage("src", ["verify"], "work")

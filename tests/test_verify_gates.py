@@ -7,9 +7,9 @@ scan of a half whose Delta-bimodule law the weights decided, and
 ``_counits_by_weights`` decides ``counits-multiplicative`` with no
 product in A.  The base-module laws are read from the bases' own
 weights: ``_hom_values`` solves no kernel, ``_rank_by_weights`` decides
-``regular-1`` with no echelon, and ``_keeps`` decides the counit and
-antipode bimodule laws.  The dual's bimodule identities are decided on
-the weights of diagonal operators.  Each gate is shown declining or
+``regular-1`` with no echelon, and ``keeps_actions`` decides the counit
+and antipode bimodule laws.  The dual's bimodule identities are decided
+on the weights of diagonal operators.  Each gate is shown declining or
 failing on a fixture whose entry is pinned as the full scan names it,
 and with every gate forced to decline the mutants of the golden corpus's
 recorder, and the corpus itself, keep their reports byte for byte.
@@ -169,12 +169,12 @@ def test_a_product_mutant_fails_regular_1_on_the_weights():
 def _counit_gate(M):
     """Whether ``_counit_checks`` decides both bimodule laws of each half
     from the weights."""
-    return [all(bialgebroid._keeps(h.eps, h.struct(e), h.own(e)) for e in "st")
+    return [all(bialgebroid.keeps_actions(h.eps, h.struct(e), h.own(e)) for e in "st")
             for h in bialgebroid._halves(M)]
 
 
 def _antipode_gate(M):
-    return all(bialgebroid._keeps(M.S, s, t)
+    return all(bialgebroid.keeps_actions(M.S, s, t)
                for h in bialgebroid._halves(M) for s, t in bialgebroid._bimodule_acts(h))
 
 
@@ -232,7 +232,7 @@ def _gates_off(monkeypatch):
     own = bialgebroid.RegularMHA._own_struct
     monkeypatch.setattr(bialgebroid.RegularMHA, "_own_struct",
                         lambda M, kind, letter: _unweighted(own(M, kind, letter)))
-    monkeypatch.setattr(bialgebroid, "_keeps", lambda op, src, dst: False)
+    monkeypatch.setattr(bialgebroid, "keeps_actions", lambda op, src, dst: False)
     monkeypatch.setattr(bialgebroid, "_rank_by_weights", lambda struct, vals: None)
     monkeypatch.setattr(bialgebroid, "_legs_descend_by_weights", lambda h: False)
     monkeypatch.setattr(bialgebroid, "canonical_maps",
