@@ -423,18 +423,54 @@ def _module_form(h, e, x, a):
     return terms
 
 
+def _module_laws(h, e):
+    """The module law of f: A -> base at every (x, a), as a group of
+    ``stack_equations``: (width, equations).
+
+    When ``h.struct(e)`` has weights, e(x) e_a = lambda_x(a) e_a, and the
+    base acting on itself, ``h.own(e)``, too, sending e_y to nu_x(y) e_y,
+    the law at (x, a) reads (lambda_x(a) - nu_x(y)) f(e_a)_y = 0 at each
+    y.  So the laws at every (x, a) have the row space of the equations
+    f(e_a)_y = 0 for each (a, y) with nu(y) != lambda(a), one row each, as
+    in ``_hom_values``.  Elsewhere each (x, a) is ``_module_form``.
+    """
+    n, dim = h.A.dim, h.base.dim
+    lam, nu = h.struct(e).weights, h.own(e).weights
+    if lam is None or nu is None:
+        return dim, (({}, _module_form(h, e, x, a)) for x in range(dim) for a in range(n))
+    return 1, (({}, [(a * dim + y, ONE, {0: ONE})])
+               for a, wa in enumerate(lam) for y, wy in enumerate(nu) if wy != wa)
+
+
+def _slice_laws_at_one(h):
+    """Whether h's slice laws at every (a, b) may be stated at a alone:
+    A is unital and associative and h's q is a coordinate quotient (see
+    ``integration._partial_integral_basis`` for the proof)."""
+    return h.A.unit() is not None and h.A.is_associative()[0] and h.q.coordinate
+
+
 def _solve_counit(h):
     """The counit of one half: both slice laws, eps(s(x) a) = x eps(a) and
-    eps(t(x) a) = eps(a) x, each in h's order."""
+    eps(t(x) a) = eps(a) x, each in h's order (``_module_laws``).
+
+    Gate of the slice laws, ``_slice_laws_at_one``: then the laws at a
+    alone, the slices of the lift of Delta(a) equal to e_a, state the same
+    system as the n^2 laws at (a, b), by the argument of
+    ``integration._partial_integral_basis``: the law at (a, b) is the
+    multiplication by e_b in h's order applied to the law at a, its
+    right-hand side e_a e_b included, and the law at a is sum_b u_b times
+    the law at (a, b), 1 = sum u_b e_b.  The solution set depends on the
+    row space alone.
+    """
     n, dim = h.A.dim, h.base.dim
-    laws = []
-    for a in range(n):
-        for b in range(n):
-            ab = h.mul({a: ONE}, {b: ONE})
-            laws += [(ab, _slice_form(h, leg, a, b)) for leg in (1, 2)]
-    modules = [({}, _module_form(h, e, x, a))
-               for x in range(dim) for a in range(n) for e in ("s", "t")]
-    system, rhs = stack_equations(((n, laws), (dim, modules)), n * dim)
+    if _slice_laws_at_one(h):
+        laws = (({a: ONE}, _slice_terms(h, leg, h.lifts.col(a)))
+                for a in range(n) for leg in (1, 2))
+    else:
+        laws = ((h.mul({a: ONE}, {b: ONE}), _slice_form(h, leg, a, b))
+                for a in range(n) for b in range(n) for leg in (1, 2))
+    system, rhs = stack_equations(
+        ((n, laws), _module_laws(h, "s"), _module_laws(h, "t")), n * dim)
     sol = system.solve(rhs)
     if sol is None or system.kernel_basis():
         raise ValueError("%s counit does not exist or is not unique" % h.side)
@@ -521,9 +557,9 @@ def derive_antipode(M):
     is what pins them to zero.
 
     It has n^2 unknowns.  ``verify_regular_mha`` solves it only where
-    ``_antipode_through_inverse`` cannot decide ``antipode-unique``, so
-    every failing entry keeps this solver's reason; the tests keep it as
-    the oracle of that shortcut.
+    ``_antipode_through_inverse`` declines: T_rho has no inverse, or A no
+    unit or no associativity.  The tests keep it as the oracle of that
+    shortcut.
     """
     n = M.A.dim
     if M.eps_B is None or M.eps_C is None:
@@ -1021,8 +1057,7 @@ def _hom_space(h, e):
     """Basis of the module maps f: A -> base with f(e(x) a) = x f(a) for
     e "s" and f(e(x) a) = f(a) x for "t", every product in h's order."""
     n, dim = h.A.dim, h.base.dim
-    laws = (({}, _module_form(h, e, x, a)) for x in range(dim) for a in range(n))
-    system, _ = stack_equations(((dim, laws),), n * dim)
+    system, _ = stack_equations((_module_laws(h, e),), n * dim)
     return [LinearMap(dim, n, unstack(w, dim, n)) for w in system.kernel_basis()]
 
 
@@ -1090,18 +1125,53 @@ def _rank_by_weights(struct, vals):
     return sum(any(ev(dict(enumerate(mu)), v) for v in vals) for mu in struct.weights)
 
 
+def _antipode_bimodule_witness(M, S):
+    """The first failure of S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a)
+    on each half, or None.
+
+    Gate: each law holds at every (x, a) iff S o s[x] = t[x] o S for every
+    x, (s, t) a pair of ``_bimodule_acts``: when both have weights,
+    ``keeps_actions(S, ...)`` on all four pairs.  Where that declines or
+    fails, the (x, a) are scanned in the old order and the witness is the
+    first failure.
+    """
+    if all(keeps_actions(S, s, t) for h in _halves(M) for s, t in _bimodule_acts(h)):
+        return None
+
+    def bimodule():
+        for h in _halves(M):
+            laws = list(zip(("S(%sa)", "S(a%s)"), _bimodule_acts(h)))
+            for x in range(h.base.dim):
+                for a in range(M.A.dim):
+                    for word, (s, t) in laws:
+                        yield ((word % h.x, x, a), S.apply(s.acts[x].col(a)),
+                               t.acts[x].apply(S.col(a)))
+    return _first_failure(bimodule())
+
+
+def _m_s(h, S, terms):
+    """S applied on leg h.t_leg of ``_antipode_terms`` and multiplied out in h's order."""
+    lhs = {}
+    for c, m, o in terms:
+        term = h.mul(S.col(m), {o: ONE})
+        if term:
+            axpy(lhs, c, term)
+    return lhs
+
+
+def _failing_heads(h, other, S, unit):
+    """The p at which m_S(lift Delta(p)) != R(p) 1, h's diagram at q = 1
+    (see the gate of ``_antipode_checks``)."""
+    R = other.struct("t", first=False)
+    return {p for p in range(h.A.dim)
+            if _m_s(h, S, _antipode_terms(h, h.lifts.col(p))) != R.act(other.eps.col(p), unit)}
+
+
 def _antipode_checks(M, rep, canon):
     """The antipode entries on M.S.  Returns whether the three that
     evaluate the equations of ``derive_antipode``'s system at M.S,
-    ``antipode-base-bimodule``, ``antipode-diagram-left`` and
-    ``antipode-diagram-right``, all passed.
-
-    Gate of ``antipode-base-bimodule``: each law, S(s(x) a) = S(a) t(x) or
-    S(a s(x)) = t(x) S(a), holds at every (x, a) iff S o s[x] = t[x] o S
-    for every x, (s, t) a pair of ``_bimodule_acts``: when both have
-    weights, ``keeps_actions(S, ...)`` on all four pairs.
-    Where that declines or fails, the (x, a) are scanned in the old order
-    and the witness is the first failure.
+    ``antipode-base-bimodule`` (``_antipode_bimodule_witness``),
+    ``antipode-diagram-left`` and ``antipode-diagram-right``, all passed.
 
     Gate of the diagrams: A is associative and unital, and
     ``antipode-base-bimodule`` passed.  Write m_S for S applied on leg
@@ -1115,49 +1185,27 @@ def _antipode_checks(M, rep, canon):
     at q = 1 times e_q in h's order:
         m_S(lift Delta(p)) e_q  and  (R(p) 1) e_q.
     So the diagram holds at every q for a p where the two values at 1
-    agree.  Where they differ, 1 = sum u_q e_q gives a failing q, and
-    the (a, b) whose p fails are scanned in the old order, so the
-    witness is the first of a full scan.
+    agree (``_failing_heads``).  Where they differ, 1 = sum u_q e_q gives
+    a failing q, and the (a, b) whose p fails are scanned in the old
+    order, so the witness is the first of a full scan.
     """
     A, n = M.A, M.A.dim
     S = M.S
     ok, wit = automorphism_check(A, S, anti=True)
     rep.check(ok, "antipode-antiautomorphism", "hopf-characterization", wit)
-
-    def bimodule():
-        """S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a) on each half."""
-        for h in _halves(M):
-            laws = list(zip(("S(%sa)", "S(a%s)"), _bimodule_acts(h)))
-            for x in range(h.base.dim):
-                for a in range(n):
-                    for word, (s, t) in laws:
-                        yield ((word % h.x, x, a), S.apply(s.acts[x].col(a)),
-                               t.acts[x].apply(S.col(a)))
-
-    weighted = all(keeps_actions(S, s, t) for h in _halves(M) for s, t in _bimodule_acts(h))
-    wit = None if weighted else _first_failure(bimodule())
+    wit = _antipode_bimodule_witness(M, S)
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
     solves = wit is None
     unit = A.unit()
     gated = solves and unit is not None and A.is_associative()[0]
 
-    def m_s(h, terms):
-        lhs = {}
-        for c, m, o in terms:
-            term = h.mul(S.col(m), {o: ONE})
-            if term:
-                axpy(lhs, c, term)
-        return lhs
-
     # the two defining diagrams, one per half
     for h, other in _mirrored(M):
         law, pairs = _antipode_law(h, other), ((a, b) for a in range(n) for b in range(n))
         if gated:
-            R = other.struct("t", first=False)
-            failing = {p for p in range(n) if m_s(h, _antipode_terms(h, h.lifts.col(p)))
-                       != R.act(other.eps.col(p), unit)}
+            failing = _failing_heads(h, other, S, unit)
             pairs = (ab for ab in pairs if h.ordered(*ab)[0] in failing) if failing else ()
-        wit = _first_failure(((A.labels[a], A.labels[b]), m_s(h, terms), rhs)
+        wit = _first_failure(((A.labels[a], A.labels[b]), _m_s(h, S, terms), rhs)
                              for a, b in pairs for terms, rhs in (law(a, b),))
         rep.check(wit is None, "antipode-diagram-" + h.side, "dg-antipode", wit)
         solves = solves and wit is None
@@ -1197,39 +1245,46 @@ def _antipode_checks(M, rep, canon):
     return solves
 
 
-def _antipode_through_inverse(M, canon):
-    """Whether S(a) = m(R (x) id) T_rho^{-1}(a (x) 1) is M.S, where
-    R = iota_B S_C eps_C: the first antipode diagram solved through the
-    inverse ``canonical_maps`` holds (S(a) b = (eps (x) id) T_1^{-1}(a (x) b)
-    for multiplier Hopf algebras, A. Van Daele, Trans. AMS 342 (1994)).
-    False, without computing anything, unless T_rho is bijective and A
-    is unital and associative.
+def _antipode_through_inverse(M, canon, passed):
+    """``antipode-unique``'s (derived, reason), read from S'(a) =
+    m(R (x) id) T_rho^{-1}(a (x) 1), R = iota_B S_C eps_C: the first
+    antipode diagram solved through the inverse ``canonical_maps`` holds
+    (S(a) b = (eps (x) id) T_1^{-1}(a (x) b) for multiplier Hopf algebras,
+    A. Van Daele, Trans. AMS 342 (1994)).  None (declined), without
+    computing anything, unless T_rho is bijective and A is unital and
+    associative.
 
-    Given that, and given that M.S passes the three ``_antipode_checks``
-    entries that evaluate the equations of ``derive_antipode``'s system,
-    the system has exactly one solution and it is M.S:
-      - Existence.  Those entries compare exactly the system's equations
-        at M.S: the diagrams read qb.lift(T_rho(a, b)) and
-        qc.lift(lambda_T(a, b)), and the bimodule laws are the same.
-      - Uniqueness.  Let K be in the kernel of the system.  By the
-        bimodule law K(s(x) a) = K(a) t(x) and associativity, m(K (x) id)
-        kills QB's relations s(x) a (x) b - a (x) t(x) b; it vanishes on
-        every lift of T_rho(a, b); T_rho is onto, so m(K (x) id) = 0 on
-        QB, and K(a) = m(K (x) id)(e_a (x) 1) = 0.
-    So the entry passes with no solve.  S' == M.S is an extra, computed
-    cross-check that cannot fail under these gates; if it does, the
-    caller solves the system after all.
+    Given that, every solution S0 of ``derive_antipode``'s system is S':
+    by its bimodule law S0(s(x) a) = S0(a) t(x) and associativity,
+    m(S0 (x) id) kills QB's relations s(x) a (x) b - a (x) t(x) b, so it
+    is a map m0 on QB, and S0(a) = m0(a (x) 1).  Its diagram at every
+    (a, b) reads m0(T_rho(a, b)) = R(a) b, so with v the lift of
+    T_rho^{-1}(a (x) 1), S0(a) = m0(T_rho(v)) = m(R (x) id)(v) = S'(a).
+    With R = 0 the same argument makes the system's kernel 0.  So the
+    system has a solution iff S' is one, and then no other:
+      - Where M.S passed the three ``_antipode_checks`` entries that
+        evaluate the system's equations (``passed``), M.S is the solution,
+        and S' == M.S is a cross-check that cannot fail under these gates;
+        if it does, None, and the caller solves the system after all.
+      - Elsewhere S' is checked against the system's own equations, the
+        bimodule laws (``_antipode_bimodule_witness``) and then both
+        diagrams per p (``_failing_heads``, under the gate of
+        ``_antipode_checks``): (S', None) if it passes, else (None,
+        "antipode system is inconsistent"), as the solve would report.
     """
     A, n, inv = M.A, M.A.dim, canon["T_rho"]["inverse"]
     unit = A.unit()
     if inv is None or unit is None or not A.is_associative()[0]:
-        return False
+        return None
     dom, R, m = canon["T_rho"]["domain"], M.emb_SC().compose(M.eps_C), A.mul_map()
-    for a in range(n):
-        lifted = dom.lift(inv.apply(M.qb.pure({a: ONE}, unit)))
-        if m.apply(apply_legs(R, None, lifted, n)) != M.S.col(a):
-            return False
-    return True
+    derived = LinearMap.from_function(n, n, lambda a: m.apply(
+        apply_legs(R, None, dom.lift(inv.apply(M.qb.pure({a: ONE}, unit))), n)))
+    if passed:
+        return (M.S, None) if derived == M.S else None
+    if _antipode_bimodule_witness(M, derived) is None and not any(
+            _failing_heads(h, other, derived, unit) for h, other in _mirrored(M)):
+        return derived, None
+    return None, "antipode system is inconsistent"
 
 
 def _counits_by_weights(M):
@@ -1345,10 +1400,8 @@ def verify_regular_mha(M):
         rep.check(False, "canonical-maps-welldefined", "galois-maps", str(e))
         return rep
     _regularity_subspaces(M, rep)
-    if _antipode_checks(M, rep, canon) and _antipode_through_inverse(M, canon):
-        derived, err = M.S, None
-    else:
-        derived, err = derive_antipode(M)
+    passed = _antipode_checks(M, rep, canon)
+    derived, err = _antipode_through_inverse(M, canon, passed) or derive_antipode(M)
     rep.check(
         derived is not None and derived == M.S,
         "antipode-unique",

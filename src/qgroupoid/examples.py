@@ -77,14 +77,15 @@ class FiniteGroupoid:
                     ab = c[(a, b)]
                     if t[ab] != t[a] or s[ab] != s[b]:
                         raise ValueError("composite %r has wrong ends" % (ab,))
+        # with composability checked, (a, b) composes iff t(b) = s(a)
+        ending = {}
         for a in self.arrows:
-            for b in self.arrows:
-                if (a, b) not in c:
-                    continue
-                for d in self.arrows:
-                    if (b, d) not in c:
-                        continue
-                    if c[(c[(a, b)], d)] != c[(a, c[(b, d)])]:
+            ending.setdefault(t[a], []).append(a)
+        for a in self.arrows:
+            for b in ending[s[a]]:
+                ab = c[(a, b)]
+                for d in ending[s[b]]:
+                    if c[(ab, d)] != c[(a, c[(b, d)])]:
                         raise ValueError("composition is not associative")
         for a in self.arrows:
             if c[(t[a], a)] != a or c[(a, s[a])] != a:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced_tensor import NotBalanced
+from .balanced_tensor import NotBalanced, keeps_actions
 from .bialgebroid import (
     RegularMHA,
     _first_failure,
     _Half,
     _halves,
-    _module_form,
+    _module_laws,
     _slice_form,
+    _slice_laws_at_one,
     _slice_terms,
 )
 from .exact_linear import (
@@ -177,16 +178,21 @@ def _module_witness(M, mapping, side, h):
     mapping(a) x for C's; x runs over the target base, embedded by its s.
     None if there is none.
 
-    For each x the law is first compared as a whole map: mapping after
-    the action of s(x) on A against the action of x on the base after
-    mapping, both in h's order.  The a in A are scanned, in order, only
-    for an x at which the maps differ, so the witness is the first of a
-    full scan."""
+    The law holds at every (x, a) iff mapping o acts[x] = own[x] o mapping
+    for every x, acts the action of s(x) on A and own that of x on the
+    base, both in h's order: when both have weights,
+    ``keeps_actions(mapping, acts, own)``.  Where that declines or fails,
+    each x is compared as a whole map, and the a in A are scanned, in
+    order, only for an x at which the maps differ, so the witness is the
+    first of a full scan."""
     n, target = M.A.dim, _target(M, side)
     base = target.base
     # s(x) a in h's order is target's own order or its reverse
-    acts = target.struct("s", h.letter == target.letter).acts
-    mul = base.lmul if h.letter == "B" else base.rmul
+    kind = "l" if h.letter == "B" else "r"
+    struct = target.struct("s", h.letter == target.letter)
+    if keeps_actions(mapping, struct, M._own_struct(kind, target.letter)):
+        return None
+    acts, mul = struct.acts, base.lmul if kind == "l" else base.rmul
     for x in range(base.dim):
         if mapping.compose(acts[x]) == mul(x).compose(mapping):
             continue
@@ -340,12 +346,13 @@ def _partial_integral_basis(M, side):
     That condition, through the target half h (C for left, B for right),
     is linear in the integral: the module law of h's s, and the law at
     (d, e), the slice on h's t leg of Delta(d) times e_e equal to
-    s(mapping(d)) e_e in h's order.
+    s(mapping(d)) e_e in h's order.  The module law is ``_module_laws``,
+    whose two forms have one row space.
 
-    Gate: A is unital, 1 = sum u_e e_e, and associative, and h's q is a
-    coordinate quotient.  Then the n laws at d alone, the slice of the
-    lift of Delta(d) equal to s(mapping(d)), state the same system as
-    the n^2 laws at (d, e):
+    Gate, ``_slice_laws_at_one``: A is unital, 1 = sum u_e e_e, and
+    associative, and h's q is a coordinate quotient.  Then the n laws at
+    d alone, the slice of the lift of Delta(d) equal to s(mapping(d)),
+    state the same system as the n^2 laws at (d, e):
       - The multiplication by e_e that Delta absorbs keeps the weights
         (see ``_coassociativity``), so the lift of Delta(d) times e_e is
         the lift of Delta(d), multiplied by e_e on the leg the slice does
@@ -365,8 +372,7 @@ def _partial_integral_basis(M, side):
     n, h = M.A.dim, _target(M, side)
     dim_b = h.base.dim
     # generators: each equation's terms are stacked as soon as they are built
-    modules = (({}, _module_form(h, "s", x, a)) for x in range(dim_b) for a in range(n))
-    if M.A.unit() is not None and M.A.is_associative()[0] and h.q.coordinate:
+    if _slice_laws_at_one(h):
         laws = (
             ({}, _slice_terms(h, h.t_leg, h.lifts.col(d))
              + [(d * dim_b + x, -ONE, h.s.col(x)) for x in range(dim_b)])
@@ -380,7 +386,7 @@ def _partial_integral_basis(M, side):
             for d in range(n)
             for e in range(n)
         )
-    system, _ = stack_equations(((dim_b, modules), (n, laws)), n * dim_b)
+    system, _ = stack_equations((_module_laws(h, "s"), (n, laws)), n * dim_b)
     return [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
 
 

@@ -236,10 +236,23 @@ def test_report_entries_carry_labels(m_fun):
         assert expected in labels
 
 
+class _Unweighted(algebra_core.ModuleStructure):
+    weights = None
+
+
+def _module_laws_by_form(monkeypatch, M):
+    """M's bases acting on themselves without weights, so that every
+    ``_module_laws`` states each (x, a) by ``_module_form``."""
+    own = M._own_struct
+    monkeypatch.setattr(M, "_own_struct", lambda kind, letter: _Unweighted(
+        *(getattr(own(kind, letter), k) for k in ("base", "total", "acts", "side"))))
+
+
 def test_counit_system_keeps_law_and_module_rows_apart(m_fun, monkeypatch):
     # functions of p2: the counit's law equations span n = 4 rows and its
-    # module equations dim_b = 2, and a Hom space's one group spans dim_b;
-    # each equation must keep rows of its own in the stacked system
+    # module equations one row each on the weights (s, then t), dim_b = 2
+    # by ``_module_form``, and a Hom space's one group likewise; each
+    # equation must keep rows of its own in the stacked system
     stacked = []
 
     def spy(groups, unknowns):
@@ -248,12 +261,19 @@ def test_counit_system_keeps_law_and_module_rows_apart(m_fun, monkeypatch):
         return stack_equations(groups, unknowns)
 
     monkeypatch.setattr(bialgebroid, "stack_equations", spy)
-    derive_counits(m_fun)
-    _hom_space(_Half(m_fun, "B"), "s")
-    counit, hom = stacked[0], stacked[-1]  # the left counit, then the Hom space
-    assert [width for width, _ in counit[0]] == [4, 2] and counit[1] == 8
-    assert [width for width, _ in hom[0]] == [2] and hom[1] == 8
-    for groups, unknowns in (counit, hom):
+    systems = []
+    for width in (1, 2):
+        with monkeypatch.context() as patch:
+            if width == 2:
+                _module_laws_by_form(patch, m_fun)
+            stacked.clear()
+            derive_counits(m_fun)
+            _hom_space(_Half(m_fun, "B"), "s")
+        counit, hom = stacked[0], stacked[-1]  # the left counit, then the Hom space
+        assert [w for w, _ in counit[0]] == [4, width, width] and counit[1] == 8
+        assert [w for w, _ in hom[0]] == [width] and hom[1] == 8
+        systems += [counit, hom]
+    for groups, unknowns in systems:
         assert all(equations for _, equations in groups)
         stride = max(width for width, _ in groups)
         system, rhs = stack_equations(groups, unknowns)
@@ -712,7 +732,7 @@ def _solves(monkeypatch):
 ])
 def test_antipode_uniqueness_through_the_inverse_reports_what_the_solve_does(
         request, monkeypatch, bundles, witnesses):
-    # oracle: the same suite with the shortcut declining, so that every
+    # oracle: the same suite with T_rho's inverse withheld, so that every
     # antipode-unique entry comes from derive_antipode's n^2-unknown system
     if bundles == "fixtures":
         names = ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided",
@@ -725,7 +745,7 @@ def test_antipode_uniqueness_through_the_inverse_reports_what_the_solve_does(
     for M in bundles:
         rep = verify_regular_mha(M)
         with monkeypatch.context() as declined:
-            declined.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon: False)
+            _without_t_rho_inverse(declined, M)
             assert verify_regular_mha(M).to_json_lines() == rep.to_json_lines(), M.name
         seen.add(_failure(rep, "antipode-unique"))
     assert seen == witnesses
@@ -741,7 +761,7 @@ def test_a_passing_bundle_solves_no_antipode_system(monkeypatch, m_group, m_tens
     # the spies do see the solve where the shortcut declines
     M = build_function_algebroid(pair_groupoid([1, 2]))
     unknowns.clear()
-    monkeypatch.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon: False)
+    _without_t_rho_inverse(monkeypatch, M)
     assert verify_regular_mha(M).ok
     assert solved == [M] and unknowns.count(M.A.dim ** 2) == 1
 
@@ -770,8 +790,49 @@ def test_antipode_uniqueness_off_the_gates_solves_the_system(monkeypatch, gate):
     M = build_convolution_algebroid(pair_groupoid([1, 2, 3]))
     gate(monkeypatch, M)
     with monkeypatch.context() as declined:
-        declined.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon: False)
+        _without_t_rho_inverse(declined, M)
         expected = verify_regular_mha(M).to_json_lines()
     solved, _ = _solves(monkeypatch)
     assert verify_regular_mha(M).to_json_lines() == expected
     assert solved == [M]
+
+
+def _scaled_col(f, k, c):
+    cols = [dict(f.col(j)) for j in range(f.cols)]
+    cols[k] = {i: c * s for i, s in cols[k].items()}
+    return LinearMap(f.rows, f.cols, cols)
+
+
+def _p3_mutants():
+    """Functions on p3 with one antipode column, or one left-counit column
+    at a unit arrow, scaled by 2, every such column in turn."""
+    g = pair_groupoid([1, 2, 3])
+    M = build_function_algebroid(g)
+    raw = LinearMap.from_function(M.A.dim ** 2, M.A.dim, lambda j: M.qb.lift(M.delta_B.col(j)))
+
+    def mutant(S, eps_B):
+        return RegularMHA(M.A, M.B, M.C, M.S_B, M.S_C, raw, raw, eps_B=eps_B, eps_C=M.eps_C,
+                          S=S, name="mutant")
+    return ([mutant(_scaled_col(M.S, k, 2), M.eps_B) for k in range(M.A.dim)]
+            + [mutant(M.S, _scaled_col(M.eps_B, g.index[u], 2)) for u in g.units])
+
+
+def test_failing_bundles_with_an_inverse_galois_map_solve_no_antipode_system(monkeypatch):
+    # the p3 mutants and every sweep or single-term mutant whose T_rho is
+    # bijective, over a unital associative A: antipode-unique is read
+    # through T_rho^-1, and every report is the one the solve gives
+    bundles = ([M for _, M in golden_record.sweep_bundles()]
+               + golden_record.single_term_mutants())
+    gated = _p3_mutants() + [
+        M for M in bundles if M.A.unit() is not None and M.A.is_associative()[0]
+        and canonical_maps(M)[0]["T_rho"]["inverse"] is not None]
+    expected = []
+    for M in gated:
+        with monkeypatch.context() as declined:
+            _without_t_rho_inverse(declined, M)
+            expected.append(verify_regular_mha(M).to_json_lines())
+    solved, _ = _solves(monkeypatch)
+    assert [verify_regular_mha(M).to_json_lines() for M in gated] == expected
+    assert solved == []
+    witnesses = {_failure(rep, "antipode-unique") for rep in map(verify_regular_mha, gated)}
+    assert witnesses == {None, "antipode system is inconsistent", "derived antipode differs"}

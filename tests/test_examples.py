@@ -399,3 +399,14 @@ def test_quasi_invariance_collapse_on_tensor(m_tensor, weight_14):
         total = functional_of_map(weight_14.mu_C, phi.mapping)
         fact, _ = factorize(m_tensor, weight_14, total)
         assert fact is not None
+
+
+def test_groupoid_validation_rejects_a_non_associative_loop():
+    # one unit e, and a a = a, b b = b, a b = b a = e: a unit, inverses and
+    # the right ends everywhere, but (a a) b = e and a (a b) = a
+    arrows = ["e", "a", "b"]
+    table = {("a", "a"): "a", ("b", "b"): "b", ("a", "b"): "e", ("b", "a"): "e"}
+    compose = {(x, y): table.get((x, y), y if x == "e" else x) for x in arrows for y in arrows}
+    with pytest.raises(ValueError, match="composition is not associative"):
+        FiniteGroupoid(arrows, ["e"], {x: "e" for x in arrows}, {x: "e" for x in arrows},
+                       compose, {"e": "e", "a": "b", "b": "a"})

@@ -519,3 +519,26 @@ def test_assemble_measured_rejects_a_map_that_is_not_a_partial_integral(
     assert [e["axiom"] for e in lines if not e["axiom"].startswith(which)] == (
         [] if which == "phi_C" else ["phi_C:invariance-(%s)" % t for t in "abc"]
         + ["phi_C:characterizations-agree"])
+
+
+# -- the module laws read from the base weights ----------------------------------
+
+
+def test_the_module_witness_is_the_first_of_a_full_scan(request):
+    # every solution of both sides, and each with 1 added at its first
+    # position, against the scan of every (x, a), through both halves; the
+    # M2 base has no weights, the others do
+    names = ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided", "m_conv_mod"]
+    bundles = [request.getfixturevalue(name) for name in names]
+    witnesses = set()
+    for M in bundles + [golden_record.matrix_tensor_algebroid()]:
+        for side in ("left", "right"):
+            for f in integration._partial_integral_basis(M, side):
+                cols = [dict(f.col(j)) for j in range(f.cols)]
+                axpy(cols[0], ONE, {0: ONE})
+                for mapping in (f, LinearMap(f.rows, f.cols, cols)):
+                    for h in integration._halves(M):
+                        wit = integration._module_witness(M, mapping, side, h)
+                        assert wit == _scanned_module_witness(M, mapping, side, h), M.name
+                        witnesses.add(wit is None)
+    assert witnesses == {True, False}

@@ -21,15 +21,22 @@ import os
 
 import pytest
 
-from qgroupoid import bialgebroid, structure_theory
+from qgroupoid import bialgebroid, integration, structure_theory
 from qgroupoid.algebra_core import ModuleStructure
 from qgroupoid.balanced_tensor import BalancedTensor
 from qgroupoid.bialgebroid import _bimodule_by_weights, verify_regular_mha
+from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.examples import (
+    HopfAction,
     build_convolution_algebroid,
     build_function_algebroid,
+    build_tensor_algebroid,
+    build_two_sided,
+    function_algebra_z2,
     pair_groupoid,
+    swap_action,
 )
+from qgroupoid.exact_linear import LinearMap
 
 HERE = os.path.dirname(__file__)
 
@@ -227,12 +234,17 @@ def _unweighted(struct):
 def _gates_off(monkeypatch):
     """Every gate of this file declined: the leg and counit gates, the
     welldefined gate by no weighted half, the base-module gates by bases
-    without weights, and the dual's weights."""
+    without weights (so each ``_module_laws`` states ``_module_form``),
+    the slice laws at a alone, antipode-unique through T_rho^-1, and the
+    dual's weights."""
     canonical_maps = bialgebroid.canonical_maps
     own = bialgebroid.RegularMHA._own_struct
     monkeypatch.setattr(bialgebroid.RegularMHA, "_own_struct",
                         lambda M, kind, letter: _unweighted(own(M, kind, letter)))
-    monkeypatch.setattr(bialgebroid, "keeps_actions", lambda op, src, dst: False)
+    for module in (bialgebroid, integration):
+        monkeypatch.setattr(module, "keeps_actions", lambda op, src, dst: False)
+        monkeypatch.setattr(module, "_slice_laws_at_one", lambda h: False)
+    monkeypatch.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon, passed: None)
     monkeypatch.setattr(bialgebroid, "_rank_by_weights", lambda struct, vals: None)
     monkeypatch.setattr(bialgebroid, "_legs_descend_by_weights", lambda h: False)
     monkeypatch.setattr(bialgebroid, "canonical_maps",
@@ -266,3 +278,64 @@ def test_every_golden_case_reports_the_same_with_the_gates_declined(monkeypatch,
         with open(os.path.join(HERE, "golden", name + ".jsonl")) as fh:
             assert "".join(text for _, text in steps) == fh.read(), name
         assert [code for code, _ in steps] == exits[name], name
+
+
+def test_the_counit_solves_state_2n_slice_laws_per_half_on_a_coordinate_quotient(
+        monkeypatch, hopf_z2):
+    # the tensor and two-sided builds derive their counits from 2n slice
+    # laws per half, the M2 tensor algebroid, whose quotients are not
+    # coordinate ones, from 2n^2; with the gates declined each half states
+    # 2n^2 laws and ``_module_form`` rows, and solves to the same counits
+    laws, stacked = [], bialgebroid.stack_equations
+
+    def spy(groups, unknowns):
+        groups = [(width, list(equations)) for width, equations in groups]
+        laws.append(len(groups[0][1]))
+        return stacked(groups, unknowns)
+
+    monkeypatch.setattr(bialgebroid, "stack_equations", spy)
+    ident = LinearMap.identity(2)
+    pointwise = [FiniteAlgebra.pointwise([k + "1", k + "2"], involution=ident) for k in "uv"]
+    right = HopfAction(hopf_z2, function_algebra_z2(),
+                       [ident, LinearMap.from_rows([[0, 1], [1, 0]])], side="right")
+    c = function_algebra_z2()
+    builds = [
+        lambda: build_tensor_algebroid(*pointwise, ident, ident),
+        lambda: build_two_sided(c, hopf_z2, right.total, swap_action(hopf_z2, c), right,
+                                ident, ident),
+        golden_record.matrix_tensor_algebroid,
+    ]
+    for k, build in enumerate(builds):
+        laws.clear()
+        M = build()
+        n = M.A.dim
+        assert laws == ([2 * n, 2 * n] if k < 2 else [2 * n * n, 2 * n * n]), M.name
+        with monkeypatch.context() as declined:
+            _gates_off(declined)
+            laws.clear()
+            assert bialgebroid.derive_counits(M) == (M.eps_B, M.eps_C), M.name
+            assert laws == [2 * n * n, 2 * n * n], M.name
+
+
+def test_the_weighted_module_laws_give_the_partial_integral_basis_of_the_forced_decline(
+        request, monkeypatch):
+    # the same basis maps in the same order, with the module laws stated by
+    # ``_module_form`` on the bases acting on themselves without weights;
+    # on the M2 base the gate declines by itself
+    forms, real = [], bialgebroid._module_form
+    monkeypatch.setattr(bialgebroid, "_module_form",
+                        lambda *args: forms.append(args) or real(*args))
+    m2 = golden_record.matrix_tensor_algebroid()
+    names = ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided", "m_conv_mod"]
+    for M in [request.getfixturevalue(name) for name in names] + [m2]:
+        for side in ("left", "right"):
+            forms.clear()
+            got = integration._partial_integral_basis(M, side)
+            assert bool(forms) == (M is m2), (M.name, side)
+            with monkeypatch.context() as declined:
+                own = M._own_struct
+                declined.setattr(M, "_own_struct",
+                                 lambda kind, letter: _unweighted(own(kind, letter)))
+                forms.clear()
+                assert integration._partial_integral_basis(M, side) == got, (M.name, side)
+                assert forms, (M.name, side)
