@@ -117,7 +117,7 @@ class FiniteAlgebra:
         if isinstance(u, int):
             if u not in self._lmul:
                 self._lmul[u] = LinearMap.from_function(
-                    self.dim, self.dim, lambda j: dict(self.table[u][j])
+                    self.dim, self.dim, lambda j: self.table[u][j]
                 )
             return self._lmul[u]
         return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul(u, {j: ONE}))
@@ -127,7 +127,7 @@ class FiniteAlgebra:
         if isinstance(u, int):
             if u not in self._rmul:
                 self._rmul[u] = LinearMap.from_function(
-                    self.dim, self.dim, lambda j: dict(self.table[j][u])
+                    self.dim, self.dim, lambda j: self.table[j][u]
                 )
             return self._rmul[u]
         return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul({j: ONE}, u))

@@ -20,8 +20,10 @@ never ``/``: on two ints ``/`` is float division.  ``conj``,
 ``inverse``, ``sign``, ``is_positive`` and ``as_fraction`` take a scalar
 of any form.  The arithmetic skips work whose result it knows: a product
 by 1 returns the ``Scalar`` itself, a zero imaginary part is never
-multiplied, and ``axpy`` stores the scaled entry in an empty slot
-without adding it to 0.
+multiplied, ``axpy`` multiplies by no coefficient of 1 or -1 and stores
+the scaled entry in an empty slot without adding it to 0, and
+``LinearMap.apply`` copies or scales one column for a vector of one
+entry, e_j mapped to a basis vector or to 0 being the common case.
 
 Vectors are sparse dicts index -> scalar, matrices are column-sparse
 LinearMaps; a quotient space keeps a relation echelon, or only its free
@@ -379,7 +381,10 @@ def inverse(x):
         return x.inverse()
     if not x:
         raise ZeroDivisionError("scalar division by zero")
-    return _q(Fraction(1) / x)
+    if type(x) is int:
+        return x if x == 1 or x == -1 else Fraction(1, x)
+    n, d = x.numerator, x.denominator
+    return d if n == 1 else -d if n == -1 else Fraction(d, n)
 
 
 def sign(x):
@@ -515,36 +520,58 @@ def axpy(acc, c, v, shift=0):
     """acc += c*v in place, with v's indices offset by shift; returns acc.
 
     Entries that cancel are dropped, and an integral Fraction is stored
-    as its int.  A coefficient of 1 or -1 adds or subtracts v's entries
-    without multiplying them; a Scalar coefficient is stored itself where
-    v's entry is 1.  An empty slot of acc takes the scaled entry directly,
-    with no addition.  v must not be acc.
+    as its int.  Each kind of coefficient has its own loop: 1 and -1 add
+    or subtract v's entries without multiplying them, a Scalar is stored
+    itself where v's entry is 1, and any other rational multiplies each
+    entry.  An empty slot of acc takes the scaled entry directly, with no
+    addition.  v must not be acc.
     """
     if not v or not c:
         return acc
-    neg = False
+    get, pop = acc.get, acc.pop
     if type(c) is Scalar:
-        terms = ((j, c if s == 1 else s * c) for j, s in v.items())
-    elif c == 1:
-        terms = v.items()
-    elif c == -1:
-        terms, neg = v.items(), True
-    else:
-        terms = ((j, c * s) for j, s in v.items())
-    get = acc.get
-    for j, s in terms:
+        for j, s in v.items():
+            j += shift
+            s = c if s == 1 else s * c
+            t = get(j)
+            if t is not None:
+                s = t + s
+            if not s:
+                pop(j, None)
+            else:
+                acc[j] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        return acc
+    if c == 1:
+        for j, s in v.items():
+            j += shift
+            t = get(j)
+            if t is not None:
+                s = t + s
+            if not s:
+                pop(j, None)
+            else:
+                acc[j] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        return acc
+    if c == -1:
+        for j, s in v.items():
+            j += shift
+            t = get(j)
+            s = -s if t is None else t - s
+            if not s:
+                pop(j, None)
+            else:
+                acc[j] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        return acc
+    for j, s in v.items():
         j += shift
+        s = c * s
         t = get(j)
-        if t is None:
-            t = -s if neg else s
+        if t is not None:
+            s = t + s
+        if not s:
+            pop(j, None)
         else:
-            t = t - s if neg else t + s
-        if not t:
-            acc.pop(j, None)
-        elif type(t) is Fraction and t.denominator == 1:
-            acc[j] = t.numerator
-        else:
-            acc[j] = t
+            acc[j] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
     return acc
 
 
@@ -787,11 +814,14 @@ class LinearMap:
     __slots__ = ("rows", "cols", "data", "_solver", "_inverse")
 
     def __init__(self, rows, cols, data):
+        """Each column is copied into a dict of the map's own, without
+        its zero entries: a column with no zero is copied whole."""
         self.rows = rows
         self.cols = cols
-        self.data = tuple(
-            {i: s for i, s in col.items() if s} for col in data
-        )
+        self.data = tuple([
+            dict(col) if all(col.values()) else {i: s for i, s in col.items() if s}
+            for col in data
+        ])
         self._solver = self._inverse = None
 
     # -- constructors --------------------------------------------------
@@ -841,6 +871,14 @@ class LinearMap:
         return self.data[j]
 
     def apply(self, v):
+        """self(v) as a fresh dict: {} for an empty v, a copy of column j,
+        or that column scaled, for v = c e_j, and otherwise the sum of the
+        scaled columns, accumulated in v's order."""
+        if not v:
+            return {}
+        if len(v) == 1:
+            [(j, c)] = v.items()
+            return dict(self.data[j]) if c == 1 else vscale(c, self.data[j])
         w = {}
         for j, c in v.items():
             col = self.data[j]
@@ -905,7 +943,7 @@ class LinearMap:
         )
 
     def is_zero(self):
-        return all(not c for c in self.data)
+        return not any(self.data)
 
     def transpose(self):
         cols = [dict() for _ in range(self.rows)]

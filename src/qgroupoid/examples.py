@@ -68,19 +68,21 @@ class FiniteGroupoid:
         for a in self.arrows:
             if s[a] not in self.unit_index or t[a] not in self.unit_index:
                 raise ValueError("arrow %r has source or target outside units" % (a,))
-        for a in self.arrows:
-            for b in self.arrows:
-                defined = (a, b) in c
-                if defined != (s[a] == t[b]):
-                    raise ValueError("composability of %r, %r mismatched" % (a, b))
-                if defined:
-                    ab = c[(a, b)]
-                    if t[ab] != t[a] or s[ab] != s[b]:
-                        raise ValueError("composite %r has wrong ends" % (ab,))
-        # with composability checked, (a, b) composes iff t(b) = s(a)
         ending = {}
         for a in self.arrows:
             ending.setdefault(t[a], []).append(a)
+        if not self._composes_exactly(ending):
+            # name the first pair that fails, scanning every pair in order
+            for a in self.arrows:
+                for b in self.arrows:
+                    defined = (a, b) in c
+                    if defined != (s[a] == t[b]):
+                        raise ValueError("composability of %r, %r mismatched" % (a, b))
+                    if defined:
+                        ab = c[(a, b)]
+                        if t[ab] != t[a] or s[ab] != s[b]:
+                            raise ValueError("composite %r has wrong ends" % (ab,))
+        # with composability checked, (a, b) composes iff t(b) = s(a)
         for a in self.arrows:
             for b in ending[s[a]]:
                 ab = c[(a, b)]
@@ -93,6 +95,22 @@ class FiniteGroupoid:
             ai = inv[a]
             if c[(a, ai)] != t[a] or c[(ai, a)] != s[a]:
                 raise ValueError("inverse fails at %r" % (a,))
+
+    def _composes_exactly(self, ending):
+        """True iff ``compose`` holds exactly the pairs (a, b) with b in
+        ``ending[s(a)]``, the arrows whose target is s(a), each with a
+        composite from s(b) to t(a): it holds every such pair and no more
+        keys than there are such pairs."""
+        s, t, c = self.source, self.target, self.compose
+        count = 0
+        for a in self.arrows:
+            ta, composable = t[a], ending.get(s[a], ())
+            for b in composable:
+                ab = c.get((a, b))
+                if t.get(ab) != ta or s.get(ab) != s[b]:
+                    return False
+            count += len(composable)
+        return count == len(c)
 
     @property
     def n_arrows(self):

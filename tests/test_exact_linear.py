@@ -651,3 +651,134 @@ def test_kron_is_the_tensor_product_in_kron_vec_layout(drawn):
     assert LinearMap.flip(q, p).compose(LinearMap.flip(p, q)) == LinearMap.identity(p * q)
     # and is natural: tau (f (x) g) = (g (x) f) tau
     assert LinearMap.flip(f.rows, g.rows).compose(fg) == g.kron(f).compose(LinearMap.flip(p, q))
+
+
+# -- the sparse kernels against a dense reference --
+
+
+# every kind of coefficient the kernels tell apart: 1, -1, another int, a
+# Fraction, a Gaussian rational and sums with the roots of 2, 3 and 6
+_kind = st.sampled_from([
+    1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Scalar.rational(0, 1),
+    Scalar.rational(1, -1), Scalar.root_term(2), 1 + Scalar.root_term(2),
+    Scalar.root_term(3, Fraction(1, 2)), Scalar.root_term(6),
+])
+
+
+def _canonical(s):
+    """s is a non-zero scalar in its one form: an int, a Fraction with
+    denominator > 1, or a Scalar that is not a real rational."""
+    if type(s) is Scalar:
+        t = s.terms
+        return bool(t) and not (len(t) == 1 and t[0][0] == 1 and not t[0][2])
+    return (type(s) is int and s != 0) or (type(s) is Fraction and s.denominator > 1)
+
+
+def _dense(v, n):
+    return [_to_sympy(v.get(j, 0)) for j in range(n)]
+
+
+def _matches_dense(w, dense):
+    """w holds exactly the non-zero entries of dense, each canonical."""
+    assert all(_canonical(s) for s in w.values()), w
+    assert all(j < len(dense) for j in w)
+    return all(sympy.expand(_to_sympy(w.get(j, 0)) - x) == 0 for j, x in enumerate(dense))
+
+
+@st.composite
+def _axpy_cases(draw):
+    """acc, c, v and shift, with some of v's entries cancelling acc's."""
+    n = 5
+    acc = draw(st.dictionaries(st.integers(0, n + 2), _kind, max_size=n))
+    c = draw(st.one_of(_kind, st.just(0)))
+    v = draw(st.dictionaries(st.integers(0, n - 1), _kind, max_size=n))
+    shift = draw(st.integers(0, 3))
+    if c:
+        for j in draw(st.lists(st.sampled_from(sorted(v)), max_size=3)) if v else ():
+            if j + shift in acc:
+                v[j] = -sc(acc[j + shift] * inverse(c))
+    return acc, c, v, shift
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_axpy_cases())
+def test_axpy_matches_a_dense_reference(drawn):
+    acc, c, v, shift = drawn
+    n = max(list(acc) + [j + shift for j in v] + [0]) + 1
+    dense = [a + _to_sympy(c) * b for a, b in zip(_dense(acc, n), [0] * shift + _dense(v, n - shift))]
+    before, v_before = list(acc.items()), dict(v)
+    out = axpy(acc, c, v, shift)
+    assert out is acc and v == v_before
+    assert _matches_dense(out, dense)
+    # the old keys keep their places, the new ones follow in v's order
+    old = [j for j, _ in before if j in out]
+    assert list(out) == old + [j + shift for j in v if j + shift in out and j + shift not in old]
+
+
+def _column(rows, entry):
+    return st.dictionaries(st.integers(0, rows - 1), entry, max_size=3)
+
+
+@st.composite
+def _maps_with_zeros(draw):
+    """A map built from columns that may hold zeros, and vectors of its
+    domain: empty, one entry of every kind, and general."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    data = draw(st.lists(_column(rows, st.one_of(_kind, st.sampled_from([0, Fraction(0)]))),
+                         min_size=cols, max_size=cols))
+    one = {draw(st.integers(0, cols - 1)): draw(_kind)}
+    general = draw(st.dictionaries(st.integers(0, cols - 1), _kind, max_size=cols))
+    inner = draw(st.integers(1, 3))
+    g = LinearMap(cols, inner, draw(st.lists(_column(cols, _kind), min_size=inner, max_size=inner)))
+    return rows, cols, data, [{}, one, {one.popitem()[0]: 1}, general], g
+
+
+def _dense_map(f):
+    return sympy.Matrix(f.rows, f.cols, lambda i, j: _to_sympy(f.col(j).get(i, 0)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_maps_with_zeros())
+def test_linear_map_kernels_match_a_dense_reference(drawn):
+    rows, cols, data, vectors, g = drawn
+    given_data = [dict(col) for col in data]
+    f = LinearMap(rows, cols, data)
+    # each stored column is the map's own dict, without the zeros
+    assert all(type(col) is dict and col is not mine for col, mine in zip(f.data, data))
+    assert [list(col.items()) for col in f.data] == [
+        [(i, s) for i, s in col.items() if s] for col in given_data]
+    for col in data:
+        col[0] = sc(7)
+    assert [dict(col) for col in f.data] == [
+        {i: s for i, s in col.items() if s} for col in given_data]
+    dense = _dense_map(f)
+    assert f.is_zero() == dense.is_zero_matrix
+    stored = [list(col.items()) for col in f.data]
+    for v in vectors:
+        w = f.apply(v)
+        assert _matches_dense(w, list(dense * sympy.Matrix(_dense(v, cols))))
+        # the same entries in the same order as accumulating column by column
+        acc = {}
+        for j, c in v.items():
+            axpy(acc, c, f.col(j))
+        assert list(w.items()) == list(acc.items())
+        # a fresh dict: writing into it leaves the map as it was
+        for k in w:
+            w[k] = sc(7)
+        w[rows] = sc(1)
+        assert [list(col.items()) for col in f.data] == stored
+    fg = f.compose(g)
+    assert all(_matches_dense(col, list((dense * _dense_map(g))[:, j]))
+               for j, col in enumerate(fg.data))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.one_of(_kind, st.integers(-9, 9).filter(bool), _rational.filter(bool)))
+def test_inverse_matches_a_dense_reference(x):
+    y = inverse(x)
+    assert _canonical(y) and sympy.expand(_to_sympy(y) * _to_sympy(x)) == 1
+    if type(x) is not Scalar:
+        y_ref = Fraction(1) / x
+        assert y == y_ref and type(y) is (int if y_ref.denominator == 1 else Fraction)
+    if type(x) is int and x in (1, -1):
+        assert y is x

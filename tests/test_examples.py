@@ -410,3 +410,42 @@ def test_groupoid_validation_rejects_a_non_associative_loop():
     with pytest.raises(ValueError, match="composition is not associative"):
         FiniteGroupoid(arrows, ["e"], {x: "e" for x in arrows}, {x: "e" for x in arrows},
                        compose, {"e": "e", "a": "b", "b": "a"})
+
+
+def _pair_groupoid_parts(points):
+    g = pair_groupoid(points)
+    return dict(arrows=g.arrows, units=g.units, source=g.source, target=g.target,
+                compose=dict(g.compose), inverse=g.inverse)
+
+
+def test_groupoid_composes_exactly_the_pairs_ending_at_each_source():
+    g = pair_groupoid([1, 2, 3])
+    ending = {u: [a for a in g.arrows if g.target[a] == u] for u in g.units}
+    assert len(g.compose) == sum(len(ending[g.source[a]]) for a in g.arrows) == 27
+    assert g._composes_exactly(ending)
+
+
+@pytest.mark.parametrize("change, message", [
+    # a composite of a pair that does not compose
+    (lambda c: c.update({((1, 2), (1, 1)): (1, 1)}), "composability of (1, 2), (1, 1) mismatched"),
+    # a composable pair without its composite
+    (lambda c: c.pop(((2, 1), (1, 3))), "composability of (2, 1), (1, 3) mismatched"),
+    # a composite from the wrong source
+    (lambda c: c.update({((1, 1), (1, 2)): (1, 1)}), "composite (1, 1) has wrong ends"),
+    # a wrong end late in the scan and an extra key early: the extra key is named
+    (lambda c: c.update({((3, 3), (3, 1)): (3, 3), ((1, 1), (2, 2)): (1, 2)}),
+     "composability of (1, 1), (2, 2) mismatched"),
+])
+def test_groupoid_validation_names_the_first_failing_pair(change, message):
+    parts = _pair_groupoid_parts([1, 2, 3])
+    change(parts["compose"])
+    with pytest.raises(ValueError) as caught:
+        FiniteGroupoid(**parts)
+    assert str(caught.value) == message
+
+
+def test_groupoid_validation_ignores_a_key_that_is_no_pair_of_arrows():
+    # the pair-by-pair scan never meets such a key, so it is kept as before
+    parts = _pair_groupoid_parts([1, 2])
+    parts["compose"][("x", "y")] = (1, 1)
+    assert FiniteGroupoid(**parts).compose[("x", "y")] == (1, 1)
