@@ -726,11 +726,11 @@ def _maps_with_zeros(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     data = draw(st.lists(_column(rows, st.one_of(_kind, st.sampled_from([0, Fraction(0)]))),
                          min_size=cols, max_size=cols))
-    one = {draw(st.integers(0, cols - 1)): draw(_kind)}
+    j = draw(st.integers(0, cols - 1))
     general = draw(st.dictionaries(st.integers(0, cols - 1), _kind, max_size=cols))
     inner = draw(st.integers(1, 3))
     g = LinearMap(cols, inner, draw(st.lists(_column(cols, _kind), min_size=inner, max_size=inner)))
-    return rows, cols, data, [{}, one, {one.popitem()[0]: 1}, general], g
+    return rows, cols, data, [{}, {j: draw(_kind)}, {j: 1}, general], g
 
 
 def _dense_map(f):
