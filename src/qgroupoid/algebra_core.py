@@ -249,9 +249,6 @@ class BaseEmbedding:
         self.embed = embed  # LinearMap base -> total
         self.name = name
 
-    def __call__(self, v):
-        return self.embed.apply(v)
-
     def validate(self, report=None, axiom_prefix=""):
         rep = report if report is not None else Report()
         pre = axiom_prefix or ("embedding-%s" % self.name)

@@ -53,6 +53,8 @@ from .exact_linear import (
     ev,
     kron_vec,
     kron_vec_at,
+    stack_equations,
+    unstack,
     vsub,
 )
 
@@ -60,8 +62,11 @@ __all__ = [
     "BalancedTensor",
     "TripleTensor",
     "descend_componentwise",
+    "first_unkept",
     "keeps_actions",
     "keeps_weights",
+    "module_map_laws",
+    "module_maps",
     "tensor_mul",
     "NotBalanced",
 ]
@@ -129,18 +134,76 @@ def keeps_actions(op, src, dst):
     return w_in is not None and w_out is not None and keeps_weights(op, w_in, w_out)
 
 
+def module_map_laws(src, dst):
+    """The law op o src.acts[x] = dst.acts[x] o op for an unknown op, as
+    one group of ``stack_equations``: (width, equations), op[k, c] the
+    unknown c * rows + k, rows the dimension of dst's space.
+
+    At e_a the law reads sum_i src.acts[x][i, a] op e_i =
+    dst.acts[x] op e_a, one equation per (x, a), x outer.  When both
+    actions have weights, src.acts[x] e_a = lambda_x(a) e_a and
+    dst.acts[x] e_k = mu_x(k) e_k, it reads
+    (lambda_x(a) - mu_x(k)) op[k, a] = 0 at each k, so the laws at every
+    (x, a) have the row space of the equations op[k, a] = 0 for each
+    (a, k) with mu(k) != lambda(a), one row each (``keeps_weights``).
+    """
+    rows = dst.total.dim
+    lam, mu = src.weights, dst.weights
+    if lam is None or mu is None:
+        return rows, (
+            ({}, [(i * rows + k, c, {k: ONE}) for i, c in f.col(a).items() for k in range(rows)]
+             + [(a * rows + k, -ONE, g.col(k)) for k in range(rows)])
+            for f, g in zip(src.acts, dst.acts) for a in range(src.total.dim))
+    return 1, (({}, [(a * rows + k, ONE, {0: ONE})])
+               for a, wa in enumerate(lam) for k, wk in enumerate(mu) if wk != wa)
+
+
+def module_maps(src, dst):
+    """A basis of the maps op with op o src.acts[x] = dst.acts[x] o op for
+    every x: the kernel of ``module_map_laws``.  Both forms of the laws
+    have one row space, so the reduced kernel basis is the same."""
+    rows, cols = dst.total.dim, src.total.dim
+    system, _ = stack_equations((module_map_laws(src, dst),), rows * cols)
+    return [LinearMap(rows, cols, unstack(w, rows, cols)) for w in system.kernel_basis()]
+
+
+def first_unkept(laws):
+    """The first (x, a, k, lhs, rhs) at which law k of ``laws``, triples
+    (op, src, dst) over one base and one domain, fails at e_a:
+    lhs = op(src.acts[x] e_a) != dst.acts[x] op(e_a) = rhs, scanned with x
+    outer, then a, then k; None if every law holds.
+
+    Every law holds when ``keeps_actions`` does.  Where that declines or
+    fails, each x is compared as whole maps, and the a are scanned, in
+    order, only for the laws whose maps differ at x: a law whose maps
+    agree fails at no a, so the result is the first of a full scan."""
+    laws = list(laws)
+    if all(keeps_actions(*law) for law in laws):
+        return None
+    _, first, _ = laws[0]
+    for x in range(len(first.acts)):
+        differ = [k for k, (op, src, dst) in enumerate(laws)
+                  if op.compose(src.acts[x]) != dst.acts[x].compose(op)]
+        for a in range(first.total.dim) if differ else ():
+            for k in differ:
+                op, src, dst = laws[k]
+                lhs, rhs = op.apply(src.acts[x].col(a)), dst.acts[x].apply(op.col(a))
+                if lhs != rhs:
+                    return x, a, k, lhs, rhs
+    return None
+
+
 def _intertwines(op, struct, out):
     """Whether op (None for the identity) intertwines the actions struct
     and out of one base: op o struct.acts[x] == out.acts[x] o op for every
-    x, read from the weights (``keeps_actions``) when both actions are
-    diagonal."""
-    if struct.weights is not None and out.weights is not None:
-        return struct.weights == out.weights if op is None else keeps_actions(op, struct, out)
-    for f, g in zip(struct.acts, out.acts):
-        same = (f is g or f == g) if op is None else op.compose(f) == g.compose(op)
-        if not same:
-            return False
-    return True
+    x, read from the weights (``keeps_weights``) when both actions are
+    diagonal, and by ``first_unkept`` otherwise."""
+    w_in, w_out = struct.weights, out.weights
+    if w_in is not None and w_out is not None:
+        return w_in == w_out if op is None else keeps_weights(op, w_in, w_out)
+    if op is None:
+        return all(f is g or f == g for f, g in zip(struct.acts, out.acts))
+    return first_unkept([(op, struct, out)]) is None
 
 
 def tensor_mul(algebra, u, v):

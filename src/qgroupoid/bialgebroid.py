@@ -22,8 +22,10 @@ from .balanced_tensor import (
     NotBalanced,
     TripleTensor,
     descend_componentwise,
-    keeps_actions,
+    first_unkept,
     keeps_weights,
+    module_map_laws,
+    module_maps,
     tensor_mul,
 )
 from .exact_linear import (
@@ -411,37 +413,6 @@ def _slice_terms(h, leg, lifted):
     return terms
 
 
-def _module_form(h, e, x, a):
-    """f(e(x) a) - x f(a) for e "s", f(e(x) a) - f(a) x for e "t", every
-    product in h's order, as terms linear in f (unknowns as in _slice_terms)."""
-    dim = h.base.dim
-    terms = [(i * dim + xb, c, {xb: ONE})
-             for i, c in h.struct(e).acts[x].col(a).items() for xb in range(dim)]
-    for xb in range(dim):
-        law = h.bmul({x: ONE}, {xb: ONE}) if e == "s" else h.bmul({xb: ONE}, {x: ONE})
-        terms.append((a * dim + xb, -ONE, law))
-    return terms
-
-
-def _module_laws(h, e):
-    """The module law of f: A -> base at every (x, a), as a group of
-    ``stack_equations``: (width, equations).
-
-    When ``h.struct(e)`` has weights, e(x) e_a = lambda_x(a) e_a, and the
-    base acting on itself, ``h.own(e)``, too, sending e_y to nu_x(y) e_y,
-    the law at (x, a) reads (lambda_x(a) - nu_x(y)) f(e_a)_y = 0 at each
-    y.  So the laws at every (x, a) have the row space of the equations
-    f(e_a)_y = 0 for each (a, y) with nu(y) != lambda(a), one row each, as
-    in ``_hom_values``.  Elsewhere each (x, a) is ``_module_form``.
-    """
-    n, dim = h.A.dim, h.base.dim
-    lam, nu = h.struct(e).weights, h.own(e).weights
-    if lam is None or nu is None:
-        return dim, (({}, _module_form(h, e, x, a)) for x in range(dim) for a in range(n))
-    return 1, (({}, [(a * dim + y, ONE, {0: ONE})])
-               for a, wa in enumerate(lam) for y, wy in enumerate(nu) if wy != wa)
-
-
 def _slice_laws_at_one(h):
     """Whether h's slice laws at every (a, b) may be stated at a alone:
     A is unital and associative and h's q is a coordinate quotient (see
@@ -451,7 +422,8 @@ def _slice_laws_at_one(h):
 
 def _solve_counit(h):
     """The counit of one half: both slice laws, eps(s(x) a) = x eps(a) and
-    eps(t(x) a) = eps(a) x, each in h's order (``_module_laws``).
+    eps(t(x) a) = eps(a) x, each in h's order: eps o h.struct(e).acts[x]
+    = h.own(e).acts[x] o eps (``module_map_laws``).
 
     Gate of the slice laws, ``_slice_laws_at_one``: then the laws at a
     alone, the slices of the lift of Delta(a) equal to e_a, state the same
@@ -470,7 +442,7 @@ def _solve_counit(h):
         laws = ((h.mul({a: ONE}, {b: ONE}), _slice_form(h, leg, a, b))
                 for a in range(n) for b in range(n) for leg in (1, 2))
     system, rhs = stack_equations(
-        ((n, laws), _module_laws(h, "s"), _module_laws(h, "t")), n * dim)
+        ((n, laws), *(module_map_laws(h.struct(e), h.own(e)) for e in "st")), n * dim)
     sol = system.solve(rhs)
     if sol is None or system.kernel_basis():
         raise ValueError("%s counit does not exist or is not unique" % h.side)
@@ -533,28 +505,15 @@ def _bimodule_acts(h):
     return [(h.struct("s", f), h.struct("t", not f)) for f in h.ordered(True, False)]
 
 
-def _antipode_bimodule(M):
-    """The base bimodule condition on generators, S(s(x) a) = S(a) t(x) and
-    S(a s(x)) = t(x) S(a) on each half, as equations linear in S."""
-    n = M.A.dim
-    for h in _halves(M):
-        laws = _bimodule_acts(h)
-        for x in range(h.base.dim):
-            for a in range(n):
-                for s, t in laws:
-                    terms = [(i * n + k, c, {k: ONE}) for i, c in s.acts[x].col(a).items()
-                             for k in range(n)]
-                    yield {}, terms + [(a * n + k, -ONE, t.acts[x].col(k)) for k in range(n)]
-
-
 def derive_antipode(M):
     """Solve for the antipode; (S, None) or (None, reason).
 
     The linear system stacks the two defining diagrams with the base
-    bimodule condition S(x y a x' y') = S_C(y') S_B(x') S(a) S_C(y) S_B(x);
-    the diagrams alone leave entries at source/target-mismatched basis
-    pairs unconstrained, and the bimodule condition (also linear in S)
-    is what pins them to zero.
+    bimodule condition S(x y a x' y') = S_C(y') S_B(x') S(a) S_C(y) S_B(x),
+    stated on generators as S o s[x] = t[x] o S for each pair (s, t) of
+    ``_bimodule_acts`` (``module_map_laws``); the diagrams alone leave
+    entries at source/target-mismatched basis pairs unconstrained, and the
+    bimodule condition (also linear in S) is what pins them to zero.
 
     It has n^2 unknowns.  ``verify_regular_mha`` solves it only where
     ``_antipode_through_inverse`` declines: T_rho has no inverse, or A no
@@ -565,7 +524,8 @@ def derive_antipode(M):
     if M.eps_B is None or M.eps_C is None:
         raise ValueError("derive_antipode needs verified counits")
     system, rhs = stack_equations(
-        ((n, _antipode_diagrams(M)), (n, _antipode_bimodule(M))), n * n)
+        ((n, _antipode_diagrams(M)),
+         *(module_map_laws(s, t) for h in _halves(M) for s, t in _bimodule_acts(h))), n * n)
     sol = system.solve(rhs)
     if sol is None:
         return None, "antipode system is inconsistent"
@@ -585,6 +545,16 @@ def _first_failure(pairs):
         if lhs != rhs:
             return {"at": wit, "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
     return None
+
+
+def _unkept(laws, words):
+    """The witness of ``first_unkept(laws)`` in ``_first_failure``'s
+    form, at (words[k], x, a); None if every law holds."""
+    wit = first_unkept(laws)
+    if wit is None:
+        return None
+    x, a, k, lhs, rhs = wit
+    return {"at": (words[k], x, a), "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
 
 
 def _block_sides(at, lhs, rhs, width, count):
@@ -943,12 +913,10 @@ def _coassociativity(M, rep, kind, name, eq):
 def _counit_checks(h, rep):
     """The counit bimodule laws and both counit slice laws of one half.
 
-    Gate of the bimodule laws: for e "s" and "t" the law at (x, a) is
+    The bimodule laws: for e "s" and "t" the law at (x, a) is
     eps(acts[x] e_a) = own[x] eps(e_a), acts the structure ``h.struct(e)``
-    and own the base acting on itself, ``h.own(e)``, so it holds at every
-    (x, a) iff eps o acts[x] = own[x] o eps for every x: when both have
-    weights, ``keeps_actions(eps, ...)``.  Where that declines or fails,
-    the (x, a) are scanned in order and the witness is the first failure.
+    and own the base acting on itself, ``h.own(e)``; the witness is the
+    first failing (x, a, e) of ``first_unkept``.
 
     Gate of the slice laws: A is associative.  Then the slice of Delta(a)
     with e_b absorbed on the other leg is the slice of Delta(a) times e_b
@@ -958,14 +926,8 @@ def _counit_checks(h, rep):
     witness is the first failing (a, b, leg) of a full scan.
     """
     A, n, eps, side = h.A, h.A.dim, h.eps, h.side
-    wit = None
-    if not all(keeps_actions(eps, h.struct(e), h.own(e)) for e in "st"):
-        wit = _first_failure(
-            (("eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a"), x, a),
-             eps.apply(h.struct(e).acts[x].col(a)), law)
-            for x in range(h.base.dim) for a in range(n)
-            for e, law in (("s", h.bmul({x: ONE}, eps.col(a))),
-                           ("t", h.bmul(eps.col(a), {x: ONE}))))
+    wit = _unkept([(eps, h.struct(e), h.own(e)) for e in "st"],
+                  ["eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a") for e in "st"])
     rep.check(wit is None, side + "-counit-bimodule",
               "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
@@ -1056,9 +1018,7 @@ _ONE_SIDED = {"_BA": ("B", "s"), "A_B": ("B", "t"), "^CA": ("C", "t"), "A_C": ("
 def _hom_space(h, e):
     """Basis of the module maps f: A -> base with f(e(x) a) = x f(a) for
     e "s" and f(e(x) a) = f(a) x for "t", every product in h's order."""
-    n, dim = h.A.dim, h.base.dim
-    system, _ = stack_equations((_module_laws(h, e),), n * dim)
-    return [LinearMap(dim, n, unstack(w, dim, n)) for w in system.kernel_basis()]
+    return module_maps(h.struct(e), h.own(e))
 
 
 def _hom_values(h, e):
@@ -1127,26 +1087,14 @@ def _rank_by_weights(struct, vals):
 
 def _antipode_bimodule_witness(M, S):
     """The first failure of S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a)
-    on each half, or None.
-
-    Gate: each law holds at every (x, a) iff S o s[x] = t[x] o S for every
-    x, (s, t) a pair of ``_bimodule_acts``: when both have weights,
-    ``keeps_actions(S, ...)`` on all four pairs.  Where that declines or
-    fails, the (x, a) are scanned in the old order and the witness is the
-    first failure.
-    """
-    if all(keeps_actions(S, s, t) for h in _halves(M) for s, t in _bimodule_acts(h)):
-        return None
-
-    def bimodule():
-        for h in _halves(M):
-            laws = list(zip(("S(%sa)", "S(a%s)"), _bimodule_acts(h)))
-            for x in range(h.base.dim):
-                for a in range(M.A.dim):
-                    for word, (s, t) in laws:
-                        yield ((word % h.x, x, a), S.apply(s.acts[x].col(a)),
-                               t.acts[x].apply(S.col(a)))
-    return _first_failure(bimodule())
+    on each half, B's first, or None: S o s[x] = t[x] o S for each pair
+    (s, t) of ``_bimodule_acts``, by ``first_unkept``."""
+    for h in _halves(M):
+        wit = _unkept([(S, s, t) for s, t in _bimodule_acts(h)],
+                      [word % h.x for word in ("S(%sa)", "S(a%s)")])
+        if wit is not None:
+            return wit
+    return None
 
 
 def _m_s(h, S, terms):
@@ -1263,9 +1211,8 @@ def _antipode_through_inverse(M, canon, passed):
     With R = 0 the same argument makes the system's kernel 0.  So the
     system has a solution iff S' is one, and then no other:
       - Where M.S passed the three ``_antipode_checks`` entries that
-        evaluate the system's equations (``passed``), M.S is the solution,
-        and S' == M.S is a cross-check that cannot fail under these gates;
-        if it does, None, and the caller solves the system after all.
+        evaluate the system's equations (``passed``), M.S is a solution,
+        hence S': (M.S, None), and S' is not computed.
       - Elsewhere S' is checked against the system's own equations, the
         bimodule laws (``_antipode_bimodule_witness``) and then both
         diagrams per p (``_failing_heads``, under the gate of
@@ -1276,11 +1223,11 @@ def _antipode_through_inverse(M, canon, passed):
     unit = A.unit()
     if inv is None or unit is None or not A.is_associative()[0]:
         return None
+    if passed:
+        return M.S, None
     dom, R, m = canon["T_rho"]["domain"], M.emb_SC().compose(M.eps_C), A.mul_map()
     derived = LinearMap.from_function(n, n, lambda a: m.apply(
         apply_legs(R, None, dom.lift(inv.apply(M.qb.pure({a: ONE}, unit))), n)))
-    if passed:
-        return (M.S, None) if derived == M.S else None
     if _antipode_bimodule_witness(M, derived) is None and not any(
             _failing_heads(h, other, derived, unit) for h, other in _mirrored(M)):
         return derived, None

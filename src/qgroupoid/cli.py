@@ -145,7 +145,7 @@ def _pipeline(args):
         mu_raw = args.mu
         recipe = getattr(args, "recipe", None) or "identity"
         with _schema("--sqrt"):
-            field = ScalarField(getattr(args, "sqrt", None) or [])
+            field = ScalarField(args.sqrt or [])
     M, integral_kind = _build_instance(example, groupoid)
     mu = _parse_mu(mu_raw, groupoid.units)
     cocycle = None
@@ -313,11 +313,11 @@ def _parser():
         p.add_argument("--example", default="function-algebroid")
         p.add_argument("--groupoid", help="groupoid JSON file")
         p.add_argument("--pair-groupoid", help="comma-separated points")
-        p.add_argument("--sqrt", type=int, action="append",
-                       help="adjoin a square root (repeatable)")
         p.add_argument("--out", help="output path (default stdout)")
         if mu:
             p.add_argument("--mu", help="unit weights, CSV or JSON path")
+            p.add_argument("--sqrt", type=int, action="append",
+                           help="adjoin a square root (repeatable)")
         if recipe:
             p.add_argument("--recipe", default="identity",
                            choices=["identity", "groupoid_rn"])

@@ -886,9 +886,6 @@ class LinearMap:
                 axpy(w, c, col)
         return w
 
-    def __call__(self, v):
-        return self.apply(v)
-
     @classmethod
     def _fresh(cls, rows, cols, data):
         """The map with these columns, kept without the copy ``__init__``
@@ -917,13 +914,6 @@ class LinearMap:
             self.rows,
             self.cols,
             [vadd(a, b) for a, b in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other):
-        return LinearMap(
-            self.rows,
-            self.cols,
-            [vsub(a, b) for a, b in zip(self.data, other.data)],
         )
 
     def scale(self, c):

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balanced_tensor import NotBalanced, keeps_actions
+from .balanced_tensor import NotBalanced, first_unkept, module_map_laws
 from .bialgebroid import (
     RegularMHA,
     _first_failure,
     _Half,
     _halves,
-    _module_laws,
     _slice_form,
     _slice_laws_at_one,
     _slice_terms,
@@ -176,30 +175,15 @@ def _module_witness(M, mapping, side, h):
     """The first (x, a) at which mapping is not a module map in h's
     order: mapping(x a) = x mapping(a) for B's order, mapping(a x) =
     mapping(a) x for C's; x runs over the target base, embedded by its s.
-    None if there is none.
-
-    The law holds at every (x, a) iff mapping o acts[x] = own[x] o mapping
-    for every x, acts the action of s(x) on A and own that of x on the
-    base, both in h's order: when both have weights,
-    ``keeps_actions(mapping, acts, own)``.  Where that declines or fails,
-    each x is compared as a whole map, and the a in A are scanned, in
-    order, only for an x at which the maps differ, so the witness is the
-    first of a full scan."""
-    n, target = M.A.dim, _target(M, side)
-    base = target.base
+    None if there is none.  The law is mapping o acts[x] = own[x] o
+    mapping, acts the action of s(x) on A and own that of x on the base,
+    both in h's order, and the witness is ``first_unkept``'s."""
+    target = _target(M, side)
     # s(x) a in h's order is target's own order or its reverse
     kind = "l" if h.letter == "B" else "r"
-    struct = target.struct("s", h.letter == target.letter)
-    if keeps_actions(mapping, struct, M._own_struct(kind, target.letter)):
-        return None
-    acts, mul = struct.acts, base.lmul if kind == "l" else base.rmul
-    for x in range(base.dim):
-        if mapping.compose(acts[x]) == mul(x).compose(mapping):
-            continue
-        for a in range(n):
-            if mapping.apply(acts[x].col(a)) != base.mul(*h.ordered({x: ONE}, mapping.col(a))):
-                return x, a
-    return None
+    wit = first_unkept([(mapping, target.struct("s", h.letter == target.letter),
+                         M._own_struct(kind, target.letter))])
+    return None if wit is None else wit[:2]
 
 
 def _integral_slice(h, leg, mapping, what):
@@ -346,8 +330,9 @@ def _partial_integral_basis(M, side):
     That condition, through the target half h (C for left, B for right),
     is linear in the integral: the module law of h's s, and the law at
     (d, e), the slice on h's t leg of Delta(d) times e_e equal to
-    s(mapping(d)) e_e in h's order.  The module law is ``_module_laws``,
-    whose two forms have one row space.
+    s(mapping(d)) e_e in h's order.  The module law is
+    ``module_map_laws`` of h's s and the base acting on itself, whose two
+    forms have one row space.
 
     Gate, ``_slice_laws_at_one``: A is unital, 1 = sum u_e e_e, and
     associative, and h's q is a coordinate quotient.  Then the n laws at
@@ -386,7 +371,8 @@ def _partial_integral_basis(M, side):
             for d in range(n)
             for e in range(n)
         )
-    system, _ = stack_equations((_module_laws(h, "s"), (n, laws)), n * dim_b)
+    system, _ = stack_equations(
+        (module_map_laws(h.struct("s"), h.own("s")), (n, laws)), n * dim_b)
     return [LinearMap(dim_b, n, unstack(w, dim_b, n)) for w in system.kernel_basis()]
 
 

@@ -18,7 +18,7 @@ from .algebra_core import (
     automorphism_check,
     generating_basis,
 )
-from .balanced_tensor import NotBalanced
+from .balanced_tensor import NotBalanced, first_unkept, module_maps
 from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
 from .exact_linear import (
     ONE,
@@ -27,8 +27,6 @@ from .exact_linear import (
     axpy,
     ev,
     kron_vec,
-    stack_equations,
-    unstack,
     vec_items,
 )
 from .integration import (
@@ -228,24 +226,20 @@ def _modular_automorphism(X, side):
 
 def _factor_twist_checks(X, sigma, rep):
     """phi_B(x a) = (S^2 sigma)(x) phi_B(a) and the mirrored law
-    phi_B(a x) = phi_B(a) (sigma S^2)^-1(x), for x in B."""
+    phi_B(a x) = phi_B(a) (sigma S^2)^-1(x), for x in B: the factor is a
+    module map from x acting on A to tw(x) acting on B, tw(x) the
+    preimage in B of the twist of x, by ``first_unkept``.  A law fails
+    where some twist leaves B."""
     M = X.M
-    n, emb = M.A.dim, M.B.embed
+    emb = M.B.embed
     s2 = M.S.compose(M.S)
-    for name, factor, twist, kind, ordered in (
-            ("phi-B-factor-twist", X.phi.factor_Br, s2.compose(sigma), "l", lambda u, v: (u, v)),
-            ("B-phi-factor-twist", X.phi.factor_Bl, sigma.compose(s2).inverse(), "r",
-             lambda u, v: (v, u))):
-        ok, acts = True, M._struct(kind, "B").acts
-        for x in range(M.B.base.dim):
-            pre = emb.solve(twist.apply(emb.col(x)))
-            ok = pre is not None and all(
-                factor.apply(acts[x].col(a))
-                == M.B.base.mul(*ordered(pre, factor.col(a)))
-                for a in range(n)
-            )
-            if not ok:
-                break
+    for name, factor, twist, kind in (
+            ("phi-B-factor-twist", X.phi.factor_Br, s2.compose(sigma), "l"),
+            ("B-phi-factor-twist", X.phi.factor_Bl, sigma.compose(s2).inverse(), "r")):
+        own = M._own_struct(kind, "B")
+        pre = [emb.solve(twist.apply(emb.col(x))) for x in range(M.B.base.dim)]
+        ok = None not in pre and first_unkept([(factor, M._struct(kind, "B"), ModuleStructure(
+            own.base, own.total, [own.operator(v) for v in pre], own.side))]) is None
         rep.check(ok, name, "bphi-phib")
 
 
@@ -396,18 +390,7 @@ def uniqueness_check(X):
 def _co_hom_space(h, e):
     """Basis of the module maps f: base -> A with f(x b) = s(x) f(b) for e
     "s" and f(b x) = t(x) f(b) for "t", every product in h's order."""
-    n, dim, acts = h.A.dim, h.base.dim, h.struct(e).acts
-
-    def laws():
-        for x in range(dim):
-            for b in range(dim):
-                prod = h.bmul({x: ONE}, {b: ONE}) if e == "s" else h.bmul({b: ONE}, {x: ONE})
-                # f(prod) - e(x) f(b) = 0; the unknown f[k, b] at b * n + k
-                yield {}, ([(bb * n + k, c, {k: ONE}) for bb, c in prod.items() for k in range(n)]
-                           + [(b * n + k, -ONE, acts[x].col(k)) for k in range(n)])
-
-    system, _ = stack_equations(((n, laws()),), n * dim)
-    return [LinearMap(n, dim, unstack(w, n, dim)) for w in system.kernel_basis()]
+    return module_maps(h.own(e), h.struct(e))
 
 
 def local_projectivity(M):
@@ -451,8 +434,7 @@ def _translate_operators(X):
     rho(e_b.phi) is sl_rho(T_rho(x, b)), and column x of lambda(e_b.phi)
     is sl_lambda(T_lambda(b, x)).  sl_rho and sl_lambda are the B-half
     slices of ``convolution`` for phi's factors Cl (leg 2) and Bl (leg 1),
-    and the T values are computed by the bundle's ``canonical_tilde``, or
-    on a coordinate QB read from the lifted Delta_B (``_lifted_tildes``).
+    and the T values are read from the lifted Delta_B (``_lifted_tildes``).
 
     The translate's factors are phi's after R_b, the right multiplication
     by e_b.  For y in C, (e_b.phi)(y a) = phi((y a) e_b) = phi(y (a e_b))
@@ -485,21 +467,15 @@ def _translate_operators(X):
     h = _Half(M, "B")
     sl_rho = _integral_slice(h, 2, X.phi.factor_Cl, "rho slice (B)")
     sl_lam = _integral_slice(h, 1, X.phi.factor_Bl, "lambda slice (B)")
-    if h.q.coordinate:
-        rho, lam = _lifted_tildes(h, 2), _lifted_tildes(h, 1)
-        return [(LinearMap(n, n, [sl_rho.apply(t) for t in rho[b]]),
-                 LinearMap(n, n, [sl_lam.apply(t) for t in lam[b]]))
-                for b in range(n)]
-    return [
-        (LinearMap.from_function(n, n, lambda x, b=b: sl_rho.apply(h.absorbed(2, x, b))),
-         LinearMap.from_function(n, n, lambda x, b=b: sl_lam.apply(h.absorbed(1, x, b))))
-        for b in range(n)
-    ]
+    rho, lam = _lifted_tildes(h, 2), _lifted_tildes(h, 1)
+    return [(LinearMap(n, n, [sl_rho.apply(t) for t in rho[b]]),
+             LinearMap(n, n, [sl_lam.apply(t) for t in lam[b]]))
+            for b in range(n)]
 
 
 def _lifted_tildes(h, leg):
     """tildes[b][x] = Delta_B(x) with e_b absorbed on ``leg`` by the right
-    multiplication R_b, on the coordinate QB of an associative A:
+    multiplication R_b, on QB of an associative A, coordinate or not:
     T_rho(x, b) for leg 2 and T_lambda(b, x) for leg 1, the values of
     ``h.absorbed``, read from the lifted Delta_B as ``canonical_map`` reads
     its columns there.  The empty vectors are shared.

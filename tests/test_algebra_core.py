@@ -18,6 +18,7 @@ from qgroupoid.algebra_core import (
     scalar_from_json,
     scalar_to_json,
 )
+from qgroupoid.balanced_tensor import first_unkept, module_maps
 from qgroupoid.exact_linear import ONE, ZERO, LinearMap, Scalar, sc
 
 
@@ -179,11 +180,12 @@ _eigenvalue = st.sampled_from([ZERO, ONE, -ONE, Scalar.root_term(2), ONE + Scala
 
 
 @st.composite
-def _diagonal_actions(draw):
-    """A diagonal action of one of ``_BASES`` on an algebra of dimension
-    1 to 5, on either side: each basis element's weight tuple is a
-    character of the base or drawn at random, so the laws pass and fail."""
-    base, characters = draw(st.sampled_from(_BASES))
+def _diagonal_actions(draw, based=None):
+    """A diagonal action of one of ``_BASES`` (``based``, a (base,
+    characters) pair, or drawn) on an algebra of dimension 1 to 5, on
+    either side: each basis element's weight tuple is a character of the
+    base or drawn at random, so the laws pass and fail."""
+    base, characters = draw(st.sampled_from(_BASES)) if based is None else based
     n, k = draw(st.integers(1, 5)), base.dim
     tuples = st.one_of(st.sampled_from(characters),
                        st.tuples(*[_eigenvalue] * k))
@@ -201,6 +203,63 @@ def test_module_laws_by_weights_agree_with_the_operator_laws(struct):
     struct.weights = None  # shadows the cached weights: the operator paths run
     assert (struct.check_action(), struct.check_faithful(),
             struct.check_idempotent()) == by_weights
+
+
+@st.composite
+def _module_map_cases(draw):
+    """Two diagonal actions src and dst of one base, and three maps from
+    src's space to dst's: two drawn, and the first cut down to its
+    entries between equal weights, which keeps the actions."""
+    based = draw(st.sampled_from(_BASES))
+    src, dst = draw(_diagonal_actions(based)), draw(_diagonal_actions(based))
+    rows, cols = dst.total.dim, src.total.dim
+    column = st.dictionaries(st.integers(0, rows - 1),
+                             st.sampled_from([ONE, -ONE, Scalar.root_term(2)]), max_size=2)
+    op, other = (LinearMap(rows, cols, draw(st.lists(column, min_size=cols, max_size=cols)))
+                 for _ in range(2))
+    kept = LinearMap(rows, cols, [{k: s for k, s in col.items()
+                                   if dst.weights[k] == src.weights[a]}
+                                  for a, col in enumerate(op.data)])
+    return src, dst, [op, kept, other]
+
+
+def _unweighted(struct):
+    """struct with its weights shadowed, so the operator paths run."""
+    out = ModuleStructure(struct.base, struct.total, struct.acts, struct.side)
+    out.weights = None
+    return out
+
+
+def _scanned(laws):
+    """Oracle of ``first_unkept``: every (x, a, k) in order, with no
+    comparison of whole maps first."""
+    _, first, _ = laws[0]
+    for x in range(len(first.acts)):
+        for a in range(first.total.dim):
+            for k, (op, src, dst) in enumerate(laws):
+                lhs, rhs = op.apply(src.acts[x].col(a)), dst.acts[x].apply(op.col(a))
+                if lhs != rhs:
+                    return x, a, k, lhs, rhs
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_module_map_cases())
+def test_module_maps_and_first_unkept_agree_with_their_unweighted_forms(case):
+    # the weighted form of the module-map law, one row per pair of
+    # differing weights, has the kernel of the full (x, a) form, and the
+    # weight gate of ``first_unkept`` names what the full scan names
+    src, dst, ops = case
+    plain = _unweighted(src), _unweighted(dst)
+    maps = module_maps(src, dst)
+    assert module_maps(*plain) == maps
+    assert len(maps) == sum(wk == wa for wa in src.weights for wk in dst.weights)
+    op, kept, other = ops
+    assert first_unkept([(f, src, dst) for f in maps + [kept]]) is None
+    for laws in ([(op, src, dst)], [(kept, src, dst)],
+                 [(f, src, dst) for f in [other, kept] + maps + [op]]):
+        got = first_unkept(laws)
+        assert first_unkept([(f, *plain) for f, _, _ in laws]) == got == _scanned(laws)
 
 
 def test_multiplication_and_action_maps_read_the_table_and_the_acts():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qgroupoid import algebra_core, bialgebroid
+from qgroupoid import algebra_core, balanced_tensor, bialgebroid
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import (
     RegularMHA,
@@ -242,7 +242,7 @@ class _Unweighted(algebra_core.ModuleStructure):
 
 def _module_laws_by_form(monkeypatch, M):
     """M's bases acting on themselves without weights, so that every
-    ``_module_laws`` states each (x, a) by ``_module_form``."""
+    ``module_map_laws`` of a base's own action states the full (x, a) form."""
     own = M._own_struct
     monkeypatch.setattr(M, "_own_struct", lambda kind, letter: _Unweighted(
         *(getattr(own(kind, letter), k) for k in ("base", "total", "acts", "side"))))
@@ -251,7 +251,7 @@ def _module_laws_by_form(monkeypatch, M):
 def test_counit_system_keeps_law_and_module_rows_apart(m_fun, monkeypatch):
     # functions of p2: the counit's law equations span n = 4 rows and its
     # module equations one row each on the weights (s, then t), dim_b = 2
-    # by ``_module_form``, and a Hom space's one group likewise; each
+    # in the full (x, a) form, and a Hom space's one group likewise; each
     # equation must keep rows of its own in the stacked system
     stacked = []
 
@@ -260,7 +260,8 @@ def test_counit_system_keeps_law_and_module_rows_apart(m_fun, monkeypatch):
         stacked.append((groups, unknowns))
         return stack_equations(groups, unknowns)
 
-    monkeypatch.setattr(bialgebroid, "stack_equations", spy)
+    for module in (bialgebroid, balanced_tensor):  # the counits, the Hom space
+        monkeypatch.setattr(module, "stack_equations", spy)
     systems = []
     for width in (1, 2):
         with monkeypatch.context() as patch:
@@ -764,6 +765,33 @@ def test_a_passing_bundle_solves_no_antipode_system(monkeypatch, m_group, m_tens
     _without_t_rho_inverse(monkeypatch, M)
     assert verify_regular_mha(M).ok
     assert solved == [M] and unknowns.count(M.A.dim ** 2) == 1
+
+
+def test_a_passing_antipode_is_the_one_read_through_the_inverse(request, monkeypatch):
+    # where M.S passed the system's equations and the gate of
+    # ``_antipode_through_inverse`` holds, the shortcut returns M.S without
+    # computing S' = m(R (x) id) T_rho^-1(a (x) 1); its proof makes S' == M.S,
+    # checked here on the golden and recorder bundles the gate takes
+    real, gated = bialgebroid._antipode_through_inverse, []
+
+    def spy(M, canon, passed):
+        out = real(M, canon, passed)
+        if passed and out is not None:
+            assert out == (M.S, None), M.name
+            gated.append(real(M, canon, False) == (M.S, None) or M.name)
+        return out
+
+    monkeypatch.setattr(bialgebroid, "_antipode_through_inverse", spy)
+    names = ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided", "m_conv_mod",
+             "m_h4_crossed"]
+    bundles = ([request.getfixturevalue(name) for name in names] + _passing_bundles()
+               + [M for _, M in golden_record._antipode_bundles()]
+               + [M for _, M in golden_record.sweep_bundles()]
+               + golden_record.single_term_mutants()
+               + [M for _, M in golden_record.single_product_changes()])
+    for M in bundles:
+        verify_regular_mha(M)
+    assert len(gated) > len(names) and all(ok is True for ok in gated), gated
 
 
 def _without_t_rho_inverse(monkeypatch, M):

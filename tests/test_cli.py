@@ -258,6 +258,14 @@ def test_weight_file_forms_read_the_same_exact_weights(tmp_path):
     assert read == [{0: Fraction(1, 10), 1: Fraction(1, 4)}] * 2
 
 
+def test_verify_and_integrals_offer_no_sqrt(capsys):
+    # neither command builds a field extension, so --sqrt is a usage error
+    for command in ("verify", "integrals"):
+        assert main([command, "--pair-groupoid", "1,2", "--sqrt", "2"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --sqrt 2" in captured.err
+
+
 def test_missing_sqrt_hint(p2_file, capsys):
     # every command that meets a missing root names it the same way
     for command in ("measure", "modify", "dual"):

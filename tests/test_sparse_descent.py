@@ -41,8 +41,11 @@ from qgroupoid.examples import (
     build_convolution_algebroid,
     build_function_algebroid,
     pair_groupoid,
+    standard_integrals,
 )
 from qgroupoid.exact_linear import ONE, LinearMap, axpy, kron_vec, sc
+from qgroupoid.integration import BaseWeight, PartialIntegral, assemble_measured
+from qgroupoid.structure_theory import dual_algebra
 
 _spec = importlib.util.spec_from_file_location(
     "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
@@ -246,6 +249,33 @@ def test_basis_change_keeps_every_verdict(case):
         assert before.ok and after.ok
         assert ([(e.axiom, e.eq, e.status) for e in after.entries]
                 == [(e.axiom, e.eq, e.status) for e in before.entries])
+
+
+@pytest.mark.parametrize("build, kind, mu", [
+    (build_function_algebroid, "groupoid-functions", {0: sc(1), 1: sc(4)}),
+    (build_convolution_algebroid, "groupoid-convolution", {0: sc(1), 1: sc(1)}),
+], ids=["functions-p2", "convolution-p2"])
+def test_the_dual_of_a_moved_bundle_is_the_dual_moved(build, kind, mu):
+    # the moved QB is no coordinate quotient, and the dual's translate
+    # operators still read the T values from the lifted Delta_B: every
+    # verdict is the same, and with the integrals moved along, the dual
+    # basis f_k . phi makes the table the original's moved by P
+    groupoid = pair_groupoid([1, 2])
+    M = build(groupoid)
+    P = _CHANGES["shift"](M.A.dim)
+    M2, Pinv, n = _transport(M, P), P.inverse(), M.A.dim
+    assert not M2.qb.coordinate
+    weight = BaseWeight(mu_B=dict(mu), mu_C=dict(mu))
+    integrals = standard_integrals(kind, M, groupoid=groupoid)
+    moved = [PartialIntegral(f.side, f.mapping.compose(P)) for f in integrals]
+    before = dual_algebra(assemble_measured(M, weight, *integrals))
+    after = dual_algebra(assemble_measured(M2, weight, *moved))
+    assert before.report.ok
+    assert ([(e.axiom, e.eq, e.status) for e in after.report.entries]
+            == [(e.axiom, e.eq, e.status) for e in before.report.entries])
+    hat = before.algebra
+    assert [list(row) for row in after.algebra.table] == [
+        [Pinv.apply(hat.mul(P.col(i), P.col(j))) for j in range(n)] for i in range(n)]
 
 
 def test_sparse_descent_equals_full_descent_after_basis_change(transported):

@@ -48,6 +48,46 @@ def test_sigma_identity_on_commutative_instance(x_fun_14):
     assert sig_r.mapping == LinearMap.identity(4)
 
 
+@pytest.fixture
+def x_fun_14_br_off_weight(x_fun_14):
+    """x_fun_14 with column (1,1) of phi's factor Br, e_u for the unit u
+    that acts on (1,1) by 1, given a term at the other unit as well: Br
+    leaves its weight, so phi_B(x a) = (S^2 sigma)(x) phi_B(a) fails."""
+    phi = x_fun_14.phi
+    br = phi.factor_Br
+    assert br.col(0) == {0: ONE}
+    moved = LinearMap(br.rows, br.cols, [{0: ONE, 1: ONE}, *br.data[1:]])
+    return dataclasses.replace(x_fun_14, phi=dataclasses.replace(phi, factor_Br=moved))
+
+
+def _factor_twists_by_scan(X, sigma):
+    """Oracle of the ``bphi-phib`` statuses: each x's twist solved back
+    into B, and the law at every (x, a) compared by base products."""
+    M = X.M
+    emb, base, s2 = M.B.embed, M.B.base, M.S.compose(M.S)
+    statuses = []
+    for factor, twist, kind in ((X.phi.factor_Br, s2.compose(sigma), "l"),
+                                (X.phi.factor_Bl, sigma.compose(s2).inverse(), "r")):
+        acts, ok = M._struct(kind, "B").acts, True
+        for x in range(base.dim):
+            pre = emb.solve(twist.apply(emb.col(x)))
+            ok = ok and pre is not None and all(
+                factor.apply(acts[x].col(a))
+                == base.mul(*((pre, factor.col(a)) if kind == "l" else (factor.col(a), pre)))
+                for a in range(M.A.dim))
+        statuses.append("pass" if ok else "fail")
+    return statuses
+
+
+def test_a_factor_off_its_weight_fails_bphi_phib(x_fun_14, x_fun_14_br_off_weight):
+    for X, want in ((x_fun_14, ["pass", "pass"]), (x_fun_14_br_off_weight, ["fail", "pass"])):
+        sig = modular_automorphism(X, "left")
+        entries = [(e.axiom, e.status) for e in sig.report.entries if e.eq == "bphi-phib"]
+        assert entries == list(zip(["phi-B-factor-twist", "B-phi-factor-twist"], want))
+        assert _factor_twists_by_scan(X, sig.mapping) == want
+        assert all(e.status == "pass" for e in sig.report.entries if e.eq != "bphi-phib")
+
+
 def test_sigma_on_tensor_instance_is_antipode_square_composite(x_tensor):
     # sigma = S^2 (x) S^-2 legwise; S^2 restricted to either base gives the
     # leg maps, and the kron of those two restrictions must equal sigma

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from qgroupoid import bialgebroid, integration, structure_theory
+from qgroupoid import balanced_tensor, bialgebroid, integration, structure_theory
 from qgroupoid.algebra_core import ModuleStructure
 from qgroupoid.balanced_tensor import BalancedTensor
 from qgroupoid.bialgebroid import _bimodule_by_weights, verify_regular_mha
@@ -176,12 +176,12 @@ def test_a_product_mutant_fails_regular_1_on_the_weights():
 def _counit_gate(M):
     """Whether ``_counit_checks`` decides both bimodule laws of each half
     from the weights."""
-    return [all(bialgebroid.keeps_actions(h.eps, h.struct(e), h.own(e)) for e in "st")
+    return [all(balanced_tensor.keeps_actions(h.eps, h.struct(e), h.own(e)) for e in "st")
             for h in bialgebroid._halves(M)]
 
 
 def _antipode_gate(M):
-    return all(bialgebroid.keeps_actions(M.S, s, t)
+    return all(balanced_tensor.keeps_actions(M.S, s, t)
                for h in bialgebroid._halves(M) for s, t in bialgebroid._bimodule_acts(h))
 
 
@@ -234,15 +234,16 @@ def _unweighted(struct):
 def _gates_off(monkeypatch):
     """Every gate of this file declined: the leg and counit gates, the
     welldefined gate by no weighted half, the base-module gates by bases
-    without weights (so each ``_module_laws`` states ``_module_form``),
-    the slice laws at a alone, antipode-unique through T_rho^-1, and the
-    dual's weights."""
+    without weights (so each ``module_map_laws`` of a base's own action
+    states the full (x, a) form) and ``keeps_actions`` declining (so each
+    ``first_unkept`` compares whole maps), the slice laws at a alone,
+    antipode-unique through T_rho^-1, and the dual's weights."""
     canonical_maps = bialgebroid.canonical_maps
     own = bialgebroid.RegularMHA._own_struct
     monkeypatch.setattr(bialgebroid.RegularMHA, "_own_struct",
                         lambda M, kind, letter: _unweighted(own(M, kind, letter)))
+    monkeypatch.setattr(balanced_tensor, "keeps_actions", lambda op, src, dst: False)
     for module in (bialgebroid, integration):
-        monkeypatch.setattr(module, "keeps_actions", lambda op, src, dst: False)
         monkeypatch.setattr(module, "_slice_laws_at_one", lambda h: False)
     monkeypatch.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon, passed: None)
     monkeypatch.setattr(bialgebroid, "_rank_by_weights", lambda struct, vals: None)
@@ -285,7 +286,7 @@ def test_the_counit_solves_state_2n_slice_laws_per_half_on_a_coordinate_quotient
     # the tensor and two-sided builds derive their counits from 2n slice
     # laws per half, the M2 tensor algebroid, whose quotients are not
     # coordinate ones, from 2n^2; with the gates declined each half states
-    # 2n^2 laws and ``_module_form`` rows, and solves to the same counits
+    # 2n^2 laws and the full (x, a) module rows, and solves to the same counits
     laws, stacked = [], bialgebroid.stack_equations
 
     def spy(groups, unknowns):
@@ -319,12 +320,17 @@ def test_the_counit_solves_state_2n_slice_laws_per_half_on_a_coordinate_quotient
 
 def test_the_weighted_module_laws_give_the_partial_integral_basis_of_the_forced_decline(
         request, monkeypatch):
-    # the same basis maps in the same order, with the module laws stated by
-    # ``_module_form`` on the bases acting on themselves without weights;
-    # on the M2 base the gate declines by itself
-    forms, real = [], bialgebroid._module_form
-    monkeypatch.setattr(bialgebroid, "_module_form",
-                        lambda *args: forms.append(args) or real(*args))
+    # the same basis maps in the same order, with the module laws stated in
+    # the full (x, a) form on the bases acting on themselves without
+    # weights; on the M2 base the gate declines by itself
+    forms, real = [], integration.module_map_laws
+
+    def spy(src, dst):
+        if src.weights is None or dst.weights is None:
+            forms.append((src, dst))
+        return real(src, dst)
+
+    monkeypatch.setattr(integration, "module_map_laws", spy)
     m2 = golden_record.matrix_tensor_algebroid()
     names = ["m_fun", "m_conv", "m_group", "m_tensor", "m_crossed", "m_twosided", "m_conv_mod"]
     for M in [request.getfixturevalue(name) for name in names] + [m2]:
