@@ -11,7 +11,10 @@ on the pair groupoid on points 1..k with the weights 1, 4, 9, ..., k^2.
 ``measure`` and ``dual`` take the ``groupoid_rn`` recipe on convolution,
 whose weights are not counital otherwise.  On functions ``modify`` is
 rejected with ``left-modifier`` (exit 1): the recipe modifies the
-convolution algebroid.
+convolution algebroid.  The square weights make no radical, so
+convolution also runs ``modify-radical``: ``modify --recipe groupoid_rn``
+with the first k primes as weights and one ``--sqrt`` per weight, where
+every twist sqrt(mu(t)mu(s))/mu(s) is a radical ``Scalar``.
 
 Each stage runs in a fresh interpreter that times ``qgroupoid.cli.main``
 alone and reads its own peak resident memory, so no stage inherits
@@ -35,6 +38,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
 FAMILIES = ("functions", "convolution")
 STAGES = ("verify", "integrals", "measure", "dual", "modify")
+RADICAL = "modify-radical"
+# (family, stage) in the order each size runs them
+RUNGS = [(family, stage) for family in FAMILIES for stage in STAGES] + [("convolution", RADICAL)]
 SCHEMA = 1
 
 # the child: time cli.main alone, then print its seconds and peak RSS
@@ -50,9 +56,27 @@ print(json.dumps({"exit": code, "seconds": seconds, "peak_rss_mb": peak}))
 """
 
 
+def first_primes(k):
+    """The first k primes, 2 first."""
+    primes = []
+    n = 2
+    while len(primes) < k:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
 def stage_argv(family, size, stage):
     """The CLI arguments of one stage, without ``--out``."""
     points = ",".join(str(p) for p in range(1, size + 1))
+    if stage == RADICAL:
+        primes = [str(p) for p in first_primes(size)]
+        argv = ["modify", "--example", family, "--pair-groupoid", points,
+                "--mu", ",".join(primes), "--recipe", "groupoid_rn"]
+        for p in primes:
+            argv += ["--sqrt", p]
+        return argv
     mu = ",".join(str(p * p) for p in range(1, size + 1))
     argv = [stage, "--example", family, "--pair-groupoid", points]
     if stage in ("measure", "dual", "modify"):
@@ -94,7 +118,7 @@ def ladder(src, sizes):
         stages = [
             dict(family=family, size=size, stage=stage,
                  **run_stage(src, stage_argv(family, size, stage), workdir))
-            for size in sizes for family in FAMILIES for stage in STAGES
+            for size in sizes for family, stage in RUNGS
         ]
     return {
         "schema": SCHEMA,

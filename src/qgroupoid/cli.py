@@ -29,7 +29,7 @@ from .examples import (
 from .exact_linear import FieldExtensionNeeded, ScalarField, as_fraction, sc
 from .integration import BaseWeight, assemble_measured, solve_partial_integrals
 from .modification import groupoid_rn_modifier, identity_modifier, modify
-from .report import Rejected, Report
+from .report import JSON_ENCODER, Rejected, Report
 from .structure_theory import dual_algebra, modular_automorphism, modular_element
 
 USAGE_ERROR, MATH_ERROR = 2, 1
@@ -46,7 +46,7 @@ def _emit(report, out, extra=None):
     }
     if extra:
         summary["summary"].update(extra)
-    lines.append(json.dumps(summary, sort_keys=True, default=repr))
+    lines.append(JSON_ENCODER.encode(summary))
     text = "\n".join(lines) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)

@@ -8,10 +8,12 @@ one of three forms, and only this module looks inside them:
 - a real rational is a plain ``int``, or a ``Fraction`` with denominator
   > 1 when it is not integral, so the common case runs on native integer
   arithmetic;
-- any other value is a ``Scalar``, whose coefficients follow the same
-  int-or-Fraction rule; a ``Scalar`` result that turns out to be a real
-  rational (sqrt(2)*sqrt(2), i*i) comes back as an ``int`` or
-  ``Fraction``.
+- any other value is a ``Scalar``, stored on integers: (a + b*i)/den per
+  monomial sqrt(m), one den > 0 for all of them, reduced to gcd 1, so
+  its arithmetic makes no ``Fraction``; its ``terms`` read the
+  coefficients by the int-or-Fraction rule; a ``Scalar`` result that
+  turns out to be a real rational (sqrt(2)*sqrt(2), i*i) comes back as
+  an ``int`` or ``Fraction``.
 
 Two rules keep the forms apart.  In a product of a ``Scalar`` with a
 rational, the ``Scalar`` goes on the right, so the rational's operator
@@ -19,11 +21,11 @@ hands over to ``Scalar.__rmul__``.  Division goes through ``inverse``,
 never ``/``: on two ints ``/`` is float division.  ``conj``,
 ``inverse``, ``sign``, ``is_positive`` and ``as_fraction`` take a scalar
 of any form.  The arithmetic skips work whose result it knows: a product
-by 1 returns the ``Scalar`` itself, a zero imaginary part is never
-multiplied, ``axpy`` multiplies by no coefficient of 1 or -1 and stores
-the scaled entry in an empty slot without adding it to 0, and
-``LinearMap.apply`` copies or scales one column for a vector of one
-entry, e_j mapped to a basis vector or to 0 being the common case.
+by 1 returns the ``Scalar`` itself, a product or inverse of one
+monomial is formed directly, ``axpy`` multiplies by no coefficient of 1
+or -1 and stores the scaled entry in an empty slot without adding it to
+0, and ``LinearMap.apply`` copies or scales one column for a vector of
+one entry, e_j mapped to a basis vector or to 0 being the common case.
 
 Vectors are sparse dicts index -> scalar, matrices are column-sparse
 LinearMaps; a quotient space keeps a relation echelon, or only its free
@@ -42,7 +44,7 @@ vectors keep three invariants:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "Scalar",
@@ -101,6 +103,21 @@ def _squarefree_split(n):
     return g, m * n
 
 
+def _prime_factors(m):
+    """The set of primes that divide m > 0."""
+    primes = set()
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.add(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        primes.add(m)
+    return primes
+
+
 def _root_mul(m1, m2):
     """sqrt(m1)*sqrt(m2) = g*sqrt(m) for square-free m1, m2; returns (g, m)."""
     g = gcd(m1, m2)
@@ -120,16 +137,6 @@ def _q(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _value(terms):
-    """The scalar with these canonical terms: an int or Fraction when it
-    is a real rational, else a Scalar."""
-    if not terms:
-        return 0
-    if len(terms) == 1 and terms[0][0] == 1 and not terms[0][2]:
-        return terms[0][1]
-    return Scalar(terms)
-
-
 def _mul(a, b):
     """a*b in canonical form, with a Scalar operand on the right."""
     if type(a) is Scalar:
@@ -138,34 +145,67 @@ def _mul(a, b):
     return p.numerator if type(p) is Fraction and p.denominator == 1 else p
 
 
+def _scalar(num, den):
+    """The Scalar with these integer parts, which must already be reduced."""
+    s = object.__new__(Scalar)
+    s.num = num
+    s.den = den
+    return s
+
+
+def _reduced(num, den):
+    """The scalar sum (a + b*i)/den * sqrt(m) over num, a sorted tuple of
+    (m, a, b) with no zero term, and den > 0: 0 for no term, an int or
+    Fraction when it is a real rational, else a Scalar with num and den
+    divided by their gcd.  The one normalizer of arithmetic results; only
+    a result known to be reduced is made with ``_scalar`` instead."""
+    if not num:
+        return 0
+    m, a, b = num[0]
+    if m == 1 and not b and len(num) == 1:
+        return a if den == 1 else _q(Fraction(a, den))
+    if den != 1:
+        g = den
+        for _, a, b in num:
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:
+            num = tuple([(m, a // g, b // g) for m, a, b in num])
+            den //= g
+    return _scalar(num, den)
+
+
 class Scalar:
     """An element of Q(i)[sqrt(d1), ..., sqrt(dk)] that is not a real rational.
 
-    Stored as a sorted tuple of (m, re, im): the coefficient re + im*i of
-    the monomial sqrt(m), m square-free positive, m = 1 for the rational
-    part.  Each of re and im is an int when integral, otherwise a Fraction
-    with denominator > 1, never a float.  A real rational is never a
-    Scalar: it is an ``int`` or a ``Fraction`` (see the module docstring),
-    and every operation below returns that form when its result is one.
-    A Scalar is never zero.  Put it on the right of a product with a
-    rational, and divide with ``inverse``: ``Scalar`` has no ``/``.
-    Immutable and hashable, so a product by 1 returns the Scalar itself.
-    A zero imaginary part is never multiplied: it stays the int 0.
+    Stored on integers: ``num``, a sorted tuple of (m, a, b), and one
+    ``den`` > 0, for the sum of (a + b*i)/den * sqrt(m), m square-free
+    positive, m = 1 for the rational part, no term with a = b = 0, and
+    den and every a and b with gcd 1, so equal values have equal parts.
+    ``terms`` reads the same value as sorted (m, re, im) with re and im
+    each an int when integral, otherwise a Fraction with denominator > 1.
+    A real rational is never a Scalar: it is an ``int`` or a ``Fraction``
+    (see the module docstring), and every operation below returns that
+    form when its result is one.  A Scalar is never zero.  Put it on the
+    right of a product with a rational, and divide with ``inverse``:
+    ``Scalar`` has no ``/``.  Immutable and hashable, so a product by 1
+    returns the Scalar itself.  ``_terms`` and ``_hash`` are filled when
+    first read.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_terms", "_hash")
 
     def __init__(self, terms):
-        self.terms = terms
-        self._hash = None
+        """The sum of (re + im*i)*sqrt(m) over terms: sorted (m, re, im)
+        with distinct m, not both of re and im zero, and int or Fraction
+        coefficients, whose sum is not a real rational."""
+        den = lcm(*[x.denominator for _, re, im in terms for x in (re, im)])
+        self.num = tuple([(m, re.numerator * (den // re.denominator),
+                           im.numerator * (den // im.denominator)) for m, re, im in terms])
+        self.den = den
 
     # -- construction ------------------------------------------------
-
-    @staticmethod
-    def _from_dict(d):
-        return _value(tuple(
-            (m, _q(re), _q(im)) for m, (re, im) in sorted(d.items()) if re or im
-        ))
 
     @classmethod
     def rational(cls, re, im=0):
@@ -180,44 +220,60 @@ class Scalar:
         """Coefficient (re + im*i) times sqrt(m)."""
         g, mm = _squarefree_split(m)
         re, im = _q(Fraction(re) * g), _q(Fraction(im) * g)
-        return _value(((mm, re, im),) if re or im else ())
+        if mm == 1 or not (re or im):
+            return cls.rational(re, im)
+        return cls(((mm, re, im),))
+
+    @property
+    def terms(self):
+        """The value as sorted (m, re, im), re and im each an int when
+        integral, otherwise a Fraction with denominator > 1."""
+        if self.den == 1:
+            return self.num
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            self._terms = t = tuple([(m, _q(Fraction(a, den)), _q(Fraction(b, den)))
+                                     for m, a, b in self.num])
+            return t
 
     def is_real(self):
-        return all(not im for _, _, im in self.terms)
+        return all(not b for _, _, b in self.num)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
+        if type(other) is Scalar:
+            onum, oden = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            # a real rational moves only the rational part: still not rational
-            t = self.terms
-            if t[0][0] != 1:
-                return Scalar(((1, _q(other), 0),) + t)
-            _, re, im = t[0]
-            re = _q(re + other)
-            return Scalar((((1, re, im),) if re or im else ()) + t[1:])
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-            m, re1, im1 = a[0]
-            _, re2, im2 = b[0]
-            re, im = _q(re1 + re2), _q(im1 + im2)
-            return _value(((m, re, im),) if re or im else ())
-        d = {m: (re, im) for m, re, im in a}
-        for m, re, im in b:
-            if m in d:
-                d[m] = (d[m][0] + re, d[m][1] + im)
-            else:
-                d[m] = (re, im)
-        return Scalar._from_dict(d)
+            onum, oden = ((1, other.numerator, 0),), other.denominator
+        else:
+            return NotImplemented
+        num, den = self.num, self.den
+        if den == oden:
+            k1 = k2 = 1
+        else:
+            g = gcd(den, oden)
+            k1, k2 = oden // g, den // g
+            den *= k1
+        if len(num) == 1 and len(onum) == 1 and num[0][0] == onum[0][0]:
+            m, a1, b1 = num[0]
+            _, a2, b2 = onum[0]
+            a, b = k1 * a1 + k2 * a2, k1 * b1 + k2 * b2
+            return _reduced(((m, a, b),) if a or b else (), den)
+        d = {m: (k1 * a, k1 * b) for m, a, b in num}
+        for m, a, b in onum:
+            t = d.get(m)
+            d[m] = (k2 * a, k2 * b) if t is None else (t[0] + k2 * a, t[1] + k2 * b)
+        return _reduced(tuple([(m, a, b) for m, (a, b) in sorted(d.items()) if a or b]), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(tuple((m, -re, -im) for m, re, im in self.terms))
+        return _scalar(tuple([(m, -a, -b) for m, a, b in self.num]), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -227,82 +283,63 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return 0
-            return Scalar(tuple(
-                (m, _q(re * other), _q(im * other) if im else 0) for m, re, im in self.terms
-            ))
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1 and a[0][0] == 1 and b[0][0] == 1:
-            # two Gaussian rationals, each with an imaginary part
-            _, re1, im1 = a[0]
-            _, re2, im2 = b[0]
-            re, im = _q(re1 * re2 - im1 * im2), _q(re1 * im2 + im1 * re2)
-            return re if not im else Scalar(((1, re, im),))
+            return self.__rmul__(other)
+        num, onum = self.num, other.num
+        den = self.den * other.den
+        if len(num) == 1 and len(onum) == 1:
+            # one monomial each: the common case of a radical twist
+            m1, a1, b1 = num[0]
+            m2, a2, b2 = onum[0]
+            g, m = _root_mul(m1, m2)
+            return _reduced(((m, g * (a1 * a2 - b1 * b2), g * (a1 * b2 + b1 * a2)),), den)
         d = {}
-        for m1, re1, im1 in a:
-            for m2, re2, im2 in b:
+        for m1, a1, b1 in num:
+            for m2, a2, b2 in onum:
                 g, m = _root_mul(m1, m2)
-                if im1 or im2:
-                    re = g * (re1 * re2 - im1 * im2)
-                    im = g * (re1 * im2 + im1 * re2)
-                else:
-                    re, im = g * re1 * re2, 0
-                if m in d:
-                    d[m] = (d[m][0] + re, d[m][1] + im)
-                else:
-                    d[m] = (re, im)
-        return Scalar._from_dict(d)
+                a, b = g * (a1 * a2 - b1 * b2), g * (a1 * b2 + b1 * a2)
+                t = d.get(m)
+                d[m] = (a, b) if t is None else (t[0] + a, t[1] + b)
+        return _reduced(tuple([(m, a, b) for m, (a, b) in sorted(d.items()) if a or b]), den)
 
     def __rmul__(self, other):
+        if type(other) is int and other == 1:
+            return self
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
             return 0
-        if other == 1:
-            return self
-        return Scalar(tuple(
-            (m, _q(other * re), _q(other * im) if im else 0) for m, re, im in self.terms
-        ))
+        p = other.numerator
+        return _reduced(tuple([(m, p * a, p * b) for m, a, b in self.num]),
+                        self.den * other.denominator)
 
     def conj(self):
         """Complex conjugation; fixes every sqrt(m)."""
-        return Scalar(tuple((m, re, -im) for m, re, im in self.terms))
+        return _scalar(tuple([(m, a, -b) for m, a, b in self.num]), self.den)
 
     def inverse(self):
-        terms = self.terms
-        if len(terms) == 1:
-            m, re, im = terms[0]
-            n = (re * re + im * im) * m
-            return Scalar(((m, _q(Fraction(re, n)), _q(Fraction(-im, n))),))
+        num = self.num
+        if len(num) == 1:
+            # 1/((a + b*i)/d * sqrt(m)) = d*(a - b*i)*sqrt(m) / ((a^2 + b^2)*m)
+            m, a, b = num[0]
+            d = self.den
+            return _reduced(((m, d * a, -d * b),), (a * a + b * b) * m)
         # clear each prime radical by multiplying with the flip conjugate
         primes = set()
-        for m, _, _ in terms:
-            mm = m
-            d = 2
-            while d * d <= mm:
-                if mm % d == 0:
-                    primes.add(d)
-                    while mm % d == 0:
-                        mm //= d
-                d += 1 if d == 2 else 2
-            if mm > 1:
-                primes.add(mm)
-        num, cur = 1, self
+        for m, _, _ in num:
+            primes |= _prime_factors(m)
+        out, cur = 1, self
         for p in sorted(primes):
             if type(cur) is not Scalar:
                 break
-            flip = Scalar(tuple(
-                (m, -re, -im) if m % p == 0 else (m, re, im) for m, re, im in cur.terms
-            ))
-            num, cur = num * flip, cur * flip
+            flip = _scalar(tuple([
+                (m, -a, -b) if m % p == 0 else (m, a, b) for m, a, b in cur.num
+            ]), cur.den)
+            out, cur = out * flip, cur * flip
         # cur is now a Gaussian rational
         if type(cur) is not Scalar:
-            return inverse(cur) * num
-        assert len(cur.terms) == 1 and cur.terms[0][0] == 1, "radical elimination failed"
-        return _mul(num, cur.inverse())
+            return inverse(cur) * out
+        assert len(cur.num) == 1 and cur.num[0][0] == 1, "radical elimination failed"
+        return _mul(out, cur.inverse())
 
     # -- sign ----------------------------------------------------------
 
@@ -310,14 +347,15 @@ class Scalar:
         """Exact sign (-1, 1) of a real Scalar, by interval refinement."""
         if not self.is_real():
             raise ValueError("sign of a non-real scalar: %s" % (self,))
-        # Newton bounds: hi is always an upper bound for sqrt(m), lo = m/hi
+        # Newton bounds: hi is always an upper bound for sqrt(m), lo = m/hi;
+        # the sign of the sum is that of its numerators, as den > 0
         bounds = {}
-        for m, _, _ in self.terms:
+        for m, _, _ in self.num:
             hi = Fraction(isqrt(m) + 1)
             bounds[m] = (m / hi, hi)
         for _ in range(128):
             lo_sum = hi_sum = _F0
-            for m, q, _ in self.terms:
+            for m, q, _ in self.num:
                 lo, hi = bounds[m]
                 if q > 0:
                     lo_sum += q * lo
@@ -341,12 +379,14 @@ class Scalar:
     # -- plumbing -------------------------------------------------------
 
     def __eq__(self, other):
-        return type(other) is Scalar and self.terms == other.terms
+        return type(other) is Scalar and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.num, self.den))
+            return h
 
     def __repr__(self):
         parts = []
@@ -454,11 +494,18 @@ class ScalarField:
     The adjoined roots must be positive square-free integers; the field
     knows which square-free monomials its elements may use, and provides
     exact square roots of non-negative rationals when they exist.
+
+    A square-free m is the set of primes that divide it, and
+    sqrt(m1)*sqrt(m2) is an integer times the sqrt of the symmetric
+    difference of the two sets, so the field's monomials are the GF(2)
+    span of its roots' prime sets.  ``_rows`` holds an echelon basis of
+    that span, keyed by the largest prime of each row: membership is one
+    elimination, with no table of the 2^k products of k roots.
     """
 
     def __init__(self, roots=()):
         self.roots = []
-        monomials = {1}
+        self._rows = {}
         for d in roots:
             d = int(d)
             if d <= 0:
@@ -466,14 +513,26 @@ class ScalarField:
             g, m = _squarefree_split(d)
             if g != 1:
                 raise ValueError("adjoined root must be square-free: %d" % d)
-            if m in monomials or m == 1:
-                continue
-            self.roots.append(m)
-            monomials |= {_root_mul(m, k)[1] for k in monomials}
-        self.monomials = frozenset(monomials)
+            residue = self._residue(m)
+            if residue:  # a root already in the field is skipped
+                self._rows[max(residue)] = residue
+                self.roots.append(m)
+
+    def _residue(self, m):
+        """The primes of square-free m left by elimination with ``_rows``:
+        empty exactly when sqrt(m) is a monomial of the field.  Each row
+        clears its largest prime and adds only smaller ones."""
+        primes = _prime_factors(m)
+        rows = self._rows
+        while primes:
+            row = rows.get(max(primes))
+            if row is None:
+                break
+            primes ^= row
+        return primes
 
     def contains(self, s):
-        return type(s) is not Scalar or all(m in self.monomials for m, _, _ in s.terms)
+        return type(s) is not Scalar or not any(self._residue(m) for m, _, _ in s.num)
 
     def sqrt(self, s):
         """Exact square root of a non-negative rational scalar."""
@@ -489,7 +548,7 @@ class ScalarField:
         coeff = Fraction(g1 * g2 * gg, q.denominator)
         if m == 1:
             return _q(coeff)
-        if m not in self.monomials:
+        if self._residue(m):
             raise FieldExtensionNeeded({m})
         return Scalar(((m, _q(coeff), 0),))
 
@@ -503,7 +562,7 @@ class ScalarField:
             _, m1 = _squarefree_split(q.numerator)
             _, m2 = _squarefree_split(q.denominator)
             _, m = _root_mul(m1, m2)
-            if m != 1 and m not in self.monomials:
+            if m != 1 and self._residue(m):
                 missing.add(m)
         return missing
 
@@ -532,7 +591,7 @@ def axpy(acc, c, v, shift=0):
     if type(c) is Scalar:
         for j, s in v.items():
             j += shift
-            s = c if s == 1 else s * c
+            s = c if type(s) is int and s == 1 else s * c
             t = get(j)
             if t is not None:
                 s = t + s

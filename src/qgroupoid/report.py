@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["Entry", "Report", "Rejected"]
 
+# the one encoder of report lines; witnesses may carry exact scalars and
+# label tuples, which it renders with repr
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
+
 
 @dataclass
 class Entry:
@@ -70,11 +74,8 @@ class Report:
         return out
 
     def to_json_lines(self):
-        # witnesses may carry exact scalars and label tuples; render them
-        return [
-            json.dumps(e.to_json(), sort_keys=True, default=repr)
-            for e in self.entries
-        ]
+        encode = JSON_ENCODER.encode
+        return [encode(e.to_json()) for e in self.entries]
 
     def __str__(self):
         return "\n".join(self.lines())

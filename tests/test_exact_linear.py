@@ -1,6 +1,9 @@
 """Exact scalar field and linear kernel."""
 
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +128,52 @@ def test_field_membership_and_sqrt():
     g = ScalarField([2, 3])
     assert g.sqrt(sc(6)) == Scalar.root_term(6)  # closed under products
     assert g.missing_roots([sc(2), sc(5), sc("9/4")]) == {5}
+
+
+_FIELD_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _enumerated_field(roots):
+    """The roots a field keeps and its monomials, by listing every product
+    of the kept roots: sqrt(m) sqrt(k) is a multiple of sqrt(m k / gcd^2)."""
+    kept, monomials = [], {1}
+    for m in roots:
+        if m not in monomials:
+            kept.append(m)
+            monomials |= {m * k // math.gcd(m, k) ** 2 for k in monomials}
+    return kept, monomials
+
+
+def test_field_membership_matches_the_enumerated_products():
+    rng = random.Random(19)
+    squarefree = [math.prod(ps) for r in range(len(_FIELD_PRIMES) + 1)
+                  for ps in itertools.combinations(_FIELD_PRIMES, r)]
+    for _ in range(60):
+        roots = [rng.choice(squarefree) for _ in range(rng.randint(0, 10))]
+        field = ScalarField(roots)
+        kept, monomials = _enumerated_field(roots)
+        assert field.roots == kept and repr(field) == "ScalarField(roots=%s)" % kept
+        for m in squarefree:
+            inside = m in monomials
+            assert field.contains(Scalar.root_term(m, 1, 1)) == inside
+            assert field.missing_roots([m, 4 * m]) == (set() if inside else {m})
+            if inside:
+                assert field.sqrt(sc(m)) == Scalar.root_term(m)
+            else:
+                with pytest.raises(FieldExtensionNeeded) as exc:
+                    field.sqrt(sc(m))
+                assert exc.value.missing == [m]
+
+
+def test_a_field_of_thirty_roots_builds_in_milliseconds():
+    primes = [p for p in range(2, 114) if all(p % d for d in range(2, p))]
+    assert len(primes) == 30  # 2^30 products: no table of them would fit in memory
+    start = time.perf_counter()
+    field = ScalarField(primes + [6, 2 * 113])
+    assert time.perf_counter() - start < 0.25
+    assert field.roots == primes
+    assert field.contains(Scalar.root_term(math.prod(primes)))
+    assert field.missing_roots([127, 2 * 127, 3 * 113]) == {127, 254}
 
 
 def test_integral_coefficients_are_ints_and_division_stays_exact():

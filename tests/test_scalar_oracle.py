@@ -139,16 +139,24 @@ def canonical_rational(x):
 def is_canonical(s):
     """s is an int, a Fraction with denominator > 1, or a Scalar that is
     not a real rational, with canonical non-zero coefficients in sorted
-    monomial order."""
+    monomial order, stored on integers: one den > 0 and the integer parts
+    (m, a, b) of each term, with distinct sorted m, no zero term, gcd 1
+    over den and every a and b, and re = a/den, im = b/den."""
     if type(s) is not Scalar:
         return canonical_rational(s)
-    terms = s.terms
+    terms, num, den = s.terms, s.num, s.den
     return (
         bool(terms)
         and not (len(terms) == 1 and terms[0][0] == 1 and not terms[0][2])
         and [m for m, _, _ in terms] == sorted({m for m, _, _ in terms})
         and all((re or im) and canonical_rational(re) and canonical_rational(im)
                 for _, re, im in terms)
+        and type(den) is int and den > 0
+        and all(type(x) is int for term in num for x in term)
+        and [m for m, _, _ in num] == sorted({m for m, _, _ in num})
+        and all(a or b for _, a, b in num)
+        and gcd(den, *(x for _, a, b in num for x in (a, b))) == 1
+        and terms == tuple((m, Fraction(a, den), Fraction(b, den)) for m, a, b in num)
     )
 
 
@@ -250,6 +258,11 @@ def check(new, ref, expected_sympy, operands=()):
 @example(R6_THIRD, R6_THIRD)  # a real radical squared is the Fraction 2/3
 @example(build([(2, 1, 0), (3, Fraction(1, 2), 0)]), build([(6, 2, 0)]))
 @example(ONE, build([(1, Fraction(1, 2), 1)]))  # 1 * (1/2 + i)
+# the one-monomial products
+@example(build([(6, 1, 0)]), build([(6, 1, 0)]))  # sqrt(6)*sqrt(6) is the int 6
+@example(build([(6, 1, 0)]), build([(10, 1, 0)]))  # sqrt(6)*sqrt(10) = 2*sqrt(15)
+@example(build([(1, 1, 1)]), build([(1, 1, -1)]))  # (1 + i)(1 - i) is the int 2
+@example(build([(1, Fraction(3, 7), 0)]), build([(5, Fraction(7, 3), 0)]))  # 3/7 * 7/3*sqrt(5)
 def test_ring_operations_match_both_references(a, b):
     (x, rx), (y, ry) = a, b
     assert is_canonical(x) and as_fractions(x) == rx.terms
@@ -281,6 +294,7 @@ def test_real_products_match_both_references(a, b):
 @example(THREE, R2)
 @example(R2, HALF)
 @example(HALF, build([(1, 0, 2)]))
+@example(ONE, build([(2, 1, 1)]))  # ((1 + i)*sqrt(2))^-1 = (1 - i)*sqrt(2)/4
 def test_inverse_and_division_match_both_references(a, b):
     (x, rx), (y, ry) = a, b
     if not ry.terms:
