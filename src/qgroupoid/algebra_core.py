@@ -113,24 +113,24 @@ class FiniteAlgebra:
         return LinearMap(self.dim, 1, [self.unit()])
 
     def lmul(self, u):
-        """Left multiplication operator v -> u*v for a basis index or vector."""
-        if isinstance(u, int):
-            if u not in self._lmul:
-                self._lmul[u] = LinearMap.from_function(
-                    self.dim, self.dim, lambda j: self.table[u][j]
-                )
-            return self._lmul[u]
-        return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul(u, {j: ONE}))
+        """Left multiplication operator v -> u*v for a basis index or vector.
+        An index k, or the vector e_k, gives the operator of k, built once
+        per algebra; callers must not mutate it."""
+        k = _basis_index(u)
+        if k is None:
+            return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul(u, {j: ONE}))
+        if k not in self._lmul:
+            self._lmul[k] = LinearMap.from_function(self.dim, self.dim, lambda j: self.table[k][j])
+        return self._lmul[k]
 
     def rmul(self, u):
-        """Right multiplication operator v -> v*u."""
-        if isinstance(u, int):
-            if u not in self._rmul:
-                self._rmul[u] = LinearMap.from_function(
-                    self.dim, self.dim, lambda j: self.table[j][u]
-                )
-            return self._rmul[u]
-        return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul({j: ONE}, u))
+        """Right multiplication operator v -> v*u, shared as ``lmul``'s is."""
+        k = _basis_index(u)
+        if k is None:
+            return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul({j: ONE}, u))
+        if k not in self._rmul:
+            self._rmul[k] = LinearMap.from_function(self.dim, self.dim, lambda j: self.table[j][k])
+        return self._rmul[k]
 
     def star(self, v):
         if self.involution is None:
@@ -205,6 +205,18 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return "FiniteAlgebra(dim=%d)" % self.dim
+
+
+def _basis_index(u):
+    """k for a basis index k or the vector e_k = {k: 1}; None for any
+    other vector."""
+    if isinstance(u, int):
+        return u
+    if len(u) == 1:
+        [(k, c)] = u.items()
+        if c == 1:
+            return k
+    return None
 
 
 @dataclass

@@ -298,9 +298,9 @@ class BalancedTensor:
     basis row fails, so the witness of NotBalanced is still the first
     failing generator.
 
-    The descended maps a tensor hands out (``leg_op``, slices and flips)
-    are memoized per tensor in ``_op_cache``: a repeated call returns the
-    map computed the first time.  Their zero columns are one shared
+    The descended maps a tensor hands out (``leg_op``, ``descend_leg``,
+    slices and flips) are memoized per tensor in ``_op_cache``: a repeated
+    call returns the map computed the first time.  Their zero columns are one shared
     read-only mapping, ``_ZERO_COLUMN``, so a tensor that holds its 4n
     leg multiplications stores mostly pointers.  A map that is not balanced
     is memoized too, as its failing generator: a repeated call checks no
@@ -467,6 +467,16 @@ class BalancedTensor:
 
         key = u if isinstance(u, int) else tuple(sorted(u.items()))
         return self._cached((slot, side, key), build, message, self)
+
+    def descend_leg(self, op, leg, message, target=None):
+        """op on leg ``leg`` (1 or 2) and the identity on the other,
+        descended by ``descend`` to target (default self).  Memoized by
+        op, leg and target; a repeated call that fails raises NotBalanced
+        with its own ``message``."""
+        target = target or self
+        ops = (op, None) if leg == 1 else (None, op)
+        return self._cached(("leg", op, leg, target),
+                            lambda: self.descend(*ops, message, target), message, target)
 
     def mul_class(self, q1, q2):
         """Product of canonical representatives, projected back.

@@ -18,6 +18,7 @@ from .algebra_core import (
     generating_basis,
 )
 from .balanced_tensor import (
+    _ZERO_COLUMN,
     BalancedTensor,
     NotBalanced,
     TripleTensor,
@@ -37,6 +38,7 @@ from .exact_linear import (
     ev,
     joint_kernel,
     kron_vec,
+    kron_vec_at,
     stack,
     stack_equations,
     unstack,
@@ -82,6 +84,8 @@ class RegularMHA:
     _triples = None  # coassociativity kind -> TripleTensor
     _shared = None  # flavor -> BalancedTensor another bundle offers, see tensor()
     _integral_bases = None  # side -> (basis, reports), see integration._checked_basis
+    _modifier_checks = None  # ids of a modifier's maps -> (maps, report, thetas),
+    # see modification._checked_modifier
 
     def __init__(
         self,
@@ -227,34 +231,47 @@ class RegularMHA:
     def canonical_map(self, which):
         """One canonical map with its domain tensor, built once per bundle.
 
-        Column q is ``canonical_tilde`` at the free coordinate (a, b) of
+        Column p is ``canonical_tilde`` at the free coordinate (a, b) of
         the domain.  When the codomain q is a coordinate quotient and A is
-        associative, the multiplication by e_u that Delta absorbs on its
-        leg keeps the weights (see ``_coassociativity``), so it descends,
-        and its descent applied to Delta(d) is the projected product of
-        the lift: the column is read from the lifted Delta, and no leg
-        operator is built.
+        associative (``_canonical_by_table``), the columns are read from
+        ``_tilde_table``, and no leg operator is built.  Proof: q balances
+        multiplications from one side on both legs, from the left on QB
+        and from the right on QC, and the map multiplies a leg by e_u from
+        the other side, from the right on B and from the left on C.  By
+        associativity the two commute, so that multiplication is a module
+        map and descends: its descent D, the leg operator of
+        ``canonical_tilde``, has D(project(w)) = project(m w) for every w
+        of A (x) A, m the multiplication on the leg.  Delta(d) is the
+        projection of its lift, so the value is the projection of m
+        applied to the lift.  The lift's entry c e_i (x) e_j gives
+        c e_i (x) e_j e_u for T_rho, c e_i e_u (x) e_j for T_lambda,
+        c e_i (x) e_u e_j for rho_T and c e_u e_i (x) e_j for lambda_T.
+        So one pass over the lift of each d, through the non-zero products
+        of the table's row f for a right multiplication, or its column f
+        for a left one, f the lift's index on the leg, builds every u's
+        vector at once, each summed in the lift's order as ``apply_legs``
+        sums it; a u that no product reaches is 0.  To project onto a
+        coordinate quotient is to drop its relation coordinates, so each
+        term is written straight into q's free positions, as ``descend``
+        writes them.
         """
         if self._canonical is None:
             self._canonical = {}
         if which not in self._canonical:
             n, dom = self.A.dim, self.tensor(self._DOMAINS[which])
-            letter, leg, side = self._TILDES[which]
             q = _codomain(self, which)
-            if q.coordinate and self.A.is_associative()[0]:
-                lifts = self._db_lift if letter == "B" else self._dc_lift
-                mul = self.A.rmul if side == "r" else self.A.lmul
-
-                def col(p):
-                    a, b = divmod(dom.space.free[p], n)
-                    if leg == 1:
-                        return q.project(apply_legs(mul(a), None, lifts.col(b), n))
-                    return q.project(apply_legs(None, mul(b), lifts.col(a)))
+            if _canonical_by_table(self, q):
+                tildes, leg = _tilde_table(self, which), self._TILDES[which][1]
+                cols = []
+                for ab in dom.space.free:
+                    a, b = divmod(ab, n)
+                    cols.append(tildes[a][b] if leg == 1 else tildes[b][a])
+                canon = LinearMap._fresh(q.dim, dom.dim, cols)
             else:
-                def col(p):
-                    return self.canonical_tilde(which, *divmod(dom.space.free[p], n))
-
-            self._canonical[which] = (LinearMap.from_function(q.dim, dom.dim, col), dom)
+                canon = LinearMap.from_function(
+                    q.dim, dom.dim,
+                    lambda p: self.canonical_tilde(which, *divmod(dom.space.free[p], n)))
+            self._canonical[which] = (canon, dom)
         return self._canonical[which]
 
     # which -> (half, leg, side) of the multiplication each canonical map
@@ -377,6 +394,46 @@ def _codomain(M, which):
     """The tensor a canonical map lands in: QB for T_lambda and T_rho, QC
     for lambda_T and rho_T."""
     return M.qb if which.startswith("T_") else M.qc
+
+
+def _canonical_by_table(M, q):
+    """Gate of ``canonical_map``'s columns from ``_tilde_table``: the
+    codomain q is a coordinate quotient and A is associative."""
+    return q.coordinate and M.A.is_associative()[0]
+
+
+def _tilde_table(M, which):
+    """tildes[u][d], Delta(d) with e_u absorbed on the leg and from the
+    side of the canonical map ``which`` (``RegularMHA._TILDES``), for every
+    u and d, on an associative A: the value of ``canonical_tilde`` at
+    (u, d) on leg 1 and at (d, u) on leg 2.  Read from the lifted Delta in
+    one pass over the table, as ``canonical_map`` proves; projected into
+    the codomain, through its free positions when that is a coordinate
+    quotient.  Zero values are the shared read-only ``_ZERO_COLUMN``."""
+    letter, leg, side = M._TILDES[which]
+    A, q = M.A, _codomain(M, which)
+    n, table = A.dim, A.table
+    lifts = M._db_lift if letter == "B" else M._dc_lift
+    if side == "r":  # products[f]: the non-zero (u, e_f e_u), or (u, e_u e_f) for "l"
+        products = [[(u, p) for u, p in enumerate(row) if p] for row in table]
+    else:
+        products = [[(u, row[f]) for u, row in enumerate(table) if row[f]] for f in range(n)]
+    into = q.space.free_pos if q.coordinate else None
+    tildes = [[_ZERO_COLUMN] * n for _ in range(n)]
+    for d in range(n):
+        acc = {}  # u -> the value, in A (x) A or in q's free positions
+        for ij, c in lifts.col(d).items():
+            i, j = divmod(ij, n)
+            for u, p in products[j if leg == 2 else i]:
+                legs = ({i: c}, p) if leg == 2 else (p, {j: c})
+                term = kron_vec(*legs, n) if into is None else kron_vec_at(*legs, n, into)
+                axpy(acc.setdefault(u, {}), ONE, term)
+        for u, v in acc.items():
+            if into is None:
+                v = q.project(v)
+            if v:
+                tildes[u][d] = v
+    return tildes
 
 
 def _sigma_ss(M, src, dst):

@@ -153,10 +153,11 @@ def _twists(mod, h):
 
 def _leg_twist(q, name, twist, leg, target=None, dst="{dst!r}"):
     """twist on ``leg`` and the identity on the other, descended from q to
-    target (default q).  A failure reads "name (x) id does not descend
-    {src!r} -> dst", or "id (x) name ..." for leg 2."""
-    ops, word = ((twist, None), "%s (x) id") if leg == 1 else ((None, twist), "id (x) %s")
-    return q.descend(*ops, word % name + " does not descend {src!r} -> " + dst, target)
+    target (default q) by ``BalancedTensor.descend_leg``, once per tensor.
+    A failure reads "name (x) id does not descend {src!r} -> dst", or
+    "id (x) name ..." for leg 2."""
+    word = "%s (x) id" if leg == 1 else "id (x) %s"
+    return q.descend_leg(twist, leg, word % name + " does not descend {src!r} -> " + dst, target)
 
 
 def check_modifier(M, mod):
@@ -166,14 +167,43 @@ def check_modifier(M, mod):
     B, r_theta on C) restricts to a base automorphism theta of h's base,
     the twist on the s leg (theta_r, l_theta) moves t by theta^-1, the two
     twists agree on Delta, and the s-leg twist undoes theta on t.
+
+    Decided once per bundle and modifier, as ``check_algebra`` is per
+    algebra: the report and each half's theta are kept on M
+    (``_checked_modifier``), and each call returns a copy of the report.
     """
+    return Report().merge(_checked_modifier(M, mod)[0])
+
+
+def _checked_modifier(M, mod):
+    """(report, thetas) of ``_modifier_report``, memoized per bundle in
+    ``M._modifier_checks`` under the identities of mod's four maps.  The
+    entry holds the maps, so the identities stay theirs; a modifier's maps
+    are not mutated.  Callers must not mutate the report."""
+    maps = mod.maps()
+    key = tuple(map(id, maps))
+    if M._modifier_checks is None:
+        M._modifier_checks = {}
+    if key not in M._modifier_checks:
+        M._modifier_checks[key] = (maps, *_modifier_report(M, mod))
+    return M._modifier_checks[key][1:]
+
+
+def _modifier_report(M, mod):
+    """(report, thetas): ``check_modifier``'s report and the base
+    automorphism theta of each half, B then C, or None where the report
+    stops before the thetas are decided.  A map passed for more than one
+    of the four is checked to be an automorphism once."""
     rep = Report()
     A, n = M.A, M.A.dim
+    automorphisms = {}  # id of a map -> automorphism_check of it
     for name, mp in zip(("theta_l", "theta_r", "l_theta", "r_theta"), mod.maps()):
-        ok, wit = automorphism_check(A, mp)
+        if id(mp) not in automorphisms:
+            automorphisms[id(mp)] = automorphism_check(A, mp)
+        ok, wit = automorphisms[id(mp)]
         rep.check(ok, "%s-automorphism" % name, "left-modifier", wit)
     if not rep.ok:
-        return rep
+        return rep, None
     halves = []
     for h in _halves(M):
         twists = _twists(mod, h)
@@ -181,8 +211,9 @@ def check_modifier(M, mod):
         theta = _base_automorphism(h.embedding, t_twist)
         rep.check(theta is not None, "%s-preserves-%s" % (t_name, h.letter), "theta-base")
         halves.append((h, twists, s_name, s_twist, theta))
-    if any(theta is None for *_, theta in halves):
-        return rep
+    thetas = tuple(theta for *_, theta in halves)
+    if any(theta is None for theta in thetas):
+        return rep, None
     # s_twist o t = t o theta^{-1} on the embedded image of the base anti-isomorphism
     for h, _, s_name, s_twist, theta in halves:
         theta_inv = theta.inverse()
@@ -238,7 +269,7 @@ def check_modifier(M, mod):
             for j in range(n)
         )
         rep.note("self-adjoint", "left-modifier", "pass" if sa else "fail")
-    return rep
+    return rep, thetas
 
 
 def modify(M, mod):
@@ -251,20 +282,23 @@ def modify(M, mod):
     others itself.  Its comultiplications, counits and antipode are its
     own, and every axiom is checked on them again.  The ``check_modifier``
     report of mod is kept as ``modifier_report``, the checks made here and
-    the re-verification as ``modification_report``.
+    the re-verification as ``modification_report``.  That report and each
+    half's base automorphism theta are decided once per bundle and
+    modifier, by whichever of ``check_modifier`` and ``modify`` comes
+    first, and read here.
     """
     pre = check_modifier(M, mod)
     failures = [e for e in pre.failures() if e.axiom not in ("trivial-on-base", "self-adjoint")]
     if failures:
         raise Rejected(failures[0].eq, "modifier axioms fail: %s" % failures[0].axiom, pre)
+    _, thetas = _checked_modifier(M, mod)
     A, n = M.A, M.A.dim
     # per half: the base anti-isomorphism S_h theta^-1, Delta twisted on leg
     # 1, the counit eps o s_twist^-1 and its alternative theta o eps o t_twist^-1
     parts = []
-    for h in _halves(M):
+    for h, theta in zip(_halves(M), thetas):
         twists = _twists(mod, h)
         (_, t_twist), (_, s_twist) = h.ordered(*twists)
-        theta = _base_automorphism(h.embedding, t_twist)
         delta = LinearMap(n * n, n, [apply_legs(twists[0][1], None, w, n) for w in h.lifts.data])
         parts.append((h.anti.compose(theta.inverse()), delta,
                       h.eps.compose(s_twist.inverse()),

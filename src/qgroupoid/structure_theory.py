@@ -19,14 +19,13 @@ from .algebra_core import (
     generating_basis,
 )
 from .balanced_tensor import NotBalanced, first_unkept, module_maps
-from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
+from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored, _tilde_table
 from .exact_linear import (
     ONE,
     LinearMap,
     Rref,
     axpy,
     ev,
-    kron_vec,
     vec_items,
 )
 from .integration import (
@@ -434,7 +433,7 @@ def _translate_operators(X):
     rho(e_b.phi) is sl_rho(T_rho(x, b)), and column x of lambda(e_b.phi)
     is sl_lambda(T_lambda(b, x)).  sl_rho and sl_lambda are the B-half
     slices of ``convolution`` for phi's factors Cl (leg 2) and Bl (leg 1),
-    and the T values are read from the lifted Delta_B (``_lifted_tildes``).
+    and the T values are read from the lifted Delta_B (``_tilde_table``).
 
     The translate's factors are phi's after R_b, the right multiplication
     by e_b.  For y in C, (e_b.phi)(y a) = phi((y a) e_b) = phi(y (a e_b))
@@ -467,47 +466,10 @@ def _translate_operators(X):
     h = _Half(M, "B")
     sl_rho = _integral_slice(h, 2, X.phi.factor_Cl, "rho slice (B)")
     sl_lam = _integral_slice(h, 1, X.phi.factor_Bl, "lambda slice (B)")
-    rho, lam = _lifted_tildes(h, 2), _lifted_tildes(h, 1)
+    rho, lam = _tilde_table(M, "T_rho"), _tilde_table(M, "T_lambda")
     return [(LinearMap(n, n, [sl_rho.apply(t) for t in rho[b]]),
              LinearMap(n, n, [sl_lam.apply(t) for t in lam[b]]))
             for b in range(n)]
-
-
-def _lifted_tildes(h, leg):
-    """tildes[b][x] = Delta_B(x) with e_b absorbed on ``leg`` by the right
-    multiplication R_b, on QB of an associative A, coordinate or not:
-    T_rho(x, b) for leg 2 and T_lambda(b, x) for leg 1, the values of
-    ``h.absorbed``, read from the lifted Delta_B as ``canonical_map`` reads
-    its columns there.  The empty vectors are shared.
-
-    QB balances left multiplications on both legs, and R_b commutes with
-    them by associativity, so R_b on a leg is a module map and descends:
-    its descent D, the leg operator ``h.absorbed`` applies, has
-    D(project(w)) = project(R_b w) for every w of A (x) A.  Delta_B(x) is
-    the projection of its lift, so h.absorbed's value is the projection
-    of R_b applied to the lift's leg.  The lift's entry c e_i (x) e_j
-    gives c e_i (x) e_j e_b on leg 2 and c e_i e_b (x) e_j on leg 1, so
-    one pass over the lift of each x, through the non-zero products of
-    the table's row j (or i), builds every b's vector at once, each
-    summed in the lift's order as ``apply_legs`` sums it; a b that no
-    product reaches is 0."""
-    A, q = h.A, h.q
-    n = A.dim
-    rows = [[(b, prod) for b, prod in enumerate(row) if prod] for row in A.table]
-    tildes = [[{}] * n for _ in range(n)]
-    for x in range(n):
-        acc = {}
-        for ij, c in h.lifts.col(x).items():
-            i, j = divmod(ij, n)
-            if leg == 2:
-                for b, prod in rows[j]:
-                    axpy(acc.setdefault(b, {}), c, prod, i * n)
-            else:
-                for b, prod in rows[i]:
-                    axpy(acc.setdefault(b, {}), c, kron_vec(prod, {j: ONE}, n))
-        for b, v in acc.items():
-            tildes[b][x] = q.project(v)
-    return tildes
 
 
 def _identities_on_generators(hat, rho_lambda):

@@ -278,6 +278,18 @@ def test_multiplication_and_action_maps_read_the_table_and_the_acts():
                for x in range(2) for k in range(3))
 
 
+def test_multiplication_by_a_basis_vector_is_the_shared_operator_of_its_index():
+    a = FiniteAlgebra.from_mul(3, lambda i, j: {(i + j) % 3: sc(i + 1)} if i != 2 else {},
+                               labels=["x", "y", "z"])
+    root = Scalar.root_term(2)
+    for k in range(3):
+        assert a.lmul({k: ONE}) is a.lmul(k) and a.rmul({k: ONE}) is a.rmul(k)
+    for u in ({1: sc(2)}, {0: ONE, 2: sc(-1)}, {1: root}, {0: root, 1: ONE}):
+        assert a.lmul(u) == LinearMap.from_function(3, 3, lambda j: a.mul(u, {j: ONE}))
+        assert a.rmul(u) == LinearMap.from_function(3, 3, lambda j: a.mul({j: ONE}, u))
+        assert a.lmul(u) is not a.lmul(u)  # built on each call
+
+
 def test_involution_axioms():
     conj_id = LinearMap.identity(2)
     a = FiniteAlgebra.pointwise(["u", "v"], involution=conj_id)

@@ -15,7 +15,7 @@ import pytest
 
 from qgroupoid import cli
 from qgroupoid.algebra_core import FiniteAlgebra, ModuleStructure
-from qgroupoid.bialgebroid import _Half
+from qgroupoid.bialgebroid import RegularMHA, _tilde_table
 from qgroupoid.examples import build_function_algebroid, pair_groupoid, standard_integrals
 from qgroupoid.exact_linear import ONE, LinearMap, ev, kron_vec, sc
 from qgroupoid.integration import (
@@ -28,7 +28,6 @@ from qgroupoid.integration import (
     gram_map,
 )
 from qgroupoid.structure_theory import (
-    _lifted_tildes,
     dual_algebra,
     faithfulness_check,
     modular_automorphism,
@@ -151,13 +150,15 @@ def test_stability_keeps_the_two_sided_scan_where_the_unit_is_not_the_identity(m
 
 @pytest.mark.parametrize("name", ["m_fun", "m_conv", "m_conv_mod", "m_group"])
 def test_lifted_tildes_equal_the_absorbed_values(name, request):
+    # every value of the table builder, for all four maps, against
+    # canonical_tilde at that pure tensor
     M = request.getfixturevalue(name)
-    h = _Half(M, "B")
-    assert h.q.coordinate
+    assert M.qb.coordinate and M.qc.coordinate
     n = M.A.dim
-    for leg in (1, 2):
-        tildes = _lifted_tildes(h, leg)
-        assert all(tildes[b][x] == h.absorbed(leg, x, b) for b in range(n) for x in range(n))
+    for which, (_, leg, _) in RegularMHA._TILDES.items():
+        tildes = _tilde_table(M, which)
+        assert all(tildes[u][d] == M.canonical_tilde(which, *((u, d) if leg == 1 else (d, u)))
+                   for u in range(n) for d in range(n)), which
 
 
 @pytest.mark.parametrize("name", ["m_fun", "m_conv", "m_tensor", "m_crossed"])

@@ -1,6 +1,7 @@
 """Modifiers, the modified structures, and the derivative recipes."""
 
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from qgroupoid.cli import main
 from qgroupoid.examples import (
     build_convolution_algebroid,
     build_crossed_product,
+    build_function_algebroid,
     build_tensor_algebroid,
     function_algebra_z2,
     groupoid_to_json,
@@ -390,10 +392,14 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
     # (16 tensors, 2 modifier checks and 17,472 relation tests before), and
     # after check_modifier took M's QB and QC for an identity theta (8
     # tensors before), and after generalized permutation maps were solved
-    # and inverted from their entries (37 solver echelons before)
+    # and inverted from their entries (37 solver echelons before), and
+    # after each distinct map was checked to be an automorphism once (4
+    # checks before) and each one-leg twist descended once per tensor (8
+    # twist descents before)
     path = tmp_path / "p4.json"
     path.write_text(json.dumps(groupoid_to_json(pair_groupoid([1, 2, 3, 4]))))
-    counts = {"tensors": 0, "modifier checks": 0, "relation tests": 0, "solver echelons": 0}
+    counts = {"tensors": 0, "modifier checks": 0, "relation tests": 0, "solver echelons": 0,
+              "automorphism checks": 0, "twist descents": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -407,6 +413,16 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
                         counted(modification.check_modifier, "modifier checks"))
     monkeypatch.setattr(QuotientSpace, "contains_relation",
                         counted(QuotientSpace.contains_relation, "relation tests"))
+    monkeypatch.setattr(modification, "automorphism_check",
+                        counted(modification.automorphism_check, "automorphism checks"))
+    descend = tensor.descend
+
+    def descend_counted(self, op1, op2, message, *args, **kwargs):
+        # the one-leg twists of the modifier's maps, by their failure text
+        counts["twist descents"] += bool(re.match(r"(id \(x\) )?(theta_[lr]|[lr]_theta) ", message))
+        return descend(self, op1, op2, message, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "descend", descend_counted)
 
     class Echelon(Rref):
         def __init__(self, tags_from=None):
@@ -424,6 +440,8 @@ def test_modify_on_convolution_p4_makes_no_more_work_than_recorded(tmp_path, mon
     assert counts["modifier checks"] == 1
     assert counts["relation tests"] <= 7232
     assert counts["solver echelons"] <= 23
+    assert counts["automorphism checks"] == 2  # sigma^(1/2) and sigma^(-1/2)
+    assert counts["twist descents"] == 4
 
 
 @pytest.mark.parametrize("twist, expected", [
@@ -449,6 +467,58 @@ def test_check_modifier_with_identity_theta_builds_no_tensor(m_fun, monkeypatch,
     axiom, witness = expected
     (entry,) = [e for e in rep.entries if e.axiom == axiom]
     assert (entry.status, entry.witness) == ("fail", witness)
+
+
+def test_a_twist_that_fails_again_raises_with_its_own_message(p2, monkeypatch):
+    # the second failing call reads its memo: it descends nothing and names
+    # its own twist and target
+    M = build_function_algebroid(p2)
+    perm = LinearMap.from_function(4, 4, lambda k: {[2, 1, 0, 3][k]: ONE})
+    descents = []
+    descend = balanced_tensor.BalancedTensor.descend
+    monkeypatch.setattr(balanced_tensor.BalancedTensor, "descend",
+                        lambda *args, **kwargs: descents.append(args) or descend(*args, **kwargs))
+    with pytest.raises(balanced_tensor.NotBalanced) as first:
+        modification._leg_twist(M.qb, "theta_r", perm, 2, M.qb, repr(M.qb.flavor + "~"))
+    with pytest.raises(balanced_tensor.NotBalanced) as second:
+        modification._leg_twist(M.qb, "r_theta", perm, 2)
+    assert len(descents) == 1
+    assert str(first.value) == ("id (x) theta_r does not descend 'bsA\u2297btA' -> "
+                                "'bsA\u2297btA~'; witness relation (0, 0, 2)")
+    assert str(second.value) == ("id (x) r_theta does not descend 'bsA\u2297btA' -> "
+                                 "'bsA\u2297btA'; witness relation (0, 0, 2)")
+
+
+@pytest.mark.parametrize("recipe", ["crossed", "two-sided"])
+def test_check_modifier_then_modify_evaluates_the_modifier_laws_once(hopf_z2, monkeypatch, recipe):
+    # a caller that checks the modifier and then modifies with it, as the
+    # crossed and two-sided pipelines do, has the laws evaluated once; each
+    # call gets its own copy of the report, and both reports read as they
+    # do where modify alone evaluates the laws
+    def build():
+        c = function_algebra_z2()
+        act = swap_action(hopf_z2, c)
+        mu = {0: sc(1), 1: sc(4)}
+        if recipe == "crossed":
+            mod, _ = crossed_rn_modifier(c, hopf_z2, act, mu)
+            return build_crossed_product(c, hopf_z2, act), mod
+        bundle = twosided_rn_modifier(c, hopf_z2, act, mu, LinearMap.identity(2))
+        return bundle["M"], bundle["modifier"]
+
+    alone = modify(*build())
+    M, mod = build()
+    evaluated, report = [], modification._modifier_report
+    monkeypatch.setattr(modification, "_modifier_report",
+                        lambda *args: evaluated.append(args) or report(*args))
+    checked = check_modifier(M, mod)
+    lines = checked.to_json_lines()
+    checked.entries.clear()  # the caller's own copy
+    Mt = modify(M, mod)
+    assert len(evaluated) == 1
+    assert lines == alone.modifier_report.to_json_lines() == Mt.modifier_report.to_json_lines()
+    assert check_modifier(M, mod).to_json_lines() == lines
+    assert Mt.modification_report.to_json_lines() == alone.modification_report.to_json_lines()
+    assert len(evaluated) == 1
 
 
 def test_a_modifier_that_moves_the_bases_twists_their_tensors(m_conv, p2, monkeypatch):

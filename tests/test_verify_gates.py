@@ -237,7 +237,8 @@ def _gates_off(monkeypatch):
     without weights (so each ``module_map_laws`` of a base's own action
     states the full (x, a) form) and ``keeps_actions`` declining (so each
     ``first_unkept`` compares whole maps), the slice laws at a alone,
-    antipode-unique through T_rho^-1, and the dual's weights."""
+    antipode-unique through T_rho^-1, the canonical maps from the table
+    and the dual's weights."""
     canonical_maps = bialgebroid.canonical_maps
     own = bialgebroid.RegularMHA._own_struct
     monkeypatch.setattr(bialgebroid.RegularMHA, "_own_struct",
@@ -251,6 +252,7 @@ def _gates_off(monkeypatch):
     monkeypatch.setattr(bialgebroid, "canonical_maps",
                         lambda M, report=None, weighted=(): canonical_maps(M, report))
     monkeypatch.setattr(bialgebroid, "_counits_by_weights", lambda M: False)
+    monkeypatch.setattr(bialgebroid, "_canonical_by_table", lambda M, q: False)
     monkeypatch.setattr(structure_theory, "ModuleStructure", _Unweighted)
 
 

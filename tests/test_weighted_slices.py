@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from qgroupoid import balanced_tensor, cli, integration
 from qgroupoid.balanced_tensor import BalancedTensor, descend_componentwise
-from qgroupoid.bialgebroid import RegularMHA, _halves, verify_regular_mha
+from qgroupoid.bialgebroid import RegularMHA, _halves, _tilde_table, verify_regular_mha
 from qgroupoid.examples import (
     build_convolution_algebroid,
     build_function_algebroid,
@@ -192,29 +192,41 @@ def test_echelon_tensors_keep_the_checked_slices(monkeypatch):
 
 def test_canonical_maps_equal_the_descended_operator_on_delta(request):
     # the gated columns, read from the lifted Delta, against canonical_tilde
-    # at every free coordinate of the domain
+    # at every free coordinate of the domain; on every associative A the
+    # table builder's values there too, which on the moved bundles' echelon
+    # quotients it projects
+    moving = law_shortcuts.sparse_descent
+    moved = [moving._transport(M, moving._CHANGES[change](M.A.dim))
+             for build in (build_function_algebroid, build_convolution_algebroid)
+             for change in ("ones", "seeded") for M in [build(pair_groupoid([1, 2, 3]))]]
     bundles = ([_bundle(name)[0] for name in ("functions-p3", "convolution-p3")]
                + [request.getfixturevalue(name) for name in ("m_fun", "m_conv", "m_group",
                                                              "m_tensor", "m_crossed",
                                                              "m_twosided", "m_h4_crossed",
                                                              "m_conv_mod")]
-               + [golden_record.matrix_tensor_algebroid(), *_basis_changed()]
+               + [golden_record.matrix_tensor_algebroid(), *_basis_changed(), *moved]
                + [golden_record.nonassociative_bundle(build)
                   for build in (build_function_algebroid, build_convolution_algebroid)]
                + [M for _, M in golden_record.sweep_bundles()]
                + golden_record.single_term_mutants())
-    gated, raised = 0, 0
+    gated, raised, projected = 0, 0, 0
     for M in bundles:
         n = M.A.dim
-        for which in RegularMHA._DOMAINS:
+        for which, (_, leg, _) in RegularMHA._TILDES.items():
             dom = M.tensor(RegularMHA._DOMAINS[which])
             expected = _outcome(lambda: [M.canonical_tilde(which, *divmod(p, n))
                                          for p in dom.space.free])
             got = _outcome(lambda: list(M.canonical_map(which)[0].data))
             assert got == expected, (M.name, which)
             raised += got[1] is not None
+            if M.A.is_associative()[0]:
+                tildes = _tilde_table(M, which)
+                pairs = (divmod(p, n) for p in dom.space.free)
+                built = [tildes[a][b] if leg == 1 else tildes[b][a] for a, b in pairs]
+                assert (built, None) == expected, (M.name, which)
         gated += M.qb.coordinate and M.A.is_associative()[0]
-    assert gated and raised  # non-associative convolution p2 raises
+        projected += not M.qb.coordinate and M.A.is_associative()[0]
+    assert gated and raised and projected  # non-associative convolution p2 raises
 
 
 def test_canonical_maps_build_no_leg_operator(monkeypatch):
