@@ -173,20 +173,15 @@ def first_unkept(laws):
     lhs = op(src.acts[x] e_a) != dst.acts[x] op(e_a) = rhs, scanned with x
     outer, then a, then k; None if every law holds.
 
-    Every law holds when ``keeps_actions`` does.  Where that declines or
-    fails, each x is compared as whole maps, and the a are scanned, in
-    order, only for the laws whose maps differ at x: a law whose maps
-    agree fails at no a, so the result is the first of a full scan."""
+    Every law holds when ``keeps_actions`` does; where that declines or
+    fails, the (x, a, k) are scanned."""
     laws = list(laws)
     if all(keeps_actions(*law) for law in laws):
         return None
     _, first, _ = laws[0]
     for x in range(len(first.acts)):
-        differ = [k for k, (op, src, dst) in enumerate(laws)
-                  if op.compose(src.acts[x]) != dst.acts[x].compose(op)]
-        for a in range(first.total.dim) if differ else ():
-            for k in differ:
-                op, src, dst = laws[k]
+        for a in range(first.total.dim):
+            for k, (op, src, dst) in enumerate(laws):
                 lhs, rhs = op.apply(src.acts[x].col(a)), dst.acts[x].apply(op.col(a))
                 if lhs != rhs:
                     return x, a, k, lhs, rhs

@@ -86,6 +86,7 @@ class RegularMHA:
     _integral_bases = None  # side -> (basis, reports), see integration._checked_basis
     _modifier_checks = None  # ids of a modifier's maps -> (maps, report, thetas),
     # see modification._checked_modifier
+    _tildes = None  # T_rho or T_lambda -> its _tilde_table
 
     def __init__(
         self,
@@ -232,35 +233,16 @@ class RegularMHA:
         """One canonical map with its domain tensor, built once per bundle.
 
         Column p is ``canonical_tilde`` at the free coordinate (a, b) of
-        the domain.  When the codomain q is a coordinate quotient and A is
-        associative (``_canonical_by_table``), the columns are read from
-        ``_tilde_table``, and no leg operator is built.  Proof: q balances
-        multiplications from one side on both legs, from the left on QB
-        and from the right on QC, and the map multiplies a leg by e_u from
-        the other side, from the right on B and from the left on C.  By
-        associativity the two commute, so that multiplication is a module
-        map and descends: its descent D, the leg operator of
-        ``canonical_tilde``, has D(project(w)) = project(m w) for every w
-        of A (x) A, m the multiplication on the leg.  Delta(d) is the
-        projection of its lift, so the value is the projection of m
-        applied to the lift.  The lift's entry c e_i (x) e_j gives
-        c e_i (x) e_j e_u for T_rho, c e_i e_u (x) e_j for T_lambda,
-        c e_i (x) e_u e_j for rho_T and c e_u e_i (x) e_j for lambda_T.
-        So one pass over the lift of each d, through the non-zero products
-        of the table's row f for a right multiplication, or its column f
-        for a left one, f the lift's index on the leg, builds every u's
-        vector at once, each summed in the lift's order as ``apply_legs``
-        sums it; a u that no product reaches is 0.  To project onto a
-        coordinate quotient is to drop its relation coordinates, so each
-        term is written straight into q's free positions, as ``descend``
-        writes them.
+        the domain.  On an associative A (``_absorbed_descend``) the
+        columns are read from ``_tilde_table``, and no leg operator is
+        built.
         """
         if self._canonical is None:
             self._canonical = {}
         if which not in self._canonical:
             n, dom = self.A.dim, self.tensor(self._DOMAINS[which])
             q = _codomain(self, which)
-            if _canonical_by_table(self, q):
+            if _absorbed_descend(self.A):
                 tildes, leg = _tilde_table(self, which), self._TILDES[which][1]
                 cols = []
                 for ab in dom.space.free:
@@ -396,20 +378,52 @@ def _codomain(M, which):
     return M.qb if which.startswith("T_") else M.qc
 
 
-def _canonical_by_table(M, q):
-    """Gate of ``canonical_map``'s columns from ``_tilde_table``: the
-    codomain q is a coordinate quotient and A is associative."""
-    return q.coordinate and M.A.is_associative()[0]
+def _absorbed_descend(A):
+    """Whether every multiplication that Delta absorbs, by any u on either
+    leg, descends to the half's tensor q, coordinate or echelon: A is
+    associative.  Proof: q balances multiplications from one side on both
+    legs, from the left on QB and from the right on QC, and Delta absorbs
+    them from the other side.  By associativity the two commute, so the
+    absorbed multiplication m sends each relation generator
+    x.a (x) b - a (x) x.b to another, at a u (or b u): it descends, and its
+    descent D, ``q.leg_op``, has D(project(w)) = project(m w) for every w."""
+    return A.is_associative()[0]
+
+
+def _exact_lifts(h):
+    """Whether the lift of a class of h's q times an absorbed e_u is the
+    lift of its image, exactly: q is a coordinate quotient of an
+    associative A.  Proof: the absorbed multiplication commutes with the
+    leg's base action (``_absorbed_descend``), which is diagonal, so it
+    keeps every weight and sends a lift, a vector on the free coordinates,
+    to a vector on the free coordinates, the lift of its own class."""
+    return h.q.coordinate and _absorbed_descend(h.A)
 
 
 def _tilde_table(M, which):
     """tildes[u][d], Delta(d) with e_u absorbed on the leg and from the
     side of the canonical map ``which`` (``RegularMHA._TILDES``), for every
     u and d, on an associative A: the value of ``canonical_tilde`` at
-    (u, d) on leg 1 and at (d, u) on leg 2.  Read from the lifted Delta in
-    one pass over the table, as ``canonical_map`` proves; projected into
-    the codomain, through its free positions when that is a coordinate
-    quotient.  Zero values are the shared read-only ``_ZERO_COLUMN``."""
+    (u, d) on leg 1 and at (d, u) on leg 2.  Built once per bundle, and
+    the B half's kept and shared by its readers, who must not mutate it;
+    zero values are the shared read-only ``_ZERO_COLUMN``.
+
+    The value is D(Delta(d)), D the descended multiplication m by e_u, so
+    by ``_absorbed_descend`` it is the projection of m applied to the lift
+    of Delta(d).  The lift's entry c e_i (x) e_j gives c e_i (x) e_j e_u
+    for T_rho, c e_i e_u (x) e_j for T_lambda, c e_i (x) e_u e_j for rho_T
+    and c e_u e_i (x) e_j for lambda_T.  So one pass over the lift of each
+    d, through the non-zero products of the table's row f for a right
+    multiplication, or its column f for a left one, f the lift's index on
+    the leg, builds every u's vector at once, each summed in the lift's
+    order as ``apply_legs`` sums it; a u that no product reaches is 0.  To
+    project onto a coordinate quotient is to drop its relation
+    coordinates, so there each term is written straight into q's free
+    positions, as ``descend`` writes them; any other q projects the sum."""
+    if M._tildes is None:
+        M._tildes = {}
+    if which in M._tildes:
+        return M._tildes[which]
     letter, leg, side = M._TILDES[which]
     A, q = M.A, _codomain(M, which)
     n, table = A.dim, A.table
@@ -433,6 +447,8 @@ def _tilde_table(M, which):
                 v = q.project(v)
             if v:
                 tildes[u][d] = v
+    if letter == "B":  # the dual's translate operators read T_rho and T_lambda again
+        M._tildes[which] = tildes
     return tildes
 
 
@@ -472,9 +488,9 @@ def _slice_terms(h, leg, lifted):
 
 def _slice_laws_at_one(h):
     """Whether h's slice laws at every (a, b) may be stated at a alone:
-    A is unital and associative and h's q is a coordinate quotient (see
-    ``integration._partial_integral_basis`` for the proof)."""
-    return h.A.unit() is not None and h.A.is_associative()[0] and h.q.coordinate
+    A is unital and h's lifts are exact (``_exact_lifts``); see
+    ``integration._partial_integral_basis`` for the proof."""
+    return h.A.unit() is not None and _exact_lifts(h)
 
 
 def _solve_counit(h):
@@ -655,10 +671,10 @@ def _verify_bialgebroid(M, h, rep, generators):
     and a descended map is fixed by its lifts, so sum u_j R_j is the
     descended multiplication by 1, the identity of q.  A vector that every
     R_j kills is killed by the identity: the joint kernel is 0 once every
-    R_j descends.  Where ``_legs_descend_by_weights`` shows that, none is
-    built.  Otherwise the 2n operators are built, since one that does not
-    descend fails the entry with its text, and only an A without a unit
-    solves the joint kernels.
+    R_j descends, which it does on an associative A
+    (``_absorbed_descend``): then none is built.  Otherwise the 2n
+    operators are built, since one that does not descend fails the entry
+    with its text, and only an A without a unit solves the joint kernels.
     """
     A, n, q, side = h.A, h.A.dim, h.q, h.side
     modules = side + "-bialgebroid-modules"
@@ -683,7 +699,7 @@ def _verify_bialgebroid(M, h, rep, generators):
     # laws below multiply Delta by them, so a bundle where one does not
     # descend is reported here and its suite ends
     unit = A.unit()
-    gated = unit is not None and _legs_descend_by_weights(h)
+    gated = unit is not None and _absorbed_descend(A)
     if not gated:
         try:
             legs = [[q.leg_op(leg, h.absorb, j) for j in range(n)] for leg in (1, 2)]
@@ -746,16 +762,6 @@ def _verify_bialgebroid(M, h, rep, generators):
     if h.eps is not None:
         _counit_checks(h, rep)
     return weighted
-
-
-def _legs_descend_by_weights(h):
-    """Whether every multiplication by e_j that Delta absorbs, on either
-    leg, descends to q: True when A is associative and q a coordinate
-    quotient.  The multiplication acts from the side opposite to q's
-    actions, so by associativity it commutes with them; they are
-    diagonal, so it keeps their weights (``keeps_weights``) and descends,
-    as in ``canonical_map``.  No leg operator is built."""
-    return h.q.coordinate and h.A.is_associative()[0]
 
 
 def _bimodule_witness(h):
@@ -919,12 +925,8 @@ def _coassociativity_blocks(M, kind, bs):
 def _coassociativity(M, rep, kind, name, eq):
     """One coassociativity law on every basis triple (a, b, c).
 
-    Gate: both tensors are coordinate quotients and A is associative.
-    Then the multiplication by e_a that Delta absorbs on a leg commutes
-    with the base action on that leg, which multiplies from the other
-    side; the action is diagonal, so e_a keeps every weight and sends
-    free coordinates to free coordinates, and the lift of Delta(b) times
-    e_a is the lift of Delta(b) times e_a.  So the blocks L(a, b, c) and R(a, b, c) of
+    Gate: both halves' lifts are exact (``_exact_lifts``).  Then the
+    blocks L(a, b, c) and R(a, b, c) of
     ``_coassociativity_blocks`` are Lambda(b) and P(b) times e_a on leg 1
     and e_c on leg 3, Lambda(b) = (lift Delta_X (x) id) lift Delta_Y(b)
     and P(b) = (id (x) lift Delta_Y) lift Delta_X(b), and the law holds
@@ -944,7 +946,7 @@ def _coassociativity(M, rep, kind, name, eq):
     labels, n = M.A.labels, M.A.dim
     hx, hy = _Half(M, kind[0]), _Half(M, kind[1])
     bs = range(n)
-    if hx.q.coordinate and hy.q.coordinate and M.A.is_associative()[0]:
+    if _exact_lifts(hx) and _exact_lifts(hy):
         bs = [b for b in bs if apply_legs(hx.lifts, None, hy.lifts.col(b), n)
               != apply_legs(None, hy.lifts, hx.lifts.col(b))]
 
@@ -1110,36 +1112,20 @@ def _hom_values(h, e):
 
 def _regularity_subspaces(M, rep):
     """The values of each Hom space, embedded by the other embedding of its
-    half and multiplied by A in the half's order, span A: the rank is read
-    by ``_rank_by_weights``, or from an echelon of the products where that
-    declines."""
+    half and multiplied by A in the half's order, span A: the rank of an
+    echelon of the products."""
     n = M.A.dim
     for module, name in (("_BA", "SB(IB)A"), ("A_B", "IBA"), ("A_C", "ASC(IC)"), ("^CA", "AIC")):
         letter, e = _ONE_SIDED[module]
         h = _Half(M, letter)
         vals = _hom_values(h, e).basis()
         struct = h.struct("t" if e == "s" else "s")
-        rank = _rank_by_weights(struct, vals)
-        if rank is None:
-            span = Rref()
-            for v in vals:
-                op = struct.operator(v)
-                for a in range(n):
-                    span.add(op.col(a))
-            rank = span.rank
-        rep.check(rank == n, "regular-subspace-" + name, "regular-1")
-
-
-def _rank_by_weights(struct, vals):
-    """The rank of the span of the struct.operator(v) e_a over the base
-    vectors v in vals and every a, read from the weights; None (declined)
-    when struct has none.  With weights mu, acts[x] e_a = mu_x(a) e_a, the
-    operator of v is diagonal, sending e_a to <v, mu(a)> e_a with
-    <v, mu(a)> = sum_x v_x mu_x(a).  So the span is that of the e_a where
-    some v has <v, mu(a)> != 0, and its rank is their number."""
-    if struct.weights is None:
-        return None
-    return sum(any(ev(dict(enumerate(mu)), v) for v in vals) for mu in struct.weights)
+        span = Rref()
+        for v in vals:
+            op = struct.operator(v)
+            for a in range(n):
+                span.add(op.col(a))
+        rep.check(span.rank == n, "regular-subspace-" + name, "regular-1")
 
 
 def _antipode_bimodule_witness(M, S):
@@ -1423,10 +1409,11 @@ def verify_star(M):
     is the linear map S_h L_h conj(S_o) conj(L_o).
 
     Gate of ``delta-star-compatibility``: A is associative and unital, and
-    ``algebra:involution`` passed.  Associativity makes every leg
-    multiplication below descend.  Since (b x)* = x* b*, the descended
-    star (x) star carries L1(b) and L2(c) on QC to R1(b*) and R2(c*) on QB,
-    so the law at (a, b, c) is R2(c*) R1(b*) D(a) = 0, with
+    ``algebra:involution`` passed.  Every leg multiplication below is one
+    that Delta absorbs, so it descends (``_absorbed_descend``).  Since
+    (b x)* = x* b*, the descended star (x) star carries L1(b) and L2(c) on
+    QC to R1(b*) and R2(c*) on QB, so the law at (a, b, c) is
+    R2(c*) R1(b*) D(a) = 0, with
     D(a) = Delta_B(a*) - (* (x) *) Delta_C(a).  It holds at every (b, c)
     for an a with D(a) = 0.  The stars of the basis span A, so with
     1 = sum u_b e_b* the operators R1(e_b*) combine to the identity, and

@@ -334,14 +334,13 @@ def _partial_integral_basis(M, side):
     ``module_map_laws`` of h's s and the base acting on itself, whose two
     forms have one row space.
 
-    Gate, ``_slice_laws_at_one``: A is unital, 1 = sum u_e e_e, and
-    associative, and h's q is a coordinate quotient.  Then the n laws at
-    d alone, the slice of the lift of Delta(d) equal to s(mapping(d)),
-    state the same system as the n^2 laws at (d, e):
-      - The multiplication by e_e that Delta absorbs keeps the weights
-        (see ``_coassociativity``), so the lift of Delta(d) times e_e is
-        the lift of Delta(d), multiplied by e_e on the leg the slice does
-        not consume: exactly, with no projection.
+    Gate, ``_slice_laws_at_one``: A is unital, 1 = sum u_e e_e, and h's
+    lifts are exact.  Then the n laws at d alone, the slice of the lift
+    of Delta(d) equal to s(mapping(d)), state the same system as the n^2
+    laws at (d, e):
+      - By ``_exact_lifts`` the lift of Delta(d) times e_e is the lift of
+        Delta(d), multiplied by e_e on the leg the slice does not consume:
+        exactly, with no projection.
       - By associativity the law at (d, e), a vector of equations, is
         then R_e applied to the law at d, R_e the multiplication by e_e
         in h's order: each of its rows is a combination of the rows of

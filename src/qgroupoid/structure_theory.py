@@ -433,7 +433,8 @@ def _translate_operators(X):
     rho(e_b.phi) is sl_rho(T_rho(x, b)), and column x of lambda(e_b.phi)
     is sl_lambda(T_lambda(b, x)).  sl_rho and sl_lambda are the B-half
     slices of ``convolution`` for phi's factors Cl (leg 2) and Bl (leg 1),
-    and the T values are read from the lifted Delta_B (``_tilde_table``).
+    and the T values are read from the lifted Delta_B (``_tilde_table``,
+    the one ``canonical_map`` reads).
 
     The translate's factors are phi's after R_b, the right multiplication
     by e_b.  For y in C, (e_b.phi)(y a) = phi((y a) e_b) = phi(y (a e_b))
@@ -448,7 +449,7 @@ def _translate_operators(X):
     for every w.  The slice of Cl o R_b sends p (x) q to t(Cl(q e_b)) p,
     that is, the slice of Cl after (id (x) R_b).  T_rho(x, b) =
     Delta_B(x)(1 (x) e_b) is the projection of (id (x) R_b) applied to a
-    lift of Delta_B(x), since it is the checked descent ``leg_op``.  So
+    lift of Delta_B(x), since R_b descends (``_absorbed_descend``).  So
     both sides are the slice of Cl, taken componentwise at that lift:
         rho(e_b.phi)(x) = sl of Cl o R_b at Delta_B(x) = sl_rho(T_rho(x, b)).
     (Because sl_rho and (id (x) R_b) both descend, the slice of Cl o R_b

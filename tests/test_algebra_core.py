@@ -232,7 +232,7 @@ def _unweighted(struct):
 
 def _scanned(laws):
     """Oracle of ``first_unkept``: every (x, a, k) in order, with no
-    comparison of whole maps first."""
+    weight gate first."""
     _, first, _ = laws[0]
     for x in range(len(first.acts)):
         for a in range(first.total.dim):

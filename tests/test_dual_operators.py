@@ -70,6 +70,30 @@ def test_translate_operators_equal_convolution_of_each_translate(request, fixtur
         assert lam == convolution(X, translates[b], "lambda").operator, b
 
 
+class _CountedStores(dict):
+    """A memo that records every key stored into it."""
+
+    def __init__(self, stored):
+        super().__init__()
+        self.stored = stored
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_one_dual_builds_each_tilde_table_once():
+    # canonical_map and _translate_operators read one T table per map,
+    # built once per bundle
+    M = build_function_algebroid(P3)
+    stored = []
+    assert M._tildes is None
+    M._tildes = _CountedStores(stored)
+    X = assemble_measured(M, WEIGHT_P3, *standard_integrals("groupoid-functions", M, groupoid=P3))
+    assert dual_algebra(X).report.ok
+    assert sorted(stored) == sorted(set(stored)) and {"T_rho", "T_lambda"} <= set(stored)
+
+
 def test_dual_algebra_makes_no_more_operator_builds_than_recorded(monkeypatch, x_fun_p3):
     # factorize, convolution, functional_of_map and LinearMap.compose calls
     # of dual_algebra on functions p3, sigma already built.  Counted after

@@ -244,8 +244,8 @@ def test_domination_with_modular_automorphism(x_fun_14):
 
 
 def _scanned_module_witness(M, mapping, side, h):
-    """Oracle for ``_module_witness``: every (x, a), with no comparison of
-    whole maps first."""
+    """Oracle for ``_module_witness``: every (x, a), with no weight gate
+    first."""
     n, target = M.A.dim, integration._target(M, side)
     base = target.base
     for x in range(base.dim):

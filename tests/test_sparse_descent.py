@@ -34,6 +34,7 @@ from qgroupoid.bialgebroid import (
     FLAVOR_TL,
     FLAVOR_TR,
     RegularMHA,
+    _absorbed_descend,
     verify_regular_mha,
     verify_star,
 )
@@ -249,6 +250,28 @@ def test_basis_change_keeps_every_verdict(case):
         assert before.ok and after.ok
         assert ([(e.axiom, e.eq, e.status) for e in after.entries]
                 == [(e.axiom, e.eq, e.status) for e in before.entries])
+
+
+@pytest.mark.parametrize("case", [
+    "m2", "functions-p3-ones", "convolution-p3-ones", "functions-p3-seeded",
+    "convolution-p3-seeded",
+])
+def test_every_absorbed_multiplication_descends_on_an_echelon_quotient(case):
+    # on an associative A a multiplication that Delta absorbs commutes with
+    # the base actions of its leg, so it descends on any quotient: on the
+    # M2 base and on the moved bundles, none of whose quotients is a
+    # coordinate one, every leg operator of either half is built
+    if case == "m2":
+        M2 = golden_record.matrix_tensor_algebroid()
+    else:
+        build, points, change = case.split("-")
+        M = _BUILDS[build](pair_groupoid(list(range(1, int(points[1:]) + 1))))
+        M2 = _transport(M, _CHANGES[change](M.A.dim))
+    assert not (M2.qb.coordinate or M2.qc.coordinate) and _absorbed_descend(M2.A)
+    for q, side in ((M2.qb, "r"), (M2.qc, "l")):
+        for leg in (1, 2):
+            for u in range(M2.A.dim):
+                q.leg_op(leg, side, u)
 
 
 @pytest.mark.parametrize("build, kind, mu", [

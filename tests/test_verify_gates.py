@@ -1,23 +1,25 @@
-"""The verify laws decided from the unit and the base weights report what
-their scans report.
+"""The verify laws decided from the unit, associativity and the base
+weights report what their scans report.
 
-``_legs_descend_by_weights`` decides ``-tensor-nondegenerate`` with no
-leg operator, ``canonical_maps`` skips the ``*-welldefined`` relation
-scan of a half whose Delta-bimodule law the weights decided, and
-``_counits_by_weights`` decides ``counits-multiplicative`` with no
-product in A.  The base-module laws are read from the bases' own
-weights: ``_hom_values`` solves no kernel, ``_rank_by_weights`` decides
-``regular-1`` with no echelon, and ``keeps_actions`` decides the counit
-and antipode bimodule laws.  The dual's bimodule identities are decided
-on the weights of diagonal operators.  Each gate is shown declining or
-failing on a fixture whose entry is pinned as the full scan names it,
-and with every gate forced to decline the mutants of the golden corpus's
+On an associative A every multiplication that Delta absorbs descends
+(``_absorbed_descend``), on coordinate and echelon quotients alike, so
+``-tensor-nondegenerate`` builds no leg operator on a unital A.
+``canonical_maps`` skips the ``*-welldefined`` relation scan of a half
+whose Delta-bimodule law the weights decided, and ``_counits_by_weights``
+decides ``counits-multiplicative`` with no product in A.  The
+base-module laws are read from the bases' own weights: ``_hom_values``
+solves no kernel, and ``keeps_actions`` decides the counit and antipode
+bimodule laws.  The dual's bimodule identities are decided on the
+weights of diagonal operators.  Each gate is shown declining or failing
+on a fixture whose entry is pinned as the full scan names it, and with
+every gate of ``_GATES`` declined the mutants of the golden corpus's
 recorder, and the corpus itself, keep their reports byte for byte.
 """
 
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -78,20 +80,51 @@ def test_a_passing_coordinate_bundle_builds_no_leg_operator_in_verify(monkeypatc
     assert built == []
 
 
-def test_the_leg_gate_declines_on_an_echelon_quotient(monkeypatch):
-    # the M2 base has no weights: both halves build their 2n leg operators
+def _nondegenerate_legs_spy(monkeypatch):
+    """The (flavor, leg, side, u) of each leg operator that
+    ``_verify_bialgebroid`` itself asks for, the legs of
+    ``-tensor-nondegenerate``; the other laws ask through helpers."""
+    built = []
+    real = BalancedTensor.leg_op
+
+    def spy(self, *args):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name == "<listcomp>":
+            caller = caller.f_back
+        if caller.f_code is bialgebroid._verify_bialgebroid.__code__:
+            built.append((self.flavor, *args))
+        return real(self, *args)
+
+    monkeypatch.setattr(BalancedTensor, "leg_op", spy)
+    return built
+
+
+def test_the_leg_gate_takes_an_echelon_quotient(monkeypatch):
+    # the M2 base has no weights and its quotients are echelon ones, yet A
+    # is associative and unital: -tensor-nondegenerate builds none of its
+    # 2n leg operators per half, and the report is the one with the gate
+    # declined, where both halves build them
     M = golden_record.matrix_tensor_algebroid()
-    built = _leg_ops_spy(monkeypatch)
-    assert not any(bialgebroid._legs_descend_by_weights(h) for h in bialgebroid._halves(M))
-    assert verify_regular_mha(M).ok
-    assert {flavor for flavor, _ in built} == {bialgebroid.FLAVOR_QB, bialgebroid.FLAVOR_QC}
+    assert not (M.qb.coordinate or M.qc.coordinate) and bialgebroid._absorbed_descend(M.A)
+    built = _nondegenerate_legs_spy(monkeypatch)
+    rep = verify_regular_mha(M)
+    lines = rep.to_json_lines()
+    assert built == [] and rep.ok
+    with monkeypatch.context() as declined:
+        declined.setattr(bialgebroid, "_absorbed_descend", lambda A: False)
+        assert verify_regular_mha(golden_record.matrix_tensor_algebroid()).to_json_lines() == lines
+    n = M.A.dim
+    assert sorted(built) == sorted((flavor, leg, side, j)
+                                   for flavor, side in ((bialgebroid.FLAVOR_QB, "r"),
+                                                        (bialgebroid.FLAVOR_QC, "l"))
+                                   for leg in (1, 2) for j in range(n))
 
 
 def test_the_leg_gate_declines_where_a_multiplication_does_not_descend():
     # e_0 e_1 := e_0 on convolution p2: A is not associative, the legs are
     # built, and the first that does not descend is the witness
     M = golden_record.nonassociative_bundle(build_convolution_algebroid)
-    assert not any(bialgebroid._legs_descend_by_weights(h) for h in bialgebroid._halves(M))
+    assert not bialgebroid._absorbed_descend(M.A)
     text = "%s-multiplication on leg 1 does not descend between flavors '%s' -> '%s'; " \
            "witness relation (0, 1, 0)"
     assert _lines(M, "left-tensor-nondegenerate", "right-tensor-nondegenerate") == [
@@ -145,14 +178,13 @@ def test_the_counit_gate_declines_without_weights():
     assert json.loads(line)["status"] == "pass"
 
 
-def test_the_hom_value_and_regular_1_gates_decline_on_the_m2_base(monkeypatch):
+def test_the_hom_value_gate_declines_on_the_m2_base(monkeypatch):
     # neither the M2 base nor its action on A is diagonal: each Hom space
-    # is solved, the products are ranked by an echelon, and regular-1 passes
+    # is solved, and regular-1 passes
     M = golden_record.matrix_tensor_algebroid()
     for h in bialgebroid._halves(M):
         for e in "st":
             assert h.own(e).weights is None and h.struct(e).weights is None
-            assert bialgebroid._rank_by_weights(h.struct(e), [{0: 1}]) is None
     solved, real = [], bialgebroid._hom_space
     monkeypatch.setattr(bialgebroid, "_hom_space",
                         lambda h, e: solved.append((h.letter, e)) or real(h, e))
@@ -164,9 +196,10 @@ def test_the_hom_value_and_regular_1_gates_decline_on_the_m2_base(monkeypatch):
 
 def test_a_product_mutant_fails_regular_1_on_the_weights():
     # e_(1,1) e_(1,1) := 0 on functions p2: every base element acts on
-    # e_(1,1) by 0, so no product of a Hom value with A reaches it
+    # e_(1,1) by 0, so no product of a Hom value with A reaches it; the
+    # Hom values are read from the weights
     M = golden_record.product_changed(build_function_algebroid, 0, 0, {})
-    assert all(bialgebroid._rank_by_weights(h.struct(e), []) is not None and h.own(e).weights
+    assert all(h.struct(e).weights is not None and h.own(e).weights
                for h in bialgebroid._halves(M) for e in "st")
     assert _lines(M, *_REGULAR_1) == [
         json.dumps({"axiom": axiom, "eq": "regular-1", "status": "fail"}, sort_keys=True)
@@ -231,29 +264,43 @@ def _unweighted(struct):
     return _Unweighted(struct.base, struct.total, struct.acts, struct.side)
 
 
+_OWN_STRUCT = bialgebroid.RegularMHA._own_struct
+
+# Every gate that decides a law without its scan, as (owner, name, a
+# stand-in that declines it).  _exact_lifts also declines
+# _slice_laws_at_one, and _bimodule_by_weights the welldefined gate of
+# canonical_maps, which reads the halves where it held.  The weighted
+# branches of _hom_values and _intertwines decline on bases without weights.
+_GATES = [
+    (bialgebroid, "_absorbed_descend", lambda A: False),
+    (bialgebroid, "_exact_lifts", lambda h: False),
+    (bialgebroid, "_bimodule_by_weights", lambda h: False),
+    (bialgebroid, "_homomorphism_on_generators", lambda h, generators: False),
+    (bialgebroid, "_counits_by_weights", lambda M: False),
+    (bialgebroid, "_antipode_through_inverse", lambda M, canon, passed: None),
+    (bialgebroid.RegularMHA, "_own_struct",
+     lambda M, kind, letter: _unweighted(_OWN_STRUCT(M, kind, letter))),
+    (balanced_tensor, "keeps_actions", lambda op, src, dst: False),
+    (BalancedTensor, "_slice_by_weights", lambda tensor, weights, mapping, leg: None),
+    (integration, "_stability_moves",
+     lambda left, right: [x.compose(x2) for x2 in right.acts for x in left.acts]),
+    (structure_theory, "_identities_on_generators", lambda hat, rho_lambda: False),
+    (structure_theory, "ModuleStructure", _Unweighted),  # the dual's operators
+]
+
+
 def _gates_off(monkeypatch):
-    """Every gate of this file declined: the leg and counit gates, the
-    welldefined gate by no weighted half, the base-module gates by bases
-    without weights (so each ``module_map_laws`` of a base's own action
-    states the full (x, a) form) and ``keeps_actions`` declining (so each
-    ``first_unkept`` compares whole maps), the slice laws at a alone,
-    antipode-unique through T_rho^-1, the canonical maps from the table
-    and the dual's weights."""
-    canonical_maps = bialgebroid.canonical_maps
-    own = bialgebroid.RegularMHA._own_struct
-    monkeypatch.setattr(bialgebroid.RegularMHA, "_own_struct",
-                        lambda M, kind, letter: _unweighted(own(M, kind, letter)))
-    monkeypatch.setattr(balanced_tensor, "keeps_actions", lambda op, src, dst: False)
-    for module in (bialgebroid, integration):
-        monkeypatch.setattr(module, "_slice_laws_at_one", lambda h: False)
-    monkeypatch.setattr(bialgebroid, "_antipode_through_inverse", lambda M, canon, passed: None)
-    monkeypatch.setattr(bialgebroid, "_rank_by_weights", lambda struct, vals: None)
-    monkeypatch.setattr(bialgebroid, "_legs_descend_by_weights", lambda h: False)
-    monkeypatch.setattr(bialgebroid, "canonical_maps",
-                        lambda M, report=None, weighted=(): canonical_maps(M, report))
-    monkeypatch.setattr(bialgebroid, "_counits_by_weights", lambda M: False)
-    monkeypatch.setattr(bialgebroid, "_canonical_by_table", lambda M, q: False)
-    monkeypatch.setattr(structure_theory, "ModuleStructure", _Unweighted)
+    """Every gate of ``_GATES`` declined; returns the set of the names of
+    the gates asked since, filled as they are asked."""
+    asked = set()
+    for owner, name, declined in _GATES:
+        def stand_in(*args, name=name, declined=declined):
+            asked.add(name)
+            return declined(*args)
+
+        assert hasattr(owner, name), name
+        monkeypatch.setattr(owner, name, stand_in)
+    return asked
 
 
 def test_every_mutant_reports_the_same_with_the_gates_declined(monkeypatch):
@@ -274,13 +321,14 @@ def test_every_mutant_reports_the_same_with_the_gates_declined(monkeypatch):
 def test_every_golden_case_reports_the_same_with_the_gates_declined(monkeypatch, tmp_path):
     with open(os.path.join(HERE, "golden", "exits.json")) as fh:
         exits = json.load(fh)
-    _gates_off(monkeypatch)
+    asked = _gates_off(monkeypatch)
     cases = golden_record.cases(str(tmp_path))
     for name in sorted(exits):
         steps = cases[name]()
         with open(os.path.join(HERE, "golden", name + ".jsonl")) as fh:
             assert "".join(text for _, text in steps) == fh.read(), name
         assert [code for code, _ in steps] == exits[name], name
+    assert asked == {name for _, name, _ in _GATES}
 
 
 def test_the_counit_solves_state_2n_slice_laws_per_half_on_a_coordinate_quotient(
