@@ -113,24 +113,17 @@ class FiniteAlgebra:
         return LinearMap(self.dim, 1, [self.unit()])
 
     def lmul(self, u):
-        """Left multiplication operator v -> u*v for a basis index or vector.
-        An index k, or the vector e_k, gives the operator of k, built once
-        per algebra; callers must not mutate it."""
-        k = _basis_index(u)
-        if k is None:
-            return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul(u, {j: ONE}))
-        if k not in self._lmul:
-            self._lmul[k] = LinearMap.from_function(self.dim, self.dim, lambda j: self.table[k][j])
-        return self._lmul[k]
+        """Left multiplication operator v -> u*v for a basis index or vector,
+        built once per algebra for each index, or for each vector under its
+        sorted items (the vector e_k is the index k); callers must not
+        mutate it."""
+        return _memo_operator(self._lmul, u, lambda k, j: self.table[k][j],
+                              lambda j: self.mul(u, {j: ONE}), self.dim)
 
     def rmul(self, u):
         """Right multiplication operator v -> v*u, shared as ``lmul``'s is."""
-        k = _basis_index(u)
-        if k is None:
-            return LinearMap.from_function(self.dim, self.dim, lambda j: self.mul({j: ONE}, u))
-        if k not in self._rmul:
-            self._rmul[k] = LinearMap.from_function(self.dim, self.dim, lambda j: self.table[j][k])
-        return self._rmul[k]
+        return _memo_operator(self._rmul, u, lambda k, j: self.table[j][k],
+                              lambda j: self.mul({j: ONE}, u), self.dim)
 
     def star(self, v):
         if self.involution is None:
@@ -205,6 +198,18 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return "FiniteAlgebra(dim=%d)" % self.dim
+
+
+def _memo_operator(memo, u, basis_col, vector_col, n):
+    """The n x n operator of u from ``memo``: column j basis_col(k, j) for
+    a basis index k or the vector e_k, vector_col(j) for any other vector,
+    built on the first call under k or the vector's sorted items."""
+    k = _basis_index(u)
+    key = tuple(sorted(u.items())) if k is None else k
+    if key not in memo:
+        col = vector_col if k is None else (lambda j: basis_col(k, j))
+        memo[key] = LinearMap.from_function(n, n, col)
+    return memo[key]
 
 
 def _basis_index(u):
@@ -452,15 +457,27 @@ def check_algebra(algebra):
     return Report().merge(algebra._checked[1])
 
 
+def _unital(algebra):
+    """Whether A has a two-sided unit, which makes it non-degenerate on
+    both sides and idempotent, so ``_algebra_report`` solves no kernel and
+    ranks no product: a A = 0 gives a = a 1 = 0, A a = 0 gives a = 1 a = 0,
+    and A = A 1 lies in the span of the products A A."""
+    return algebra.unit() is not None
+
+
 def _algebra_report(algebra):
     rep = Report()
     ok, wit = algebra.is_associative()
     rep.check(ok, "associativity", "algebra-associative", wit)
-    nd_right, nd_left = algebra.nondegenerate_sides()
+    unit = algebra.unit()
+    if _unital(algebra):
+        nd_right = nd_left = idempotent = True
+    else:
+        nd_right, nd_left = algebra.nondegenerate_sides()
+        idempotent = algebra.products_span()
     rep.check(nd_right, "non-degenerate-right", "algebra-non-degenerate")
     rep.check(nd_left, "non-degenerate-left", "algebra-non-degenerate")
-    rep.check(algebra.products_span(), "idempotent", "algebra-idempotent")
-    unit = algebra.unit()
+    rep.check(idempotent, "idempotent", "algebra-idempotent")
     rep.check(
         unit is not None,
         "local-units",

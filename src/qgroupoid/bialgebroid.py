@@ -378,6 +378,11 @@ def _codomain(M, which):
     return M.qb if which.startswith("T_") else M.qc
 
 
+def _lifts(M, which):
+    """The lifted Delta of the half a canonical map reads."""
+    return M._db_lift if M._TILDES[which][0] == "B" else M._dc_lift
+
+
 def _absorbed_descend(A):
     """Whether every multiplication that Delta absorbs, by any u on either
     leg, descends to the half's tensor q, coordinate or echelon: A is
@@ -427,7 +432,7 @@ def _tilde_table(M, which):
     letter, leg, side = M._TILDES[which]
     A, q = M.A, _codomain(M, which)
     n, table = A.dim, A.table
-    lifts = M._db_lift if letter == "B" else M._dc_lift
+    lifts = _lifts(M, which)
     if side == "r":  # products[f]: the non-zero (u, e_f e_u), or (u, e_u e_f) for "l"
         products = [[(u, p) for u, p in enumerate(row) if p] for row in table]
     else:
@@ -1164,10 +1169,11 @@ def _antipode_checks(M, rep, canon):
     ``antipode-base-bimodule`` (``_antipode_bimodule_witness``),
     ``antipode-diagram-left`` and ``antipode-diagram-right``, all passed.
 
-    Gate of the diagrams: A is associative and unital, and
-    ``antipode-base-bimodule`` passed.  Write m_S for S applied on leg
-    h.t_leg and multiplied out in h's order: m(S (x) id) on B, m(id (x) S)
-    on C.  By the bimodule law S(s(x) a) = S(a) t(x) and associativity,
+    Gate of the diagrams: A is associative and unital
+    (``_unital_associative``), and ``antipode-base-bimodule`` passed.
+    Write m_S for S applied on leg h.t_leg and multiplied out in h's
+    order: m(S (x) id) on B, m(id (x) S) on C.  By the bimodule law
+    S(s(x) a) = S(a) t(x) and associativity,
     m_S kills QB's relations s(x) a (x) b - a (x) t(x) b, as in
     ``_antipode_through_inverse``, and on C S(a s(x)) = t(x) S(a) kills
     QC's mirror ones.  So m_S takes one value on every lift of a class.
@@ -1188,7 +1194,7 @@ def _antipode_checks(M, rep, canon):
     rep.check(wit is None, "antipode-base-bimodule", "hopf-characterization-1", wit)
     solves = wit is None
     unit = A.unit()
-    gated = solves and unit is not None and A.is_associative()[0]
+    gated = solves and _unital_associative(A)
 
     # the two defining diagrams, one per half
     for h, other in _mirrored(M):
@@ -1209,15 +1215,84 @@ def _antipode_checks(M, rep, canon):
     )
     rep.check(wit is None, "antipode-counits", "antipode-counits", wit)
 
+    _galois_diagrams(M, rep, canon)
+    return solves
+
+
+def _unital_associative(A):
+    """Whether A is unital and associative, the hypothesis both diagram
+    gates of ``_antipode_checks`` and ``_galois_diagrams`` share: every
+    multiplication on a leg that commutes with the balancing actions
+    descends (``_absorbed_descend``), and 1 = sum u_j e_j writes a law at
+    the unit as a combination of its laws at the basis."""
+    return A.unit() is not None and A.is_associative()[0]
+
+
+def _galois_at_unit(M, rep, descents):
+    """Whether ``_galois_diagrams`` may decide a diagram at the unit: A is
+    unital and associative (``_unital_associative``),
+    ``antipode-antiautomorphism`` and the four ``*-welldefined`` entries
+    of rep passed, and each (src, dst, op1, op2, swap) of the diagram's
+    ``descents`` passes ``BalancedTensor._module_maps``, so it exists."""
+    return (_unital_associative(M.A) and rep.status_of("antipode-antiautomorphism") == "pass"
+            and all(rep.status_of(w + "-welldefined") == "pass" for w in M._DOMAINS)
+            and all(src._module_maps(dst, op1, op2, swap) for src, dst, op1, op2, swap in descents))
+
+
+def _galois_diagrams(M, rep, canon):
+    """The four Galois diagrams on M.S, sigma = flip o (S (x) S):
+        galois-inverse-right   T_rho (id (x) S) rho_T = id (x) S,
+        galois-inverse-left    lambda_T (S (x) id) T_lambda = S (x) id,
+        galois-antipode-left   rho_T sigma = sigma T_lambda,
+        galois-antipode-right  T_rho sigma = sigma lambda_T,
+    each map descended between the tensors it joins; a failing law's
+    witness is a fixed text.
+
+    Gate, ``_galois_at_unit``: then with u = S(1) and [.] a class, the
+    law is the n comparisons
+        T_rho[(id (x) S) lift Delta_C(a)] = [e_a (x) u]        for every a,
+        lambda_T[(S (x) id) lift Delta_B(b)] = [u (x) e_b]      for every b,
+        rho_T[S(e_b) (x) u] = [sigma lift Delta_B(b)]           for every b,
+        T_rho[S(e_b) (x) u] = [sigma lift Delta_C(b)]           for every b,
+    its two sides at [e_a (x) 1] (at [1 (x) e_b] for the other three).
+    Well-definedness makes each built canonical map the map on classes,
+    so it takes [x (x) 1] = sum u_j [x (x) e_j] to Delta(x), and a
+    descent takes a class to the class of its image of any lift
+    (``descend_componentwise``).  Proof: at [e_a (x) e_b] both sides are
+    their values at the unit times a multiplication by S(e_b) (S(e_a) for
+    the other three) on one leg of the codomain: from the right on leg 2
+    of QB for the right diagrams, from the left on leg 1 of QC for
+    inverse-left and on leg 2 for antipode-left.  For inverse-right,
+    rho_T(a, b) = (1 (x) e_b) Delta_C(a) and S(e_b d) = S(d) S(e_b), so
+    (id (x) S) carries it to [(id (x) S) lift Delta_C(a)] S(e_b) on leg 2,
+    which T_rho(c, d) = Delta_B(c)(1 (x) d) keeps on leg 2 by
+    associativity; and [e_a (x) S(e_b)] = [e_a (x) u] S(e_b), since
+    u S(e_b) = S(e_b 1).  The others mirror it.  Each multiplication
+    commutes with the balancing action of its leg, which multiplies from
+    the other side, so it descends.  So a law that holds at the unit holds
+    at every [e_a (x) e_b], and one that holds there holds at the unit,
+    sum_b u_b of them.  Wherever the gate declines, both descents and the
+    composites are built and compared, in the old order.
+    """
+    n, S = M.A.dim, M.S
+
     # inverse diagrams: T_rho (id x S) rho_T = (id x S) and the mirror
     try:
         for name, outer, inner, ops, text in (
                 ("right", "T_rho", "rho_T", (None, S), "id (x) S"),
                 ("left", "lambda_T", "T_lambda", (S, None), "S (x) id")):
             message = text + " does not descend {src!r} -> {dst!r}"
-            into = _codomain(M, inner).descend(*ops, message, canon[outer]["domain"])
-            out = canon[inner]["domain"].descend(*ops, message, _codomain(M, outer))
-            ok = canon[outer]["map"].compose(into).compose(canon[inner]["map"]) == out
+            mid, dom, cod = canon[outer]["domain"], canon[inner]["domain"], _codomain(M, outer)
+            if _galois_at_unit(M, rep, ((_codomain(M, inner), mid, *ops, False),
+                                        (dom, cod, *ops, False))):
+                lifts, u = _lifts(M, inner), S.apply(M.A.unit())
+                ok = all(canon[outer]["map"].apply(mid.project(apply_legs(*ops, lifts.col(a), n)))
+                         == cod.pure(*({a: ONE} if op is None else u for op in ops))
+                         for a in range(n))
+            else:
+                into = _codomain(M, inner).descend(*ops, message, mid)
+                out = dom.descend(*ops, message, cod)
+                ok = canon[outer]["map"].compose(into).compose(canon[inner]["map"]) == out
             rep.check(ok, "galois-inverse-" + name, "dg-galois-inverse",
                       None if ok else "composite differs from " + text)
     except NotBalanced as e:
@@ -1226,14 +1301,25 @@ def _antipode_checks(M, rep, canon):
     # flip diagrams: rho_T o (flip SS) = (flip SS) o T_lambda, and the mirror
     try:
         for name, src, dst in (("left", "T_lambda", "rho_T"), ("right", "lambda_T", "T_rho")):
-            ss_dom = _sigma_ss(M, canon[src]["domain"], canon[dst]["domain"])
-            ss_cod = _sigma_ss(M, _codomain(M, src), _codomain(M, dst))
-            ok = canon[dst]["map"].compose(ss_dom) == ss_cod.compose(canon[src]["map"])
+            dom, cod = canon[dst]["domain"], _codomain(M, dst)
+            if _galois_at_unit(M, rep, ((canon[src]["domain"], dom, S, S, True),
+                                        (_codomain(M, src), cod, S, S, True))):
+                lifts, u = _lifts(M, src), S.apply(M.A.unit())
+                ok = all(canon[dst]["map"].apply(dom.pure(S.col(b), u)) == cod.project(
+                    apply_legs(S, S, _flipped(lifts.col(b), n))) for b in range(n))
+            else:
+                ss_dom = _sigma_ss(M, canon[src]["domain"], dom)
+                ss_cod = _sigma_ss(M, _codomain(M, src), cod)
+                ok = canon[dst]["map"].compose(ss_dom) == ss_cod.compose(canon[src]["map"])
             rep.check(ok, "galois-antipode-" + name, "dg-galois-antipode",
                       None if ok else "flip SS does not intertwine %s with %s" % (src, dst))
     except NotBalanced as e:
         rep.check(False, "galois-antipode", "dg-galois-antipode", str(e))
-    return solves
+
+
+def _flipped(w, n):
+    """a (x) b -> b (x) a on a vector of A (x) A."""
+    return {j * n + i: c for ij, c in w.items() for i, j in (divmod(ij, n),)}
 
 
 def _antipode_through_inverse(M, canon, passed):

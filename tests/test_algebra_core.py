@@ -287,7 +287,9 @@ def test_multiplication_by_a_basis_vector_is_the_shared_operator_of_its_index():
     for u in ({1: sc(2)}, {0: ONE, 2: sc(-1)}, {1: root}, {0: root, 1: ONE}):
         assert a.lmul(u) == LinearMap.from_function(3, 3, lambda j: a.mul(u, {j: ONE}))
         assert a.rmul(u) == LinearMap.from_function(3, 3, lambda j: a.mul({j: ONE}, u))
-        assert a.lmul(u) is not a.lmul(u)  # built on each call
+        # built once per vector content, whatever the order of its items
+        again = dict(reversed(list(u.items())))
+        assert a.lmul(u) is a.lmul(again) and a.rmul(u) is a.rmul(again)
 
 
 def test_involution_axioms():

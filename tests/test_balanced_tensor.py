@@ -472,13 +472,27 @@ def module_map_descents(monkeypatch):
     return calls
 
 
+def _galois_descents(M):
+    """The descents the Galois diagrams of verify build where their gate
+    declines: id (x) S, S (x) id and flip o (S (x) S) between the
+    canonical maps' tensors."""
+    canon, S = M.canonical(), M.S
+    for outer, inner, ops in (("T_rho", "rho_T", (None, S)), ("lambda_T", "T_lambda", (S, None))):
+        bialgebroid._codomain(M, inner).descend(*ops, "{src!r}", canon[outer][1])
+        canon[inner][1].descend(*ops, "{src!r}", bialgebroid._codomain(M, outer))
+    for src, dst in (("T_lambda", "rho_T"), ("lambda_T", "T_rho")):
+        bialgebroid._sigma_ss(M, canon[src][1], canon[dst][1])
+        bialgebroid._sigma_ss(M, bialgebroid._codomain(M, src), bialgebroid._codomain(M, dst))
+
+
 def _measured_p2(build, kind, mu):
-    """verify, the measured bundle with weight mu on both bases and both
-    modular automorphisms of a fresh p2 instance: leg multiplications,
-    flips and modular twists."""
+    """verify and the Galois descents, the measured bundle with weight mu
+    on both bases and both modular automorphisms of a fresh p2 instance:
+    leg multiplications, flips and modular twists."""
     g = pair_groupoid([1, 2])
     M = build(g)
     verify_regular_mha(M)
+    _galois_descents(M)
     weight = BaseWeight(mu_B=dict(mu), mu_C=dict(mu))
     X = assemble_measured(M, weight, *standard_integrals(kind, M, groupoid=g))
     for side in ("left", "right"):
@@ -487,14 +501,20 @@ def _measured_p2(build, kind, mu):
 
 def _modified_p2():
     """groupoid_rn on convolution p2 with weights 1 and 2: twists by
-    sqrt(2), and the modified bundle verified inside ``modify``."""
+    sqrt(2), the modified bundle verified inside ``modify``, and its
+    Galois descents."""
     g = pair_groupoid([1, 2])
     mod, _ = groupoid_rn_modifier(g, {0: 1, 1: 2}, ScalarField((2,)))
-    modify(build_convolution_algebroid(g), mod)
+    _galois_descents(modify(build_convolution_algebroid(g), mod))
 
 
 def _verified(build):
-    return lambda: verify_regular_mha(build())
+    """verify on a fresh bundle, then its Galois descents."""
+    def run():
+        M = build()
+        verify_regular_mha(M)
+        _galois_descents(M)
+    return run
 
 
 _MODULE_MAP_RUNS = {

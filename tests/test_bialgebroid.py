@@ -864,3 +864,15 @@ def test_failing_bundles_with_an_inverse_galois_map_solve_no_antipode_system(mon
     assert solved == []
     witnesses = {_failure(rep, "antipode-unique") for rep in map(verify_regular_mha, gated)}
     assert witnesses == {None, "antipode system is inconsistent", "derived antipode differs"}
+
+
+def test_equal_embedded_vectors_share_one_multiplication_operator():
+    # on the function algebroid emb_SB(x) is a column of C.embed, a vector
+    # of several terms: the structures multiplying by the two share one
+    # operator, built once by the algebra
+    M = build_function_algebroid(pair_groupoid([1, 2, 3]))
+    for kind in "lr":
+        for x in range(M.B.base.dim):
+            v = M.emb_SB().col(x)
+            y = next(y for y in range(M.C.base.dim) if M.C.embed.col(y) == v)
+            assert len(v) > 1 and M._struct(kind, "SB").acts[x] is M._struct(kind, "C").acts[y]

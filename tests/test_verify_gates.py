@@ -10,7 +10,9 @@ decides ``counits-multiplicative`` with no product in A.  The
 base-module laws are read from the bases' own weights: ``_hom_values``
 solves no kernel, and ``keeps_actions`` decides the counit and antipode
 bimodule laws.  The dual's bimodule identities are decided on the
-weights of diagonal operators.  Each gate is shown declining or failing
+weights of diagonal operators.  ``check_algebra`` reads non-degeneracy
+and idempotency from the unit, and ``_galois_diagrams`` decides each
+Galois diagram at the unit, with no descent built.  Each gate is shown declining or failing
 on a fixture whose entry is pinned as the full scan names it, and with
 every gate of ``_GATES`` declined the mutants of the golden corpus's
 recorder, and the corpus itself, keep their reports byte for byte.
@@ -23,7 +25,7 @@ import sys
 
 import pytest
 
-from qgroupoid import balanced_tensor, bialgebroid, integration, structure_theory
+from qgroupoid import algebra_core, balanced_tensor, bialgebroid, integration, structure_theory
 from qgroupoid.algebra_core import ModuleStructure
 from qgroupoid.balanced_tensor import BalancedTensor
 from qgroupoid.bialgebroid import _bimodule_by_weights, verify_regular_mha
@@ -268,11 +270,15 @@ _OWN_STRUCT = bialgebroid.RegularMHA._own_struct
 
 # Every gate that decides a law without its scan, as (owner, name, a
 # stand-in that declines it).  _exact_lifts also declines
-# _slice_laws_at_one, and _bimodule_by_weights the welldefined gate of
-# canonical_maps, which reads the halves where it held.  The weighted
-# branches of _hom_values and _intertwines decline on bases without weights.
+# _slice_laws_at_one, _bimodule_by_weights the welldefined gate of
+# canonical_maps, which reads the halves where it held, and
+# _unital_associative both diagram gates of _antipode_checks, the Galois
+# one through _galois_at_unit.  The weighted branches of _hom_values and
+# _intertwines decline on bases without weights.
 _GATES = [
+    (algebra_core, "_unital", lambda algebra: False),
     (bialgebroid, "_absorbed_descend", lambda A: False),
+    (bialgebroid, "_unital_associative", lambda A: False),
     (bialgebroid, "_exact_lifts", lambda h: False),
     (bialgebroid, "_bimodule_by_weights", lambda h: False),
     (bialgebroid, "_homomorphism_on_generators", lambda h, generators: False),
@@ -303,19 +309,74 @@ def _gates_off(monkeypatch):
     return asked
 
 
+def _mutants():
+    """The bundles of the golden corpus's recorder: its sweep, single-term
+    and single-product mutants and both non-associative bundles."""
+    return ([M for _, M in golden_record.sweep_bundles()]
+            + golden_record.single_term_mutants()
+            + [M for _, M in golden_record.single_product_changes()]
+            + [golden_record.nonassociative_bundle(build)
+               for build in (build_function_algebroid, build_convolution_algebroid)])
+
+
 def test_every_mutant_reports_the_same_with_the_gates_declined(monkeypatch):
-    bundles = ([M for _, M in golden_record.sweep_bundles()]
-               + golden_record.single_term_mutants()
-               + [M for _, M in golden_record.single_product_changes()]
-               + [golden_record.nonassociative_bundle(build)
-                  for build in (build_function_algebroid, build_convolution_algebroid)])
-    expected = [verify_regular_mha(M).to_json_lines() for M in bundles]
+    expected = [verify_regular_mha(M).to_json_lines() for M in _mutants()]
     failing = {json.loads(line)["axiom"] for lines in expected for line in lines
                if '"fail"' in line}
     assert {"left-tensor-nondegenerate", "T_rho-welldefined", "counits-multiplicative",
-            "left-counit-bimodule", "antipode-base-bimodule", "regular-subspace-IBA"} <= failing
+            "left-counit-bimodule", "antipode-base-bimodule", "regular-subspace-IBA",
+            "galois-inverse-left", "galois-antipode-right"} <= failing
+    # the bundles are built again, so that the algebra laws, decided once
+    # per algebra, are decided with the gates declined too
     _gates_off(monkeypatch)
-    assert [verify_regular_mha(M).to_json_lines() for M in bundles] == expected
+    assert [verify_regular_mha(M).to_json_lines() for M in _mutants()] == expected
+
+
+_GALOIS = ["galois-%s-%s" % (law, side) for law in ("inverse", "antipode")
+           for side in ("left", "right")]
+
+
+def test_the_galois_gate_decides_passing_and_failing_diagrams(monkeypatch):
+    # over the corpus's mutants each Galois diagram passes and fails with
+    # the gate deciding it; the entry a gated diagram writes is the next
+    # one of its report
+    decided, real = [], bialgebroid._galois_at_unit
+
+    def spy(M, rep, descents):
+        held = real(M, rep, descents)
+        if held:
+            decided.append((rep, len(rep.entries)))
+        return held
+
+    monkeypatch.setattr(bialgebroid, "_galois_at_unit", spy)
+    for M in _mutants():
+        verify_regular_mha(M)
+    statuses = {(rep.entries[k].axiom, rep.entries[k].status) for rep, k in decided}
+    assert statuses == {(axiom, status) for axiom in _GALOIS for status in ("pass", "fail")}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_function_algebroid(pair_groupoid([1, 2, 3])),
+    lambda: build_convolution_algebroid(pair_groupoid([1, 2, 3])),
+    lambda: dict(golden_record._antipode_bundles())["two-sided"],
+])
+def test_a_gated_bundle_builds_no_galois_descent(monkeypatch, build):
+    # the Galois diagrams are decided at the unit: no id (x) S, S (x) id or
+    # flip o (S (x) S) is descended, while with the gate declined the eight
+    # are, and the report is the same
+    M = build()
+    descended, real = [], BalancedTensor.descend
+
+    def spy(self, op1, op2, *args, **kwargs):
+        if op1 is M.S or op2 is M.S:
+            descended.append((op1, op2))
+        return real(self, op1, op2, *args, **kwargs)
+
+    monkeypatch.setattr(BalancedTensor, "descend", spy)
+    lines = _lines(M, *_GALOIS)
+    assert descended == [] and len(lines) == 4 and all('"pass"' in line for line in lines)
+    monkeypatch.setattr(bialgebroid, "_galois_at_unit", lambda M, rep, descents: False)
+    assert _lines(M, *_GALOIS) == lines and len(descended) == 8
 
 
 def test_every_golden_case_reports_the_same_with_the_gates_declined(monkeypatch, tmp_path):
