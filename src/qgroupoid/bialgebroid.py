@@ -1282,15 +1282,15 @@ def _galois_diagrams(M, rep, canon):
                 ("right", "T_rho", "rho_T", (None, S), "id (x) S"),
                 ("left", "lambda_T", "T_lambda", (S, None), "S (x) id")):
             message = text + " does not descend {src!r} -> {dst!r}"
-            mid, dom, cod = canon[outer]["domain"], canon[inner]["domain"], _codomain(M, outer)
-            if _galois_at_unit(M, rep, ((_codomain(M, inner), mid, *ops, False),
-                                        (dom, cod, *ops, False))):
+            src, mid = _codomain(M, inner), canon[outer]["domain"]
+            dom, cod = canon[inner]["domain"], _codomain(M, outer)
+            if _galois_at_unit(M, rep, ((src, mid, *ops, False), (dom, cod, *ops, False))):
                 lifts, u = _lifts(M, inner), S.apply(M.A.unit())
                 ok = all(canon[outer]["map"].apply(mid.project(apply_legs(*ops, lifts.col(a), n)))
                          == cod.pure(*({a: ONE} if op is None else u for op in ops))
                          for a in range(n))
             else:
-                into = _codomain(M, inner).descend(*ops, message, mid)
+                into = src.descend(*ops, message, mid)
                 out = dom.descend(*ops, message, cod)
                 ok = canon[outer]["map"].compose(into).compose(canon[inner]["map"]) == out
             rep.check(ok, "galois-inverse-" + name, "dg-galois-inverse",
@@ -1301,15 +1301,15 @@ def _galois_diagrams(M, rep, canon):
     # flip diagrams: rho_T o (flip SS) = (flip SS) o T_lambda, and the mirror
     try:
         for name, src, dst in (("left", "T_lambda", "rho_T"), ("right", "lambda_T", "T_rho")):
-            dom, cod = canon[dst]["domain"], _codomain(M, dst)
-            if _galois_at_unit(M, rep, ((canon[src]["domain"], dom, S, S, True),
-                                        (_codomain(M, src), cod, S, S, True))):
+            doms = canon[src]["domain"], canon[dst]["domain"]
+            cods = _codomain(M, src), _codomain(M, dst)
+            if _galois_at_unit(M, rep, ((*doms, S, S, True), (*cods, S, S, True))):
+                dom, cod = doms[1], cods[1]
                 lifts, u = _lifts(M, src), S.apply(M.A.unit())
                 ok = all(canon[dst]["map"].apply(dom.pure(S.col(b), u)) == cod.project(
                     apply_legs(S, S, _flipped(lifts.col(b), n))) for b in range(n))
             else:
-                ss_dom = _sigma_ss(M, canon[src]["domain"], dom)
-                ss_cod = _sigma_ss(M, _codomain(M, src), cod)
+                ss_dom, ss_cod = _sigma_ss(M, *doms), _sigma_ss(M, *cods)
                 ok = canon[dst]["map"].compose(ss_dom) == ss_cod.compose(canon[src]["map"])
             rep.check(ok, "galois-antipode-" + name, "dg-galois-antipode",
                       None if ok else "flip SS does not intertwine %s with %s" % (src, dst))
