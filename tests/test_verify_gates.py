@@ -12,10 +12,11 @@ solves no kernel, and ``keeps_actions`` decides the counit and antipode
 bimodule laws.  The dual's bimodule identities are decided on the
 weights of diagonal operators.  ``check_algebra`` reads non-degeneracy
 and idempotency from the unit, and ``_galois_diagrams`` decides each
-Galois diagram at the unit, with no descent built.  Each gate is shown declining or failing
-on a fixture whose entry is pinned as the full scan names it, and with
-every gate of ``_GATES`` declined the mutants of the golden corpus's
-recorder, and the corpus itself, keep their reports byte for byte.
+Galois diagram at the unit, with no descent built.  Each gate is shown
+declining or failing on a fixture whose entry is pinned as the full
+scan names it, and with every gate of ``_GATES`` declined the mutants
+of the golden corpus's recorder, and the corpus itself, keep their
+reports byte for byte.
 """
 
 import importlib.util
