@@ -10,6 +10,7 @@ first witness tuple and both evaluated sides in canonical coordinates.
 
 from __future__ import annotations
 
+from . import algebra_core
 from .algebra_core import (
     ModuleStructure,
     _first_product_mismatch,
@@ -491,6 +492,40 @@ def _slice_terms(h, leg, lifted):
     return terms
 
 
+def _slice_identity(A):
+    """Whether every slice sl through a half h's tensor, f on one leg
+    multiplying the other in h's order (``_slice_terms``), has
+        sl(Delta(d) with e_e absorbed on the other leg) = sl(Delta(d)) e_e
+    in h's order: A is associative.  Proof: the absorbed multiplication
+    descends (``_absorbed_descend``) and sl is a checked descent, so both
+    sides are read at a lift of Delta(d) (``descend_componentwise``:
+    D(project(w)) = f(w)).  At a term p (x) q they are f(p) (q e_e) and
+    (f(p) q) e_e in h's order.  So a slice law sl(...) = head(d) e_e holds
+    at every e for a d with sl(Delta(d)) = head(d)."""
+    return _absorbed_descend(A)
+
+
+def _first_slice_failure(laws, head):
+    """The first failing (d, e, k, lhs, rhs), in (d, e, k) order, of the
+    slice laws k = (h, leg, sl), sl a slice through h's tensor consuming
+    ``leg``: sl(Delta(d) with e_e absorbed on leg 3 - leg) = head(d) e_e in
+    h's order; None if all hold.  Under ``_slice_identity`` only the d
+    where some sl(Delta(d)) is not head(d) are scanned, so the witness is
+    the first of a full scan."""
+    A = laws[0][0].A
+    gated = _slice_identity(A)
+    for d in range(A.dim):
+        u = head(d)
+        if gated and all(sl.apply(h.delta.col(d)) == u for h, _, sl in laws):
+            continue
+        for e in range(A.dim):
+            for k, (h, leg, sl) in enumerate(laws):
+                lhs, rhs = sl.apply(h.absorbed(3 - leg, d, e)), h.mul(u, {e: ONE})
+                if lhs != rhs:
+                    return d, e, k, lhs, rhs
+    return None
+
+
 def _slice_laws_at_one(h):
     """Whether h's slice laws at every (a, b) may be stated at a alone:
     A is unital and h's lifts are exact (``_exact_lifts``); see
@@ -677,9 +712,9 @@ def _verify_bialgebroid(M, h, rep, generators):
     descended multiplication by 1, the identity of q.  A vector that every
     R_j kills is killed by the identity: the joint kernel is 0 once every
     R_j descends, which it does on an associative A
-    (``_absorbed_descend``): then none is built.  Otherwise the 2n
+    (``_unital_associative``): then none is built.  Otherwise the 2n
     operators are built, since one that does not descend fails the entry
-    with its text, and only an A without a unit solves the joint kernels.
+    with its text, and only a non-unital A (``_unital``) solves the joint kernels.
     """
     A, n, q, side = h.A, h.A.dim, h.q, h.side
     modules = side + "-bialgebroid-modules"
@@ -703,15 +738,14 @@ def _verify_bialgebroid(M, h, rep, generators):
     # non-degeneracy of the quotient over the legs' multiplications; the
     # laws below multiply Delta by them, so a bundle where one does not
     # descend is reported here and its suite ends
-    unit = A.unit()
-    gated = unit is not None and _absorbed_descend(A)
+    gated = _unital_associative(A)
     if not gated:
         try:
             legs = [[q.leg_op(leg, h.absorb, j) for j in range(n)] for leg in (1, 2)]
         except NotBalanced as e:
             rep.check(False, side + "-tensor-nondegenerate", modules, str(e))
             return False
-    rep.check(gated or unit is not None or not any(map(joint_kernel, legs)),
+    rep.check(gated or algebra_core._unital(A) or not any(map(joint_kernel, legs)),
               side + "-tensor-nondegenerate", modules)
 
     # Delta lands in the admissible operator space (Takeuchi's x_B
@@ -730,7 +764,7 @@ def _verify_bialgebroid(M, h, rep, generators):
     def lands(b, rel):
         return q.space.contains_relation(tensor_mul(A, *h.ordered(h.lifts.col(b), rel)))
 
-    if unit is not None and A.is_associative()[0]:
+    if _unital_associative(A):
         ops = list(zip(*(h.struct(e, first=False).acts for e in h.ordered("s", "t"))))
         holds = all(q.space.contains_relation(
                         vsub(apply_legs(r1, None, w, n), apply_legs(None, r2, w)))
@@ -863,7 +897,7 @@ def _homomorphism_on_generators(h, generators):
     has 2(k - 1) elements on the convolution algebra of p_k.
     """
     A, q, delta, unit = h.A, h.q, h.delta, h.A.unit()
-    if (unit is None or not A.is_associative()[0] or not h.anti.is_surjective()
+    if (not _unital_associative(A) or not h.anti.is_surjective()
             or delta.apply(unit) != q.pure(unit, unit)):
         return False
     for g in generators:
@@ -982,37 +1016,26 @@ def _counit_checks(h, rep):
     and own the base acting on itself, ``h.own(e)``; the witness is the
     first failing (x, a, e) of ``first_unkept``.
 
-    Gate of the slice laws: A is associative.  Then the slice of Delta(a)
-    with e_b absorbed on the other leg is the slice of Delta(a) times e_b
-    in h's order (the slice identity of ``descend_componentwise``), so
-    both laws hold at every b for an a whose two slices of Delta(a) are
-    e_a.  The b are scanned, in order, only for the other a, so the
-    witness is the first failing (a, b, leg) of a full scan.
+    The slice laws, e_a e_b in h's order on either leg, and their witness,
+    the first failing (a, b, leg), are ``_first_slice_failure``'s.
     """
-    A, n, eps, side = h.A, h.A.dim, h.eps, h.side
+    eps, side, labels = h.eps, h.side, h.A.labels
     wit = _unkept([(eps, h.struct(e), h.own(e)) for e in "st"],
                   ["eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a") for e in "st"])
     rep.check(wit is None, side + "-counit-bimodule",
               "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
     try:
-        slices = [h.q.slice(h.struct(h.on_leg(leg)), eps, leg, what="counit slice")
-                  for leg in (1, 2)]
+        laws = [(h, leg, h.q.slice(h.struct(h.on_leg(leg)), eps, leg, what="counit slice"))
+                for leg in (1, 2)]
     except NotBalanced as e:
         rep.check(False, side + "-counit", side + "-counit", str(e))
         return
-    associative = A.is_associative()[0]
-    checks = []
-    for a in range(n):
-        if associative and all(sl.apply(h.delta.col(a)) == {a: ONE} for sl in slices):
-            continue
-        for b in range(n):
-            ab = h.mul({a: ONE}, {b: ONE})
-            for leg, sl, label in zip((1, 2), slices, ("eps(x)id", "id(x)eps")):
-                checks.append(
-                    ((A.labels[a], A.labels[b], label), sl.apply(h.absorbed(3 - leg, a, b)), ab)
-                )
-    wit = _first_failure(iter(checks))
+    wit = _first_slice_failure(laws, lambda a: {a: ONE})
+    if wit is not None:
+        a, b, k, lhs, rhs = wit
+        wit = {"at": (labels[a], labels[b], ("eps(x)id", "id(x)eps")[k]),
+               "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
     rep.check(wit is None, side + "-counit", side + "-counit", wit)
 
 
@@ -1039,7 +1062,7 @@ def canonical_maps(M, report=None, weighted=()):
     """
     rep = report if report is not None else Report()
     maps = M.canonical()
-    associative = M.A.is_associative()[0]
+    associative = _absorbed_descend(M.A)
     out = {}
 
     def image(which, rel):
@@ -1220,12 +1243,12 @@ def _antipode_checks(M, rep, canon):
 
 
 def _unital_associative(A):
-    """Whether A is unital and associative, the hypothesis both diagram
-    gates of ``_antipode_checks`` and ``_galois_diagrams`` share: every
-    multiplication on a leg that commutes with the balancing actions
-    descends (``_absorbed_descend``), and 1 = sum u_j e_j writes a law at
-    the unit as a combination of its laws at the basis."""
-    return A.unit() is not None and A.is_associative()[0]
+    """Whether A is unital and associative, the hypothesis of every gate
+    that writes a law at the unit: every multiplication on a leg that
+    commutes with the balancing actions descends (``_absorbed_descend``),
+    and 1 = sum u_j e_j writes a law at the unit as a combination of its
+    laws at the basis."""
+    return A.unit() is not None and _absorbed_descend(A)
 
 
 def _galois_at_unit(M, rep, descents):
@@ -1350,7 +1373,7 @@ def _antipode_through_inverse(M, canon, passed):
     """
     A, n, inv = M.A, M.A.dim, canon["T_rho"]["inverse"]
     unit = A.unit()
-    if inv is None or unit is None or not A.is_associative()[0]:
+    if inv is None or not _unital_associative(A):
         return None
     if passed:
         return M.S, None
@@ -1537,8 +1560,7 @@ def verify_star(M):
         return rep
     qb, qc = M.qb, M.qc
     scanned = range(n)
-    if (A.unit() is not None and A.is_associative()[0]
-            and rep.status_of("algebra:involution") == "pass"):
+    if _unital_associative(A) and rep.status_of("algebra:involution") == "pass":
         scanned = [a for a in scanned if M.delta_B.apply(star({a: ONE}))
                    != star_qc_qb.apply(vec_conj(M.delta_C.col(a)))]
 

@@ -1016,34 +1016,17 @@ class LinearMap:
     # -- solving -----------------------------------------------------------
 
     def _get_solver(self):
-        """The solver: for a generalized permutation map, the dict
-        {i: j} of the row that each column j hits; for any other map, the
-        echelon of the rows [col_j | e_j], e_j offset by ``rows``, and the
-        kernel basis.
+        """The solver: ``_permutation_hits`` for a generalized permutation
+        map; for any other map, the echelon of the rows [col_j | e_j], e_j
+        offset by ``rows``, and the kernel basis.
 
         Echelon: a column whose reduced row has no entry below ``rows`` is
         dependent: the offset part of that row is a kernel vector, and the
         row is not inserted.  So no pivot is at or past ``rows``, and the
-        echelon leaves those tag columns unindexed.
-
-        Generalized permutation, column j = {i(j): c_j} with the rows i(j)
-        distinct: f(x) = sum_j x_j c_j e_i(j) is 0 only for x = 0, so f is
-        injective, its rank is ``cols`` and its kernel basis is empty, as
-        the echelon's would be.  So a target t has at most one preimage,
-        and every x with f(x) = t, the echelon's answer included, is that
-        one.  x_j = t_i(j) c_j^-1 is it when every row of t is some i(j);
-        otherwise t is outside the image and both answer None.  Both list
-        x in the order of t's entries.  Column i(j) of the inverse is the
-        preimage of e_i(j), {j: c_j^-1}.  Which path a map takes is decided
-        by its entries alone."""
+        echelon leaves those tag columns unindexed."""
         if self._solver is None:
-            hits = {}
-            for j, c in enumerate(self.data):
-                if len(c) != 1 or hits.setdefault(next(iter(c)), j) != j:
-                    break
-            else:
-                self._solver = hits
-                return hits
+            self._solver = _permutation_hits(self)
+        if self._solver is None:
             ech, ker, rows = Rref(self.rows), [], self.rows
             for j, c in enumerate(self.data):
                 tracked = dict(c)
@@ -1115,6 +1098,25 @@ class LinearMap:
 
     def __repr__(self):
         return "LinearMap(%d x %d)" % (self.rows, self.cols)
+
+
+def _permutation_hits(f):
+    """{i: j}, the row i that each column j of f hits, if f is a
+    generalized permutation map, column j = {i(j): c_j} with the rows i(j)
+    distinct; None (declined) otherwise, read from f's entries alone.
+    Then f(x) = sum_j x_j c_j e_i(j) is 0 only for x = 0, so f is
+    injective, its rank is ``cols`` and its kernel basis is empty, as the
+    echelon's would be.  So a target t has at most one preimage, and every
+    x with f(x) = t, the echelon's answer included, is that one.
+    x_j = t_i(j) c_j^-1 is it when every row of t is some i(j); otherwise t
+    is outside the image and both answer None.  Both list x in the order of
+    t's entries.  Column i(j) of the inverse is the preimage of e_i(j),
+    {j: c_j^-1}."""
+    hits = {}
+    for j, c in enumerate(f.data):
+        if len(c) != 1 or hits.setdefault(next(iter(c)), j) != j:
+            return None
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import bialgebroid
 from .balanced_tensor import NotBalanced, first_unkept, module_map_laws
 from .bialgebroid import (
     RegularMHA,
     _first_failure,
+    _first_slice_failure,
     _Half,
     _halves,
     _slice_form,
-    _slice_laws_at_one,
     _slice_terms,
 )
 from .exact_linear import (
@@ -213,14 +214,8 @@ def _invariance(M, mapping, side, h, module):
     text of the slice or of a multiplication Delta absorbs, or ("deltab" |
     "deltac", Delta's argument, multiplier).
 
-    Slice identity: sl(absorbed(leg, d, e)) = h.mul(sl(Delta(d)), e_e)
-    for the slice sl, since the multiplier is absorbed on the leg sl does
-    not consume, from the outer side, and sl and that multiplication are
-    checked descents.  So the law at (d, e) is the law at d times e_e.
-    Each d is decided by comparing sl(Delta(d)) with s(mapping(d)); the
-    multipliers e of a d where they differ are then scanned in order, so
-    the witness is the first failing (d, e) of a full scan.  The identity
-    needs an associative A; for any other A every (d, e) is scanned.
+    The law at (d, e) is a slice law of ``_first_slice_failure`` with
+    head s o mapping, and its first failing (d, e) the witness.
     """
     if module is not None:
         return False, ("module", *module)
@@ -228,20 +223,11 @@ def _invariance(M, mapping, side, h, module):
     letter = "a" if h.letter == "B" else "b"
     try:
         sl = _integral_slice(h, leg, mapping, "partial-%s slice (%s)" % (side, letter))
-    except NotBalanced as e:
+        wit = _first_slice_failure([(h, leg, sl)], _target(M, side).s.compose(mapping).col)
+    except NotBalanced as e:  # the slice or a multiplication Delta absorbs does not descend
         return False, str(e)
-    n, target = M.A.dim, _target(M, side)
-    action = target.struct("s", h.letter == target.letter)  # s(x) a in h's order
-    associative = M.A.is_associative()[0]
-    try:
-        for d in range(n):
-            if associative and sl.apply(h.delta.col(d)) == target.s.apply(mapping.col(d)):
-                continue  # then the law holds at every e: see the docstring
-            for e in range(n):
-                if sl.apply(h.absorbed(3 - leg, d, e)) != action.act(mapping.col(d), {e: ONE}):
-                    return False, ("delta" + h.letter.lower(), d, e)
-    except NotBalanced as e:  # a multiplication Delta absorbs does not descend
-        return False, str(e)
+    if wit is not None:
+        return False, ("delta" + h.letter.lower(), *wit[:2])
     return True, None
 
 
@@ -356,7 +342,7 @@ def _partial_integral_basis(M, side):
     n, h = M.A.dim, _target(M, side)
     dim_b = h.base.dim
     # generators: each equation's terms are stacked as soon as they are built
-    if _slice_laws_at_one(h):
+    if bialgebroid._slice_laws_at_one(h):
         laws = (
             ({}, _slice_terms(h, h.t_leg, h.lifts.col(d))
              + [(d * dim_b + x, -ONE, h.s.col(x)) for x in range(dim_b)])
@@ -438,10 +424,8 @@ def solve_partial_integrals(M, side):
         are linear in the sliced map omega, itself an embedding after the
         mapping (``descend_componentwise``); the descended map is linear
         in omega.
-      - The (a) and (b) laws hold at every (d, e) exactly when the gate
-        of ``_invariance`` passes (slice identity) or the scan finds no
-        failure: in both cases an equation per (d, e), linear in the
-        mapping.
+      - The (a) and (b) laws are an equation per (d, e), linear in the
+        mapping, whether ``_slice_identity`` skips a d or not.
       - The (c) composites are the slices composed with maps that do not
         depend on the mapping, and they are compared column by column.
       - Only ``flip_to`` can fail for every mapping, and it does not

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import bialgebroid
 from .algebra_core import (
     FiniteAlgebra,
     ModuleStructure,
@@ -97,14 +98,12 @@ def convolution(X, upsilon, kind):
     that the two agree, that the defining product forms hold against every
     basis element, and the counit identity eps o lambda(Bv) = v.
 
-    The product forms follow from the agreement.  By the slice identity
-    of ``integration._invariance``, sl_h of Delta_h(a) with e_b absorbed
-    on the leg sl_h does not consume is op_h(a) e_b in h's order.  So the
-    (a, b) pairs are scanned, in order, only when the two operators differ
-    or A is not associative, where that identity fails.
+    The product forms, sl_h of Delta_h(a) with e_b absorbed equal to
+    op(a) e_b in h's order, are the slice laws of ``_first_slice_failure``
+    with head op, B's operator.  Under ``_slice_identity`` they follow
+    from the agreement, op_h = sl_h o Delta_h, and are not scanned.
     """
     M = X.M
-    n = M.A.dim
     rep = Report()
     if not isinstance(upsilon, FactorizableFunctional):
         got, side = factorize(M, X.weight, upsilon)
@@ -117,19 +116,12 @@ def convolution(X, upsilon, kind):
         leg, factors = 2, (upsilon.factor_Cl, upsilon.factor_Cr)
     else:
         raise ValueError("kind must be 'lambda' or 'rho'")
-    slices = []
-    for h, factor in zip(_halves(M), factors):
-        sl = _integral_slice(h, leg, factor, "%s slice (%s)" % (kind, h.letter))
-        slices.append((h, sl, sl.compose(h.delta)))
-    (_, _, op), (_, _, op_c) = slices
+    laws = [(h, leg, _integral_slice(h, leg, factor, "%s slice (%s)" % (kind, h.letter)))
+            for h, factor in zip(_halves(M), factors)]
+    op, op_c = (sl.compose(h.delta) for h, _, sl in laws)
     rep.check(op == op_c, "two-sided-agreement", "convolution")
-    # product forms: op(a) e_b = sl_B(Delta_B(a) with e_b absorbed) and the mirror
-    ok = (op == op_c and M.A.is_associative()[0]) or all(
-        h.mul(op.col(a), {b: ONE}) == sl.apply(h.absorbed(3 - leg, a, b))
-        for a in range(n)
-        for b in range(n)
-        for h, sl, _ in slices
-    )
+    ok = ((op == op_c and bialgebroid._slice_identity(M.A))
+          or bialgebroid._first_slice_failure(laws, op.col) is None)
     rep.check(ok, "product-forms", "convolution")
     eps_func = functional_of_map(X.weight.mu_B, M.eps_B)
     rep.check(functional_of_map(eps_func, op) == upsilon.omega,
@@ -577,7 +569,7 @@ def dual_algebra(X):
     phi = X.phi.omega
     g_phi = gram_map(A, phi)  # a . phi = g_phi(a), so e_i . phi is column i
     translates = g_phi.data
-    associative = A.is_associative()[0]
+    associative = bialgebroid._absorbed_descend(A)
     operators = {}  # coefficients of sum c_k e_k.phi -> its (rho, lambda)
     if associative:
         for b, ops in enumerate(_translate_operators(X)):

@@ -26,7 +26,14 @@ import sys
 
 import pytest
 
-from qgroupoid import algebra_core, balanced_tensor, bialgebroid, integration, structure_theory
+from qgroupoid import (
+    algebra_core,
+    balanced_tensor,
+    bialgebroid,
+    exact_linear,
+    integration,
+    structure_theory,
+)
 from qgroupoid.algebra_core import ModuleStructure
 from qgroupoid.balanced_tensor import BalancedTensor
 from qgroupoid.bialgebroid import _bimodule_by_weights, verify_regular_mha
@@ -270,16 +277,30 @@ def _unweighted(struct):
 _OWN_STRUCT = bialgebroid.RegularMHA._own_struct
 
 # Every gate that decides a law without its scan, as (owner, name, a
-# stand-in that declines it).  _exact_lifts also declines
-# _slice_laws_at_one, _bimodule_by_weights the welldefined gate of
-# canonical_maps, which reads the halves where it held, and
-# _unital_associative both diagram gates of _antipode_checks, the Galois
-# one through _galois_at_unit.  The weighted branches of _hom_values and
-# _intertwines decline on bases without weights.
+# stand-in that declines it).  _permutation_hits sends every map to the
+# echelon.  Each predicate also declines the gates that read it:
+#   - algebra_core._unital: the joint kernels of -tensor-nondegenerate;
+#   - _absorbed_descend: the dual's translate operators, the welldefined
+#     gate of canonical_maps, and _exact_lifts, _unital_associative and
+#     _slice_identity;
+#   - _exact_lifts: _coassociativity's per-b comparison and
+#     _slice_laws_at_one;
+#   - _unital_associative: -tensor-nondegenerate, the generator form of
+#     -delta-operator, delta-star-compatibility, both diagram gates of
+#     _antipode_checks (the Galois one through _galois_at_unit),
+#     _homomorphism_on_generators and _antipode_through_inverse;
+#   - _slice_identity: the counit slice laws, (a)/(b) and the product
+#     forms;
+#   - _bimodule_by_weights: the welldefined gate of canonical_maps, which
+#     reads the halves where it held.
+# The weighted branches of _hom_values and _intertwines decline on bases
+# without weights.
 _GATES = [
     (algebra_core, "_unital", lambda algebra: False),
+    (exact_linear, "_permutation_hits", lambda f: None),
     (bialgebroid, "_absorbed_descend", lambda A: False),
     (bialgebroid, "_unital_associative", lambda A: False),
+    (bialgebroid, "_slice_identity", lambda A: False),
     (bialgebroid, "_exact_lifts", lambda h: False),
     (bialgebroid, "_bimodule_by_weights", lambda h: False),
     (bialgebroid, "_homomorphism_on_generators", lambda h, generators: False),
@@ -391,6 +412,51 @@ def test_every_golden_case_reports_the_same_with_the_gates_declined(monkeypatch,
             assert "".join(text for _, text in steps) == fh.read(), name
         assert [code for code, _ in steps] == exits[name], name
     assert asked == {name for _, name, _ in _GATES}
+
+
+def _reach_spy(monkeypatch, reached, owner, name, fallbacks):
+    """owner.name, adding to ``reached`` each fallback of ``fallbacks``
+    (fallback -> callers) whose callers begin the functions a call was
+    made from, innermost first, comprehensions skipped."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        names, frame = [], sys._getframe(1)
+        while frame is not None and len(names) < 3:
+            if not frame.f_code.co_name.startswith("<"):
+                names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        reached.update(fallback for fallback, callers in fallbacks.items()
+                       if tuple(names[:len(callers)]) == callers)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_the_golden_replay_reaches_every_scan_an_associativity_gate_skips(
+        monkeypatch, tmp_path):
+    # with the gates declined, each path that the slice, unit and
+    # associativity gates skip runs at least once in the golden replay:
+    # the dual's operators by convolution, the product-form and counit
+    # slice scans, the relation rows of -delta-operator, the delta-star
+    # scan and the joint kernels of -tensor-nondegenerate
+    reached = set()
+    for owner, name, fallbacks in [
+        (structure_theory, "convolution", {"dual operators": ("rho_lambda",)}),
+        (bialgebroid._Half, "absorbed",
+         {"product forms": ("_first_slice_failure", "convolution"),
+          "counit slices": ("_first_slice_failure", "_counit_checks")}),
+        (exact_linear.QuotientSpace, "relation_rows",
+         {"delta-operator rows": ("_verify_bialgebroid",)}),
+        (bialgebroid, "_block_sides", {"delta-star": ("sides", "_first_failure", "verify_star")}),
+        (bialgebroid, "joint_kernel", {"joint kernels": ("_verify_bialgebroid",)}),
+    ]:
+        _reach_spy(monkeypatch, reached, owner, name, fallbacks)
+    _gates_off(monkeypatch)
+    for _, replay in sorted(golden_record.cases(str(tmp_path)).items()):
+        replay()
+    assert reached == {"dual operators", "product forms", "counit slices",
+                       "delta-operator rows", "delta-star", "joint kernels"}
 
 
 def test_the_counit_solves_state_2n_slice_laws_per_half_on_a_coordinate_quotient(
