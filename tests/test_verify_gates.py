@@ -16,7 +16,8 @@ Galois diagram at the unit, with no descent built.  Each gate is shown
 declining or failing on a fixture whose entry is pinned as the full
 scan names it, and with every gate of ``_GATES`` declined the mutants
 of the golden corpus's recorder, and the corpus itself, keep their
-reports byte for byte.
+reports byte for byte, while each scan that the unit, associativity and
+slice-identity gates skip runs in the corpus's replay.
 """
 
 import importlib.util
