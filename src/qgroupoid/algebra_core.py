@@ -18,6 +18,7 @@ from .exact_linear import (
     LinearMap,
     Rref,
     Scalar,
+    _block_sides,
     _mul,
     apply_legs,
     axpy,
@@ -29,7 +30,7 @@ from .exact_linear import (
     unstack,
     vec_conj,
 )
-from .report import Report
+from .report import Report, first_failure
 
 __all__ = [
     "FiniteAlgebra",
@@ -41,6 +42,7 @@ __all__ = [
     "find_unit",
     "generating_basis",
     "automorphism_check",
+    "product_cases",
     "algebra_to_json",
     "algebra_from_json",
     "scalar_to_json",
@@ -151,16 +153,16 @@ class FiniteAlgebra:
         if not n:
             return True, None
         stacked = stack([self.rmul(k) for k in range(n)])
-        for i in range(n):
-            left = self.lmul(i)
-            for j in range(n):
-                lhs = stacked.apply(self.table[i][j])
-                rhs = apply_legs(None, left, stacked.col(j))
-                if lhs != rhs:
-                    blocks = zip(unstack(lhs, n, n), unstack(rhs, n, n))
-                    k = next(k for k, (l, r) in enumerate(blocks) if l != r)
-                    return False, (i, j, k)
-        return True, None
+
+        def cases():
+            for i in range(n):
+                left = self.lmul(i)
+                for j in range(n):
+                    yield from _block_sides((i, j), stacked.apply(self.table[i][j]),
+                                            apply_legs(None, left, stacked.col(j)), n, n)
+
+        wit = first_failure(cases())
+        return wit is None, wit and wit["at"]
 
     def nondegenerate_sides(self):
         """(left, right): no a with a*A = 0, no a with A*a = 0."""
@@ -272,20 +274,26 @@ class BaseEmbedding:
         rep.check(
             self.embed.is_injective(), "%s-injective" % pre, "mult-hopf-algebroid-2"
         )
-        at = _first_product_mismatch(self.base, self.total, self.embed)
-        wit = None if at is None else tuple(self.base.labels[k] for k in at)
-        rep.check(at is None, "%s-multiplicative" % pre, "mult-hopf-algebroid-2", wit)
+        wit = first_failure(product_cases(self.base, self.total, self.embed))
+        rep.check(wit is None, "%s-multiplicative" % pre, "mult-hopf-algebroid-2",
+                  wit and tuple(self.base.labels[k] for k in wit["at"]))
         return rep
 
     def commutes_with(self, other):
+        """(ok, witness): every embedded basis element of self commutes
+        with every one of other; the witness is the first pair of labels
+        that does not."""
         a = self.total
-        for i in range(self.base.dim):
-            u = self.embed.apply({i: ONE})
-            for j in range(other.base.dim):
-                v = other.embed.apply({j: ONE})
-                if a.mul(u, v) != a.mul(v, u):
-                    return False, (self.base.labels[i], other.base.labels[j])
-        return True, None
+
+        def cases():
+            for i in range(self.base.dim):
+                u = self.embed.apply({i: ONE})
+                for j in range(other.base.dim):
+                    v = other.embed.apply({j: ONE})
+                    yield (self.base.labels[i], other.base.labels[j]), a.mul(u, v), a.mul(v, u)
+
+        wit = first_failure(cases())
+        return wit is None, wit and wit["at"]
 
     def image_rref(self):
         rr = Rref()
@@ -485,22 +493,18 @@ def _algebra_report(algebra):
         "no two-sided unit in finite dimension",
     )
     if algebra.involution is not None:
-        inv_ok = True
-        wit = None
-        star, table = algebra.star, algebra.table
+        star, table, labels = algebra.star, algebra.table, algebra.labels
         stars = [star({i: ONE}) for i in range(algebra.dim)]
-        for i, si in enumerate(stars):
-            if star(si) != {i: ONE}:
-                inv_ok, wit = False, ("involutive", algebra.labels[i])
-                break
-            for j, sj in enumerate(stars):
-                if star(table[i][j]) != algebra.mul(sj, si):
-                    inv_ok = False
-                    wit = ("anti-multiplicative", algebra.labels[i], algebra.labels[j])
-                    break
-            if not inv_ok:
-                break
-        rep.check(inv_ok, "involution", "algebra-involution", wit)
+
+        def cases():
+            for i, si in enumerate(stars):
+                yield ("involutive", labels[i]), star(si), {i: ONE}
+                for j, sj in enumerate(stars):
+                    yield (("anti-multiplicative", labels[i], labels[j]),
+                           star(table[i][j]), algebra.mul(sj, si))
+
+        wit = first_failure(cases())
+        rep.check(wit is None, "involution", "algebra-involution", wit and wit["at"])
     return rep
 
 
@@ -555,17 +559,15 @@ def multiplier_algebra(algebra):
     return m_alg, canonical
 
 
-def _first_product_mismatch(src, dst, f, anti=False):
-    """The first basis pair (i, j) of src, j innermost, at which
-    f(e_i e_j) differs from f(e_i) f(e_j) in dst, or from f(e_j) f(e_i)
-    given anti; None if f is (anti)multiplicative."""
+def product_cases(src, dst, f, anti=False):
+    """The cases ((i, j), f(e_i e_j), f(e_i) f(e_j) in dst) of the law
+    that f is multiplicative, with f(e_j) f(e_i) given anti, over the
+    basis pairs of src, j innermost."""
     for i in range(src.dim):
         fi = f.col(i)
         for j in range(src.dim):
             fj = f.col(j)
-            if f.apply(src.table[i][j]) != (dst.mul(fj, fi) if anti else dst.mul(fi, fj)):
-                return i, j
-    return None
+            yield (i, j), f.apply(src.table[i][j]), (dst.mul(fj, fi) if anti else dst.mul(fi, fj))
 
 
 def automorphism_check(algebra, f, anti=False):
@@ -574,9 +576,9 @@ def automorphism_check(algebra, f, anti=False):
         return False, "dimension mismatch"
     if not f.is_bijective():
         return False, "not bijective"
-    at = _first_product_mismatch(algebra, algebra, f, anti)
-    if at is not None:
-        return False, (*(algebra.labels[k] for k in at), "products differ")
+    wit = first_failure(product_cases(algebra, algebra, f, anti))
+    if wit is not None:
+        return False, (*(algebra.labels[k] for k in wit["at"]), "products differ")
     return True, None
 
 

@@ -57,17 +57,18 @@ from .exact_linear import (
     unstack,
     vsub,
 )
+from .report import first_failure
 
 __all__ = [
     "BalancedTensor",
     "TripleTensor",
     "descend_componentwise",
-    "first_unkept",
     "keeps_actions",
     "keeps_weights",
     "module_map_laws",
     "module_maps",
     "tensor_mul",
+    "unkept",
     "NotBalanced",
 ]
 
@@ -167,38 +168,34 @@ def module_maps(src, dst):
     return [LinearMap(rows, cols, unstack(w, rows, cols)) for w in system.kernel_basis()]
 
 
-def first_unkept(laws):
-    """The first (x, a, k, lhs, rhs) at which law k of ``laws``, triples
-    (op, src, dst) over one base and one domain, fails at e_a:
-    lhs = op(src.acts[x] e_a) != dst.acts[x] op(e_a) = rhs, scanned with x
-    outer, then a, then k; None if every law holds.
+def unkept(laws):
+    """The cases ((x, a, k), op(src.acts[x] e_a), dst.acts[x] op(e_a)) of
+    law k of ``laws``, triples (op, src, dst) over one base and one
+    domain, with x outer, then a, then k.
 
-    Every law holds when ``keeps_actions`` does; where that declines or
-    fails, the (x, a, k) are scanned."""
+    Every law holds when ``keeps_actions`` does, and then there are none;
+    where that declines or fails, every (x, a, k) is a case."""
     laws = list(laws)
     if all(keeps_actions(*law) for law in laws):
-        return None
+        return
     _, first, _ = laws[0]
     for x in range(len(first.acts)):
         for a in range(first.total.dim):
             for k, (op, src, dst) in enumerate(laws):
-                lhs, rhs = op.apply(src.acts[x].col(a)), dst.acts[x].apply(op.col(a))
-                if lhs != rhs:
-                    return x, a, k, lhs, rhs
-    return None
+                yield (x, a, k), op.apply(src.acts[x].col(a)), dst.acts[x].apply(op.col(a))
 
 
 def _intertwines(op, struct, out):
     """Whether op (None for the identity) intertwines the actions struct
     and out of one base: op o struct.acts[x] == out.acts[x] o op for every
     x, read from the weights (``keeps_weights``) when both actions are
-    diagonal, and by ``first_unkept`` otherwise."""
+    diagonal, and by ``unkept`` otherwise."""
     w_in, w_out = struct.weights, out.weights
     if w_in is not None and w_out is not None:
         return w_in == w_out if op is None else keeps_weights(op, w_in, w_out)
     if op is None:
         return all(f is g or f == g for f, g in zip(struct.acts, out.acts))
-    return first_unkept([(op, struct, out)]) is None
+    return first_failure(unkept([(op, struct, out)])) is None
 
 
 def tensor_mul(algebra, u, v):

@@ -13,10 +13,10 @@ from __future__ import annotations
 from . import algebra_core
 from .algebra_core import (
     ModuleStructure,
-    _first_product_mismatch,
     automorphism_check,
     check_algebra,
     generating_basis,
+    product_cases,
 )
 from .balanced_tensor import (
     _ZERO_COLUMN,
@@ -24,16 +24,17 @@ from .balanced_tensor import (
     NotBalanced,
     TripleTensor,
     descend_componentwise,
-    first_unkept,
     keeps_weights,
     module_map_laws,
     module_maps,
     tensor_mul,
+    unkept,
 )
 from .exact_linear import (
     ONE,
     LinearMap,
     Rref,
+    _block_sides,
     apply_legs,
     axpy,
     ev,
@@ -48,7 +49,7 @@ from .exact_linear import (
     vscale,
     vsub,
 )
-from .report import Report
+from .report import Report, first_failure
 
 __all__ = [
     "RegularMHA",
@@ -59,6 +60,7 @@ __all__ = [
     "derive_antipode",
     "derive_counits",
     "verify_star",
+    "slice_cases",
     "FLAVOR_QB",
     "FLAVOR_QC",
     "FLAVOR_TL",
@@ -306,10 +308,10 @@ class _Half:
     itself as e's module law reads it, v -> x v for "s" and v -> v x for
     "t" in h's order: the bundle's ``_own_struct``.
 
-    Order rule: ``mul(u, v)`` and ``bmul(u, v)`` are the products in A and
-    in the base taken as u v on the B half and as v u on the C half, and
-    ``ordered`` is that order itself.  So each law of the left half,
-    written with them, reads as its mirror on the right half.
+    Order rule: ``mul(u, v)`` is the product in A taken as u v on the B
+    half and as v u on the C half, and ``ordered`` is that order itself.
+    So each law of the left half, written with them, reads as its mirror
+    on the right half.
     """
 
     def __init__(self, M, letter):
@@ -357,9 +359,6 @@ class _Half:
 
     def mul(self, u, v):
         return self.A.mul(*self.ordered(u, v))
-
-    def bmul(self, u, v):
-        return self.base.mul(*self.ordered(u, v))
 
 
 def _halves(M):
@@ -505,13 +504,13 @@ def _slice_identity(A):
     return _absorbed_descend(A)
 
 
-def _first_slice_failure(laws, head):
-    """The first failing (d, e, k, lhs, rhs), in (d, e, k) order, of the
-    slice laws k = (h, leg, sl), sl a slice through h's tensor consuming
+def slice_cases(laws, head):
+    """The cases ((d, e, k), lhs, rhs), in (d, e, k) order, of the slice
+    laws k = (h, leg, sl), sl a slice through h's tensor consuming
     ``leg``: sl(Delta(d) with e_e absorbed on leg 3 - leg) = head(d) e_e in
-    h's order; None if all hold.  Under ``_slice_identity`` only the d
-    where some sl(Delta(d)) is not head(d) are scanned, so the witness is
-    the first of a full scan."""
+    h's order.  Under ``_slice_identity`` only the d where some
+    sl(Delta(d)) is not head(d) are scanned, so the first failure is the
+    first of a full scan."""
     A = laws[0][0].A
     gated = _slice_identity(A)
     for d in range(A.dim):
@@ -520,10 +519,7 @@ def _first_slice_failure(laws, head):
             continue
         for e in range(A.dim):
             for k, (h, leg, sl) in enumerate(laws):
-                lhs, rhs = sl.apply(h.absorbed(3 - leg, d, e)), h.mul(u, {e: ONE})
-                if lhs != rhs:
-                    return d, e, k, lhs, rhs
-    return None
+                yield (d, e, k), sl.apply(h.absorbed(3 - leg, d, e)), h.mul(u, {e: ONE})
 
 
 def _slice_laws_at_one(h):
@@ -652,34 +648,6 @@ def derive_antipode(M):
 # ---------------------------------------------------------------------------
 
 
-def _first_failure(pairs):
-    """pairs: iterable of (witness, lhs, rhs); returns None if all equal."""
-    for wit, lhs, rhs in pairs:
-        if lhs != rhs:
-            return {"at": wit, "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
-    return None
-
-
-def _unkept(laws, words):
-    """The witness of ``first_unkept(laws)`` in ``_first_failure``'s
-    form, at (words[k], x, a); None if every law holds."""
-    wit = first_unkept(laws)
-    if wit is None:
-        return None
-    x, a, k, lhs, rhs = wit
-    return {"at": (words[k], x, a), "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
-
-
-def _block_sides(at, lhs, rhs, width, count):
-    """The (at + (t,), block t of lhs, block t of rhs) of two stacked
-    vectors for every t, when they differ; nothing when they are equal,
-    since then every block is."""
-    if lhs != rhs:
-        blocks = zip(unstack(lhs, width, count), unstack(rhs, width, count))
-        for t, (l, r) in enumerate(blocks):
-            yield at + (t,), l, r
-
-
 def verify_left_bialgebroid(M):
     return _suite(M, "B")
 
@@ -785,7 +753,7 @@ def _verify_bialgebroid(M, h, rep, generators):
     bimodule = None if weighted else _bimodule_witness(h)
     hom = None
     if not (wit is None and bimodule is None and _homomorphism_on_generators(h, generators)):
-        hom = _first_failure(
+        hom = first_failure(
             ((A.labels[i], A.labels[j]),
              h.delta.apply(A.mul({i: ONE}, {j: ONE})),
              q.mul_class(h.delta.col(i), h.delta.col(j)))
@@ -822,7 +790,7 @@ def _bimodule_witness(h):
                 for word, act, op in zip(words, acts, ops):
                     yield (word % h.x, x, a), h.delta.apply(act[x].col(a)), op.apply(da)
 
-    return _first_failure(sides())
+    return first_failure(sides())
 
 
 def _bimodule_by_weights(h):
@@ -989,20 +957,15 @@ def _coassociativity(M, rep, kind, name, eq):
         bs = [b for b in bs if apply_legs(hx.lifts, None, hy.lifts.col(b), n)
               != apply_legs(None, hy.lifts, hx.lifts.col(b))]
 
-    def mismatches():
+    def cases():
         for b, c, L, R in _coassociativity_blocks(M, kind, bs):
-            if L == R:
-                continue
-            for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n))):
+            for (a,), lhs, rhs in _block_sides((), L, R, n ** 3, n):
                 if lhs != rhs:
                     triple = _triple_for(M, kind)
-                    lhs, rhs = triple.reduce(lhs), triple.reduce(rhs)
-                    if lhs != rhs:
-                        yield {"at": (labels[a], labels[b], labels[c]),
-                               "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
+                    yield (labels[a], labels[b], labels[c]), triple.reduce(lhs), triple.reduce(rhs)
 
     try:
-        wit = next(mismatches(), None) if bs else None
+        wit = first_failure(cases()) if bs else None
     except NotBalanced as e:  # a multiplication Delta absorbs does not descend
         wit = str(e)
     rep.check(wit is None, name, eq, wit)
@@ -1014,14 +977,15 @@ def _counit_checks(h, rep):
     The bimodule laws: for e "s" and "t" the law at (x, a) is
     eps(acts[x] e_a) = own[x] eps(e_a), acts the structure ``h.struct(e)``
     and own the base acting on itself, ``h.own(e)``; the witness is the
-    first failing (x, a, e) of ``first_unkept``.
+    first failing (x, a, e) of ``unkept``.
 
     The slice laws, e_a e_b in h's order on either leg, and their witness,
-    the first failing (a, b, leg), are ``_first_slice_failure``'s.
+    the first failing (a, b, leg), are those of ``slice_cases``.
     """
     eps, side, labels = h.eps, h.side, h.A.labels
-    wit = _unkept([(eps, h.struct(e), h.own(e)) for e in "st"],
-                  ["eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a") for e in "st"])
+    words = ["eps(%s%s)" % h.ordered("%s(%s)" % (e, h.x), "a") for e in "st"]
+    wit = first_failure(((words[k], x, a), lhs, rhs) for (x, a, k), lhs, rhs
+                        in unkept([(eps, h.struct(e), h.own(e)) for e in "st"]))
     rep.check(wit is None, side + "-counit-bimodule",
               "left-counit-bimodule" if side == "left" else "rt-counit-bimodule", wit)
 
@@ -1031,11 +995,8 @@ def _counit_checks(h, rep):
     except NotBalanced as e:
         rep.check(False, side + "-counit", side + "-counit", str(e))
         return
-    wit = _first_slice_failure(laws, lambda a: {a: ONE})
-    if wit is not None:
-        a, b, k, lhs, rhs = wit
-        wit = {"at": (labels[a], labels[b], ("eps(x)id", "id(x)eps")[k]),
-               "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
+    wit = first_failure(((labels[a], labels[b], ("eps(x)id", "id(x)eps")[k]), lhs, rhs)
+                        for (a, b, k), lhs, rhs in slice_cases(laws, lambda a: {a: ONE}))
     rep.check(wit is None, side + "-counit", side + "-counit", wit)
 
 
@@ -1159,10 +1120,11 @@ def _regularity_subspaces(M, rep):
 def _antipode_bimodule_witness(M, S):
     """The first failure of S(s(x) a) = S(a) t(x) and S(a s(x)) = t(x) S(a)
     on each half, B's first, or None: S o s[x] = t[x] o S for each pair
-    (s, t) of ``_bimodule_acts``, by ``first_unkept``."""
+    (s, t) of ``_bimodule_acts``, by ``unkept``."""
     for h in _halves(M):
-        wit = _unkept([(S, s, t) for s, t in _bimodule_acts(h)],
-                      [word % h.x for word in ("S(%sa)", "S(a%s)")])
+        words = [word % h.x for word in ("S(%sa)", "S(a%s)")]
+        wit = first_failure(((words[k], x, a), lhs, rhs) for (x, a, k), lhs, rhs
+                            in unkept([(S, s, t) for s, t in _bimodule_acts(h)]))
         if wit is not None:
             return wit
     return None
@@ -1225,13 +1187,13 @@ def _antipode_checks(M, rep, canon):
         if gated:
             failing = _failing_heads(h, other, S, unit)
             pairs = (ab for ab in pairs if h.ordered(*ab)[0] in failing) if failing else ()
-        wit = _first_failure(((A.labels[a], A.labels[b]), _m_s(h, S, terms), rhs)
-                             for a, b in pairs for terms, rhs in (law(a, b),))
+        wit = first_failure(((A.labels[a], A.labels[b]), _m_s(h, S, terms), rhs)
+                            for a, b in pairs for terms, rhs in (law(a, b),))
         rep.check(wit is None, "antipode-diagram-" + h.side, "dg-antipode", wit)
         solves = solves and wit is None
 
     # antipode-counit exchange: S_B eps_B = eps_C S and the mirror
-    wit = _first_failure(
+    wit = first_failure(
         (("S_%s eps_%s = eps_%s S" % (h.letter, h.letter, other.letter), a),
          h.anti.apply(h.eps.col(a)), other.eps.apply(S.col(a)))
         for a in range(n) for h, other in _mirrored(M)
@@ -1427,9 +1389,9 @@ def verify_regular_mha(M):
     rep.check(ok, "bases-commute", "mult-hopf-algebroid-2", wit)
     for name, src, dst, f in (("S_B", M.B.base, M.C.base, M.S_B),
                               ("S_C", M.C.base, M.B.base, M.S_C)):
-        at = _first_product_mismatch(src, dst, f, anti=True)
-        rep.check(f.is_bijective() and at is None, name + "-anti-isomorphism",
-                  "mult-hopf-algebroid-2", None if at is None else tuple(src.labels[k] for k in at))
+        wit = first_failure(product_cases(src, dst, f, anti=True))
+        rep.check(f.is_bijective() and wit is None, name + "-anti-isomorphism",
+                  "mult-hopf-algebroid-2", wit and tuple(src.labels[k] for k in wit["at"]))
 
     generators = _base_generators(M)
     weighted = [h.letter for h in _halves(M) if _verify_bialgebroid(M, h, rep, generators)]
@@ -1446,7 +1408,7 @@ def verify_regular_mha(M):
             cy = M.C.embed.col(y)
             units.append((("x", x, "y", y), halves[0].struct("s").acts[x].apply(cy), cy, bx))
     for h in halves:
-        wit = _first_failure(
+        wit = first_failure(
             (at, h.delta.apply(xy), h.q.pure(cy, bx)) for at, xy, cy, bx in units
         )
         rep.check(wit is None, "delta-%s-extended-unit" % h.letter, "delta-bimodule-extended", wit)
@@ -1470,7 +1432,7 @@ def verify_regular_mha(M):
                     for struct, label in forms:
                         yield ((label, a, b), lhs, h.eps.apply(struct.act(value, {p: ONE})))
 
-    wit = None if _counits_by_weights(M) else _first_failure(multiplicative())
+    wit = None if _counits_by_weights(M) else first_failure(multiplicative())
     rep.check(wit is None, "counits-multiplicative", "counits-multiplicative", wit)
 
     # The first compatibility of the canonical maps,
@@ -1581,7 +1543,7 @@ def verify_star(M):
                 yield from _block_sides((a, b), r2.apply(head), starred.apply(tail), qb.dim, n)
 
     try:
-        wit = _first_failure(sides()) if scanned else None
+        wit = first_failure(sides()) if scanned else None
     except NotBalanced as e:
         wit = str(e)
     rep.check(wit is None, "delta-star-compatibility", "involution-3", wit)
@@ -1595,6 +1557,6 @@ def verify_star(M):
                        linear[other.letter].apply(vec_conj(h.anti.apply(h.eps.col(a)))))
             yield ("S*S* = id", a), star(M.S.apply(star(M.S.col(a)))), {a: ONE}
 
-    wit = _first_failure(checks())
+    wit = first_failure(checks())
     rep.check(wit is None, "counit-antipode-involution", "counit-antipode-involution", wit)
     return rep

@@ -703,6 +703,16 @@ def unstack(w, width, count):
     return blocks
 
 
+def _block_sides(at, lhs, rhs, width, count):
+    """The (at + (t,), block t of lhs, block t of rhs) of two stacked
+    vectors for every t, when they differ; nothing when they are equal,
+    since then every block is."""
+    if lhs != rhs:
+        blocks = zip(unstack(lhs, width, count), unstack(rhs, width, count))
+        for t, (l, r) in enumerate(blocks):
+            yield at + (t,), l, r
+
+
 def stack_equations(groups, unknowns):
     """One linear system from groups of (width, [(target, terms), ...]).
 

@@ -9,10 +9,10 @@ verification to the bialgebroid suite; nothing is trusted by fiat.
 from __future__ import annotations
 
 from .algebra_core import BaseEmbedding, FiniteAlgebra, ModuleStructure, check_algebra
-from .bialgebroid import RegularMHA, _first_failure
+from .bialgebroid import RegularMHA
 from .exact_linear import ONE, ZERO, LinearMap, apply_legs, kron, stack_equations
 from .integration import PartialIntegral, functional_of_map, gram_map, gram_transpose
-from .report import Rejected, Report
+from .report import Rejected, Report, first_failure
 
 __all__ = [
     "FiniteGroupoid",
@@ -431,8 +431,8 @@ def _check_maps(rep, axiom, eq, at, *sides):
     domain.  A failing entry's witness is the first column j where the
     maps of a side differ, at at(j), after the side's name unless it is
     None."""
-    wit = _first_failure((at(j) if name is None else (name, *at(j)), lhs.col(j), rhs.col(j))
-                         for name, lhs, rhs in sides for j in range(lhs.cols))
+    wit = first_failure((at(j) if name is None else (name, *at(j)), lhs.col(j), rhs.col(j))
+                        for name, lhs, rhs in sides for j in range(lhs.cols))
     rep.check(wit is None, axiom, eq, wit)
 
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bialgebroid
-from .balanced_tensor import NotBalanced, first_unkept, module_map_laws
+from .balanced_tensor import NotBalanced, module_map_laws, unkept
 from .bialgebroid import (
     RegularMHA,
-    _first_failure,
-    _first_slice_failure,
     _Half,
     _halves,
     _slice_form,
@@ -36,7 +34,7 @@ from .exact_linear import (
     vec_items,
     vsub,
 )
-from .report import Rejected, Report
+from .report import Rejected, Report, first_failure, witness
 
 __all__ = [
     "PartialIntegral",
@@ -178,13 +176,13 @@ def _module_witness(M, mapping, side, h):
     mapping(a) x for C's; x runs over the target base, embedded by its s.
     None if there is none.  The law is mapping o acts[x] = own[x] o
     mapping, acts the action of s(x) on A and own that of x on the base,
-    both in h's order, and the witness is ``first_unkept``'s."""
+    both in h's order, and the witness is ``unkept``'s."""
     target = _target(M, side)
     # s(x) a in h's order is target's own order or its reverse
     kind = "l" if h.letter == "B" else "r"
-    wit = first_unkept([(mapping, target.struct("s", h.letter == target.letter),
-                         M._own_struct(kind, target.letter))])
-    return None if wit is None else wit[:2]
+    wit = first_failure(unkept([(mapping, target.struct("s", h.letter == target.letter),
+                                 M._own_struct(kind, target.letter))]))
+    return None if wit is None else wit["at"][:2]
 
 
 def _integral_slice(h, leg, mapping, what):
@@ -214,8 +212,8 @@ def _invariance(M, mapping, side, h, module):
     text of the slice or of a multiplication Delta absorbs, or ("deltab" |
     "deltac", Delta's argument, multiplier).
 
-    The law at (d, e) is a slice law of ``_first_slice_failure`` with
-    head s o mapping, and its first failing (d, e) the witness.
+    The law at (d, e) is a slice law of ``slice_cases`` with head
+    s o mapping, and its first failing (d, e) the witness.
     """
     if module is not None:
         return False, ("module", *module)
@@ -223,11 +221,12 @@ def _invariance(M, mapping, side, h, module):
     letter = "a" if h.letter == "B" else "b"
     try:
         sl = _integral_slice(h, leg, mapping, "partial-%s slice (%s)" % (side, letter))
-        wit = _first_slice_failure([(h, leg, sl)], _target(M, side).s.compose(mapping).col)
+        head = _target(M, side).s.compose(mapping).col
+        wit = first_failure(bialgebroid.slice_cases([(h, leg, sl)], head))
     except NotBalanced as e:  # the slice or a multiplication Delta absorbs does not descend
         return False, str(e)
     if wit is not None:
-        return False, ("delta" + h.letter.lower(), *wit[:2])
+        return False, ("delta" + h.letter.lower(), *wit["at"][:2])
     return True, None
 
 
@@ -266,7 +265,7 @@ def _strong_invariance(M, mapping, side, module):
         lhs, rhs = lhs.compose(flip), M.S.compose(rhs)
     dom = dom_b if side == "left" else dom_c  # the flip's source, both composites' domain
     labels = M.A.labels
-    wit = _first_failure(
+    wit = first_failure(
         ([labels[i] for i in divmod(dom.space.free[q], M.A.dim)], lhs.col(q), rhs.col(q))
         for q in range(dom.dim)
     )
@@ -560,8 +559,7 @@ def expectation_identity(M, phi_C, psi_B):
         lhs = M.C.embed.apply(phi_C.apply(M.B.embed.apply(psi_B.col(a))))
         rhs = M.B.embed.apply(psi_B.apply(M.C.embed.apply(phi_C.col(a))))
         if lhs != rhs:
-            ok, wit = False, {"at": M.A.labels[a], "lhs": vec_items(lhs),
-                              "rhs": vec_items(rhs)}
+            ok, wit = False, witness(M.A.labels[a], lhs, rhs)
             break
         if not orbit_span.contains(lhs):
             ok, wit = False, {"at": M.A.labels[a], "outside-orbit": vec_items(lhs)}

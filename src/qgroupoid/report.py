@@ -4,6 +4,11 @@ Every axiom check appends one entry: the check's name, the registry
 label of the law it tests, pass/fail, and on failure a witness (the
 offending basis tuple and both evaluated sides, in canonical
 coordinates).  Reports serialize to JSON lines so runs are diffable.
+
+The witness of a law of two vectors has one form, {"at", "lhs", "rhs"},
+written by ``witness`` alone; ``first_failure`` returns it for the first
+(at, lhs, rhs) of a scan whose sides differ.  A scan is a generator of
+such cases that keeps its own gate and order.
 """
 
 from __future__ import annotations
@@ -11,11 +16,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["Entry", "Report", "Rejected"]
+from .exact_linear import vec_items
+
+__all__ = ["Entry", "Report", "Rejected", "first_failure", "witness"]
 
 # the one encoder of report lines; witnesses may carry exact scalars and
 # label tuples, which it renders with repr
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
+
+
+def witness(at, lhs, rhs):
+    """The witness of a law that fails at ``at``, with both sides."""
+    return {"at": at, "lhs": vec_items(lhs), "rhs": vec_items(rhs)}
+
+
+def first_failure(cases):
+    """The ``witness`` of the first (at, lhs, rhs) of cases with lhs != rhs;
+    None if all are equal."""
+    for at, lhs, rhs in cases:
+        if lhs != rhs:
+            return witness(at, lhs, rhs)
+    return None
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .algebra_core import (
     automorphism_check,
     generating_basis,
 )
-from .balanced_tensor import NotBalanced, first_unkept, module_maps
+from .balanced_tensor import NotBalanced, module_maps, unkept
 from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored, _tilde_table
 from .exact_linear import (
     ONE,
@@ -27,7 +27,6 @@ from .exact_linear import (
     Rref,
     axpy,
     ev,
-    vec_items,
 )
 from .integration import (
     FactorizableFunctional,
@@ -41,7 +40,7 @@ from .integration import (
     translate_left,
     translate_right,
 )
-from .report import Rejected, Report
+from .report import Rejected, Report, first_failure, witness
 
 __all__ = [
     "ConvolutionOperator",
@@ -99,7 +98,7 @@ def convolution(X, upsilon, kind):
     basis element, and the counit identity eps o lambda(Bv) = v.
 
     The product forms, sl_h of Delta_h(a) with e_b absorbed equal to
-    op(a) e_b in h's order, are the slice laws of ``_first_slice_failure``
+    op(a) e_b in h's order, are the slice laws of ``slice_cases``
     with head op, B's operator.  Under ``_slice_identity`` they follow
     from the agreement, op_h = sl_h o Delta_h, and are not scanned.
     """
@@ -121,7 +120,7 @@ def convolution(X, upsilon, kind):
     op, op_c = (sl.compose(h.delta) for h, _, sl in laws)
     rep.check(op == op_c, "two-sided-agreement", "convolution")
     ok = ((op == op_c and bialgebroid._slice_identity(M.A))
-          or bialgebroid._first_slice_failure(laws, op.col) is None)
+          or first_failure(bialgebroid.slice_cases(laws, op.col)) is None)
     rep.check(ok, "product-forms", "convolution")
     eps_func = functional_of_map(X.weight.mu_B, M.eps_B)
     rep.check(functional_of_map(eps_func, op) == upsilon.omega,
@@ -219,7 +218,7 @@ def _factor_twist_checks(X, sigma, rep):
     """phi_B(x a) = (S^2 sigma)(x) phi_B(a) and the mirrored law
     phi_B(a x) = phi_B(a) (sigma S^2)^-1(x), for x in B: the factor is a
     module map from x acting on A to tw(x) acting on B, tw(x) the
-    preimage in B of the twist of x, by ``first_unkept``.  A law fails
+    preimage in B of the twist of x, by ``unkept``.  A law fails
     where some twist leaves B."""
     M = X.M
     emb = M.B.embed
@@ -229,8 +228,10 @@ def _factor_twist_checks(X, sigma, rep):
             ("B-phi-factor-twist", X.phi.factor_Bl, sigma.compose(s2).inverse(), "r")):
         own = M._own_struct(kind, "B")
         pre = [emb.solve(twist.apply(emb.col(x))) for x in range(M.B.base.dim)]
-        ok = None not in pre and first_unkept([(factor, M._struct(kind, "B"), ModuleStructure(
-            own.base, own.total, [own.operator(v) for v in pre], own.side))]) is None
+        ok = None not in pre
+        if ok:
+            tw = ModuleStructure(own.base, own.total, [own.operator(v) for v in pre], own.side)
+            ok = first_failure(unkept([(factor, M._struct(kind, "B"), tw)])) is None
         rep.check(ok, name, "bphi-phib")
 
 
@@ -600,8 +601,7 @@ def dual_algebra(X):
         for i in range(first):
             direct, via_t = composite.col(i), g_phi.apply(hat.table[i][j])
             if direct != via_t:
-                wit, first = {"at": [A.labels[i], A.labels[j]],
-                              "lhs": vec_items(direct), "rhs": vec_items(via_t)}, i
+                wit, first = witness([A.labels[i], A.labels[j]], direct, via_t), i
                 break
     rep.check(wit is None, "dual-product-matches-composition", "dual-product", wit)
     # bimodule actions: omega * a = rho(omega)(a), a * omega = lambda(omega)(a);

@@ -18,8 +18,9 @@ from qgroupoid.algebra_core import (
     scalar_from_json,
     scalar_to_json,
 )
-from qgroupoid.balanced_tensor import first_unkept, module_maps
+from qgroupoid.balanced_tensor import module_maps, unkept
 from qgroupoid.exact_linear import ONE, ZERO, LinearMap, Scalar, sc
+from qgroupoid.report import first_failure, witness
 
 
 def group_algebra_z2():
@@ -231,35 +232,42 @@ def _unweighted(struct):
 
 
 def _scanned(laws):
-    """Oracle of ``first_unkept``: every (x, a, k) in order, with no
-    weight gate first."""
+    """Oracle of the first failing case of ``unkept``: every (x, a, k) in
+    order, with no weight gate first."""
     _, first, _ = laws[0]
     for x in range(len(first.acts)):
         for a in range(first.total.dim):
             for k, (op, src, dst) in enumerate(laws):
                 lhs, rhs = op.apply(src.acts[x].col(a)), dst.acts[x].apply(op.col(a))
                 if lhs != rhs:
-                    return x, a, k, lhs, rhs
+                    return (x, a, k), lhs, rhs
     return None
+
+
+def _first_unkept(laws):
+    """The first case of ``unkept(laws)`` whose sides differ, or None."""
+    return next(((at, lhs, rhs) for at, lhs, rhs in unkept(laws) if lhs != rhs), None)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_module_map_cases())
-def test_module_maps_and_first_unkept_agree_with_their_unweighted_forms(case):
+def test_module_maps_and_unkept_agree_with_their_unweighted_forms(case):
     # the weighted form of the module-map law, one row per pair of
     # differing weights, has the kernel of the full (x, a) form, and the
-    # weight gate of ``first_unkept`` names what the full scan names
+    # weight gate of ``unkept`` names what the full scan names, also as
+    # the witness of ``first_failure``
     src, dst, ops = case
     plain = _unweighted(src), _unweighted(dst)
     maps = module_maps(src, dst)
     assert module_maps(*plain) == maps
     assert len(maps) == sum(wk == wa for wa in src.weights for wk in dst.weights)
     op, kept, other = ops
-    assert first_unkept([(f, src, dst) for f in maps + [kept]]) is None
+    assert _first_unkept([(f, src, dst) for f in maps + [kept]]) is None
     for laws in ([(op, src, dst)], [(kept, src, dst)],
                  [(f, src, dst) for f in [other, kept] + maps + [op]]):
-        got = first_unkept(laws)
-        assert first_unkept([(f, *plain) for f, _, _ in laws]) == got == _scanned(laws)
+        got = _first_unkept(laws)
+        assert _first_unkept([(f, *plain) for f, _, _ in laws]) == got == _scanned(laws)
+        assert first_failure(unkept(laws)) == (None if got is None else witness(*got))
 
 
 def test_multiplication_and_action_maps_read_the_table_and_the_acts():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qgroupoid import algebra_core, balanced_tensor, bialgebroid
+from qgroupoid import algebra_core, balanced_tensor, bialgebroid, exact_linear
 from qgroupoid.algebra_core import FiniteAlgebra
 from qgroupoid.bialgebroid import (
     RegularMHA,
@@ -39,6 +39,7 @@ from qgroupoid.exact_linear import (
     vec_conj,
     vec_items,
 )
+from qgroupoid.report import first_failure
 
 _spec = importlib.util.spec_from_file_location(
     "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
@@ -365,7 +366,7 @@ def test_delta_operator_and_delta_star_witnesses_are_the_first_in_scan_order(
                  lmul1({b: ONE}).apply(M.delta_C.col(a))))))
             for a in range(n) for b in range(n) for c in range(n)
         )
-        expected_star = bialgebroid._first_failure(sides)
+        expected_star = first_failure(sides)
         assert _failure(verify_star(M), "delta-star-compatibility") == expected_star
         seen.add((expected is None, expected_star is None))
     assert seen == {(False, False), (True, True)}
@@ -441,7 +442,7 @@ def test_delta_star_witness_is_the_first_of_a_full_scan(leg_op_by_components):
     lmul2 = [leg_op_by_components(qc, 2, "l", {u: ONE}) for u in range(n)]
     star_qc_qb = bialgebroid.descend_componentwise(
         qc, qb, lambda i, j: kron_vec(star({i: ONE}), star({j: ONE}), n), "", antilinear=True)
-    expected = bialgebroid._first_failure(
+    expected = first_failure(
         ((a, b, c),
          rmul2[c].apply(rmul1[b].apply(M.delta_B.apply(star({a: ONE})))),
          star_qc_qb.apply(vec_conj(lmul2[c].apply(M.canonical_tilde("lambda_T", b, a)))))
@@ -522,7 +523,7 @@ def test_a_passing_bundle_slices_no_block(monkeypatch, m_conv):
         built.append(flavor)
         return triple(algebra, pair12, pair23, flavor)
 
-    for module in (bialgebroid, algebra_core):
+    for module in (bialgebroid, algebra_core, exact_linear):
         monkeypatch.setattr(module, "unstack", unstack_spy)
     monkeypatch.setattr(bialgebroid, "TripleTensor", triple_spy)
     for build in (build_function_algebroid, build_convolution_algebroid):

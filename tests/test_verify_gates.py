@@ -445,11 +445,11 @@ def test_the_golden_replay_reaches_every_scan_an_associativity_gate_skips(
     for owner, name, fallbacks in [
         (structure_theory, "convolution", {"dual operators": ("rho_lambda",)}),
         (bialgebroid._Half, "absorbed",
-         {"product forms": ("_first_slice_failure", "convolution"),
-          "counit slices": ("_first_slice_failure", "_counit_checks")}),
+         {"product forms": ("slice_cases", "first_failure", "convolution"),
+          "counit slices": ("slice_cases", "first_failure", "_counit_checks")}),
         (exact_linear.QuotientSpace, "relation_rows",
          {"delta-operator rows": ("_verify_bialgebroid",)}),
-        (bialgebroid, "_block_sides", {"delta-star": ("sides", "_first_failure", "verify_star")}),
+        (bialgebroid, "_block_sides", {"delta-star": ("sides", "first_failure", "verify_star")}),
         (bialgebroid, "joint_kernel", {"joint kernels": ("_verify_bialgebroid",)}),
     ]:
         _reach_spy(monkeypatch, reached, owner, name, fallbacks)
