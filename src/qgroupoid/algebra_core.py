@@ -22,6 +22,7 @@ from .exact_linear import (
     _mul,
     apply_legs,
     axpy,
+    conj,
     joint_kernel,
     scalar_from_json,
     scalar_to_json,
@@ -69,6 +70,7 @@ class FiniteAlgebra:
         self._mul_map = None
         self._associative = None
         self._checked = None  # (involution, report) of check_algebra
+        self._tables = None  # (involution, value) of _monomial_tables
 
     # -- construction helpers -------------------------------------------
 
@@ -138,11 +140,14 @@ class FiniteAlgebra:
         """(True, None), or (False, (i, j, k)) for the first basis triple,
         k innermost, with (e_i e_j) e_k != e_i (e_j e_k).
 
-        The n values of k are stacked: P = stack(rmul(k)) sends v to
-        sum_k e_k (x) v e_k, so block k of P(e_i e_j) is the left side and
-        block k of (id (x) lmul(i))(P(e_j)) the right side.  The two
-        stacked vectors are compared literally once per (i, j); only a
-        pair that differs is scanned, k in order.  Cached.
+        Where ``_monomial_tables`` holds, ``_monomial_associative`` decides
+        the law on the index table.  Where it declines or finds a triple
+        that fails, the n values of k are stacked: P = stack(rmul(k))
+        sends v to sum_k e_k (x) v e_k, so block k of P(e_i e_j) is the
+        left side and block k of (id (x) lmul(i))(P(e_j)) the right side.
+        The two stacked vectors are compared literally once per (i, j);
+        only a pair that differs is scanned, k in order, so the witness is
+        the first triple of a full scan.  Cached.
         """
         if self._associative is None:
             self._associative = self._associativity()
@@ -150,7 +155,8 @@ class FiniteAlgebra:
 
     def _associativity(self):
         n = self.dim
-        if not n:
+        tables = _monomial_tables(self)
+        if not n or tables is not None and _monomial_associative(tables[0]):
             return True, None
         stacked = stack([self.rmul(k) for k in range(n)])
 
@@ -224,6 +230,106 @@ def _basis_index(u):
         if c == 1:
             return k
     return None
+
+
+def _monomial_tables(algebra):
+    """The index tables (products, stars) of A when every product e_i e_j
+    and every column of the involution has at most one term; else None.
+
+    products[i][j] is (k, c) for e_i e_j = c e_k and None for 0.  stars[i]
+    is (sigma(i), s_i) for e_i* = s_i e_sigma(i) and None for 0, read from
+    the involution's column i, since conj(e_i) = e_i; stars is None when A
+    has no involution.  The function, convolution and group algebras and
+    their stars are monomial.  Decided once per algebra and involution,
+    as ``check_algebra`` is.
+    """
+    inv = algebra.involution
+    if algebra._tables is None or algebra._tables[0] is not inv:
+        columns = [col for row in algebra.table for col in row]
+        if inv is not None:
+            columns += inv.data
+        value = None
+        if all(len(col) <= 1 for col in columns):
+            value = ([[_term(col) for col in row] for row in algebra.table],
+                     None if inv is None else [_term(col) for col in inv.data])
+        algebra._tables = (inv, value)
+    return algebra._tables[1]
+
+
+def _term(v):
+    """(k, c) for the vector v = c e_k, None for v = 0."""
+    return next(iter(v.items()), None)
+
+
+def _monomial_associative(products):
+    """Whether (e_i e_j) e_k = e_i (e_j e_k) at every basis triple of the
+    table ``products`` of ``_monomial_tables``.
+
+    Each side is 0 or one term, and a product of non-zero scalars is not
+    0.  Let L be the triples whose left side is not 0: e_i e_j = c e_m and
+    e_m e_k = d e_q.  Let R be those whose right side is not 0:
+    e_j e_k = c' e_p and e_i e_p = d' e_q'.  Off L and R both sides are 0.
+    A triple of L holds iff it lies in R with q' = q and c' d' = c d, and
+    a triple of R off L fails, its left side being 0.  So if every triple
+    of L holds, L lies in R, and the law holds iff |L| = |R|.  |L| sums,
+    over the non-zero products e_i e_j = c e_m, the non-zero products of
+    row m; |R| sums, over the same products, the non-zero products of
+    column m.  L has k^4 triples on the convolution algebra of the pair
+    groupoid on k points, and n on a function algebra.
+    """
+    rows = [[(k, t) for k, t in enumerate(row) if t is not None] for row in products]
+    in_column = [0] * len(products)
+    for row in rows:
+        for k, _ in row:
+            in_column[k] += 1
+    size_l = size_r = 0
+    for i, row in enumerate(rows):
+        left = products[i]
+        for j, (m, c) in row:
+            size_l += len(rows[m])
+            size_r += in_column[m]
+            right = products[j]
+            for k, (q, d) in rows[m]:
+                if right[k] is None:
+                    return False
+                p, c2 = right[k]
+                if left[p] is None or left[p][0] != q or _mul(c2, left[p][1]) != _mul(c, d):
+                    return False
+    return size_l == size_r
+
+
+def _monomial_involution(products, stars):
+    """Whether the star of the tables of ``_monomial_tables`` is involutive
+    and anti-multiplicative: e_i** = e_i and (e_i e_j)* = e_j* e_i* at
+    every basis element and pair.
+
+    e_i** = conj(s_i) s_sigma(i) e_sigma(sigma(i)), so the first law holds
+    iff no star is 0, sigma(sigma(i)) = i and conj(s_i) s_sigma(i) = 1;
+    then sigma is a bijection.  For e_i e_j = c e_m the left side of the
+    second law is conj(c) s_m e_sigma(m), not 0, and the right side
+    s_j s_i e_sigma(j) e_sigma(i) is not 0 iff e_sigma(j) e_sigma(i) is
+    not.  So only the pairs N whose product is not 0 are compared: if the
+    law holds on N, tau(i, j) = (sigma(j), sigma(i)) maps N into N, and,
+    being injective, onto N.  A pair off N then has tau(i, j) off N too,
+    and both its sides are 0.
+    """
+    for i, t in enumerate(stars):
+        if t is None or stars[t[0]] is None:
+            return False
+        back, s = stars[t[0]]
+        if back != i or _mul(conj(t[1]), s) != 1:
+            return False
+    for i, row in enumerate(products):
+        sigma_i, s_i = stars[i]
+        for j, t in enumerate(row):
+            if t is not None:
+                sigma_m, s_m = stars[t[0]]
+                sigma_j, s_j = stars[j]
+                back = products[sigma_j][sigma_i]
+                if (back is None or back[0] != sigma_m
+                        or _mul(conj(t[1]), s_m) != _mul(_mul(s_j, s_i), back[1])):
+                    return False
+    return True
 
 
 @dataclass
@@ -458,7 +564,9 @@ def check_algebra(algebra):
     """Pass/fail report for the algebra axioms the theory relies on.
 
     Decided once per algebra and involution, as ``is_associative`` and
-    ``unit`` are; each call returns a copy of the stored report.
+    ``unit`` are; each call returns a copy of the stored report.  The
+    involution law is decided on ``_monomial_tables`` where they exist
+    and pass ``_monomial_involution``, and scanned elsewhere.
     """
     if algebra._checked is None or algebra._checked[0] is not algebra.involution:
         algebra._checked = (algebra.involution, _algebra_report(algebra))
@@ -494,16 +602,18 @@ def _algebra_report(algebra):
     )
     if algebra.involution is not None:
         star, table, labels = algebra.star, algebra.table, algebra.labels
-        stars = [star({i: ONE}) for i in range(algebra.dim)]
 
         def cases():
+            stars = [star({i: ONE}) for i in range(algebra.dim)]
             for i, si in enumerate(stars):
                 yield ("involutive", labels[i]), star(si), {i: ONE}
                 for j, sj in enumerate(stars):
                     yield (("anti-multiplicative", labels[i], labels[j]),
                            star(table[i][j]), algebra.mul(sj, si))
 
-        wit = first_failure(cases())
+        tables = _monomial_tables(algebra)
+        held = tables is not None and _monomial_involution(*tables)
+        wit = None if held else first_failure(cases())
         rep.check(wit is None, "involution", "algebra-involution", wit and wit["at"])
     return rep
 

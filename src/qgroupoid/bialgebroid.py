@@ -1498,6 +1498,7 @@ def verify_star(M):
         return rep
     rep.merge(check_algebra(A), prefix="algebra")
     star = A.star
+    stars = [star({i: ONE}) for i in range(n)]  # e_i*, computed once
     ok = all(h.embedding.image_rref().contains(star(h.s.col(x)))
              for h in _halves(M) for x in range(h.base.dim))
     rep.check(ok, "bases-star-closed", "involution-1")
@@ -1514,7 +1515,7 @@ def verify_star(M):
     # comultiplication compatibility
     try:
         star_qc_qb = descend_componentwise(
-            M.qc, M.qb, lambda i, j: kron_vec(star({i: ONE}), star({j: ONE}), n),
+            M.qc, M.qb, lambda i, j: kron_vec(stars[i], stars[j], n),
             "star (x) star does not descend {src!r} -> {dst!r}", antilinear=True,
         )
     except NotBalanced as e:
@@ -1523,7 +1524,7 @@ def verify_star(M):
     qb, qc = M.qb, M.qc
     scanned = range(n)
     if _unital_associative(A) and rep.status_of("algebra:involution") == "pass":
-        scanned = [a for a in scanned if M.delta_B.apply(star({a: ONE}))
+        scanned = [a for a in scanned if M.delta_B.apply(stars[a])
                    != star_qc_qb.apply(vec_conj(M.delta_C.col(a)))]
 
     def sides():
@@ -1531,12 +1532,12 @@ def verify_star(M):
         Rk(u) = QB.leg_op(k, "r", u) and L2(u) = QC.leg_op(2, "l", u), the
         n values of c stacked, block c at offset c * QB.dim, and compared
         literally; only a pair that differs is scanned, c in order."""
-        r1 = [qb.leg_op(1, "r", star({b: ONE})) for b in range(n)]
-        r2 = stack([qb.leg_op(2, "r", star({c: ONE})) for c in range(n)])
+        r1 = [qb.leg_op(1, "r", stars[b]) for b in range(n)]
+        r2 = stack([qb.leg_op(2, "r", stars[c]) for c in range(n)])
         # (* (x) *)(L2(c) v) = star_qc_qb conj(L2(c)) conj(v): the map is antilinear
         starred = stack([star_qc_qb.compose(qc.leg_op(2, "l", c).conj()) for c in range(n)])
         for a in scanned:
-            dstar = M.delta_B.apply(star({a: ONE}))
+            dstar = M.delta_B.apply(stars[a])
             for b in range(n):
                 head = r1[b].apply(dstar)
                 tail = vec_conj(M.canonical_tilde("lambda_T", b, a))
@@ -1550,8 +1551,7 @@ def verify_star(M):
 
     # consequences: eps_o(a*) = star_o(S_h eps_h(a)) per half h, then S*S* = id
     def checks():
-        for a in range(n):
-            sa = star({a: ONE})
+        for a, sa in enumerate(stars):
             for h, other in _mirrored(M):
                 yield (("eps_%s(a*)" % other.letter, a), other.eps.apply(sa),
                        linear[other.letter].apply(vec_conj(h.anti.apply(h.eps.col(a)))))

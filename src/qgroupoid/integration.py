@@ -208,29 +208,32 @@ def _invariance(M, mapping, side, h, module):
         left (b):  phi in Hom(A_C, C_C), (id (x) phi)((a (x) 1) Delta_C(b)) = a phi(b)
         right (a): psi in Hom(_B A, _B B), (psi (x) id)(Delta_B(a)(1 (x) b)) = psi(a) b
         right (b): psi in Hom(A_B, B_B), (S_C^-1 psi (x) id)((1 (x) b) Delta_C(a)) = b psi(a)
-    Returns (ok, witness); the witness is ("module", x, a), the NotBalanced
-    text of the slice or of a multiplication Delta absorbs, or ("deltab" |
-    "deltac", Delta's argument, multiplier).
+    Returns (ok, witness, slice); the witness is ("module", x, a), the
+    NotBalanced text of the slice or of a multiplication Delta absorbs, or
+    ("deltab" | "deltac", Delta's argument, multiplier), and the slice is
+    the descended one, None where the module law failed or the slice does
+    not descend.
 
     The law at (d, e) is a slice law of ``slice_cases`` with head
     s o mapping, and its first failing (d, e) the witness.
     """
     if module is not None:
-        return False, ("module", *module)
+        return False, ("module", *module), None
     leg = 2 if side == "left" else 1
     letter = "a" if h.letter == "B" else "b"
+    sl = None
     try:
         sl = _integral_slice(h, leg, mapping, "partial-%s slice (%s)" % (side, letter))
         head = _target(M, side).s.compose(mapping).col
         wit = first_failure(bialgebroid.slice_cases([(h, leg, sl)], head))
     except NotBalanced as e:  # the slice or a multiplication Delta absorbs does not descend
-        return False, str(e)
+        return False, str(e), sl
     if wit is not None:
-        return False, ("delta" + h.letter.lower(), *wit["at"][:2])
-    return True, None
+        return False, ("delta" + h.letter.lower(), *wit["at"][:2]), sl
+    return True, None, sl
 
 
-def _strong_invariance(M, mapping, side, module):
+def _strong_invariance(M, mapping, side, module, slices):
     """Condition (c): a two-sided module map plus the strong-invariance diagram.
 
     The module law is the B half's ("left-module") and the C half's
@@ -238,11 +241,15 @@ def _strong_invariance(M, mapping, side, module):
     witness is the first failing (x, a, half) of a scan over x, then a,
     then the two halves: the least of the two one-sided witnesses, each
     the first failing (x, a) of its half, ties going to the B half.
-    With the slices of (a) and (b), slice_B and slice_C:
+    With the slices of (a) and (b), slice_B and slice_C, which ``slices``
+    hands over from ``_invariance``:
         left:  S slice_B T_rho = slice_C rho_T flip
         right: slice_B T_lambda flip = S slice_C lambda_T
-    A failing diagram's witness is the first basis tensor e_a (x) e_b of
-    the composites' domain at which they differ, with both values.
+    A slice handed over as None did not descend and is asked again, so
+    its NotBalanced text names the strong-invariance slice.  A failing
+    diagram's witness is the first basis tensor e_a (x) e_b of the
+    composites' domain at which they differ, with both values; the labels
+    are built only where they do.
     """
     failing = [(wit, k) for k, wit in enumerate(module) if wit is not None]
     if failing:
@@ -254,7 +261,7 @@ def _strong_invariance(M, mapping, side, module):
         (map_b, dom_b), (map_c, dom_c) = (M.canonical_map(name) for name in names)
         leg = 2 if side == "left" else 1
         sl_b, sl_c = (_integral_slice(h, leg, mapping, "strong-invariance slice")
-                      for h in halves)
+                      if sl is None else sl for h, sl in zip(halves, slices))
         flip = dom_b.flip_to(dom_c) if side == "left" else dom_c.flip_to(dom_b)
     except NotBalanced as e:
         return False, str(e)
@@ -267,7 +274,7 @@ def _strong_invariance(M, mapping, side, module):
     labels = M.A.labels
     wit = first_failure(
         ([labels[i] for i in divmod(dom.space.free[q], M.A.dim)], lhs.col(q), rhs.col(q))
-        for q in range(dom.dim)
+        for q in range(dom.dim) if lhs.col(q) != rhs.col(q)
     )
     return wit is None, wit
 
@@ -277,7 +284,8 @@ def check_partial_integral(M, mapping, side):
 
     The one-sided module laws of (a) and (b) are scanned once, by
     ``_module_witness`` for the B and the C half; (c)'s two-sided law is
-    both, and ``_strong_invariance`` derives its witness from theirs.
+    both, and ``_strong_invariance`` derives its witness from theirs and
+    reads the slices (a) and (b) descended.
     """
     if isinstance(mapping, PartialIntegral):
         mapping = mapping.mapping
@@ -290,8 +298,9 @@ def check_partial_integral(M, mapping, side):
         )
     halves = _halves(M)
     module = [_module_witness(M, mapping, side, h) for h in halves]
-    results = [_invariance(M, mapping, side, h, wit) for h, wit in zip(halves, module)]
-    results.append(_strong_invariance(M, mapping, side, module))
+    checked = [_invariance(M, mapping, side, h, wit) for h, wit in zip(halves, module)]
+    results = [(ok, wit) for ok, wit, _ in checked]
+    results.append(_strong_invariance(M, mapping, side, module, [sl for *_, sl in checked]))
     rep = Report()
     verdicts = [ok for ok, _ in results]
     eqs = ("partial-%s-deltab" % other, "partial-%s-deltac" % other,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgroupoid import algebra_core
 from qgroupoid.algebra_core import (
     BaseEmbedding,
     FiniteAlgebra,
@@ -19,7 +20,7 @@ from qgroupoid.algebra_core import (
     scalar_to_json,
 )
 from qgroupoid.balanced_tensor import module_maps, unkept
-from qgroupoid.exact_linear import ONE, ZERO, LinearMap, Scalar, sc
+from qgroupoid.exact_linear import ONE, ZERO, LinearMap, Scalar, inverse, sc
 from qgroupoid.report import first_failure, witness
 
 
@@ -64,9 +65,7 @@ def test_nonassociative_detected():
 def test_associativity_witness_is_the_first_triple_of_a_full_scan():
     # functions on three points with e1 e1 = e1 + i e2: the first failure
     # is at k = 2, past the first block of the stacked comparison
-    table = [[({i: ONE} if i == j else {}) for j in range(3)] for i in range(3)]
-    table[1][1] = {1: ONE, 2: Scalar.rational(0, 1)}
-    a = FiniteAlgebra(table)
+    a = _two_term_product()
     expected = next(
         (i, j, k)
         for i in range(3) for j in range(3) for k in range(3)
@@ -74,6 +73,86 @@ def test_associativity_witness_is_the_first_triple_of_a_full_scan():
     )
     assert expected == (1, 1, 2)
     assert a.is_associative() == (False, expected)
+
+
+def _two_term_product():
+    """Functions on three points with e1 e1 = e1 + i e2."""
+    table = [[({i: ONE} if i == j else {}) for j in range(3)] for i in range(3)]
+    table[1][1] = {1: ONE, 2: Scalar.rational(0, 1)}
+    return FiniteAlgebra(table)
+
+
+def test_the_monomial_tables_decline_a_two_term_product_or_star():
+    # the two-term product of the witness test above, and functions on
+    # two points with e_0* = e_0 + e_1: no table, and the scans decide
+    a = _two_term_product()
+    assert algebra_core._monomial_tables(a) is None
+    assert a.is_associative() == (False, (1, 1, 2))
+    b = FiniteAlgebra.pointwise(["p", "q"], involution=LinearMap.from_rows([[1, 0], [1, 1]]))
+    assert algebra_core._monomial_tables(b) is None
+    assert check_algebra(b).entries[-1].witness == ("involutive", "p")
+    b.involution = LinearMap.identity(2)  # the tables are read again for a new star
+    assert algebra_core._monomial_tables(b) == ([[(0, ONE), None], [None, (1, ONE)]],
+                                               [(0, ONE), (1, ONE)])
+    assert check_algebra(b).ok
+
+
+_COEFFICIENT = st.sampled_from([ONE, -ONE, sc(2), sc("1/2"), Scalar.root_term(2, 0, 1)])
+
+
+@st.composite
+def _monomial_algebras(draw):
+    """(table, involution or None) of a monomial algebra of dimension 1 to
+    5: the group algebra of Z_n twisted by the coboundary of a drawn f,
+    e_i e_j = f(i) f(j) / f(i + j) e_(i + j), or functions with
+    e_i e_i = c_i e_i, both associative, or a drawn table; then maybe one
+    product drawn again.  The star sends e_i to s_i e_sigma(i), sigma the
+    group's inverse, the identity or a drawn permutation, maybe with one
+    column 0, so the laws pass and fail."""
+    n = draw(st.integers(1, 5))
+    term = st.one_of(st.none(), st.tuples(st.integers(0, n - 1), _COEFFICIENT))
+    index = st.integers(0, n - 1)
+    c = draw(st.lists(_COEFFICIENT, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["group", "functions", "drawn"]))
+    if kind == "group":
+        table = [[{(i + j) % n: c[i] * c[j] * inverse(c[(i + j) % n])} for j in range(n)]
+                 for i in range(n)]
+        sigma = [-i % n for i in range(n)]
+    elif kind == "functions":
+        table = [[({i: c[i]} if i == j else {}) for j in range(n)] for i in range(n)]
+        sigma = list(range(n))
+    else:
+        table = [[dict([t] if t else []) for t in draw(st.lists(term, min_size=n, max_size=n))]
+                 for _ in range(n)]
+        sigma = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        t = draw(term)
+        table[draw(index)][draw(index)] = dict([t] if t else [])
+    if not draw(st.booleans()):
+        return table, None
+    s = draw(st.lists(st.one_of(st.just(ONE), _COEFFICIENT), min_size=n, max_size=n))
+    columns = [{sigma[i]: s[i]} for i in range(n)]
+    if draw(st.booleans()):
+        columns[draw(index)] = {}
+    return table, LinearMap(n, n, columns)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_monomial_algebras())
+def test_the_monomial_tables_decide_what_the_scans_decide(case):
+    # associativity and the check_algebra report, witnesses included, are
+    # those of the scans that run with the tables declined
+    table, involution = case
+
+    def decided():
+        a = FiniteAlgebra(table, involution=involution)
+        return a.is_associative(), check_algebra(a).to_json_lines()
+
+    assert algebra_core._monomial_tables(FiniteAlgebra(table, involution=involution))
+    by_tables = decided()
+    with pytest.MonkeyPatch.context() as declined:
+        declined.setattr(algebra_core, "_monomial_tables", lambda algebra: None)
+        assert decided() == by_tables
 
 
 def test_associativity_is_decided_once_per_algebra(monkeypatch):

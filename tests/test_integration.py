@@ -259,32 +259,34 @@ def _scanned_module_witness(M, mapping, side, h):
 
 def _scanned_invariance(M, mapping, side, h, module):
     """Oracle for ``_invariance``: the module law scanned again, whatever
-    ``module`` holds, and the slice law at every (d, e)."""
+    ``module`` holds, and the slice law at every (d, e).  It hands over no
+    slice, so ``_strong_invariance`` asks both again."""
     wit = _scanned_module_witness(M, mapping, side, h)
     if wit is not None:
-        return False, ("module", *wit)
+        return False, ("module", *wit), None
     letter = "a" if h.letter == "B" else "b"
     try:
         sl = integration._integral_slice(
             h, 2 if side == "left" else 1, mapping, "partial-%s slice (%s)" % (side, letter))
     except NotBalanced as e:
-        return False, str(e)
+        return False, str(e), None
     n, embed = M.A.dim, integration._target(M, side).s
     leg = 1 if side == "left" else 2
     for d in range(n):
         head = embed.apply(mapping.col(d))
         for e in range(n):
             if sl.apply(h.absorbed(leg, d, e)) != h.mul(head, {e: ONE}):
-                return False, ("delta" + h.letter.lower(), d, e)
-    return True, None
+                return False, ("delta" + h.letter.lower(), d, e), None
+    return True, None, None
 
 
 _STRONG_INVARIANCE = integration._strong_invariance
 
 
-def _scanned_strong_invariance(M, mapping, side, module):
+def _scanned_strong_invariance(M, mapping, side, module, slices):
     """Oracle for ``_strong_invariance``: both halves' module laws scanned
-    together at every (x, a), whatever ``module`` holds, then the diagram."""
+    together at every (x, a), whatever ``module`` holds, then the diagram
+    on slices asked again, whatever ``slices`` holds."""
     n, target = M.A.dim, integration._target(M, side)
     laws = list(zip(integration._halves(M), ("left-module", "right-module")))
     for x in range(target.base.dim):
@@ -294,7 +296,7 @@ def _scanned_strong_invariance(M, mapping, side, module):
                 law = target.base.mul(*h.ordered({x: ONE}, mapping.col(a)))
                 if mapping.apply(h.mul(ex, {a: ONE})) != law:
                     return False, (tag, x, a)
-    return _STRONG_INVARIANCE(M, mapping, side, (None, None))
+    return _STRONG_INVARIANCE(M, mapping, side, (None, None), (None, None))
 
 
 @pytest.mark.parametrize("build", [build_function_algebroid, build_convolution_algebroid],

@@ -11,7 +11,8 @@ base-module laws are read from the bases' own weights: ``_hom_values``
 solves no kernel, and ``keeps_actions`` decides the counit and antipode
 bimodule laws.  The dual's bimodule identities are decided on the
 weights of diagonal operators.  ``check_algebra`` reads non-degeneracy
-and idempotency from the unit, and ``_galois_diagrams`` decides each
+and idempotency from the unit, associativity and the involution law are
+decided on the monomial tables of the structure constants, and ``_galois_diagrams`` decides each
 Galois diagram at the unit, with no descent built.  Each gate is shown
 declining or failing on a fixture whose entry is pinned as the full
 scan names it, and with every gate of ``_GATES`` declined the mutants
@@ -281,6 +282,8 @@ _OWN_STRUCT = bialgebroid.RegularMHA._own_struct
 # stand-in that declines it).  _permutation_hits sends every map to the
 # echelon.  Each predicate also declines the gates that read it:
 #   - algebra_core._unital: the joint kernels of -tensor-nondegenerate;
+#   - algebra_core._monomial_tables: associativity and the involution
+#     law of check_algebra, scanned on whole vectors;
 #   - _absorbed_descend: the dual's translate operators, the welldefined
 #     gate of canonical_maps, and _exact_lifts, _unital_associative and
 #     _slice_identity;
@@ -298,6 +301,7 @@ _OWN_STRUCT = bialgebroid.RegularMHA._own_struct
 # without weights.
 _GATES = [
     (algebra_core, "_unital", lambda algebra: False),
+    (algebra_core, "_monomial_tables", lambda algebra: None),
     (exact_linear, "_permutation_hits", lambda f: None),
     (bialgebroid, "_absorbed_descend", lambda A: False),
     (bialgebroid, "_unital_associative", lambda A: False),
@@ -340,6 +344,17 @@ def _mutants():
             + [M for _, M in golden_record.single_product_changes()]
             + [golden_record.nonassociative_bundle(build)
                for build in (build_function_algebroid, build_convolution_algebroid)])
+
+
+def test_the_single_product_mutants_are_monomial_and_mostly_not_associative():
+    # so with the gates declined their associativity is scanned, and
+    # where the tables find a failing triple the scan names it; only
+    # e_i e_i := 0 on functions keeps the law, A being functions on the
+    # other points beside a null element
+    changes = list(golden_record.single_product_changes())
+    assert all(algebra_core._monomial_tables(M.A) is not None for _, M in changes)
+    assert [key for key, M in changes if M.A.is_associative()[0]] == [
+        ("build_function_algebroid", i, i, None) for i in range(4)]
 
 
 def test_every_mutant_reports_the_same_with_the_gates_declined(monkeypatch):
