@@ -18,11 +18,8 @@ from .exact_linear import (
     conj,
     inverse,
     is_positive,
-    kernel,
-    quotient_by,
     sc,
     sign,
-    solve_linear,
 )
 from .report import Rejected, Report
 from .algebra_core import (

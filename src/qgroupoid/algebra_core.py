@@ -204,9 +204,6 @@ class FiniteAlgebra:
             involution=self.involution,
         )
 
-    def __repr__(self):
-        return "FiniteAlgebra(dim=%d)" % self.dim
-
 
 def _memo_operator(memo, u, basis_col, vector_col, n):
     """The n x n operator of u from ``memo``: column j basis_col(k, j) for

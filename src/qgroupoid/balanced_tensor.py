@@ -55,7 +55,6 @@ from .exact_linear import (
     kron_vec_at,
     stack_equations,
     unstack,
-    vsub,
 )
 from .report import first_failure
 
@@ -561,9 +560,6 @@ class BalancedTensor:
 
         return self._cached(("flip", target), build, message, target)
 
-    def __repr__(self):
-        return "BalancedTensor(%r, dim=%d)" % (self.flavor, self.dim)
-
 
 class TripleTensor:
     """Quotient of A (x) A (x) A with balancing on legs (1,2) and (2,3).
@@ -614,10 +610,4 @@ class TripleTensor:
 
     def reduce(self, w):
         return self.rref.reduce(self._project(w))
-
-    def equal(self, w1, w2):
-        return not self.reduce(vsub(w1, w2))
-
-    def __repr__(self):
-        return "TripleTensor(%r, dim=%d)" % (self.flavor, self.dim)
 

@@ -281,9 +281,6 @@ class RegularMHA:
         u, d = (a, b) if leg == 1 else (b, a)
         return q.leg_op(leg, side, u).apply(delta.col(d))
 
-    def __repr__(self):
-        return "RegularMHA(%r, dim=%d)" % (self.name, self.A.dim)
-
 
 class _Half:
     """One half of the bundle: the left bialgebroid (B, Delta_B) for letter

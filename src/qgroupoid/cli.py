@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra_core import algebra_from_json, check_algebra, scalar_to_json
+from .algebra_core import algebra_from_json, algebra_to_json, check_algebra, scalar_to_json
 from .bialgebroid import verify_regular_mha, verify_star
 from .examples import (
     build_convolution_algebroid,
@@ -66,20 +66,14 @@ def _fail(eq, message, out, hint=None):
     return MATH_ERROR
 
 
-def _fail_extension(e, out):
-    """The report of a FieldExtensionNeeded e: the rejected quasi-invariant
-    entry, with a hint naming every square root it misses."""
-    return _fail("quasi-invariant", str(e), out,
-                 hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
-
-
 @contextmanager
 def _schema(what):
     """Malformed input read inside the block (a missing key, a value of the
     wrong type or form) ends the command as a usage error, exit code 2."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+            ZeroDivisionError) as e:
         raise SystemExit("schema error in %s: %s: %s" % (what, type(e).__name__, e))
 
 
@@ -136,9 +130,12 @@ def _pipeline(args):
         with _schema("--artifact"):
             groupoid = groupoid_from_json(pipeline["groupoid"])
             example = pipeline["example"]
-            mu_raw = ",".join(pipeline["mu"])
+            mu, roots = pipeline["mu"], pipeline.get("sqrt", [])
+            if not (isinstance(mu, list) and isinstance(roots, list)):
+                raise TypeError("mu and sqrt must be JSON lists")
+            mu_raw = ",".join(mu)
             recipe = pipeline.get("recipe", "identity")
-            field = ScalarField(pipeline.get("sqrt", []))
+            field = ScalarField(roots)
     else:
         groupoid = _load_groupoid(args)
         example = args.example
@@ -191,16 +188,8 @@ def cmd_integrals(args):
 
 
 def cmd_measure(args):
-    try:
-        M, weight, phi, psi, cocycle = _pipeline(args)
-        X = assemble_measured(M, weight, phi, psi)
-    except FieldExtensionNeeded as e:
-        return _fail_extension(e, args.out)
-    except Rejected as e:
-        hint = e.hint
-        if e.eq == "base-weight-counital":
-            hint = "apply groupoid_rn modifier"
-        return _fail(e.eq, str(e), args.out, hint=hint)
+    M, weight, phi, psi, cocycle = _pipeline(args)
+    X = assemble_measured(M, weight, phi, psi)
     rep = Report()
     rep.merge(X.report)
     sigma = modular_automorphism(X, "left")
@@ -229,16 +218,11 @@ def cmd_modify(args):
     mu = _parse_mu(args.mu, groupoid.units)
     with _schema("--sqrt"):
         field = ScalarField(args.sqrt or [])
-    try:
-        if args.recipe == "groupoid_rn":
-            mod, _ = groupoid_rn_modifier(groupoid, mu, field)
-        else:
-            mod = identity_modifier(M)
-        modified = modify(M, mod)
-    except FieldExtensionNeeded as e:
-        return _fail_extension(e, args.out)
-    except Rejected as e:
-        return _fail(e.eq, str(e), args.out, hint=e.hint)
+    if args.recipe == "groupoid_rn":
+        mod, _ = groupoid_rn_modifier(groupoid, mu, field)
+    else:
+        mod = identity_modifier(M)
+    modified = modify(M, mod)
     rep = Report().merge(modified.modifier_report)
     rep.merge(modified.modification_report, prefix="modify")
     artifact = {
@@ -265,16 +249,8 @@ def cmd_modify(args):
 
 
 def cmd_dual(args):
-    try:
-        M, weight, phi, psi, _ = _pipeline(args)
-        X = assemble_measured(M, weight, phi, psi)
-        dual = dual_algebra(X)
-    except FieldExtensionNeeded as e:
-        return _fail_extension(e, args.out)
-    except Rejected as e:
-        return _fail(e.eq, str(e), args.out, hint=e.hint)
-    from .algebra_core import algebra_to_json
-
+    M, weight, phi, psi, _ = _pipeline(args)
+    dual = dual_algebra(assemble_measured(M, weight, phi, psi))
     return _emit(dual.report, args.out, {"dual_algebra": algebra_to_json(dual.algebra)})
 
 
@@ -370,6 +346,16 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as e:
         sys.stderr.write("schema error: %s\n" % e)
         return USAGE_ERROR
+    except FieldExtensionNeeded as e:
+        # the rejected quasi-invariant entry, with a hint naming every
+        # square root it misses
+        return _fail("quasi-invariant", str(e), args.out,
+                     hint="re-run with --sqrt %s" % " --sqrt ".join(map(str, e.missing)))
+    except Rejected as e:
+        hint = e.hint
+        if (args.command, e.eq) == ("measure", "base-weight-counital"):
+            hint = "apply groupoid_rn modifier"
+        return _fail(e.eq, str(e), args.out, hint=hint)
 
 
 if __name__ == "__main__":

@@ -62,9 +62,6 @@ __all__ = [
     "scalar_from_json",
     "LinearMap",
     "QuotientSpace",
-    "solve_linear",
-    "kernel",
-    "quotient_by",
     "Rref",
     "axpy",
     "ev",
@@ -72,7 +69,6 @@ __all__ = [
     "vsub",
     "vscale",
     "vec_items",
-    "vec_from_dense",
     "vec_conj",
     "kron_vec",
     "kron_vec_at",
@@ -472,6 +468,8 @@ def scalar_from_json(obj):
         raise ValueError("decimal scalars are not accepted; use fraction strings")
     s = Scalar.rational(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
     for m, coeff in obj.get("sqrt_part", {}).items():
+        if int(m) < 1:
+            raise ValueError("radicand must be positive: %s" % m)
         s = s + Scalar.root_term(
             int(m), Fraction(coeff.get("re", 0)), Fraction(coeff.get("im", 0))
         )
@@ -531,9 +529,6 @@ class ScalarField:
             primes ^= row
         return primes
 
-    def contains(self, s):
-        return type(s) is not Scalar or not any(self._residue(m) for m, _, _ in s.num)
-
     def sqrt(self, s):
         """Exact square root of a non-negative rational scalar."""
         q = as_fraction(s)
@@ -551,20 +546,6 @@ class ScalarField:
         if self._residue(m):
             raise FieldExtensionNeeded({m})
         return Scalar(((m, _q(coeff), 0),))
-
-    def missing_roots(self, values):
-        """Square-free kernels among sqrt(values) not available in the field."""
-        missing = set()
-        for v in values:
-            q = as_fraction(sc(v))
-            if q <= 0:
-                continue
-            _, m1 = _squarefree_split(q.numerator)
-            _, m2 = _squarefree_split(q.denominator)
-            _, m = _root_mul(m1, m2)
-            if m != 1 and self._residue(m):
-                missing.add(m)
-        return missing
 
     def __repr__(self):
         return "ScalarField(roots=%s)" % (self.roots,)
@@ -666,10 +647,6 @@ def vec_items(v):
     """The sorted (index, value) pairs of v with each value as its string,
     the form in which witnesses report a vector."""
     return [(j, str(s)) for j, s in sorted(v.items())]
-
-
-def vec_from_dense(xs):
-    return {j: s for j, s in enumerate(map(sc, xs)) if s}
 
 
 def vec_conj(u):
@@ -1106,9 +1083,6 @@ class LinearMap:
             self.rows, self.cols, [vec_conj(c) for c in self.data]
         )
 
-    def __repr__(self):
-        return "LinearMap(%d x %d)" % (self.rows, self.cols)
-
 
 def _permutation_hits(f):
     """{i: j}, the row i that each column j of f hits, if f is a
@@ -1137,15 +1111,15 @@ def _permutation_hits(f):
 class QuotientSpace:
     """F^n modulo the span of relation vectors.
 
-    The canonical representative of a class zeroes every pivot coordinate
-    of the relation echelon ``rref``; the section places quotient
-    coordinates at the free indices, so project o section = identity
-    exactly.
+    The canonical representative of the class of v, ``lift(project(v))``,
+    zeroes every pivot coordinate of the relation echelon ``rref``; the
+    section places quotient coordinates at the free indices, so
+    project o section = identity exactly.
 
     ``QuotientSpace.coordinate`` is the quotient by a coordinate subspace,
     the span of the e_p for p outside a set of free coordinates, built
     with no elimination and kept as its free coordinates alone: its
-    ``rref`` is None.  To project or reduce drops the relation
+    ``rref`` is None.  To project drops the relation
     coordinates, and a vector is a relation iff it has no free
     coordinate.  ``relation_rows`` reads the relation rows of either kind.
     """
@@ -1188,12 +1162,6 @@ class QuotientSpace:
     def lift(self, q):
         return {self.free[i]: s for i, s in q.items()}
 
-    def reduce(self, v):
-        """Canonical ambient representative of the class of v."""
-        if self.rref is None:
-            return {j: s for j, s in v.items() if j in self.free_pos}
-        return self.rref.reduce(v)
-
     def contains_relation(self, v):
         if self.rref is None:
             return self.free_pos.keys().isdisjoint(v)
@@ -1212,47 +1180,15 @@ class QuotientSpace:
         return {p: rows[p] for j in coords for p in self._touching.get(j, ())}
 
     @property
-    def projection(self):
-        return LinearMap.from_function(
-            self.dim, self.ambient_dim, lambda j: self.project({j: 1})
-        )
-
-    @property
     def section(self):
         return LinearMap.from_function(
             self.ambient_dim, self.dim, lambda q: {self.free[q]: 1}
         )
 
-    def __repr__(self):
-        return "QuotientSpace(%d -> %d)" % (self.ambient_dim, self.dim)
-
 
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def solve_linear(f, target):
-    """Some x with f(x) = target, or None; raises on dimension mismatch."""
-    t = dict(target)
-    if t and max(t) >= f.rows:
-        raise ValueError(
-            "target of length > %d for a map with %d rows" % (f.rows, f.rows)
-        )
-    return f.solve(t)
-
-
-def kernel(f):
-    """Basis of ker(f); empty iff f is injective."""
-    return f.kernel_basis()
-
-
-def quotient_by(ambient_dim, relations):
-    """Quotient of F^ambient_dim by the span of the relation vectors."""
-    for r in relations:
-        if r and max(r) >= ambient_dim:
-            raise ValueError("relation vector leaves F^%d" % ambient_dim)
-    return QuotientSpace(ambient_dim, relations)
 
 
 def is_positive_semidefinite(h):

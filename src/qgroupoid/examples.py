@@ -119,9 +119,6 @@ class FiniteGroupoid:
     def composable_pairs(self):
         return [(a, b) for a in self.arrows for b in self.arrows if (a, b) in self.compose]
 
-    def __repr__(self):
-        return "FiniteGroupoid(%d arrows, %d units)" % (len(self.arrows), len(self.units))
-
 
 def pair_groupoid(points):
     """Arrows (i, j) with target i, source j; (i,j)(j,k) = (i,k)."""

@@ -85,21 +85,9 @@ class Report:
                 return e.status
         return None
 
-    def lines(self):
-        out = []
-        for e in self.entries:
-            line = "%-4s  %-44s  [%s]" % (e.status, e.axiom, e.eq)
-            if e.witness is not None:
-                line += "  witness=%s" % (e.witness,)
-            out.append(line)
-        return out
-
     def to_json_lines(self):
         encode = JSON_ENCODER.encode
         return [encode(e.to_json()) for e in self.entries]
-
-    def __str__(self):
-        return "\n".join(self.lines())
 
 
 class Rejected(Exception):

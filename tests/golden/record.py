@@ -8,9 +8,9 @@ copy of functions p2,
 ``check_partial_integral`` on perturbed partial integrals,
 ``solve_partial_integrals`` on antipode mutants, the solved spaces no
 command reports in full, the modular theory and modifier
-checks of both halves, or the Hopf, action and star laws on broken
-copies, and yields the exit code and the exact report text of every
-step.  The recorded texts live next to this file as ``<case>.jsonl``, the exit codes in
+checks of both halves, the Hopf, action and star laws on broken
+copies, or the content API that no command calls, and yields the exit
+code and the exact report text of every step.  The recorded texts live next to this file as ``<case>.jsonl``, the exit codes in
 ``exits.json``; ``test_golden.py`` compares both byte for byte.
 
 Re-record after an intended change of a report, from the repository root:
@@ -35,9 +35,11 @@ from qgroupoid import (
     LinearMap,
     MeasuredMHA,
     Modifier,
+    Multiplier,
     Rejected,
     RegularMHA,
     FiniteHopf,
+    ScalarField,
     assemble_measured,
     build_convolution_algebroid,
     build_crossed_product,
@@ -48,12 +50,16 @@ from qgroupoid import (
     check_base_weight,
     check_modifier,
     check_partial_integral,
+    compose_modifiers,
     convolution,
     crossed_rn_modifier,
     derive_antipode,
     derive_counits,
+    disjoint_union,
+    expectation_identity,
     factorize,
     faithfulness_check,
+    groupoid_rn_modifier,
     haar_analysis,
     inner_modifier,
     local_projectivity,
@@ -66,10 +72,12 @@ from qgroupoid import (
     standard_integrals,
     twosided_rn_modifier,
     uniqueness_check,
+    verify_left_bialgebroid,
     verify_regular_mha,
+    verify_right_bialgebroid,
     verify_star,
 )
-from qgroupoid.algebra_core import FiniteAlgebra
+from qgroupoid.algebra_core import FiniteAlgebra, algebra_to_json
 from qgroupoid.bialgebroid import _ONE_SIDED, _Half, _hom_space
 from qgroupoid.cli import main
 from qgroupoid.exact_linear import ONE, Scalar, axpy, vec_items
@@ -83,7 +91,7 @@ from qgroupoid.examples import (
 )
 from qgroupoid.integration import _ergodic_characterization, translate_left
 from qgroupoid.report import Report
-from qgroupoid.structure_theory import _co_hom_space
+from qgroupoid.structure_theory import _co_hom_space, convolution_counit_identity
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 POINTS = [1, 2]
@@ -689,6 +697,63 @@ def _hopf_laws_and_star():
     return steps
 
 
+def _api_reach():
+    """The content API that no command calls, each call once.
+
+    On functions p2 measured with mu = (1, 4): ``expectation_identity`` of
+    the standard partial integrals and ``convolution_counit_identity``.
+    On convolution p2: ``compose_modifiers`` of two ``groupoid_rn``
+    modifiers of mu = (1, 2), each half of the one of mu = (1, 4), compared
+    with that one map by map and checked by ``check_modifier``.
+    ``verify_regular_mha`` on both instances of the disjoint union of p2
+    and p1; ``verify_left_bialgebroid`` and ``verify_right_bialgebroid`` on
+    the functions p2 mutant with column 0 of Delta_B scaled; and
+    ``Multiplier.is_compatible`` and ``element`` on the canonical
+    multipliers of functions p2, then on a pair of maps that is no
+    multiplier.
+    """
+    g = pair_groupoid(POINTS)
+    steps = []
+
+    def step(head, run):
+        steps.append(_step(head, run))
+
+    fun, conv = build_function_algebroid(g), build_convolution_algebroid(g)
+    mu = {0: ONE, 1: 4 * ONE}
+    phi_C, psi_B = standard_integrals("groupoid-functions", fun, groupoid=g)
+    X = assemble_measured(fun, BaseWeight(dict(mu), dict(mu)), phi_C, psi_B)
+    step({"api": "expectation_identity"}, lambda: ({}, expectation_identity(fun, phi_C, psi_B)))
+    step({"api": "convolution_counit_identity"}, lambda: ({}, convolution_counit_identity(X)))
+
+    def composed():
+        half, _ = groupoid_rn_modifier(g, {0: ONE, 1: 2 * ONE}, ScalarField([2]))
+        whole, _ = groupoid_rn_modifier(g, mu)
+        both = compose_modifiers(half, half)
+        return ({"modifier": [_columns(f) for f in both.maps()],
+                 "equals-mu-1-4": [f == h for f, h in zip(both.maps(), whole.maps())]},
+                check_modifier(conv, both))
+    step({"api": "compose_modifiers"}, composed)
+    union = disjoint_union(g, pair_groupoid([1]))
+    for build in (build_function_algebroid, build_convolution_algebroid):
+        step({"api": "verify_regular_mha", "bundle": [build.__name__, "p2+p1"]},
+             lambda build=build: ({}, verify_regular_mha(build(union))))
+    mutant = mutant_bundle("delta_B", 0)
+    for suite in (verify_left_bialgebroid, verify_right_bialgebroid):
+        step({"api": suite.__name__, "bundle": "delta_B-col0"},
+             lambda suite=suite: ({}, suite(mutant)))
+    A = fun.A
+    swap = LinearMap.from_function(4, 4, lambda k: {(1, 0, 2, 3)[k]: ONE})
+    canonical = [Multiplier.from_element(A, {j: ONE}) for j in range(A.dim)]
+    for mult in canonical + [Multiplier(A, LinearMap.identity(4), swap)]:
+        def multiplier(mult=mult):
+            compatible = mult.is_compatible()
+            return ({"compatible": compatible,
+                     "element": vec_items(mult.element()) if compatible else None}, None)
+        step({"api": "Multiplier", "left": _columns(mult.left), "right": _columns(mult.right)},
+             multiplier)
+    return steps
+
+
 def _unit_arrow_index():
     g = pair_groupoid(POINTS)
     return g.index[g.units[1]]
@@ -703,6 +768,9 @@ def cases(workdir):
     with open(p3, "w") as fh:
         json.dump(groupoid_to_json(pair_groupoid(POINTS_P3)), fh)
     artifact = os.path.join(workdir, "artifact.json")
+    algebra = os.path.join(workdir, "algebra.json")
+    with open(algebra, "w") as fh:
+        json.dump(algebra_to_json(build_function_algebroid(pair_groupoid(POINTS)).A), fh)
     fun = ("--example", "function-algebroid", "--groupoid", p2)
     conv = ("--example", "convolution", "--groupoid", p2)
 
@@ -721,6 +789,11 @@ def cases(workdir):
         "measure-functions-p2": lambda: [_cli("measure", *fun, "--mu", "1,4")],
         "measure-convolution-p2": lambda: [_cli("measure", *conv, "--mu", "1,4")],
         "modify-measure-convolution-p2": modify_then_measure,
+        "measure-needs-sqrt": lambda: [_cli("measure", *conv, "--mu", "1,2",
+                                            "--recipe", "groupoid_rn")],
+        "build-and-report": lambda: [
+            _cli("build", "--algebra", algebra),
+            _cli("report", os.path.join(HERE, "verify-functions-p2.jsonl"))],
         "dual-functions-p2": lambda: [_cli("dual", *fun, "--mu", "1,4")],
         "dual-convolution-p2": lambda: [_cli("dual", *conv, "--mu", "1,1")],
         "dual-functions-p3": lambda: [_cli(
@@ -753,6 +826,7 @@ def cases(workdir):
         "mirror-pins-p2": _mirror_pins,
         "hopf-and-weights": _hopf_and_weights,
         "hopf-laws-and-star": _hopf_laws_and_star,
+        "api-reach-p2": _api_reach,
     }
 
 

@@ -34,16 +34,21 @@ def test_galois_compatibility_is_the_left_coassociativity_entry():
     # failure where the left suite ended there.  The sweep records failing
     # entries only, so each galois line is compared with the last of those
     # entries before it in its step, and a failing left-coassociativity
-    # line must be followed by one
+    # line must be followed by one.  A step of one bialgebroid half suite
+    # alone reports no galois-compatibility, and is passed over
     compared, failed = 0, set()
+    halves = ("verify_left_bialgebroid", "verify_right_bialgebroid")
     for name in sorted(EXITS):
         with open(os.path.join(HERE, name + ".jsonl")) as fh:
-            entries = [json.loads(line) for line in fh]
-        source, unread = {}, set()
+            # the text lines of the ``report`` pretty-printer are no entries
+            entries = [json.loads(line) for line in fh if line.startswith("{")]
+        source, unread, half = {}, set(), False
         for entry in entries + [{}]:
             if "axiom" not in entry:  # a step's head line, or the end of the file
                 assert not unread, (name, unread)
-                source = {}
+                source, half = {}, entry.get("api") in halves
+                continue
+            if half:
                 continue
             prefix, _, law = entry["axiom"].rpartition(":")
             if law in ("left-tensor-nondegenerate", "left-coassociativity"):
@@ -58,6 +63,6 @@ def test_galois_compatibility_is_the_left_coassociativity_entry():
                 compared += 1
                 if entry["status"] == "fail":
                     failed.add(name)
-    assert compared == 30
+    assert compared == 32
     assert failed == {"mutant-convolution-delta_B-col1", "mutant-convolution-delta_B-term",
                       "mutant-delta_B-col0", "mutant-sweep-p2", "nonassociative-functions-p2"}

@@ -34,7 +34,7 @@ def group_algebra_z2():
 def test_pointwise_functions_check():
     a = FiniteAlgebra.pointwise(["(1,1)", "(1,2)", "(2,1)", "(2,2)"])
     rep = check_algebra(a)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     assert a.unit() == {0: ONE, 1: ONE, 2: ONE, 3: ONE}
 
 
@@ -50,7 +50,7 @@ def test_zero_product_algebra_fails_nondegeneracy():
 def test_group_algebra_checks():
     a = group_algebra_z2()
     rep = check_algebra(a)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     assert a.unit() == {0: ONE}
 
 
@@ -399,6 +399,15 @@ def test_scalar_json_round_trip():
         assert scalar_from_json(scalar_to_json(v)) == v
     with pytest.raises(ValueError):
         scalar_from_json(0.5)
+
+
+@pytest.mark.parametrize("radicand", ["-2", "0"])
+def test_a_radicand_below_one_is_rejected(radicand):
+    # sqrt(-2) would make a radical that elimination cannot reduce, and
+    # sqrt(0) a term that is no canonical scalar
+    with pytest.raises(ValueError, match="radicand must be positive"):
+        scalar_from_json({"sqrt_part": {radicand: {"re": "1"}}})
+    assert scalar_from_json({"sqrt_part": {"1": {"re": "1"}}}) == 1
 
 
 def test_algebra_json_round_trip():

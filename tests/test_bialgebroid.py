@@ -49,13 +49,13 @@ _spec.loader.exec_module(golden_record)
 
 def test_function_algebroid_full_suite(m_fun):
     rep = verify_regular_mha(m_fun)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     assert verify_star(m_fun).ok
 
 
 def test_convolution_algebroid_full_suite(m_conv):
     rep = verify_regular_mha(m_conv)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     assert verify_star(m_conv).ok
 
 
@@ -317,7 +317,7 @@ def test_coassociativity_witness_shows_both_sides_reduced(m_conv):
          "lhs": vec_items(triple.reduce(lhs)), "rhs": vec_items(triple.reduce(rhs))}
         for b, c, L, R in bialgebroid._coassociativity_blocks(M, "BC", range(n))
         for a, (lhs, rhs) in enumerate(zip(unstack(L, n ** 3, n), unstack(R, n ** 3, n)))
-        if not triple.equal(lhs, rhs)
+        if triple.reduce(lhs) != triple.reduce(rhs)
     )
     assert expected["lhs"] != expected["rhs"]
     assert _failure(verify_regular_mha(M), "mixed-coassociativity-1") == expected

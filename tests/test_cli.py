@@ -225,6 +225,19 @@ _P2_ARTIFACT = {"kind": "measured-pipeline", "example": "convolution",
     (["measure", "--pair-groupoid", "1,2,1", "--mu", "1,4,9"], {}),
     (["verify", "--groupoid", "{twice}"], {"twice": dict(
         _P2_GROUPOID, arrows=_P2_GROUPOID["arrows"] + _P2_GROUPOID["arrows"][1:2])}),
+    (["verify", "--groupoid", "{g}"], {"g": dict(_P2_GROUPOID, s=[])}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, structure=[[[[0, None]], []], [[], [[1, 1]]]])}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, structure=[[[[0, [1]]], []], [[], [[1, 1]]]])}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, structure=[[[[0, {"sqrt_part": {"-2": {"re": "1"}}}]], []],
+                                          [[], [[1, 1]]]])}),
+    (["build", "--algebra", "{alg}"],
+     {"alg": dict(_TWO_POINTS, structure=[[[[0, {"sqrt_part": {"0": {"re": "1"}}}]], []],
+                                          [[], [[1, 1]]]])}),
+    (["measure", "--artifact", "{artifact}"], {"artifact": dict(_P2_ARTIFACT, mu="12")}),
+    (["measure", "--artifact", "{artifact}"], {"artifact": dict(_P2_ARTIFACT, sqrt="2")}),
 ], ids=["mu-literal", "mu-zero-denominator", "groupoid-without-arrows",
         "artifact-without-groupoid", "pair-groupoid-without-points", "build-dim-not-table-size",
         "build-product-index-past-dim", "build-ragged-rows", "build-involution-wrong-size",
@@ -232,7 +245,9 @@ _P2_ARTIFACT = {"kind": "measured-pipeline", "example": "convolution",
         "modify-sqrt-not-square-free", "measure-sqrt-zero", "dual-sqrt-negative",
         "artifact-sqrt-not-square-free", "artifact-sqrt-not-a-number",
         "pair-groupoid-point-twice", "pair-groupoid-point-twice-with-weights",
-        "groupoid-arrow-twice"])
+        "groupoid-arrow-twice", "groupoid-sources-a-list", "build-coefficient-null",
+        "build-coefficient-a-list", "build-radicand-negative", "build-radicand-zero",
+        "artifact-mu-a-string", "artifact-sqrt-a-string"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
     paths = {}
     for name, obj in files.items():

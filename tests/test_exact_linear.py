@@ -17,6 +17,7 @@ from qgroupoid.exact_linear import (
     ZERO,
     FieldExtensionNeeded,
     LinearMap,
+    QuotientSpace,
     Rref,
     Scalar,
     ScalarField,
@@ -27,16 +28,12 @@ from qgroupoid.exact_linear import (
     inverse,
     is_positive,
     is_positive_semidefinite,
-    kernel,
     kron,
     kron_vec,
-    quotient_by,
     sc,
     sign,
-    solve_linear,
     stack,
     unstack,
-    vec_from_dense,
     vscale,
 )
 
@@ -127,7 +124,10 @@ def test_field_membership_and_sqrt():
     assert exc.value.missing == [3]
     g = ScalarField([2, 3])
     assert g.sqrt(sc(6)) == Scalar.root_term(6)  # closed under products
-    assert g.missing_roots([sc(2), sc(5), sc("9/4")]) == {5}
+    assert g.sqrt(sc("9/4")) == sc("3/2")
+    with pytest.raises(FieldExtensionNeeded) as exc:
+        g.sqrt(sc(5))
+    assert exc.value.missing == [5]
 
 
 _FIELD_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -155,14 +155,13 @@ def test_field_membership_matches_the_enumerated_products():
         assert field.roots == kept and repr(field) == "ScalarField(roots=%s)" % kept
         for m in squarefree:
             inside = m in monomials
-            assert field.contains(Scalar.root_term(m, 1, 1)) == inside
-            assert field.missing_roots([m, 4 * m]) == (set() if inside else {m})
-            if inside:
-                assert field.sqrt(sc(m)) == Scalar.root_term(m)
-            else:
-                with pytest.raises(FieldExtensionNeeded) as exc:
-                    field.sqrt(sc(m))
-                assert exc.value.missing == [m]
+            for k in (1, 4):  # sqrt(4 m) = 2 sqrt(m) needs the same root
+                if inside:
+                    assert field.sqrt(sc(k * m)) == Scalar.root_term(m, math.isqrt(k))
+                else:
+                    with pytest.raises(FieldExtensionNeeded) as exc:
+                        field.sqrt(sc(k * m))
+                    assert exc.value.missing == [m]
 
 
 def test_a_field_of_thirty_roots_builds_in_milliseconds():
@@ -172,8 +171,12 @@ def test_a_field_of_thirty_roots_builds_in_milliseconds():
     field = ScalarField(primes + [6, 2 * 113])
     assert time.perf_counter() - start < 0.25
     assert field.roots == primes
-    assert field.contains(Scalar.root_term(math.prod(primes)))
-    assert field.missing_roots([127, 2 * 127, 3 * 113]) == {127, 254}
+    assert field.sqrt(sc(math.prod(primes))) == Scalar.root_term(math.prod(primes))
+    assert field.sqrt(sc(3 * 113)) == Scalar.root_term(3 * 113)
+    for m in (127, 2 * 127):
+        with pytest.raises(FieldExtensionNeeded) as exc:
+            field.sqrt(sc(m))
+        assert exc.value.missing == [m]
 
 
 def test_integral_coefficients_are_ints_and_division_stays_exact():
@@ -215,34 +218,34 @@ def mk(rows):
     return LinearMap.from_rows(rows)
 
 
+def dense(xs):
+    """The sparse vector of the list xs."""
+    return {j: s for j, s in enumerate(map(sc, xs)) if s}
+
+
 def test_solve_identity_and_zero():
     ident = LinearMap.identity(3)
-    t = vec_from_dense([1, 2, 3])
-    assert solve_linear(ident, t) == t
+    t = dense([1, 2, 3])
+    assert ident.solve(t) == t
     zero = LinearMap.zero(2, 2)
-    assert solve_linear(zero, vec_from_dense([1, 0])) is None
-    assert solve_linear(zero, {}) == {}
+    assert zero.solve(dense([1, 0])) is None
+    assert zero.solve({}) == {}
 
 
 def test_solve_two_by_two():
     # hand elimination: x + y = 3, 2y = 4 -> (1, 2)
     f = mk([[1, 1], [0, 2]])
-    x = solve_linear(f, vec_from_dense([3, 4]))
-    assert x == vec_from_dense([1, 2])
+    x = f.solve(dense([3, 4]))
+    assert x == dense([1, 2])
 
 
 def test_solve_property():
     rng = random.Random(3)
     for _ in range(25):
         f = mk([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-        v = vec_from_dense([rng.randint(-3, 3) for _ in range(3)])
-        x = solve_linear(f, f.apply(v))
+        v = dense([rng.randint(-3, 3) for _ in range(3)])
+        x = f.solve(f.apply(v))
         assert x is not None and f.apply(x) == f.apply(v)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_linear(mk([[1, 0], [0, 1]]), {5: ONE})
 
 
 def test_solve_finds_no_preimage_of_a_target_outside_the_codomain():
@@ -254,11 +257,11 @@ def test_solve_finds_no_preimage_of_a_target_outside_the_codomain():
 
 
 def test_kernel():
-    assert kernel(LinearMap.identity(4)) == []
-    zero_kernel = kernel(LinearMap.zero(2, 2))
+    assert LinearMap.identity(4).kernel_basis() == []
+    zero_kernel = LinearMap.zero(2, 2).kernel_basis()
     assert len(zero_kernel) == 2
     # rank-1 oracle: [[1,2],[2,4]] has kernel spanned by (2,-1)
-    ker = kernel(mk([[1, 2], [2, 4]]))
+    ker = mk([[1, 2], [2, 4]]).kernel_basis()
     assert len(ker) == 1
     (w,) = ker
     ratio = w.get(0, ZERO) * sc(-1) - w.get(1, ZERO) * sc(2)
@@ -276,22 +279,23 @@ def test_inverse_and_rank():
 
 
 def test_quotient_basics():
-    q = quotient_by(2, [vec_from_dense([1, -1])])
+    q = QuotientSpace(2, [dense([1, -1])])
     assert q.dim == 1
-    assert q.project(vec_from_dense([1, -1])) == {}
+    assert q.project(dense([1, -1])) == {}
     # the two basis vectors project to the same class
     assert q.project({0: ONE}) == q.project({1: ONE})
-    full = quotient_by(3, [])
+    full = QuotientSpace(3, [])
     assert full.dim == 3
     assert full.project({2: ONE}) == {2: ONE}
 
 
 def test_quotient_projection_section_identity():
     rng = random.Random(5)
-    rels = [vec_from_dense([rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)]
-    q = quotient_by(4, rels)
+    rels = [dense([rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)]
+    q = QuotientSpace(4, rels)
     assert q.dim == 4 - len([r for r in rels if r]) or q.dim >= 2
-    pi, iota = q.projection, q.section
+    pi = LinearMap.from_function(q.dim, 4, lambda j: q.project({j: ONE}))
+    iota = q.section
     assert pi.compose(iota) == LinearMap.identity(q.dim)
     # kernel of the projection equals the relation span
     for w in pi.kernel_basis():
@@ -303,17 +307,12 @@ def test_quotient_projection_section_identity():
 def test_quotient_rank_oracle():
     # relations spanning a 2-dim space inside F^4 -> quotient dim 2
     rels = [
-        vec_from_dense([1, 1, 0, 0]),
-        vec_from_dense([0, 0, 1, 1]),
-        vec_from_dense([1, 1, 1, 1]),  # dependent
+        dense([1, 1, 0, 0]),
+        dense([0, 0, 1, 1]),
+        dense([1, 1, 1, 1]),  # dependent
     ]
-    q = quotient_by(4, rels)
+    q = QuotientSpace(4, rels)
     assert q.dim == 2
-
-
-def test_quotient_relation_out_of_range():
-    with pytest.raises(ValueError):
-        quotient_by(2, [{5: ONE}])
 
 
 def test_psd():

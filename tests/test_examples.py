@@ -145,7 +145,7 @@ def test_h4_crossed_product_over_a_point_passes_every_law(m_h4_crossed):
     # cocommutative and whose antipode squares to no identity
     M = m_h4_crossed
     rep = verify_regular_mha(M)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     assert len(rep.entries) == 62
     assert M.S.compose(M.S) != LinearMap.identity(M.A.dim)
     assert M._db_lift != LinearMap.flip(4, 4).compose(M._db_lift)

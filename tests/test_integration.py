@@ -46,7 +46,7 @@ def test_counting_integrals_pass_all_three_conditions(m_fun, p2):
     phi, psi = standard_integrals("groupoid-functions", m_fun, groupoid=p2)
     for pi, side in ((phi, "left"), (psi, "right")):
         rep = check_partial_integral(m_fun, pi, side)
-        assert rep.ok, str(rep)
+        assert rep.ok, rep.to_json_lines()
 
 
 def test_weighted_fiber_integrals(m_fun, p2):

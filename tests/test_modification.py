@@ -82,7 +82,7 @@ def test_inner_modifier_on_crossed_product(m_crossed):
     v = {0: sc(1), 1: sc(3)}
     mod = inner_modifier(m_crossed, u, v)
     rep = check_modifier(m_crossed, mod)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     out = modify(m_crossed, mod)
     assert verify_regular_mha(out).ok
 
@@ -117,7 +117,7 @@ def test_rn_cocycle_values(p2, rn_cocycle):
 def test_rn_modifier_flags_and_verification(m_conv, rn_cocycle, m_conv_mod):
     mod, _ = rn_cocycle
     rep = check_modifier(m_conv, mod)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     assert rep.status_of("trivial-on-base") == "pass"
     assert rep.status_of("self-adjoint") == "pass"
     assert verify_regular_mha(m_conv_mod).ok

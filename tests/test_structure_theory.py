@@ -138,7 +138,7 @@ def test_modular_element_group_case(x_group):
 
 def test_uniqueness_p2(x_fun_14):
     rep = uniqueness_check(x_fun_14)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
 
 
 def test_uniqueness_group(x_group):
@@ -202,7 +202,7 @@ def test_dual_basis_fails_for_degenerate_action():
 def test_faithfulness_on_assembled_instances(x_fun_14, x_conv_uniform, x_tensor):
     for x in (x_fun_14, x_conv_uniform, x_tensor):
         rep = faithfulness_check(x)
-        assert rep.ok, str(rep)
+        assert rep.ok, rep.to_json_lines()
 
 
 def test_zero_functional_not_faithful(m_fun):
@@ -327,7 +327,7 @@ def test_dual_checks_report_their_first_failing_pair(x_fun_14):
 
 def test_convolution_operators(x_fun_14):
     rep = convolution_counit_identity(x_fun_14)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     lam = convolution(x_fun_14, x_fun_14.phi, "lambda")
     rho = convolution(x_fun_14, x_fun_14.psi, "rho")
     assert lam.report.ok and rho.report.ok
@@ -423,7 +423,7 @@ def test_haar_rescaling_p2_uniform(m_fun, p2, weight_uniform):
     phi, psi = standard_integrals("groupoid-functions", m_fun, groupoid=p2)
     x = assemble_measured(m_fun, weight_uniform, phi, psi)
     h, rep = haar_analysis(x)
-    assert rep.ok, str(rep)
+    assert rep.ok, rep.to_json_lines()
     hs = {c: v for c in range(4) for v in (ev(h, m_fun.S.col(c)),) if v}
     assert hs == h
 
