@@ -571,10 +571,9 @@ class TripleTensor:
     eliminated are e_a (x) r, for r in pair23's ``relation_rows``, each
     projected third-leg block by third-leg block into pair12.dim * n
     coordinates (index k * pair12.dim + q, q in pair12, k the third leg).
-    ``reduce`` and ``equal`` take vectors of A (x) A (x) A, index
-    (i*n + j)*n + k; ``reduce`` returns the canonical residue in the
-    projected coordinates.  ``leg_dim`` is n; ``dim`` is the dimension of
-    the quotient.
+    ``reduce`` takes a vector of A (x) A (x) A, index (i*n + j)*n + k,
+    and returns the canonical residue in the projected coordinates.
+    ``leg_dim`` is n; ``dim`` is the dimension of the quotient.
     """
 
     def __init__(self, algebra, pair12, pair23, flavor=""):

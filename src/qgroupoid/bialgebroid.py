@@ -89,7 +89,7 @@ class RegularMHA:
     _integral_bases = None  # side -> (basis, reports), see integration._checked_basis
     _modifier_checks = None  # ids of a modifier's maps -> (maps, report, thetas),
     # see modification._checked_modifier
-    _tildes = None  # T_rho or T_lambda -> its _tilde_table
+    _tildes = None  # canonical map name -> its _tilde_table
 
     def __init__(
         self,
@@ -236,27 +236,16 @@ class RegularMHA:
         """One canonical map with its domain tensor, built once per bundle.
 
         Column p is ``canonical_tilde`` at the free coordinate (a, b) of
-        the domain.  On an associative A (``_absorbed_descend``) the
-        columns are read from ``_tilde_table``, and no leg operator is
-        built.
+        the domain, kept as it is returned: on an associative A the map
+        shares its columns with ``_tilde_table``.
         """
         if self._canonical is None:
             self._canonical = {}
         if which not in self._canonical:
             n, dom = self.A.dim, self.tensor(self._DOMAINS[which])
-            q = _codomain(self, which)
-            if _absorbed_descend(self.A):
-                tildes, leg = _tilde_table(self, which), self._TILDES[which][1]
-                cols = []
-                for ab in dom.space.free:
-                    a, b = divmod(ab, n)
-                    cols.append(tildes[a][b] if leg == 1 else tildes[b][a])
-                canon = LinearMap._fresh(q.dim, dom.dim, cols)
-            else:
-                canon = LinearMap.from_function(
-                    q.dim, dom.dim,
-                    lambda p: self.canonical_tilde(which, *divmod(dom.space.free[p], n)))
-            self._canonical[which] = (canon, dom)
+            cols = [self.canonical_tilde(which, *divmod(ab, n)) for ab in dom.space.free]
+            self._canonical[which] = (
+                LinearMap._fresh(_codomain(self, which).dim, dom.dim, cols), dom)
         return self._canonical[which]
 
     # which -> (half, leg, side) of the multiplication each canonical map
@@ -269,16 +258,19 @@ class RegularMHA:
     def canonical_tilde(self, which, a, b):
         """The unfactored canonical map on a pure tensor e_a (x) e_b.
 
-        The value is the descended leg multiplication,
-        ``BalancedTensor.leg_op``, applied to Delta; it raises NotBalanced
-        where that multiplication does not descend.  Each call returns a
-        fresh vector: only the leg operator is cached, by its tensor.
+        On an associative A (``_absorbed_descend``) the value is read from
+        ``_tilde_table``, shared by every reader, who must not mutate it.
+        Otherwise it is the descended leg multiplication,
+        ``BalancedTensor.leg_op``, applied to Delta, a fresh vector; it
+        raises NotBalanced where that multiplication does not descend.
         """
         if which not in self._TILDES:
             raise ValueError(which)
         letter, leg, side = self._TILDES[which]
-        q, delta = (self.qb, self.delta_B) if letter == "B" else (self.qc, self.delta_C)
         u, d = (a, b) if leg == 1 else (b, a)
+        if _absorbed_descend(self.A):
+            return _tilde_table(self, which)[u][d]
+        q, delta = (self.qb, self.delta_B) if letter == "B" else (self.qc, self.delta_C)
         return q.leg_op(leg, side, u).apply(delta.col(d))
 
 
@@ -295,8 +287,8 @@ class _Half:
     Delta(a) and t(x) a onto leg ``t_leg``: legs 2 and 1 for B, 1 and 2
     for C.  ``absorb`` is the side, "r" or "l" as ``BalancedTensor.leg_op``
     names it, from which Delta absorbs multiplications on either leg: from
-    the right for Delta_B, from the left for Delta_C; ``absorbed`` computes
-    their products with Delta by the bundle's ``canonical_tilde``.
+    the right for Delta_B, from the left for Delta_C; ``absorbed`` reads
+    their products with Delta from the bundle's ``canonical_tilde``.
     ``struct(e, first)`` is the bundle's ``_struct`` of e(x) a in h's
     order, e "s" or "t", or of a e(x) if not ``first``: the one way to
     multiply A by s(x) or t(x), its ``acts[x]`` for a basis element x and
@@ -335,8 +327,8 @@ class _Half:
     def absorbed(self, leg, d, e):
         """Delta(d) with e_e absorbed on ``leg`` (1 or 2), i.e.
         ``q.leg_op(leg, absorb, e).apply(delta.col(d))``: T_lambda(e, d) or
-        T_rho(d, e) on B, lambda_T(e, d) or rho_T(d, e) on C, as a fresh
-        vector."""
+        T_rho(d, e) on B, lambda_T(e, d) or rho_T(d, e) on C, which the
+        caller must not mutate."""
         if leg == 1:
             return self._tilde(self._maps[0], e, d)
         return self._tilde(self._maps[1], d, e)
@@ -406,9 +398,9 @@ def _tilde_table(M, which):
     """tildes[u][d], Delta(d) with e_u absorbed on the leg and from the
     side of the canonical map ``which`` (``RegularMHA._TILDES``), for every
     u and d, on an associative A: the value of ``canonical_tilde`` at
-    (u, d) on leg 1 and at (d, u) on leg 2.  Built once per bundle, and
-    the B half's kept and shared by its readers, who must not mutate it;
-    zero values are the shared read-only ``_ZERO_COLUMN``.
+    (u, d) on leg 1 and at (d, u) on leg 2.  Built once per bundle, kept
+    and shared by its readers, who must not mutate it; zero values are
+    the shared read-only ``_ZERO_COLUMN``.
 
     The value is D(Delta(d)), D the descended multiplication m by e_u, so
     by ``_absorbed_descend`` it is the projection of m applied to the lift
@@ -426,7 +418,7 @@ def _tilde_table(M, which):
         M._tildes = {}
     if which in M._tildes:
         return M._tildes[which]
-    letter, leg, side = M._TILDES[which]
+    _, leg, side = M._TILDES[which]
     A, q = M.A, _codomain(M, which)
     n, table = A.dim, A.table
     lifts = _lifts(M, which)
@@ -449,8 +441,7 @@ def _tilde_table(M, which):
                 v = q.project(v)
             if v:
                 tildes[u][d] = v
-    if letter == "B":  # the dual's translate operators read T_rho and T_lambda again
-        M._tildes[which] = tildes
+    M._tildes[which] = tildes
     return tildes
 
 

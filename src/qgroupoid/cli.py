@@ -91,13 +91,18 @@ def _load_groupoid(args):
 
 
 def _parse_mu(raw, units):
+    """The unit weights by unit index, from a list of values (an
+    artifact's) or from a --mu flag: a JSON file path or comma-separated
+    values."""
     if raw is None:
         raise SystemExit("--mu is required for this command")
-    try:
-        with open(raw) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        data = [v.strip() for v in raw.split(",")]
+    data = raw
+    if not isinstance(raw, list):
+        try:
+            with open(raw) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):
+            data = [v.strip() for v in raw.split(",")]
     with _schema("--mu"):
         if isinstance(data, dict):
             data = [data[repr(u)] for u in units]
@@ -116,10 +121,11 @@ def _build_instance(example, groupoid):
     raise SystemExit("unknown --example %r (use function-algebroid or convolution)" % example)
 
 
-def _pipeline(args):
-    """(M, weight, phi, psi, cocycle) from CLI selectors or a pipeline
-    artifact: the bundle after the recipe, its weight and standard partial
-    integrals, and the recipe's cocycle or None."""
+def _selection(args):
+    """(groupoid, example, mu, field, recipe) from CLI selectors or, where
+    ``--artifact`` names one, a pipeline artifact: the groupoid, the
+    example's name, the unit weights, the scalar field of the ``sqrt``
+    roots and the recipe's name."""
     if getattr(args, "artifact", None):
         src = sys.stdin if args.artifact == "-" else open(args.artifact)
         try:
@@ -133,25 +139,27 @@ def _pipeline(args):
             mu, roots = pipeline["mu"], pipeline.get("sqrt", [])
             if not (isinstance(mu, list) and isinstance(roots, list)):
                 raise TypeError("mu and sqrt must be JSON lists")
-            mu_raw = ",".join(mu)
             recipe = pipeline.get("recipe", "identity")
             field = ScalarField(roots)
     else:
         groupoid = _load_groupoid(args)
-        example = args.example
-        mu_raw = args.mu
-        recipe = getattr(args, "recipe", None) or "identity"
+        example, mu, recipe = args.example, args.mu, args.recipe
         with _schema("--sqrt"):
             field = ScalarField(args.sqrt or [])
+    return groupoid, example, _parse_mu(mu, groupoid.units), field, recipe
+
+
+def _pipeline(args):
+    """(M, weight, phi, psi, cocycle) from ``_selection``: the bundle after
+    the recipe, its weight and standard partial integrals, and the
+    recipe's cocycle or None."""
+    groupoid, example, mu, field, recipe = _selection(args)
     M, integral_kind = _build_instance(example, groupoid)
-    mu = _parse_mu(mu_raw, groupoid.units)
     cocycle = None
     if recipe == "groupoid_rn":
         mod, cocycle = groupoid_rn_modifier(groupoid, mu, field)
         M = modify(M, mod)
-    elif recipe == "identity":
-        pass
-    else:
+    elif recipe != "identity":
         raise SystemExit("unknown --recipe %r for the CLI pipeline" % recipe)
     phi, psi = standard_integrals(integral_kind, M, groupoid=groupoid)
     weight = BaseWeight(mu_B=dict(mu), mu_C=dict(mu))
@@ -213,12 +221,9 @@ def cmd_measure(args):
 
 
 def cmd_modify(args):
-    groupoid = _load_groupoid(args)
-    M, _ = _build_instance(args.example, groupoid)
-    mu = _parse_mu(args.mu, groupoid.units)
-    with _schema("--sqrt"):
-        field = ScalarField(args.sqrt or [])
-    if args.recipe == "groupoid_rn":
+    groupoid, example, mu, field, recipe = _selection(args)
+    M, _ = _build_instance(example, groupoid)
+    if recipe == "groupoid_rn":
         mod, _ = groupoid_rn_modifier(groupoid, mu, field)
     else:
         mod = identity_modifier(M)
@@ -227,10 +232,10 @@ def cmd_modify(args):
     rep.merge(modified.modification_report, prefix="modify")
     artifact = {
         "kind": "measured-pipeline",
-        "example": args.example,
+        "example": example,
         "groupoid": groupoid_to_json(groupoid),
         "mu": [str(as_fraction(mu[i])) for i in range(len(groupoid.units))],
-        "recipe": args.recipe,
+        "recipe": recipe,
         "sqrt": list(args.sqrt or []),
     }
     if args.artifact_out:

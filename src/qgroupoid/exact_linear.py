@@ -65,7 +65,6 @@ __all__ = [
     "Rref",
     "axpy",
     "ev",
-    "vadd",
     "vsub",
     "vscale",
     "vec_items",
@@ -627,10 +626,6 @@ def ev(omega, v):
     return out
 
 
-def vadd(u, v):
-    return axpy(dict(u), 1, v)
-
-
 def vsub(u, v):
     return axpy(dict(u), -1, v)
 
@@ -954,13 +949,6 @@ class LinearMap:
         r = other.rows
         return LinearMap._fresh(self.rows * r, self.cols * other.cols,
                                 [kron_vec(a, b, r) for a in self.data for b in other.data])
-
-    def __add__(self, other):
-        return LinearMap(
-            self.rows,
-            self.cols,
-            [vadd(a, b) for a, b in zip(self.data, other.data)],
-        )
 
     def scale(self, c):
         return LinearMap(self.rows, self.cols, [vscale(c, a) for a in self.data])

@@ -20,7 +20,7 @@ from .algebra_core import (
     generating_basis,
 )
 from .balanced_tensor import NotBalanced, module_maps, unkept
-from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored, _tilde_table
+from .bialgebroid import _ONE_SIDED, _Half, _halves, _hom_space, _mirrored
 from .exact_linear import (
     ONE,
     LinearMap,
@@ -426,8 +426,8 @@ def _translate_operators(X):
     rho(e_b.phi) is sl_rho(T_rho(x, b)), and column x of lambda(e_b.phi)
     is sl_lambda(T_lambda(b, x)).  sl_rho and sl_lambda are the B-half
     slices of ``convolution`` for phi's factors Cl (leg 2) and Bl (leg 1),
-    and the T values are read from the lifted Delta_B (``_tilde_table``,
-    the one ``canonical_map`` reads).
+    and the T values are the bundle's ``canonical_tilde``, read from the
+    lifted Delta_B.
 
     The translate's factors are phi's after R_b, the right multiplication
     by e_b.  For y in C, (e_b.phi)(y a) = phi((y a) e_b) = phi(y (a e_b))
@@ -460,9 +460,9 @@ def _translate_operators(X):
     h = _Half(M, "B")
     sl_rho = _integral_slice(h, 2, X.phi.factor_Cl, "rho slice (B)")
     sl_lam = _integral_slice(h, 1, X.phi.factor_Bl, "lambda slice (B)")
-    rho, lam = _tilde_table(M, "T_rho"), _tilde_table(M, "T_lambda")
-    return [(LinearMap(n, n, [sl_rho.apply(t) for t in rho[b]]),
-             LinearMap(n, n, [sl_lam.apply(t) for t in lam[b]]))
+    tilde = M.canonical_tilde
+    return [(LinearMap(n, n, [sl_rho.apply(tilde("T_rho", x, b)) for x in range(n)]),
+             LinearMap(n, n, [sl_lam.apply(tilde("T_lambda", b, x)) for x in range(n)]))
             for b in range(n)]
 
 

@@ -789,6 +789,8 @@ def cases(workdir):
         "measure-functions-p2": lambda: [_cli("measure", *fun, "--mu", "1,4")],
         "measure-convolution-p2": lambda: [_cli("measure", *conv, "--mu", "1,4")],
         "modify-measure-convolution-p2": modify_then_measure,
+        "modify-identity-convolution-p2": lambda: [_cli(
+            "modify", "--example", "convolution", "--pair-groupoid", "a,b", "--mu", "1,4")],
         "measure-needs-sqrt": lambda: [_cli("measure", *conv, "--mu", "1,2",
                                             "--recipe", "groupoid_rn")],
         "build-and-report": lambda: [

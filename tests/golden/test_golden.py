@@ -63,6 +63,6 @@ def test_galois_compatibility_is_the_left_coassociativity_entry():
                 compared += 1
                 if entry["status"] == "fail":
                     failed.add(name)
-    assert compared == 32
+    assert compared == 33
     assert failed == {"mutant-convolution-delta_B-col1", "mutant-convolution-delta_B-term",
                       "mutant-delta_B-col0", "mutant-sweep-p2", "nonassociative-functions-p2"}

@@ -20,7 +20,7 @@ from qgroupoid.examples import (
     standard_integrals,
     swap_action,
 )
-from qgroupoid.exact_linear import ONE, LinearMap, Rref, inverse, sc, vadd, vscale
+from qgroupoid.exact_linear import ONE, LinearMap, Rref, axpy, inverse, sc
 from qgroupoid.integration import (
     BaseWeight,
     assemble_measured,
@@ -106,9 +106,8 @@ def test_criterion_02_partial_integral_equivalence(
             candidates = list(basis)
             while len(candidates) < 20:
                 if basis and rng.random() < 0.4:
-                    combo = LinearMap.zero(dim_b, n)
-                    for b in basis:
-                        combo = combo + b.scale(sc(rng.randint(-3, 3)))
+                    combo = LinearMap.combination(
+                        dim_b, n, [(sc(rng.randint(-3, 3)), b) for b in basis])
                     if rng.random() < 0.7:  # perturb off the solution space
                         cols = [dict(combo.col(a)) for a in range(n)]
                         cols[rng.randrange(n)][rng.randrange(dim_b)] = sc(
@@ -269,12 +268,12 @@ def test_criterion_09_crossed_pipeline(x_crossed_mod, hopf_z2):
             h1, h2 = divmod(idx, mh)
             d_part = {}
             for hh, t in hopf_z2.S.inverse().col(h1).items():
-                d_part = vadd(d_part, vscale(t, d.col(hh)))
+                axpy(d_part, t, d.col(hh))
             term = mt.A.mul(
                 mt.C.embed.apply({y: ONE}),
                 mt.A.mul(h_embed(hopf_z2.sigma_mod.col(h2)), mt.C.embed.apply(d_part)),
             )
-            out = vadd(out, vscale(s, term))
+            axpy(out, s, term)
         return out
 
     expected = LinearMap.from_function(mt.A.dim, mt.A.dim, expected_col)

@@ -273,6 +273,25 @@ def test_weight_file_forms_read_the_same_exact_weights(tmp_path):
     assert read == [{0: Fraction(1, 10), 1: Fraction(1, 4)}] * 2
 
 
+def test_artifact_weights_are_read_as_values(capsys, tmp_path):
+    # an artifact's weights are JSON values, not the text of a --mu flag:
+    # numbers read as the strings modify writes, and a comma stays inside
+    # its weight, which is then malformed
+    path = tmp_path / "artifact.json"
+    code, _ = run(capsys, "modify", "--example", "convolution", "--pair-groupoid", "1,2",
+                  "--mu", "1,4", "--recipe", "groupoid_rn", "--artifact-out", str(path))
+    artifact = json.loads(path.read_text())
+    assert code == 0 and artifact["mu"] == ["1", "4"]
+    written = run(capsys, "measure", "--artifact", str(path))
+    path.write_text(json.dumps(dict(artifact, mu=[1, 4])))
+    assert run(capsys, "measure", "--artifact", str(path)) == written
+    assert written[0] == 0
+    path.write_text(json.dumps(dict(artifact, mu=["1", "4,5"])))
+    assert main(["measure", "--artifact", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'4,5'" in err and "got 3" not in err
+
+
 def test_verify_and_integrals_offer_no_sqrt(capsys):
     # neither command builds a field extension, so --sqrt is a usage error
     for command in ("verify", "integrals"):

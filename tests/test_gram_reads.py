@@ -106,6 +106,10 @@ def _two_sided(left, right):
     return [x.compose(x2) for x2 in right.acts for x in left.acts]
 
 
+def _sum(f, g):
+    return LinearMap.combination(f.rows, f.cols, [(ONE, f), (ONE, g)])
+
+
 @pytest.mark.parametrize("name", BUNDLES)
 def test_one_sided_stability_agrees_with_the_two_sided_scan(name, request):
     M = request.getfixturevalue(name)
@@ -115,7 +119,7 @@ def test_one_sided_stability_agrees_with_the_two_sided_scan(name, request):
         moves = _stability_moves(left, right)
         assert len(moves) == len(left.acts) + len(right.acts)  # the gate holds
         basis = _partial_integral_basis(M, side)
-        mixed = [basis[0] + basis[-1]]  # for a basis of one map per unit, not stable
+        mixed = [_sum(basis[0], basis[-1])]  # for a basis of one map per unit, not stable
         for span in (basis, basis[:1], basis[1:], mixed):
             verdict = _stable(span, moves)
             assert verdict == _stable(span, _two_sided(left, right))
@@ -134,7 +138,7 @@ def test_stability_keeps_the_two_sided_scan_where_the_unit_is_not_the_identity(m
     moves = _stability_moves(partial, right)
     assert moves == _two_sided(partial, right)
     basis = _partial_integral_basis(m_fun, "left")
-    mixed = [basis[0] + basis[-1]]
+    mixed = [_sum(basis[0], basis[-1])]
     for span in (basis, basis[:1], mixed):
         assert _stable(span, moves) == _stable(span, _two_sided(partial, right))
     # the gate is needed: with no left action every two-sided move is 0,
@@ -149,16 +153,19 @@ def test_stability_keeps_the_two_sided_scan_where_the_unit_is_not_the_identity(m
 
 
 @pytest.mark.parametrize("name", ["m_fun", "m_conv", "m_conv_mod", "m_group"])
-def test_lifted_tildes_equal_the_absorbed_values(name, request):
-    # every value of the table builder, for all four maps, against
-    # canonical_tilde at that pure tensor
+def test_lifted_tildes_equal_the_absorbed_values(name, request, leg_op_by_components):
+    # every value of the table builder, for all four maps, against the
+    # independent oracle's multiplication by e_u on the map's leg, applied
+    # to Delta(d)
     M = request.getfixturevalue(name)
     assert M.qb.coordinate and M.qc.coordinate
     n = M.A.dim
-    for which, (_, leg, _) in RegularMHA._TILDES.items():
+    for which, (letter, leg, side) in RegularMHA._TILDES.items():
+        q, delta = (M.qb, M.delta_B) if letter == "B" else (M.qc, M.delta_C)
         tildes = _tilde_table(M, which)
-        assert all(tildes[u][d] == M.canonical_tilde(which, *((u, d) if leg == 1 else (d, u)))
-                   for u in range(n) for d in range(n)), which
+        for u in range(n):
+            op = leg_op_by_components(q, leg, side, {u: ONE})
+            assert all(tildes[u][d] == op.apply(delta.col(d)) for d in range(n)), (which, u)
 
 
 @pytest.mark.parametrize("name", ["m_fun", "m_conv", "m_tensor", "m_crossed"])

@@ -39,10 +39,10 @@ from qgroupoid.exact_linear import (
     Scalar,
     ScalarField,
     apply_legs,
+    axpy,
     kron,
     kron_vec,
     sc,
-    vadd,
     vscale,
 )
 from qgroupoid.integration import (
@@ -267,12 +267,12 @@ def test_crossed_rn_pipeline(hopf_z2):
             h1, h2 = divmod(idx, mh)
             d_part = {}
             for hh, t in hopf_z2.S.inverse().col(h1).items():
-                d_part = vadd(d_part, vscale(t, d.col(hh)))
+                axpy(d_part, t, d.col(hh))
             term = A.mul(
                 mt.C.embed.apply({y: ONE}),
                 A.mul(h_embed(hopf_z2.sigma_mod.col(h2)), mt.C.embed.apply(d_part)),
             )
-            out = vadd(out, vscale(s, term))
+            axpy(out, s, term)
         return out
 
     expected = LinearMap.from_function(A.dim, A.dim, expected_col)

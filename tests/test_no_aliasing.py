@@ -3,6 +3,8 @@ unchanged.  ``LinearMap.col()`` returns the stored column, so an in-place
 accumulation started from a column would silently corrupt the map."""
 
 import dataclasses
+import importlib.util
+import os
 
 import pytest
 
@@ -22,8 +24,14 @@ from qgroupoid import (
     standard_integrals,
     verify_regular_mha,
 )
+from qgroupoid.bialgebroid import _tilde_table
 from qgroupoid.exact_linear import LinearMap, apply_legs
 from qgroupoid.structure_theory import _modular_automorphism
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", os.path.join(os.path.dirname(__file__), "golden", "record.py"))
+golden_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_record)
 
 WEIGHT = {0: sc(1), 1: sc(4)}
 # every module structure of a bundle: its operators are the products of A
@@ -105,23 +113,40 @@ def test_memoized_sigma_still_equals_a_fresh_computation():
     assert dataclasses.replace(X)._sigma is None
 
 
-def test_canonical_values_are_fresh_vectors():
-    # verify, the partial-integral solve and modify all read Delta(d) e_e
-    # through canonical_tilde, which stores no value: every call builds a
-    # new vector, so a caller that writes into one changes no later value
-    M = build_convolution_algebroid(pair_groupoid([1, 2]))
-    n = M.A.dim
-    keys = [(which, a, b) for which in M._DOMAINS for a in range(n) for b in range(n)]
-    before = {key: dict(M.canonical_tilde(*key)) for key in keys}
-    assert any(before.values())
-    for key in keys:
-        value = M.canonical_tilde(*key)
-        assert value == before[key] and value is not M.canonical_tilde(*key), key
-        for k in value:
-            value[k] = sc(7)
-        value[-1] = sc(1)
-    assert {key: M.canonical_tilde(*key) for key in keys} == before
-    assert verify_regular_mha(M).ok
+def _stored_values(M):
+    """The four tables of M's canonical values, and copies of their values."""
+    tables = {which: _tilde_table(M, which) for which in M._DOMAINS}
+    return tables, {which: [[dict(v) for v in row] for row in table]
+                    for which, table in tables.items()}
+
+
+def test_the_canonical_value_tables_survive_every_reader():
+    # on an associative A canonical_tilde hands out the stored values of
+    # one table per canonical map, and the canonical maps keep them as
+    # their columns: a caller that wrote into one would change every later
+    # reader's.  Convolution p2 is verified, solved, measured, dualized and
+    # modified; the M2 tensor algebroid, whose laws its base weights do not
+    # decide, is verified and solved, reading the values through
+    # _Half.absorbed
+    g = pair_groupoid([1, 2])
+    M, M2 = build_convolution_algebroid(g), golden_record.matrix_tensor_algebroid()
+    stored = [(B, *_stored_values(B)) for B in (M, M2)]
+    assert all(any(map(any, rows)) for *_, values in stored for rows in values.values())
+    assert M.canonical_tilde("T_rho", 1, 2) is stored[0][1]["T_rho"][2][1]
+    for B in (M, M2):
+        assert verify_regular_mha(B).ok
+        for side in ("left", "right"):
+            basis, rep = solve_partial_integrals(B, side)
+            assert basis and rep.ok
+    phi, psi = standard_integrals("groupoid-convolution", M, groupoid=g)
+    mu = {0: sc(1), 1: sc(1)}
+    X = assemble_measured(M, BaseWeight(mu_B=dict(mu), mu_C=dict(mu)), phi, psi)
+    assert dual_algebra(X).report.ok
+    mod, _ = groupoid_rn_modifier(g, WEIGHT)
+    modify(M, mod)
+    for B, tables, values in stored:
+        assert all(_tilde_table(B, which) is table for which, table in tables.items())
+        assert _stored_values(B)[1] == values
 
 
 def test_apply_legs_returns_a_fresh_vector():

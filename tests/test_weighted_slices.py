@@ -4,10 +4,11 @@ base weights equal their general paths.
 ``BalancedTensor.slice`` decides a slice on a coordinate quotient, by a
 structure with weights, from one pairing per basis element and weight
 group (``_slice_by_weights``); the general path is
-``descend_componentwise``.  ``RegularMHA.canonical_map`` reads its
-columns from the lifted Delta when A is associative and its codomain is
-a coordinate quotient; the general path applies a descended leg
-multiplication (``canonical_tilde``).  ``_partial_integral_basis``
+``descend_componentwise``.  ``RegularMHA.canonical_tilde``, and so
+``canonical_map``, reads its values from the lifted Delta when A is
+associative (``_tilde_table``); they are compared with conftest's
+independent oracle of the descended leg multiplication, the path on any
+other A.  ``_partial_integral_basis``
 states one slice law per comultiplied element when A is unital and
 associative and the tensor is a coordinate quotient; the general path
 states one per pair.  Each is compared here with its general path, and
@@ -190,11 +191,12 @@ def test_echelon_tensors_keep_the_checked_slices(monkeypatch):
 # -- canonical maps ------------------------------------------------------------
 
 
-def test_canonical_maps_equal_the_descended_operator_on_delta(request):
-    # the gated columns, read from the lifted Delta, against canonical_tilde
-    # at every free coordinate of the domain; on every associative A the
-    # table builder's values there too, which on the moved bundles' echelon
-    # quotients it projects
+def test_canonical_maps_equal_the_descended_operator_on_delta(request, leg_op_by_components):
+    # the columns, read from the lifted Delta on an associative A, against
+    # the independent oracle's multiplication by e_u on the map's leg,
+    # applied to Delta(d), at every free coordinate of the domain; on every
+    # associative A the table builder's values there too, which on the
+    # moved bundles' echelon quotients it projects
     moving = law_shortcuts.sparse_descent
     moved = [moving._transport(M, moving._CHANGES[change](M.A.dim))
              for build in (build_function_algebroid, build_convolution_algebroid)
@@ -212,16 +214,24 @@ def test_canonical_maps_equal_the_descended_operator_on_delta(request):
     gated, raised, projected = 0, 0, 0
     for M in bundles:
         n = M.A.dim
-        for which, (_, leg, _) in RegularMHA._TILDES.items():
+        for which, (letter, leg, side) in RegularMHA._TILDES.items():
+            q, delta = (M.qb, M.delta_B) if letter == "B" else (M.qc, M.delta_C)
             dom = M.tensor(RegularMHA._DOMAINS[which])
-            expected = _outcome(lambda: [M.canonical_tilde(which, *divmod(p, n))
-                                         for p in dom.space.free])
+            pairs = [divmod(p, n) for p in dom.space.free]
+            ops = {}
+
+            def column(u, d):
+                if u not in ops:
+                    ops[u] = leg_op_by_components(q, leg, side, {u: ONE})
+                return ops[u].apply(delta.col(d))
+
+            expected = _outcome(lambda: [column(*((a, b) if leg == 1 else (b, a)))
+                                         for a, b in pairs])
             got = _outcome(lambda: list(M.canonical_map(which)[0].data))
             assert got == expected, (M.name, which)
             raised += got[1] is not None
             if M.A.is_associative()[0]:
                 tildes = _tilde_table(M, which)
-                pairs = (divmod(p, n) for p in dom.space.free)
                 built = [tildes[a][b] if leg == 1 else tildes[b][a] for a, b in pairs]
                 assert (built, None) == expected, (M.name, which)
         gated += M.qb.coordinate and M.A.is_associative()[0]
@@ -242,6 +252,23 @@ def test_canonical_maps_build_no_leg_operator(monkeypatch):
         M = build(pair_groupoid([1, 2, 3]))
         assert all(m.is_bijective() for m, _ in M.canonical().values())
     assert legs == []
+
+
+def test_verify_reads_no_canonical_value_through_a_leg_operator(monkeypatch):
+    # on the M2 tensor algebroid, whose base is not diagonal, each leg
+    # operator verify builds is asked for by a law's own scan, never by
+    # canonical_tilde: every canonical value is read from the table
+    callers = []
+    real = BalancedTensor.leg_op
+
+    def spy(self, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, *args)
+
+    monkeypatch.setattr(BalancedTensor, "leg_op", spy)
+    M = golden_record.matrix_tensor_algebroid()
+    assert verify_regular_mha(M).ok
+    assert callers and "canonical_tilde" not in callers
 
 
 # -- the partial-integral system -----------------------------------------------
